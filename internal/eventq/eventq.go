@@ -14,8 +14,8 @@
 // Scheduling is O(1) bucket placement; Pop advances a cursor using
 // per-level occupancy bitmaps and cascades higher-level buckets down,
 // for amortized O(1) per event regardless of queue depth — the reason
-// this replaced the binary heap (retained in heap.go as the
-// differential-test oracle).
+// this replaced the binary heap, which survives only in heap_test.go as
+// the differential tests' oracle and is compiled into no binary.
 //
 // Events sharing the cursor's tick live in a run slice kept sorted by
 // (At, seq), which restores the sub-tick ordering the bucket quantization
@@ -69,13 +69,14 @@ type Event struct {
 
 	seq      uint64 // insertion order, breaks ties deterministically
 	where    int32  // zone the event currently occupies (see below)
-	pos      int32  // index while in the spill heap or heapQueue (heap.go)
+	pos      int32  // index while in the spill heap
 	canceled bool
 }
 
 // Zone codes for Event.where. Zero is the never-scheduled zero value;
 // anything >= zoneRun means "still queued". Wheel buckets encode their
-// level and index so Cancel can unlink in O(1).
+// level and index so Cancel can unlink in O(1). Code 4 belongs to the
+// test-only oracle heap (heap_test.go); 5-7 are unused.
 const (
 	idxFreed  = -2 // returned to the free list
 	idxPopped = -1 // removed by Pop, possibly running
@@ -83,7 +84,6 @@ const (
 	zoneRun   = 1  // run slice: events at the cursor's tick
 	zoneOver  = 2  // overdue slice: scheduled in the past
 	zoneSpill = 3  // spill slice: beyond the wheel horizon
-	zoneHeap  = 4  // owned by the retained heapQueue (heap.go)
 	zoneWheel = 8  // + lvl*wheelSize + bucket
 )
 

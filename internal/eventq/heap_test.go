@@ -1,10 +1,19 @@
 // The binary min-heap the timing wheel replaced, retained as the
 // reference implementation ("oracle") for the differential property
 // tests: both queues share the Event and Handle types and must produce
-// identical pop orders for identical Schedule/Cancel/Pop scripts.
+// identical pop orders for identical Schedule/Cancel/Pop scripts. It
+// lives in a _test.go file so no binary carries it, and it keeps its
+// own sift code rather than sharing the wheel's spill heap: an oracle
+// that shares the implementation under test checks nothing.
 package eventq
 
 import "time"
+
+// zoneHeap marks an event owned by a heapQueue. It sits among the
+// "still queued" codes of Event.where (>= zoneRun, below zoneWheel)
+// that Queue never uses, so Handle.Pending works on the oracle's
+// handles too.
+const zoneHeap = 4
 
 // heapQueue is the pre-wheel event queue: a binary min-heap ordered by
 // (At, seq) with the same free-list pooling and ABA-safe handles as

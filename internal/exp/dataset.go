@@ -184,22 +184,13 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 		}
 	}
 
-	shards := make([]*scenario.Shard, runner.Workers())
+	shards := newWorkerShards()
 	perJob, err := runner.AllShards(len(jobs), func(i, shard int) ([]DatasetRow, error) {
 		j := jobs[i]
 		key := datasetKey(j.scen, j.scaling, j.trial)
 		simSeed := rng.Derive(c.Seed, key).Uint64()
 
-		var sh *scenario.Shard
-		if shard < len(shards) {
-			sh = shards[shard]
-		}
-		if sh == nil {
-			sh = scenario.NewShard()
-			if shard < len(shards) {
-				shards[shard] = sh
-			}
-		}
+		sh := shards.get(shard)
 		d, _ := scenario.Lookup(j.scen)
 		footKey := fmt.Sprintf("%s@%s", j.scen, strconv.FormatFloat(j.scaling, 'g', -1, 64))
 		cpl, err := sh.CompileSpecAggregate(footKey, scenario.ScaleTraffic(d.Spec, j.scaling), simSeed, matrixRecorderEpoch)

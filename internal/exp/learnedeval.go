@@ -134,7 +134,7 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	// Classical tools on the same configurations: fresh compilation of
 	// the scaled scenario at the configuration's seed per tool, as in
 	// the matrix experiment.
-	shards := make([]*scenario.Shard, runner.Workers())
+	shards := newWorkerShards()
 	type toolErr struct {
 		config, tool int
 		errMbps      float64
@@ -143,16 +143,7 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	errs, err := runner.AllShards(len(configs)*len(res.Tools), func(job, shard int) (toolErr, error) {
 		ci, ti := job/len(res.Tools), job%len(res.Tools)
 		c, tool := configs[ci], res.Tools[ti]
-		var sh *scenario.Shard
-		if shard < len(shards) {
-			sh = shards[shard]
-		}
-		if sh == nil {
-			sh = scenario.NewShard()
-			if shard < len(shards) {
-				shards[shard] = sh
-			}
-		}
+		sh := shards.get(shard)
 		d, _ := scenario.Lookup(c.scen)
 		footKey := fmt.Sprintf("%s@%g", c.scen, c.scaling)
 		cpl, err := sh.CompileSpecAggregate(footKey, scenario.ScaleTraffic(d.Spec, c.scaling), c.simSeed, matrixRecorderEpoch)

@@ -19,6 +19,25 @@ import (
 // Arrival row per cross-traffic packet each.
 const matrixRecorderEpoch = 100 * time.Millisecond
 
+// workerShards gives each runner worker its own scenario.Shard, created
+// on first use. Entry i is touched only by the worker goroutine with
+// shard index i, so no synchronization is needed.
+type workerShards []*scenario.Shard
+
+func newWorkerShards() workerShards { return make(workerShards, runner.Workers()) }
+
+func (w workerShards) get(shard int) *scenario.Shard {
+	if shard >= len(w) {
+		// SetWorkers raced with the fan-out; arenas are an optimization,
+		// so a throwaway shard is fine.
+		return scenario.NewShard()
+	}
+	if w[shard] == nil {
+		w[shard] = scenario.NewShard()
+	}
+	return w[shard]
+}
+
 // MatrixConfig parameterizes the tools×scenarios matrix: every
 // registered end-to-end estimator against every cataloged scenario.
 // This is the experiment the paper's summary asks for — "compare and
@@ -136,25 +155,12 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 		infoShard.Recycle(d.Name, cpl)
 	}
 
-	// Lazily created: each entry is touched only by the worker goroutine
-	// with that shard index, so no synchronization is needed.
-	shards := make([]*scenario.Shard, runner.Workers())
+	shards := newWorkerShards()
 	cells, err := runner.AllShards(len(c.Scenarios)*len(c.Tools), func(job, shard int) (MatrixCell, error) {
 		si, ti := job/len(c.Tools), job%len(c.Tools)
 		name, tool := c.Scenarios[si], c.Tools[ti]
 		d, _ := scenario.Lookup(name)
-		var sh *scenario.Shard
-		if shard < len(shards) {
-			sh = shards[shard]
-		}
-		if sh == nil {
-			sh = scenario.NewShard()
-			if shard < len(shards) {
-				shards[shard] = sh
-			}
-			// else: SetWorkers raced with the fan-out; arenas are an
-			// optimization, so a throwaway shard is fine.
-		}
+		sh := shards.get(shard)
 		cpl, err := sh.CompileSeededAggregate(d, c.Seed, matrixRecorderEpoch)
 		if err != nil {
 			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", name, err)

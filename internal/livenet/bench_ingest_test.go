@@ -3,7 +3,6 @@ package livenet
 import (
 	"net"
 	"testing"
-	"time"
 
 	"abw/internal/livenet/ingest"
 )
@@ -62,14 +61,9 @@ func benchIntakeBufs(chunk int) [][]byte {
 //     timestamps, batched header parse. Steady state allocates nothing.
 //   - fallback: the portable single-read loop (ForceFallback), one
 //     syscall per packet, userspace stamps.
-//   - legacy: the pre-ingest receiver loop shape — ReadFromUDP
-//     (allocating the source address per packet), userspace stamp,
-//     single-packet parse. The baseline the tentpole is measured
-//     against.
 func BenchmarkReceiverIngest(b *testing.B) {
 	b.Run("batched", func(b *testing.B) { benchIntake(b, false) })
 	b.Run("fallback", func(b *testing.B) { benchIntake(b, true) })
-	b.Run("legacy", benchLegacyIntake)
 }
 
 func benchIntake(b *testing.B, force bool) {
@@ -101,45 +95,6 @@ func benchIntake(b *testing.B, force bool) {
 			}
 			stamped += parseProbeBatch(batch[:k], hs, oks)
 			got += k
-		}
-		done += n
-	}
-	b.StopTimer()
-	if stamped != b.N {
-		b.Fatalf("stamped %d of %d packets", stamped, b.N)
-	}
-}
-
-func benchLegacyIntake(b *testing.B) {
-	rc, sc := benchIntakePair(b)
-	w := ingest.NewWriter(sc)
-	chunk := intakeChunk(rc)
-	bufs := benchIntakeBufs(chunk)
-	buf := make([]byte, maxPacket)
-	epoch := time.Now()
-	stamped := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := chunk
-		if b.N-done < n {
-			n = b.N - done
-		}
-		b.StopTimer()
-		if err := w.WriteBatch(bufs[:n]); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for got := 0; got < n; got++ {
-			ln, src, err := rc.ReadFromUDP(buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			at := time.Since(epoch).Nanoseconds()
-			if _, ok := parseProbeHeader(buf[:ln]); ok {
-				stamped++
-			}
-			_, _ = src, at
 		}
 		done += n
 	}

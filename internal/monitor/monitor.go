@@ -23,6 +23,7 @@
 package monitor
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"sync"
@@ -276,7 +277,7 @@ func (m *Monitor) Start() {
 		// N identical targets land spread across [0, interval), not in
 		// one burst at t=0.
 		e.at = now.Add(time.Duration(e.jitter.Float64() * float64(e.interval)))
-		m.heap.push(e)
+		heap.Push(&m.heap, e)
 	}
 	go m.loop()
 	if m.cfg.SnapshotPath != "" {
@@ -337,7 +338,7 @@ func (m *Monitor) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		Targets:    len(m.entries),
-		Scheduled:  m.heap.len() + m.active,
+		Scheduled:  len(m.heap) + m.active,
 		Active:     m.active,
 		RunsOK:     m.runsOK,
 		RunsErr:    m.runsErr,

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,4 +334,50 @@ func TestMonitorCloseIdempotent(t *testing.T) {
 	if st := m2.Stats(); st.RunsOK == 0 {
 		t.Error("no run completed before close")
 	}
+}
+
+// slipClock is a FakeClock that advances itself by slip right after the
+// first Now() reading that follows a NewTimer call — with one target and
+// no run in flight, that reading is the scheduler loop computing its
+// wait, so the advance lands exactly between that reading and the
+// timer.Reset that re-bases on a later one.
+type slipClock struct {
+	*FakeClock
+	slip  time.Duration
+	armed atomic.Bool
+}
+
+func (c *slipClock) NewTimer(d time.Duration) Timer {
+	t := c.FakeClock.NewTimer(d)
+	c.armed.Store(true)
+	return t
+}
+
+func (c *slipClock) Now() time.Time {
+	now := c.FakeClock.Now()
+	if c.armed.CompareAndSwap(true, false) {
+		c.FakeClock.Advance(c.slip)
+	}
+	return now
+}
+
+// TestSchedulerSurvivesAdvanceDuringRearm: an Advance that crosses the
+// head deadline between the loop's Now() and its timer.Reset used to
+// leave the timer armed past the deadline with nothing to wake the
+// loop. No further Advance is made here, so the run happens only if
+// the loop notices on its own.
+func TestSchedulerSurvivesAdvanceDuringRearm(t *testing.T) {
+	clk := &slipClock{FakeClock: NewFakeClock(time.Unix(1_700_000_000, 0).UTC()), slip: 11 * time.Second}
+	m, err := New(Config{
+		Targets:  simTargets()[:1],
+		Interval: 10 * time.Second,
+		Seed:     1,
+		Clock:    clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer m.Close()
+	waitFor(t, "the run made due while the loop re-armed", func() bool { return m.Stats().Points >= 1 })
 }

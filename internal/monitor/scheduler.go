@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -34,7 +35,6 @@ type entry struct {
 	jitterFrac float64
 
 	at     time.Time // next due time, owned by the scheduler under m.mu
-	pos    int       // heap position, -1 when not queued
 	runSeq uint64
 
 	sim      *scenario.Compiled
@@ -71,7 +71,6 @@ func (m *Monitor) newEntry(i int, t Target) (*entry, error) {
 		d:          d,
 		interval:   t.Interval,
 		jitterFrac: m.cfg.Jitter,
-		pos:        -1,
 	}
 	if e.interval <= 0 {
 		e.interval = m.cfg.Interval
@@ -172,11 +171,13 @@ func (m *Monitor) loop() {
 	defer timer.Stop()
 	for {
 		m.mu.Lock()
-		wait := time.Duration(-1)
+		wait := time.Hour
 		var due *entry
-		if next := m.heap.peek(); next != nil {
-			if d := next.at.Sub(m.clock.Now()); d <= 0 {
-				due = m.heap.pop()
+		var deadline time.Time // head entry's due time, zero when idle
+		if len(m.heap) > 0 {
+			deadline = m.heap[0].at
+			if d := deadline.Sub(m.clock.Now()); d <= 0 {
+				due = heap.Pop(&m.heap).(*entry)
 				m.active++
 			} else {
 				wait = d
@@ -188,10 +189,13 @@ func (m *Monitor) loop() {
 			go m.runEntry(due)
 			continue
 		}
-		if wait < 0 {
-			wait = time.Hour
-		}
 		timer.Reset(wait)
+		// Reset re-bases wait on its own, later reading of the clock. If
+		// the clock moved past the deadline between the two readings the
+		// timer now sits beyond it and nothing else would wake the loop.
+		if !deadline.IsZero() && !m.clock.Now().Before(deadline) {
+			continue
+		}
 		select {
 		case <-m.root.Done():
 			return
@@ -230,7 +234,7 @@ func (m *Monitor) runEntry(e *entry) {
 				next = now
 			}
 			e.at = next
-			m.heap.push(e)
+			heap.Push(&m.heap, e)
 		}
 		m.mu.Unlock()
 		m.wakeLoop()
@@ -423,72 +427,19 @@ func (m *Monitor) poolFor(addr string) (*livenet.Pool, error) {
 	return p, nil
 }
 
-// --- schedule heap: a plain binary min-heap over entry.at ---
+// entryHeap orders queued entries by due time for container/heap.
+type entryHeap []*entry
 
-type entryHeap struct {
-	es []*entry
-}
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *entryHeap) Push(x any)        { *h = append(*h, x.(*entry)) }
 
-func (h *entryHeap) len() int { return len(h.es) }
-
-func (h *entryHeap) peek() *entry {
-	if len(h.es) == 0 {
-		return nil
-	}
-	return h.es[0]
-}
-
-func (h *entryHeap) push(e *entry) {
-	h.es = append(h.es, e)
-	e.pos = len(h.es) - 1
-	h.up(e.pos)
-}
-
-func (h *entryHeap) pop() *entry {
-	e := h.es[0]
-	last := len(h.es) - 1
-	h.swap(0, last)
-	h.es[last] = nil
-	h.es = h.es[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	e.pos = -1
+func (h *entryHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	e := old[n]
+	old[n] = nil
+	*h = old[:n]
 	return e
-}
-
-func (h *entryHeap) swap(i, j int) {
-	h.es[i], h.es[j] = h.es[j], h.es[i]
-	h.es[i].pos, h.es[j].pos = i, j
-}
-
-func (h *entryHeap) less(i, j int) bool { return h.es[i].at.Before(h.es[j].at) }
-
-func (h *entryHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *entryHeap) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h.es) && h.less(l, min) {
-			min = l
-		}
-		if r < len(h.es) && h.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h.swap(i, min)
-		i = min
-	}
 }

@@ -488,61 +488,24 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 	if flow == 0 {
 		flow = 1000 + h
 	}
-	stream := func(rate unit.Rate) crosstraffic.Stream {
-		return crosstraffic.Stream{Rate: rate, Sizes: src.sizes(), Flow: flow}
-	}
 	switch src.Kind {
-	case CBR:
+	case CBR, Poisson, ParetoOnOff, ParetoArrivals:
 		segs, err := src.segments(horizon)
 		if err != nil {
 			return err
+		}
+		// Exactly one Split per random source and none for CBR: every
+		// stream derived from root depends on that sequence.
+		var r *rng.Rand
+		if src.Kind != CBR {
+			r = root.Split(label)
 		}
 		for _, g := range segs {
 			if g.rate == 0 {
 				continue
 			}
-			crosstraffic.CBR(stream(g.rate)).Run(s, route, g.from, g.until)
-		}
-	case Poisson:
-		segs, err := src.segments(horizon)
-		if err != nil {
-			return err
-		}
-		r := root.Split(label)
-		for _, g := range segs {
-			if g.rate == 0 {
-				continue
-			}
-			crosstraffic.Poisson(stream(g.rate), r).Run(s, route, g.from, g.until)
-		}
-	case ParetoOnOff:
-		segs, err := src.segments(horizon)
-		if err != nil {
-			return err
-		}
-		r := root.Split(label)
-		for _, g := range segs {
-			if g.rate == 0 {
-				continue
-			}
-			crosstraffic.ParetoOnOff(crosstraffic.ParetoOnOffConfig{Stream: stream(g.rate), OffCap: 200}, r).
-				Run(s, route, g.from, g.until)
-		}
-	case ParetoArrivals:
-		segs, err := src.segments(horizon)
-		if err != nil {
-			return err
-		}
-		shape := src.Shape
-		if shape == 0 {
-			shape = 1.9
-		}
-		r := root.Split(label)
-		for _, g := range segs {
-			if g.rate == 0 {
-				continue
-			}
-			crosstraffic.ParetoArrivals(stream(g.rate), shape, r).Run(s, route, g.from, g.until)
+			st := crosstraffic.Stream{Rate: g.rate, Sizes: src.sizes(), Flow: flow}
+			src.segmentModel(st, r).Run(s, route, g.from, g.until)
 		}
 	case LRD:
 		if src.Rate <= 0 {
@@ -609,6 +572,26 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 		return fmt.Errorf("scenario: unknown source kind %v", src.Kind)
 	}
 	return nil
+}
+
+// segmentModel builds the cross-traffic model for one rate segment of
+// a CBR, Poisson, ParetoOnOff or ParetoArrivals source; r is the
+// source's stream, shared by its segments (unused by CBR).
+func (src Source) segmentModel(st crosstraffic.Stream, r *rng.Rand) crosstraffic.Model {
+	switch src.Kind {
+	case CBR:
+		return crosstraffic.CBR(st)
+	case Poisson:
+		return crosstraffic.Poisson(st, r)
+	case ParetoOnOff:
+		return crosstraffic.ParetoOnOff(crosstraffic.ParetoOnOffConfig{Stream: st, OffCap: 200}, r)
+	default:
+		shape := src.Shape
+		if shape == 0 {
+			shape = 1.9
+		}
+		return crosstraffic.ParetoArrivals(st, shape, r)
+	}
 }
 
 // replayTrace tiles the base trace over [from, until). Each tile's

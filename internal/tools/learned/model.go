@@ -17,7 +17,6 @@ package learned
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"abw/internal/probe"
 	"abw/internal/unit"
@@ -211,27 +210,35 @@ func (w *Weights) knnPredict(z []float64) float64 {
 		d2  float64
 		idx int
 	}
-	cands := make([]cand, len(w.KNN.X))
+	k := w.KNN.K
+	if k > len(w.KNN.X) {
+		k = len(w.KNN.X)
+	}
+	// best holds the k nearest rows so far, ascending by (d2, idx). Rows
+	// arrive in index order, so a row tying an entry sorts after it.
+	best := make([]cand, 0, k)
 	for i, row := range w.KNN.X {
 		var d2 float64
 		for j := range row {
 			d := z[j] - row[j]
 			d2 += d * d
 		}
-		cands[i] = cand{d2, i}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d2 != cands[b].d2 {
-			return cands[a].d2 < cands[b].d2
+		if len(best) == k {
+			if d2 >= best[k-1].d2 {
+				continue
+			}
+			best = best[:k-1]
 		}
-		return cands[a].idx < cands[b].idx
-	})
-	k := w.KNN.K
-	if k > len(cands) {
-		k = len(cands)
+		at := len(best)
+		for at > 0 && d2 < best[at-1].d2 {
+			at--
+		}
+		best = append(best, cand{})
+		copy(best[at+1:], best[at:])
+		best[at] = cand{d2, i}
 	}
 	var num, den float64
-	for _, c := range cands[:k] {
+	for _, c := range best {
 		wt := 1 / (math.Sqrt(c.d2) + 1e-9)
 		num += wt * w.KNN.Y[c.idx]
 		den += wt

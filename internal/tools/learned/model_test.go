@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
+
+	"abw/internal/rng"
 )
 
 // trainCase builds a noiseless linear problem y = 0.5 + 0.2·x0 − 0.1·x1
@@ -139,6 +142,53 @@ func TestKNNInterpolatesAndBreaksTiesDeterministically(t *testing.T) {
 	y, _ = w.Predict([]float64{3})
 	if math.Abs(y-0.9) > 1e-6 {
 		t.Errorf("on-row kNN = %g, want ≈0.9", y)
+	}
+}
+
+// knnFullSort is the definition knnPredict's selection must reproduce
+// bit for bit: order every row by (distance, index), weigh the first K.
+func knnFullSort(w *Weights, z []float64) float64 {
+	idx := make([]int, len(w.KNN.X))
+	d2 := make([]float64, len(w.KNN.X))
+	for i, row := range w.KNN.X {
+		idx[i] = i
+		for j := range row {
+			d := z[j] - row[j]
+			d2[i] += d * d
+		}
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if d2[idx[a]] != d2[idx[b]] {
+			return d2[idx[a]] < d2[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	var num, den float64
+	for _, i := range idx[:min(w.KNN.K, len(idx))] {
+		wt := 1 / (math.Sqrt(d2[i]) + 1e-9)
+		num += wt * w.KNN.Y[i]
+		den += wt
+	}
+	return num / den
+}
+
+func TestKNNSelectionMatchesFullSort(t *testing.T) {
+	r := rng.New(7)
+	for _, k := range []int{1, 2, 5, 40, 64} {
+		w := &Weights{KNN: KNN{K: k}}
+		for i := 0; i < 40; i++ {
+			// Coordinates on a coarse grid: many rows tie in distance,
+			// some are exact duplicates.
+			row := []float64{math.Round(4 * r.Float64()), math.Round(4 * r.Float64())}
+			w.KNN.X = append(w.KNN.X, row)
+			w.KNN.Y = append(w.KNN.Y, r.Float64())
+		}
+		for q := 0; q < 50; q++ {
+			z := []float64{math.Round(4 * r.Float64()), 4 * r.Float64()}
+			if got, want := w.knnPredict(z), knnFullSort(w, z); got != want {
+				t.Fatalf("k=%d query %v: selection %v, full sort %v", k, z, got, want)
+			}
+		}
 	}
 }
 

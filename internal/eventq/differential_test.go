@@ -11,6 +11,8 @@ import (
 type queueImpl interface {
 	Schedule(time.Duration, func()) Handle
 	ScheduleArg(time.Duration, func(any), any) Handle
+	ReserveSeq(uint64) uint64
+	ScheduleArgSeq(time.Duration, uint64, func(any), any) Handle
 	Cancel(Handle)
 	Pop() *Event
 	PopUntil(time.Duration) *Event
@@ -50,7 +52,11 @@ func scheduleAt(r *rand.Rand, now, prev time.Duration) time.Duration {
 // and asserts identical observable behavior at every step: lengths,
 // peeked and popped (At, payload) pairs — covering same-instant
 // tie-breaks — and the outcome of cancels through live, stale, and
-// recycled handles.
+// recycled handles. The script also reserves sequence-number blocks and
+// schedules under their numbers out of order, long after ordinary
+// events have taken later numbers: at every regime scheduleAt covers
+// (behind the cursor, the cursor's tick, each wheel level, beyond the
+// epoch) and from inside a drain at the instant just popped.
 func TestWheelMatchesHeapDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -63,6 +69,38 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 		var handles [2][]Handle
 		now, prev := time.Duration(0), time.Duration(-1)
 		nextPayload := 0
+
+		// Reserved sequence numbers not yet scheduled under; each is
+		// used at most once, as the Handle contract requires.
+		var reserved []uint64
+		scheduleReserved := func(at time.Duration) {
+			if len(reserved) == 0 {
+				return
+			}
+			j := r.Intn(len(reserved))
+			seq := reserved[j]
+			reserved[j] = reserved[len(reserved)-1]
+			reserved = reserved[:len(reserved)-1]
+			payload := nextPayload
+			nextPayload++
+			for i, q := range impls {
+				handles[i] = append(handles[i], q.ScheduleArgSeq(at, seq, func(any) {}, payload))
+			}
+		}
+		// midDrain schedules, one time in three, under a reserved
+		// number at (or within two ticks of) the instant just popped:
+		// the same-tick insert a lazy source makes while it fires, with
+		// a number that may sort before events already in the run slice
+		// — or before the event just popped.
+		midDrain := func(at time.Duration) {
+			if r.Intn(3) != 0 {
+				return
+			}
+			if r.Intn(2) == 0 {
+				at += time.Duration(r.Int63n(3 << tickShift))
+			}
+			scheduleReserved(at)
+		}
 
 		pop := func() {
 			var popped [2]*Event
@@ -85,12 +123,13 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 			for i, q := range impls {
 				q.Release(popped[i])
 			}
+			midDrain(now)
 		}
 
 		const ops = 4000
 		for op := 0; op < ops; op++ {
 			switch k := r.Intn(100); {
-			case k < 55: // schedule
+			case k < 40: // schedule
 				at := scheduleAt(r, now, prev)
 				prev = at
 				payload := nextPayload
@@ -98,6 +137,19 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 				for i, q := range impls {
 					handles[i] = append(handles[i], q.ScheduleArg(at, func(any) {}, payload))
 				}
+			case k < 45: // reserve a block
+				n := uint64(1 + r.Intn(8))
+				base := w.ReserveSeq(n)
+				if hb := h.ReserveSeq(n); hb != base {
+					t.Fatalf("seed %d op %d: ReserveSeq: wheel %d heap %d", seed, op, base, hb)
+				}
+				for i := uint64(0); i < n; i++ {
+					reserved = append(reserved, base+i)
+				}
+			case k < 55: // schedule under a reserved number, out of order
+				at := scheduleAt(r, now, prev)
+				prev = at
+				scheduleReserved(at)
 			case k < 75: // cancel a random handle — possibly stale
 				if len(handles[0]) == 0 {
 					continue
@@ -144,9 +196,11 @@ func TestWheelMatchesHeapDifferential(t *testing.T) {
 						t.Fatalf("seed %d op %d: PopUntil mismatch: wheel (%v, %v) heap (%v, %v)",
 							seed, op, popped[0].At, popped[0].arg, popped[1].At, popped[1].arg)
 					}
+					at := popped[0].At
 					for i, q := range impls {
 						q.Release(popped[i])
 					}
+					midDrain(at)
 				}
 				if deadline > now {
 					now = deadline

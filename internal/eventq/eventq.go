@@ -102,7 +102,18 @@ func (e *Event) Call() {
 	}
 }
 
-// less is the global pop order: ascending time, insertion order on ties.
+// less is the global pop order: ascending time, then ascending sequence
+// number. Schedule and ScheduleArg draw the number from the queue's
+// counter, so for them the tie-break is insertion order. ReserveSeq sets
+// a block of numbers aside at the counter's current position and
+// ScheduleArgSeq schedules under one of them later: such an event ties
+// exactly as if it had been inserted when the block was reserved — after
+// everything scheduled before the reservation, before everything
+// scheduled after it, and in number order within the block. Every zone
+// orders by less (buckets are re-sorted when they load), so a number
+// that arrives out of insertion order costs nothing extra. Numbers
+// identify events to Handles, so the block's owner must use each one at
+// most once.
 func less(a, b *Event) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -156,10 +167,12 @@ type Queue struct {
 	// in the past, which the simulator forbids, so it stays tiny.
 	overdue []*Event
 	// spill is a binary min-heap ordered by (At, seq), indexed through
-	// Event.pos. Far-future events arrive in bursts from every traffic
-	// source at once (trace tiles inject a whole tile ahead), so inserts
-	// interleave arbitrarily — a sorted slice would memmove per insert;
-	// the heap keeps both insert and epoch-refill at O(log n).
+	// Event.pos. Every traffic source keeps one event pending, so what
+	// lands here is sparse: events scheduled into a later wheel epoch
+	// (~17 s each) — trace-tile boundaries and late rate-segment starts
+	// laid down well ahead, plus whichever TCP timers and in-flight
+	// packets straddle an epoch edge. They arrive in no particular
+	// order, which a heap takes at O(log n) per insert and refill pop.
 	spill []*Event
 
 	wheel [wheelLevels][wheelSize]*Event // bucket list heads
@@ -213,6 +226,31 @@ func (q *Queue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
 	e := q.alloc()
 	e.fn, e.argFn, e.arg = nil, fn, arg
 	return q.push(e, at)
+}
+
+// ReserveSeq sets aside n consecutive sequence numbers at the current
+// point of the insertion order and returns the first. Only the relative
+// order of numbers matters, so a caller that does not know its count may
+// reserve a generous block.
+func (q *Queue) ReserveSeq(n uint64) uint64 {
+	base := q.seq
+	q.seq += n
+	return base
+}
+
+// ScheduleArgSeq is ScheduleArg under a sequence number from a block
+// the caller reserved with ReserveSeq (see less for the ordering this
+// buys). It is how a lazy source keeps one event pending and still
+// fires in the order of an eager one that scheduled everything at once.
+func (q *Queue) ScheduleArgSeq(at time.Duration, seq uint64, fn func(any), arg any) Handle {
+	e := q.alloc()
+	e.fn, e.argFn, e.arg = nil, fn, arg
+	e.At = at
+	e.seq = seq
+	e.canceled = false
+	q.place(e)
+	q.n++
+	return Handle{e: e, seq: seq}
 }
 
 // place files an event into the zone its tick calls for. An event goes

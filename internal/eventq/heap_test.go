@@ -42,15 +42,20 @@ func (q *heapQueue) alloc() *Event {
 }
 
 func (q *heapQueue) push(e *Event, at time.Duration) Handle {
+	seq := q.seq
+	q.seq++
+	return q.pushSeq(e, at, seq)
+}
+
+func (q *heapQueue) pushSeq(e *Event, at time.Duration, seq uint64) Handle {
 	e.At = at
-	e.seq = q.seq
+	e.seq = seq
 	e.canceled = false
 	e.where = zoneHeap
-	q.seq++
 	e.pos = int32(len(q.h))
 	q.h = append(q.h, e)
 	q.siftUp(int(e.pos))
-	return Handle{e: e, seq: e.seq}
+	return Handle{e: e, seq: seq}
 }
 
 func (q *heapQueue) Schedule(at time.Duration, fn func()) Handle {
@@ -63,6 +68,18 @@ func (q *heapQueue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle 
 	e := q.alloc()
 	e.fn, e.argFn, e.arg = nil, fn, arg
 	return q.push(e, at)
+}
+
+func (q *heapQueue) ReserveSeq(n uint64) uint64 {
+	base := q.seq
+	q.seq += n
+	return base
+}
+
+func (q *heapQueue) ScheduleArgSeq(at time.Duration, seq uint64, fn func(any), arg any) Handle {
+	e := q.alloc()
+	e.fn, e.argFn, e.arg = nil, fn, arg
+	return q.pushSeq(e, at, seq)
 }
 
 func (q *heapQueue) Cancel(h Handle) {

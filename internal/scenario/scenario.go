@@ -53,7 +53,8 @@ const (
 	ParetoArrivals
 	// LRD replays a synthesized long-range-dependent packet trace
 	// (fGn rate-modulated, exactly known Hurst parameter), tiled over
-	// the horizon.
+	// the horizon and, like every other model, realized one packet at
+	// a time as the run reaches it.
 	LRD
 	// Mice is an aggregate of short TCP transfers: Poisson flow
 	// arrivals, bounded-Pareto flow sizes (Figure 7's "size limited
@@ -109,7 +110,9 @@ type Source struct {
 	// packet models (CBR, Poisson, ParetoOnOff, ParetoArrivals)
 	// support profiles.
 	Steps []RateStep
-	// PktSize is the fixed packet size in bytes (default 1500).
+	// PktSize is the fixed packet size in bytes (default 1500; an LRD
+	// source with neither PktSize nor Sizes set draws the trimodal
+	// Internet mix, rng.InternetMix, instead).
 	PktSize unit.Bytes
 	// Sizes, if set, draws packet sizes and overrides PktSize.
 	Sizes rng.SizeDist
@@ -518,12 +521,12 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 		if hurst == 0 {
 			hurst = 0.8
 		}
-		sizes := src.Sizes
-		if sizes == nil {
-			sizes = rng.InternetMix
+		sizes := rng.SizeDist(rng.InternetMix)
+		if src.Sizes != nil || src.PktSize > 0 {
+			sizes = src.sizes()
 		}
 		r := root.Split(label)
-		base, err := trace.SynthesizeFGN(trace.FGNConfig{
+		stream, err := trace.NewFGNStream(trace.FGNConfig{
 			Capacity: link.Capacity,
 			MeanRate: src.Rate,
 			Hurst:    hurst,
@@ -533,7 +536,7 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 		if err != nil {
 			return fmt.Errorf("scenario: LRD synthesis: %w", err)
 		}
-		replayTrace(s, route, base, flow, 0, horizon)
+		replayTrace(s, route, stream, flow, 0, horizon)
 	case Mice:
 		if src.Rate <= 0 {
 			return fmt.Errorf("scenario: mice source needs a positive offered load")
@@ -594,25 +597,27 @@ func (src Source) segmentModel(st crosstraffic.Stream, r *rng.Rand) crosstraffic
 	}
 }
 
-// replayTrace tiles the base trace over [from, until). Each tile's
-// injections are scheduled lazily at the tile boundary, so only tiles
-// the run actually reaches materialize events.
-func replayTrace(s *sim.Sim, route []*sim.Link, tr *trace.Trace, flow int, from, until time.Duration) {
+// replayTrace tiles the fGn trace over [from, until), one sim.Feed per
+// tile: a single injection event is pending at any time and the trace
+// is synthesized only as far as the run reaches, yet every packet fires
+// in the order it would had the tile been laid down whole at its
+// boundary (the feed's reserved sequence numbers; the eager version
+// survives as the tests' oracle). A stream that yields no packets makes
+// every feed end at once: the source is silent, not an error.
+func replayTrace(s *sim.Sim, route []*sim.Link, tr *trace.FGNStream, flow int, from, until time.Duration) {
 	var tile func(start time.Duration)
 	tile = func(start time.Duration) {
 		if start >= until {
 			return
 		}
-		for _, p := range tr.Packets() {
-			at := start + p.At
-			if at >= until {
-				break
+		s.Feed(route, sim.KindCross, flow, func(i int) (time.Duration, unit.Bytes, bool) {
+			p, ok := tr.Packet(i)
+			if !ok || start+p.At >= until {
+				return 0, 0, false
 			}
-			pkt := s.NewPacket()
-			pkt.Size, pkt.Kind, pkt.Flow, pkt.Route = p.Size, sim.KindCross, flow, route
-			s.Inject(pkt, at)
-		}
-		if next := start + tr.Span; next < until {
+			return start + p.At, p.Size, true
+		})
+		if next := start + tr.Span(); next < until {
 			s.At(next, func() { tile(next) })
 		}
 	}

@@ -48,6 +48,29 @@ func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestFeedDoesNotAllocatePerPacket: a feed is one object and one
+// pending event however long its series — stepping through it builds
+// pooled packets and reuses pooled events, nothing else.
+func TestFeedDoesNotAllocatePerPacket(t *testing.T) {
+	f := newForwardingLoop()
+	f.s.Feed(f.route, KindCross, 0, func(i int) (time.Duration, unit.Bytes, bool) {
+		return time.Duration(i) * f.gap, 1500, true
+	})
+	f.s.RunUntil(1024 * f.gap) // warm the pools
+	// One event for the feed, the rest for the packets in transmission
+	// and propagation (1 ms of 240 µs gaps).
+	if n := f.s.Pending(); n > 8 {
+		t.Fatalf("%d events pending mid-feed, want the feed's one plus a few packets in flight", n)
+	}
+	allocs := testing.AllocsPerRun(2000, func() {
+		f.at = f.s.Now() + f.gap
+		f.s.RunUntil(f.at)
+	})
+	if allocs != 0 {
+		t.Errorf("a running feed allocates %.2f per packet, want 0", allocs)
+	}
+}
+
 // BenchmarkLinkForwarding measures the full per-packet cost of the
 // simulator hot path — injection event, FIFO, transmission-complete
 // event, propagation handoff, recorder update — at 0 allocs/op in

@@ -41,6 +41,7 @@ type Sim struct {
 	injectFn  func(any)
 	advanceFn func(any)
 	txDoneFn  func(any)
+	feedFn    func(any)
 }
 
 // New returns an empty simulation.

@@ -186,20 +186,32 @@ func (c FGNConfig) withDefaults() (FGNConfig, error) {
 	return c, nil
 }
 
-// SynthesizeFGN builds a trace whose windowed rate process is fGn with
-// the configured Hurst parameter — the generator used when an experiment
-// needs an exactly known correlation structure (e.g. validating the
-// Equation (5) variance law on traffic rather than on raw fGn).
-func SynthesizeFGN(cfg FGNConfig, r *rng.Rand) (*Trace, error) {
+// FGNStream is the fGn generator run on demand: the envelope is drawn
+// when the stream is built, packets one modulation window at a time as
+// they are asked for. The arrivals stream is private to the generator
+// and consumed strictly window after window, so pulling packets lazily
+// yields exactly the sequence a single drain does. Generated packets
+// are retained: a consumer that replays the trace (tiling it over a
+// longer horizon) reads the same packets again.
+type FGNStream struct {
+	c        FGNConfig // defaults resolved
+	envelope []float64
+	arrivals *rng.Rand
+	w        int // next window to synthesize
+	pkts     []Pkt
+}
+
+// NewFGNStream validates the configuration and draws the envelope (the
+// two FFTs); no packet is synthesized yet.
+func NewFGNStream(cfg FGNConfig, r *rng.Rand) (*FGNStream, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	if r == nil {
-		return nil, fmt.Errorf("trace: SynthesizeFGN needs a random source")
+		return nil, fmt.Errorf("trace: fGn synthesis needs a random source")
 	}
-	n := int(c.Span / c.Window)
-	gen, err := fgn.NewGenerator(c.Hurst, n)
+	gen, err := fgn.NewGenerator(c.Hurst, int(c.Span/c.Window))
 	if err != nil {
 		return nil, err
 	}
@@ -207,36 +219,74 @@ func SynthesizeFGN(cfg FGNConfig, r *rng.Rand) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrivals := r.Split("arrivals")
+	return &FGNStream{
+		c:        c,
+		envelope: envelope,
+		arrivals: r.Split("arrivals"),
+	}, nil
+}
+
+// Span returns the trace duration (FGNConfig.Span, defaults resolved).
+func (g *FGNStream) Span() time.Duration { return g.c.Span }
+
+// window synthesizes the next modulation window's packets — locally
+// Poisson at the envelope's rate, in non-decreasing time order — and
+// reports whether there was a window left to synthesize.
+func (g *FGNStream) window() bool {
+	if g.w == len(g.envelope) {
+		return false
+	}
+	c := g.c
 	sigma := float64(c.MeanRate) * c.RelStdDev
-	var pkts []Pkt
-	for w := 0; w < n; w++ {
-		rate := float64(c.MeanRate) + sigma*envelope[w]
-		// Clamp to the physical range; clamping slightly reduces the
-		// realized variance, which the calibration tests account for.
-		if rate < 0 {
-			rate = 0
-		}
-		if rate > float64(c.Capacity) {
-			rate = float64(c.Capacity)
-		}
-		if rate == 0 {
-			continue
-		}
-		winStart := time.Duration(w) * c.Window
-		meanSize := c.Sizes.Mean()
-		meanGap := meanSize * 8 / rate
-		at := winStart + time.Duration(arrivals.Exp(meanGap)*1e9)
-		for at < winStart+c.Window {
-			size := unit.Bytes(c.Sizes.Sample(arrivals))
-			pkts = append(pkts, Pkt{At: at, Size: size})
-			at += time.Duration(arrivals.Exp(meanGap) * 1e9)
+	rate := float64(c.MeanRate) + sigma*g.envelope[g.w]
+	winStart := time.Duration(g.w) * c.Window
+	g.w++
+	// Clamp to the physical range; clamping slightly reduces the
+	// realized variance, which the calibration tests account for.
+	if rate > float64(c.Capacity) {
+		rate = float64(c.Capacity)
+	}
+	if rate <= 0 {
+		return true
+	}
+	meanGap := c.Sizes.Mean() * 8 / rate
+	at := winStart + time.Duration(g.arrivals.Exp(meanGap)*1e9)
+	for at < winStart+c.Window {
+		size := unit.Bytes(c.Sizes.Sample(g.arrivals))
+		g.pkts = append(g.pkts, Pkt{At: at, Size: size})
+		at += time.Duration(g.arrivals.Exp(meanGap) * 1e9)
+	}
+	return true
+}
+
+// Packet returns the i-th packet of the trace, synthesizing windows up
+// to the one containing it and no further; ok is false past the last
+// packet.
+func (g *FGNStream) Packet(i int) (p Pkt, ok bool) {
+	for i >= len(g.pkts) {
+		if !g.window() {
+			return Pkt{}, false
 		}
 	}
-	if len(pkts) == 0 {
+	return g.pkts[i], true
+}
+
+// SynthesizeFGN builds a trace whose windowed rate process is fGn with
+// the configured Hurst parameter — the generator used when an experiment
+// needs an exactly known correlation structure (e.g. validating the
+// Equation (5) variance law on traffic rather than on raw fGn). It is
+// the drain of an FGNStream.
+func SynthesizeFGN(cfg FGNConfig, r *rng.Rand) (*Trace, error) {
+	g, err := NewFGNStream(cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	for g.window() {
+	}
+	if len(g.pkts) == 0 {
 		return nil, fmt.Errorf("trace: synthesis produced no packets (rate too low?)")
 	}
-	return New(c.Capacity, c.Span, pkts)
+	return New(g.c.Capacity, g.c.Span, g.pkts)
 }
 
 // RateSeries returns the windowed arrival-rate series of the trace in

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -279,6 +281,101 @@ func TestRateSeries(t *testing.T) {
 	for _, v := range series[1:] {
 		if v != 0 {
 			t.Errorf("idle window rate = %g, want 0", v)
+		}
+	}
+}
+
+// fgnStreamCases are the configurations the stream tests run: the
+// defaults (a 30 s OC-3 trace, which at 1 ns resolution contains a
+// handful of equal-time packet pairs) and a short fixed-size one.
+var fgnStreamCases = []struct {
+	cfg FGNConfig
+	// digests pins the packets of seeds 1..3 (FNV-1a over At and Size
+	// as little-endian uint64s) as the whole-trace loop produced them
+	// before SynthesizeFGN became the drain of an FGNStream.
+	digests [3]uint64
+}{
+	{FGNConfig{}, [3]uint64{0x3a5e674f110ca4a5, 0x1ecc4233aa9bd655, 0xae641294ad1e54f9}},
+	{FGNConfig{
+		Capacity: 50 * unit.Mbps, MeanRate: 20 * unit.Mbps, Hurst: 0.7,
+		Span: 2 * time.Second, Window: 5 * time.Millisecond, Sizes: rng.FixedSize(1000),
+	}, [3]uint64{0x151c2be4ec933d53, 0x5a396328cee60f5c, 0x757ecfd908d6f342}},
+}
+
+// TestFGNStreamMatchesSynthesize pulls packets from the stream one at a
+// time, as a lazy replayer does, and requires exactly the packets of
+// the whole-trace path, in exactly the order trace.New leaves them: New
+// sorts with the unstable sort.Slice, so a replayer reading the stream
+// and one reading Trace.Packets agree only while the stream emits in
+// non-decreasing time order — asserted here on traces that do contain
+// equal-time pairs.
+func TestFGNStreamMatchesSynthesize(t *testing.T) {
+	for ci, tc := range fgnStreamCases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			tr, err := SynthesizeFGN(tc.cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewFGNStream(tc.cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Span() != tr.Span {
+				t.Fatalf("case %d: stream span %v, trace span %v", ci, g.Span(), tr.Span)
+			}
+			want := tr.Packets()
+			h := fnv.New64a()
+			var row [16]byte
+			for i, w := range want {
+				p, ok := g.Packet(i)
+				if !ok || p != w {
+					t.Fatalf("case %d seed %d: packet %d: stream (%v, %v), trace %v", ci, seed, i, p, ok, w)
+				}
+				if i > 0 && p.At < want[i-1].At {
+					t.Fatalf("case %d seed %d: packet %d at %v precedes its predecessor at %v", ci, seed, i, p.At, want[i-1].At)
+				}
+				binary.LittleEndian.PutUint64(row[:8], uint64(p.At))
+				binary.LittleEndian.PutUint64(row[8:], uint64(p.Size))
+				h.Write(row[:])
+			}
+			if p, ok := g.Packet(len(want)); ok {
+				t.Fatalf("case %d seed %d: stream yields packet %v past the trace's %d", ci, seed, p, len(want))
+			}
+			if got := h.Sum64(); got != tc.digests[seed-1] {
+				t.Errorf("case %d seed %d: packet digest %016x, want %016x", ci, seed, got, tc.digests[seed-1])
+			}
+		}
+	}
+}
+
+// TestFGNStreamSynthesizesOnDemand pins the laziness: a fresh stream
+// holds no packets, and asking for packet i synthesizes windows up to
+// the one containing it and not one further — including when packets
+// are asked for out of order, which re-reads retained ones.
+func TestFGNStreamSynthesizesOnDemand(t *testing.T) {
+	for ci, tc := range fgnStreamCases {
+		g, err := NewFGNStream(tc.cfg, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.w != 0 || len(g.pkts) != 0 {
+			t.Fatalf("case %d: fresh stream already synthesized %d windows, %d packets", ci, g.w, len(g.pkts))
+		}
+		for _, i := range []int{0, 700, 3, 2500} {
+			want, retained := g.w, i < len(g.pkts)
+			p, ok := g.Packet(i)
+			if !ok {
+				t.Fatalf("case %d: no packet %d", ci, i)
+			}
+			if !retained {
+				want = int(p.At/g.c.Window) + 1
+			}
+			if g.w != want {
+				t.Errorf("case %d: packet %d at %v: stream has synthesized %d windows, want %d", ci, i, p.At, g.w, want)
+			}
+		}
+		if g.w == len(g.envelope) {
+			t.Errorf("case %d: four packets drained the whole stream", ci)
 		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"abw/internal/exp"
 	"abw/internal/runner"
 	"abw/internal/scenario"
-	"abw/internal/unit"
 )
 
 func main() {
@@ -79,7 +78,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			runtime.GC() // flush unreachable pool garbage so live arenas dominate
+			runtime.GC() // a heap profile is as of the last completed collection
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintf(os.Stderr, "abwsim: -memprofile: %v\n", err)
 				os.Exit(1)
@@ -442,5 +441,4 @@ func printCatalog() {
 	for _, m := range core.Misconceptions {
 		fmt.Printf("  %2d. [%s] %s (exp: %s)\n", m.ID, m.Kind, m.Title, m.Experiment)
 	}
-	_ = unit.Mbps
 }

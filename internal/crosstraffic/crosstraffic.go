@@ -1,8 +1,7 @@
 // Package crosstraffic implements the background-traffic models the paper
 // evaluates against: Constant-Bit-Rate (periodic), Poisson, and Pareto
 // ON-OFF sources (Figure 3), with configurable packet-size distributions
-// (Table 1), plus aggregation helpers and the one-hop-persistent
-// attachment pattern of the multiple-bottleneck experiment (Figure 4).
+// (Table 1).
 //
 // All models share a Stream configuration (long-run average rate, packet
 // sizes, packet kind) so experiments can vary burstiness while holding
@@ -294,46 +293,4 @@ func (m *paretoArrivals) Run(s *sim.Sim, route []*sim.Link, from, until time.Dur
 	}
 	s.At(from, step)
 	return ctr
-}
-
-// --- composition helpers ---
-
-type aggregate struct{ parts []Model }
-
-// Aggregate multiplexes several models into one. Each part keeps its own
-// configuration; the combined long-run rate is the sum of the parts.
-func Aggregate(parts ...Model) Model {
-	if len(parts) == 0 {
-		panic("crosstraffic: empty aggregate")
-	}
-	return &aggregate{parts: parts}
-}
-
-func (m *aggregate) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter {
-	total := &Counter{}
-	ctrs := make([]*Counter, len(m.parts))
-	for i, p := range m.parts {
-		ctrs[i] = p.Run(s, route, from, until)
-	}
-	// Totals are only correct after the simulation runs; recompute on a
-	// final event instead of summing now.
-	s.At(until, func() {
-		total.Packets, total.Bytes = 0, 0
-		for _, c := range ctrs {
-			total.Packets += c.Packets
-			total.Bytes += c.Bytes
-		}
-	})
-	return total
-}
-
-// OnePersistentPerHop instantiates mk(i) for each link of the path and
-// runs it over just that hop — the paper's "one-hop persistent" cross
-// traffic that enters at link i and exits at link i+1 (Figure 4).
-func OnePersistentPerHop(s *sim.Sim, path *sim.Path, from, until time.Duration, mk func(hop int) Model) []*Counter {
-	ctrs := make([]*Counter, len(path.Links))
-	for i, l := range path.Links {
-		ctrs[i] = mk(i).Run(s, []*sim.Link{l}, from, until)
-	}
-	return ctrs
 }

@@ -178,55 +178,6 @@ func TestBurstinessOrdering(t *testing.T) {
 	}
 }
 
-func TestAggregateSumsRates(t *testing.T) {
-	parts := make([]Model, 5)
-	for i := range parts {
-		parts[i] = Poisson(Stream{Rate: 5 * unit.Mbps, Flow: i}, rng.New(uint64(10+i)))
-	}
-	m := Aggregate(parts...)
-	_, ctr := runModel(m, 100*unit.Mbps, 5*time.Second)
-	got := ctr.AvgRate(5 * time.Second)
-	if math.Abs(got.MbpsOf()-25)/25 > 0.05 {
-		t.Errorf("aggregate rate = %v, want ~25Mbps", got)
-	}
-}
-
-func TestAggregateEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty aggregate did not panic")
-		}
-	}()
-	Aggregate()
-}
-
-func TestOnePersistentPerHop(t *testing.T) {
-	// Each hop gets its own source; traffic entering hop i must not
-	// appear at hop j != i.
-	s := sim.New()
-	var links []*sim.Link
-	var recs []*sim.Recorder
-	for i := 0; i < 3; i++ {
-		l := s.NewLink("hop", 50*unit.Mbps, 0)
-		r := sim.NewRecorder(l.Capacity)
-		l.Attach(r)
-		links = append(links, l)
-		recs = append(recs, r)
-	}
-	path := sim.MustPath(links...)
-	root := rng.New(20)
-	OnePersistentPerHop(s, path, 0, time.Second, func(hop int) Model {
-		return Poisson(Stream{Rate: 10 * unit.Mbps, Flow: hop}, root.Split(string(rune('a'+hop))))
-	})
-	s.Run()
-	for i, rec := range recs {
-		got := rec.ArrivalRate(0, time.Second, sim.CrossOnly)
-		if math.Abs(got.MbpsOf()-10)/10 > 0.1 {
-			t.Errorf("hop %d arrival rate = %v, want ~10Mbps", i, got)
-		}
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func() int64 {
 		s := sim.New()

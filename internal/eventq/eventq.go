@@ -712,91 +712,3 @@ func (q *Queue) Release(e *Event) {
 func (q *Queue) Peek() *Event {
 	return q.front(maxTick)
 }
-
-// NewPool allocates n pooled events in one contiguous block, ready to
-// seed a queue's free list via Prime. Arena owners use it to grow a
-// shard's event pool to a known footprint in a single allocation
-// instead of one miss at a time.
-func NewPool(n int) []*Event {
-	block := make([]Event, n)
-	out := make([]*Event, n)
-	for i := range block {
-		block[i].where = idxFreed
-		out[i] = &block[i]
-	}
-	return out
-}
-
-// Prime seeds the queue's free list with events reclaimed from another
-// queue (or built by NewPool), so the first schedules of a fresh run
-// hit the pool instead of the allocator. The queue takes ownership of
-// the slice — when its own free list is empty (the usual case: a fresh
-// queue) the backing array is adopted wholesale, so an arena's
-// Reclaim/Prime round trip moves slice headers instead of copying
-// pool-sized arrays. No-op with pooling disabled.
-func (q *Queue) Prime(events []*Event) {
-	if q.noPool || len(events) == 0 {
-		return
-	}
-	if len(q.free) == 0 {
-		q.free = events
-		return
-	}
-	q.free = append(q.free, events...)
-}
-
-// Reclaim empties the queue — pending events, lazily-canceled strays,
-// and the free list alike — resetting every Event struct and appending
-// it to dst, which is returned. It is the arena hand-back at the end of
-// a simulation's life: the structs move to the owner's pool and the
-// queue is left logically empty (cursor position retained). When dst is
-// empty the queue's free-list backing array is handed back wholesale,
-// the other half of the Prime ownership move. The queue must be idle —
-// no popped event still outstanding with the caller.
-func (q *Queue) Reclaim(dst []*Event) []*Event {
-	// Pending strays fold into the free list first; free-list entries
-	// were already reset by Release (or NewPool).
-	collect := func(e *Event) {
-		e.fn, e.argFn, e.arg = nil, nil, nil
-		e.next, e.prev = nil, nil
-		e.canceled = false
-		e.where = idxFreed
-		q.free = append(q.free, e)
-	}
-	for _, e := range q.run[q.runPos:] {
-		collect(e)
-	}
-	q.run = q.run[:0]
-	q.runPos = 0
-	for _, e := range q.overdue {
-		collect(e)
-	}
-	q.overdue = q.overdue[:0]
-	for _, e := range q.spill {
-		collect(e)
-	}
-	q.spill = q.spill[:0]
-	for lvl := range q.wheel {
-		for m := q.occ[lvl]; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			for e := q.wheel[lvl][b]; e != nil; {
-				next := e.next
-				collect(e)
-				e = next
-			}
-			q.wheel[lvl][b] = nil
-		}
-		q.occ[lvl] = 0
-	}
-	q.n = 0
-	if len(dst) == 0 {
-		dst, q.free = q.free, dst[:0]
-		return dst
-	}
-	dst = append(dst, q.free...)
-	for i := range q.free {
-		q.free[i] = nil
-	}
-	q.free = q.free[:0]
-	return dst
-}

@@ -153,9 +153,8 @@ func datasetSplit(c DatasetConfig) map[string]string {
 
 // Dataset sweeps the catalog × scalings × seeds and reduces every probe
 // stream to one row. Each (scenario, scaling, trial) configuration is
-// one runner job compiling its own scenario on the worker shard's
-// arena, so rows are bit-identical at any -parallel and pooling
-// setting.
+// one runner job compiling its own scenario, so rows are bit-identical
+// at any -parallel and pooling setting.
 func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 	c := cfg.withDefaults()
 	for _, name := range c.Scenarios {
@@ -184,16 +183,14 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 		}
 	}
 
-	shards := newWorkerShards()
-	perJob, err := runner.AllShards(len(jobs), func(i, shard int) ([]DatasetRow, error) {
+	perJob, err := runner.All(len(jobs), func(i int) ([]DatasetRow, error) {
 		j := jobs[i]
 		key := datasetKey(j.scen, j.scaling, j.trial)
 		simSeed := rng.Derive(c.Seed, key).Uint64()
 
-		sh := shards.get(shard)
 		d, _ := scenario.Lookup(j.scen)
-		footKey := fmt.Sprintf("%s@%s", j.scen, strconv.FormatFloat(j.scaling, 'g', -1, 64))
-		cpl, err := sh.CompileSpecAggregate(footKey, scenario.ScaleTraffic(d.Spec, j.scaling), simSeed, matrixRecorderEpoch)
+		d.Spec = scenario.ScaleTraffic(d.Spec, j.scaling)
+		cpl, err := d.CompileSeededUnrecorded(simSeed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: dataset: %s ×%g: %w", j.scen, j.scaling, err)
 		}
@@ -228,7 +225,6 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 				})
 			}
 		}
-		sh.Recycle(footKey, cpl)
 		return rows, nil
 	})
 	if err != nil {

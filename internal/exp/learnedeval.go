@@ -134,19 +134,17 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	// Classical tools on the same configurations: fresh compilation of
 	// the scaled scenario at the configuration's seed per tool, as in
 	// the matrix experiment.
-	shards := newWorkerShards()
 	type toolErr struct {
 		config, tool int
 		errMbps      float64
 		failed       bool
 	}
-	errs, err := runner.AllShards(len(configs)*len(res.Tools), func(job, shard int) (toolErr, error) {
+	errs, err := runner.All(len(configs)*len(res.Tools), func(job int) (toolErr, error) {
 		ci, ti := job/len(res.Tools), job%len(res.Tools)
 		c, tool := configs[ci], res.Tools[ti]
-		sh := shards.get(shard)
 		d, _ := scenario.Lookup(c.scen)
-		footKey := fmt.Sprintf("%s@%g", c.scen, c.scaling)
-		cpl, err := sh.CompileSpecAggregate(footKey, scenario.ScaleTraffic(d.Spec, c.scaling), c.simSeed, matrixRecorderEpoch)
+		d.Spec = scenario.ScaleTraffic(d.Spec, c.scaling)
+		cpl, err := d.CompileSeededUnrecorded(c.simSeed)
 		if err != nil {
 			return toolErr{}, fmt.Errorf("exp: learnedeval: %s ×%g: %w", c.scen, c.scaling, err)
 		}
@@ -156,7 +154,6 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 			Repeat:   6, MaxRounds: 6, // quick-matrix effort
 		}
 		rep, estErr := registry.Estimate(context.Background(), tool, params, cpl.Transport)
-		sh.Recycle(footKey, cpl)
 		if estErr != nil {
 			return toolErr{config: ci, tool: ti, failed: true}, nil
 		}

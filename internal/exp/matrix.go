@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"abw/internal/core"
 	"abw/internal/rng"
@@ -11,32 +10,6 @@ import (
 	"abw/internal/scenario"
 	"abw/internal/tools/registry"
 )
-
-// matrixRecorderEpoch is the aggregate ground-truth granularity of the
-// matrix runs. The matrix only consumes the analytic (spec-derived)
-// truth, so the recorders exist purely as bounded diagnostics: per-epoch
-// counters keep the many long-horizon compilations from holding one
-// Arrival row per cross-traffic packet each.
-const matrixRecorderEpoch = 100 * time.Millisecond
-
-// workerShards gives each runner worker its own scenario.Shard, created
-// on first use. Entry i is touched only by the worker goroutine with
-// shard index i, so no synchronization is needed.
-type workerShards []*scenario.Shard
-
-func newWorkerShards() workerShards { return make(workerShards, runner.Workers()) }
-
-func (w workerShards) get(shard int) *scenario.Shard {
-	if shard >= len(w) {
-		// SetWorkers raced with the fan-out; arenas are an optimization,
-		// so a throwaway shard is fine.
-		return scenario.NewShard()
-	}
-	if w[shard] == nil {
-		w[shard] = scenario.NewShard()
-	}
-	return w[shard]
-}
 
 // MatrixConfig parameterizes the tools×scenarios matrix: every
 // registered end-to-end estimator against every cataloged scenario.
@@ -121,25 +94,18 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 // fresh compilation of the scenario (same seed, so every tool sees
 // statistically identical conditions), with the tight-link capacity as
 // its Capacity parameter — the best case the paper grants direct
-// probing. Results are bit-identical at every worker count.
-//
-// Memory layout: every runner shard owns a scenario.Shard — an arena
-// holding event structs, packets, and recorder bins reclaimed from the
-// compilations it has already run, sized per scenario from the previous
-// compile — so a steady-state matrix run recycles its simulation memory
-// instead of re-growing every pool from cold. Shards are pure memory
-// affinity; the cells are bit-identical at any worker count.
+// probing. Results are bit-identical at every worker count. The truth
+// column is the analytic TrueAvailBw, so every compile is unrecorded.
 func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 	c := cfg.withDefaults()
 	res := &MatrixResult{Config: c, Tools: c.Tools}
 
-	infoShard := scenario.NewShard()
 	for _, name := range c.Scenarios {
 		d, ok := scenario.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("exp: matrix: unknown scenario %q (have %v)", name, scenario.Names())
 		}
-		cpl, err := infoShard.CompileSeededAggregate(d, c.Seed, matrixRecorderEpoch)
+		cpl, err := d.CompileSeededUnrecorded(c.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}
@@ -152,16 +118,13 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 			TightLink:       cpl.TightLink,
 			NarrowLink:      cpl.NarrowLink,
 		})
-		infoShard.Recycle(d.Name, cpl)
 	}
 
-	shards := newWorkerShards()
-	cells, err := runner.AllShards(len(c.Scenarios)*len(c.Tools), func(job, shard int) (MatrixCell, error) {
+	cells, err := runner.All(len(c.Scenarios)*len(c.Tools), func(job int) (MatrixCell, error) {
 		si, ti := job/len(c.Tools), job%len(c.Tools)
 		name, tool := c.Scenarios[si], c.Tools[ti]
 		d, _ := scenario.Lookup(name)
-		sh := shards.get(shard)
-		cpl, err := sh.CompileSeededAggregate(d, c.Seed, matrixRecorderEpoch)
+		cpl, err := d.CompileSeededUnrecorded(c.Seed)
 		if err != nil {
 			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}
@@ -182,7 +145,6 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 			}
 		}
 		rep, err := registry.Estimate(context.Background(), tool, params, cpl.Transport)
-		sh.Recycle(d.Name, cpl)
 		return MatrixCell{Scenario: d.Name, Outcome: core.NewOutcome(tool, rep, err), Err: err}, nil
 	})
 	if err != nil {

@@ -8,12 +8,9 @@ import (
 )
 
 // TestMatrixDeterminism is the runner contract applied to the matrix:
-// identical results at every shard count, because each (scenario, tool)
-// cell derives everything from the config seed and its own indices.
-// The scenario list is long enough that every shard compiles several
-// scenarios out of its arena — including repeats of scenarios it has
-// recycled — so recycled-memory reuse is under test, not just the
-// fan-out.
+// identical results at every worker count, because each (scenario,
+// tool) cell derives everything from the config seed and its own
+// indices.
 func TestMatrixDeterminism(t *testing.T) {
 	defer runner.SetWorkers(0)
 	cfg := MatrixConfig{

@@ -15,11 +15,6 @@ import (
 	"abw/internal/unit"
 )
 
-// simRecorderEpoch is the aggregate-recorder granularity sim targets
-// compile with: per-epoch counters instead of per-packet rows, so a
-// monitor that runs for weeks holds bounded ground-truth state.
-const simRecorderEpoch = 100 * time.Millisecond
-
 // entry is one scheduled (target, tool) assignment and its run state.
 // The scheduler guarantees at most one run of an entry is in flight,
 // so everything below the config fields is accessed by exactly one
@@ -388,7 +383,7 @@ func (m *Monitor) ensureSim(e *entry) error {
 	}
 	seed := rng.Derive(m.cfg.Seed, fmt.Sprintf("sim/%s/epoch%d", e.key, e.simEpoch)).Uint64()
 	e.simEpoch++
-	cpl, err := e.sc.CompileSeededAggregate(seed, simRecorderEpoch)
+	cpl, err := e.sc.CompileSeededUnrecorded(seed)
 	if err != nil {
 		return fmt.Errorf("monitor: target %q: compiling scenario %q: %w", e.t.Name, e.t.Scenario, err)
 	}

@@ -18,7 +18,7 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers holds the process-wide worker count used by Do. Zero
+// defaultWorkers holds the process-wide worker count used by All. Zero
 // means "one worker per CPU". cmd/abwsim's -parallel flag and the
 // determinism tests set it; everything else should leave it alone.
 var defaultWorkers atomic.Int64
@@ -71,21 +71,6 @@ func (p *Pool) workers(n int) int {
 // unstarted ones, and is returned; results are nil in that case. A nil
 // pool behaves like the zero Pool.
 func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapShards(ctx, p, n, func(ctx context.Context, i, _ int) (T, error) {
-		return fn(ctx, i)
-	})
-}
-
-// MapShards is Map for jobs that want worker-affine state: fn
-// additionally receives the shard index — the stable identity of the
-// worker goroutine running it, in [0, workers). Jobs with the same
-// shard index never run concurrently, so a job may freely reuse
-// per-shard resources (memory arenas, scratch buffers) indexed by it.
-//
-// The determinism contract is unchanged and the shard index must not
-// influence results: which jobs land on which shard depends on
-// scheduling. Shards are memory affinity, never semantics.
-func MapShards[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i, shard int) (T, error)) ([]T, error) {
 	if p == nil {
 		p = &Pool{}
 	}
@@ -111,13 +96,13 @@ func MapShards[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.C
 	)
 	for w := p.workers(n); w > 0; w-- {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
 			for i := range jobs {
 				if ctx.Err() != nil {
 					return
 				}
-				v, err := fn(ctx, i, shard)
+				v, err := fn(ctx, i)
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = err
@@ -134,7 +119,7 @@ func MapShards[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.C
 					progMu.Unlock()
 				}
 			}
-		}(w - 1)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -167,17 +152,10 @@ func SetProgress(fn func(done, total int)) {
 // SetWorkers, SetProgress) and returns the results in index order. It
 // is the convenience the experiments use for their trial loops.
 func All[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return AllShards(n, func(i, _ int) (T, error) { return fn(i) })
-}
-
-// AllShards is All with the shard index passed through (see MapShards):
-// the default-pool entry point for experiments that keep per-worker
-// arenas. The shard index must not influence results.
-func AllShards[T any](n int, fn func(i, shard int) (T, error)) ([]T, error) {
 	p := &Pool{Workers: Workers()}
 	if cb := defaultProgress.Load(); cb != nil {
 		p.OnProgress = *cb
 	}
-	return MapShards(context.Background(), p, n,
-		func(_ context.Context, i, shard int) (T, error) { return fn(i, shard) })
+	return Map(context.Background(), p, n,
+		func(_ context.Context, i int) (T, error) { return fn(i) })
 }

@@ -33,17 +33,12 @@ func (d Descriptor) CompileSeeded(seed uint64) (*Compiled, error) {
 	return Compile(sp)
 }
 
-// CompileSeededAggregate is CompileSeeded with every hop's ground-truth
-// recorder in bounded aggregate mode (per-epoch counters instead of
-// per-packet rows) — for consumers like the tools×scenarios matrix that
-// run long horizons and never query per-packet ground truth. Recorder
-// mode never changes packet-level behavior, so results are bit-identical
-// to a CompileSeeded run.
-func (d Descriptor) CompileSeededAggregate(seed uint64, epoch time.Duration) (*Compiled, error) {
-	sp := d.Spec
-	sp.Seed = Seed(seed)
-	sp.RecorderEpoch = epoch
-	return Compile(sp)
+// CompileSeededUnrecorded is CompileSeeded with no ground-truth
+// recorders (Spec.Unrecorded): the one way the consumers that judge
+// against the analytic TrueAvailBw alone compile a cataloged scenario.
+func (d Descriptor) CompileSeededUnrecorded(seed uint64) (*Compiled, error) {
+	d.Spec.Unrecorded = true
+	return d.CompileSeeded(seed)
 }
 
 // catalog holds the registered scenarios in registration order — the

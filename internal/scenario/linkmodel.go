@@ -124,9 +124,10 @@ func capturePanic(f func()) (err error) {
 }
 
 // applyLinkModels wires hop h's queue discipline, loss model, jitter
-// and capacity schedule onto its compiled link and recorder, and
-// returns the hop's stationary loss probability (0 without a loss
-// model) for the analytic ground-truth accounting.
+// and capacity schedule onto its compiled link and recorder (nil in an
+// unrecorded compile), and returns the hop's stationary loss
+// probability (0 without a loss model) for the analytic ground-truth
+// accounting.
 func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64) (lossMean float64, err error) {
 	switch hop.Queue.Kind {
 	case QueueFIFO:
@@ -181,7 +182,9 @@ func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64
 			return 0, fmt.Errorf("scenario: hop %d: %w", h, err)
 		}
 		l.SetCapacitySchedule(steps)
-		rec.SetCapacitySchedule(steps)
+		if rec != nil {
+			rec.SetCapacitySchedule(steps)
+		}
 	}
 	return lossMean, nil
 }

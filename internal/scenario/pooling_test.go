@@ -79,40 +79,3 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 		})
 	}
 }
-
-// TestAggregateRecorderSpecOptIn checks the Spec plumbing: a positive
-// RecorderEpoch compiles every hop in bounded aggregate mode and the
-// coarse ground truth agrees with the full recorders on epoch-aligned
-// windows.
-func TestAggregateRecorderSpecOptIn(t *testing.T) {
-	d, ok := Lookup("canonical")
-	if !ok {
-		t.Fatal("canonical scenario missing")
-	}
-	full, err := d.CompileSeeded(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := d.CompileSeededAggregate(1, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Sim.RunUntil(2 * time.Second)
-	agg.Sim.RunUntil(2 * time.Second)
-	for h := range agg.Recorders {
-		if !agg.Recorders[h].Aggregated() {
-			t.Fatalf("hop %d recorder not aggregated", h)
-		}
-		uf := full.Recorders[h].Utilization(500*time.Millisecond, time.Second)
-		ua := agg.Recorders[h].Utilization(500*time.Millisecond, time.Second)
-		if diff := uf - ua; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("hop %d: full utilization %g != aggregate %g", h, uf, ua)
-		}
-	}
-	if _, err := Compile(Spec{
-		Hops:          []Hop{{Capacity: 10 * 1e6}},
-		RecorderEpoch: -time.Second,
-	}); err == nil {
-		t.Error("negative RecorderEpoch accepted")
-	}
-}

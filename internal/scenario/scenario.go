@@ -187,15 +187,14 @@ type Spec struct {
 	// ReversePropDelay is the reverse link propagation latency
 	// (default 1 ms).
 	ReversePropDelay time.Duration
-	// RecorderEpoch, when positive, compiles every hop's ground-truth
-	// recorder in bounded aggregate mode with this epoch: per-epoch
-	// byte/busy counters instead of per-packet arrival rows, so memory
-	// stays Horizon/RecorderEpoch regardless of packet count. Long-run
-	// scenarios (and consumers that only need coarse ground truth, like
-	// the tools×scenarios matrix) opt in; per-packet queries
-	// (Recorder.Arrivals/BusyIntervals) are then unavailable and
-	// sub-epoch windows are pro-rated.
-	RecorderEpoch time.Duration
+	// Unrecorded compiles the path with no ground-truth recorder on
+	// any hop: Compiled.Recorders is nil and the links record nothing.
+	// For consumers that judge estimates against the analytic
+	// Compiled.TrueAvailBw only (the tools×scenarios matrix, the
+	// dataset, the learned-estimator evaluation, the monitor's sim
+	// targets). Recorders never influence packet behavior, so an
+	// unrecorded run is bit-identical to a recorded one.
+	Unrecorded bool
 }
 
 // Compiled is a realized scenario: the simulation, the path with a
@@ -211,7 +210,8 @@ type Compiled struct {
 	// Reverse is the ack link (nil unless a TCP source or WithReverse
 	// asked for one).
 	Reverse *sim.Link
-	// Recorders holds one ground-truth recorder per hop.
+	// Recorders holds one ground-truth recorder per hop (nil when the
+	// spec is Unrecorded).
 	Recorders []*sim.Recorder
 	// Transport delivers probing streams over the path.
 	Transport *core.SimTransport
@@ -230,15 +230,28 @@ type Compiled struct {
 
 // AvailBw returns the measured ground-truth avail-bw of the given hop
 // over [from, from+window): the paper's A(t, t+τ) from the hop's
-// recorder.
+// recorder. It panics on a hop outside the path or on a compilation
+// without recorders (Spec.Unrecorded).
 func (c *Compiled) AvailBw(hop int, from, window time.Duration) unit.Rate {
-	return c.Recorders[hop].AvailBw(from, window)
+	return c.recorder(hop).AvailBw(from, window)
 }
 
 // AvailBwSeries samples hop's avail-bw process A_τ(t) on consecutive
-// windows covering [from, to).
+// windows covering [from, to). It panics like AvailBw.
 func (c *Compiled) AvailBwSeries(hop int, from, to, tau time.Duration) []unit.Rate {
-	return c.Recorders[hop].AvailBwSeries(from, to, tau)
+	return c.recorder(hop).AvailBwSeries(from, to, tau)
+}
+
+// recorder returns hop's ground-truth recorder, panicking with the
+// reason when there is none.
+func (c *Compiled) recorder(hop int) *sim.Recorder {
+	if c.Recorders == nil {
+		panic("scenario: measured avail-bw asked of a scenario compiled without recorders (Spec.Unrecorded)")
+	}
+	if hop < 0 || hop >= len(c.Recorders) {
+		panic(fmt.Sprintf("scenario: hop %d out of range [0, %d)", hop, len(c.Recorders)))
+	}
+	return c.Recorders[hop]
 }
 
 // MustCompile is Compile that panics on error, for specs that are
@@ -253,19 +266,7 @@ func MustCompile(spec Spec) *Compiled {
 
 // Compile realizes the spec on a fresh simulation. Identical specs
 // (including seed) give identical packet-level behavior.
-func Compile(spec Spec) (*Compiled, error) { return compile(spec, nil) }
-
-// CompileArena is Compile with the simulation's pools primed from an
-// arena (see sim.Arena): the fresh simulation's event free list, packet
-// pool, and aggregate-recorder bin storage are seeded from memory
-// reclaimed out of earlier runs instead of warmed from cold. Priming
-// only pre-fills free lists, so the compiled scenario is bit-identical
-// to a plain Compile of the same spec. A nil arena is a plain Compile.
-func CompileArena(spec Spec, arena *sim.Arena) (*Compiled, error) {
-	return compile(spec, arena)
-}
-
-func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
+func Compile(spec Spec) (*Compiled, error) {
 	if len(spec.Hops) == 0 {
 		return nil, fmt.Errorf("scenario: a spec needs at least one hop")
 	}
@@ -282,20 +283,17 @@ func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
 	if resolved.ReversePropDelay == 0 {
 		resolved.ReversePropDelay = time.Millisecond
 	}
-	if resolved.RecorderEpoch < 0 {
-		return nil, fmt.Errorf("scenario: negative recorder epoch %v", resolved.RecorderEpoch)
-	}
 	seed := DefaultSeed
 	if resolved.Seed != nil {
 		seed = *resolved.Seed
 	}
 
 	s := sim.New()
-	if arena != nil {
-		arena.Prime(s)
-	}
 	links := make([]*sim.Link, len(resolved.Hops))
-	recs := make([]*sim.Recorder, len(resolved.Hops))
+	var recs []*sim.Recorder
+	if !resolved.Unrecorded {
+		recs = make([]*sim.Recorder, len(resolved.Hops))
+	}
 	lossMeans := make([]float64, len(resolved.Hops))
 	needReverse := resolved.WithReverse
 	for h, hop := range resolved.Hops {
@@ -317,16 +315,13 @@ func compile(spec Spec, arena *sim.Arena) (*Compiled, error) {
 		}
 		links[h] = s.NewLink(fmt.Sprintf("hop%d", h), capacity, prop)
 		links[h].BufferBytes = hop.Buffer
-		if resolved.RecorderEpoch > 0 {
-			recs[h] = sim.NewAggregateRecorder(capacity, resolved.RecorderEpoch)
-			if arena != nil {
-				arena.PrimeRecorder(recs[h])
-			}
-		} else {
-			recs[h] = sim.NewRecorder(capacity)
+		var rec *sim.Recorder
+		if recs != nil {
+			rec = sim.NewRecorder(capacity)
+			recs[h] = rec
+			links[h].Attach(rec)
 		}
-		links[h].Attach(recs[h])
-		lm, err := applyLinkModels(links[h], recs[h], h, hop, seed)
+		lm, err := applyLinkModels(links[h], rec, h, hop, seed)
 		if err != nil {
 			return nil, err
 		}

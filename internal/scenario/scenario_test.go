@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -315,6 +316,43 @@ func TestSpecValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Compile(tc.spec); err == nil {
 			t.Errorf("%s: Compile accepted an invalid spec", tc.name)
+		}
+	}
+}
+
+// TestMeasuredAvailBwPanicsDescriptively: a hop outside the path, or a
+// compilation without recorders, is reported by name from this package
+// instead of as a bare index or nil-pointer fault.
+func TestMeasuredAvailBwPanicsDescriptively(t *testing.T) {
+	spec := Spec{Hops: []Hop{{Capacity: 50 * unit.Mbps}, {Capacity: 20 * unit.Mbps}}}
+	recorded := MustCompile(spec)
+	spec.Unrecorded = true
+	bare := MustCompile(spec)
+	cases := []struct {
+		name string
+		cpl  *Compiled
+		hop  int
+		want string // substring of the panic; "" = no panic
+	}{
+		{"first hop", recorded, 0, ""},
+		{"last hop", recorded, 1, ""},
+		{"negative hop", recorded, -1, "hop -1 out of range [0, 2)"},
+		{"hop past the path", recorded, 2, "hop 2 out of range [0, 2)"},
+		{"unrecorded", bare, 0, "compiled without recorders"},
+	}
+	calls := map[string]func(c *Compiled, hop int){
+		"AvailBw":       func(c *Compiled, hop int) { c.AvailBw(hop, 0, time.Second) },
+		"AvailBwSeries": func(c *Compiled, hop int) { c.AvailBwSeries(hop, 0, time.Second, 100*time.Millisecond) },
+	}
+	for _, tc := range cases {
+		for method, call := range calls {
+			err := capturePanic(func() { call(tc.cpl, tc.hop) })
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s: %s panicked: %v", tc.name, method, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s: %s panic = %v, want one containing %q", tc.name, method, err, tc.want)
+			}
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // forwardingLoop builds the steady-state hot path: pooled cross-traffic
-// packets through one recorded link, the simulation advanced packet by
-// packet so every packet is delivered (and recycled) before the next.
+// packets through one link with no recorder (a recorder's rows grow
+// with every packet), the simulation advanced packet by packet so every
+// packet is delivered (and recycled) before the next.
 type forwardingLoop struct {
 	s     *Sim
 	route []*Link
@@ -20,9 +21,6 @@ type forwardingLoop struct {
 func newForwardingLoop() *forwardingLoop {
 	s := New()
 	l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
-	// A huge epoch keeps the aggregate recorder on bin 0 forever, so the
-	// loop's allocation count reflects the simulator alone.
-	l.Attach(NewAggregateRecorder(100*unit.Mbps, time.Hour))
 	return &forwardingLoop{
 		s:     s,
 		route: []*Link{l},

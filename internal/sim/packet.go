@@ -16,10 +16,6 @@ const (
 	KindProbe             // measurement probe packets
 	KindData              // TCP data segments
 	KindAck               // TCP acknowledgments
-
-	// kindSentinel terminates the enum. New kinds go above it, so the
-	// recorder's per-kind counters size themselves automatically.
-	kindSentinel
 )
 
 // String returns a short name for the kind.

@@ -218,8 +218,7 @@ func TestREDDropRateWithinAnalyticBounds(t *testing.T) {
 // TestAvailBwUnderTimeVaryingCapacity drives a CBR flow through a link
 // with a piecewise-constant capacity profile and asserts the recorder's
 // ground truth equals C(t) − r inside every constant segment — the
-// paper's Equation (2) generalized to time-varying capacity — in both
-// full and aggregate recorder modes.
+// paper's Equation (2) generalized to time-varying capacity.
 func TestAvailBwUnderTimeVaryingCapacity(t *testing.T) {
 	steps := []CapacityStep{
 		{0, 40 * unit.Mbps},
@@ -227,52 +226,41 @@ func TestAvailBwUnderTimeVaryingCapacity(t *testing.T) {
 		{8 * time.Second, 25 * unit.Mbps},
 	}
 	const crossRate = 10 * unit.Mbps
-	for _, aggregate := range []bool{false, true} {
-		name := "full"
-		if aggregate {
-			name = "aggregate"
-		}
-		t.Run(name, func(t *testing.T) {
-			s := New()
-			l := s.NewLink("var", steps[0].Rate, 0)
-			l.SetCapacitySchedule(steps)
-			var rec *Recorder
-			if aggregate {
-				rec = NewAggregateRecorder(steps[0].Rate, 50*time.Millisecond)
-			} else {
-				rec = NewRecorder(steps[0].Rate)
-			}
-			rec.SetCapacitySchedule(steps)
-			l.Attach(rec)
-			injectCBR(s, l, 10000, 1500, crossRate, 0) // 12 s of CBR at 10 Mbps
-			s.Run()
+	t.Run("full", func(t *testing.T) {
+		s := New()
+		l := s.NewLink("var", steps[0].Rate, 0)
+		l.SetCapacitySchedule(steps)
+		rec := NewRecorder(steps[0].Rate)
+		rec.SetCapacitySchedule(steps)
+		l.Attach(rec)
+		injectCBR(s, l, 10000, 1500, crossRate, 0) // 12 s of CBR at 10 Mbps
+		s.Run()
 
-			// Measure within segment interiors, away from rate-change
-			// transients (a packet mid-service when the rate steps).
-			for i, seg := range steps {
-				from := seg.At + time.Second
-				window := 2 * time.Second
-				got := rec.AvailBw(from, window)
-				want := seg.Rate - crossRate
-				if math.Abs(float64(got-want)) > 0.02*float64(seg.Rate) {
-					t.Errorf("segment %d [%v @ %v]: AvailBw = %v, want %v", i, seg.At, seg.Rate, got, want)
-				}
-				// Cross-check against the measured arrival rate, the
-				// identity the issue asks for: avail = capacity − rate.
-				arr := rec.ArrivalRate(from, window, nil)
-				if math.Abs(float64(got-(seg.Rate-arr))) > 0.02*float64(seg.Rate) {
-					t.Errorf("segment %d: AvailBw %v inconsistent with C−R = %v", i, got, seg.Rate-arr)
-				}
+		// Measure within segment interiors, away from rate-change
+		// transients (a packet mid-service when the rate steps).
+		for i, seg := range steps {
+			from := seg.At + time.Second
+			window := 2 * time.Second
+			got := rec.AvailBw(from, window)
+			want := seg.Rate - crossRate
+			if math.Abs(float64(got-want)) > 0.02*float64(seg.Rate) {
+				t.Errorf("segment %d [%v @ %v]: AvailBw = %v, want %v", i, seg.At, seg.Rate, got, want)
 			}
-			// A window spanning the first rate change sees the
-			// time-weighted mean: 2s@40 + 2s@15 → C̄ = 27.5 Mbps.
-			got := rec.AvailBw(2*time.Second, 4*time.Second)
-			want := 27.5*unit.Mbps - crossRate
-			if math.Abs(float64(got-want)) > 0.02*float64(want) {
-				t.Errorf("cross-boundary window: AvailBw = %v, want %v", got, want)
+			// Cross-check against the measured arrival rate, the
+			// identity the issue asks for: avail = capacity − rate.
+			arr := rec.ArrivalRate(from, window, nil)
+			if math.Abs(float64(got-(seg.Rate-arr))) > 0.02*float64(seg.Rate) {
+				t.Errorf("segment %d: AvailBw %v inconsistent with C−R = %v", i, got, seg.Rate-arr)
 			}
-		})
-	}
+		}
+		// A window spanning the first rate change sees the
+		// time-weighted mean: 2s@40 + 2s@15 → C̄ = 27.5 Mbps.
+		got := rec.AvailBw(2*time.Second, 4*time.Second)
+		want := 27.5*unit.Mbps - crossRate
+		if math.Abs(float64(got-want)) > 0.02*float64(want) {
+			t.Errorf("cross-boundary window: AvailBw = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestDeterministicReplayAcrossModelGrid runs the same seeded scenario

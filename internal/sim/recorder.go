@@ -20,39 +20,15 @@ type Interval struct {
 	Start, End time.Duration
 }
 
-// kindCount sizes the per-kind byte counters of the aggregate mode,
-// derived from the Kind enum's sentinel so a new kind extends the bins
-// automatically.
-const kindCount = int(kindSentinel)
-
-// epochBin is one epoch of aggregate-mode ground truth: how long the
-// transmitter was busy and how many bytes of each kind arrived.
-type epochBin struct {
-	busy  time.Duration
-	bytes [kindCount]unit.Bytes
-	// busyCap is ∫C(s)ds in bits over the bin's busy time — only
-	// maintained under a capacity schedule, where busy time alone no
-	// longer determines how much capacity the busy periods consumed.
-	busyCap float64
-}
-
 // Recorder captures the ground truth needed to compute the paper's
 // Equations (1)–(3) exactly after a run: every arrival at the link input
 // and every transmitter busy interval. Experiments attach a Recorder to
 // the tight link and derive the population avail-bw process from it.
 //
-// Two representations are maintained for queries:
-//
-//   - Full mode (NewRecorder): per-packet arrival rows and merged busy
-//     intervals, each paired with an index — cumulative busy-time
-//     prefix sums and the time-sorted arrival offsets — so Utilization,
-//     AvailBw and ArrivalRate answer with O(log n) binary searches
-//     instead of scans from the head of history.
-//   - Aggregate mode (NewAggregateRecorder): bounded per-epoch byte and
-//     busy-time counters instead of per-packet rows, for long-horizon
-//     runs where per-packet ground truth would dominate memory. Windows
-//     not aligned to the epoch grid are pro-rated within the boundary
-//     epochs; Arrivals and BusyIntervals are unavailable (nil).
+// Arrivals and merged busy intervals are each paired with an index —
+// cumulative busy-time prefix sums and the time-sorted arrival offsets —
+// so Utilization, AvailBw and ArrivalRate answer with O(log n) binary
+// searches instead of scans from the head of history.
 type Recorder struct {
 	Capacity unit.Rate
 
@@ -66,30 +42,14 @@ type Recorder struct {
 	// capSteps, when set, is the link's piecewise-constant capacity
 	// profile: AvailBw switches from C·(1−u) to the exact time-varying
 	// form, backed by cumCap — the prefix sums of ∫C(s)ds in bits over
-	// the busy intervals (full mode) or epochBin.busyCap (aggregate).
+	// the busy intervals.
 	capSteps []CapacityStep
 	cumCap   []float64
-
-	// epoch > 0 selects aggregate mode.
-	epoch time.Duration
-	bins  []epochBin
 }
 
-// NewRecorder returns a full (per-packet) recorder for a link of the
-// given capacity.
+// NewRecorder returns a recorder for a link of the given capacity.
 func NewRecorder(capacity unit.Rate) *Recorder {
 	return &Recorder{Capacity: capacity}
-}
-
-// NewAggregateRecorder returns a bounded recorder that aggregates
-// ground truth into epochs of the given length: memory is
-// horizon/epoch bins regardless of packet count. It panics on a
-// non-positive epoch.
-func NewAggregateRecorder(capacity unit.Rate, epoch time.Duration) *Recorder {
-	if epoch <= 0 {
-		panic(fmt.Sprintf("sim: aggregate recorder epoch %v must be positive", epoch))
-	}
-	return &Recorder{Capacity: capacity, epoch: epoch}
 }
 
 // SetCapacitySchedule tells the recorder the link's capacity is the
@@ -108,7 +68,7 @@ func (r *Recorder) SetCapacitySchedule(steps []CapacityStep) {
 	if err := ValidateCapacitySteps(steps); err != nil {
 		panic(err)
 	}
-	if len(r.busy) > 0 || len(r.bins) > 0 || len(r.arrivals) > 0 {
+	if len(r.busy) > 0 || len(r.arrivals) > 0 {
 		panic("sim: capacity schedule installed after recording started")
 	}
 	own := make([]CapacityStep, len(steps))
@@ -121,53 +81,13 @@ func (r *Recorder) SetCapacitySchedule(steps []CapacityStep) {
 // fixed-capacity recorder). Shared slice; treat as read-only.
 func (r *Recorder) CapacitySchedule() []CapacityStep { return r.capSteps }
 
-// Aggregated reports whether the recorder runs in bounded aggregate
-// mode.
-func (r *Recorder) Aggregated() bool { return r.epoch > 0 }
-
-// Epoch returns the aggregation epoch (0 in full mode).
-func (r *Recorder) Epoch() time.Duration { return r.epoch }
-
-// bin returns the aggregate bin covering time at, growing the bin slice
-// as the clock advances.
-func (r *Recorder) bin(at time.Duration) *epochBin {
-	idx := int(at / r.epoch)
-	for len(r.bins) <= idx {
-		r.bins = append(r.bins, epochBin{})
-	}
-	return &r.bins[idx]
-}
-
 func (r *Recorder) arrival(at time.Duration, p *Packet) {
-	if r.epoch > 0 {
-		// An out-of-range Kind fails the bounds check loudly rather than
-		// being misattributed to another kind's counter.
-		r.bin(at).bytes[p.Kind] += p.Size
-		return
-	}
 	r.arrivals = append(r.arrivals, Arrival{At: at, Size: p.Size, Kind: p.Kind})
 }
 
 func (r *Recorder) drop(time.Duration, *Packet) { r.drops++ }
 
 func (r *Recorder) busyInterval(start, end time.Duration) {
-	if r.epoch > 0 {
-		// Split the interval across epoch boundaries so each bin's busy
-		// time is exact.
-		for start < end {
-			b := r.bin(start)
-			edge := (start/r.epoch + 1) * r.epoch
-			if edge > end {
-				edge = end
-			}
-			b.busy += edge - start
-			if r.capSteps != nil {
-				b.busyCap += capIntegralBits(r.capSteps, start, edge)
-			}
-			start = edge
-		}
-		return
-	}
 	// Merge with the previous interval when transmissions are
 	// back-to-back, keeping the slice compact during congested periods.
 	if n := len(r.busy); n > 0 && r.busy[n-1].End == start {
@@ -194,18 +114,17 @@ func (r *Recorder) busyInterval(start, end time.Duration) {
 }
 
 // Arrivals returns the recorded arrivals (shared slice; treat as
-// read-only). Aggregate recorders return nil: per-packet rows are
-// exactly what that mode does not keep.
+// read-only).
 func (r *Recorder) Arrivals() []Arrival { return r.arrivals }
 
 // BusyIntervals returns the recorded busy intervals (shared slice; treat
-// as read-only). Nil for aggregate recorders.
+// as read-only).
 func (r *Recorder) BusyIntervals() []Interval { return r.busy }
 
 // Drops returns the number of recorded drops.
 func (r *Recorder) Drops() int64 { return r.drops }
 
-// Reset clears the recorded history, keeping the capacity and mode. The
+// Reset clears the recorded history, keeping the capacity. The
 // backing storage is detached, not truncated: slices previously handed
 // out by Arrivals/BusyIntervals keep their contents instead of being
 // silently overwritten by post-Reset recording.
@@ -214,15 +133,11 @@ func (r *Recorder) Reset() {
 	r.busy = nil
 	r.cum = nil
 	r.cumCap = nil
-	r.bins = nil
 	r.drops = 0
 }
 
 // busyTime returns the transmitter's total busy time within [from, to).
 func (r *Recorder) busyTime(from, to time.Duration) time.Duration {
-	if r.epoch > 0 {
-		return r.busyTimeBins(from, to)
-	}
 	n := len(r.busy)
 	// First interval ending after the window opens, first interval
 	// starting at/after it closes: everything in between overlaps.
@@ -241,52 +156,6 @@ func (r *Recorder) busyTime(from, to time.Duration) time.Duration {
 	if e := r.busy[i1-1].End; e > to {
 		total -= e - to
 	}
-	return total
-}
-
-// forEachBin visits every aggregate bin overlapping [from, to),
-// passing the bin and the fraction of it the window covers (1 for
-// fully-contained bins). Callers pro-rate their counters by frac —
-// exact on epoch-aligned windows, an approximation at the boundary
-// epochs otherwise.
-func (r *Recorder) forEachBin(from, to time.Duration, visit func(b *epochBin, frac float64)) {
-	i := int(from / r.epoch)
-	if i < 0 {
-		i = 0
-	}
-	for ; i < len(r.bins); i++ {
-		bs := time.Duration(i) * r.epoch
-		if bs >= to {
-			break
-		}
-		lo, hi := bs, bs+r.epoch
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		if lo >= hi {
-			continue
-		}
-		frac := 1.0
-		if hi-lo != r.epoch {
-			frac = float64(hi-lo) / float64(r.epoch)
-		}
-		visit(&r.bins[i], frac)
-	}
-}
-
-// busyTimeBins is busyTime over the aggregate bins.
-func (r *Recorder) busyTimeBins(from, to time.Duration) time.Duration {
-	var total time.Duration
-	r.forEachBin(from, to, func(b *epochBin, frac float64) {
-		if frac == 1 {
-			total += b.busy
-			return
-		}
-		total += time.Duration(float64(b.busy) * frac)
-	})
 	return total
 }
 
@@ -323,13 +192,6 @@ func (r *Recorder) AvailBw(from, window time.Duration) unit.Rate {
 // busyCapBits returns ∫C(s)ds in bits over the busy time within
 // [from, to) — only meaningful under a capacity schedule.
 func (r *Recorder) busyCapBits(from, to time.Duration) float64 {
-	if r.epoch > 0 {
-		var total float64
-		r.forEachBin(from, to, func(b *epochBin, frac float64) {
-			total += b.busyCap * frac
-		})
-		return total
-	}
 	n := len(r.busy)
 	i0 := sort.Search(n, func(i int) bool { return r.busy[i].End > from })
 	i1 := sort.Search(n, func(i int) bool { return r.busy[i].Start >= to })
@@ -366,17 +228,12 @@ func (r *Recorder) AvailBwSeries(from, to, tau time.Duration) []unit.Rate {
 // ArrivalRate returns the average arrival rate of packets matching keep
 // (nil = all kinds) over [from, from+window). This is the fluid-view
 // cross-traffic rate R_c; in a stable (non-overloaded) window it agrees
-// with C·u up to edge effects, and tests assert that agreement. In
-// aggregate mode the rate comes from the epoch byte counters,
-// pro-rating the window's partial boundary epochs.
+// with C·u up to edge effects, and tests assert that agreement.
 func (r *Recorder) ArrivalRate(from, window time.Duration, keep func(Kind) bool) unit.Rate {
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: arrival-rate window %v must be positive", window))
 	}
 	to := from + window
-	if r.epoch > 0 {
-		return unit.RateOf(r.bytesBins(from, to, keep), window)
-	}
 	// Arrivals are recorded in nondecreasing time order, so the window
 	// is a contiguous run found by binary search.
 	n := len(r.arrivals)
@@ -389,21 +246,6 @@ func (r *Recorder) ArrivalRate(from, window time.Duration, keep func(Kind) bool)
 		}
 	}
 	return unit.RateOf(bytes, window)
-}
-
-// bytesBins sums the aggregate byte counters over [from, to).
-func (r *Recorder) bytesBins(from, to time.Duration, keep func(Kind) bool) unit.Bytes {
-	var total float64
-	r.forEachBin(from, to, func(b *epochBin, frac float64) {
-		var bytes unit.Bytes
-		for k := 0; k < kindCount; k++ {
-			if keep == nil || keep(Kind(k)) {
-				bytes += b.bytes[k]
-			}
-		}
-		total += float64(bytes) * frac
-	})
-	return unit.Bytes(total)
 }
 
 // CrossOnly is a keep filter selecting cross traffic.

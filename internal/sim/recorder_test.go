@@ -173,69 +173,6 @@ func TestResetDetachesHandedOutSlices(t *testing.T) {
 	}
 }
 
-func TestAggregateRecorderMatchesFullOnAlignedWindows(t *testing.T) {
-	// Drive two identical runs, one recorded per-packet and one
-	// aggregated into 10 ms epochs: on epoch-aligned windows the two
-	// must agree exactly — the bins hold exact byte and busy sums.
-	run := func(rec *Recorder) {
-		s := New()
-		l := s.NewLink("l", 50*unit.Mbps, 0)
-		l.Attach(rec)
-		gap := unit.GapFor(1500, 25*unit.Mbps)
-		for at := time.Duration(0); at < time.Second; at += gap {
-			s.Inject(&Packet{Size: 1500, Kind: KindCross, Route: []*Link{l}}, at)
-		}
-		s.Run()
-	}
-	full := NewRecorder(50 * unit.Mbps)
-	agg := NewAggregateRecorder(50*unit.Mbps, 10*time.Millisecond)
-	run(full)
-	run(agg)
-	if !agg.Aggregated() || agg.Epoch() != 10*time.Millisecond {
-		t.Fatal("aggregate recorder misconfigured")
-	}
-	if agg.Arrivals() != nil || agg.BusyIntervals() != nil {
-		t.Error("aggregate mode must not expose per-packet rows")
-	}
-	for _, w := range []struct{ from, win time.Duration }{
-		{0, time.Second},
-		{100 * time.Millisecond, 500 * time.Millisecond},
-		{250 * time.Millisecond, 10 * time.Millisecond},
-	} {
-		uf := full.Utilization(w.from, w.win)
-		ua := agg.Utilization(w.from, w.win)
-		if math.Abs(uf-ua) > 1e-12 {
-			t.Errorf("utilization(%v,%v): full %g, aggregate %g", w.from, w.win, uf, ua)
-		}
-		rf := full.ArrivalRate(w.from, w.win, CrossOnly)
-		ra := agg.ArrivalRate(w.from, w.win, CrossOnly)
-		if math.Abs(float64(rf-ra)) > 1e-6*float64(rf) {
-			t.Errorf("arrival rate(%v,%v): full %v, aggregate %v", w.from, w.win, rf, ra)
-		}
-	}
-}
-
-func TestAggregateRecorderProRatesUnalignedWindows(t *testing.T) {
-	// A transmitter busy for exactly the first half of every 10 ms epoch
-	// pro-rates to utilization 0.5 on any window, aligned or not.
-	rec := NewAggregateRecorder(10*unit.Mbps, 10*time.Millisecond)
-	for e := time.Duration(0); e < 100*time.Millisecond; e += 10 * time.Millisecond {
-		rec.busyInterval(e, e+5*time.Millisecond)
-	}
-	if u := rec.Utilization(3*time.Millisecond, 81*time.Millisecond); math.Abs(u-0.5) > 0.05 {
-		t.Errorf("pro-rated utilization = %g, want ~0.5", u)
-	}
-}
-
-func TestAggregateRecorderPanicsOnBadEpoch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive epoch did not panic")
-		}
-	}()
-	NewAggregateRecorder(unit.Mbps, 0)
-}
-
 func TestIndexedUtilizationMatchesLinearScan(t *testing.T) {
 	// Property check of the prefix-sum + binary-search query against the
 	// obvious linear scan, over many random windows.

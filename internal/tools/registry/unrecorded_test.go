@@ -1,0 +1,73 @@
+package registry_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"abw/internal/core"
+	"abw/internal/rng"
+	"abw/internal/scenario"
+	"abw/internal/tools/registry"
+)
+
+// TestUnrecordedCompileEstimatesIdentically pins what lets the matrix,
+// the dataset, the learned evaluation and the monitor's sim targets
+// compile without recorders: a recorder only observes, so every
+// end-to-end tool returns the same report — estimate, range, probing
+// effort, samples, elapsed virtual time — on a recorded and an
+// unrecorded compile of one scenario. The scenarios are the golden
+// test's four plus one with a capacity schedule, whose install has a
+// recorder half that an unrecorded compile skips.
+func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
+	estimate := func(t *testing.T, tool string, cpl *scenario.Compiled) *core.Report {
+		rep, err := registry.Estimate(context.Background(), tool,
+			registry.Params{Capacity: cpl.Capacity, Rand: rng.New(2)}, cpl.Transport)
+		if err != nil {
+			t.Fatalf("%s: %v", tool, err)
+		}
+		return rep
+	}
+	for _, name := range []string{"canonical", "lrd", "mice", "verylongpath", "fading"} {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("unknown scenario %q", name)
+		}
+		for _, d := range registry.Tools() {
+			if d.SimOnly {
+				continue
+			}
+			tool := d.Name
+			t.Run(name+"/"+tool, func(t *testing.T) {
+				t.Parallel()
+				recorded, err := sc.CompileSeeded(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bare, err := sc.CompileSeededUnrecorded(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bare.Recorders != nil {
+					t.Errorf("unrecorded compile has %d recorders", len(bare.Recorders))
+				}
+				for h, l := range bare.Path.Links {
+					if l.Recorder() != nil {
+						t.Errorf("unrecorded compile: hop %d link has a recorder", h)
+					}
+				}
+				if len(recorded.Recorders) != len(recorded.Path.Links) {
+					t.Errorf("recorded compile has %d recorders for %d hops", len(recorded.Recorders), len(recorded.Path.Links))
+				}
+				if bare.TrueAvailBw != recorded.TrueAvailBw || bare.Capacity != recorded.Capacity {
+					t.Errorf("analytic truth differs: unrecorded A=%v C=%v, recorded A=%v C=%v",
+						bare.TrueAvailBw, bare.Capacity, recorded.TrueAvailBw, recorded.Capacity)
+				}
+				want, got := estimate(t, tool, recorded), estimate(t, tool, bare)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("reports differ:\n unrecorded %+v\n recorded   %+v", got, want)
+				}
+			})
+		}
+	}
+}

@@ -112,7 +112,8 @@ func (s *Scenario) Hops() int { return len(s.compiled.Path.Links) }
 
 // AvailBw returns the measured ground-truth avail-bw of the given hop
 // over [from, from+window) of virtual time — the paper's A(t, t+τ),
-// exact, from the hop's recorder.
+// exact, from the hop's recorder. It panics on a hop outside
+// [0, Hops()) and on a scenario whose spec set Unrecorded.
 func (s *Scenario) AvailBw(hop int, from, window time.Duration) Rate {
 	return s.compiled.AvailBw(hop, from, window)
 }

@@ -7,6 +7,10 @@
 // sizes, packet kind) so experiments can vary burstiness while holding
 // the mean avail-bw fixed — the controlled comparison at the heart of the
 // "ignoring cross-traffic burstiness" pitfall.
+//
+// Every source keeps one event pending; CBR, Poisson and ParetoArrivals
+// hand each packet to the link from that event (sim.InjectThen), while
+// ParetoOnOff lays a burst down as Inject events.
 package crosstraffic
 
 import (
@@ -18,13 +22,22 @@ import (
 	"abw/internal/unit"
 )
 
-// inject schedules one pooled cross-traffic packet: the packet comes
-// from the simulation's free list and is recycled after delivery, so
+// newPacket builds one pooled cross-traffic packet: it comes from the
+// simulation's free list and is recycled after delivery, so
 // steady-state generation allocates nothing.
-func inject(s *sim.Sim, route []*sim.Link, size unit.Bytes, kind sim.Kind, flow int, at time.Duration) {
+func newPacket(s *sim.Sim, route []*sim.Link, size unit.Bytes, cfg Stream) *sim.Packet {
 	p := s.NewPacket()
-	p.Size, p.Kind, p.Flow, p.Route = size, kind, flow, route
-	s.Inject(p, at)
+	p.Size, p.Kind, p.Flow, p.Route = size, cfg.Kind, cfg.Flow, route
+	return p
+}
+
+// emit sends one packet from inside the source's event, now, and
+// re-arms step at next unless the source ends before then.
+func emit(s *sim.Sim, route []*sim.Link, size unit.Bytes, cfg Stream, next, until time.Duration, step func()) {
+	if next >= until {
+		step = nil
+	}
+	s.InjectThen(newPacket(s, route, size, cfg), next, step)
 }
 
 // Stream describes the target long-run behaviour of a traffic source.
@@ -95,11 +108,10 @@ func (m *cbr) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Cou
 		if next >= until {
 			return
 		}
-		inject(s, route, size, m.cfg.Kind, m.cfg.Flow, next)
 		ctr.Packets++
 		ctr.Bytes += size
 		next += gap
-		s.At(next, step)
+		emit(s, route, size, m.cfg, next, until, step)
 	}
 	s.At(from, step)
 	return ctr
@@ -135,11 +147,10 @@ func (m *poisson) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) 
 			return
 		}
 		size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-		inject(s, route, size, m.cfg.Kind, m.cfg.Flow, at)
 		ctr.Packets++
 		ctr.Bytes += size
 		at += time.Duration(m.r.Exp(meanGapSec) * 1e9)
-		s.At(at, step)
+		emit(s, route, size, m.cfg, at, until, step)
 	}
 	s.At(from, step)
 	return ctr
@@ -228,7 +239,7 @@ func (m *paretoOnOff) Run(s *sim.Sim, route []*sim.Link, from, until time.Durati
 		t := at
 		for i := 0; i < n && t < until; i++ {
 			size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-			inject(s, route, size, m.cfg.Kind, m.cfg.Flow, t)
+			s.Inject(newPacket(s, route, size, m.cfg.Stream), t)
 			ctr.Packets++
 			ctr.Bytes += size
 			t += unit.GapFor(size, m.cfg.Peak)
@@ -285,11 +296,10 @@ func (m *paretoArrivals) Run(s *sim.Sim, route []*sim.Link, from, until time.Dur
 			return
 		}
 		size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-		inject(s, route, size, m.cfg.Kind, m.cfg.Flow, at)
 		ctr.Packets++
 		ctr.Bytes += size
 		at += time.Duration(m.r.Pareto(m.shape, xm) * 1e9)
-		s.At(at, step)
+		emit(s, route, size, m.cfg, at, until, step)
 	}
 	s.At(from, step)
 	return ctr

@@ -209,3 +209,34 @@ func TestPoissonPanicsWithoutRand(t *testing.T) {
 	}()
 	Poisson(Stream{Rate: unit.Mbps}, nil)
 }
+
+// TestFinishedSourceLeavesNothingPending: a source re-arms only while
+// it has a packet left to send inside [from, until). A step scheduled
+// at the first instant past until would do nothing when it fired, and a
+// Pareto gap can park it seconds past the horizon, one per rate
+// segment.
+func TestFinishedSourceLeavesNothingPending(t *testing.T) {
+	const until = 100 * time.Millisecond
+	cfg := Stream{Rate: 10 * unit.Mbps}
+	for name, m := range map[string]Model{
+		"cbr":            CBR(cfg),
+		"poisson":        Poisson(cfg, rng.New(1)),
+		"paretoonoff":    ParetoOnOff(ParetoOnOffConfig{Stream: cfg}, rng.New(2)),
+		"paretoarrivals": ParetoArrivals(cfg, 1.5, rng.New(3)),
+	} {
+		s := sim.New()
+		// 12 µs a packet: the last one is through well before until.
+		l := s.NewLink("l", unit.Gbps, time.Millisecond)
+		ctr := m.Run(s, []*sim.Link{l}, 0, until)
+		s.RunUntil(until)
+		if ctr.Packets < 20 || l.Forwarded() != ctr.Packets {
+			t.Fatalf("%s: emitted %d packets, forwarded %d", name, ctr.Packets, l.Forwarded())
+		}
+		if n := s.Pending(); n != 0 {
+			t.Errorf("%s: %d events pending after RunUntil(until), want 0", name, n)
+		}
+		if st := s.Stats(); name != "paretoonoff" && st.Scheduled != uint64(2*ctr.Packets) {
+			t.Errorf("%s: %d events scheduled for %d packets, want two a packet", name, st.Scheduled, ctr.Packets)
+		}
+	}
+}

@@ -177,7 +177,18 @@ type Queue struct {
 
 	wheel [wheelLevels][wheelSize]*Event // bucket list heads
 	occ   [wheelLevels]uint64            // per-level occupancy bitmaps
+
+	stats Stats
 }
+
+// Stats counts a queue's work since it was created: events scheduled
+// (under fresh or reserved numbers), handed out by Pop or PopUntil, and
+// removed by Cancel, and Event structs allocated — the rest of
+// Scheduled came from the free list.
+type Stats struct{ Scheduled, Fired, Cancelled, Allocated uint64 }
+
+// Stats returns the queue's counters.
+func (q *Queue) Stats() Stats { return q.stats }
 
 // SetPooling toggles free-list reuse (on by default). Disabling it
 // makes every Schedule allocate a fresh Event — behaviorally identical,
@@ -195,6 +206,7 @@ func (q *Queue) alloc() *Event {
 		q.free = q.free[:n-1]
 		return e
 	}
+	q.stats.Allocated++
 	return &Event{}
 }
 
@@ -205,6 +217,7 @@ func (q *Queue) push(e *Event, at time.Duration) Handle {
 	q.seq++
 	q.place(e)
 	q.n++
+	q.stats.Scheduled++
 	return Handle{e: e, seq: e.seq}
 }
 
@@ -250,6 +263,7 @@ func (q *Queue) ScheduleArgSeq(at time.Duration, seq uint64, fn func(any), arg a
 	e.canceled = false
 	q.place(e)
 	q.n++
+	q.stats.Scheduled++
 	return Handle{e: e, seq: seq}
 }
 
@@ -619,6 +633,7 @@ func (q *Queue) Cancel(h Handle) {
 		return
 	}
 	q.n--
+	q.stats.Cancelled++
 	e.canceled = true
 	switch {
 	case e.where >= zoneWheel:
@@ -671,7 +686,32 @@ func (q *Queue) take(e *Event) *Event {
 	}
 	e.where = idxPopped
 	q.n--
+	q.stats.Fired++
 	return e
+}
+
+// PendingAt reports whether a live event is queued at exactly at, for
+// an at the cursor has reached — the time of the event now firing, or
+// of the bounded pop that just returned. Such an event sits in the run
+// or the overdue slice: wheel and spill entries lie on later ticks.
+// Both are sorted, so the scan ends at the first entry past at (the
+// first entry, unless something was scheduled in the past).
+// Lazily-cancelled entries are skipped, not reaped.
+func (q *Queue) PendingAt(at time.Duration) bool {
+	for _, e := range q.run[q.runPos:] {
+		if e.At > at {
+			break
+		}
+		if e.At == at && !e.canceled {
+			return true
+		}
+	}
+	for i := len(q.overdue) - 1; i >= 0 && q.overdue[i].At <= at; i-- {
+		if e := q.overdue[i]; e.At == at && !e.canceled {
+			return true
+		}
+	}
+	return false
 }
 
 // settle advances an empty queue's cursor to limit, reaping any

@@ -223,7 +223,12 @@ func (l *Link) startTx() {
 }
 
 // txDone completes the in-service packet's transmission at the current
-// virtual time (the scheduled tx-end instant).
+// virtual time (the scheduled tx-end instant). A packet leaving the
+// last link of its route with no OnArrive is released here rather than
+// by an advance event PropDelay later: nobody can observe that arrival,
+// and dropping one Schedule leaves every other pair of events in the
+// same (At, seq) order. The jitter draw is made regardless, because it
+// advances jitterRand for the packets that follow.
 func (l *Link) txDone() {
 	p, start, txEnd := l.txPkt, l.txStart, l.sim.now
 	l.txPkt = nil
@@ -240,10 +245,13 @@ func (l *Link) txDone() {
 	if l.jitterMax > 0 {
 		prop += time.Duration(l.jitterRand.Float64() * float64(l.jitterMax))
 	}
-	if prop == 0 {
+	switch {
+	case prop == 0:
 		p.hop++
 		l.sim.forward(p)
-	} else {
+	case p.hop+1 >= len(p.Route) && p.OnArrive == nil:
+		l.sim.releasePacket(p)
+	default:
 		l.sim.atArg(txEnd+prop, l.sim.advanceFn, p)
 	}
 	l.startTx()

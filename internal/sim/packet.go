@@ -50,16 +50,18 @@ type Packet struct {
 	// SentAt is stamped by Inject with the injection time.
 	SentAt time.Duration
 
-	// Route is the remaining sequence of links; hop indexes the next one.
+	// Route is the packet's whole route, first link to last; hop indexes
+	// the link the packet enters next.
 	Route []*Link
 	hop   int
 
 	// OnArrive, if non-nil, is called at final delivery.
 	OnArrive func(p *Packet, at time.Duration)
 
-	// OnDrop, if non-nil, is called when any link on the route drops the
-	// packet due to a full buffer (TCP relies on this only for counters;
-	// loss detection is end-to-end).
+	// OnDrop, if non-nil, is called when any link on the route discards
+	// the packet: a full buffer, an AQM drop at enqueue or dequeue, or a
+	// loss-model kill (TCP relies on this only for counters; loss
+	// detection is end-to-end).
 	OnDrop func(p *Packet, l *Link, at time.Duration)
 
 	// Meta carries protocol-private state (e.g. TCP segment headers).
@@ -82,6 +84,29 @@ type Packet struct {
 func (s *Sim) Inject(p *Packet, at time.Duration) {
 	s.callbacks()
 	s.atArg(at, s.injectFn, p)
+}
+
+// InjectThen is the body of a self-rescheduling source's event: p
+// enters its route now and fn (nil ends the chain) is scheduled at
+// next, everything firing in the order of Inject(p, Now()) followed by
+// At(next, fn) for one event less. That Inject event would run after
+// exactly the events already pending at this instant, so when there are
+// none — sampled first, so a zero-gap fn does not count — p is
+// forwarded in place, after fn is scheduled so that fn keeps a lower
+// number than the forward's txDone. Otherwise the pair is issued as is.
+func (s *Sim) InjectThen(p *Packet, next time.Duration, fn func()) {
+	tied := s.q.PendingAt(s.now)
+	if tied {
+		s.stats.TiedInjects++
+		s.Inject(p, s.now)
+	}
+	if fn != nil {
+		s.At(next, fn)
+	}
+	if !tied {
+		s.stats.DirectInjects++
+		s.injectNow(p)
+	}
 }
 
 // forward moves the packet into the next element of its route. Packets

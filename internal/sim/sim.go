@@ -35,6 +35,7 @@ type Sim struct {
 
 	pktFree []*Packet
 	noPool  bool
+	stats   Stats
 
 	// Long-lived callbacks for the packet hot path, built once so
 	// scheduling them never allocates a closure.
@@ -145,6 +146,23 @@ func (s *Sim) RunUntil(t time.Duration) {
 // Pending returns the number of queued events, for tests and leak checks.
 func (s *Sim) Pending() int { return s.q.Len() }
 
+// Stats counts a simulation's work since it was created: the event
+// queue's counters, NewPacket calls that allocated or were served from
+// the free list, and InjectThen packets forwarded in place or sent
+// through an Inject event.
+type Stats struct {
+	eventq.Stats
+	PacketsAllocated, PacketsReused uint64
+	DirectInjects, TiedInjects      uint64
+}
+
+// Stats returns a snapshot of the simulation's counters.
+func (s *Sim) Stats() Stats {
+	st := s.stats
+	st.Stats = s.q.Stats()
+	return st
+}
+
 // callbacks lazily builds the hot-path method-value callbacks, keeping
 // the zero Sim usable.
 func (s *Sim) callbacks() {
@@ -177,17 +195,16 @@ func txDoneLink(arg any) { arg.(*Link).txDone() }
 // delivery (e.g. protocol state machines) should allocate plain
 // &Packet{} values instead.
 func (s *Sim) NewPacket() *Packet {
-	if s.noPool {
-		return &Packet{}
-	}
-	if n := len(s.pktFree); n > 0 {
+	if n := len(s.pktFree); n > 0 && !s.noPool {
 		p := s.pktFree[n-1]
 		s.pktFree[n-1] = nil
 		s.pktFree = s.pktFree[:n-1]
 		*p = Packet{pooled: true}
+		s.stats.PacketsReused++
 		return p
 	}
-	return &Packet{pooled: true}
+	s.stats.PacketsAllocated++
+	return &Packet{pooled: !s.noPool}
 }
 
 // releasePacket returns a pooled packet after its last callback. Plain

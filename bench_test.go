@@ -216,9 +216,9 @@ func BenchmarkParallelScaling(b *testing.B) {
 
 // BenchmarkMatrix runs the full tools×scenarios matrix in quick mode:
 // every registered end-to-end tool against every cataloged scenario.
-// This is the workload the hot-path pooling and the bounded aggregate
-// recorders were built for — dozens of long-horizon scenario
-// compilations probed concurrently.
+// This is the workload the hot-path pooling was built for — dozens of
+// long-horizon scenario compilations, none of them recorded, probed
+// concurrently.
 func BenchmarkMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.Matrix(exp.MatrixConfig{Quick: true, Seed: uint64(i + 1)})
@@ -247,7 +247,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			Horizon: time.Second,
 		})
 		sc.Sim.RunUntil(time.Second)
-		if sc.Recorders[0].Drops() != 0 {
+		if sc.Path.Links[0].Dropped() != 0 {
 			b.Fatal("unexpected drops")
 		}
 	}

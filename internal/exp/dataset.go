@@ -155,7 +155,13 @@ func datasetSplit(c DatasetConfig) map[string]string {
 // stream to one row. Each (scenario, scaling, trial) configuration is
 // one runner job compiling its own scenario, so rows are bit-identical
 // at any -parallel and pooling setting.
-func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
+func Dataset(cfg DatasetConfig) (*DatasetResult, error) { return sweepDataset(cfg, "") }
+
+// sweepDataset is Dataset restricted to the configurations in split
+// only ("" keeps every configuration). A configuration's rows are a
+// pure function of its key, so the result is exactly the full sweep's
+// rows of that split, in the same order.
+func sweepDataset(cfg DatasetConfig, only string) (*DatasetResult, error) {
 	c := cfg.withDefaults()
 	for _, name := range c.Scenarios {
 		if _, ok := scenario.Lookup(name); !ok {
@@ -178,7 +184,9 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 	for _, scen := range c.Scenarios {
 		for _, sc := range c.Scalings {
 			for tr := 0; tr < c.Trials; tr++ {
-				jobs = append(jobs, job{scen, sc, tr})
+				if only == "" || split[datasetKey(scen, sc, tr)] == only {
+					jobs = append(jobs, job{scen, sc, tr})
+				}
 			}
 		}
 	}
@@ -190,7 +198,7 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 
 		d, _ := scenario.Lookup(j.scen)
 		d.Spec = scenario.ScaleTraffic(d.Spec, j.scaling)
-		cpl, err := d.CompileSeededUnrecorded(simSeed)
+		cpl, err := d.CompileSeeded(simSeed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: dataset: %s ×%g: %w", j.scen, j.scaling, err)
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,6 +113,26 @@ func TestDatasetDeterministicCSV(t *testing.T) {
 	}
 	if lines := bytes.Count(serial, []byte("\n")); lines != 17 {
 		t.Errorf("CSV has %d lines, want 17 (header + 16 rows)", lines)
+	}
+}
+
+// TestSweepDatasetTestSplitMatchesFullSweep pins what lets LearnedEval
+// sweep only the held-out configurations: a sweep restricted to one
+// split yields exactly the full sweep's rows of that split, in order.
+func TestSweepDatasetTestSplitMatchesFullSweep(t *testing.T) {
+	full, err := Dataset(smallDataset(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := full.SplitRows()
+	for split, want := range map[string][]DatasetRow{"train": train, "test": test} {
+		got, err := sweepDataset(smallDataset(3), split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got.Rows, want) {
+			t.Errorf("%s sweep: %d rows differ from the full sweep's %d %s rows", split, len(got.Rows), len(want), split)
+		}
 	}
 }
 

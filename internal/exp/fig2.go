@@ -92,8 +92,9 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 		perStream := spacing + spec.Duration() + 100*time.Millisecond
 		horizon := time.Duration(c.Streams+3) * perStream
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(di)),
+			Horizon:  horizon,
+			Seed:     scenario.Seed(c.Seed + uint64(di)),
+			Recorded: true, // the population below is the recorder's arrival rate
 			Hops: []scenario.Hop{{
 				Capacity: c.Capacity,
 				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, SplitLabel: "cross"}},

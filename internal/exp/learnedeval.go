@@ -93,7 +93,8 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	if len(dcfg.Plan.RateFracs) == 0 {
 		dcfg.Plan = cfg.Weights.Plan
 	}
-	ds, err := Dataset(dcfg)
+	// Only the held-out configurations are scored, so only they are swept.
+	ds, err := sweepDataset(dcfg, "test")
 	if err != nil {
 		return nil, err
 	}
@@ -107,11 +108,10 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	// Fold the test rows into configurations; the learned prediction for
 	// a configuration is the median of its per-stream predictions,
 	// exactly how the online estimator aggregates streams.
-	_, test := ds.SplitRows()
 	var configs []evalConfig
 	index := map[string]int{}
 	preds := map[string][]float64{}
-	for _, r := range test {
+	for _, r := range ds.Rows {
 		key := datasetKey(r.Scenario, r.Scaling, r.Trial)
 		if _, ok := index[key]; !ok {
 			index[key] = len(configs)
@@ -144,7 +144,7 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 		c, tool := configs[ci], res.Tools[ti]
 		d, _ := scenario.Lookup(c.scen)
 		d.Spec = scenario.ScaleTraffic(d.Spec, c.scaling)
-		cpl, err := d.CompileSeededUnrecorded(c.simSeed)
+		cpl, err := d.CompileSeeded(c.simSeed)
 		if err != nil {
 			return toolErr{}, fmt.Errorf("exp: learnedeval: %s ×%g: %w", c.scen, c.scaling, err)
 		}

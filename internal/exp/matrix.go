@@ -95,7 +95,7 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 // statistically identical conditions), with the tight-link capacity as
 // its Capacity parameter — the best case the paper grants direct
 // probing. Results are bit-identical at every worker count. The truth
-// column is the analytic TrueAvailBw, so every compile is unrecorded.
+// column is the analytic TrueAvailBw, which needs no recorder.
 func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 	c := cfg.withDefaults()
 	res := &MatrixResult{Config: c, Tools: c.Tools}
@@ -105,7 +105,7 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("exp: matrix: unknown scenario %q (have %v)", name, scenario.Names())
 		}
-		cpl, err := d.CompileSeededUnrecorded(c.Seed)
+		cpl, err := d.CompileSeeded(c.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}
@@ -124,7 +124,7 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 		si, ti := job/len(c.Tools), job%len(c.Tools)
 		name, tool := c.Scenarios[si], c.Tools[ti]
 		d, _ := scenario.Lookup(name)
-		cpl, err := d.CompileSeededUnrecorded(c.Seed)
+		cpl, err := d.CompileSeeded(c.Seed)
 		if err != nil {
 			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", name, err)
 		}

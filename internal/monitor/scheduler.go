@@ -383,7 +383,7 @@ func (m *Monitor) ensureSim(e *entry) error {
 	}
 	seed := rng.Derive(m.cfg.Seed, fmt.Sprintf("sim/%s/epoch%d", e.key, e.simEpoch)).Uint64()
 	e.simEpoch++
-	cpl, err := e.sc.CompileSeededUnrecorded(seed)
+	cpl, err := e.sc.CompileSeeded(seed)
 	if err != nil {
 		return fmt.Errorf("monitor: target %q: compiling scenario %q: %w", e.t.Name, e.t.Scenario, err)
 	}

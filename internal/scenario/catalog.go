@@ -33,14 +33,6 @@ func (d Descriptor) CompileSeeded(seed uint64) (*Compiled, error) {
 	return Compile(sp)
 }
 
-// CompileSeededUnrecorded is CompileSeeded with no ground-truth
-// recorders (Spec.Unrecorded): the one way the consumers that judge
-// against the analytic TrueAvailBw alone compile a cataloged scenario.
-func (d Descriptor) CompileSeededUnrecorded(seed uint64) (*Compiled, error) {
-	d.Spec.Unrecorded = true
-	return d.CompileSeeded(seed)
-}
-
 // catalog holds the registered scenarios in registration order — the
 // canonical presentation order used by CLIs and the matrix experiment.
 var catalog []Descriptor

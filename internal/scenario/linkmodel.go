@@ -124,8 +124,8 @@ func capturePanic(f func()) (err error) {
 }
 
 // applyLinkModels wires hop h's queue discipline, loss model, jitter
-// and capacity schedule onto its compiled link and recorder (nil in an
-// unrecorded compile), and returns the hop's stationary loss
+// and capacity schedule onto its compiled link and recorder (nil unless
+// the spec is Recorded), and returns the hop's stationary loss
 // probability (0 without a loss model) for the analytic ground-truth
 // accounting.
 func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64) (lossMean float64, err error) {

@@ -231,10 +231,13 @@ func TestLRDCompileIsLazy(t *testing.T) {
 	if !ok {
 		t.Fatal("lrd scenario missing")
 	}
-	cpl, err := d.CompileSeeded(1)
+	recorded := d
+	recorded.Spec.Recorded = true
+	cpl, err := recorded.CompileSeeded(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustBeRecorded(t, cpl)
 	if n := cpl.Sim.Pending(); n > 8 {
 		t.Errorf("%d events pending after compile, want a small constant", n)
 	}
@@ -258,7 +261,7 @@ func TestLRDCompileIsLazy(t *testing.T) {
 // TestLRDHonoursPktSize: an LRD source with PktSize set emits that
 // size, not the Internet mix it defaults to.
 func TestLRDHonoursPktSize(t *testing.T) {
-	cpl := MustCompile(Spec{Hops: []Hop{{Capacity: 50 * unit.Mbps, Traffic: []Source{{Kind: LRD, Rate: 25 * unit.Mbps, PktSize: 1000}}}}})
+	cpl := mustBeRecorded(t, MustCompile(Spec{Recorded: true, Hops: []Hop{{Capacity: 50 * unit.Mbps, Traffic: []Source{{Kind: LRD, Rate: 25 * unit.Mbps, PktSize: 1000}}}}}))
 	cpl.Sim.RunUntil(100 * time.Millisecond)
 	arrivals := cpl.Recorders[0].Arrivals()
 	if len(arrivals) == 0 {

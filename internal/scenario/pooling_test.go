@@ -39,11 +39,13 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 			if !ok {
 				t.Fatalf("scenario %q not in catalog", name)
 			}
+			d.Spec.Recorded = true
 			run := func(pooled bool) []groundTruth {
 				cpl, err := d.CompileSeeded(1)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
+				mustBeRecorded(t, cpl)
 				cpl.Sim.SetPooling(pooled)
 				cpl.Sim.RunUntil(horizon)
 				return snapshot(cpl.Recorders)

@@ -5,10 +5,10 @@
 // sources (CBR, Poisson, Pareto ON-OFF, Pareto interarrivals, LRD
 // trace replay, TCP mice, window-limited persistent TCP), optionally
 // with a piecewise-constant rate profile for step/ramp avail-bw — and
-// Compile realizes it on the discrete-event simulator with exact
-// per-hop ground truth: a Recorder per link (the paper's Equations
-// 1–3 at any timescale) and the tight-vs-narrow link distinction the
-// paper's fifth pitfall turns on.
+// Compile realizes it on the discrete-event simulator with the
+// analytic ground truth, the tight-vs-narrow link distinction the
+// paper's fifth pitfall turns on and, when the spec asks for it, a
+// Recorder per link (the paper's Equations 1–3 at any timescale).
 //
 // The named catalog (catalog.go) mirrors the estimator registry: every
 // condition the paper warns about is a nameable, reproducible scenario
@@ -187,19 +187,19 @@ type Spec struct {
 	// ReversePropDelay is the reverse link propagation latency
 	// (default 1 ms).
 	ReversePropDelay time.Duration
-	// Unrecorded compiles the path with no ground-truth recorder on
-	// any hop: Compiled.Recorders is nil and the links record nothing.
-	// For consumers that judge estimates against the analytic
-	// Compiled.TrueAvailBw only (the tools×scenarios matrix, the
-	// dataset, the learned-estimator evaluation, the monitor's sim
-	// targets). Recorders never influence packet behavior, so an
-	// unrecorded run is bit-identical to a recorded one.
-	Unrecorded bool
+	// Recorded attaches a ground-truth Recorder to every hop, which
+	// writes a row per arriving packet and per busy period, so that
+	// Compiled.AvailBw can measure A(t, t+τ). Without it
+	// Compiled.Recorders is nil and the links record nothing: what
+	// judges an estimate against the analytic Compiled.TrueAvailBw
+	// alone pays nothing per packet. Recorders never influence packet
+	// behavior, so a recorded run is bit-identical to an unrecorded one.
+	Recorded bool
 }
 
-// Compiled is a realized scenario: the simulation, the path with a
-// ground-truth Recorder per hop, a transport for probing, and the
-// analytic long-run truth derived from the spec.
+// Compiled is a realized scenario: the simulation, the path (with a
+// ground-truth Recorder per hop when the spec is Recorded), a transport
+// for probing, and the analytic long-run truth derived from the spec.
 type Compiled struct {
 	// Spec is the defaults-resolved spec the scenario was built from.
 	Spec Spec
@@ -210,8 +210,8 @@ type Compiled struct {
 	// Reverse is the ack link (nil unless a TCP source or WithReverse
 	// asked for one).
 	Reverse *sim.Link
-	// Recorders holds one ground-truth recorder per hop (nil when the
-	// spec is Unrecorded).
+	// Recorders holds one ground-truth recorder per hop (nil unless
+	// the spec is Recorded).
 	Recorders []*sim.Recorder
 	// Transport delivers probing streams over the path.
 	Transport *core.SimTransport
@@ -231,7 +231,7 @@ type Compiled struct {
 // AvailBw returns the measured ground-truth avail-bw of the given hop
 // over [from, from+window): the paper's A(t, t+τ) from the hop's
 // recorder. It panics on a hop outside the path or on a compilation
-// without recorders (Spec.Unrecorded).
+// without recorders (a spec that is not Recorded).
 func (c *Compiled) AvailBw(hop int, from, window time.Duration) unit.Rate {
 	return c.recorder(hop).AvailBw(from, window)
 }
@@ -246,7 +246,7 @@ func (c *Compiled) AvailBwSeries(hop int, from, to, tau time.Duration) []unit.Ra
 // reason when there is none.
 func (c *Compiled) recorder(hop int) *sim.Recorder {
 	if c.Recorders == nil {
-		panic("scenario: measured avail-bw asked of a scenario compiled without recorders (Spec.Unrecorded)")
+		panic("scenario: measured avail-bw asked of a scenario compiled without recorders (set Spec.Recorded)")
 	}
 	if hop < 0 || hop >= len(c.Recorders) {
 		panic(fmt.Sprintf("scenario: hop %d out of range [0, %d)", hop, len(c.Recorders)))
@@ -291,7 +291,7 @@ func Compile(spec Spec) (*Compiled, error) {
 	s := sim.New()
 	links := make([]*sim.Link, len(resolved.Hops))
 	var recs []*sim.Recorder
-	if !resolved.Unrecorded {
+	if resolved.Recorded {
 		recs = make([]*sim.Recorder, len(resolved.Hops))
 	}
 	lossMeans := make([]float64, len(resolved.Hops))

@@ -10,13 +10,30 @@ import (
 	"abw/internal/unit"
 )
 
+// mustBeRecorded fails the test unless cpl has exactly one recorder per
+// hop, attached to that hop's link: a test that reads recorder rows
+// must not pass vacuously on an unrecorded compile.
+func mustBeRecorded(t testing.TB, cpl *Compiled) *Compiled {
+	t.Helper()
+	if len(cpl.Recorders) != len(cpl.Path.Links) {
+		t.Fatalf("%d recorders for %d hops", len(cpl.Recorders), len(cpl.Path.Links))
+	}
+	for h, l := range cpl.Path.Links {
+		if l.Recorder() == nil || l.Recorder() != cpl.Recorders[h] {
+			t.Fatalf("hop %d: link recorder is not Recorders[%d]", h, h)
+		}
+	}
+	return cpl
+}
+
 // TestCBRGroundTruth is the recorder-vs-analytic property the ground
 // truth rests on: under CBR cross traffic the measured avail-bw
 // A(t, t+τ) must match C − R at every averaging timescale, up to the
 // packet-quantization of the busy periods.
 func TestCBRGroundTruth(t *testing.T) {
 	cpl, err := Compile(Spec{
-		Horizon: 12 * time.Second,
+		Horizon:  12 * time.Second,
+		Recorded: true,
 		Hops: []Hop{{
 			Capacity: 50 * unit.Mbps,
 			Traffic:  []Source{{Kind: CBR, Rate: 25 * unit.Mbps}},
@@ -25,6 +42,7 @@ func TestCBRGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustBeRecorded(t, cpl)
 	cpl.Sim.RunUntil(10 * time.Second)
 	want := 25.0
 	for _, tau := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond, time.Second} {
@@ -48,10 +66,12 @@ func TestTightVsNarrow(t *testing.T) {
 	if !ok {
 		t.Fatal("narrowtight scenario missing from the catalog")
 	}
+	d.Spec.Recorded = true
 	cpl, err := d.CompileSeeded(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustBeRecorded(t, cpl)
 	if cpl.TightLink == cpl.NarrowLink {
 		t.Fatalf("TightLink = NarrowLink = %d; the scenario exists to separate them", cpl.TightLink)
 	}
@@ -88,14 +108,15 @@ func TestTightVsNarrow(t *testing.T) {
 // seed still defaults to 1.
 func TestSeedZero(t *testing.T) {
 	build := func(seed *uint64) []time.Duration {
-		cpl := MustCompile(Spec{
-			Horizon: 2 * time.Second,
-			Seed:    seed,
+		cpl := mustBeRecorded(t, MustCompile(Spec{
+			Horizon:  2 * time.Second,
+			Seed:     seed,
+			Recorded: true,
 			Hops: []Hop{{
 				Capacity: 50 * unit.Mbps,
 				Traffic:  []Source{{Kind: Poisson, Rate: 25 * unit.Mbps}},
 			}},
-		})
+		}))
 		cpl.Sim.RunUntil(2 * time.Second)
 		arr := cpl.Recorders[0].Arrivals()
 		out := make([]time.Duration, 0, 16)
@@ -136,7 +157,8 @@ func TestSeedZero(t *testing.T) {
 // step-change scenario is built on.
 func TestStepProfile(t *testing.T) {
 	cpl, err := Compile(Spec{
-		Horizon: 4 * time.Second,
+		Horizon:  4 * time.Second,
+		Recorded: true,
 		Hops: []Hop{{
 			Capacity: 50 * unit.Mbps,
 			Traffic: []Source{{
@@ -152,6 +174,7 @@ func TestStepProfile(t *testing.T) {
 	if got := cpl.TrueAvailBw.MbpsOf(); got < 27 || got > 28 {
 		t.Errorf("TrueAvailBw = %.2f Mbps, want 27.5", got)
 	}
+	mustBeRecorded(t, cpl)
 	cpl.Sim.RunUntil(4 * time.Second)
 	early := cpl.AvailBw(0, 500*time.Millisecond, time.Second).MbpsOf()
 	late := cpl.AvailBw(0, 2500*time.Millisecond, time.Second).MbpsOf()
@@ -325,9 +348,9 @@ func TestSpecValidation(t *testing.T) {
 // instead of as a bare index or nil-pointer fault.
 func TestMeasuredAvailBwPanicsDescriptively(t *testing.T) {
 	spec := Spec{Hops: []Hop{{Capacity: 50 * unit.Mbps}, {Capacity: 20 * unit.Mbps}}}
-	recorded := MustCompile(spec)
-	spec.Unrecorded = true
 	bare := MustCompile(spec)
+	spec.Recorded = true
+	recorded := mustBeRecorded(t, MustCompile(spec))
 	cases := []struct {
 		name string
 		cpl  *Compiled

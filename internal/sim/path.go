@@ -43,15 +43,15 @@ func MustPath(links ...*Link) *Path {
 // TightLink returns the link with the minimum measured avail-bw over
 // [from, from+window), computed from each link's attached Recorder —
 // the paper's distinction between the tight link (minimum avail-bw)
-// and the narrow link (minimum capacity). Links without a recorder are
-// assumed idle (avail-bw = capacity). It panics on a non-positive
-// window, matching Recorder.Utilization.
+// and the narrow link (minimum capacity). It panics, naming the link,
+// when a link has no recorder (an unmeasured link is not an idle one),
+// and on a non-positive window, matching Recorder.Utilization.
 func (p *Path) TightLink(from, window time.Duration) *Link {
 	avail := func(l *Link) unit.Rate {
-		if l.rec != nil {
-			return l.rec.AvailBw(from, window)
+		if l.rec == nil {
+			panic(fmt.Sprintf("sim: tight link asked of a path whose link %q has no recorder", l.Name))
 		}
-		return l.Capacity
+		return l.rec.AvailBw(from, window)
 	}
 	min := p.Links[0]
 	minA := avail(min)

@@ -11,14 +11,14 @@ import (
 	"abw/internal/tools/registry"
 )
 
-// TestUnrecordedCompileEstimatesIdentically pins what lets the matrix,
-// the dataset, the learned evaluation and the monitor's sim targets
-// compile without recorders: a recorder only observes, so every
-// end-to-end tool returns the same report — estimate, range, probing
-// effort, samples, elapsed virtual time — on a recorded and an
-// unrecorded compile of one scenario. The scenarios are the golden
-// test's four plus one with a capacity schedule, whose install has a
-// recorder half that an unrecorded compile skips.
+// TestUnrecordedCompileEstimatesIdentically pins what lets a compile
+// record nothing unless its spec asks: a recorder only observes, so
+// every end-to-end tool returns the same report — estimate, range,
+// probing effort, samples, elapsed virtual time — on the default
+// (unrecorded) compile and on a Spec.Recorded compile of one scenario.
+// The scenarios are the golden test's four plus one with a capacity
+// schedule, whose install has a recorder half that only a recorded
+// compile runs.
 func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 	estimate := func(t *testing.T, tool string, cpl *scenario.Compiled) *core.Report {
 		rep, err := registry.Estimate(context.Background(), tool,
@@ -33,6 +33,8 @@ func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown scenario %q", name)
 		}
+		withRecorders := sc
+		withRecorders.Spec.Recorded = true
 		for _, d := range registry.Tools() {
 			if d.SimOnly {
 				continue
@@ -40,24 +42,29 @@ func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 			tool := d.Name
 			t.Run(name+"/"+tool, func(t *testing.T) {
 				t.Parallel()
-				recorded, err := sc.CompileSeeded(1)
+				bare, err := sc.CompileSeeded(1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bare, err := sc.CompileSeededUnrecorded(1)
+				recorded, err := withRecorders.CompileSeeded(1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if bare.Recorders != nil {
-					t.Errorf("unrecorded compile has %d recorders", len(bare.Recorders))
+					t.Errorf("default compile has %d recorders", len(bare.Recorders))
 				}
 				for h, l := range bare.Path.Links {
 					if l.Recorder() != nil {
-						t.Errorf("unrecorded compile: hop %d link has a recorder", h)
+						t.Errorf("default compile: hop %d link has a recorder", h)
 					}
 				}
 				if len(recorded.Recorders) != len(recorded.Path.Links) {
 					t.Errorf("recorded compile has %d recorders for %d hops", len(recorded.Recorders), len(recorded.Path.Links))
+				}
+				for h, l := range recorded.Path.Links {
+					if l.Recorder() == nil {
+						t.Errorf("recorded compile: hop %d link has no recorder", h)
+					}
 				}
 				if bare.TrueAvailBw != recorded.TrueAvailBw || bare.Capacity != recorded.Capacity {
 					t.Errorf("analytic truth differs: unrecorded A=%v C=%v, recorded A=%v C=%v",

@@ -17,7 +17,8 @@ import (
 type (
 	// ScenarioSpec describes a heterogeneous simulated path: per-hop
 	// capacity/buffer/delay and an arbitrary mix of traffic sources,
-	// optionally time-varying.
+	// optionally time-varying. NewScenario always sets its Recorded
+	// field, so Scenario.AvailBw answers on every scenario it builds.
 	ScenarioSpec = scenario.Spec
 	// Hop is one store-and-forward link with its cross traffic.
 	Hop = scenario.Hop
@@ -112,8 +113,8 @@ func (s *Scenario) Hops() int { return len(s.compiled.Path.Links) }
 
 // AvailBw returns the measured ground-truth avail-bw of the given hop
 // over [from, from+window) of virtual time — the paper's A(t, t+τ),
-// exact, from the hop's recorder. It panics on a hop outside
-// [0, Hops()) and on a scenario whose spec set Unrecorded.
+// exact, from the hop's recorder (NewScenario records every hop). It
+// panics on a hop outside [0, Hops()).
 func (s *Scenario) AvailBw(hop int, from, window time.Duration) Rate {
 	return s.compiled.AvailBw(hop, from, window)
 }
@@ -123,30 +124,26 @@ func (s *Scenario) AvailBw(hop int, from, window time.Duration) Rate {
 type SpecOrName interface{ ScenarioSpec | string }
 
 // NewScenario builds a deterministic simulated path from a declarative
-// spec or a catalog name. Identical inputs give identical packet-level
-// behavior, so estimator runs are exactly reproducible.
+// spec or a catalog name, with a ground-truth recorder on every hop for
+// AvailBw. Identical inputs give identical packet-level behavior, so
+// estimator runs are exactly reproducible.
 func NewScenario[T SpecOrName](v T) (*Scenario, error) {
+	name, spec := "", ScenarioSpec{}
 	switch x := any(v).(type) {
 	case string:
 		d, ok := scenario.Lookup(x)
 		if !ok {
 			return nil, fmt.Errorf("abw: unknown scenario %q (have %v)", x, scenario.Names())
 		}
-		cpl, err := d.Compile()
-		if err != nil {
-			return nil, err
-		}
-		return wrapScenario(d.Name, cpl), nil
+		name, spec = d.Name, d.Spec
 	default:
-		cpl, err := scenario.Compile(x.(ScenarioSpec))
-		if err != nil {
-			return nil, err
-		}
-		return wrapScenario("", cpl), nil
+		spec = x.(ScenarioSpec)
 	}
-}
-
-func wrapScenario(name string, cpl *scenario.Compiled) *Scenario {
+	spec.Recorded = true
+	cpl, err := scenario.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
 	return &Scenario{
 		Name:        name,
 		Transport:   cpl.Transport,
@@ -155,5 +152,5 @@ func wrapScenario(name string, cpl *scenario.Compiled) *Scenario {
 		TightLink:   cpl.TightLink,
 		NarrowLink:  cpl.NarrowLink,
 		compiled:    cpl,
-	}
+	}, nil
 }

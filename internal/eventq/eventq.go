@@ -9,8 +9,8 @@
 // Level 0 buckets hold one tick; each higher level's buckets hold
 // wheelSize times the span below, so the wheel covers
 // wheelSize^wheelLevels ticks (~17 s at the current geometry) ahead of
-// the cursor. Events beyond that horizon wait in a spill min-heap and
-// are swept into the wheel when the cursor reaches their epoch.
+// the cursor. Events beyond that horizon wait in a sorted spill slice
+// and are swept into the wheel when the cursor reaches their epoch.
 // Scheduling is O(1) bucket placement; Pop advances a cursor using
 // per-level occupancy bitmaps and cascades higher-level buckets down,
 // for amortized O(1) per event regardless of queue depth — the reason
@@ -18,10 +18,10 @@
 // the differential tests' oracle and is compiled into no binary.
 //
 // Events sharing the cursor's tick live in a run slice kept sorted by
-// (At, seq), which restores the sub-tick ordering the bucket quantization
-// discards; events scheduled in the past go to a sorted overdue slice
-// that drains before everything else. Together the zones preserve the
-// heap's exact pop order: globally ascending (At, seq).
+// (At, seq), which restores the sub-tick ordering the bucket
+// quantization discards. Together the zones preserve the heap's exact
+// pop order: globally ascending (At, seq). The cursor only moves
+// forward, and an event may not be scheduled on a tick behind it.
 //
 // The queue owns a free list of Event structs so steady-state
 // scheduling allocates nothing: popped and canceled events are returned
@@ -33,6 +33,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -59,9 +60,8 @@ const (
 type Event struct {
 	At time.Duration // virtual time since simulation epoch
 
-	fn    func()
-	argFn func(any)
-	arg   any
+	fn  func(any)
+	arg any
 
 	// next/prev link the event into its wheel bucket (intrusive
 	// doubly-linked list: zero-alloc insertion, O(1) cancel removal).
@@ -69,36 +69,38 @@ type Event struct {
 
 	seq      uint64 // insertion order, breaks ties deterministically
 	where    int32  // zone the event currently occupies (see below)
-	pos      int32  // index while in the spill heap
 	canceled bool
 }
 
 // Zone codes for Event.where. Zero is the never-scheduled zero value;
 // anything >= zoneRun means "still queued". Wheel buckets encode their
-// level and index so Cancel can unlink in O(1). Code 4 belongs to the
-// test-only oracle heap (heap_test.go); 5-7 are unused.
+// level and index so Cancel can unlink in O(1). Code 3 belongs to the
+// test-only oracle heap (heap_test.go).
 const (
 	idxFreed  = -2 // returned to the free list
 	idxPopped = -1 // removed by Pop, possibly running
 	idxLimbo  = 0  // freshly allocated, not yet scheduled
 	zoneRun   = 1  // run slice: events at the cursor's tick
-	zoneOver  = 2  // overdue slice: scheduled in the past
-	zoneSpill = 3  // spill slice: beyond the wheel horizon
-	zoneWheel = 8  // + lvl*wheelSize + bucket
+	zoneSpill = 2  // spill slice: beyond the wheel horizon
+	zoneWheel = 4  // + lvl*wheelSize + bucket
 )
 
 func wheelZone(lvl, b int) int32 { return zoneWheel + int32(lvl)<<wheelBits + int32(b) }
 func zoneLevel(where int32) int  { return int(where-zoneWheel) >> wheelBits }
 func zoneBucket(where int32) int { return int(where-zoneWheel) & wheelMask }
 
-// Call invokes the event's callback (either form; argFn wins).
+// Call invokes the event's callback.
 func (e *Event) Call() {
-	if e.argFn != nil {
-		e.argFn(e.arg)
-		return
-	}
 	if e.fn != nil {
-		e.fn()
+		e.fn(e.arg)
+	}
+}
+
+// callFunc is the callback Schedule files a func() under. A func value
+// is pointer-shaped, so boxing it as the argument allocates nothing.
+func callFunc(arg any) {
+	if fn := arg.(func()); fn != nil {
+		fn()
 	}
 }
 
@@ -162,17 +164,13 @@ type Queue struct {
 	// before runPos have been popped. The slice is reused across ticks.
 	run    []*Event
 	runPos int
-	// overdue is sorted descending by (At, seq) so the next event pops
-	// from the end without shifting; it only ever holds events scheduled
-	// in the past, which the simulator forbids, so it stays tiny.
-	overdue []*Event
-	// spill is a binary min-heap ordered by (At, seq), indexed through
-	// Event.pos. Every traffic source keeps one event pending, so what
-	// lands here is sparse: events scheduled into a later wheel epoch
-	// (~17 s each) — trace-tile boundaries and late rate-segment starts
-	// laid down well ahead, plus whichever TCP timers and in-flight
-	// packets straddle an epoch edge. They arrive in no particular
-	// order, which a heap takes at O(log n) per insert and refill pop.
+	// spill holds the events beyond the wheel's epoch, sorted descending
+	// by (At, seq) so the earliest sits at the end. What lands here is
+	// sparse — trace-tile boundaries and late rate-segment starts laid
+	// down well ahead, and the TCP timers, probe streams and in-flight
+	// packets that straddle an epoch edge — so an O(n) sorted insert is
+	// cheap. Canceled entries stay in place and are reaped when they
+	// reach the end or their epoch's refill.
 	spill []*Event
 
 	wheel [wheelLevels][wheelSize]*Event // bucket list heads
@@ -210,25 +208,13 @@ func (q *Queue) alloc() *Event {
 	return &Event{}
 }
 
-func (q *Queue) push(e *Event, at time.Duration) Handle {
-	e.At = at
-	e.seq = q.seq
-	e.canceled = false
-	q.seq++
-	q.place(e)
-	q.n++
-	q.stats.Scheduled++
-	return Handle{e: e, seq: e.seq}
-}
-
 // Schedule adds fn to run at virtual time at and returns a handle,
-// which can later be passed to Cancel. Scheduling in the past is allowed
-// (the simulator treats it as "run as soon as possible"); the caller is
-// responsible for monotonic clock discipline.
+// which can later be passed to Cancel. at must not lie on a tick behind
+// the cursor (see Peek and PopUntil for where they leave it); the
+// cursor's own tick is allowed, and fires in (At, seq) order with the
+// rest of it.
 func (q *Queue) Schedule(at time.Duration, fn func()) Handle {
-	e := q.alloc()
-	e.fn, e.argFn, e.arg = fn, nil, nil
-	return q.push(e, at)
+	return q.ScheduleArg(at, callFunc, fn)
 }
 
 // ScheduleArg adds fn(arg) to run at virtual time at. Because fn can be
@@ -236,9 +222,9 @@ func (q *Queue) Schedule(at time.Duration, fn func()) Handle {
 // without allocating a closure — the simulator's packet hot path runs
 // entirely on it.
 func (q *Queue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
-	e := q.alloc()
-	e.fn, e.argFn, e.arg = nil, fn, arg
-	return q.push(e, at)
+	seq := q.seq
+	q.seq++
+	return q.ScheduleArgSeq(at, seq, fn, arg)
 }
 
 // ReserveSeq sets aside n consecutive sequence numbers at the current
@@ -257,10 +243,7 @@ func (q *Queue) ReserveSeq(n uint64) uint64 {
 // fires in the order of an eager one that scheduled everything at once.
 func (q *Queue) ScheduleArgSeq(at time.Duration, seq uint64, fn func(any), arg any) Handle {
 	e := q.alloc()
-	e.fn, e.argFn, e.arg = nil, fn, arg
-	e.At = at
-	e.seq = seq
-	e.canceled = false
+	e.At, e.seq, e.fn, e.arg, e.canceled = at, seq, fn, arg, false
 	q.place(e)
 	q.n++
 	q.stats.Scheduled++
@@ -277,7 +260,7 @@ func (q *Queue) place(e *Event) {
 	case t == c:
 		q.insertRun(e)
 	case t < c:
-		q.insertSorted(&q.overdue, e, zoneOver)
+		panic(fmt.Sprintf("eventq: scheduling at %v, behind the cursor's tick at %v", e.At, time.Duration(c<<tickShift)))
 	case t>>wheelBits == c>>wheelBits:
 		q.bucketPush(0, int(t&wheelMask), e)
 	case t>>(2*wheelBits) == c>>(2*wheelBits):
@@ -287,7 +270,7 @@ func (q *Queue) place(e *Event) {
 	case t>>epochShift == c>>epochShift:
 		q.bucketPush(3, int(t>>(3*wheelBits)&wheelMask), e)
 	default:
-		q.spillPush(e)
+		q.insertSorted(e)
 	}
 }
 
@@ -313,11 +296,11 @@ func (q *Queue) insertRun(e *Event) {
 	q.run[lo] = e
 }
 
-// insertSorted binary-inserts into the descending (At, seq) overdue
+// insertSorted binary-inserts into the descending (At, seq) spill
 // slice, whose earliest event sits at the end.
-func (q *Queue) insertSorted(sl *[]*Event, e *Event, zone int32) {
-	e.where = zone
-	s := *sl
+func (q *Queue) insertSorted(e *Event) {
+	e.where = zoneSpill
+	s := q.spill
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -330,72 +313,21 @@ func (q *Queue) insertSorted(sl *[]*Event, e *Event, zone int32) {
 	s = append(s, nil)
 	copy(s[lo+1:], s[lo:])
 	s[lo] = e
-	*sl = s
+	q.spill = s
 }
 
-// spillPush adds a far-future event to the spill min-heap.
-func (q *Queue) spillPush(e *Event) {
-	e.where = zoneSpill
-	e.pos = int32(len(q.spill))
-	q.spill = append(q.spill, e)
-	q.spillUp(int(e.pos))
-}
-
-// spillPop removes and returns the spill heap's minimum.
+// spillPop removes the spill slice's earliest entry, reaping it and
+// returning nil if it was canceled.
 func (q *Queue) spillPop() *Event {
-	e := q.spill[0]
-	q.spillRemove(0)
-	return e
-}
-
-// spillRemove deletes the spill heap element at index i.
-func (q *Queue) spillRemove(i int) {
 	n := len(q.spill) - 1
-	if i != n {
-		q.spillSwap(i, n)
-	}
+	e := q.spill[n]
 	q.spill[n] = nil
 	q.spill = q.spill[:n]
-	if i < n {
-		q.spillDown(i)
-		q.spillUp(i)
+	if e.canceled {
+		q.reap(e)
+		return nil
 	}
-}
-
-func (q *Queue) spillSwap(i, j int) {
-	q.spill[i], q.spill[j] = q.spill[j], q.spill[i]
-	q.spill[i].pos = int32(i)
-	q.spill[j].pos = int32(j)
-}
-
-func (q *Queue) spillUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(q.spill[i], q.spill[parent]) {
-			return
-		}
-		q.spillSwap(i, parent)
-		i = parent
-	}
-}
-
-func (q *Queue) spillDown(i int) {
-	n := len(q.spill)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		min := left
-		if right := left + 1; right < n && less(q.spill[right], q.spill[left]) {
-			min = right
-		}
-		if !less(q.spill[min], q.spill[i]) {
-			return
-		}
-		q.spillSwap(i, min)
-		i = min
-	}
+	return e
 }
 
 func (q *Queue) bucketPush(lvl, b int, e *Event) {
@@ -426,8 +358,7 @@ func (q *Queue) bucketRemove(e *Event) {
 	}
 }
 
-// reap releases an event whose lazy cancellation has reached a
-// consumable edge of its slice.
+// reap releases a canceled event once it leaves its zone.
 func (q *Queue) reap(e *Event) {
 	e.where = idxPopped
 	q.Release(e)
@@ -437,40 +368,20 @@ func (q *Queue) reap(e *Event) {
 const maxTick = int64(math.MaxInt64)
 
 // front returns the earliest live event without removing it, advancing
-// the cursor (and cascading buckets) as needed, or nil when empty. The
-// cursor never advances past limit (a tick): with a finite limit, front
-// may leave far-future events untouched and return nil — or an event
-// beyond the caller's deadline, which the caller filters by At.
-//
-// Zone order needs no cross-checks beyond overdue-vs-run: every wheel
-// and spill event has tick > curTick, every run event has tick ==
-// curTick, and tick is monotone in At, so run strictly precedes the
-// rest; overdue (tick < curTick) can only outrank run when its At does.
+// the cursor (and cascading buckets) as needed, or nil when none is
+// left. The cursor never advances past limit (a tick): with a finite
+// limit, front may leave far-future events untouched and return nil —
+// or an event beyond the caller's deadline, which the caller filters by
+// At. Every wheel and spill event has tick > curTick and every run
+// event tick == curTick, so the run slice's head is the earliest event.
 func (q *Queue) front(limit int64) *Event {
-	if q.n == 0 {
-		return nil
-	}
 	for {
-		for q.runPos < len(q.run) && q.run[q.runPos].canceled {
-			q.reap(q.run[q.runPos])
-			q.runPos++
-		}
-		for n := len(q.overdue); n > 0 && q.overdue[n-1].canceled; n = len(q.overdue) {
-			q.reap(q.overdue[n-1])
-			q.overdue = q.overdue[:n-1]
-		}
-		var rn, od *Event
-		if q.runPos < len(q.run) {
-			rn = q.run[q.runPos]
-		}
-		if n := len(q.overdue); n > 0 {
-			od = q.overdue[n-1]
-		}
-		switch {
-		case od != nil && (rn == nil || less(od, rn)):
-			return od
-		case rn != nil:
-			return rn
+		for ; q.runPos < len(q.run); q.runPos++ {
+			e := q.run[q.runPos]
+			if !e.canceled {
+				return e
+			}
+			q.reap(e)
 		}
 		if !q.advance(limit) {
 			return nil
@@ -486,14 +397,14 @@ func (q *Queue) front(limit int64) *Event {
 // whether any live event became available.
 //
 // The cursor stops at limit when the next occupied tick lies beyond it.
-// This is what keeps PopUntil-driven simulations fast: the cursor tracks
-// the caller's clock instead of leaping to a far-future timer, so events
-// scheduled "behind" such a leap never pile into the overdue slice.
+// This is what keeps PopUntil-driven simulations fast and legal: the
+// cursor tracks the caller's clock instead of leaping to a far-future
+// timer, so the caller can still schedule anywhere from its clock on.
 // Stopping at limit is safe exactly because the scans just proved no
 // event occupies (curTick, limit] — except that the cursor must not
 // enter the epoch of a still-spilled event (wheel placements ahead of
 // the cursor must outrank every spill entry), so the spill stop clamps
-// to just before the spill tail's epoch.
+// to just before the earliest live spill entry's epoch.
 func (q *Queue) advance(limit int64) bool {
 	q.run = q.run[:0]
 	q.runPos = 0
@@ -543,13 +454,17 @@ func (q *Queue) advance(limit int64) bool {
 		if cascaded {
 			continue
 		}
-		// Spill: the wheel is empty out to its horizon. Jump to the
-		// earliest far-future event and refill its top-level epoch.
+		// Spill: the wheel is empty out to its horizon. Reap canceled
+		// entries off the end, jump to the earliest live one and refill
+		// its top-level epoch.
+		for len(q.spill) > 0 && q.spill[len(q.spill)-1].canceled {
+			q.spillPop()
+		}
 		if len(q.spill) == 0 {
 			q.stopAt(limit)
 			return false
 		}
-		earliest := tickOf(q.spill[0].At)
+		earliest := tickOf(q.spill[len(q.spill)-1].At)
 		if earliest > limit {
 			// The wheel is empty, so the cursor may cross epochs —
 			// but not into the earliest spill's epoch, which must stay
@@ -563,8 +478,10 @@ func (q *Queue) advance(limit int64) bool {
 		}
 		q.curTick = earliest
 		epoch := q.curTick >> epochShift
-		for len(q.spill) > 0 && tickOf(q.spill[0].At)>>epochShift == epoch {
-			q.place(q.spillPop())
+		for len(q.spill) > 0 && tickOf(q.spill[len(q.spill)-1].At)>>epochShift == epoch {
+			if e := q.spillPop(); e != nil {
+				q.place(e)
+			}
 		}
 	}
 }
@@ -624,9 +541,8 @@ func (q *Queue) cascade(lvl, b int) {
 // Cancel removes a pending event. Canceling an already-fired,
 // already-canceled, or recycled handle is a no-op, so callers can
 // cancel timers unconditionally. Wheel-bucket events unlink (and
-// recycle) in O(1) and spill events heap-delete in O(log n); events in
-// the run and overdue slices are marked and reaped when the drain
-// reaches them, which keeps Cancel O(1) there too.
+// recycle) in O(1); events in the run and spill slices are marked and
+// reaped when the drain reaches them, which keeps Cancel O(1) there too.
 func (q *Queue) Cancel(h Handle) {
 	e := h.e
 	if e == nil || e.seq != h.seq || e.where < zoneRun || e.canceled {
@@ -635,15 +551,9 @@ func (q *Queue) Cancel(h Handle) {
 	q.n--
 	q.stats.Cancelled++
 	e.canceled = true
-	switch {
-	case e.where >= zoneWheel:
+	if e.where >= zoneWheel {
 		q.bucketRemove(e)
-		e.where = idxPopped
-		q.Release(e)
-	case e.where == zoneSpill:
-		q.spillRemove(int(e.pos))
-		e.where = idxPopped
-		q.Release(e)
+		q.reap(e)
 	}
 }
 
@@ -656,34 +566,23 @@ func (q *Queue) Pop() *Event {
 
 // PopUntil removes and returns the earliest event with At <= t, or nil
 // when none is due. Unlike Peek-then-Pop, the cursor never advances past
-// t's tick: a far-future timer does not drag the cursor forward, so
-// events scheduled after a bounded run still land in wheel buckets
-// instead of the overdue slice. This is the form clock-sliced drivers
-// (sim.RunUntil) should use.
+// t's tick: a far-future timer does not drag the cursor forward, so the
+// caller may go on scheduling from t. This is the form clock-sliced
+// drivers (sim.RunUntil) should use.
 func (q *Queue) PopUntil(t time.Duration) *Event {
-	limit := tickOf(t)
-	if q.n == 0 {
-		q.settle(limit)
-		return nil
-	}
-	e := q.front(limit)
+	e := q.front(tickOf(t))
 	if e == nil || e.At > t {
 		return nil
 	}
 	return q.take(e)
 }
 
-// take finalizes a pop of the event front just returned.
+// take finalizes a pop of the run-slice head front just returned.
 func (q *Queue) take(e *Event) *Event {
 	if e == nil {
 		return nil
 	}
-	switch e.where {
-	case zoneRun:
-		q.runPos++
-	case zoneOver:
-		q.overdue = q.overdue[:len(q.overdue)-1]
-	}
+	q.runPos++
 	e.where = idxPopped
 	q.n--
 	q.stats.Fired++
@@ -693,10 +592,9 @@ func (q *Queue) take(e *Event) *Event {
 // PendingAt reports whether a live event is queued at exactly at, for
 // an at the cursor has reached — the time of the event now firing, or
 // of the bounded pop that just returned. Such an event sits in the run
-// or the overdue slice: wheel and spill entries lie on later ticks.
-// Both are sorted, so the scan ends at the first entry past at (the
-// first entry, unless something was scheduled in the past).
-// Lazily-cancelled entries are skipped, not reaped.
+// slice: wheel and spill entries lie on later ticks. The slice is
+// sorted, so the scan ends at the first entry past at. Lazily-cancelled
+// entries are skipped, not reaped.
 func (q *Queue) PendingAt(at time.Duration) bool {
 	for _, e := range q.run[q.runPos:] {
 		if e.At > at {
@@ -706,30 +604,7 @@ func (q *Queue) PendingAt(at time.Duration) bool {
 			return true
 		}
 	}
-	for i := len(q.overdue) - 1; i >= 0 && q.overdue[i].At <= at; i-- {
-		if e := q.overdue[i]; e.At == at && !e.canceled {
-			return true
-		}
-	}
 	return false
-}
-
-// settle advances an empty queue's cursor to limit, reaping any
-// lazily-canceled strays first (with n == 0 every slice entry is one).
-func (q *Queue) settle(limit int64) {
-	if limit <= q.curTick {
-		return
-	}
-	for _, e := range q.run[q.runPos:] {
-		q.reap(e)
-	}
-	q.run = q.run[:0]
-	q.runPos = 0
-	for _, e := range q.overdue {
-		q.reap(e)
-	}
-	q.overdue = q.overdue[:0]
-	q.curTick = limit
 }
 
 // Release returns a popped or canceled event to the free list. Events
@@ -738,7 +613,7 @@ func (q *Queue) Release(e *Event) {
 	if e == nil || e.where != idxPopped {
 		return
 	}
-	e.fn, e.argFn, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	e.where = idxFreed
 	if q.noPool {
 		return
@@ -747,8 +622,9 @@ func (q *Queue) Release(e *Event) {
 }
 
 // Peek returns the earliest pending event without removing it, or nil.
-// Finding it may advance the cursor to that event's tick; drivers that
-// slice time should prefer PopUntil, which bounds the advance.
+// Finding it advances the cursor to that event's tick, so after a Peek
+// nothing may be scheduled before the peeked tick; drivers that slice
+// time should prefer PopUntil, which bounds the advance.
 func (q *Queue) Peek() *Event {
 	return q.front(maxTick)
 }

@@ -2,9 +2,9 @@
 // reference implementation ("oracle") for the differential property
 // tests: both queues share the Event and Handle types and must produce
 // identical pop orders for identical Schedule/Cancel/Pop scripts. It
-// lives in a _test.go file so no binary carries it, and it keeps its
-// own sift code rather than sharing the wheel's spill heap: an oracle
-// that shares the implementation under test checks nothing.
+// lives in a _test.go file so no binary carries it, and it shares no
+// ordering code with the wheel beyond less: an oracle that shares the
+// implementation under test checks nothing.
 package eventq
 
 import "time"
@@ -13,13 +13,16 @@ import "time"
 // "still queued" codes of Event.where (>= zoneRun, below zoneWheel)
 // that Queue never uses, so Handle.Pending works on the oracle's
 // handles too.
-const zoneHeap = 4
+const zoneHeap = 3
 
 // heapQueue is the pre-wheel event queue: a binary min-heap ordered by
 // (At, seq) with the same free-list pooling and ABA-safe handles as
-// Queue. Not exported — construct it with newHeapQueue in tests.
+// Queue. Cancel is lazy — the entry is marked and dropped when it
+// reaches the top — so the heap needs no index back into itself. Not
+// exported — construct it with newHeapQueue in tests.
 type heapQueue struct {
 	h      []*Event
+	n      int // live (uncanceled) entries
 	seq    uint64
 	free   []*Event
 	noPool bool
@@ -29,7 +32,7 @@ func newHeapQueue() *heapQueue { return &heapQueue{} }
 
 func (q *heapQueue) SetPooling(on bool) { q.noPool = !on }
 
-func (q *heapQueue) Len() int { return len(q.h) }
+func (q *heapQueue) Len() int { return q.n }
 
 func (q *heapQueue) alloc() *Event {
 	if n := len(q.free); n > 0 && !q.noPool {
@@ -41,33 +44,14 @@ func (q *heapQueue) alloc() *Event {
 	return &Event{}
 }
 
-func (q *heapQueue) push(e *Event, at time.Duration) Handle {
-	seq := q.seq
-	q.seq++
-	return q.pushSeq(e, at, seq)
-}
-
-func (q *heapQueue) pushSeq(e *Event, at time.Duration, seq uint64) Handle {
-	e.At = at
-	e.seq = seq
-	e.canceled = false
-	e.where = zoneHeap
-	e.pos = int32(len(q.h))
-	q.h = append(q.h, e)
-	q.siftUp(int(e.pos))
-	return Handle{e: e, seq: seq}
-}
-
 func (q *heapQueue) Schedule(at time.Duration, fn func()) Handle {
-	e := q.alloc()
-	e.fn, e.argFn, e.arg = fn, nil, nil
-	return q.push(e, at)
+	return q.ScheduleArg(at, callFunc, fn)
 }
 
 func (q *heapQueue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
-	e := q.alloc()
-	e.fn, e.argFn, e.arg = nil, fn, arg
-	return q.push(e, at)
+	seq := q.seq
+	q.seq++
+	return q.ScheduleArgSeq(at, seq, fn, arg)
 }
 
 func (q *heapQueue) ReserveSeq(n uint64) uint64 {
@@ -78,33 +62,51 @@ func (q *heapQueue) ReserveSeq(n uint64) uint64 {
 
 func (q *heapQueue) ScheduleArgSeq(at time.Duration, seq uint64, fn func(any), arg any) Handle {
 	e := q.alloc()
-	e.fn, e.argFn, e.arg = nil, fn, arg
-	return q.pushSeq(e, at, seq)
+	e.At, e.seq, e.fn, e.arg, e.canceled = at, seq, fn, arg, false
+	e.where = zoneHeap
+	q.h = append(q.h, e)
+	q.siftUp(len(q.h) - 1)
+	q.n++
+	return Handle{e: e, seq: seq}
 }
 
 func (q *heapQueue) Cancel(h Handle) {
 	e := h.e
-	if e == nil || e.seq != h.seq || e.where != zoneHeap {
+	if e == nil || e.seq != h.seq || e.where != zoneHeap || e.canceled {
 		return
 	}
-	q.remove(int(e.pos))
-	e.where = idxPopped
 	e.canceled = true
-	q.Release(e)
+	q.n--
+}
+
+// top drops canceled entries off the top and returns the minimum live
+// one, or nil.
+func (q *heapQueue) top() *Event {
+	for len(q.h) > 0 {
+		e := q.h[0]
+		if !e.canceled {
+			return e
+		}
+		q.popTop()
+		e.where = idxPopped
+		q.Release(e)
+	}
+	return nil
 }
 
 func (q *heapQueue) Pop() *Event {
-	if len(q.h) == 0 {
+	e := q.top()
+	if e == nil {
 		return nil
 	}
-	e := q.h[0]
-	q.remove(0)
+	q.popTop()
+	q.n--
 	e.where = idxPopped
 	return e
 }
 
 func (q *heapQueue) PopUntil(t time.Duration) *Event {
-	if len(q.h) == 0 || q.h[0].At > t {
+	if e := q.top(); e == nil || e.At > t {
 		return nil
 	}
 	return q.Pop()
@@ -114,7 +116,7 @@ func (q *heapQueue) Release(e *Event) {
 	if e == nil || e.where != idxPopped {
 		return
 	}
-	e.fn, e.argFn, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	e.where = idxFreed
 	if q.noPool {
 		return
@@ -122,31 +124,15 @@ func (q *heapQueue) Release(e *Event) {
 	q.free = append(q.free, e)
 }
 
-func (q *heapQueue) Peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
+func (q *heapQueue) Peek() *Event { return q.top() }
 
-// remove deletes the element at heap index i, restoring heap order.
-func (q *heapQueue) remove(i int) {
+// popTop removes the heap's root, restoring heap order.
+func (q *heapQueue) popTop() {
 	n := len(q.h) - 1
-	if i != n {
-		q.swap(i, n)
-	}
+	q.h[0] = q.h[n]
 	q.h[n] = nil
 	q.h = q.h[:n]
-	if i < n {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-}
-
-func (q *heapQueue) swap(i, j int) {
-	q.h[i], q.h[j] = q.h[j], q.h[i]
-	q.h[i].pos = int32(i)
-	q.h[j].pos = int32(j)
+	q.siftDown(0)
 }
 
 func (q *heapQueue) siftUp(i int) {
@@ -155,7 +141,7 @@ func (q *heapQueue) siftUp(i int) {
 		if !less(q.h[i], q.h[parent]) {
 			return
 		}
-		q.swap(i, parent)
+		q.h[i], q.h[parent] = q.h[parent], q.h[i]
 		i = parent
 	}
 }
@@ -174,7 +160,7 @@ func (q *heapQueue) siftDown(i int) {
 		if !less(q.h[min], q.h[i]) {
 			return
 		}
-		q.swap(i, min)
+		q.h[i], q.h[min] = q.h[min], q.h[i]
 		i = min
 	}
 }

@@ -3,12 +3,13 @@ package eventq
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Edge cases specific to the timing-wheel implementation: cancellation
 // racing cascades, scheduling behind the cursor, handle reuse across a
-// full wheel rotation, and the steady-state allocation guarantee at
-// wheel-spanning depths.
+// full wheel rotation, lazy cancellation in the spill slice, and the
+// steady-state allocation guarantee at wheel-spanning depths.
 
 // tick n's first instant, as a virtual time.
 func tickStart(n int64) time.Duration { return time.Duration(n << tickShift) }
@@ -62,39 +63,52 @@ func TestCancelDuringCascade(t *testing.T) {
 	}
 }
 
-// TestPastEventsFireImmediatelyInSeqOrder advances the cursor deep into
-// virtual time, then schedules events behind it — including several at
-// the same past instant. They must pop before anything in the wheel, in
-// (At, seq) order.
-func TestPastEventsFireImmediatelyInSeqOrder(t *testing.T) {
-	var q Queue
-	// Advance the cursor: pop an event a few level-1 buckets in.
-	far := tickStart(5 * wheelSize)
-	q.Schedule(far, nil)
-	q.Release(q.Pop())
-
-	// A future event that must lose to everything overdue.
-	q.ScheduleArg(far+time.Millisecond, nil, nil)
-
-	var got []int
-	rec := func(arg any) { got = append(got, arg.(int)) }
-	q.ScheduleArg(far-time.Microsecond, rec, 2) // later past instant
-	q.ScheduleArg(far-time.Millisecond, rec, 0) // earliest, scheduled 2nd
-	q.ScheduleArg(far-time.Millisecond, rec, 1) // same instant, scheduled 3rd
-
-	for i := 0; i < 3; i++ {
-		e := q.Pop()
-		if e.At >= far {
-			t.Fatalf("pop %d returned future event at %v before overdue ones", i, e.At)
+// TestScheduleBehindCursorPanics moves the cursor deep into virtual
+// time, once with Pop and once with Peek, then schedules on the
+// cursor's own tick — legal, even before the instant just popped, and
+// fired in (At, seq) order — and one nanosecond before that tick,
+// which must panic.
+func TestScheduleBehindCursorPanics(t *testing.T) {
+	for _, byPeek := range []bool{false, true} {
+		var q Queue
+		far := tickStart(5*wheelSize) + 700 // mid-tick
+		q.Schedule(far, nil)
+		if byPeek {
+			q.Peek()
+		} else {
+			q.Release(q.Pop())
 		}
-		e.Call()
-		q.Release(e)
+
+		var got []int
+		rec := func(arg any) { got = append(got, arg.(int)) }
+		tick := tickStart(5 * wheelSize)
+		q.ScheduleArg(far+time.Microsecond, rec, 2)
+		q.ScheduleArg(tick, rec, 0) // the tick's first instant
+		q.ScheduleArg(tick, rec, 1) // same instant, scheduled later
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("peek=%v: scheduling one tick behind the cursor did not panic", byPeek)
+				}
+			}()
+			q.ScheduleArg(tick-1, rec, -1)
+		}()
+		for e := q.Pop(); e != nil; e = q.Pop() {
+			e.Call()
+			q.Release(e)
+		}
+		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+			t.Errorf("peek=%v: fire order = %v, want [0 1 2]", byPeek, got)
+		}
 	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("overdue fire order = %v, want [0 1 2]", got)
-	}
-	if e := q.Pop(); e == nil || e.At != far+time.Millisecond {
-		t.Fatalf("future event did not pop last: %v", e)
+}
+
+// TestEventIs64Bytes pins the Event layout on 64-bit targets: one
+// callback and its argument, the bucket links, time, number, zone and
+// the cancel mark.
+func TestEventIs64Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Event{}) != 64 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 64", unsafe.Sizeof(Event{}))
 	}
 }
 
@@ -223,5 +237,48 @@ func TestCancelSpilledEvent(t *testing.T) {
 	}
 	if q.Pop() != nil {
 		t.Fatal("queue should be empty")
+	}
+}
+
+// TestCanceledSpillEntryReapedAtRefill cancels a spilled event that
+// shares its epoch with a live one but fires after it. The refill that
+// brings the live one into the wheel must recycle the canceled one on
+// the way, not file it into a bucket where it would linger.
+func TestCanceledSpillEntryReapedAtRefill(t *testing.T) {
+	var q Queue
+	rotation := time.Duration(1) << (tickShift + epochShift)
+	keep := q.Schedule(rotation+time.Millisecond, nil)
+	gone := q.Schedule(rotation+2*time.Millisecond, nil)
+	q.Cancel(gone)
+	if gone.e.where != zoneSpill {
+		t.Fatalf("canceled spill entry left its slice at cancel: where = %d", gone.e.where)
+	}
+	e := q.Pop()
+	if e == nil || e != keep.e {
+		t.Fatalf("pop = %v, want the kept event", e)
+	}
+	if gone.e.where != idxFreed {
+		t.Fatalf("after the refill the canceled entry is in zone %d, want it on the free list", gone.e.where)
+	}
+	q.Release(e)
+	if q.Pop() != nil || len(q.free) != 2 {
+		t.Fatalf("queue not empty, or free list holds %d structs, want 2", len(q.free))
+	}
+}
+
+// TestCanceledSpillEntryDoesNotMoveCursor empties a queue whose only
+// remaining entry is a canceled spilled event. Finding nothing to pop
+// must reap it without moving the cursor to its tick, so the caller can
+// still schedule just ahead of the last event it ran.
+func TestCanceledSpillEntryDoesNotMoveCursor(t *testing.T) {
+	var q Queue
+	rotation := time.Duration(1) << (tickShift + epochShift)
+	q.Cancel(q.Schedule(rotation+time.Second, nil))
+	if e := q.Pop(); e != nil {
+		t.Fatalf("pop = %v from a queue holding only a canceled event", e)
+	}
+	q.Schedule(time.Millisecond, nil) // panics if the cursor jumped ahead
+	if e := q.Pop(); e == nil || e.At != time.Millisecond {
+		t.Fatalf("pop = %v, want the event at 1ms", e)
 	}
 }

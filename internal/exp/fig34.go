@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"abw/internal/probe"
@@ -96,30 +97,49 @@ type Figure3Result struct {
 // simulator and seeds it from the experiment seed and its grid indices.
 func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 	c := cfg.withDefaults()
-	res := &Figure3Result{Config: c}
-	ratios, err := runner.All(len(c.Models)*len(c.Rates), func(job int) (float64, error) {
-		mi, riIdx := job/len(c.Rates), job%len(c.Rates)
-		model, ri := c.Models[mi], c.Rates[riIdx]
-		spec := probe.Periodic(ri, c.PktSize, c.StreamLen)
-		horizon := time.Duration(c.Streams+4) * (2*spec.Duration() + 100*time.Millisecond)
-		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
-			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{crossSource(model, c.CrossRate)},
-			}},
+	grid, err := ratioGrid("figure3", len(c.Models), c.Rates, c.PktSize, c.StreamLen, c.Streams,
+		func(mi, riIdx int, horizon time.Duration) scenario.Spec {
+			return scenario.Spec{
+				Horizon: horizon,
+				Seed:    scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
+				Hops: []scenario.Hop{{
+					Capacity: c.Capacity,
+					Traffic:  []scenario.Source{crossSource(c.Models[mi], c.CrossRate)},
+				}},
+			}
 		})
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure3Result{Config: c}
+	for mi, model := range c.Models {
+		res.Series = append(res.Series, RatioSeries{Model: model, Rates: slices.Clone(c.Rates), Ratios: grid[mi]})
+	}
+	return res, nil
+}
+
+// ratioGrid is the body Figures 3 and 4 share. Each (row, rate) grid
+// point is one runner job: it compiles the spec build returns for the
+// point, probes it streams times with a periodic stream at the rate,
+// and yields the mean of the positive Ro/Ri ratios. The result holds
+// one slice per row, indexed by rate.
+func ratioGrid(fig string, rows int, rates []unit.Rate, pktSize unit.Bytes, streamLen, streams int,
+	build func(row, riIdx int, horizon time.Duration) scenario.Spec) ([][]float64, error) {
+	ratios, err := runner.All(rows*len(rates), func(job int) (float64, error) {
+		row, riIdx := job/len(rates), job%len(rates)
+		spec := probe.Periodic(rates[riIdx], pktSize, streamLen)
+		horizon := time.Duration(streams+4) * (2*spec.Duration() + 100*time.Millisecond)
+		cpl, err := scenario.Compile(build(row, riIdx, horizon))
 		if err != nil {
-			return 0, fmt.Errorf("exp: figure3: %w", err)
+			return 0, fmt.Errorf("exp: %s: %w", fig, err)
 		}
 		tp := cpl.Transport
 		tp.Spacing = spec.Duration() + 20*time.Millisecond
 		var ratios []float64
-		for i := 0; i < c.Streams; i++ {
+		for i := 0; i < streams; i++ {
 			rec, err := tp.Probe(spec)
 			if err != nil {
-				return 0, fmt.Errorf("exp: figure3: %w", err)
+				return 0, fmt.Errorf("exp: %s: %w", fig, err)
 			}
 			if r := rec.Ratio(); r > 0 {
 				ratios = append(ratios, r)
@@ -130,15 +150,12 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for mi, model := range c.Models {
-		series := RatioSeries{Model: model}
-		for riIdx, ri := range c.Rates {
-			series.Rates = append(series.Rates, ri)
-			series.Ratios = append(series.Ratios, ratios[mi*len(c.Rates)+riIdx])
-		}
-		res.Series = append(res.Series, series)
+	grid := make([][]float64, rows)
+	for row := range grid {
+		lo, hi := row*len(rates), (row+1)*len(rates)
+		grid[row] = ratios[lo:hi:hi]
 	}
-	return res, nil
+	return grid, nil
 }
 
 // crossSource maps a Figure 3 cross model onto a scenario source. The
@@ -243,50 +260,26 @@ type Figure4Result struct {
 // the experiment seed and its grid indices.
 func Figure4(cfg Figure4Config) (*Figure4Result, error) {
 	c := cfg.withDefaults()
-	res := &Figure4Result{Config: c}
-	ratios, err := runner.All(len(c.TightLinks)*len(c.Rates), func(job int) (float64, error) {
-		hi, riIdx := job/len(c.Rates), job%len(c.Rates)
-		hops, ri := c.TightLinks[hi], c.Rates[riIdx]
-		spec := probe.Periodic(ri, c.PktSize, c.StreamLen)
-		horizon := time.Duration(c.Streams+4) * (2*spec.Duration() + 100*time.Millisecond)
-		sp := scenario.Spec{
-			Horizon: horizon,
-			Seed:    scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
-		}
-		for h := 0; h < hops; h++ {
-			sp.Hops = append(sp.Hops, scenario.Hop{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate}},
-			})
-		}
-		cpl, err := scenario.Compile(sp)
-		if err != nil {
-			return 0, fmt.Errorf("exp: figure4: %w", err)
-		}
-		tp := cpl.Transport
-		tp.Spacing = spec.Duration() + 20*time.Millisecond
-		var ratios []float64
-		for i := 0; i < c.Streams; i++ {
-			rec, err := tp.Probe(spec)
-			if err != nil {
-				return 0, fmt.Errorf("exp: figure4: %w", err)
+	grid, err := ratioGrid("figure4", len(c.TightLinks), c.Rates, c.PktSize, c.StreamLen, c.Streams,
+		func(hi, riIdx int, horizon time.Duration) scenario.Spec {
+			sp := scenario.Spec{
+				Horizon: horizon,
+				Seed:    scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
 			}
-			if r := rec.Ratio(); r > 0 {
-				ratios = append(ratios, r)
+			for h := 0; h < c.TightLinks[hi]; h++ {
+				sp.Hops = append(sp.Hops, scenario.Hop{
+					Capacity: c.Capacity,
+					Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate}},
+				})
 			}
-		}
-		return stats.Mean(ratios), nil
-	})
+			return sp
+		})
 	if err != nil {
 		return nil, err
 	}
+	res := &Figure4Result{Config: c}
 	for hi, hops := range c.TightLinks {
-		series := Figure4Series{TightLinks: hops}
-		for riIdx, ri := range c.Rates {
-			series.Rates = append(series.Rates, ri)
-			series.Ratios = append(series.Ratios, ratios[hi*len(c.Rates)+riIdx])
-		}
-		res.Series = append(res.Series, series)
+		res.Series = append(res.Series, Figure4Series{TightLinks: hops, Rates: slices.Clone(c.Rates), Ratios: grid[hi]})
 	}
 	return res, nil
 }

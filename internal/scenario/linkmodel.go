@@ -177,10 +177,7 @@ func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64
 	}
 
 	if len(hop.CapacitySteps) > 0 {
-		steps := capacitySteps(hop.CapacitySteps)
-		if err := sim.ValidateCapacitySteps(steps); err != nil {
-			return 0, fmt.Errorf("scenario: hop %d: %w", h, err)
-		}
+		steps := capacitySteps(hop.CapacitySteps) // validated by Compile
 		l.SetCapacitySchedule(steps)
 		if rec != nil {
 			rec.SetCapacitySchedule(steps)

@@ -361,7 +361,7 @@ func Compile(spec Spec) (*Compiled, error) {
 
 	// Analytic long-run ground truth: per-hop mean traffic rate from
 	// the spec, tight link = argmin avail, narrow link = argmin
-	// capacity (first wins on ties, matching sim.Path.NarrowLink).
+	// capacity (first wins on ties).
 	// Under a capacity profile the hop's capacity is the profile's
 	// long-run mean; under a loss model the hop's carried load is the
 	// offered load thinned by the stationary loss probability (lost

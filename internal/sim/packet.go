@@ -64,9 +64,6 @@ type Packet struct {
 	// detection is end-to-end).
 	OnDrop func(p *Packet, l *Link, at time.Duration)
 
-	// Meta carries protocol-private state (e.g. TCP segment headers).
-	Meta any
-
 	// enqAt is stamped by each link when the packet joins its queue;
 	// CoDel reads it at dequeue time as the packet's sojourn time.
 	enqAt time.Duration

@@ -215,33 +215,11 @@ func TestUtilizationPanicsOnBadWindow(t *testing.T) {
 	rec.Utilization(0, 0)
 }
 
-func TestPathNarrowLink(t *testing.T) {
-	s := New()
-	a := s.NewLink("a", 100*unit.Mbps, 0)
-	b := s.NewLink("b", unit.OC3, 0)
-	c := s.NewLink("c", 622*unit.Mbps, 0)
-	p := MustPath(a, b, c)
-	if p.NarrowLink() != a {
-		t.Errorf("narrow link = %s, want a (100Mbps)", p.NarrowLink().Name)
-	}
-}
-
 func TestPathValidation(t *testing.T) {
 	if _, err := NewPath(); err == nil {
 		t.Error("empty path accepted")
 	}
 	if _, err := NewPath(nil); err == nil {
 		t.Error("nil link accepted")
-	}
-}
-
-func TestPathBasePropDelay(t *testing.T) {
-	s := New()
-	a := s.NewLink("a", 100*unit.Mbps, time.Millisecond)
-	b := s.NewLink("b", 100*unit.Mbps, 2*time.Millisecond)
-	p := MustPath(a, b)
-	want := 2*120*time.Microsecond + 3*time.Millisecond
-	if got := p.BasePropDelay(1500); got != want {
-		t.Errorf("BasePropDelay = %v, want %v", got, want)
 	}
 }

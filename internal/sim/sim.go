@@ -119,10 +119,10 @@ func (s *Sim) Run() {
 // immediately, clock untouched.
 //
 // The loop uses the queue's bounded PopUntil rather than Peek-then-Pop:
-// a Peek would advance the wheel cursor to the next pending event even
-// when that event (a retransmit timer, a trace-tile boundary) lies far
-// past t, and everything scheduled afterwards in (t, event) would fall
-// behind the cursor into the queue's slow overdue path.
+// a Peek would advance the queue's cursor to the next pending event
+// even when that event (a retransmit timer, a trace-tile boundary) lies
+// far past t, and the queue refuses events behind its cursor, so
+// nothing could then be scheduled in (t, event).
 func (s *Sim) RunUntil(t time.Duration) {
 	if s.stopped {
 		s.stopped = false

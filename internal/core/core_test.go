@@ -136,7 +136,7 @@ func buildSingleHop(t *testing.T, model func(*rng.Rand) crosstraffic.Model, hori
 	s := sim.New()
 	l := s.NewLink("tight", 50*unit.Mbps, time.Millisecond)
 	path := sim.MustPath(l)
-	model(rng.New(1)).Run(s, []*sim.Link{l}, 0, horizon)
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, model(rng.New(1)).Over(0, horizon).Next)
 	return NewSimTransport(s, path)
 }
 

@@ -18,7 +18,7 @@ type Misconception struct {
 	Kind       MisconceptionKind
 	Title      string
 	Summary    string
-	Experiment string // experiment name in internal/exp, or reference
+	Experiment string // the abwsim experiment key that demonstrates it
 }
 
 // Misconceptions catalogs all ten, in the paper's order.
@@ -46,7 +46,7 @@ var Misconceptions = [10]Misconception{
 		Summary: "Fewer or shorter streams reduce latency but raise variance: " +
 			"shorter streams mean a smaller τ, hence larger Var[A_τ], hence a " +
 			"noisier sample mean at fixed sample count.",
-		Experiment: "latency-accuracy",
+		Experiment: "latency",
 	},
 	{
 		ID: 4, Kind: Fallacy,
@@ -62,7 +62,7 @@ var Misconceptions = [10]Misconception{
 		Summary: "Capacity tools measure the narrow link C_n, which can differ " +
 			"from the tight link capacity C_t that direct probing needs " +
 			"(e.g. Fast Ethernet narrow link before a loaded OC-3 tight link).",
-		Experiment: "narrow-vs-tight",
+		Experiment: "narrowtight",
 	},
 	{
 		ID: 6, Kind: Pitfall,

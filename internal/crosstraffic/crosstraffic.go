@@ -3,14 +3,15 @@
 // ON-OFF sources (Figure 3), with configurable packet-size distributions
 // (Table 1).
 //
-// All models share a Stream configuration (long-run average rate, packet
-// sizes, packet kind) so experiments can vary burstiness while holding
-// the mean avail-bw fixed — the controlled comparison at the heart of the
+// All models share a Stream configuration (long-run average rate and
+// packet sizes) so experiments can vary burstiness while holding the
+// mean avail-bw fixed — the controlled comparison at the heart of the
 // "ignoring cross-traffic burstiness" pitfall.
 //
-// Every source keeps one event pending; CBR, Poisson and ParetoArrivals
-// hand each packet to the link from that event (sim.InjectThen), while
-// ParetoOnOff lays a burst down as Inject events.
+// The models differ only in their arrival process. Each yields a
+// Process, a pull generator of packet times and sizes, and sim.Feed is
+// how a Process's packets enter a link: one feed per source, one event
+// pending per feed.
 package crosstraffic
 
 import (
@@ -18,26 +19,23 @@ import (
 	"time"
 
 	"abw/internal/rng"
-	"abw/internal/sim"
+	"abw/internal/trace"
 	"abw/internal/unit"
 )
 
-// newPacket builds one pooled cross-traffic packet: it comes from the
-// simulation's free list and is recycled after delivery, so
-// steady-state generation allocates nothing.
-func newPacket(s *sim.Sim, route []*sim.Link, size unit.Bytes, cfg Stream) *sim.Packet {
-	p := s.NewPacket()
-	p.Size, p.Kind, p.Flow, p.Route = size, cfg.Kind, cfg.Flow, route
-	return p
+// Process is one source's arrival process as a pull generator: Next
+// returns the next packet's time and size, times non-decreasing, until
+// ok is false. A Process makes its random draws in packet order and
+// none for a packet before the Next that returns it, so sim.Feed can
+// pull one element ahead without disturbing the sequence.
+type Process interface {
+	Next() (at time.Duration, size unit.Bytes, ok bool)
 }
 
-// emit sends one packet from inside the source's event, now, and
-// re-arms step at next unless the source ends before then.
-func emit(s *sim.Sim, route []*sim.Link, size unit.Bytes, cfg Stream, next, until time.Duration, step func()) {
-	if next >= until {
-		step = nil
-	}
-	s.InjectThen(newPacket(s, route, size, cfg), next, step)
+// Model is a traffic model. Over returns its packets in [from, until)
+// as a Process, which draws nothing before its first Next.
+type Model interface {
+	Over(from, until time.Duration) Process
 }
 
 // Stream describes the target long-run behaviour of a traffic source.
@@ -46,10 +44,6 @@ type Stream struct {
 	Rate unit.Rate
 	// Sizes draws packet sizes; FixedSize(1500) if nil.
 	Sizes rng.SizeDist
-	// Kind tags generated packets; defaults to sim.KindCross.
-	Kind sim.Kind
-	// Flow labels the packets' flow ID.
-	Flow int
 }
 
 func (c Stream) sizes() rng.SizeDist {
@@ -59,11 +53,41 @@ func (c Stream) sizes() rng.SizeDist {
 	return c.Sizes
 }
 
-// Counter accumulates what a source actually emitted, for calibration
-// checks.
+// Chain joins processes over consecutive windows into one: ps[k+1] is
+// first pulled once ps[k] is exhausted, so the rate segments of one
+// source can share a random stream and still draw from it in the order
+// they emit.
+func Chain(ps ...Process) Process { return &chain{ps} }
+
+type chain struct{ ps []Process }
+
+func (c *chain) Next() (time.Duration, unit.Bytes, bool) {
+	for len(c.ps) > 0 {
+		if at, size, ok := c.ps[0].Next(); ok {
+			return at, size, true
+		}
+		c.ps = c.ps[1:]
+	}
+	return 0, 0, false
+}
+
+// Counter is a Process that counts what the Process it wraps emits,
+// for calibration checks and cost accounting. Under sim.Feed a packet
+// is counted when the feed pulls it, one element ahead of the link.
 type Counter struct {
+	Process
 	Packets int64
 	Bytes   unit.Bytes
+}
+
+// Next passes on the wrapped Process's next packet and counts it.
+func (c *Counter) Next() (time.Duration, unit.Bytes, bool) {
+	at, size, ok := c.Process.Next()
+	if ok {
+		c.Packets++
+		c.Bytes += size
+	}
+	return at, size, ok
 }
 
 // AvgRate returns the average emission rate over the given span.
@@ -71,16 +95,30 @@ func (c *Counter) AvgRate(span time.Duration) unit.Rate {
 	return unit.RateOf(c.Bytes, span)
 }
 
-// Model is a traffic source that can be instantiated on a simulation. Run
-// schedules all its packet injections for [from, until) and returns a
-// counter that fills in as the simulation executes.
-type Model interface {
-	Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter
+// renewal is a Model whose packets are drawn one at a time: draw
+// returns a packet's size and then the gap to its successor.
+type renewal func() (size unit.Bytes, gap time.Duration)
+
+func (draw renewal) Over(from, until time.Duration) Process {
+	return &renewalProc{draw: draw, t: from, until: until}
+}
+
+type renewalProc struct {
+	draw     renewal
+	t, until time.Duration
+}
+
+func (p *renewalProc) Next() (time.Duration, unit.Bytes, bool) {
+	if p.t >= p.until {
+		return 0, 0, false
+	}
+	at := p.t
+	size, gap := p.draw()
+	p.t += gap
+	return at, size, true
 }
 
 // --- CBR ---
-
-type cbr struct{ cfg Stream }
 
 // CBR returns a Constant-Bit-Rate (perfectly periodic) source: the
 // closest packet-level approximation of the paper's fluid model.
@@ -88,41 +126,17 @@ func CBR(cfg Stream) Model {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("crosstraffic: CBR rate %v must be positive", cfg.Rate))
 	}
-	return &cbr{cfg: cfg}
-}
-
-func (m *cbr) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter {
-	ctr := &Counter{}
 	// CBR is deterministic by definition: a fixed packet size equal to
 	// the distribution mean, on a perfectly periodic schedule.
-	size := unit.Bytes(m.cfg.sizes().Mean())
+	size := unit.Bytes(cfg.sizes().Mean())
 	if size <= 0 {
 		size = 1500
 	}
-	gap := unit.GapFor(size, m.cfg.Rate)
-	// Schedule lazily from inside the simulation to avoid materializing
-	// millions of events up front.
-	var step func()
-	next := from
-	step = func() {
-		if next >= until {
-			return
-		}
-		ctr.Packets++
-		ctr.Bytes += size
-		next += gap
-		emit(s, route, size, m.cfg, next, until, step)
-	}
-	s.At(from, step)
-	return ctr
+	gap := unit.GapFor(size, cfg.Rate)
+	return renewal(func() (unit.Bytes, time.Duration) { return size, gap })
 }
 
 // --- Poisson ---
-
-type poisson struct {
-	cfg Stream
-	r   *rng.Rand
-}
 
 // Poisson returns a source with exponential interarrivals whose mean
 // matches the configured average rate given the mean packet size.
@@ -133,27 +147,12 @@ func Poisson(cfg Stream, r *rng.Rand) Model {
 	if r == nil {
 		panic("crosstraffic: Poisson needs a random source")
 	}
-	return &poisson{cfg: cfg, r: r}
-}
-
-func (m *poisson) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter {
-	ctr := &Counter{}
-	meanSize := m.cfg.sizes().Mean()
-	meanGapSec := meanSize * 8 / float64(m.cfg.Rate)
-	var step func()
-	at := from
-	step = func() {
-		if at >= until {
-			return
-		}
-		size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-		ctr.Packets++
-		ctr.Bytes += size
-		at += time.Duration(m.r.Exp(meanGapSec) * 1e9)
-		emit(s, route, size, m.cfg, at, until, step)
-	}
-	s.At(from, step)
-	return ctr
+	sizes := cfg.sizes()
+	meanGapSec := sizes.Mean() * 8 / float64(cfg.Rate)
+	return renewal(func() (unit.Bytes, time.Duration) {
+		size := unit.Bytes(sizes.Sample(r))
+		return size, time.Duration(r.Exp(meanGapSec) * 1e9)
+	})
 }
 
 // --- Pareto ON-OFF ---
@@ -212,6 +211,7 @@ func ParetoOnOff(cfg ParetoOnOffConfig, r *rng.Rand) Model {
 	if cfg.MaxOnPackets < 1 {
 		panic("crosstraffic: MaxOnPackets must be >= 1")
 	}
+	cfg.Sizes = cfg.sizes()
 	return &paretoOnOff{cfg: cfg, r: r}
 }
 
@@ -220,52 +220,52 @@ func ParetoOnOff(cfg ParetoOnOffConfig, r *rng.Rand) Model {
 func (m *paretoOnOff) offScale() float64 {
 	c := m.cfg
 	meanOnPkts := float64(1+c.MaxOnPackets) / 2
-	meanOnSec := meanOnPkts * c.sizes().Mean() * 8 / float64(c.Peak)
+	meanOnSec := meanOnPkts * c.Sizes.Mean() * 8 / float64(c.Peak)
 	meanOffSec := meanOnSec * float64(c.Peak-c.Rate) / float64(c.Rate)
 	alpha := c.OffShape
 	return meanOffSec * (alpha - 1) / alpha
 }
 
-func (m *paretoOnOff) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter {
-	ctr := &Counter{}
-	xm := m.offScale()
-	var burst func()
-	at := from
-	burst = func() {
-		if at >= until {
-			return
+func (m *paretoOnOff) Over(from, until time.Duration) Process {
+	return &onOff{m: m, xm: m.offScale(), t: from, until: until}
+}
+
+// onOff is one window of a ParetoOnOff source. A burst draws its
+// length when its first packet is pulled, each packet's size when that
+// packet is, and its OFF period with the packet that ends it — the
+// n-th, or the last one before until.
+type onOff struct {
+	m        *paretoOnOff
+	xm       float64
+	t, until time.Duration // the next packet, or between bursts the next burst's start
+	left     int           // packets left in the current burst; 0 between bursts
+}
+
+func (p *onOff) Next() (time.Duration, unit.Bytes, bool) {
+	c, r := &p.m.cfg, p.m.r
+	if p.left == 0 {
+		if p.t >= p.until {
+			return 0, 0, false
 		}
-		n := 1 + m.r.Intn(m.cfg.MaxOnPackets)
-		t := at
-		for i := 0; i < n && t < until; i++ {
-			size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-			s.Inject(newPacket(s, route, size, m.cfg.Stream), t)
-			ctr.Packets++
-			ctr.Bytes += size
-			t += unit.GapFor(size, m.cfg.Peak)
-		}
-		var off float64
-		if m.cfg.OffCap > 0 {
-			off = m.r.BoundedPareto(m.cfg.OffShape, xm, m.cfg.OffCap*xm)
-		} else {
-			off = m.r.Pareto(m.cfg.OffShape, xm)
-		}
-		at = t + time.Duration(off*1e9)
-		if at < until {
-			s.At(at, burst)
-		}
+		p.left = 1 + r.Intn(c.MaxOnPackets)
 	}
-	s.At(from, burst)
-	return ctr
+	at, size := p.t, unit.Bytes(c.Sizes.Sample(r))
+	p.t += unit.GapFor(size, c.Peak)
+	p.left--
+	if p.left == 0 || p.t >= p.until {
+		p.left = 0
+		var off float64
+		if c.OffCap > 0 {
+			off = r.BoundedPareto(c.OffShape, p.xm, c.OffCap*p.xm)
+		} else {
+			off = r.Pareto(c.OffShape, p.xm)
+		}
+		p.t += time.Duration(off * 1e9)
+	}
+	return at, size, true
 }
 
 // --- Pareto interarrivals ---
-
-type paretoArrivals struct {
-	cfg   Stream
-	shape float64
-	r     *rng.Rand
-}
 
 // ParetoArrivals returns a source whose interarrival times are Pareto
 // with the given shape (>1), matched to the configured mean rate — the
@@ -282,25 +282,42 @@ func ParetoArrivals(cfg Stream, shape float64, r *rng.Rand) Model {
 	if r == nil {
 		panic("crosstraffic: ParetoArrivals needs a random source")
 	}
-	return &paretoArrivals{cfg: cfg, shape: shape, r: r}
+	sizes := cfg.sizes()
+	meanGapSec := sizes.Mean() * 8 / float64(cfg.Rate)
+	xm := meanGapSec * (shape - 1) / shape
+	return renewal(func() (unit.Bytes, time.Duration) {
+		size := unit.Bytes(sizes.Sample(r))
+		return size, time.Duration(r.Pareto(shape, xm) * 1e9)
+	})
 }
 
-func (m *paretoArrivals) Run(s *sim.Sim, route []*sim.Link, from, until time.Duration) *Counter {
-	ctr := &Counter{}
-	meanGapSec := m.cfg.sizes().Mean() * 8 / float64(m.cfg.Rate)
-	xm := meanGapSec * (m.shape - 1) / m.shape
-	var step func()
-	at := from
-	step = func() {
-		if at >= until {
-			return
-		}
-		size := unit.Bytes(m.cfg.sizes().Sample(m.r))
-		ctr.Packets++
-		ctr.Bytes += size
-		at += time.Duration(m.r.Pareto(m.shape, xm) * 1e9)
-		emit(s, route, size, m.cfg, at, until, step)
+// --- LRD trace replay ---
+
+// Tiles replays the fGn stream tr tiled over [0, until): tile k is the
+// stream's packets shifted by k·tr.Span(). The stream synthesizes
+// packets only as they are pulled and retains them, so every tile reads
+// the same packets. A stream with no packets ends at once: the source
+// is silent, not an error.
+func Tiles(tr *trace.FGNStream, until time.Duration) Process {
+	return &tiles{tr: tr, until: until}
+}
+
+type tiles struct {
+	tr           *trace.FGNStream
+	start, until time.Duration // start is the current tile's offset
+	i            int           // the current tile's next packet
+}
+
+func (p *tiles) Next() (time.Duration, unit.Bytes, bool) {
+	pk, ok := p.tr.Packet(p.i)
+	if !ok && p.i > 0 { // the tile is done: start the next one
+		p.start += p.tr.Span()
+		p.i = 0
+		pk, ok = p.tr.Packet(0)
 	}
-	s.At(from, step)
-	return ctr
+	if !ok || p.start+pk.At >= p.until {
+		return 0, 0, false
+	}
+	p.i++
+	return p.start + pk.At, pk.Size, true
 }

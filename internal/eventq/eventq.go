@@ -166,8 +166,8 @@ type Queue struct {
 	runPos int
 	// spill holds the events beyond the wheel's epoch, sorted descending
 	// by (At, seq) so the earliest sits at the end. What lands here is
-	// sparse — trace-tile boundaries and late rate-segment starts laid
-	// down well ahead, and the TCP timers, probe streams and in-flight
+	// sparse — capacity steps laid down well ahead, the feed element
+	// after a long gap, and the TCP timers, probe streams and in-flight
 	// packets that straddle an epoch edge — so an O(n) sorted insert is
 	// cheap. Canceled entries stay in place and are reaped when they
 	// reach the end or their epoch's refill.
@@ -587,24 +587,6 @@ func (q *Queue) take(e *Event) *Event {
 	q.n--
 	q.stats.Fired++
 	return e
-}
-
-// PendingAt reports whether a live event is queued at exactly at, for
-// an at the cursor has reached — the time of the event now firing, or
-// of the bounded pop that just returned. Such an event sits in the run
-// slice: wheel and spill entries lie on later ticks. The slice is
-// sorted, so the scan ends at the first entry past at. Lazily-cancelled
-// entries are skipped, not reaped.
-func (q *Queue) PendingAt(at time.Duration) bool {
-	for _, e := range q.run[q.runPos:] {
-		if e.At > at {
-			break
-		}
-		if e.At == at && !e.canceled {
-			return true
-		}
-	}
-	return false
 }
 
 // Release returns a popped or canceled event to the free list. Events

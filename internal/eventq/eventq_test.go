@@ -320,81 +320,6 @@ func BenchmarkScheduleAndPopDeepHeap(b *testing.B) {
 	deepBench(b, newHeapQueue())
 }
 
-// TestPendingAtMatchesBruteForce drives a random script of schedules
-// (many on the popped instant), cancels (many of them of such ties,
-// which sit in the run slice and are only marked) and bounded pops, and
-// after every pop compares PendingAt(popped time) with a scan of the
-// events the test knows to be live.
-func TestPendingAtMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var q Queue
-	type live struct {
-		h  Handle
-		at time.Duration
-	}
-	var pending []live
-	schedule := func(at time.Duration) {
-		pending = append(pending, live{q.Schedule(at, nil), at})
-	}
-	for i := 0; i < 64; i++ {
-		schedule(time.Duration(r.Intn(4000)))
-	}
-	var now time.Duration
-	var hits, lazy int
-	for step := 0; step < 20000 && len(pending) > 0; step++ {
-		e := q.PopUntil(now + time.Duration(r.Intn(3000)))
-		if e == nil {
-			now += 3000
-			continue
-		}
-		now = e.At
-		for i, p := range pending {
-			if !p.h.Pending() && p.at == e.At {
-				pending = append(pending[:i], pending[i+1:]...)
-				break
-			}
-		}
-		q.Release(e)
-		for k := 1 + r.Intn(3); k > 0; k-- {
-			switch r.Intn(10) {
-			case 0, 1:
-				schedule(now) // a tie on the popped instant
-			case 2, 3, 4, 5, 6, 7:
-				schedule(now + time.Duration(r.Intn(5000)))
-			default:
-				if len(pending) == 0 {
-					schedule(now + 1)
-				}
-				i := r.Intn(len(pending))
-				for j, p := range pending { // prefer a tie, which the cancel only marks
-					if p.at == now && r.Intn(2) == 0 {
-						i = j
-						break
-					}
-				}
-				if pending[i].at == now {
-					lazy++
-				}
-				q.Cancel(pending[i].h)
-				pending = append(pending[:i], pending[i+1:]...)
-			}
-		}
-		want := false
-		for _, p := range pending {
-			want = want || p.at == now
-		}
-		if got := q.PendingAt(now); got != want {
-			t.Fatalf("step %d: PendingAt(%v) = %v, brute force says %v", step, now, got, want)
-		}
-		if want {
-			hits++
-		}
-	}
-	if hits < 500 || lazy < 100 {
-		t.Fatalf("script produced %d tied pops and %d cancelled ties, want at least 500 and 100", hits, lazy)
-	}
-}
-
 func TestStatsCountSchedulesFiresAndCancels(t *testing.T) {
 	var q Queue
 	h := q.Schedule(5, nil)

@@ -40,7 +40,7 @@ func TestSendOverSimMatchesFluidModel(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, 0)
 	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(200)})
-	ct.Run(s, []*sim.Link{l}, 0, 2*time.Second)
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, 2*time.Second).Next)
 	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(40*unit.Mbps, 1500, 300), 500*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSendOverSimBelowAvailBw(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, 0)
 	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(200)})
-	ct.Run(s, []*sim.Link{l}, 0, 2*time.Second)
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, 2*time.Second).Next)
 	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(15*unit.Mbps, 1500, 200), 500*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSendOverSimOWDSlopeMatchesEq7(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, 0)
 	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(100)})
-	ct.Run(s, []*sim.Link{l}, 0, time.Second)
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, time.Second).Next)
 	const n = 100
 	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(40*unit.Mbps, 1500, n), 200*time.Millisecond, 1)
 	if err != nil {

@@ -469,9 +469,11 @@ func (src Source) sizes() rng.SizeDist {
 	return rng.FixedSize(1500)
 }
 
-// runSource schedules one source on its hop. Sources that need
-// randomness derive exactly one child stream from root, in hop-major
-// order, under the source's (possibly overridden) label.
+// runSource starts one source on its hop. Sources that need randomness
+// derive exactly one child stream from root, in hop-major order, under
+// the source's (possibly overridden) label. An open-loop source is one
+// crosstraffic.Process over all its rate segments, given to Sim.Feed
+// here, so its packets tie in compile order.
 func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, src Source, horizon time.Duration) error {
 	route := []*sim.Link{link}
 	label := src.SplitLabel
@@ -498,13 +500,15 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 		if src.Kind != CBR {
 			r = root.Split(label)
 		}
+		var ps []crosstraffic.Process
 		for _, g := range segs {
 			if g.rate == 0 {
 				continue
 			}
-			st := crosstraffic.Stream{Rate: g.rate, Sizes: src.sizes(), Flow: flow}
-			src.segmentModel(st, r).Run(s, route, g.from, g.until)
+			st := crosstraffic.Stream{Rate: g.rate, Sizes: src.sizes()}
+			ps = append(ps, src.segmentModel(st, r).Over(g.from, g.until))
 		}
+		s.Feed(route, sim.KindCross, flow, crosstraffic.Chain(ps...).Next)
 	case LRD:
 		if src.Rate <= 0 {
 			return fmt.Errorf("scenario: LRD source needs a positive rate")
@@ -531,7 +535,7 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 		if err != nil {
 			return fmt.Errorf("scenario: LRD synthesis: %w", err)
 		}
-		replayTrace(s, route, stream, flow, 0, horizon)
+		s.Feed(route, sim.KindCross, flow, crosstraffic.Tiles(stream, horizon).Next)
 	case Mice:
 		if src.Rate <= 0 {
 			return fmt.Errorf("scenario: mice source needs a positive offered load")
@@ -590,31 +594,4 @@ func (src Source) segmentModel(st crosstraffic.Stream, r *rng.Rand) crosstraffic
 		}
 		return crosstraffic.ParetoArrivals(st, shape, r)
 	}
-}
-
-// replayTrace tiles the fGn trace over [from, until), one sim.Feed per
-// tile: a single injection event is pending at any time and the trace
-// is synthesized only as far as the run reaches, yet every packet fires
-// in the order it would had the tile been laid down whole at its
-// boundary (the feed's reserved sequence numbers; the eager version
-// survives as the tests' oracle). A stream that yields no packets makes
-// every feed end at once: the source is silent, not an error.
-func replayTrace(s *sim.Sim, route []*sim.Link, tr *trace.FGNStream, flow int, from, until time.Duration) {
-	var tile func(start time.Duration)
-	tile = func(start time.Duration) {
-		if start >= until {
-			return
-		}
-		s.Feed(route, sim.KindCross, flow, func(i int) (time.Duration, unit.Bytes, bool) {
-			p, ok := tr.Packet(i)
-			if !ok || start+p.At >= until {
-				return 0, 0, false
-			}
-			return start + p.At, p.Size, true
-		})
-		if next := start + tr.Span(); next < until {
-			s.At(next, func() { tile(next) })
-		}
-	}
-	tile(from)
 }

@@ -51,8 +51,10 @@ func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 // pooled packets and reuses pooled events, nothing else.
 func TestFeedDoesNotAllocatePerPacket(t *testing.T) {
 	f := newForwardingLoop()
-	f.s.Feed(f.route, KindCross, 0, func(i int) (time.Duration, unit.Bytes, bool) {
-		return time.Duration(i) * f.gap, 1500, true
+	var next time.Duration
+	f.s.Feed(f.route, KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
+		next += f.gap
+		return next - f.gap, 1500, true
 	})
 	f.s.RunUntil(1024 * f.gap) // warm the pools
 	// One event for the feed, the rest for the packets in transmission

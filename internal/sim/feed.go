@@ -16,37 +16,37 @@ const feedSeqBlock = 1 << 32
 // the single event the series keeps pending, so stepping through the
 // series allocates nothing.
 type feed struct {
-	next  func(i int) (at time.Duration, size unit.Bytes, ok bool)
+	next  func() (at time.Duration, size unit.Bytes, ok bool)
 	route []*Link
 	kind  Kind
 	flow  int
 
-	base uint64     // first reserved sequence number
-	i    int        // index of the pending element
+	seq  uint64     // the pending element's number, from the reserved block
 	size unit.Bytes // size of the pending element
 }
 
-// Feed injects an ordered series of pooled packets, element i being
-// what next(i) returns (times non-decreasing in i; ok false ends the
-// series), while keeping only one event pending. The packets fire in
-// exactly the order they would if every one had been built and Injected
-// right here, one after the other: the feed reserves its block of event
-// sequence numbers now and schedules element i under the i-th of them,
-// so on an equal-time tie a feed packet still precedes everything
-// scheduled after this call and follows everything scheduled before it.
-// next is first called for element 0 from inside Feed, and for element
-// i+1 while element i fires.
-func (s *Sim) Feed(route []*Link, kind Kind, flow int, next func(i int) (at time.Duration, size unit.Bytes, ok bool)) {
+// Feed injects an ordered series of pooled packets, each element being
+// what next returns (times non-decreasing; ok false ends the series),
+// while keeping only one event pending. It is how open-loop cross
+// traffic enters a link. Feed reserves a block of event sequence
+// numbers now and schedules the series' k-th element under the k-th of
+// them, which fixes the tie rule when Feed is called: at an equal
+// instant a fed packet fires after every event scheduled before this
+// call and before every event scheduled after it, and the packets of
+// two feeds fire in the order the feeds were started. next is first
+// called from inside Feed, then once for each element while its
+// predecessor fires.
+func (s *Sim) Feed(route []*Link, kind Kind, flow int, next func() (at time.Duration, size unit.Bytes, ok bool)) {
 	if s.feedFn == nil { // built on first use: most simulations never feed
 		s.feedFn = s.fireFeed
 	}
-	f := &feed{next: next, route: route, kind: kind, flow: flow, base: s.q.ReserveSeq(feedSeqBlock)}
+	f := &feed{next: next, route: route, kind: kind, flow: flow, seq: s.q.ReserveSeq(feedSeqBlock)}
 	s.scheduleFeed(f)
 }
 
-// scheduleFeed schedules the feed's element f.i, if the series has one.
+// scheduleFeed schedules the feed's next element, if the series has one.
 func (s *Sim) scheduleFeed(f *feed) {
-	at, size, ok := f.next(f.i)
+	at, size, ok := f.next()
 	if !ok {
 		return
 	}
@@ -54,7 +54,7 @@ func (s *Sim) scheduleFeed(f *feed) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	f.size = size
-	s.q.ScheduleArgSeq(at, f.base+uint64(f.i), s.feedFn, f)
+	s.q.ScheduleArgSeq(at, f.seq, s.feedFn, f)
 }
 
 // fireFeed injects the pending element (what injectNow does for a
@@ -65,6 +65,6 @@ func (s *Sim) fireFeed(arg any) {
 	p.Size, p.Kind, p.Flow, p.Route = f.size, f.kind, f.flow, f.route
 	p.SentAt = s.now
 	s.forward(p)
-	f.i++
+	f.seq++
 	s.scheduleFeed(f)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,64 +25,40 @@ func crossPacket(s *Sim, l *Link, flow int) *Packet {
 	return p
 }
 
-// TestInjectThenOrder pins the three ordering rules of InjectThen on a
-// link whose transmission time (120 µs) equals the source's gap, so the
-// successor and the packet's txDone land on one instant.
-func TestInjectThenOrder(t *testing.T) {
-	const tx = 120 * time.Microsecond // 1500 B at 100 Mbps
-
-	t.Run("successor is numbered below the txDone the forward schedules", func(t *testing.T) {
-		s := New()
-		l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
-		seen := int64(-1)
-		s.At(0, func() {
-			s.InjectThen(crossPacket(s, l, 1), tx, func() { seen = l.Forwarded() })
-		})
-		s.RunUntil(time.Second)
-		if seen != 0 {
-			t.Errorf("the successor ran with %d packets forwarded, want 0: it must fire ahead of the txDone at the same instant", seen)
+// TestFeedTieRule pins the two sentences of Feed's tie rule on one
+// instant: a fed packet follows every event scheduled before its Feed
+// call, precedes every event scheduled after it — including one
+// scheduled while an earlier packet of the same feed fires — and the
+// packets of two feeds keep the order the feeds were started.
+func TestFeedTieRule(t *testing.T) {
+	s := New()
+	l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
+	log := &arrivalLog{}
+	l.SetDiscipline(log)
+	const at = time.Millisecond
+	// series emits n packets of flow at the instant. Feed 2 pulls its
+	// last packet while its first fires, and that pull injects a flow-9
+	// packet at the same instant: scheduled after both Feed calls, it
+	// goes last.
+	series := func(flow, n int) func() (time.Duration, unit.Bytes, bool) {
+		return func() (time.Duration, unit.Bytes, bool) {
+			if n == 0 {
+				return 0, 0, false
+			}
+			if n--; n == 0 && flow == 2 {
+				s.Inject(crossPacket(s, l, 9), at)
+			}
+			return at, 1500, true
 		}
-		if st := s.Stats(); st.DirectInjects != 1 || st.TiedInjects != 0 || st.Fired != 3 {
-			t.Errorf("stats %+v, want one direct injection and 3 events fired (source, successor, txDone)", st)
-		}
-	})
-
-	t.Run("a zero-gap successor follows the packet and is not a tie", func(t *testing.T) {
-		s := New()
-		l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
-		log := &arrivalLog{}
-		l.SetDiscipline(log)
-		s.At(0, func() {
-			s.InjectThen(crossPacket(s, l, 1), 0, func() {
-				s.InjectThen(crossPacket(s, l, 2), 0, nil)
-			})
-		})
-		s.RunUntil(time.Second)
-		if len(log.flows) != 2 || log.flows[0] != 1 || log.flows[1] != 2 {
-			t.Errorf("arrival order %v, want [1 2]", log.flows)
-		}
-		if st := s.Stats(); st.DirectInjects != 2 || st.TiedInjects != 0 {
-			t.Errorf("stats %+v, want two direct injections", st)
-		}
-	})
-
-	t.Run("an event pending at the instant runs before the packet", func(t *testing.T) {
-		s := New()
-		l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
-		log := &arrivalLog{}
-		l.SetDiscipline(log)
-		s.At(0, func() {
-			s.InjectThen(crossPacket(s, l, 1), tx, nil)
-		})
-		s.Inject(crossPacket(s, l, 2), 0) // numbered above the source's event
-		s.RunUntil(time.Second)
-		if len(log.flows) != 2 || log.flows[0] != 2 || log.flows[1] != 1 {
-			t.Errorf("arrival order %v, want [2 1]: the packet takes the place its Inject event would have", log.flows)
-		}
-		if st := s.Stats(); st.DirectInjects != 0 || st.TiedInjects != 1 {
-			t.Errorf("stats %+v, want one tied injection", st)
-		}
-	})
+	}
+	s.Inject(crossPacket(s, l, 1), at)
+	s.Feed([]*Link{l}, KindCross, 2, series(2, 2))
+	s.Feed([]*Link{l}, KindCross, 3, series(3, 2))
+	s.Inject(crossPacket(s, l, 4), at)
+	s.RunUntil(time.Second)
+	if got, want := fmt.Sprint(log.flows), "[1 2 2 3 3 4 9]"; got != want {
+		t.Errorf("arrival order %s, want %s", got, want)
+	}
 }
 
 // TestTerminalReleaseSchedulesNoAdvance: a packet leaving the last link

@@ -83,29 +83,6 @@ func (s *Sim) Inject(p *Packet, at time.Duration) {
 	s.atArg(at, s.injectFn, p)
 }
 
-// InjectThen is the body of a self-rescheduling source's event: p
-// enters its route now and fn (nil ends the chain) is scheduled at
-// next, everything firing in the order of Inject(p, Now()) followed by
-// At(next, fn) for one event less. That Inject event would run after
-// exactly the events already pending at this instant, so when there are
-// none — sampled first, so a zero-gap fn does not count — p is
-// forwarded in place, after fn is scheduled so that fn keeps a lower
-// number than the forward's txDone. Otherwise the pair is issued as is.
-func (s *Sim) InjectThen(p *Packet, next time.Duration, fn func()) {
-	tied := s.q.PendingAt(s.now)
-	if tied {
-		s.stats.TiedInjects++
-		s.Inject(p, s.now)
-	}
-	if fn != nil {
-		s.At(next, fn)
-	}
-	if !tied {
-		s.stats.DirectInjects++
-		s.injectNow(p)
-	}
-}
-
 // forward moves the packet into the next element of its route. Packets
 // from NewPacket are recycled once the final OnArrive returns.
 func (s *Sim) forward(p *Packet) {

@@ -120,7 +120,7 @@ func (s *Sim) Run() {
 //
 // The loop uses the queue's bounded PopUntil rather than Peek-then-Pop:
 // a Peek would advance the queue's cursor to the next pending event
-// even when that event (a retransmit timer, a trace-tile boundary) lies
+// even when that event (a retransmit timer, a capacity step) lies
 // far past t, and the queue refuses events behind its cursor, so
 // nothing could then be scheduled in (t, event).
 func (s *Sim) RunUntil(t time.Duration) {
@@ -147,13 +147,11 @@ func (s *Sim) RunUntil(t time.Duration) {
 func (s *Sim) Pending() int { return s.q.Len() }
 
 // Stats counts a simulation's work since it was created: the event
-// queue's counters, NewPacket calls that allocated or were served from
-// the free list, and InjectThen packets forwarded in place or sent
-// through an Inject event.
+// queue's counters, and NewPacket calls that allocated or were served
+// from the free list.
 type Stats struct {
 	eventq.Stats
 	PacketsAllocated, PacketsReused uint64
-	DirectInjects, TiedInjects      uint64
 }
 
 // Stats returns a snapshot of the simulation's counters.

@@ -183,7 +183,7 @@ func TestUnresponsiveCrossTrafficBoundsThroughput(t *testing.T) {
 	// most ~avail-bw (15 Mbps) once buffers are bounded.
 	tb := newTestbed(50*unit.Mbps, 60, 40*time.Millisecond)
 	ct := crosstraffic.Poisson(crosstraffic.Stream{Rate: 35 * unit.Mbps}, rng.New(1))
-	ct.Run(tb.s, []*sim.Link{tb.fwd}, 0, 30*time.Second)
+	tb.s.Feed([]*sim.Link{tb.fwd}, sim.KindCross, 0, ct.Over(0, 30*time.Second).Next)
 	c := tb.conn(t, Config{RcvWnd: 400})
 	c.Start(time.Second)
 	tb.s.RunUntil(30 * time.Second)
@@ -285,7 +285,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() unit.Bytes {
 		tb := newTestbed(20*unit.Mbps, 30, 20*time.Millisecond)
 		ct := crosstraffic.Poisson(crosstraffic.Stream{Rate: 10 * unit.Mbps}, rng.New(5))
-		ct.Run(tb.s, []*sim.Link{tb.fwd}, 0, 10*time.Second)
+		tb.s.Feed([]*sim.Link{tb.fwd}, sim.KindCross, 0, ct.Over(0, 10*time.Second).Next)
 		c, err := New(tb.s, []*sim.Link{tb.fwd}, []*sim.Link{tb.rev}, 1, Config{RcvWnd: 100})
 		if err != nil {
 			t.Fatal(err)

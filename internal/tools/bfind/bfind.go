@@ -135,13 +135,12 @@ ramp:
 			return nil, err
 		}
 		// Offer the UDP load for one window.
-		load := crosstraffic.CBR(crosstraffic.Stream{
+		from := s.Now()
+		load := &crosstraffic.Counter{Process: crosstraffic.CBR(crosstraffic.Stream{
 			Rate:  rate,
 			Sizes: rng.FixedSize(c.LoadPktSize),
-			Kind:  sim.KindProbe,
-		})
-		from := s.Now()
-		ctr := load.Run(s, path.Route(), from, from+c.Window)
+		}).Over(from, from+c.Window)}
+		s.Feed(path.Route(), sim.KindProbe, 0, load.Next)
 		// Trace every hop while the load runs: all probes for all hops
 		// are scheduled inside the window before the clock advances.
 		spacing := c.Window / time.Duration(c.TraceProbes+1)
@@ -176,8 +175,8 @@ ramp:
 		if end := from + c.Window + 100*time.Millisecond; s.Now() < end {
 			s.RunUntil(end)
 		}
-		packets += int(ctr.Packets) + hops*c.TraceProbes
-		bytes += ctr.Bytes
+		packets += int(load.Packets) + hops*c.TraceProbes
+		bytes += load.Bytes
 		for h := 0; h < hops; h++ {
 			if len(delays[h]) == 0 {
 				continue

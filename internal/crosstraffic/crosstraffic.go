@@ -10,8 +10,8 @@
 //
 // The models differ only in their arrival process. Each yields a
 // Process, a pull generator of packet times and sizes, and sim.Feed is
-// how a Process's packets enter a link: one feed per source, one event
-// pending per feed.
+// how a Process's packets enter a link: one feed per source, at most one
+// event pending per feed, and none on a link that folds it.
 package crosstraffic
 
 import (

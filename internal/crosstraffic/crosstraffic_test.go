@@ -218,32 +218,42 @@ func TestPoissonPanicsWithoutRand(t *testing.T) {
 	Poisson(Stream{Rate: unit.Mbps}, nil)
 }
 
-// TestFinishedSourceLeavesNothingPending: a feed schedules a packet
-// only once its process has returned it, so a finished source leaves no
-// event behind, and every model — ParetoOnOff's bursts included — costs
-// two events a packet: the feed's and the link's txDone.
+// TestFinishedSourceLeavesNothingPending: a finished source leaves no
+// event behind, whatever its model — ParetoOnOff's bursts included. On
+// a plain link the feed folds and schedules nothing at all; on a
+// jittered one it schedules a packet only once its process has returned
+// it, and each packet costs two events: the feed's and the link's
+// txDone.
 func TestFinishedSourceLeavesNothingPending(t *testing.T) {
 	const until = 100 * time.Millisecond
 	cfg := Stream{Rate: 10 * unit.Mbps}
-	for name, m := range map[string]Model{
-		"cbr":            CBR(cfg),
-		"poisson":        Poisson(cfg, rng.New(1)),
-		"paretoonoff":    ParetoOnOff(ParetoOnOffConfig{Stream: cfg}, rng.New(2)),
-		"paretoarrivals": ParetoArrivals(cfg, 1.5, rng.New(3)),
-	} {
-		s := sim.New()
-		// 12 µs a packet: the last one is through well before until.
-		l := s.NewLink("l", unit.Gbps, time.Millisecond)
-		ctr := feed(s, []*sim.Link{l}, m, 0, until)
-		s.RunUntil(until)
-		if ctr.Packets < 20 || l.Forwarded() != ctr.Packets {
-			t.Fatalf("%s: emitted %d packets, forwarded %d", name, ctr.Packets, l.Forwarded())
-		}
-		if n := s.Pending(); n != 0 {
-			t.Errorf("%s: %d events pending after RunUntil(until), want 0", name, n)
-		}
-		if st := s.Stats(); st.Scheduled != uint64(2*ctr.Packets) {
-			t.Errorf("%s: %d events scheduled for %d packets, want two a packet", name, st.Scheduled, ctr.Packets)
+	for _, jittered := range []bool{false, true} {
+		for name, m := range map[string]Model{
+			"cbr":            CBR(cfg),
+			"poisson":        Poisson(cfg, rng.New(1)),
+			"paretoonoff":    ParetoOnOff(ParetoOnOffConfig{Stream: cfg}, rng.New(2)),
+			"paretoarrivals": ParetoArrivals(cfg, 1.5, rng.New(3)),
+		} {
+			s := sim.New()
+			// 12 µs a packet: the last one is through well before until.
+			l := s.NewLink("l", unit.Gbps, time.Millisecond)
+			perPacket := uint64(0)
+			if jittered {
+				name += "/jittered"
+				l.SetJitter(time.Microsecond, rng.New(4))
+				perPacket = 2
+			}
+			ctr := feed(s, []*sim.Link{l}, m, 0, until)
+			s.RunUntil(until)
+			if ctr.Packets < 20 || l.Forwarded() != ctr.Packets {
+				t.Fatalf("%s: emitted %d packets, forwarded %d", name, ctr.Packets, l.Forwarded())
+			}
+			if n := s.Pending(); n != 0 {
+				t.Errorf("%s: %d events pending after RunUntil(until), want 0", name, n)
+			}
+			if st := s.Stats(); st.Scheduled != perPacket*uint64(ctr.Packets) {
+				t.Errorf("%s: %d events scheduled for %d packets, want %d a packet", name, st.Scheduled, ctr.Packets, perPacket)
+			}
 		}
 	}
 }

@@ -89,6 +89,12 @@ func wheelZone(lvl, b int) int32 { return zoneWheel + int32(lvl)<<wheelBits + in
 func zoneLevel(where int32) int  { return int(where-zoneWheel) >> wheelBits }
 func zoneBucket(where int32) int { return int(where-zoneWheel) & wheelMask }
 
+// Seq returns the event's sequence number: among events at the same
+// At, it fires after every smaller number and before every larger one
+// (see less). The simulator reads it off a popped event to know where in
+// that order it stands.
+func (e *Event) Seq() uint64 { return e.seq }
+
 // Call invokes the event's callback.
 func (e *Event) Call() {
 	if e.fn != nil {
@@ -166,11 +172,11 @@ type Queue struct {
 	runPos int
 	// spill holds the events beyond the wheel's epoch, sorted descending
 	// by (At, seq) so the earliest sits at the end. What lands here is
-	// sparse — capacity steps laid down well ahead, the feed element
-	// after a long gap, and the TCP timers, probe streams and in-flight
-	// packets that straddle an epoch edge — so an O(n) sorted insert is
-	// cheap. Canceled entries stay in place and are reaped when they
-	// reach the end or their epoch's refill.
+	// sparse — capacity steps laid down well ahead, an event-fed series'
+	// element after a long gap, and the TCP timers, probe streams and
+	// in-flight packets that straddle an epoch edge — so an O(n) sorted
+	// insert is cheap. Canceled entries stay in place and are reaped when
+	// they reach the end or their epoch's refill.
 	spill []*Event
 
 	wheel [wheelLevels][wheelSize]*Event // bucket list heads

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -331,5 +332,23 @@ func TestStatsCountSchedulesFiresAndCancels(t *testing.T) {
 	q.Schedule(9, nil) // served from the free list
 	if got, want := q.Stats(), (Stats{Scheduled: 4, Fired: 2, Cancelled: 1, Allocated: 3}); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
+	}
+}
+
+// TestSeqReadsThePopOrderWithinAnInstant: a popped event's Seq is the
+// number it was scheduled under — fresh or from a reserved block — so
+// among same-instant events it ascends in pop order.
+func TestSeqReadsThePopOrderWithinAnInstant(t *testing.T) {
+	var q Queue
+	block := q.ReserveSeq(10)
+	q.Schedule(7, nil)
+	q.ScheduleArgSeq(7, block+3, func(any) {}, nil)
+	var got []uint64
+	for e := q.Pop(); e != nil; e = q.Pop() {
+		got = append(got, e.Seq())
+		q.Release(e)
+	}
+	if want := []uint64{block + 3, block + 10}; !slices.Equal(got, want) {
+		t.Errorf("popped numbers %v, want %v", got, want)
 	}
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // TestLRDCompileIsLazy pins the laziness without a timer: a compiled
-// lrd scenario has exactly one event pending, its source's feed (the
-// eager replayer had a whole 30 s tile, ~177 000), and compiling
-// allocates a few dozen objects (it allocated ~348 000). A run that
-// crosses the first tile boundary still has that one feed pending and
-// nothing else: the next tile is the same feed, not an event of its
+// lrd scenario folds its source into the link and has no event pending
+// (the eager replayer had a whole 30 s tile, ~177 000), and compiling
+// allocates a few dozen objects (it allocated ~348 000). A recorded
+// compile keeps the source on the event path, with exactly one event
+// pending, its feed. A run that crosses the first tile boundary leaves
+// either as it was: the next tile is the same feed, not an event of its
 // own. 31 s falls between packets at seed 1, so no txDone is pending.
 func TestLRDCompileIsLazy(t *testing.T) {
 	d, ok := Lookup("lrd")
@@ -27,15 +28,23 @@ func TestLRDCompileIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustBeRecorded(t, cpl)
-	if n := cpl.Sim.Pending(); n != 1 {
-		t.Errorf("%d events pending after compile, want 1 (the feed)", n)
+	bare, err := d.CompileSeeded(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := cpl.Sim.Pending(), bare.Sim.Pending(); n != 1 || m != 0 {
+		t.Errorf("%d / %d events pending after a recorded / default compile, want 1 (the feed) / 0", n, m)
 	}
 	cpl.Sim.RunUntil(31 * time.Second)
+	bare.Sim.RunUntil(31 * time.Second)
 	if n := len(cpl.Recorders[0].Arrivals()); n < 150_000 {
 		t.Fatalf("only %d arrivals in 31 s: the source did not run across the tile boundary", n)
 	}
-	if n := cpl.Sim.Pending(); n != 1 {
-		t.Errorf("%d events pending after crossing a tile boundary, want 1 (the feed)", n)
+	if n, m := bare.Path.Links[0].Forwarded(), cpl.Path.Links[0].Forwarded(); n != m {
+		t.Errorf("the folded source forwarded %d packets in 31 s, the recorded one %d", n, m)
+	}
+	if n, m := cpl.Sim.Pending(), bare.Sim.Pending(); n != 1 || m != 0 {
+		t.Errorf("%d / %d events pending after crossing a tile boundary, want 1 (the feed) / 0", n, m)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := d.CompileSeeded(1); err != nil {
@@ -87,41 +96,48 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // TestCompileLeavesOneEventPerSource: right after compile, each
-// open-loop source with a nonzero-rate segment has exactly one event
-// pending — its feed, which covers all its segments and tiles — and
-// each hop with a capacity profile one more, its next step. Entries
-// with a TCP source are left out: a connection keeps timers of its own.
+// open-loop source with a nonzero-rate segment on a hop that keeps it
+// on the event path has exactly one event pending — its feed, which
+// covers all its segments and tiles — and each hop with a capacity
+// profile one more, its next step. A source on a plain FIFO hop (no
+// discipline, loss, jitter, capacity profile, buffer bound or recorder)
+// folds into the link and leaves none. Entries with a TCP source are
+// left out: a connection keeps timers of its own.
 func TestCompileLeavesOneEventPerSource(t *testing.T) {
 	for _, d := range Catalog() {
-		want, tcp := 0, false
-		for _, hop := range d.Spec.Hops {
-			if len(hop.CapacitySteps) > 0 {
-				want++
-			}
-			for _, src := range hop.Traffic {
-				steps := src.Steps
-				if len(steps) == 0 {
-					steps = []RateStep{{Rate: src.Rate}}
-				}
-				switch {
-				case src.Kind == Mice || src.Kind == BufferLimitedTCP:
-					tcp = true
-				case slices.ContainsFunc(steps, func(st RateStep) bool { return st.Rate > 0 }):
-					want++
-				}
-			}
-		}
+		d := d
+		tcp := slices.ContainsFunc(d.Spec.Hops, func(hop Hop) bool {
+			return slices.ContainsFunc(hop.Traffic, func(src Source) bool { return src.Kind == Mice || src.Kind == BufferLimitedTCP })
+		})
 		if tcp {
 			continue
 		}
-		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			cpl, err := d.CompileSeeded(1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := 0
+			for h, hop := range d.Spec.Hops {
+				if len(hop.CapacitySteps) > 0 {
+					want++
+				}
+				l := cpl.Path.Links[h]
+				if l.Discipline() == nil && l.Loss() == nil && l.Jitter() == 0 && l.CapacitySchedule() == nil && l.BufferBytes == 0 && l.Recorder() == nil {
+					continue // the hop folds
+				}
+				for _, src := range hop.Traffic {
+					steps := src.Steps
+					if len(steps) == 0 {
+						steps = []RateStep{{Rate: src.Rate}}
+					}
+					if slices.ContainsFunc(steps, func(st RateStep) bool { return st.Rate > 0 }) {
+						want++
+					}
+				}
+			}
 			if n := cpl.Sim.Pending(); n != want {
-				t.Errorf("%d events pending after compile, want %d: one per open-loop source plus one per capacity profile", n, want)
+				t.Errorf("%d events pending after compile, want %d: one per source on a hop that does not fold plus one per capacity profile", n, want)
 			}
 		})
 	}

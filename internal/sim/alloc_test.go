@@ -46,28 +46,33 @@ func TestSteadyStateForwardingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestFeedDoesNotAllocatePerPacket: a feed is one object and one
-// pending event however long its series — stepping through it builds
-// pooled packets and reuses pooled events, nothing else.
+// TestFeedDoesNotAllocatePerPacket: a feed is one object and at most
+// one pending event however long its series — stepping through it
+// folds packets on a plain link, and on the event path builds pooled
+// packets and reuses pooled events, nothing else.
 func TestFeedDoesNotAllocatePerPacket(t *testing.T) {
-	f := newForwardingLoop()
-	var next time.Duration
-	f.s.Feed(f.route, KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
-		next += f.gap
-		return next - f.gap, 1500, true
-	})
-	f.s.RunUntil(1024 * f.gap) // warm the pools
-	// One event for the feed, the rest for the packets in transmission
-	// and propagation (1 ms of 240 µs gaps).
-	if n := f.s.Pending(); n > 8 {
-		t.Fatalf("%d events pending mid-feed, want the feed's one plus a few packets in flight", n)
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		f.at = f.s.Now() + f.gap
-		f.s.RunUntil(f.at)
-	})
-	if allocs != 0 {
-		t.Errorf("a running feed allocates %.2f per packet, want 0", allocs)
+	for _, eager := range []bool{false, true} {
+		was := SetEagerFeeds(eager)
+		f := newForwardingLoop()
+		var next time.Duration
+		f.s.Feed(f.route, KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
+			next += f.gap
+			return next - f.gap, 1500, true
+		})
+		SetEagerFeeds(was)
+		f.s.RunUntil(1024 * f.gap) // warm the pools
+		// One event for the feed, the rest for the packets in
+		// transmission and propagation (1 ms of 240 µs gaps).
+		if n := f.s.Pending(); n > 8 {
+			t.Fatalf("eager %v: %d events pending mid-feed, want the feed's one plus a few packets in flight", eager, n)
+		}
+		allocs := testing.AllocsPerRun(2000, func() {
+			f.at = f.s.Now() + f.gap
+			f.s.RunUntil(f.at)
+		})
+		if allocs != 0 {
+			t.Errorf("eager %v: a running feed allocates %.2f per packet, want 0", eager, allocs)
+		}
 	}
 }
 

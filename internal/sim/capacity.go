@@ -92,6 +92,7 @@ func capIntegralBits(steps []CapacityStep, from, to time.Duration) float64 {
 // It panics on an invalid schedule (ValidateCapacitySteps) or when the
 // simulation clock has already passed the first step.
 func (l *Link) SetCapacitySchedule(steps []CapacityStep) {
+	l.mustNotFold("SetCapacitySchedule")
 	if err := ValidateCapacitySteps(steps); err != nil {
 		panic(err)
 	}

@@ -1,0 +1,11 @@
+package sim
+
+// SetEagerFeeds makes every later Feed take the event path, folding
+// links included (on true), or fold where it can (on false), and
+// returns the previous setting. It is the oracle switch of the fold
+// differentials; a test that flips it must not run in parallel with
+// one that feeds.
+func SetEagerFeeds(on bool) (was bool) {
+	was, eagerFeeds = eagerFeeds, on
+	return was
+}

@@ -27,7 +27,10 @@ import (
 //     time-varying capacity (fading).
 //
 // With none of these installed the hot path is exactly the pre-existing
-// zero-allocation FIFO fast path.
+// zero-allocation FIFO fast path, and such a link — given no recorder
+// and no buffer bound either — folds the one-hop cross traffic fed to
+// it (Sim.Feed, fold.go). Install these before feeding a link: the
+// setters panic on a link that already folds.
 type Link struct {
 	sim *Sim
 
@@ -70,6 +73,9 @@ type Link struct {
 	bytesServed  unit.Bytes
 
 	rec *Recorder
+
+	// fold is non-nil once the link folds fed series (fold.go).
+	fold *folder
 }
 
 // NewLink attaches a link to the simulation. Capacity must be positive.
@@ -85,21 +91,30 @@ func (s *Sim) NewLink(name string, capacity unit.Rate, propDelay time.Duration) 
 
 // Attach associates a ground-truth recorder with the link. Pass nil to
 // detach.
-func (l *Link) Attach(r *Recorder) { l.rec = r }
+func (l *Link) Attach(r *Recorder) {
+	l.mustNotFold("Attach")
+	l.rec = r
+}
 
 // Recorder returns the attached ground-truth recorder (nil if none).
 func (l *Link) Recorder() *Recorder { return l.rec }
 
 // SetDiscipline installs a queue discipline (RED, CoDel, explicit
 // FIFO); nil restores the branch-free FIFO tail-drop fast path.
-func (l *Link) SetDiscipline(d Discipline) { l.disc = d }
+func (l *Link) SetDiscipline(d Discipline) {
+	l.mustNotFold("SetDiscipline")
+	l.disc = d
+}
 
 // Discipline returns the installed queue discipline (nil = FIFO).
 func (l *Link) Discipline() Discipline { return l.disc }
 
 // SetLoss installs a random loss process at the link input; nil
 // removes it.
-func (l *Link) SetLoss(m LossModel) { l.loss = m }
+func (l *Link) SetLoss(m LossModel) {
+	l.mustNotFold("SetLoss")
+	l.loss = m
+}
 
 // Loss returns the installed loss model (nil if none).
 func (l *Link) Loss() LossModel { return l.loss }
@@ -110,6 +125,7 @@ func (l *Link) Loss() LossModel { return l.loss }
 // max of it. Pass max 0 to disable. It panics on a negative max or,
 // for a positive max, a nil random source.
 func (l *Link) SetJitter(max time.Duration, r *rng.Rand) {
+	l.mustNotFold("SetJitter")
 	if max < 0 {
 		panic(fmt.Sprintf("sim: negative jitter bound %v", max))
 	}
@@ -123,7 +139,10 @@ func (l *Link) SetJitter(max time.Duration, r *rng.Rand) {
 func (l *Link) Jitter() time.Duration { return l.jitterMax }
 
 // Forwarded returns the number of packets fully transmitted by the link.
-func (l *Link) Forwarded() int64 { return l.forwarded }
+func (l *Link) Forwarded() int64 {
+	l.settle()
+	return l.forwarded
+}
 
 // Dropped returns the number of packets dropped by the queue: buffer
 // tail drops plus discipline (AQM) drops. Random-loss kills are
@@ -140,17 +159,36 @@ func (l *Link) Lost() int64 { return l.lost }
 func (l *Link) LostBytes() unit.Bytes { return l.lostBytes }
 
 // BytesServed returns the total bytes transmitted.
-func (l *Link) BytesServed() unit.Bytes { return l.bytesServed }
+func (l *Link) BytesServed() unit.Bytes {
+	l.settle()
+	return l.bytesServed
+}
 
 // QueueLen returns the number of packets waiting (excluding the one in
 // service).
-func (l *Link) QueueLen() int { return len(l.queue) - l.head }
+func (l *Link) QueueLen() int {
+	if l.fold != nil {
+		l.settle()
+		return l.fold.queueLen()
+	}
+	return len(l.queue) - l.head
+}
 
 // QueuedBytes returns the bytes waiting in the queue.
-func (l *Link) QueuedBytes() unit.Bytes { return l.queuedBytes }
+func (l *Link) QueuedBytes() unit.Bytes {
+	if l.fold != nil {
+		l.settle()
+		return l.fold.queuedBytes()
+	}
+	return l.queuedBytes
+}
 
 // deliver is the arrival of a packet at the link input.
 func (l *Link) deliver(p *Packet) {
+	if l.fold != nil {
+		l.deliverFolded(p)
+		return
+	}
 	now := l.sim.now
 	if l.rec != nil {
 		l.rec.arrival(now, p)
@@ -202,7 +240,7 @@ func (l *Link) drop(p *Packet, now time.Duration) {
 // in-service packet back from the link, so steady-state forwarding
 // schedules no closures.
 func (l *Link) startTx() {
-	for l.QueueLen() > 0 {
+	for l.head < len(l.queue) {
 		p := l.pop()
 		l.queuedBytes -= p.Size
 		if l.disc != nil && !l.disc.Dequeue(l, p) {
@@ -223,24 +261,30 @@ func (l *Link) startTx() {
 }
 
 // txDone completes the in-service packet's transmission at the current
-// virtual time (the scheduled tx-end instant). A packet leaving the
-// last link of its route with no OnArrive is released here rather than
-// by an advance event PropDelay later: nobody can observe that arrival,
-// and dropping one Schedule leaves every other pair of events in the
-// same (At, seq) order. The jitter draw is made regardless, because it
-// advances jitterRand for the packets that follow.
+// virtual time (the scheduled tx-end instant) and starts the next.
 func (l *Link) txDone() {
-	p, start, txEnd := l.txPkt, l.txStart, l.sim.now
+	p, start := l.txPkt, l.txStart
 	l.txPkt = nil
 	l.forwarded++
 	l.bytesServed += p.Size
 	if l.rec != nil {
-		l.rec.busyInterval(start, txEnd)
+		l.rec.busyInterval(start, l.sim.now)
 	}
-	// Hand off to the next hop after propagation (plus per-packet
-	// jitter when reordering is enabled). Propagation is pipelined:
-	// the link can transmit the next packet while this one is in
-	// flight — which is exactly what lets a jittered packet overtake.
+	l.handOff(p)
+	l.startTx()
+}
+
+// handOff passes a packet whose transmission ends now to the next hop
+// after propagation (plus per-packet jitter when reordering is
+// enabled). Propagation is pipelined: the link can transmit the next
+// packet while this one is in flight — which is exactly what lets a
+// jittered packet overtake. A packet leaving the last link of its route
+// with no OnArrive is released here rather than by an advance event
+// PropDelay later: nobody can observe that arrival, and dropping one
+// Schedule leaves every other pair of events in the same (At, seq)
+// order. The jitter draw is made regardless, because it advances
+// jitterRand for the packets that follow.
+func (l *Link) handOff(p *Packet) {
 	prop := l.PropDelay
 	if l.jitterMax > 0 {
 		prop += time.Duration(l.jitterRand.Float64() * float64(l.jitterMax))
@@ -252,9 +296,8 @@ func (l *Link) txDone() {
 	case p.hop+1 >= len(p.Route) && p.OnArrive == nil:
 		l.sim.releasePacket(p)
 	default:
-		l.sim.atArg(txEnd+prop, l.sim.advanceFn, p)
+		l.sim.atArg(l.sim.now+prop, l.sim.advanceFn, p)
 	}
-	l.startTx()
 }
 
 // push/pop implement an amortized O(1) FIFO over a slice, compacting when

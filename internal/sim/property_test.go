@@ -73,12 +73,15 @@ func randomPath(s *Sim, r *rng.Rand, dm disciplineMaker, lm lossMaker) []*Link {
 // TestConservationAcrossModelGrid asserts, for every discipline × loss
 // combination over seeded random paths, that every packet injected into
 // the path is accounted for exactly once at each hop — forwarded,
-// queue-dropped, or loss-killed — in both packets and bytes, and that
-// end-to-end deliveries equal the last hop's forwarded count.
+// queue-dropped, or loss-killed — in both packets and bytes, that
+// end-to-end deliveries equal the last hop's forwarded count, and that
+// every queue is empty after Run. The plain hops of the nil/none cell
+// also carry one-hop cross traffic, which they fold.
 func TestConservationAcrossModelGrid(t *testing.T) {
 	for _, dm := range disciplineMakers() {
 		for _, lm := range lossMakers() {
 			t.Run(dm.name+"/"+lm.name, func(t *testing.T) {
+				var foldedCell int64
 				for seed := uint64(1); seed <= 3; seed++ {
 					r := rng.New(seed)
 					s := New()
@@ -95,11 +98,31 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 						// Bursty arrivals so queues actually build.
 						s.Inject(p, time.Duration(r.Float64()*float64(2*time.Second)))
 					}
+					// fed[h] counts the 1000-byte cross packets fed to hop
+					// h, all of which a folding hop forwards.
+					fed := make([]int64, len(links))
+					for h, l := range links {
+						if !l.canFold() {
+							continue
+						}
+						h, cr := h, rng.New(seed+uint64(h)*100)
+						var at time.Duration
+						s.Feed([]*Link{l}, KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
+							if fed[h] == n/2 {
+								return 0, 0, false
+							}
+							fed[h]++
+							at += time.Duration(cr.Float64() * float64(8*time.Millisecond))
+							return at, 1000, true
+						})
+					}
 					s.Run()
 
 					in := int64(n)
 					inBytes := sentBytes
 					for h, l := range links {
+						in += fed[h]
+						inBytes += 1000 * fed[h]
 						if got := l.Forwarded() + l.Dropped() + l.Lost(); got != in {
 							t.Fatalf("seed %d hop %d: fwd %d + drop %d + lost %d = %d, want %d arrivals",
 								seed, h, l.Forwarded(), l.Dropped(), l.Lost(), got, in)
@@ -111,12 +134,20 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 							t.Fatalf("seed %d hop %d: queue not drained after Run (%d pkts, %d bytes)",
 								seed, h, l.QueueLen(), l.QueuedBytes())
 						}
-						in = l.Forwarded()
-						inBytes = int64(l.BytesServed())
+						in = l.Forwarded() - fed[h]
+						inBytes = int64(l.BytesServed()) - 1000*fed[h]
 					}
-					if last := links[len(links)-1]; delivered != last.Forwarded() {
-						t.Fatalf("seed %d: delivered %d != last hop forwarded %d", seed, delivered, last.Forwarded())
+					if delivered != in {
+						t.Fatalf("seed %d: delivered %d != last hop forwarded %d", seed, delivered, in)
 					}
+					var fedAll int64
+					for _, k := range fed {
+						fedAll += k
+					}
+					if folded := s.Stats().Folded; folded != uint64(fedAll) {
+						t.Fatalf("seed %d: folded %d packets, fed %d to folding hops", seed, folded, fedAll)
+					}
+					foldedCell += fedAll
 					if lm.name == "none" && dm.name != "red" && dm.name != "codel" {
 						// No loss model and no AQM: only buffer bounds can
 						// drop, and those are honest congestion drops —
@@ -127,6 +158,9 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 							}
 						}
 					}
+				}
+				if plain := dm.name == "nil" && lm.name == "none"; plain != (foldedCell > 0) {
+					t.Errorf("the cell's three paths folded %d packets", foldedCell)
 				}
 			})
 		}

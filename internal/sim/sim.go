@@ -17,10 +17,18 @@
 // final OnArrive/OnDrop, and the per-packet transmission/propagation
 // callbacks are long-lived argument-taking functions rather than fresh
 // closures.
+//
+// One-hop open-loop cross traffic on a plain FIFO link costs no events
+// at all. Such a link folds its fed series through Lindley's recursion
+// (departure = max(arrival, previous departure) + L/C) whenever
+// something can observe it — an event-driven packet arriving, an
+// accessor read, the end of a run — in the order the events would have
+// fired (fold.go).
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"abw/internal/eventq"
@@ -29,13 +37,22 @@ import (
 // Sim is a single-threaded discrete-event simulation. The zero value is
 // ready to use; time starts at 0.
 type Sim struct {
-	q       eventq.Queue
-	now     time.Duration
+	q   eventq.Queue
+	now time.Duration
+	// seq places the clock within its instant: every event and fed
+	// arrival at now numbered below seq has happened. It is the firing
+	// event's number during an event, and the queue's next number after
+	// a run that reached its end time.
+	seq     uint64
 	stopped bool
 
 	pktFree []*Packet
 	noPool  bool
 	stats   Stats
+
+	// folding lists the links that fold fed series, for the end-of-run
+	// catch-up.
+	folding []*Link
 
 	// Long-lived callbacks for the packet hot path, built once so
 	// scheduling them never allocates a closure.
@@ -95,7 +112,17 @@ func (s *Sim) Cancel(h eventq.Handle) { s.q.Cancel(h) }
 // immediately without executing anything, then the stop is consumed.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Run executes events until the queue drains or Stop is called.
+// fire runs one popped event with the clock at its place.
+func (s *Sim) fire(e *eventq.Event) {
+	s.now, s.seq = e.At, e.Seq()
+	e.Call()
+	s.q.Release(e)
+}
+
+// Run executes events until the queue drains or Stop is called. A run
+// that drains serves every folded series to its end, and the clock
+// ends at the last departure, as it would at the last transmission
+// event.
 func (s *Sim) Run() {
 	if s.stopped {
 		s.stopped = false
@@ -104,19 +131,24 @@ func (s *Sim) Run() {
 	for !s.stopped {
 		e := s.q.Pop()
 		if e == nil {
-			break
+			s.foldAll(maxTime, math.MaxUint64)
+			for _, l := range s.folding {
+				s.now = max(s.now, l.fold.free)
+			}
+			s.seq = s.q.ReserveSeq(0)
+			return
 		}
-		s.now = e.At
-		e.Call()
-		s.q.Release(e)
+		s.fire(e)
 	}
 	s.stopped = false
+	s.foldAll(s.now, s.seq)
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to
 // t. Events scheduled beyond t stay pending, so simulations can be
-// advanced in measured slices. A pending Stop makes it return
-// immediately, clock untouched.
+// advanced in measured slices. A Stop leaves the clock at the stopping
+// event's time, since events after it may still be pending; a Stop
+// already pending makes it return immediately, clock untouched.
 //
 // The loop uses the queue's bounded PopUntil rather than Peek-then-Pop:
 // a Peek would advance the queue's cursor to the next pending event
@@ -131,27 +163,28 @@ func (s *Sim) RunUntil(t time.Duration) {
 	for !s.stopped {
 		e := s.q.PopUntil(t)
 		if e == nil {
+			if t >= s.now {
+				s.now, s.seq = t, s.q.ReserveSeq(0)
+			}
 			break
 		}
-		s.now = e.At
-		e.Call()
-		s.q.Release(e)
+		s.fire(e)
 	}
 	s.stopped = false
-	if t > s.now {
-		s.now = t
-	}
+	s.foldAll(s.now, s.seq)
 }
 
 // Pending returns the number of queued events, for tests and leak checks.
 func (s *Sim) Pending() int { return s.q.Len() }
 
 // Stats counts a simulation's work since it was created: the event
-// queue's counters, and NewPacket calls that allocated or were served
-// from the free list.
+// queue's counters, NewPacket calls that allocated or were served from
+// the free list, and fed cross-traffic packets a folding link has
+// transmitted by arithmetic, with no event and no Packet.
 type Stats struct {
 	eventq.Stats
 	PacketsAllocated, PacketsReused uint64
+	Folded                          uint64
 }
 
 // Stats returns a snapshot of the simulation's counters.

@@ -128,6 +128,25 @@ func TestStopBeforeRunUntilSticks(t *testing.T) {
 	}
 }
 
+// TestStopInsideRunUntilKeepsClock: a Stop inside RunUntil leaves the
+// clock at the stopping event's time. Events between it and the run's
+// end time are still pending, and a clock set past them would run
+// backwards when they fire.
+func TestStopInsideRunUntilKeepsClock(t *testing.T) {
+	s := New()
+	s.At(10, s.Stop)
+	var firedAt time.Duration
+	s.At(15, func() { firedAt = s.Now() })
+	s.RunUntil(20)
+	if s.Now() != 10 || s.Pending() != 1 {
+		t.Fatalf("after a Stop at 10: Now() = %v with %d pending, want 10ns with 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(20)
+	if firedAt != 15 || s.Now() != 20 {
+		t.Fatalf("the 15 ns event read Now() = %v, clock ends at %v; want 15ns, 20ns", firedAt, s.Now())
+	}
+}
+
 func TestCancelEvent(t *testing.T) {
 	s := New()
 	fired := false

@@ -16,9 +16,11 @@ import (
 // every end-to-end tool returns the same report — estimate, range,
 // probing effort, samples, elapsed virtual time — on the default
 // (unrecorded) compile and on a Spec.Recorded compile of one scenario.
-// The scenarios are the golden test's four plus one with a capacity
-// schedule, whose install has a recorder half that only a recorded
-// compile runs.
+// A recorder also keeps its link on the event path, so on every plain
+// FIFO hop this compares the folded cross traffic of the default
+// compile with the eager one of the recorded compile. The scenarios are
+// the golden test's four plus one with a capacity schedule, whose
+// install has a recorder half that only a recorded compile runs.
 func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 	estimate := func(t *testing.T, tool string, cpl *scenario.Compiled) *core.Report {
 		rep, err := registry.Estimate(context.Background(), tool,
@@ -73,6 +75,15 @@ func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 				want, got := estimate(t, tool, recorded), estimate(t, tool, bare)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("reports differ:\n unrecorded %+v\n recorded   %+v", got, want)
+				}
+				// mice's only source is TCP, and fading's hop has a
+				// capacity schedule: neither has traffic to fold.
+				foldable := sc.Name != "mice" && sc.Name != "fading"
+				if n := bare.Sim.Stats().Folded; foldable != (n > 0) {
+					t.Errorf("the default compile folded %d packets", n)
+				}
+				if n := recorded.Sim.Stats().Folded; n != 0 {
+					t.Errorf("the recorded compile folded %d packets", n)
 				}
 			})
 		}

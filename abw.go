@@ -41,7 +41,7 @@ type (
 	Outcome = core.Outcome
 	// Transport delivers probing streams (simulated or live).
 	Transport = core.Transport
-	// Estimator is one estimation technique, built via Tools/Estimate.
+	// Estimator is one estimation technique, as Estimate builds it.
 	Estimator = core.Estimator
 	// Budget caps the probing effort of a run; zero fields are
 	// unlimited.
@@ -85,12 +85,6 @@ func Tools() []Tool { return registry.Tools() }
 
 // LookupTool finds a technique by name or alias.
 func LookupTool(name string) (Tool, bool) { return registry.Lookup(name) }
-
-// NewEstimator builds the named technique from Params without running
-// it, for callers that manage their own transports and budgets.
-func NewEstimator(name string, p Params) (Estimator, error) {
-	return registry.Build(name, p)
-}
 
 // Estimate runs the named technique over the transport: the tool is
 // built from Params, the transport is decorated with the Params'

@@ -2,9 +2,8 @@ package abw
 
 // This file extends the facade with the probe-feature layer and the
 // learned estimator's model types: enough surface to extract the
-// canonical feature vector from external measurements, evaluate the
-// committed weights, or train replacement weights from custom data —
-// without importing internal/.
+// canonical feature vector from external measurements and evaluate the
+// committed weights on it, without importing internal/.
 
 import (
 	"context"
@@ -42,16 +41,11 @@ func Probe(ctx context.Context, t Transport, spec ProbeSpec) (*ProbeRecord, erro
 // timestamps, single packet).
 func ExtractFeatures(r *ProbeRecord) FeatureVector { return probe.ExtractFeatures(r) }
 
-// FeatureNames returns the feature column names in Values order.
-func FeatureNames() []string { return probe.FeatureNames() }
-
 // Learned-estimator model layer.
 type (
 	// LearnedWeights is the serialized ridge + k-NN model the learned
-	// tool runs; ParseLearnedWeights reads one, LearnedTrain fits one.
+	// tool runs.
 	LearnedWeights = learned.Weights
-	// LearnedTrainConfig tunes LearnedTrain.
-	LearnedTrainConfig = learned.TrainConfig
 	// ProbePlan is the probing schedule shared by dataset generation
 	// and the online learned estimator.
 	ProbePlan = learned.ProbePlan
@@ -59,16 +53,6 @@ type (
 
 // DefaultLearnedWeights returns the committed embedded weights.
 func DefaultLearnedWeights() (*LearnedWeights, error) { return learned.Default() }
-
-// ParseLearnedWeights decodes and validates a weight file.
-func ParseLearnedWeights(data []byte) (*LearnedWeights, error) { return learned.Parse(data) }
-
-// LearnedTrain fits the ridge + k-NN model on raw model inputs (built
-// with LearnedModelInput) and targets A/C. Deterministic: same inputs,
-// same weights.
-func LearnedTrain(X [][]float64, y []float64, cfg LearnedTrainConfig) (*LearnedWeights, error) {
-	return learned.Train(X, y, cfg)
-}
 
 // LearnedModelInput assembles one model input from a stream's feature
 // vector, its probing rate as a fraction of the tight-link capacity,

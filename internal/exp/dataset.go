@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -307,33 +306,6 @@ func (r *DatasetResult) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the rows as one JSON document with the resolved
-// sweep parameters alongside.
-func (r *DatasetResult) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Schema    string            `json:"schema"`
-		Scenarios []string          `json:"scenarios"`
-		Scalings  []float64         `json:"scalings"`
-		Trials    int               `json:"trials"`
-		Seed      uint64            `json:"seed"`
-		Plan      learned.ProbePlan `json:"plan"`
-		Columns   []string          `json:"input_columns"`
-		Rows      []DatasetRow      `json:"rows"`
-	}{
-		Schema:    "abw-dataset/1",
-		Scenarios: r.Config.Scenarios,
-		Scalings:  r.Config.Scalings,
-		Trials:    r.Config.Trials,
-		Seed:      r.Config.Seed,
-		Plan:      r.Config.Plan,
-		Columns:   ModelInputNames(),
-		Rows:      r.Rows,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }
 
 // Table summarizes the sweep for EXPERIMENTS.md: per-scenario row

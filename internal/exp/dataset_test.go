@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,35 +132,6 @@ func TestSweepDatasetTestSplitMatchesFullSweep(t *testing.T) {
 		if len(want) == 0 || !reflect.DeepEqual(got.Rows, want) {
 			t.Errorf("%s sweep: %d rows differ from the full sweep's %d %s rows", split, len(got.Rows), len(want), split)
 		}
-	}
-}
-
-func TestDatasetWriteJSON(t *testing.T) {
-	res, err := Dataset(smallDataset(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string            `json:"schema"`
-		Plan    learned.ProbePlan `json:"plan"`
-		Columns []string          `json:"input_columns"`
-		Rows    []json.RawMessage `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != "abw-dataset/1" {
-		t.Errorf("schema = %q", doc.Schema)
-	}
-	if len(doc.Rows) != len(res.Rows) {
-		t.Errorf("JSON has %d rows, want %d", len(doc.Rows), len(res.Rows))
-	}
-	if len(doc.Columns) != len(ModelInputNames()) {
-		t.Errorf("JSON has %d input columns, want %d", len(doc.Columns), len(ModelInputNames()))
 	}
 }
 

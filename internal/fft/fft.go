@@ -21,25 +21,9 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Forward computes the in-place forward DFT of x. len(x) must be a power
-// of two. The transform is unnormalized: Forward followed by Inverse
-// returns the original values.
-func Forward(x []complex128) error { return transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x, including the 1/n
-// normalization. len(x) must be a power of two.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-func transform(x []complex128, inverse bool) error {
+// Forward computes the in-place forward DFT of x, unnormalized. len(x)
+// must be a power of two.
+func Forward(x []complex128) error {
 	n := len(x)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -54,10 +38,7 @@ func transform(x []complex128, inverse bool) error {
 	}
 	// Cooley–Tukey butterflies.
 	for size := 2; size <= n; size <<= 1 {
-		ang := 2 * math.Pi / float64(size)
-		if !inverse {
-			ang = -ang
-		}
+		ang := -2 * math.Pi / float64(size)
 		wStep := complex(math.Cos(ang), math.Sin(ang))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
@@ -72,17 +53,4 @@ func transform(x []complex128, inverse bool) error {
 		}
 	}
 	return nil
-}
-
-// RealForward computes the DFT of a real sequence, returning a fresh
-// complex slice. len(x) must be a power of two.
-func RealForward(x []float64) ([]complex128, error) {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if err := Forward(c); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

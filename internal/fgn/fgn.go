@@ -34,7 +34,6 @@ func Autocov(h float64, k int) float64 {
 // parameter. The spectral factorization is done once at construction;
 // each Sample call costs two FFTs.
 type Generator struct {
-	h    float64
 	n    int       // requested path length
 	m    int       // circulant size (power of two, ≥ 2n)
 	sqrt []float64 // sqrt of circulant eigenvalues
@@ -77,16 +76,11 @@ func NewGenerator(h float64, n int) (*Generator, error) {
 		}
 		sqrtEig[i] = math.Sqrt(ev)
 	}
-	return &Generator{h: h, n: n, m: m, sqrt: sqrtEig}, nil
+	return &Generator{n: n, m: m, sqrt: sqrtEig}, nil
 }
 
-// H returns the generator's Hurst parameter.
-func (g *Generator) H() float64 { return g.h }
-
-// Len returns the sample path length.
-func (g *Generator) Len() int { return g.n }
-
-// Sample draws one zero-mean, unit-variance fGn path of length Len().
+// Sample draws one zero-mean, unit-variance fGn path of the length
+// NewGenerator was given.
 func (g *Generator) Sample(r *rng.Rand) ([]float64, error) {
 	m := g.m
 	w := make([]complex128, m)
@@ -110,15 +104,4 @@ func (g *Generator) Sample(r *rng.Rand) ([]float64, error) {
 		out[i] = real(w[i]) * scale
 	}
 	return out, nil
-}
-
-// CumulativeFBM integrates an fGn path into fractional Brownian motion
-// increments starting at 0, useful for building rate-modulated traffic
-// envelopes.
-func CumulativeFBM(path []float64) []float64 {
-	out := make([]float64, len(path)+1)
-	for i, v := range path {
-		out[i+1] = out[i] + v
-	}
-	return out
 }

@@ -205,20 +205,6 @@ func TestSelfSimilarDecaysSlowerThanIID(t *testing.T) {
 	}
 }
 
-func TestCumulativeFBM(t *testing.T) {
-	path := []float64{1, -2, 3}
-	got := CumulativeFBM(path)
-	want := []float64{0, 1, -1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumulativeFBM = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSampleDeterministic(t *testing.T) {
 	g, err := NewGenerator(0.8, 256)
 	if err != nil {

@@ -280,11 +280,14 @@ func sample(w io.Writer, name string, first lbl, v float64, rest ...lbl) {
 	sort.Slice(labels, func(i, j int) bool { return labels[i].k < labels[j].k })
 	parts := make([]string, len(labels))
 	for i, l := range labels {
-		// strconv.Quote's escaping (backslash, quote, \n) is exactly the
-		// exposition format's label escaping.
-		parts[i] = l.k + "=" + strconv.Quote(l.v)
+		parts[i] = l.k + `="` + labelEscaper.Replace(l.v) + `"`
 	}
 	fmt.Fprintf(w, "%s{%s} %s\n", name, strings.Join(parts, ","), fmtFloat(v))
 }
+
+// labelEscaper escapes a label value the way the exposition format
+// defines: backslash, double quote and newline, and nothing else. Any
+// other byte, a tab or a non-ASCII rune included, is written raw.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -127,6 +127,43 @@ func TestHTTPStatusAndSeries(t *testing.T) {
 // exposition format: every line is a comment or `name{labels} value`
 // with a float-parsable value, HELP/TYPE precede their samples, and the
 // load-bearing metrics are present.
+// TestHTTPMetricsLabelsRaw: a label value is written raw except for
+// backslash, double quote and newline, so a tab or a non-ASCII rune in
+// a target or tenant name (abwmonitor takes both verbatim from its
+// command line) reaches a standard parser intact; a name that is not
+// valid UTF-8 cannot be exposed at all, so New refuses it.
+func TestHTTPMetricsLabelsRaw(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets:  []Target{{Name: "edge\tb", Tenant: "caf\u00a0", Tool: "spruce", Scenario: "canonical", Params: registry.Params{Repeat: 8}}},
+		Interval: 10 * time.Second,
+		Seed:     5,
+		Clock:    clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	drain(t, m, clk, 11*time.Second, 1)
+	t.Cleanup(m.Close)
+	srv := httptest.NewServer(m.Handler())
+	t.Cleanup(srv.Close)
+	_, body := get(t, srv.URL+"/metrics")
+	for _, want := range []string{`target="edge` + "\t" + `b"`, `tenant="caf` + "\u00a0" + `"`} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics has no label %q", want)
+		}
+	}
+	for _, bad := range []Target{
+		{Name: "edge\xff", Tool: "spruce", Scenario: "canonical"},
+		{Name: "edge", Tenant: "caf\xe9", Tool: "spruce", Scenario: "canonical"},
+	} {
+		if _, err := New(Config{Targets: []Target{bad}, Interval: time.Second, Clock: clk}); err == nil {
+			t.Errorf("New accepted name %q, tenant %q", bad.Name, bad.Tenant)
+		}
+	}
+}
+
 func TestHTTPMetricsParseable(t *testing.T) {
 	_, srv := newServedMonitor(t)
 	code, body := get(t, srv.URL+"/metrics")
@@ -171,6 +208,15 @@ func TestHTTPMetricsParseable(t *testing.T) {
 				k, v, ok := strings.Cut(pair, "=")
 				if !ok || k == "" || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
 					t.Fatalf("line %d: malformed label %q", i+1, pair)
+				}
+				// The format defines exactly three escapes: \\, \" and \n.
+				for j := 1; j < len(v)-1; j++ {
+					if v[j] == '\\' {
+						j++
+						if j == len(v)-1 || !strings.ContainsRune(`\"n`, rune(v[j])) {
+							t.Fatalf("line %d: label %q uses an escape the exposition format does not define", i+1, pair)
+						}
+					}
 				}
 			}
 		}

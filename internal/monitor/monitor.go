@@ -328,9 +328,6 @@ func (m *Monitor) Store() *Store { return m.store }
 // Ledger exposes the fleet admission ledger.
 func (m *Monitor) Ledger() *Ledger { return m.ledger }
 
-// Clock returns the monitor's time source.
-func (m *Monitor) Clock() Clock { return m.clock }
-
 // Stats snapshots the monitor's counters.
 func (m *Monitor) Stats() Stats {
 	led := m.ledger.Stats()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unicode/utf8"
 
 	"abw/internal/core"
 	"abw/internal/livenet"
@@ -48,6 +49,9 @@ func (m *Monitor) newEntry(i int, t Target) (*entry, error) {
 	}
 	if t.Tenant == "" {
 		t.Tenant = "default"
+	}
+	if !utf8.ValidString(t.Name) || !utf8.ValidString(t.Tenant) {
+		return nil, fmt.Errorf("monitor: target %d: name %q and tenant %q must be valid UTF-8", i, t.Name, t.Tenant)
 	}
 	d, ok := registry.Lookup(t.Tool)
 	if !ok {

@@ -87,9 +87,6 @@ func newSeries(target, tool, tenant string, capacity int) *Series {
 	return &Series{Target: target, Tool: tool, Tenant: tenant, buf: make([]Point, 0, capacity)}
 }
 
-// Key renders the series' map key, "target/tool".
-func (s *Series) Key() string { return s.Target + "/" + s.Tool }
-
 // Append stamps the point with the next sequence number and stores it,
 // evicting the oldest point if the ring is full.
 func (s *Series) Append(p Point) {

@@ -22,9 +22,6 @@ type Descriptor struct {
 	Spec Spec
 }
 
-// Compile realizes the cataloged spec.
-func (d Descriptor) Compile() (*Compiled, error) { return Compile(d.Spec) }
-
 // CompileSeeded realizes the cataloged spec under an explicit seed,
 // leaving the registered Spec untouched.
 func (d Descriptor) CompileSeeded(seed uint64) (*Compiled, error) {

@@ -9,3 +9,12 @@ func SetEagerFeeds(on bool) (was bool) {
 	was, eagerFeeds = eagerFeeds, on
 	return was
 }
+
+// SetPooling toggles event and packet reuse (on by default). A run with
+// pooling disabled is bit-identical to a pooled run — the free lists
+// never change scheduling order — just slower; the pooling tests and
+// the property tests use the disabled mode as their reference.
+func (s *Sim) SetPooling(on bool) {
+	s.noPool = !on
+	s.q.SetPooling(on)
+}

@@ -372,7 +372,7 @@ func TestFoldedLinkCountsBetweenEvents(t *testing.T) {
 // a plain field nothing intercepts, panics at the next catch-up.
 func TestFoldingLinkRefusesNewBehavior(t *testing.T) {
 	for name, set := range map[string]func(*Link){
-		"SetDiscipline":       func(l *Link) { l.SetDiscipline(NewFIFO()) },
+		"SetDiscipline":       func(l *Link) { l.SetDiscipline(NewRED(REDConfig{}, rng.New(1))) },
 		"SetLoss":             func(l *Link) { l.SetLoss(NewBernoulliLoss(0.1, rng.New(1))) },
 		"SetJitter":           func(l *Link) { l.SetJitter(time.Microsecond, rng.New(1)) },
 		"SetCapacitySchedule": func(l *Link) { l.SetCapacitySchedule([]CapacityStep{{0, unit.Mbps}}) },

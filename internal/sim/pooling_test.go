@@ -1,10 +1,16 @@
-package scenario
+package sim_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"abw/internal/core"
+	"abw/internal/probe"
+	"abw/internal/scenario"
 	"abw/internal/sim"
+	"abw/internal/unit"
 )
 
 // groundTruth snapshots everything a recorder observed.
@@ -35,7 +41,7 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 	const horizon = 3 * time.Second
 	for _, name := range []string{"canonical", "lrd"} {
 		t.Run(name, func(t *testing.T) {
-			d, ok := Lookup(name)
+			d, ok := scenario.Lookup(name)
 			if !ok {
 				t.Fatalf("scenario %q not in catalog", name)
 			}
@@ -45,7 +51,9 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				mustBeRecorded(t, cpl)
+				if len(cpl.Recorders) != len(cpl.Path.Links) {
+					t.Fatalf("%d recorders for %d hops", len(cpl.Recorders), len(cpl.Path.Links))
+				}
 				cpl.Sim.SetPooling(pooled)
 				cpl.Sim.RunUntil(horizon)
 				return snapshot(cpl.Recorders)
@@ -77,6 +85,45 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 					t.Fatalf("hop %d: pooled drops %d != unpooled %d",
 						h, pooled[h].drops, plain[h].drops)
 				}
+			}
+		})
+	}
+}
+
+// TestFeaturesBitIdenticalUnderPooling extends the pooling safety
+// property to the probe-feature layer: the canonical FeatureVector of a
+// stream probed through a compiled scenario must be bit-identical
+// whether the simulator reuses event/packet memory or allocates fresh —
+// the feature dataset (and therefore the learned model's training
+// input) cannot depend on a memory optimization.
+func TestFeaturesBitIdenticalUnderPooling(t *testing.T) {
+	for _, name := range []string{"canonical", "bursty", "lossy"} {
+		t.Run(name, func(t *testing.T) {
+			d, ok := scenario.Lookup(name)
+			if !ok {
+				t.Fatalf("scenario %q not in catalog", name)
+			}
+			probeOnce := func(pooled bool) []probe.FeatureVector {
+				cpl, err := d.CompileSeeded(1)
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				cpl.Sim.SetPooling(pooled)
+				var out []probe.FeatureVector
+				for _, frac := range []float64{0.5, 0.9} {
+					rate := unit.Rate(float64(cpl.Capacity) * frac)
+					rec, err := core.Probe(context.Background(), cpl.Transport, probe.Periodic(rate, 1000, 50))
+					if err != nil {
+						t.Fatalf("probe: %v", err)
+					}
+					out = append(out, probe.ExtractFeatures(rec))
+				}
+				return out
+			}
+			pooled := probeOnce(true)
+			plain := probeOnce(false)
+			if !reflect.DeepEqual(pooled, plain) {
+				t.Errorf("features differ with pooling on/off:\n  pooled: %+v\n  plain:  %+v", pooled, plain)
 			}
 		})
 	}

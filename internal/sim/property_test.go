@@ -34,7 +34,6 @@ type lossMaker struct {
 func disciplineMakers() []disciplineMaker {
 	return []disciplineMaker{
 		{"nil", func(*rng.Rand) Discipline { return nil }},
-		{"fifo", func(*rng.Rand) Discipline { return NewFIFO() }},
 		{"red", func(r *rng.Rand) Discipline { return NewRED(REDConfig{}, r) }},
 		{"codel", func(*rng.Rand) Discipline { return NewCoDel(CoDelConfig{}) }},
 	}

@@ -19,7 +19,7 @@ import (
 // branch-free fast path: installing no discipline keeps steady-state
 // forwarding at 0 allocs/op exactly as before.
 type Discipline interface {
-	// Name identifies the policy in diagnostics ("fifo", "red", "codel").
+	// Name identifies the policy in diagnostics ("red", "codel").
 	Name() string
 	// Admit is consulted once per arrival, after the link's loss model
 	// and before the buffer bound; returning false drops the packet on
@@ -30,19 +30,6 @@ type Discipline interface {
 	// counted in Link.Dropped) and the link tries the next packet.
 	Dequeue(l *Link, p *Packet) bool
 }
-
-// fifo is the explicit form of the default policy, for sweeps that
-// treat "no AQM" as one point in a discipline × loss grid.
-type fifo struct{}
-
-func (fifo) Name() string                { return "fifo" }
-func (fifo) Admit(*Link, *Packet) bool   { return true }
-func (fifo) Dequeue(*Link, *Packet) bool { return true }
-
-// NewFIFO returns the explicit FIFO tail-drop discipline. It behaves
-// bit-identically to installing no discipline at all; the property
-// tests sweep it alongside RED and CoDel.
-func NewFIFO() Discipline { return fifo{} }
 
 // REDConfig parameterizes Random Early Detection (Floyd & Jacobson
 // 1993): an EWMA of the queue length in packets, linear drop

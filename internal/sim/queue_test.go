@@ -22,26 +22,6 @@ func injectCBR(s *Sim, l *Link, n int, size unit.Bytes, rate unit.Rate, start ti
 	}
 }
 
-func TestExplicitFIFOMatchesNilDiscipline(t *testing.T) {
-	run := func(d Discipline) (int64, unit.Bytes) {
-		s := New()
-		l := s.NewLink("l", 10*unit.Mbps, 0)
-		l.BufferBytes = 3000
-		l.SetDiscipline(d)
-		injectCBR(s, l, 200, 1500, 20*unit.Mbps, 0) // 2x overload: tail drops
-		s.Run()
-		return l.Forwarded(), l.DroppedBytes()
-	}
-	fn, fb := run(nil)
-	en, eb := run(NewFIFO())
-	if fn != en || fb != eb {
-		t.Errorf("explicit FIFO (fwd=%d dropB=%d) differs from nil discipline (fwd=%d dropB=%d)", en, eb, fn, fb)
-	}
-	if fn == 200 {
-		t.Error("overloaded bounded queue dropped nothing; test is vacuous")
-	}
-}
-
 func TestREDValidation(t *testing.T) {
 	r := rng.New(1)
 	for name, fn := range map[string]func(){

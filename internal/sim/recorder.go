@@ -77,10 +77,6 @@ func (r *Recorder) SetCapacitySchedule(steps []CapacityStep) {
 	r.Capacity = own[0].Rate
 }
 
-// CapacitySchedule returns the installed capacity profile (nil for a
-// fixed-capacity recorder). Shared slice; treat as read-only.
-func (r *Recorder) CapacitySchedule() []CapacityStep { return r.capSteps }
-
 func (r *Recorder) arrival(at time.Duration, p *Packet) {
 	r.arrivals = append(r.arrivals, Arrival{At: at, Size: p.Size, Kind: p.Kind})
 }

@@ -65,15 +65,6 @@ type Sim struct {
 // New returns an empty simulation.
 func New() *Sim { return &Sim{} }
 
-// SetPooling toggles event and packet reuse (on by default). A run with
-// pooling disabled is bit-identical to a pooled run — the free lists
-// never change scheduling order — just slower; the property tests use
-// the disabled mode as their reference.
-func (s *Sim) SetPooling(on bool) {
-	s.noPool = !on
-	s.q.SetPooling(on)
-}
-
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 

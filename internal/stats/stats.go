@@ -97,8 +97,9 @@ func (c *CDF) P(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th empirical quantile, q in [0, 1], using
-// nearest-rank interpolation.
+// Quantile returns the q-th empirical quantile, q in [0, 1],
+// interpolating linearly between the order statistics either side of
+// q·(n−1).
 func (c *CDF) Quantile(q float64) float64 {
 	n := len(c.sorted)
 	if n == 0 {
@@ -119,9 +120,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return c.sorted[lo]*(1-frac) + c.sorted[hi]*frac
 }
-
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // Points returns (x, P(X<=x)) pairs suitable for plotting the CDF as the
 // paper's Figure 1 does.
@@ -192,16 +190,6 @@ func Aggregate(xs []float64, k int) []float64 {
 	return out
 }
 
-// VarianceTime returns the variance of the k-aggregated series for each
-// k in ks, the empirical variance–time relation.
-func VarianceTime(xs []float64, ks []int) []float64 {
-	out := make([]float64, len(ks))
-	for i, k := range ks {
-		out[i] = Variance(Aggregate(xs, k))
-	}
-	return out
-}
-
 // HurstVT estimates the Hurst parameter from the variance–time plot:
 // Var[X^(k)] ~ k^{2H-2}, so the log-log slope β gives H = 1 + β/2.
 func HurstVT(xs []float64, ks []int) (float64, error) {
@@ -233,24 +221,4 @@ func HurstVT(xs []float64, ks []int) (float64, error) {
 		h = 1
 	}
 	return h, nil
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs.
-func Autocorrelation(xs []float64, k int) float64 {
-	n := len(xs)
-	if k < 0 || k >= n {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		den += (xs[i] - m) * (xs[i] - m)
-	}
-	for i := 0; i+k < n; i++ {
-		num += (xs[i] - m) * (xs[i+k] - m)
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
 }

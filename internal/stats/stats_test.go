@@ -189,40 +189,3 @@ func TestHurstVTNeedsLevels(t *testing.T) {
 		t.Error("single aggregation level accepted")
 	}
 }
-
-func TestAutocorrelation(t *testing.T) {
-	// Perfectly alternating series has lag-1 autocorrelation ≈ -1.
-	xs := make([]float64, 1000)
-	for i := range xs {
-		if i%2 == 0 {
-			xs[i] = 1
-		} else {
-			xs[i] = -1
-		}
-	}
-	if ac := Autocorrelation(xs, 1); !almostEq(ac, -1, 0.01) {
-		t.Errorf("lag-1 autocorr of alternating series = %g, want ~-1", ac)
-	}
-	if ac := Autocorrelation(xs, 0); !almostEq(ac, 1, 1e-12) {
-		t.Errorf("lag-0 autocorr = %g, want 1", ac)
-	}
-	if !math.IsNaN(Autocorrelation(xs, -1)) {
-		t.Error("negative lag should be NaN")
-	}
-}
-
-func TestVarianceTime(t *testing.T) {
-	r := rng.New(3)
-	xs := make([]float64, 1<<14)
-	for i := range xs {
-		xs[i] = r.Norm()
-	}
-	vt := VarianceTime(xs, []int{1, 4, 16})
-	// IID: variance should drop by ~k.
-	if !(vt[0] > vt[1] && vt[1] > vt[2]) {
-		t.Errorf("variance-time not decreasing: %v", vt)
-	}
-	if ratio := vt[0] / vt[1]; math.Abs(ratio-4) > 1 {
-		t.Errorf("Var[X]/Var[X^(4)] = %g, want ~4 (Eq. 4)", ratio)
-	}
-}

@@ -156,81 +156,3 @@ func TestTrendString(t *testing.T) {
 		t.Error("Trend String names wrong")
 	}
 }
-
-func TestEffectiveBandwidthLimits(t *testing.T) {
-	// Constant traffic: α(s) equals the constant rate for every s.
-	tau := 0.01
-	rate := 10e6 // 10 Mbps
-	windows := make([]float64, 100)
-	for i := range windows {
-		windows[i] = rate * tau
-	}
-	for _, s := range []float64{1e-7, 1e-5, 1e-3} {
-		got, err := EffectiveBandwidth(windows, s, tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-rate)/rate > 1e-9 {
-			t.Errorf("s=%g: effective bw of CBR = %g, want %g", s, got, rate)
-		}
-	}
-}
-
-func TestEffectiveBandwidthGrowsWithBurstiness(t *testing.T) {
-	// Two traffic patterns with identical mean: steady vs bursty. The
-	// bursty one must have strictly larger effective bandwidth — the
-	// paper's argument for burstiness-aware definitions.
-	tau := 0.01
-	steady := make([]float64, 200)
-	bursty := make([]float64, 200)
-	for i := range steady {
-		steady[i] = 1e5
-		if i%10 == 0 {
-			bursty[i] = 1e6
-		}
-	}
-	s := 1e-5
-	a1, err := EffectiveBandwidth(steady, s, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := EffectiveBandwidth(bursty, s, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 <= a1 {
-		t.Errorf("effective bw: bursty %g <= steady %g", a2, a1)
-	}
-}
-
-func TestEffectiveBandwidthMonotoneInS(t *testing.T) {
-	r := rng.New(7)
-	tau := 0.01
-	windows := make([]float64, 300)
-	for i := range windows {
-		windows[i] = math.Abs(r.Norm()) * 1e5
-	}
-	prev := -math.Inf(1)
-	for _, s := range []float64{1e-7, 1e-6, 1e-5, 1e-4} {
-		a, err := EffectiveBandwidth(windows, s, tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a < prev {
-			t.Errorf("effective bandwidth not monotone in s: %g then %g", prev, a)
-		}
-		prev = a
-	}
-}
-
-func TestEffectiveBandwidthErrors(t *testing.T) {
-	if _, err := EffectiveBandwidth(nil, 1, 1); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := EffectiveBandwidth([]float64{1}, 0, 1); err == nil {
-		t.Error("s=0 accepted")
-	}
-	if _, err := EffectiveBandwidth([]float64{1}, 1, 0); err == nil {
-		t.Error("tau=0 accepted")
-	}
-}

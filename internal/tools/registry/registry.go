@@ -191,37 +191,21 @@ func (d Descriptor) ResolvedParams(p Params) Params {
 	return p.merged(d.Defaults)
 }
 
-// build validates requirements and runs the descriptor's builder on
-// the defaults-merged Params; Build and Estimate share it so lookup
-// and merge each happen once.
-func (d Descriptor) build(p Params) (core.Estimator, error) {
-	if missing := d.MissingParams(p); len(missing) != 0 {
-		return nil, fmt.Errorf("registry: %s needs %v", d.Name, missing)
-	}
-	return d.Build(p.merged(d.Defaults))
-}
-
-// Build constructs the named tool from Params: lookup, defaults merge,
-// requirement validation, then the descriptor's builder (which also
-// runs the tool's own Config validation).
-func Build(name string, p Params) (core.Estimator, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown tool %q (have %v)", name, Names())
-	}
-	return d.build(p)
-}
-
-// Estimate is the one-call path from a tool name to a report: build the
-// tool, decorate the transport with the Params' observer and budget,
-// and run it under ctx. It is what the abw facade and cmd/abwprobe
-// call.
+// Estimate is the one-call path from a tool name to a report: look the
+// tool up, validate its requirements, build it from the defaults-merged
+// Params (the descriptor's builder also runs the tool's own Config
+// validation), decorate the transport with the Params' observer and
+// budget, and run it under ctx. It is what the abw facade and
+// cmd/abwprobe call.
 func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*core.Report, error) {
 	d, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown tool %q (have %v)", name, Names())
 	}
-	est, err := d.build(p)
+	if missing := d.MissingParams(p); len(missing) != 0 {
+		return nil, fmt.Errorf("registry: %s needs %v", d.Name, missing)
+	}
+	est, err := d.Build(p.merged(d.Defaults))
 	if err != nil {
 		return nil, err
 	}

@@ -69,8 +69,8 @@ func TestAliasesAndLookup(t *testing.T) {
 	if _, ok := registry.Lookup("nosuch"); ok {
 		t.Error("phantom tool found")
 	}
-	if _, err := registry.Build("nosuch", registry.Params{}); err == nil {
-		t.Error("Build(nosuch) should fail")
+	if _, err := registry.Estimate(context.Background(), "nosuch", registry.Params{}, nil); err == nil {
+		t.Error("Estimate(nosuch) should fail")
 	}
 }
 
@@ -91,19 +91,19 @@ func TestMissingParams(t *testing.T) {
 		{"bfind", registry.Params{}},                          // no ramp ceiling
 	}
 	for _, c := range cases {
-		if _, err := registry.Build(c.tool, c.p); err == nil {
-			t.Errorf("%s: Build succeeded with missing requirements %+v", c.tool, c.p)
+		if _, err := registry.Estimate(context.Background(), c.tool, c.p, nil); err == nil {
+			t.Errorf("%s: Estimate succeeded with missing requirements %+v", c.tool, c.p)
 		}
 		// The descriptor must predict the failure: MissingParams is
 		// what CLIs derive their requirement errors from, so any
-		// Params that fail Build for a missing input must be flagged
+		// Params that fail Estimate for a missing input must be flagged
 		// here too, before a socket is ever dialed.
 		d, ok := registry.Lookup(c.tool)
 		if !ok {
 			t.Fatalf("%s not registered", c.tool)
 		}
 		if missing := d.MissingParams(c.p); len(missing) == 0 {
-			t.Errorf("%s: MissingParams(%+v) = none, but Build fails", c.tool, c.p)
+			t.Errorf("%s: MissingParams(%+v) = none, but Estimate fails", c.tool, c.p)
 		}
 	}
 	// The CLI-facing requirement list must name the missing field.

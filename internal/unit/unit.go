@@ -28,8 +28,6 @@ const (
 	// OC3 is the capacity of an OC-3 link, as in the NLANR/ANL access
 	// link the paper's Figures 1 and 6 are derived from.
 	OC3 = 155.52 * Mbps
-	// OC12 is the capacity of an OC-12 link.
-	OC12 = 622.08 * Mbps
 	// FastEthernet is 100 Mbps, the "narrow link" in the tight-vs-narrow
 	// pitfall.
 	FastEthernet = 100 * Mbps

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"abw/internal/rng"
 	"abw/internal/scenario"
 )
 
@@ -74,15 +73,6 @@ func Seed(v uint64) *uint64 { return scenario.Seed(v) }
 
 // Scenarios returns the cataloged scenarios in their canonical order.
 func Scenarios() []ScenarioInfo { return scenario.Catalog() }
-
-// RandomScenarioSpec draws a structurally random but fully
-// deterministic path — topology, cross traffic, queueing, loss,
-// reordering, and capacity variation are all functions of seed alone —
-// for property tests and stress sweeps over scenario space.
-func RandomScenarioSpec(seed uint64) ScenarioSpec { return scenario.RandomSpec(rng.New(seed)) }
-
-// LookupScenario finds a cataloged scenario by name or alias.
-func LookupScenario(name string) (ScenarioInfo, bool) { return scenario.Lookup(name) }
 
 // Scenario is a simulated path with known ground truth: the controlled
 // conditions the paper demands for comparing estimation techniques.

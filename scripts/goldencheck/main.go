@@ -7,12 +7,13 @@
 // actually produces: the determinism contract (bit-identical runs at
 // any -parallel setting) is what makes a byte comparison meaningful.
 //
-//	go run ./scripts/goldencheck                # compare EXPERIMENTS.md
-//	go run ./scripts/goldencheck -md OTHER.md   # compare another doc
+//	go run ./scripts/goldencheck
+//
+// It takes no flags: the committed document is EXPERIMENTS.md, always
+// generated at paper scale.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -20,12 +21,15 @@ import (
 	"strings"
 )
 
-func main() {
-	committed := flag.String("md", "EXPERIMENTS.md", "committed results document to check")
-	quick := flag.Bool("quick", false, "pass -quick to the regeneration (only valid if the committed doc was generated with -quick)")
-	flag.Parse()
+// committed is the results document the check holds to a fresh
+// regeneration.
+const committed = "EXPERIMENTS.md"
 
-	want, err := os.ReadFile(*committed)
+func main() {
+	if len(os.Args) > 1 {
+		fatalf("takes no arguments; usage: go run ./scripts/goldencheck")
+	}
+	want, err := os.ReadFile(committed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -36,11 +40,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	fresh := filepath.Join(dir, "EXPERIMENTS.md")
-	args := []string{"run", "./cmd/abwsim", "-exp", "all", "-seed", "1", "-md", fresh}
-	if *quick {
-		args = append(args, "-quick")
-	}
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", "run", "./cmd/abwsim", "-exp", "all", "-seed", "1", "-md", fresh)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		fatalf("regeneration failed: %v", err)
@@ -57,7 +57,7 @@ func main() {
 		g, present := gotSec[title]
 		if !present {
 			ok = false
-			fmt.Fprintf(os.Stderr, "goldencheck: section %q in %s but not regenerated — stale section?\n", title, *committed)
+			fmt.Fprintf(os.Stderr, "goldencheck: section %q in %s but not regenerated — stale section?\n", title, committed)
 			continue
 		}
 		if g != wantSec[title] {
@@ -68,15 +68,15 @@ func main() {
 	for _, title := range gotOrder {
 		if _, present := wantSec[title]; !present {
 			ok = false
-			fmt.Fprintf(os.Stderr, "goldencheck: regenerated section %q missing from %s — commit a fresh regeneration\n", title, *committed)
+			fmt.Fprintf(os.Stderr, "goldencheck: regenerated section %q missing from %s — commit a fresh regeneration\n", title, committed)
 		}
 	}
 	if !ok {
 		fmt.Fprintf(os.Stderr, "goldencheck: %s is out of date; regenerate with: go run ./cmd/abwsim -exp all -seed 1 -md %s\n",
-			*committed, *committed)
+			committed, committed)
 		os.Exit(1)
 	}
-	fmt.Printf("goldencheck: %s matches a fresh seed-1 regeneration (%d sections)\n", *committed, len(wantOrder))
+	fmt.Printf("goldencheck: %s matches a fresh seed-1 regeneration (%d sections)\n", committed, len(wantOrder))
 }
 
 // sections splits a results document into its preamble (everything

@@ -9,15 +9,22 @@ import (
 	"abw/internal/unit"
 )
 
-// sourceLinks are the two ways a source's packets cross a link: folded
-// by a plain FIFO, or carried by events on a jittered one.
+// sourceLinks are the ways a source's packets cross a link: folded by
+// a plain FIFO, folded by a lossy, a buffered or a fading one (its one
+// capacity step falls in the warm-up), or carried by events on a RED
+// one.
 var sourceLinks = []struct {
 	name   string
 	events float64 // per packet
 	setup  func(*sim.Link)
 }{
 	{"folded", 0, func(*sim.Link) {}},
-	{"jittered", 2, func(l *sim.Link) { l.SetJitter(time.Microsecond, rng.New(9)) }},
+	{"lossy", 0, func(l *sim.Link) { l.SetLoss(sim.NewBernoulliLoss(0.01, rng.New(9))) }},
+	{"buffered", 0, func(l *sim.Link) { l.SetBuffer(30000) }},
+	{"fading", 0, func(l *sim.Link) {
+		l.SetCapacitySchedule([]sim.CapacityStep{{At: 0, Rate: 100 * unit.Mbps}, {At: 100 * time.Millisecond, Rate: 80 * unit.Mbps}})
+	}},
+	{"red", 2, func(l *sim.Link) { l.SetDiscipline(sim.NewRED(sim.REDConfig{}, rng.New(9))) }},
 }
 
 // BenchmarkSourcePacket is the source rung of the simulator ladder: one
@@ -25,7 +32,7 @@ var sourceLinks = []struct {
 // recorder, the clock advanced until b.N packets have been forwarded.
 // It reports the wall time, the events fired (from the simulator's own
 // counters) and the allocations per packet; the last must be 0, and the
-// events 0 on a folding link and 2 on a jittered one.
+// events 0 on a folding link and 2 on a RED one.
 func BenchmarkSourcePacket(b *testing.B) {
 	cfg := Stream{Rate: 50 * unit.Mbps}
 	for _, lk := range sourceLinks {

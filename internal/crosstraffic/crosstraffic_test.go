@@ -220,14 +220,13 @@ func TestPoissonPanicsWithoutRand(t *testing.T) {
 
 // TestFinishedSourceLeavesNothingPending: a finished source leaves no
 // event behind, whatever its model — ParetoOnOff's bursts included. On
-// a plain link the feed folds and schedules nothing at all; on a
-// jittered one it schedules a packet only once its process has returned
-// it, and each packet costs two events: the feed's and the link's
-// txDone.
+// a FIFO link the feed folds and schedules nothing at all; on a RED
+// one it schedules a packet only once its process has returned it, and
+// each packet costs two events: the feed's and the link's txDone.
 func TestFinishedSourceLeavesNothingPending(t *testing.T) {
 	const until = 100 * time.Millisecond
 	cfg := Stream{Rate: 10 * unit.Mbps}
-	for _, jittered := range []bool{false, true} {
+	for _, red := range []bool{false, true} {
 		for name, m := range map[string]Model{
 			"cbr":            CBR(cfg),
 			"poisson":        Poisson(cfg, rng.New(1)),
@@ -238,9 +237,9 @@ func TestFinishedSourceLeavesNothingPending(t *testing.T) {
 			// 12 µs a packet: the last one is through well before until.
 			l := s.NewLink("l", unit.Gbps, time.Millisecond)
 			perPacket := uint64(0)
-			if jittered {
-				name += "/jittered"
-				l.SetJitter(time.Microsecond, rng.New(4))
+			if red {
+				name += "/red"
+				l.SetDiscipline(sim.NewRED(sim.REDConfig{}, rng.New(4)))
 				perPacket = 2
 			}
 			ctr := feed(s, []*sim.Link{l}, m, 0, until)

@@ -227,19 +227,26 @@ func (q *Queue) Schedule(at time.Duration, fn func()) Handle {
 // a long-lived callback and arg a pooled object, this form schedules
 // without allocating a closure — the simulator's packet hot path runs
 // entirely on it.
+//
+// Numbers count in twos. The odd number below the counter sorts after
+// every event scheduled so far and before every event scheduled next,
+// which is the number an event would have had if it had been scheduled
+// now; a caller that learns of such an event later schedules it under
+// that number with ScheduleArgSeq.
 func (q *Queue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
 	seq := q.seq
-	q.seq++
+	q.seq += 2
 	return q.ScheduleArgSeq(at, seq, fn, arg)
 }
 
 // ReserveSeq sets aside n consecutive sequence numbers at the current
-// point of the insertion order and returns the first. Only the relative
-// order of numbers matters, so a caller that does not know its count may
-// reserve a generous block.
+// point of the insertion order and returns the first; ReserveSeq(0)
+// reads the next number without taking it. Only the relative order of
+// numbers matters, so a caller that does not know its count may reserve
+// a generous block. The counter stays even.
 func (q *Queue) ReserveSeq(n uint64) uint64 {
 	base := q.seq
-	q.seq += n
+	q.seq += n + n&1
 	return base
 }
 
@@ -607,6 +614,19 @@ func (q *Queue) Release(e *Event) {
 		return
 	}
 	q.free = append(q.free, e)
+}
+
+// PendingBefore reports whether a live event at time at with a number
+// below seq is still to fire. It is meant for at equal to the time of
+// the event being fired: such events sit in the run slice, in order, so
+// it looks no further and never moves the cursor.
+func (q *Queue) PendingBefore(at time.Duration, seq uint64) bool {
+	for _, e := range q.run[q.runPos:] {
+		if !e.canceled {
+			return e.At == at && e.seq < seq
+		}
+	}
+	return false
 }
 
 // Peek returns the earliest pending event without removing it, or nil.

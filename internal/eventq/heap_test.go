@@ -50,13 +50,13 @@ func (q *heapQueue) Schedule(at time.Duration, fn func()) Handle {
 
 func (q *heapQueue) ScheduleArg(at time.Duration, fn func(any), arg any) Handle {
 	seq := q.seq
-	q.seq++
+	q.seq += 2
 	return q.ScheduleArgSeq(at, seq, fn, arg)
 }
 
 func (q *heapQueue) ReserveSeq(n uint64) uint64 {
 	base := q.seq
-	q.seq += n
+	q.seq += n + n&1
 	return base
 }
 

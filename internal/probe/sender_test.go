@@ -104,7 +104,7 @@ func TestSendOverSimInvalidSpec(t *testing.T) {
 func TestSendOverSimRecordsLossWithTinyBuffer(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 10*unit.Mbps, 0)
-	l.BufferBytes = 1500
+	l.SetBuffer(1500)
 	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(100*unit.Mbps, 1500, 20), 0, 1)
 	if err != nil {
 		t.Fatal(err)

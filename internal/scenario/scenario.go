@@ -314,7 +314,7 @@ func Compile(spec Spec) (*Compiled, error) {
 			prop = time.Millisecond
 		}
 		links[h] = s.NewLink(fmt.Sprintf("hop%d", h), capacity, prop)
-		links[h].BufferBytes = hop.Buffer
+		links[h].SetBuffer(hop.Buffer)
 		var rec *sim.Recorder
 		if recs != nil {
 			rec = sim.NewRecorder(capacity)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"abw/internal/unit"
@@ -103,18 +104,28 @@ func (l *Link) SetCapacitySchedule(steps []CapacityStep) {
 	copy(own, steps)
 	l.Capacity = own[0].Rate
 	l.capSteps = own
+	l.capSeq = make([]uint64, len(own))
+	for i := range l.capSeq {
+		l.capSeq[i] = math.MaxUint64 // not scheduled yet
+	}
 	// Steps are chained lazily: each event applies one rate and
 	// schedules the next, so a long fading schedule costs one pending
 	// event at a time, not len(steps) heap entries up front.
+	// A folding link reads the step numbers to order a step against a
+	// fed arrival at its instant.
 	var apply func(i int)
+	next := func(i int) {
+		l.capSeq[i] = l.sim.q.ReserveSeq(0)
+		l.sim.At(own[i].At, func() { apply(i) })
+	}
 	apply = func(i int) {
-		l.Capacity = own[i].Rate
+		l.Capacity, l.capIdx = own[i].Rate, i
 		if i+1 < len(own) {
-			l.sim.At(own[i+1].At, func() { apply(i + 1) })
+			next(i + 1)
 		}
 	}
 	if len(own) > 1 {
-		l.sim.At(own[1].At, func() { apply(1) })
+		next(1)
 	}
 }
 

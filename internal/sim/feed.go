@@ -42,11 +42,12 @@ type feed struct {
 // from inside Feed, then once for each element as its predecessor
 // arrives.
 //
-// A series of KindCross packets on a one-hop route whose link is a
-// plain idle FIFO — no discipline, loss model, jitter, capacity
-// schedule, buffer bound or recorder — is folded: the link serves it
-// by arithmetic, in the same order, and it schedules no events at all
-// (see fold.go). Every other series schedules one event per element.
+// A series of KindCross packets on a one-hop route whose link has no
+// discipline and no recorder and nothing in transmission is folded,
+// whatever loss model, jitter, capacity schedule or buffer bound the
+// link has: the link serves it by arithmetic, in the same order, and it
+// schedules no events at all (see fold.go). Every other series
+// schedules one event per element.
 func (s *Sim) Feed(route []*Link, kind Kind, flow int, next func() (at time.Duration, size unit.Bytes, ok bool)) {
 	f := &feed{next: next, route: route, kind: kind, flow: flow, seq: s.q.ReserveSeq(feedSeqBlock)}
 	if len(route) == 1 && kind == KindCross && route[0].canFold() && !eagerFeeds {

@@ -22,6 +22,31 @@ import (
 
 const foldHorizon = 200 * time.Millisecond
 
+// The tie hops of the script run at gridRate, which sends a 1500-byte
+// packet in exactly a millisecond, and are fed bursts of gridBurst of
+// them, so their departures fall on the millisecond grid.
+const (
+	gridRate  = 12 * unit.Mbps
+	gridBurst = 4
+)
+
+// listed is a fed series read off a list of (time, size) elements.
+type listed []element
+
+type element struct {
+	at   time.Duration
+	size unit.Bytes
+}
+
+func (l *listed) Next() (time.Duration, unit.Bytes, bool) {
+	if len(*l) == 0 {
+		return 0, 0, false
+	}
+	e := (*l)[0]
+	*l = (*l)[1:]
+	return e.at, e.size, true
+}
+
 // linkCounters is what a link shows between events.
 type linkCounters struct {
 	Forwarded, Dropped, Lost int64
@@ -69,6 +94,7 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	var out foldOutcome
 
 	links := make([]*Link, 1+r.Intn(4))
+	grids := make([]bool, len(links)) // the tie hops, on gridRate's millisecond grid
 	for h := range links {
 		capacity := unit.Rate(10+90*r.Float64()) * unit.Mbps
 		var prop time.Duration
@@ -77,9 +103,10 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 		}
 		l := s.NewLink(fmt.Sprintf("hop%d", h), capacity, prop)
 		kind := "plain"
-		switch r.Intn(14) {
+		switch r.Intn(17) {
 		case 0:
-			kind, l.BufferBytes = "buffer", unit.Bytes(6000+r.Intn(30000))
+			kind = "buffer"
+			l.SetBuffer(unit.Bytes(6000 + r.Intn(30000)))
 		case 1:
 			kind = "jitter"
 			l.SetJitter(time.Duration(r.Float64()*float64(300*time.Microsecond))+1, rng.New(r.Uint64()))
@@ -98,9 +125,33 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 		case 6:
 			kind = "recorded"
 			l.Attach(NewRecorder(capacity))
+		case 7:
+			kind = "lossy+jitter"
+			l.SetLoss(NewGilbertElliott(GilbertElliottConfig{PGoodBad: 0.02}, rng.New(r.Uint64())))
+			l.SetJitter(time.Duration(r.Float64()*float64(300*time.Microsecond))+1, rng.New(r.Uint64()))
+		case 8:
+			kind, grids[h] = "tight", true
+			capacity, l.Capacity = gridRate, gridRate
+			l.SetBuffer(unit.Bytes(gridBurst-1)*1500 + unit.Bytes(r.Intn(1500)))
+		case 9:
+			kind, grids[h] = "steps", true
+			capacity, l.Capacity = gridRate, gridRate
+			steps := []CapacityStep{{0, gridRate}}
+			for at := time.Duration(0); ; {
+				at += time.Duration(1+r.Intn(40)) * time.Millisecond
+				if at > foldHorizon {
+					break
+				}
+				steps = append(steps, CapacityStep{at, gridRate / unit.Rate(1+r.Intn(3))})
+			}
+			l.SetCapacitySchedule(steps)
+			if r.Intn(2) == 0 {
+				l.SetBuffer(unit.Bytes(gridBurst-1)*1500 + unit.Bytes(r.Intn(1500)))
+			}
 		}
 		out.Hops = append(out.Hops, fmt.Sprintf("%s %s %v prop %v", l.Name, kind, capacity, prop))
-		out.Folds = append(out.Folds, kind == "plain") // cleared below if no source lands on it
+		eager := kind == "red" || kind == "codel" || kind == "recorded"
+		out.Folds = append(out.Folds, !eager) // cleared below if no source lands on it
 		links[h] = l
 	}
 
@@ -115,6 +166,9 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	var sources []source
 	for k := 0; k < 5; k++ {
 		h, sseed := r.Intn(len(links)), r.Uint64()
+		if grids[h] {
+			continue // off-grid arrivals would break the ties
+		}
 		st := crosstraffic.Stream{Rate: links[h].Capacity * unit.Rate(0.06+0.12*r.Float64()), Sizes: mix}
 		var build func() crosstraffic.Process
 		switch k {
@@ -143,7 +197,7 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 		sources = append(sources, source{h, build})
 	}
 	for h := range links {
-		out.Folds[h] = out.Folds[h] && slices.ContainsFunc(sources, func(src source) bool { return src.hop == h })
+		out.Folds[h] = out.Folds[h] && (grids[h] || slices.ContainsFunc(sources, func(src source) bool { return src.hop == h }))
 	}
 	// T[h] holds the instants the sources on hop h emit at.
 	T := make([][]time.Duration, len(links))
@@ -161,10 +215,11 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	sizes := []unit.Bytes{40, 576, 1500}
 	// probe sends a packet into hop h0 at the instant at; whole probes
 	// carry their remaining route, the others one hop per packet.
-	probe := func(h0 int, at time.Duration) {
+	var probeSized func(h0 int, at time.Duration, size unit.Bytes)
+	probe := func(h0 int, at time.Duration) { probeSized(h0, at, sizes[r.Intn(len(sizes))]) }
+	probeSized = func(h0 int, at time.Duration, size unit.Bytes) {
 		id := len(out.Probes)
 		out.Probes = append(out.Probes, nil)
-		size := sizes[r.Intn(len(sizes))]
 		drop := func(*Packet, *Link, time.Duration) { out.Probes[id] = append(out.Probes[id], -1) }
 		if id%2 == 0 {
 			p := s.NewPacket()
@@ -222,10 +277,67 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	gaps(func(_, _ int, before time.Duration) { // (g)
 		s.At(before, func() { s.Cancel(s.At(before+1, func() { panic("cancelled timer fired") })) })
 	})
+	// The tie hops: every period a burst of gridBurst 1500-byte packets,
+	// which fills the buffer to within a packet of its bound and leaves
+	// one a millisecond, and single fed elements on those departures.
+	// D[h] holds the departure instants, which probes aim at from every
+	// side: injected before the feeds start (a) and after (b), from an
+	// event at the instant (c), from the start of the departing packet's
+	// transmission, scheduled before the feeds start and after (d), and
+	// from the nanosecond before (e).
+	D := make([][]time.Duration, len(links))
+	var gridSeries []*listed
+	var gridHops []int
+	tie := func(h int, at time.Duration) { probeSized(h, at, []unit.Bytes{750, 1500, 1500}[r.Intn(3)]) }
+	for h := range links {
+		if !grids[h] {
+			continue
+		}
+		period := time.Duration(gridBurst+1+r.Intn(4)) * time.Millisecond
+		bursts, singles := listed{}, listed{}
+		for at := time.Duration(0); at < foldHorizon; at += period {
+			for j := 1; j <= gridBurst; j++ {
+				bursts = append(bursts, element{at, 1500})
+				D[h] = append(D[h], at+time.Duration(j)*time.Millisecond)
+				if r.Intn(4) == 0 {
+					singles = append(singles, element{at + time.Duration(j)*time.Millisecond, 1500})
+				}
+			}
+		}
+		gridSeries = append(gridSeries, &bursts, &singles)
+		gridHops = append(gridHops, h, h)
+		for _, d := range D[h] {
+			switch h, d := h, d; r.Intn(8) {
+			case 0: // (a)
+				tie(h, d)
+			case 1: // (c)
+				s.At(d, func() { tie(h, d) })
+			case 2: // (d), before the feeds
+				s.At(d-time.Millisecond, func() { tie(h, d) })
+			case 3: // (e)
+				s.At(d-1, func() { tie(h, d) })
+			}
+		}
+	}
 	counters := make([]*crosstraffic.Counter, len(sources))
 	for k, src := range sources {
 		counters[k] = &crosstraffic.Counter{Process: src.build()}
 		s.Feed(links[src.hop:src.hop+1], KindCross, 1000+k, counters[k].Next)
+	}
+	for k, g := range gridSeries {
+		ctr := &crosstraffic.Counter{Process: g}
+		counters = append(counters, ctr)
+		s.Feed(links[gridHops[k]:gridHops[k]+1], KindCross, 2000+k, ctr.Next)
+	}
+	for h := range D {
+		for _, d := range D[h] {
+			switch h, d := h, d; r.Intn(6) {
+			case 0: // (b)
+				tie(h, d)
+			case 1: // (d), after the feeds
+				s.At(d-time.Millisecond, func() { tie(h, d) })
+			}
+		}
 	}
 	if r.Intn(2) == 0 {
 		load := &crosstraffic.Counter{Process: crosstraffic.CBR(crosstraffic.Stream{
@@ -366,25 +478,29 @@ func TestFoldedLinkCountsBetweenEvents(t *testing.T) {
 	}
 }
 
-// TestFoldingLinkRefusesNewBehavior: what folding cannot serve may be
-// installed before a link is fed (the feed then takes the event path),
-// but not once the link folds — the setters panic, and a buffer bound,
-// a plain field nothing intercepts, panics at the next catch-up.
+// TestFoldingLinkRefusesNewBehavior: only a discipline or a recorder
+// installed before a link is fed keeps it on the event path; loss,
+// jitter, a capacity schedule and a buffer bound fold. Once the link
+// folds, every setter panics: its catch-up was chosen when it was fed.
 func TestFoldingLinkRefusesNewBehavior(t *testing.T) {
-	for name, set := range map[string]func(*Link){
-		"SetDiscipline":       func(l *Link) { l.SetDiscipline(NewRED(REDConfig{}, rng.New(1))) },
-		"SetLoss":             func(l *Link) { l.SetLoss(NewBernoulliLoss(0.1, rng.New(1))) },
-		"SetJitter":           func(l *Link) { l.SetJitter(time.Microsecond, rng.New(1)) },
-		"SetCapacitySchedule": func(l *Link) { l.SetCapacitySchedule([]CapacityStep{{0, unit.Mbps}}) },
-		"Attach":              func(l *Link) { l.Attach(NewRecorder(l.Capacity)) },
-		"BufferBytes":         func(l *Link) { l.BufferBytes = 3000; l.Forwarded() },
+	for name, c := range map[string]struct {
+		set   func(*Link)
+		folds bool
+	}{
+		"SetDiscipline":       {func(l *Link) { l.SetDiscipline(NewRED(REDConfig{}, rng.New(1))) }, false},
+		"Attach":              {func(l *Link) { l.Attach(NewRecorder(l.Capacity)) }, false},
+		"SetLoss":             {func(l *Link) { l.SetLoss(NewBernoulliLoss(0.1, rng.New(1))) }, true},
+		"SetJitter":           {func(l *Link) { l.SetJitter(time.Microsecond, rng.New(1)) }, true},
+		"SetCapacitySchedule": {func(l *Link) { l.SetCapacitySchedule([]CapacityStep{{0, unit.Mbps}}) }, true},
+		"SetBuffer":           {func(l *Link) { l.SetBuffer(3000) }, true},
 	} {
+		set := c.set
 		s := New()
 		l := s.NewLink("l", 12*unit.Mbps, 0)
 		set(l)
 		s.Feed([]*Link{l}, KindCross, 0, burst(3, 0, 1500))
-		if l.fold != nil || s.Pending() != 1 {
-			t.Errorf("%s before the feed: the link folds (%d events pending), want the event path", name, s.Pending())
+		if folds := l.fold != nil && s.Pending() == 0; folds != c.folds {
+			t.Errorf("%s before the feed: folds %v (%d events pending), want %v", name, folds, s.Pending(), c.folds)
 		}
 
 		s = New()

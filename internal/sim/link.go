@@ -27,10 +27,12 @@ import (
 //     time-varying capacity (fading).
 //
 // With none of these installed the hot path is exactly the pre-existing
-// zero-allocation FIFO fast path, and such a link — given no recorder
-// and no buffer bound either — folds the one-hop cross traffic fed to
-// it (Sim.Feed, fold.go). Install these before feeding a link: the
-// setters panic on a link that already folds.
+// zero-allocation FIFO fast path. A link with no discipline and no
+// recorder folds the one-hop cross traffic fed to it (Sim.Feed,
+// fold.go), whatever else it has; loss, jitter, a capacity schedule and
+// a buffer bound (SetBuffer) are served by arithmetic too. Install
+// every behavior before feeding a link: the setters panic on a link
+// that already folds.
 type Link struct {
 	sim *Sim
 
@@ -41,10 +43,9 @@ type Link struct {
 	Capacity unit.Rate
 	// PropDelay is the fixed propagation latency to the next hop.
 	PropDelay time.Duration
-	// BufferBytes caps the queue size in bytes, counting queued packets
-	// but not the one in transmission. Zero means unbounded (the paper's
-	// simulations never drop probe traffic except in the TCP study).
-	BufferBytes unit.Bytes
+
+	// buffer caps the queue size in bytes (SetBuffer).
+	buffer unit.Bytes
 
 	queue       []*Packet
 	head        int
@@ -63,6 +64,8 @@ type Link struct {
 	jitterMax  time.Duration
 	jitterRand *rng.Rand
 	capSteps   []CapacityStep
+	capIdx     int      // the step in force
+	capSeq     []uint64 // each step's event number once scheduled
 
 	// Statistics.
 	forwarded    int64
@@ -87,6 +90,14 @@ func (s *Sim) NewLink(name string, capacity unit.Rate, propDelay time.Duration) 
 		panic(fmt.Sprintf("sim: link %q with negative propagation delay %v", name, propDelay))
 	}
 	return &Link{sim: s, Name: name, Capacity: capacity, PropDelay: propDelay}
+}
+
+// SetBuffer caps the queue in bytes, counting queued packets but not
+// the one in transmission. Zero, the default, means unbounded (the
+// paper's simulations never drop probe traffic except in the TCP study).
+func (l *Link) SetBuffer(b unit.Bytes) {
+	l.mustNotFold("SetBuffer")
+	l.buffer = b
 }
 
 // Attach associates a ground-truth recorder with the link. Pass nil to
@@ -116,9 +127,6 @@ func (l *Link) SetLoss(m LossModel) {
 	l.loss = m
 }
 
-// Loss returns the installed loss model (nil if none).
-func (l *Link) Loss() LossModel { return l.loss }
-
 // SetJitter adds independent uniform extra propagation delay in
 // [0, max) to every forwarded packet, drawn from r — the bounded
 // reordering model: a packet can overtake at most the packets within
@@ -135,9 +143,6 @@ func (l *Link) SetJitter(max time.Duration, r *rng.Rand) {
 	l.jitterMax, l.jitterRand = max, r
 }
 
-// Jitter returns the jitter bound (0 = in-order delivery).
-func (l *Link) Jitter() time.Duration { return l.jitterMax }
-
 // Forwarded returns the number of packets fully transmitted by the link.
 func (l *Link) Forwarded() int64 {
 	l.settle()
@@ -147,16 +152,28 @@ func (l *Link) Forwarded() int64 {
 // Dropped returns the number of packets dropped by the queue: buffer
 // tail drops plus discipline (AQM) drops. Random-loss kills are
 // counted by Lost instead.
-func (l *Link) Dropped() int64 { return l.dropped }
+func (l *Link) Dropped() int64 {
+	l.settle()
+	return l.dropped
+}
 
 // DroppedBytes returns the bytes dropped by the queue.
-func (l *Link) DroppedBytes() unit.Bytes { return l.droppedBytes }
+func (l *Link) DroppedBytes() unit.Bytes {
+	l.settle()
+	return l.droppedBytes
+}
 
 // Lost returns the number of packets killed by the link's loss model.
-func (l *Link) Lost() int64 { return l.lost }
+func (l *Link) Lost() int64 {
+	l.settle()
+	return l.lost
+}
 
 // LostBytes returns the bytes killed by the link's loss model.
-func (l *Link) LostBytes() unit.Bytes { return l.lostBytes }
+func (l *Link) LostBytes() unit.Bytes {
+	l.settle()
+	return l.lostBytes
+}
 
 // BytesServed returns the total bytes transmitted.
 func (l *Link) BytesServed() unit.Bytes {
@@ -193,23 +210,15 @@ func (l *Link) deliver(p *Packet) {
 	if l.rec != nil {
 		l.rec.arrival(now, p)
 	}
-	if l.loss != nil && l.loss.Lose(p) {
-		l.lost++
-		l.lostBytes += p.Size
-		if l.rec != nil {
-			l.rec.drop(now, p)
-		}
-		if p.OnDrop != nil {
-			p.OnDrop(p, l, now)
-		}
-		l.sim.releasePacket(p)
+	if l.loss != nil && l.loss.Lose() {
+		l.kill(p, now)
 		return
 	}
 	if l.disc != nil && !l.disc.Admit(l, p) {
 		l.drop(p, now)
 		return
 	}
-	if l.BufferBytes > 0 && l.queuedBytes+p.Size > l.BufferBytes && l.busy {
+	if l.buffer > 0 && l.queuedBytes+p.Size > l.buffer && l.busy {
 		l.drop(p, now)
 		return
 	}
@@ -219,6 +228,19 @@ func (l *Link) deliver(p *Packet) {
 	if !l.busy {
 		l.startTx()
 	}
+}
+
+// kill disposes of a packet the loss model killed.
+func (l *Link) kill(p *Packet, now time.Duration) {
+	l.lost++
+	l.lostBytes += p.Size
+	if l.rec != nil {
+		l.rec.drop(now, p)
+	}
+	if p.OnDrop != nil {
+		p.OnDrop(p, l, now)
+	}
+	l.sim.releasePacket(p)
 }
 
 // drop disposes of a queue-dropped packet (tail drop or AQM drop).
@@ -270,25 +292,30 @@ func (l *Link) txDone() {
 	if l.rec != nil {
 		l.rec.busyInterval(start, l.sim.now)
 	}
-	l.handOff(p)
+	l.handOff(p, l.jitter())
 	l.startTx()
 }
 
-// handOff passes a packet whose transmission ends now to the next hop
-// after propagation (plus per-packet jitter when reordering is
-// enabled). Propagation is pipelined: the link can transmit the next
-// packet while this one is in flight — which is exactly what lets a
-// jittered packet overtake. A packet leaving the last link of its route
-// with no OnArrive is released here rather than by an advance event
-// PropDelay later: nobody can observe that arrival, and dropping one
-// Schedule leaves every other pair of events in the same (At, seq)
-// order. The jitter draw is made regardless, because it advances
-// jitterRand for the packets that follow.
-func (l *Link) handOff(p *Packet) {
-	prop := l.PropDelay
-	if l.jitterMax > 0 {
-		prop += time.Duration(l.jitterRand.Float64() * float64(l.jitterMax))
+// jitter draws a packet's extra propagation delay, in departure order
+// (0 on a link without jitter).
+func (l *Link) jitter() time.Duration {
+	if l.jitterMax == 0 {
+		return 0
 	}
+	return time.Duration(l.jitterRand.Float64() * float64(l.jitterMax))
+}
+
+// handOff passes a packet whose transmission ends now to the next hop
+// after propagation plus its jitter draw. Propagation is pipelined: the
+// link can transmit the next packet while this one is in flight — which
+// is exactly what lets a jittered packet overtake. A packet leaving the
+// last link of its route with no OnArrive is released here rather than
+// by an advance event PropDelay later: nobody can observe that arrival,
+// and dropping one Schedule leaves every other pair of events in the
+// same (At, seq) order. The caller draws the jitter regardless, because
+// the draw advances jitterRand for the packets that follow.
+func (l *Link) handOff(p *Packet, jitter time.Duration) {
+	prop := l.PropDelay + jitter
 	switch {
 	case prop == 0:
 		p.hop++

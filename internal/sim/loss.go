@@ -18,7 +18,7 @@ type LossModel interface {
 	// Lose reports whether this arrival is killed by the loss process.
 	// It is called exactly once per arrival, in arrival order, so a
 	// seeded model is exactly reproducible.
-	Lose(p *Packet) bool
+	Lose() bool
 	// MeanRate returns the stationary loss probability — the analytic
 	// hook ground-truth accounting uses to convert offered load into
 	// carried load.
@@ -45,7 +45,7 @@ func NewBernoulliLoss(p float64, r *rng.Rand) LossModel {
 }
 
 func (b *bernoulli) Name() string      { return "bernoulli" }
-func (b *bernoulli) Lose(*Packet) bool { return b.r.Float64() < b.p }
+func (b *bernoulli) Lose() bool        { return b.r.Float64() < b.p }
 func (b *bernoulli) MeanRate() float64 { return b.p }
 
 // GilbertElliottConfig parameterizes the two-state bursty loss chain:
@@ -108,7 +108,7 @@ func NewGilbertElliott(cfg GilbertElliottConfig, r *rng.Rand) LossModel {
 
 func (g *gilbertElliott) Name() string { return "gilbert" }
 
-func (g *gilbertElliott) Lose(*Packet) bool {
+func (g *gilbertElliott) Lose() bool {
 	flip := g.r.Float64()
 	if g.bad {
 		if flip < g.cfg.PBadGood {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func randomPath(s *Sim, r *rng.Rand, dm disciplineMaker, lm lossMaker) []*Link {
 		prop := time.Duration(r.Float64() * float64(5*time.Millisecond))
 		l := s.NewLink(fmt.Sprintf("hop%d", h), cap, prop)
 		if r.Float64() < 0.5 {
-			l.BufferBytes = unit.Bytes(15000 + r.Uint64()%90000)
+			l.SetBuffer(unit.Bytes(15000 + r.Uint64()%90000))
 		}
 		l.SetDiscipline(dm.make(rng.New(r.Uint64())))
 		l.SetLoss(lm.make(rng.New(r.Uint64())))
@@ -74,8 +75,8 @@ func randomPath(s *Sim, r *rng.Rand, dm disciplineMaker, lm lossMaker) []*Link {
 // the path is accounted for exactly once at each hop — forwarded,
 // queue-dropped, or loss-killed — in both packets and bytes, that
 // end-to-end deliveries equal the last hop's forwarded count, and that
-// every queue is empty after Run. The plain hops of the nil/none cell
-// also carry one-hop cross traffic, which they fold.
+// every queue is empty after Run. Every hop also carries one-hop cross
+// traffic, which the hops without a discipline fold.
 func TestConservationAcrossModelGrid(t *testing.T) {
 	for _, dm := range disciplineMakers() {
 		for _, lm := range lossMakers() {
@@ -88,22 +89,31 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 
 					const n = 3000
 					var delivered, sentBytes int64
+					// lost[h] and lostBytes[h] count the path's packets
+					// hop h discarded, whatever the cause.
+					lost := make([]int64, len(links))
+					lostBytes := make([]int64, len(links))
+					onDrop := func(p *Packet, l *Link, _ time.Duration) {
+						h := slices.Index(links, l)
+						lost[h]++
+						lostBytes[h] += int64(p.Size)
+					}
 					for i := 0; i < n; i++ {
 						p := s.NewPacket()
 						p.Size = unit.Bytes(200 + r.Uint64()%1300)
 						p.Route = links
 						p.OnArrive = func(*Packet, time.Duration) { delivered++ }
+						p.OnDrop = onDrop
 						sentBytes += int64(p.Size)
 						// Bursty arrivals so queues actually build.
 						s.Inject(p, time.Duration(r.Float64()*float64(2*time.Second)))
 					}
 					// fed[h] counts the 1000-byte cross packets fed to hop
-					// h, all of which a folding hop forwards.
+					// h; folds[h] says whether the hop folds them.
 					fed := make([]int64, len(links))
+					folds := make([]bool, len(links))
 					for h, l := range links {
-						if !l.canFold() {
-							continue
-						}
+						folds[h] = l.canFold()
 						h, cr := h, rng.New(seed+uint64(h)*100)
 						var at time.Duration
 						s.Feed([]*Link{l}, KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
@@ -118,6 +128,7 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 					s.Run()
 
 					in := int64(n)
+					var foldedFwd int64
 					inBytes := sentBytes
 					for h, l := range links {
 						in += fed[h]
@@ -133,20 +144,25 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 							t.Fatalf("seed %d hop %d: queue not drained after Run (%d pkts, %d bytes)",
 								seed, h, l.QueueLen(), l.QueuedBytes())
 						}
-						in = l.Forwarded() - fed[h]
-						inBytes = int64(l.BytesServed()) - 1000*fed[h]
+						// What the hop forwarded of the path's packets goes
+						// on to the next hop; the rest it forwarded was fed.
+						fedFwd := l.Forwarded() - (in - fed[h] - lost[h])
+						if fedFwd < 0 || fedFwd > fed[h] {
+							t.Fatalf("seed %d hop %d: forwarded %d of the %d packets fed to it", seed, h, fedFwd, fed[h])
+						}
+						if folds[h] {
+							foldedFwd += fedFwd
+						}
+						in -= fed[h] + lost[h]
+						inBytes -= 1000*fed[h] + lostBytes[h]
 					}
 					if delivered != in {
 						t.Fatalf("seed %d: delivered %d != last hop forwarded %d", seed, delivered, in)
 					}
-					var fedAll int64
-					for _, k := range fed {
-						fedAll += k
+					if folded := s.Stats().Folded; folded != uint64(foldedFwd) {
+						t.Fatalf("seed %d: folded %d packets, folding hops forwarded %d fed ones", seed, folded, foldedFwd)
 					}
-					if folded := s.Stats().Folded; folded != uint64(fedAll) {
-						t.Fatalf("seed %d: folded %d packets, fed %d to folding hops", seed, folded, fedAll)
-					}
-					foldedCell += fedAll
+					foldedCell += foldedFwd
 					if lm.name == "none" && dm.name != "red" && dm.name != "codel" {
 						// No loss model and no AQM: only buffer bounds can
 						// drop, and those are honest congestion drops —
@@ -158,7 +174,7 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 						}
 					}
 				}
-				if plain := dm.name == "nil" && lm.name == "none"; plain != (foldedCell > 0) {
+				if fifo := dm.name == "nil"; fifo != (foldedCell > 0) {
 					t.Errorf("the cell's three paths folded %d packets", foldedCell)
 				}
 			})

@@ -176,10 +176,9 @@ func TestGilbertElliottBurstsAndMeanRate(t *testing.T) {
 	const n = 200000
 	losses, runs, cur := 0, []int{}, 0
 	ge2 := NewGilbertElliott(cfg, rng.New(5))
-	p := &Packet{}
 	for i := 0; i < n; i++ {
-		a := ge.Lose(p)
-		if b := ge2.Lose(p); a != b {
+		a := ge.Lose()
+		if b := ge2.Lose(); a != b {
 			t.Fatalf("same-seed Gilbert–Elliott diverged at packet %d", i)
 		}
 		if a {

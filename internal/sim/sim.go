@@ -18,12 +18,13 @@
 // callbacks are long-lived argument-taking functions rather than fresh
 // closures.
 //
-// One-hop open-loop cross traffic on a plain FIFO link costs no events
-// at all. Such a link folds its fed series through Lindley's recursion
-// (departure = max(arrival, previous departure) + L/C) whenever
-// something can observe it — an event-driven packet arriving, an
-// accessor read, the end of a run — in the order the events would have
-// fired (fold.go).
+// One-hop open-loop cross traffic costs no events at all on a link
+// without a queue discipline or a recorder, lossy, jittered, fading and
+// buffered links included. Such a link folds its fed series through
+// Lindley's recursion (departure = max(arrival, previous departure) +
+// L/C) whenever something can observe it — an event-driven packet
+// arriving, an accessor read, the end of a run — in the order the
+// events would have fired (fold.go).
 package sim
 
 import (
@@ -43,7 +44,10 @@ type Sim struct {
 	// arrival at now numbered below seq has happened. It is the firing
 	// event's number during an event, and the queue's next number after
 	// a run that reached its end time.
-	seq     uint64
+	seq uint64
+	// done is the key of the folded completion departFolded last fired;
+	// while it is firing, done.num equals seq (fold.go).
+	done    key
 	stopped bool
 
 	pktFree []*Packet
@@ -51,8 +55,11 @@ type Sim struct {
 	stats   Stats
 
 	// folding lists the links that fold fed series, for the end-of-run
-	// catch-up.
+	// catch-up; log is the firing log of fold.go, kept while one of
+	// them is not plain.
 	folding []*Link
+	log     []fired
+	logGen  uint64
 
 	// Long-lived callbacks for the packet hot path, built once so
 	// scheduling them never allocates a closure.
@@ -106,14 +113,17 @@ func (s *Sim) Stop() { s.stopped = true }
 // fire runs one popped event with the clock at its place.
 func (s *Sim) fire(e *eventq.Event) {
 	s.now, s.seq = e.At, e.Seq()
+	if s.log != nil {
+		s.logFire(e.At, e.Seq())
+	}
 	e.Call()
 	s.q.Release(e)
 }
 
 // Run executes events until the queue drains or Stop is called. A run
 // that drains serves every folded series to its end, and the clock
-// ends at the last departure, as it would at the last transmission
-// event.
+// ends at the last departure or fed arrival, as it would at the last
+// transmission or feed event.
 func (s *Sim) Run() {
 	if s.stopped {
 		s.stopped = false
@@ -124,15 +134,17 @@ func (s *Sim) Run() {
 		if e == nil {
 			s.foldAll(maxTime, math.MaxUint64)
 			for _, l := range s.folding {
-				s.now = max(s.now, l.fold.free)
+				s.now = max(s.now, l.fold.free, l.fold.end)
 			}
 			s.seq = s.q.ReserveSeq(0)
+			s.resetLog(s.now, s.seq)
 			return
 		}
 		s.fire(e)
 	}
 	s.stopped = false
 	s.foldAll(s.now, s.seq)
+	s.resetLog(s.now, s.seq)
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to
@@ -163,6 +175,7 @@ func (s *Sim) RunUntil(t time.Duration) {
 	}
 	s.stopped = false
 	s.foldAll(s.now, s.seq)
+	s.resetLog(s.now, s.seq)
 }
 
 // Pending returns the number of queued events, for tests and leak checks.

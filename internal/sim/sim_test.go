@@ -280,7 +280,7 @@ func TestMultiHopPipelining(t *testing.T) {
 func TestBufferOverflowDrops(t *testing.T) {
 	s := New()
 	l := s.NewLink("l", 10*unit.Mbps, 0)
-	l.BufferBytes = 3000 // room for two 1500B packets in queue
+	l.SetBuffer(3000) // room for two 1500B packets in queue
 	delivered, dropped := 0, 0
 	for i := 0; i < 10; i++ {
 		s.Inject(&Packet{

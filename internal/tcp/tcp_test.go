@@ -22,7 +22,7 @@ func newTestbed(capacity unit.Rate, bufPkts int, rtt time.Duration) *testbed {
 	s := sim.New()
 	fwd := s.NewLink("bottleneck", capacity, rtt/2)
 	if bufPkts > 0 {
-		fwd.BufferBytes = unit.Bytes(bufPkts) * 1500
+		fwd.SetBuffer(unit.Bytes(bufPkts) * 1500)
 	}
 	rev := s.NewLink("reverse", unit.Gbps, rtt/2)
 	return &testbed{s: s, fwd: fwd, rev: rev}

@@ -14,7 +14,7 @@ func TestRTOFiresOnTotalLoss(t *testing.T) {
 	// and verify the RTO path recovers the transfer.
 	s := sim.New()
 	fwd := s.NewLink("bottleneck", 2*unit.Mbps, 10*time.Millisecond)
-	fwd.BufferBytes = 1
+	fwd.SetBuffer(1)
 	rev := s.NewLink("reverse", unit.Gbps, 10*time.Millisecond)
 	c, err := New(s, []*sim.Link{fwd}, []*sim.Link{rev}, 1, Config{RcvWnd: 8, MaxBytes: 30_000})
 	if err != nil {
@@ -33,7 +33,7 @@ func TestRTOFiresOnTotalLoss(t *testing.T) {
 func TestRTOBackoffResetsOnProgress(t *testing.T) {
 	s := sim.New()
 	fwd := s.NewLink("bottleneck", 10*unit.Mbps, 10*time.Millisecond)
-	fwd.BufferBytes = 6000
+	fwd.SetBuffer(6000)
 	rev := s.NewLink("reverse", unit.Gbps, 10*time.Millisecond)
 	c, err := New(s, []*sim.Link{fwd}, []*sim.Link{rev}, 1, Config{RcvWnd: 64})
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // every end-to-end tool returns the same report — estimate, range,
 // probing effort, samples, elapsed virtual time — on the default
 // (unrecorded) compile and on a Spec.Recorded compile of one scenario.
-// A recorder also keeps its link on the event path, so on every plain
-// FIFO hop this compares the folded cross traffic of the default
+// A recorder also keeps its link on the event path, so on every hop
+// this compares the folded cross traffic of the default
 // compile with the eager one of the recorded compile. The scenarios are
 // the golden test's four plus one with a capacity schedule, whose
 // install has a recorder half that only a recorded compile runs.
@@ -76,9 +76,9 @@ func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("reports differ:\n unrecorded %+v\n recorded   %+v", got, want)
 				}
-				// mice's only source is TCP, and fading's hop has a
-				// capacity schedule: neither has traffic to fold.
-				foldable := sc.Name != "mice" && sc.Name != "fading"
+				// mice's only source is TCP: it has no traffic to fold.
+				// fading's hop folds under its capacity schedule.
+				foldable := sc.Name != "mice"
 				if n := bare.Sim.Stats().Folded; foldable != (n > 0) {
 					t.Errorf("the default compile folded %d packets", n)
 				}

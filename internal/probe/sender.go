@@ -11,6 +11,11 @@ import (
 // simulation executes. The caller is responsible for running the
 // simulation far enough for all packets to arrive (or be dropped).
 //
+// The stream goes to the simulator whole (Sim.InjectStream): over
+// sealed links that fold it is carried as one batch, at most one event
+// a packet; elsewhere each packet is injected on its own. The record
+// is the same either way.
+//
 // flow labels the probe packets so multiple concurrent streams can share
 // a path without confusing the receiver.
 func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duration, flow int) (*Record, error) {
@@ -19,11 +24,13 @@ func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duratio
 		return nil, err
 	}
 	rec := NewRecord(spec)
+	for i, d := range deps {
+		rec.Sent[i] = at + d
+	}
 	// One pair of callbacks serves the whole stream (the arrival reads
-	// the sequence number off the packet), and the packets themselves
-	// come from the simulation's free list: they are recycled as soon as
-	// the callbacks return, so probing allocates per stream, not per
-	// packet.
+	// the sequence number off the packet), and the packets the
+	// simulator hands them are recycled as soon as they return, so
+	// probing allocates per stream, not per packet.
 	onArrive := func(p *sim.Packet, t time.Duration) {
 		rec.Recv[p.Seq] = t
 		rec.MarkResolved()
@@ -31,12 +38,7 @@ func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duratio
 	onDrop := func(*sim.Packet, *sim.Link, time.Duration) {
 		rec.MarkResolved()
 	}
-	for i, d := range deps {
-		rec.Sent[i] = at + d
-		p := s.NewPacket()
-		p.Size, p.Kind, p.Flow, p.Seq, p.Route = spec.PktSize, sim.KindProbe, flow, i, route
-		p.OnArrive, p.OnDrop = onArrive, onDrop
-		s.Inject(p, at+d)
-	}
+	s.InjectStream(sim.Packet{Size: spec.PktSize, Kind: sim.KindProbe, Flow: flow, Route: route,
+		OnArrive: onArrive, OnDrop: onDrop}, rec.Sent)
 	return rec, nil
 }

@@ -351,12 +351,20 @@ func Compile(spec Spec) (*Compiled, error) {
 		Recorders: recs,
 		Transport: core.NewSimTransport(s, path),
 	}
+	sealed := !needReverse && !resolved.Recorded
 	for h, hop := range resolved.Hops {
+		sealed = sealed && hop.Queue.Kind == QueueFIFO
 		for j, src := range hop.Traffic {
 			if err := runSource(s, root, links[h], reverse, h, j, src, resolved.Horizon); err != nil {
 				return nil, err
 			}
 		}
+	}
+	// Without TCP, a reverse link, a discipline or a recorder, nothing
+	// but the probe streams and the one-hop series fed above reaches
+	// the path, so the simulator may batch a stream across it.
+	if sealed {
+		s.Seal(links...)
 	}
 
 	// Analytic long-run ground truth: per-hop mean traffic rate from

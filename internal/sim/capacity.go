@@ -119,6 +119,7 @@ func (l *Link) SetCapacitySchedule(steps []CapacityStep) {
 		l.sim.At(own[i].At, func() { apply(i) })
 	}
 	apply = func(i int) {
+		l.sim.stats.StepEvents++
 		l.Capacity, l.capIdx = own[i].Rate, i
 		if i+1 < len(own) {
 			next(i + 1)

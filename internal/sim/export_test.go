@@ -18,3 +18,12 @@ func (s *Sim) SetPooling(on bool) {
 	s.noPool = !on
 	s.q.SetPooling(on)
 }
+
+// SetEagerProbes makes every later InjectStream take the event path,
+// sealed and folding links included (on true), or batch where it can
+// (on false), and returns the previous setting. It is the oracle switch
+// of the batch differentials, under the same rule as SetEagerFeeds.
+func SetEagerProbes(on bool) (was bool) {
+	was, eagerProbes = eagerProbes, on
+	return was
+}

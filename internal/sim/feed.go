@@ -47,12 +47,16 @@ type feed struct {
 // whatever loss model, jitter, capacity schedule or buffer bound the
 // link has: the link serves it by arithmetic, in the same order, and it
 // schedules no events at all (see fold.go). Every other series
-// schedules one event per element.
+// schedules one event per element, and the links of its route are no
+// longer sealed (Seal).
 func (s *Sim) Feed(route []*Link, kind Kind, flow int, next func() (at time.Duration, size unit.Bytes, ok bool)) {
 	f := &feed{next: next, route: route, kind: kind, flow: flow, seq: s.q.ReserveSeq(feedSeqBlock)}
 	if len(route) == 1 && kind == KindCross && route[0].canFold() && !eagerFeeds {
 		route[0].foldFeed(f)
 		return
+	}
+	for _, l := range route {
+		l.sealed = false // its events can reach the link at any time
 	}
 	if s.feedFn == nil { // built on first use: most simulations never feed eagerly
 		s.feedFn = s.fireFeed
@@ -85,9 +89,11 @@ func (s *Sim) scheduleFeed(f *feed) {
 // packet built ahead of time) and schedules its successor.
 func (s *Sim) fireFeed(arg any) {
 	f := arg.(*feed)
+	s.tally(f.kind)
 	p := s.NewPacket()
 	p.Size, p.Kind, p.Flow, p.Route = f.size, f.kind, f.flow, f.route
-	p.SentAt = s.now
+	p.SentAt, p.live = s.now, true
+	s.live++
 	s.forward(p)
 	f.seq++
 	s.scheduleFeed(f)

@@ -27,9 +27,11 @@ import (
 // departure order (FIFO: admission order), and the rate the capacity
 // schedule gives at the transmission's start. An event-driven packet's
 // completion is scheduled on admission and does what txDone does,
-// minus starting the next packet. Admitted packets wait in deps until
-// their departure passes, which keeps Forwarded, BytesServed, QueueLen
-// and QueuedBytes exact between events.
+// minus starting the next packet. A batched probe stream (batch.go)
+// admits its packets, and the fed elements before them, ahead of the
+// clock. Admitted packets wait in deps until their departure passes,
+// which keeps Forwarded, BytesServed, QueueLen and QueuedBytes exact
+// between events.
 //
 // Two events at one nanosecond can be told apart on a link with a
 // buffer bound or a capacity schedule, and a completion's place among
@@ -218,6 +220,22 @@ type folder struct {
 	// and its jitter draw.
 	eds    []edDeparture
 	edHead int
+
+	// ahead is the latest arrival a batch admitted (batch.go), -1 before
+	// the first. While batching is set the link admits ahead of the
+	// clock, and fed elements it loses wait in losses, from lossHead,
+	// until the clock passes them.
+	ahead    time.Duration
+	edAt     time.Duration // the latest event-driven arrival admitted
+	batching bool
+	losses   []lossAt
+	lossHead int
+}
+
+// lossAt is a fed element a batch lost ahead of the clock.
+type lossAt struct {
+	at   time.Duration
+	size unit.Bytes
 }
 
 // edDeparture is what departFolded needs of an event-driven packet on a
@@ -229,18 +247,21 @@ type edDeparture struct {
 
 // departure is one admitted packet's transmission end.
 type departure struct {
-	at     time.Duration
-	size   unit.Bytes
-	fed    bool // a folded element rather than an event-driven packet
-	waited bool // started by the departure before it, off the plain path
+	at      time.Duration
+	arr     time.Duration // when it reached the link
+	size    unit.Bytes
+	fed     bool // a folded element rather than an event-driven packet
+	batched bool // a batched probe (batch.go)
+	waited  bool // started by the departure before it, off the plain path
 }
 
 // canFold reports whether a fed series may be folded onto the link:
 // one with no discipline and no recorder, on which nothing is in
 // transmission, so that every completion the link schedules comes
-// after the series' reserved numbers.
+// after the series' reserved numbers, while no batched stream is in
+// flight, which may have admitted arrivals ahead of the new series'.
 func (l *Link) canFold() bool {
-	if l.disc != nil || l.rec != nil {
+	if l.disc != nil || l.rec != nil || l.sim.streams > 0 {
 		return false
 	}
 	if l.fold == nil || l.fold.plain {
@@ -260,22 +281,29 @@ func (l *Link) mustNotFold(what string) {
 
 // foldFeed makes f one of the link's folded series.
 func (l *Link) foldFeed(f *feed) {
-	s := l.sim
-	if l.fold == nil {
-		l.fold = &folder{
-			free:  -1,
-			plain: l.loss == nil && l.jitterMax == 0 && l.capSteps == nil && l.buffer == 0,
-			gone:  departure{at: -1},
-		}
-		s.folding = append(s.folding, l)
-		l.fold.idx = int32(len(s.folding))
-		s.callbacks() // departFolded hands packets on with advanceFn
-		if !l.fold.plain && s.log == nil {
-			s.log = make([]fired, 0, 64)
-		}
-	}
-	if f.pull(s.now) {
+	l.folds()
+	if f.pull(l.sim.now) {
 		l.fold.feeds = append(l.fold.feeds, f)
+	}
+}
+
+// folds makes the link a folding one, if it is not already.
+func (l *Link) folds() {
+	s := l.sim
+	if l.fold != nil {
+		return
+	}
+	l.fold = &folder{
+		free:  -1,
+		plain: l.loss == nil && l.jitterMax == 0 && l.capSteps == nil && l.buffer == 0,
+		gone:  departure{at: -1},
+		ahead: -1,
+	}
+	s.folding = append(s.folding, l)
+	l.fold.idx = int32(len(s.folding))
+	s.callbacks() // departFolded hands packets on with advanceFn
+	if !l.fold.plain && s.log == nil {
+		s.log = make([]fired, 0, 64)
 	}
 }
 
@@ -303,9 +331,9 @@ func (l *Link) catchUp(now time.Duration, seq uint64) {
 			break
 		}
 		if dep := fd.admit(f.at, f.size, l.Capacity); dep <= now && fd.head == len(fd.deps) {
-			l.depart(f.size, true)
+			l.depart(f.size)
 		} else {
-			fd.push(departure{at: dep, size: f.size, fed: true})
+			fd.push(departure{at: dep, arr: f.at, size: f.size, fed: true})
 		}
 		f.seq++
 		if !f.pull(f.at) {
@@ -439,8 +467,12 @@ func (l *Link) nextAt(p place) uint64 {
 func (l *Link) admitFed(f *feed) {
 	fd := l.fold
 	if l.loss != nil && l.loss.Lose() {
-		l.lost++
-		l.lostBytes += f.size
+		if fd.batching {
+			fd.losses = append(fd.losses, lossAt{f.at, f.size})
+		} else {
+			l.lost++
+			l.lostBytes += f.size
+		}
 		fd.end = f.at
 		return
 	}
@@ -454,24 +486,32 @@ func (l *Link) admitFed(f *feed) {
 			return
 		}
 	}
-	d, k := departure{size: f.size, fed: true}, key{start: f.at, cause: f.seq}
-	if fd.free >= f.at {
+	l.admitAt(departure{arr: f.at, size: f.size, fed: true}, f.seq) // the jitter draw, which nothing observes
+}
+
+// admitAt is startTx and txDone, on a link that is not plain, for the
+// packet d that arrived at d.arr under the number cause and was
+// admitted. It returns the packet's jitter draw.
+func (l *Link) admitAt(d departure, cause uint64) time.Duration {
+	fd := l.fold
+	k := key{start: d.arr, cause: cause}
+	if fd.free >= d.arr {
 		d.waited, k = true, key{start: fd.free}
 		fd.step = l.stepByDeparture(fd.free, fd.step)
 	} else {
-		fd.step = l.stepAt(f.at, fd.step)
-		if i := fd.step; i > 0 && l.capSteps[i].At == f.at && l.capSeq[i] > f.seq {
-			fd.step-- // the step fires after the element
+		fd.step = l.stepAt(d.arr, fd.step)
+		if i := fd.step; i > 0 && l.capSteps[i].At == d.arr && l.capSeq[i] > cause {
+			fd.step-- // the step fires after the arrival
 		}
 	}
-	fd.free = k.start + unit.TxTime(f.size, l.rate(fd.step))
+	fd.free = k.start + unit.TxTime(d.size, l.rate(fd.step))
 	d.at = fd.free
-	l.jitter() // the fed packet's draw, which nothing observes
 	if !d.waited {
 		fd.root = len(fd.deps)
 	}
 	fd.push(d)
 	fd.keys = append(fd.keys, k)
+	return l.jitter()
 }
 
 // deliverFolded is deliver on a folding link: catch up to the arriving
@@ -479,10 +519,14 @@ func (l *Link) admitFed(f *feed) {
 // departure.
 func (l *Link) deliverFolded(p *Packet) {
 	s := l.sim
-	l.catchUp(s.now, s.seq)
 	fd := l.fold
+	if s.now <= fd.ahead {
+		panic(fmt.Sprintf("sim: a packet reaches link %q at %v, where a batched probe stream has admitted arrivals up to %v", l.Name, s.now, fd.ahead))
+	}
+	l.catchUp(s.now, s.seq)
+	fd.edAt = s.now
 	if fd.plain {
-		fd.push(departure{at: fd.admit(s.now, p.Size, l.Capacity), size: p.Size})
+		fd.push(departure{at: fd.admit(s.now, p.Size, l.Capacity), arr: s.now, size: p.Size})
 		s.atArg(fd.free, departFolded, p)
 		return
 	}
@@ -505,7 +549,7 @@ func (l *Link) deliverFolded(p *Packet) {
 			return
 		}
 	}
-	d, k := departure{size: p.Size}, key{start: s.now}
+	d, k := departure{arr: s.now, size: p.Size}, key{start: s.now}
 	if busy {
 		d.waited, k.start = true, max(fd.free, s.now)
 		fd.step = l.stepByDeparture(k.start, fd.step)
@@ -532,6 +576,7 @@ func (l *Link) deliverFolded(p *Packet) {
 func departFolded(arg any) {
 	p := arg.(*Packet)
 	l := p.Route[p.hop]
+	l.sim.tally(p.Kind)
 	fd := l.fold
 	if fd.plain {
 		l.handOff(p, 0)
@@ -593,13 +638,11 @@ func (l *Link) stepByDeparture(t time.Duration, prev int) int {
 	return k
 }
 
-// depart counts one finished transmission.
-func (l *Link) depart(size unit.Bytes, fed bool) {
+// depart counts one fed element's finished transmission.
+func (l *Link) depart(size unit.Bytes) {
 	l.forwarded++
 	l.bytesServed += size
-	if fed {
-		l.sim.stats.Folded++
-	}
+	l.sim.stats.Folded++
 }
 
 // settle brings a folding link up to the clock, so its accessors read
@@ -662,22 +705,37 @@ func (fd *folder) retire(l *Link, now time.Duration) {
 	fd.root = max(fd.root-cut, 0)
 }
 
-// retireThrough counts the departures up to t.
+// retireThrough counts the departures up to t, and the losses a batch
+// left waiting for it.
 func (fd *folder) retireThrough(l *Link, t time.Duration) {
-	if fd.plain {
-		for fd.head < len(fd.deps) && fd.deps[fd.head].at <= t {
-			d := fd.deps[fd.head]
-			fd.head++
-			fd.bytes -= d.size
-			l.depart(d.size, d.fed)
+	var bytes unit.Bytes
+	var folded, batched uint64
+	i := fd.head
+	for ; i < len(fd.deps) && fd.deps[i].at <= t; i++ {
+		d := &fd.deps[i]
+		bytes += d.size
+		if d.fed {
+			folded++
+		} else if d.batched {
+			batched++
 		}
-		return
 	}
-	for fd.head < len(fd.deps) && fd.deps[fd.head].at <= t {
-		fd.gone = fd.deps[fd.head]
-		fd.head++
-		fd.bytes -= fd.gone.size
-		l.depart(fd.gone.size, fd.gone.fed)
+	if i > fd.head {
+		if !fd.plain {
+			fd.gone = fd.deps[i-1]
+		}
+		l.forwarded += int64(i - fd.head)
+		l.bytesServed += bytes
+		l.sim.stats.Folded += folded
+		l.sim.stats.Batched += batched
+		fd.head, fd.bytes = i, fd.bytes-bytes
+	}
+	for fd.lossHead < len(fd.losses) && fd.losses[fd.lossHead].at <= t {
+		l.lost++
+		l.lostBytes += fd.losses[fd.lossHead].size
+		if fd.lossHead++; fd.lossHead == len(fd.losses) {
+			fd.losses, fd.lossHead = fd.losses[:0], 0
+		}
 	}
 }
 
@@ -694,12 +752,32 @@ func (fd *folder) earliest() *feed {
 }
 
 // queueLen and queuedBytes read the waiting packets off the departure
-// list: after a catch-up its head is the packet in service.
-func (fd *folder) queueLen() int { return max(len(fd.deps)-fd.head-1, 0) }
+// list: after a catch-up its head is the packet in service, and the
+// packets a batch admitted that have not reached the link by now come
+// last.
+func (fd *folder) queueLen(now time.Duration) int { return max(fd.arrived(now)-fd.head-1, 0) }
 
-func (fd *folder) queuedBytes() unit.Bytes {
-	if fd.head == len(fd.deps) {
+func (fd *folder) queuedBytes(now time.Duration) unit.Bytes {
+	n := fd.arrived(now)
+	if fd.head == n {
 		return 0
 	}
-	return fd.bytes - fd.deps[fd.head].size
+	b := fd.bytes - fd.deps[fd.head].size
+	for _, d := range fd.deps[n:] {
+		b -= d.size
+	}
+	return b
+}
+
+// arrived returns the end of the departure list's packets that have
+// reached the link by now.
+func (fd *folder) arrived(now time.Duration) int {
+	n := len(fd.deps)
+	if fd.ahead <= now {
+		return n
+	}
+	for n > fd.head && fd.deps[n-1].arr > now {
+		n--
+	}
+	return n
 }

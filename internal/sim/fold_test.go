@@ -13,12 +13,15 @@ import (
 	"abw/internal/unit"
 )
 
-// This file pins folding against the event path it replaces. The
-// differential runs one seeded script twice — once as written, once
-// with SetEagerFeeds(true) so every feed schedules its events — and
-// demands the same observable run: every event-driven packet's arrival
-// past each hop it crosses, every link's counters and every source's
-// pull count at each RunUntil return, and the final clock.
+// This file pins folding and batching against the event path they
+// replace. The differential runs one seeded script twice — once as
+// written, once with SetEagerFeeds(true) so every feed schedules its
+// events and no link folds — and demands the same observable run: every
+// event-driven packet's arrival past each hop it crosses, every link's
+// counters and every source's pull count at each RunUntil return, and
+// the final clock. Stream seeds (streamSeeds) send whole-route probe
+// streams instead, and also run with SetEagerProbes(true) alone, which
+// keeps the fold and forces the streams onto the event path.
 
 const foldHorizon = 200 * time.Millisecond
 
@@ -29,6 +32,14 @@ const (
 	gridRate  = 12 * unit.Mbps
 	gridBurst = 4
 )
+
+// A seed whose top two bits are 01 runs the script in stream mode.
+const streamSeeds = 1 << 62
+
+// tieRate sends a 40-byte packet in a nanosecond; a link at that rate
+// with a 4 ns jitter bound reorders back-to-back packets, and hands
+// many of them to the next hop at one nanosecond.
+const tieRate = 320 * unit.Gbps
 
 // listed is a fed series read off a list of (time, size) elements.
 type listed []element
@@ -67,11 +78,12 @@ type foldCheckpoint struct {
 
 // foldOutcome is one run of the differential script.
 type foldOutcome struct {
-	Hops   []string          // what each hop is, for messages
-	Folds  []bool            // which hops fold: plain FIFOs fed a source
-	Probes [][]time.Duration // per probe, its arrival past each hop crossed; -1 marks a drop
-	Checks []foldCheckpoint
-	Folded uint64
+	Hops    []string          // what each hop is, for messages
+	Folds   []bool            // which hops fold: plain FIFOs fed a source
+	Probes  [][]time.Duration // per probe, its arrival past each hop crossed; -1 marks a drop
+	Checks  []foldCheckpoint
+	Folded  uint64
+	Batched uint64
 }
 
 // foldScript builds a 1–4 hop path from seed, about half its hops plain
@@ -87,14 +99,34 @@ type foldOutcome struct {
 // at once, which is what a multi-hop route does. Half the seeds also
 // feed a whole-path probe-kind load, which an event carries onto every
 // hop.
-func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
-	defer SetEagerFeeds(SetEagerFeeds(eager))
+//
+// In stream mode the path is sealed, and instead of single probes the
+// script sends whole-route probe streams from a random hop, one in
+// flight at a time, each handed off a random gap after the last one
+// resolved. Their packets aim at the instants the fed series emit at,
+// at the tie hops' departures and capacity steps, at random instants,
+// and in bursts at one instant. A third of the stream seeds lead the
+// path with two tie-rate hops: the first reorders a burst, the second
+// hands its packets to the next hop at one nanosecond out of their
+// send order.
+func foldScript(t testing.TB, seed uint64, eagerFeeds, eagerProbes bool) foldOutcome {
+	defer SetEagerFeeds(SetEagerFeeds(eagerFeeds))
+	defer SetEagerProbes(SetEagerProbes(eagerProbes))
 	r := rng.New(seed)
 	s := New()
 	var out foldOutcome
+	streaming := seed>>62 == 1
 
 	links := make([]*Link, 1+r.Intn(4))
+	kinds, tieRun := 17, false
+	if streaming {
+		kinds, tieRun = 18, r.Intn(3) == 0
+		if tieRun {
+			links = make([]*Link, 3+r.Intn(2))
+		}
+	}
 	grids := make([]bool, len(links)) // the tie hops, on gridRate's millisecond grid
+	quiet := make([]bool, len(links)) // hops no source is fed onto
 	for h := range links {
 		capacity := unit.Rate(10+90*r.Float64()) * unit.Mbps
 		var prop time.Duration
@@ -103,7 +135,11 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 		}
 		l := s.NewLink(fmt.Sprintf("hop%d", h), capacity, prop)
 		kind := "plain"
-		switch r.Intn(17) {
+		pick := r.Intn(kinds)
+		if tieRun && h < 2 {
+			pick = 17
+		}
+		switch pick {
 		case 0:
 			kind = "buffer"
 			l.SetBuffer(unit.Bytes(6000 + r.Intn(30000)))
@@ -148,6 +184,10 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 			if r.Intn(2) == 0 {
 				l.SetBuffer(unit.Bytes(gridBurst-1)*1500 + unit.Bytes(r.Intn(1500)))
 			}
+		case 17:
+			kind, quiet[h] = "jitter-tie", true
+			capacity, l.Capacity = tieRate, tieRate
+			l.SetJitter(4, rng.New(r.Uint64()))
 		}
 		out.Hops = append(out.Hops, fmt.Sprintf("%s %s %v prop %v", l.Name, kind, capacity, prop))
 		eager := kind == "red" || kind == "codel" || kind == "recorded"
@@ -166,7 +206,7 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	var sources []source
 	for k := 0; k < 5; k++ {
 		h, sseed := r.Intn(len(links)), r.Uint64()
-		if grids[h] {
+		if grids[h] || quiet[h] {
 			continue // off-grid arrivals would break the ties
 		}
 		st := crosstraffic.Stream{Rate: links[h].Capacity * unit.Rate(0.06+0.12*r.Float64()), Sizes: mix}
@@ -217,7 +257,13 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	// carry their remaining route, the others one hop per packet.
 	var probeSized func(h0 int, at time.Duration, size unit.Bytes)
 	probe := func(h0 int, at time.Duration) { probeSized(h0, at, sizes[r.Intn(len(sizes))]) }
+	if streaming {
+		probe = func(int, time.Duration) {}
+	}
 	probeSized = func(h0 int, at time.Duration, size unit.Bytes) {
+		if streaming {
+			return
+		}
 		id := len(out.Probes)
 		out.Probes = append(out.Probes, nil)
 		drop := func(*Packet, *Link, time.Duration) { out.Probes[id] = append(out.Probes[id], -1) }
@@ -339,7 +385,10 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 			}
 		}
 	}
-	if r.Intn(2) == 0 {
+	if streaming {
+		s.Seal(links...)
+		sendStreams(s, r, links, T, D, quiet, &out)
+	} else if r.Intn(2) == 0 {
 		load := &crosstraffic.Counter{Process: crosstraffic.CBR(crosstraffic.Stream{
 			Rate: links[0].Capacity / 10, Sizes: rng.FixedSize(200)}).Over(foldHorizon/4, foldHorizon/2)}
 		counters = append(counters, load)
@@ -351,10 +400,14 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 
 	// check reads the pull counts first: a link's accessors catch it up,
 	// pulling on its series.
-	check := func() {
+	// A batch admits fed elements ahead of the clock, pulling them
+	// early, so stream mode compares pulls at the end of the run only.
+	check := func(final bool) {
 		c := foldCheckpoint{Now: s.Now()}
 		for _, ctr := range counters {
-			c.Pulls = append(c.Pulls, ctr.Packets)
+			if !streaming || final {
+				c.Pulls = append(c.Pulls, ctr.Packets)
+			}
 		}
 		for _, l := range links {
 			c.Links = append(c.Links, countersOf(l))
@@ -363,22 +416,114 @@ func foldScript(t testing.TB, seed uint64, eager bool) foldOutcome {
 	}
 	for s.Now() < foldHorizon+20*time.Millisecond {
 		s.RunUntil(s.Now() + time.Duration(1+r.Intn(10_000_000)))
-		check()
+		check(false)
 	}
 	s.Run()
-	check()
-	out.Folded = s.Stats().Folded
+	check(true)
+	out.Folded, out.Batched = s.Stats().Folded, s.Stats().Batched
 	return out
 }
 
-// foldMatchesEager runs the script at seed both ways and fails at the
-// first difference. It returns the packets folded and the checkpoints
-// at which a folding link had packets waiting.
-func foldMatchesEager(t testing.TB, seed uint64) (folded uint64, queued int) {
-	got, want := foldScript(t, seed, false), foldScript(t, seed, true)
-	if want.Folded != 0 {
-		t.Fatalf("seed %d: the eager oracle folded %d packets", seed, want.Folded)
+// sendStreams starts the stream mode's chain of whole-route probe
+// streams: each is handed off by an event a random gap after the last
+// packet of the one before it resolved, until the horizon.
+func sendStreams(s *Sim, r *rng.Rand, links []*Link, T, D [][]time.Duration, quiet []bool, out *foldOutcome) {
+	sizes := []unit.Bytes{40, 576, 1500}
+	// after returns one of the next few instants of list at or after t.
+	after := func(list []time.Duration, t time.Duration) (time.Duration, bool) {
+		i, _ := slices.BinarySearch(list, t)
+		if i == len(list) {
+			return 0, false
+		}
+		return list[min(i+r.Intn(8), len(list)-1)], true
 	}
+	var send func()
+	send = func() {
+		now := s.Now()
+		if now >= foldHorizon {
+			return
+		}
+		h0, size, n := r.Intn(len(links)), sizes[r.Intn(len(sizes))], 2+r.Intn(30)
+		var sends []time.Duration
+		if quiet[h0] {
+			size = 40 // back to back at one instant
+			at := now + time.Duration(r.Intn(1000))
+			for len(sends) < n {
+				sends = append(sends, at)
+			}
+		}
+		for len(sends) < n {
+			at := now + time.Duration(r.Intn(int(3*time.Millisecond)))
+			switch r.Intn(4) {
+			case 0: // a fed instant
+				if t, ok := after(T[h0], now); ok {
+					at = t
+				}
+			case 1: // a tie hop's departure
+				if t, ok := after(D[h0], now); ok {
+					at = t
+				}
+			case 2: // a capacity step
+				var steps []time.Duration
+				for _, st := range links[h0].capSteps {
+					steps = append(steps, st.At)
+				}
+				if t, ok := after(steps, now); ok {
+					at = t
+				}
+			}
+			for k := r.Intn(3); k >= 0 && len(sends) < n; k-- {
+				sends = append(sends, at)
+			}
+		}
+		slices.Sort(sends)
+		first, left := len(out.Probes), n
+		out.Probes = append(out.Probes, make([][]time.Duration, n)...)
+		gap := time.Duration(r.Intn(int(5 * time.Millisecond)))
+		resolved := func(seq int, at time.Duration) {
+			out.Probes[first+seq] = append(out.Probes[first+seq], at)
+			if left--; left == 0 {
+				s.After(gap, send)
+			}
+		}
+		s.InjectStream(Packet{Size: size, Kind: KindProbe, Route: links[h0:],
+			OnArrive: func(p *Packet, at time.Duration) { resolved(p.Seq, at) },
+			OnDrop:   func(p *Packet, _ *Link, _ time.Duration) { resolved(p.Seq, -1) },
+		}, sends)
+	}
+	s.At(time.Duration(r.Intn(int(2*time.Millisecond))), send)
+}
+
+// foldMatchesEager runs the script at seed both ways, and a stream
+// seed also with its streams forced onto the event path, and fails at
+// the first difference. It returns the packets folded and batched and
+// the checkpoints at which a folding link had packets waiting.
+func foldMatchesEager(t testing.TB, seed uint64) (folded, batched uint64, queued int) {
+	got := foldScript(t, seed, false, false)
+	if seed>>62 == 1 {
+		want := foldScript(t, seed, false, true)
+		if want.Batched != 0 {
+			t.Fatalf("seed %d: the event-path streams batched %d packets", seed, want.Batched)
+		}
+		matchFold(t, seed, got, want)
+	}
+	want := foldScript(t, seed, true, true)
+	if want.Folded != 0 || want.Batched != 0 {
+		t.Fatalf("seed %d: the eager oracle folded %d and batched %d packets", seed, want.Folded, want.Batched)
+	}
+	matchFold(t, seed, got, want)
+	for _, c := range got.Checks {
+		for h, l := range c.Links {
+			if got.Folds[h] && l.QueueLen > 0 {
+				queued++
+			}
+		}
+	}
+	return got.Folded, got.Batched, queued
+}
+
+// matchFold fails at the first difference between two runs of a seed.
+func matchFold(t testing.TB, seed uint64, got, want foldOutcome) {
 	for i := range want.Probes {
 		if i < len(got.Probes) && !slices.Equal(got.Probes[i], want.Probes[i]) {
 			t.Fatalf("seed %d (%v): probe %d crossed hops at %v, eager %v", seed, want.Hops, i, got.Probes[i], want.Probes[i])
@@ -392,29 +537,24 @@ func foldMatchesEager(t testing.TB, seed uint64) (folded uint64, queued int) {
 	if len(got.Probes) != len(want.Probes) || len(got.Checks) != len(want.Checks) {
 		t.Fatalf("seed %d: %d probes and %d checkpoints, eager %d and %d", seed, len(got.Probes), len(got.Checks), len(want.Probes), len(want.Checks))
 	}
-	for _, c := range got.Checks {
-		for h, l := range c.Links {
-			if got.Folds[h] && l.QueueLen > 0 {
-				queued++
-			}
-		}
-	}
-	return got.Folded, queued
 }
 
 // TestFoldMatchesEager runs the differential on fixed seeds and checks
 // that the script has teeth: together the seeds fold thousands of
-// packets and catch folding links with a queue between events.
+// packets and catch folding links with a queue between events, and the
+// stream seeds batch thousands of probe hop forwards.
 func TestFoldMatchesEager(t *testing.T) {
-	var folded uint64
+	var folded, batched uint64
 	var queued int
 	for seed := uint64(1); seed <= 40; seed++ {
-		f, q := foldMatchesEager(t, seed)
+		f, _, q := foldMatchesEager(t, seed)
 		folded, queued = folded+f, queued+q
+		_, b, _ := foldMatchesEager(t, streamSeeds+seed)
+		batched += b
 	}
-	t.Logf("forty seeds folded %d packets; a folding link had a queue at %d checkpoints", folded, queued)
-	if folded < 10_000 || queued < 20 {
-		t.Errorf("forty seeds folded %d packets with a queue at %d checkpoints, want thousands and dozens", folded, queued)
+	t.Logf("forty seeds folded %d packets; a folding link had a queue at %d checkpoints; forty stream seeds batched %d probe hop forwards", folded, queued, batched)
+	if folded < 10_000 || queued < 20 || batched < 10_000 {
+		t.Errorf("forty seeds folded %d packets with a queue at %d checkpoints, and forty stream seeds batched %d; want thousands, dozens and thousands", folded, queued, batched)
 	}
 }
 

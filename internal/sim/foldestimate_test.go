@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,12 +38,18 @@ type estimateRun struct {
 	records   []probe.Record
 	forwarded []int64
 	served    []unit.Bytes
+	lost      []int64
 	now       time.Duration
 	folded    uint64
+	batched   uint64
 }
 
-func runEstimate(t *testing.T, d scenario.Descriptor, tool string, seed uint64, eager bool) estimateRun {
-	defer sim.SetEagerFeeds(sim.SetEagerFeeds(eager))
+// runEstimate runs one estimate with feeds forced onto the event path
+// (eagerFeeds), probe streams forced onto it (eagerProbes), both, or
+// neither.
+func runEstimate(t *testing.T, d scenario.Descriptor, tool string, seed uint64, eagerFeeds, eagerProbes bool) estimateRun {
+	defer sim.SetEagerFeeds(sim.SetEagerFeeds(eagerFeeds))
+	defer sim.SetEagerProbes(sim.SetEagerProbes(eagerProbes))
 	cpl, err := d.CompileSeeded(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -62,48 +69,148 @@ func runEstimate(t *testing.T, d scenario.Descriptor, tool string, seed uint64, 
 	for _, l := range links {
 		run.forwarded = append(run.forwarded, l.Forwarded())
 		run.served = append(run.served, l.BytesServed())
+		run.lost = append(run.lost, l.Lost())
 	}
 	run.now = cpl.Sim.Now()
-	run.folded = cpl.Sim.Stats().Folded
+	run.folded, run.batched = cpl.Sim.Stats().Folded, cpl.Sim.Stats().Batched
 	return run
 }
 
 // TestEstimatesFoldIdentically is the end-to-end differential of
-// folding: every catalog entry, every tool that probes through the
-// Transport, seeds 1–3, each run once as compiled and once with every
-// feed forced onto the event path. Reports, per-packet stream records,
-// every link's forwarded packets and bytes and the final clock must be
-// equal, and the catalog as a whole must fold.
+// folding and batching: every catalog entry, every tool that probes
+// through the Transport, seeds 1–3, each run as compiled (feeds fold,
+// streams batch where they can), with every probe stream forced onto
+// the event path, and with every feed forced onto it too (which keeps
+// any link from folding, so no stream batches). Reports, per-packet
+// stream records, every link's forwarded packets and bytes and lost
+// packets, and the final clock must be equal, and the catalog as a
+// whole must fold and batch.
 func TestEstimatesFoldIdentically(t *testing.T) {
-	var folded uint64
+	var folded, batched uint64
 	for _, d := range scenario.Catalog() {
 		for _, td := range registry.Tools() {
 			if td.SimOnly {
 				continue
 			}
 			for seed := uint64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%s/%s/seed%d", d.Name, td.Name, seed)
-				got, want := runEstimate(t, d, td.Name, seed, false), runEstimate(t, d, td.Name, seed, true)
-				if want.folded != 0 {
-					t.Fatalf("%s: the eager oracle folded %d packets", name, want.folded)
-				}
-				folded += got.folded
-				switch {
-				case got.err != want.err:
-					t.Errorf("%s: error %q, eager %q", name, got.err, want.err)
-				case !reflect.DeepEqual(got.report, want.report):
-					t.Errorf("%s: report\n %+v\neager\n %+v", name, got.report, want.report)
-				case !reflect.DeepEqual(got.records, want.records):
-					t.Errorf("%s: stream records differ from the eager run's", name)
-				case !reflect.DeepEqual(got.forwarded, want.forwarded) || !reflect.DeepEqual(got.served, want.served):
-					t.Errorf("%s: links forwarded %v packets / %v bytes, eager %v / %v", name, got.forwarded, got.served, want.forwarded, want.served)
-				case got.now != want.now:
-					t.Errorf("%s: clock ends at %v, eager %v", name, got.now, want.now)
+				got := runEstimate(t, d, td.Name, seed, false, false)
+				folded, batched = folded+got.folded, batched+got.batched
+				for _, oracle := range []struct {
+					name                    string
+					eagerFeeds, eagerProbes bool
+				}{{"event-path probes", false, true}, {"eager", true, true}} {
+					name := fmt.Sprintf("%s/%s/seed%d against %s", d.Name, td.Name, seed, oracle.name)
+					want := runEstimate(t, d, td.Name, seed, oracle.eagerFeeds, oracle.eagerProbes)
+					if want.batched != 0 || oracle.eagerFeeds && want.folded != 0 {
+						t.Fatalf("%s: the oracle folded %d and batched %d packets", name, want.folded, want.batched)
+					}
+					switch {
+					case got.err != want.err:
+						t.Errorf("%s: error %q, oracle %q", name, got.err, want.err)
+					case !reflect.DeepEqual(got.report, want.report):
+						t.Errorf("%s: report\n %+v\noracle\n %+v", name, got.report, want.report)
+					case !reflect.DeepEqual(got.records, want.records):
+						t.Errorf("%s: stream records differ from the oracle's", name)
+					case !reflect.DeepEqual(got.forwarded, want.forwarded) || !reflect.DeepEqual(got.served, want.served) || !reflect.DeepEqual(got.lost, want.lost):
+						t.Errorf("%s: links forwarded %v packets / %v bytes and lost %v, oracle %v / %v and %v", name, got.forwarded, got.served, got.lost, want.forwarded, want.served, want.lost)
+					case got.now != want.now:
+						t.Errorf("%s: clock ends at %v, oracle %v", name, got.now, want.now)
+					}
 				}
 			}
 		}
 	}
-	if folded == 0 {
-		t.Error("no estimate folded a packet")
+	if folded == 0 || batched == 0 {
+		t.Errorf("the estimates folded %d and batched %d packets, want both", folded, batched)
+	}
+}
+
+// outlived is what a stream that outlives MaxWait shows: its record
+// when Probe returns, the same record and the next stream's after the
+// next Probe, and the clock and every link's counters at both returns.
+type outlived struct {
+	first, firstLater, second probe.Record
+	done                      bool
+	now                       [2]time.Duration
+	links                     [2][]linkState
+	batched                   uint64
+}
+
+type linkState struct {
+	Forwarded, Lost int64
+	Served, Queued  unit.Bytes
+	QueueLen        int
+}
+
+func outlive(t *testing.T, hops int, eagerProbes bool) outlived {
+	defer sim.SetEagerProbes(sim.SetEagerProbes(eagerProbes))
+	cpl, err := scenario.Compile(scenario.Spec{
+		Seed:    scenario.Seed(7),
+		Horizon: 10 * time.Second,
+		Hops: []scenario.Hop{
+			{Capacity: 10 * unit.Mbps, Traffic: []scenario.Source{{Kind: scenario.Poisson, Rate: 8 * unit.Mbps}}},
+			{Capacity: 100 * unit.Mbps, Loss: scenario.Loss{Kind: scenario.LossBernoulli, Rate: 0.05},
+				Traffic: []scenario.Source{{Kind: scenario.CBR, Rate: 30 * unit.Mbps}}},
+		}[:hops],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := cpl.Transport
+	tr.MaxWait = time.Millisecond
+	var out outlived
+	snap := func(i int) {
+		out.now[i] = cpl.Sim.Now()
+		for _, l := range cpl.Path.Links {
+			out.links[i] = append(out.links[i], linkState{l.Forwarded(), l.Lost(), l.BytesServed(), l.QueuedBytes(), l.QueueLen()})
+		}
+	}
+	// 100 packets at twice the loaded hop's capacity queue for about
+	// half a second, far past the stream's MaxWait.
+	spec := probe.Periodic(20*unit.Mbps, 1500, 100)
+	first, err := tr.Probe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.first, out.done, out.batched = *first, first.Done(), cpl.Sim.Stats().Batched
+	out.first.Recv = slices.Clone(first.Recv)
+	snap(0)
+	second, err := tr.Probe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.firstLater, out.second = *first, *second
+	snap(1)
+	return out
+}
+
+// TestStreamOutlivesMaxWait: a stream still queued when Probe gives up
+// on it (MaxWait) keeps resolving while the next stream runs. Batched,
+// its record when Probe returns, the same record after the next Probe,
+// the next stream's record (which takes the event path, since the
+// first is still in flight), the clock and the links' counters must all
+// be the event path's — on the loaded hop alone, where the batch has
+// admitted the whole stream by the time Probe returns, and with a lossy
+// hop after it.
+func TestStreamOutlivesMaxWait(t *testing.T) {
+	for hops := 1; hops <= 2; hops++ {
+		got, want := outlive(t, hops, false), outlive(t, hops, true)
+		if got.done || got.batched == 0 || want.batched != 0 {
+			t.Fatalf("%d hops: the first stream is done %v at its return, %d batched hop forwards (event path %d); want a batched stream still in flight", hops, got.done, got.batched, want.batched)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{
+			{"record at Probe's return", got.first, want.first},
+			{"record after the next Probe", got.firstLater, want.firstLater},
+			{"next stream's record", got.second, want.second},
+			{"clock", got.now, want.now},
+			{"link counters", got.links, want.links},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%d hops: %s:\n %+v\nevent path\n %+v", hops, c.name, c.got, c.want)
+			}
+		}
 	}
 }

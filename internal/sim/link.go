@@ -30,7 +30,8 @@ import (
 // zero-allocation FIFO fast path. A link with no discipline and no
 // recorder folds the one-hop cross traffic fed to it (Sim.Feed,
 // fold.go), whatever else it has; loss, jitter, a capacity schedule and
-// a buffer bound (SetBuffer) are served by arithmetic too. Install
+// a buffer bound (SetBuffer) are served by arithmetic too, and a probe
+// stream over sealed folding links is batched (Sim.InjectStream). Install
 // every behavior before feeding a link: the setters panic on a link
 // that already folds.
 type Link struct {
@@ -79,6 +80,8 @@ type Link struct {
 
 	// fold is non-nil once the link folds fed series (fold.go).
 	fold *folder
+	// sealed is set by Sim.Seal and cleared by an event-path feed.
+	sealed bool
 }
 
 // NewLink attaches a link to the simulation. Capacity must be positive.
@@ -186,7 +189,7 @@ func (l *Link) BytesServed() unit.Bytes {
 func (l *Link) QueueLen() int {
 	if l.fold != nil {
 		l.settle()
-		return l.fold.queueLen()
+		return l.fold.queueLen(l.sim.now)
 	}
 	return len(l.queue) - l.head
 }
@@ -195,7 +198,7 @@ func (l *Link) QueueLen() int {
 func (l *Link) QueuedBytes() unit.Bytes {
 	if l.fold != nil {
 		l.settle()
-		return l.fold.queuedBytes()
+		return l.fold.queuedBytes(l.sim.now)
 	}
 	return l.queuedBytes
 }

@@ -71,6 +71,9 @@ type Packet struct {
 	// pooled marks packets obtained from Sim.NewPacket: they return to
 	// the simulation's free list after their final OnArrive/OnDrop.
 	pooled bool
+	// live marks a packet counted in Sim.live, from Inject or an
+	// event-path feed until it is delivered or dropped.
+	live bool
 }
 
 // Inject introduces the packet into the simulation at time at, delivering
@@ -81,6 +84,10 @@ type Packet struct {
 func (s *Sim) Inject(p *Packet, at time.Duration) {
 	s.callbacks()
 	s.atArg(at, s.injectFn, p)
+	if !p.live {
+		p.live = true
+		s.live++
+	}
 }
 
 // forward moves the packet into the next element of its route. Packets

@@ -25,6 +25,12 @@
 // L/C) whenever something can observe it — an event-driven packet
 // arriving, an accessor read, the end of a run — in the order the
 // events would have fired (fold.go).
+//
+// A probe stream sent with InjectStream over sealed links that all fold,
+// none with a buffer bound and none but the first with a capacity
+// schedule, crosses them as one batch: the same recursion hop by hop,
+// ahead of the clock, with a single pending event that delivers its
+// packets at the instants the event path would (batch.go).
 package sim
 
 import (
@@ -54,6 +60,14 @@ type Sim struct {
 	noPool  bool
 	stats   Stats
 
+	// live counts the event-driven packets injected and not yet
+	// delivered or dropped, and streams the batched streams with
+	// deliveries pending: a stream batches only when both are zero.
+	// streamFree keeps resolved streams for reuse.
+	live       int
+	streams    int
+	streamFree []*stream
+
 	// folding lists the links that fold fed series, for the end-of-run
 	// catch-up; log is the firing log of fold.go, kept while one of
 	// them is not plain.
@@ -67,6 +81,7 @@ type Sim struct {
 	advanceFn func(any)
 	txDoneFn  func(any)
 	feedFn    func(any)
+	resolveFn func(any)
 }
 
 // New returns an empty simulation.
@@ -182,20 +197,41 @@ func (s *Sim) RunUntil(t time.Duration) {
 func (s *Sim) Pending() int { return s.q.Len() }
 
 // Stats counts a simulation's work since it was created: the event
-// queue's counters, NewPacket calls that allocated or were served from
-// the free list, and fed cross-traffic packets a folding link has
-// transmitted by arithmetic, with no event and no Packet.
+// queue's counters, with Fired split by what each event moved; NewPacket
+// calls that allocated or were served from the free list; fed
+// cross-traffic packets a folding link has transmitted by arithmetic,
+// with no event and no Packet; and probe packets a batch has carried
+// across a link, with no event either.
 type Stats struct {
 	eventq.Stats
-	PacketsAllocated, PacketsReused uint64
-	Folded                          uint64
+	// ProbeEvents, CrossEvents and TCPEvents fired for probe, cross
+	// and TCP (data or ack) packets: an injection, a feed element, a
+	// transmission's completion, an advance to the next hop, or a
+	// batched stream's delivery. StepEvents applied a capacity step;
+	// TimerEvents are the rest, the callbacks scheduled with At.
+	ProbeEvents, CrossEvents, TCPEvents, StepEvents, TimerEvents uint64
+	PacketsAllocated, PacketsReused                              uint64
+	Folded, Batched                                              uint64
 }
 
 // Stats returns a snapshot of the simulation's counters.
 func (s *Sim) Stats() Stats {
 	st := s.stats
 	st.Stats = s.q.Stats()
+	st.TimerEvents = st.Fired - st.ProbeEvents - st.CrossEvents - st.TCPEvents - st.StepEvents
 	return st
+}
+
+// tally counts a fired event that moved a packet of kind k.
+func (s *Sim) tally(k Kind) {
+	switch k {
+	case KindProbe:
+		s.stats.ProbeEvents++
+	case KindCross:
+		s.stats.CrossEvents++
+	case KindData, KindAck:
+		s.stats.TCPEvents++
+	}
 }
 
 // callbacks lazily builds the hot-path method-value callbacks, keeping
@@ -210,6 +246,7 @@ func (s *Sim) callbacks() {
 
 func (s *Sim) injectNow(arg any) {
 	p := arg.(*Packet)
+	s.tally(p.Kind)
 	p.SentAt = s.now
 	p.hop = 0
 	s.forward(p)
@@ -217,11 +254,16 @@ func (s *Sim) injectNow(arg any) {
 
 func (s *Sim) advancePacket(arg any) {
 	p := arg.(*Packet)
+	s.tally(p.Kind)
 	p.hop++
 	s.forward(p)
 }
 
-func txDoneLink(arg any) { arg.(*Link).txDone() }
+func txDoneLink(arg any) {
+	l := arg.(*Link)
+	l.sim.tally(l.txPkt.Kind)
+	l.txDone()
+}
 
 // NewPacket returns a packet from the simulation's free list (or a
 // fresh one), zeroed and marked for recycling: after its final
@@ -242,9 +284,15 @@ func (s *Sim) NewPacket() *Packet {
 	return &Packet{pooled: !s.noPool}
 }
 
-// releasePacket returns a pooled packet after its last callback. Plain
-// packets (not from NewPacket) pass through untouched.
+// releasePacket is called once a packet is delivered or dropped: it
+// stops counting an injected packet as live and returns a pooled one
+// to the free list. Plain packets (not from NewPacket) are otherwise
+// untouched.
 func (s *Sim) releasePacket(p *Packet) {
+	if p.live {
+		p.live = false
+		s.live--
+	}
 	if !p.pooled || s.noPool {
 		return
 	}

@@ -15,17 +15,20 @@ import (
 // the simulator's own counters, at seed 1 under one spruce estimate.
 // Every hop without a discipline folds its one-hop cross traffic and
 // fires no event for it, whatever loss, jitter, capacity schedule or
-// buffer bound it has; what is left is the probe packets' injections,
-// completions and per-hop advances. They read 0.073 / 0.134 / 0.051 /
-// 0.127 on verylongpath / canonical / lrd / bursty, where two events a
-// cross packet read 2.002 / 2.045 / 2.017 / 2.043, and 0.136 / 0.136 /
-// 0.217 on the lossy, jittered and fading single hops, where they read
-// 2.055 / 2.045 / 2.072. random-c keeps one RED hop on the event path
-// and reads 0.092, down from 1.277. The forwards are those of a
-// recorded compile, which is the event path, exactly. Where no hop has
-// a discipline they split into the folded ones and the probe packets'
-// forwards, which the recorded compile counts as probe arrivals. The
-// counts are exact, so two same-seed runs must agree on them.
+// buffer bound it has. A probe stream over such hops is batched: it
+// fires one event per instant at which a packet arrives or is dropped,
+// at most one per probe packet, where the event path fires an
+// injection plus a completion and an advance per hop. Probe events per
+// forward read 0.002 / 0.045 / 0.017 / 0.042 on verylongpath /
+// canonical / lrd / bursty, where the event path read 0.073 / 0.134 /
+// 0.051 / 0.127, and 0.045 / 0.045 / 0.072 on the lossy, jittered and
+// fading single hops (0.136 / 0.136 / 0.217). random-c keeps one RED
+// hop, so its streams take the event path: 0.040. The forwards are
+// those of a recorded compile, which is the event path, exactly. Where
+// no hop has a discipline they split into the folded ones and the probe
+// packets' forwards, which the recorded compile counts as probe
+// arrivals, and every probe forward is batched there. The counts are
+// exact, so two same-seed runs must agree on them.
 func TestEventsPerForward(t *testing.T) {
 	estimate := func(t *testing.T, name string, recorded bool) (*scenario.Compiled, int64) {
 		sc, ok := scenario.Lookup(name)
@@ -51,18 +54,21 @@ func TestEventsPerForward(t *testing.T) {
 		scenario string
 		forwards int64
 		max      float64
-	}{{"verylongpath", 111_987, 0.1}, {"canonical", 4_471, 0.2}, {"lrd", 11_838, 0.1}, {"bursty", 4_726, 0.2},
-		{"lossy", 4_427, 0.3}, {"reorder", 4_409, 0.3}, {"fading", 2_763, 0.3}, {"random-c", 113_731, 0.1}} {
+	}{{"verylongpath", 111_987, 0.005}, {"canonical", 4_471, 0.05}, {"lrd", 11_838, 0.02}, {"bursty", 4_726, 0.05},
+		{"lossy", 4_427, 0.05}, {"reorder", 4_409, 0.05}, {"fading", 2_763, 0.1}, {"random-c", 113_731, 0.05}} {
 		t.Run(tc.scenario, func(t *testing.T) {
 			cpl, forwards := estimate(t, tc.scenario, false)
 			st := cpl.Sim.Stats()
-			ratio := float64(st.Fired) / float64(forwards)
-			t.Logf("%d events fired for %d forwards, %d of them folded: %.3f per forward", st.Fired, forwards, st.Folded, ratio)
+			ratio := float64(st.ProbeEvents) / float64(forwards)
+			t.Logf("%d events fired for %d forwards, %d of them folded and %d batched: %d probe events, %.3f per forward", st.Fired, forwards, st.Folded, st.Batched, st.ProbeEvents, ratio)
 			if forwards != tc.forwards {
 				t.Errorf("%d forwards, want the event path's %d", forwards, tc.forwards)
 			}
 			if ratio > tc.max {
-				t.Errorf("%.3f events per forward, want at most %.2f", ratio, tc.max)
+				t.Errorf("%.3f probe events per forward, want at most %.3f", ratio, tc.max)
+			}
+			if hops := uint64(len(cpl.Path.Links)); st.Batched > 0 && st.ProbeEvents > st.Batched/hops {
+				t.Errorf("%d probe events for %d batched probe packets, want at most one each", st.ProbeEvents, st.Batched/hops)
 			}
 			rec, recForwards := estimate(t, tc.scenario, true)
 			if recForwards != forwards {
@@ -84,6 +90,9 @@ func TestEventsPerForward(t *testing.T) {
 			}
 			if int64(st.Folded)+probeForwards != forwards {
 				t.Errorf("%d folded + %d probe forwards = %d, want the %d forwards", st.Folded, probeForwards, int64(st.Folded)+probeForwards, forwards)
+			}
+			if int64(st.Batched) != probeForwards {
+				t.Errorf("%d of %d probe forwards batched, want all", st.Batched, probeForwards)
 			}
 		})
 	}

@@ -56,12 +56,7 @@ func BenchmarkFigure2(b *testing.B) {
 // (fallacy 4).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Table1(exp.Table1Config{
-			CrossSizes: []unit.Bytes{40, 1500},
-			SampleKs:   []int{10, 100},
-			Trials:     10,
-			Seed:       uint64(i + 1),
-		})
+		res, err := exp.Table1(exp.Table1Config{Trials: 10, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,11 +70,8 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFigure3 regenerates the burstiness response curves
 // (pitfall 6).
 func BenchmarkFigure3(b *testing.B) {
-	rates := []unit.Rate{15 * unit.Mbps, 22.5 * unit.Mbps, 27.5 * unit.Mbps}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure3(exp.Figure3Config{
-			Rates: rates, Streams: 100, StreamLen: 40, Seed: uint64(i + 1),
-		})
+		res, err := exp.Figure3(exp.Figure3Config{Streams: 100, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,10 +88,7 @@ func BenchmarkFigure3(b *testing.B) {
 // (pitfall 7).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure4(exp.Figure4Config{
-			Rates:   []unit.Rate{25 * unit.Mbps},
-			Streams: 80, StreamLen: 40, Seed: uint64(i + 1),
-		})
+		res, err := exp.Figure4(exp.Figure4Config{Streams: 80, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,17 +152,12 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkLatencyAccuracy regenerates the fallacy-3 tradeoff grid.
 func BenchmarkLatencyAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.LatencyAccuracy(exp.LatencyAccuracyConfig{
-			Durations: []time.Duration{10 * time.Millisecond, 200 * time.Millisecond},
-			Counts:    []int{5, 40},
-			Trials:    8,
-			Seed:      uint64(i + 1),
-		})
+		res, err := exp.LatencyAccuracy(exp.LatencyAccuracyConfig{Trials: 8, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		short, _ := res.Cell(10*time.Millisecond, 5)
-		long, _ := res.Cell(200*time.Millisecond, 40)
+		long, _ := res.Cell(200*time.Millisecond, 80)
 		b.ReportMetric(short.RMSError, "rms-short-few")
 		b.ReportMetric(long.RMSError, "rms-long-many")
 	}
@@ -182,7 +166,7 @@ func BenchmarkLatencyAccuracy(b *testing.B) {
 // BenchmarkNarrowVsTight regenerates the pitfall-5 comparison.
 func BenchmarkNarrowVsTight(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.NarrowVsTight(exp.NarrowVsTightConfig{Trains: 10, Seed: uint64(i + 1)})
+		res, err := exp.NarrowVsTight(exp.NarrowVsTightConfig{Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,10 +181,7 @@ func BenchmarkNarrowVsTight(b *testing.B) {
 // On a 4-core machine the all-cores case is expected to finish the grid
 // at least ~2x faster than workers-1.
 func BenchmarkParallelScaling(b *testing.B) {
-	cfg := exp.Figure3Config{
-		Rates:   []unit.Rate{10 * unit.Mbps, 17.5 * unit.Mbps, 22.5 * unit.Mbps, 27.5 * unit.Mbps},
-		Streams: 120, StreamLen: 40, Seed: 1,
-	}
+	cfg := exp.Figure3Config{Streams: 40, Seed: 1}
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			runner.SetWorkers(w)

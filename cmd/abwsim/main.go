@@ -345,7 +345,7 @@ var catalog = []experiment{
 		}},
 	{"learnedeval", "learned estimator vs best classical tool on held-out configurations",
 		func(quick bool, seed uint64) (tabler, error) {
-			cfg := exp.LearnedEvalConfig{Quick: quick, Seed: seed}
+			cfg := exp.LearnedEvalConfig{Seed: seed}
 			if quick {
 				cfg.Dataset = exp.DatasetConfig{Scalings: []float64{1.0}, Trials: 2}
 			}

@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 )
@@ -43,27 +44,134 @@ const allowFile = "testdata/unused_exports.txt"
 //   - An allowlist line that names nothing, or names something used,
 //     fails.
 func TestNoUnusedExports(t *testing.T) {
-	for _, f := range unusedExports(os.DirFS(".")) {
+	x, errs := repoTree()
+	if len(errs) == 0 {
+		errs = x.judge()
+	}
+	for _, f := range errs {
 		t.Error(f)
 	}
 }
 
+// configDir is the package whose *Config types TestConfigFieldsAreSet
+// judges.
+const configDir = "internal/exp"
+
+// TestConfigFieldsAreSet fails once per exported field of a struct type
+// of configDir whose name ends in Config that is not a knob a caller
+// turns, printing file:line and pkg.Type.Field. The field must be set
+// by non-test code outside configDir (bench/ included), as a key of a
+// composite literal or on the left of an assignment, and read by
+// non-test code anywhere. An experiment's parameters are the paper's
+// constants beside it; its config holds only the knobs a caller turns.
+func TestConfigFieldsAreSet(t *testing.T) {
+	x, errs := repoTree()
+	if len(errs) == 0 {
+		errs = x.unsetConfigFields(configDir)
+	}
+	for _, f := range errs {
+		t.Error(f)
+	}
+}
+
+// repoTree is the repository's module tree, checked once for every test
+// that judges it.
+var repoTree = sync.OnceValues(func() (*tree, []string) { return checkTree(os.DirFS(".")) })
+
 // unusedExports applies TestNoUnusedExports's rules to the module tree
 // rooted at fsys and returns its failures, sorted.
 func unusedExports(fsys fs.FS) []string {
+	x, errs := checkTree(fsys)
+	if len(errs) > 0 {
+		return errs
+	}
+	return x.judge()
+}
+
+// checkTree loads and type-checks the module tree rooted at fsys, and
+// returns it with the errors that stop it being judged.
+func checkTree(fsys fs.FS) (*tree, []string) {
 	// The source importer would otherwise run cgo over net and os/user.
 	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
 	build.Default.CgoEnabled = false
 
 	x, err := loadTree(fsys)
 	if err != nil {
-		return []string{err.Error()}
+		return nil, []string{err.Error()}
 	}
 	x.check()
-	if len(x.errs) > 0 {
-		return x.errs
+	return x, x.errs
+}
+
+// unsetConfigFields applies TestConfigFieldsAreSet's rule to the
+// package in dir and returns its failures, sorted.
+func (x *tree) unsetConfigFields(dir string) []string {
+	p := x.module + "/" + dir
+	pkg := x.base[p]
+	if pkg == nil {
+		return []string{"no package " + p}
 	}
-	return x.judge()
+	fields := map[types.Object]string{}
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = x.key(p) + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	writes := map[*ast.Ident]bool{}
+	set := map[types.Object]bool{}
+	for _, pf := range x.pkgs {
+		outside := pf.dir != dir && !strings.HasPrefix(pf.dir, dir+"/")
+		mark := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			if id, ok := e.(*ast.Ident); ok {
+				writes[id] = true
+				set[x.uses[id]] = set[x.uses[id]] || outside
+			}
+		}
+		for _, f := range pf.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							mark(kv.Key)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[types.Object]bool{}
+	for id, obj := range x.uses {
+		read[obj] = read[obj] || !writes[id]
+	}
+	var out []string
+	for f, name := range fields {
+		pos := x.fset.Position(f.Pos())
+		if !set[f] {
+			out = append(out, fmt.Sprintf("%s:%d %s is set by no caller", pos.Filename, pos.Line, name))
+		}
+		if !read[f] {
+			out = append(out, fmt.Sprintf("%s:%d %s is read by nothing", pos.Filename, pos.Line, name))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // tree is one module tree, parsed and type-checked.
@@ -742,5 +850,49 @@ func Used() { heap.Init(&h{}) }
 				t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(c.want, "\n\t"))
 			}
 		})
+	}
+}
+
+// TestConfigFieldsRules pins TestConfigFieldsAreSet's rule on a small
+// in-memory module.
+func TestConfigFieldsRules(t *testing.T) {
+	fsys := fstest.MapFS{"go.mod": {Data: []byte("module abw\n\ngo 1.21\n")}}
+	for name, src := range map[string]string{
+		configDir + "/exp.go": `package exp
+
+type RunConfig struct{ Set, Assigned, TestOnly, Inside, Unread int }
+
+type other struct{ Unset int }
+
+func Run(c RunConfig) int {
+	c.Inside = 1
+	return c.Set + c.Assigned + c.TestOnly + c.Inside + other{}.Unset
+}
+`,
+		configDir + "/exp_test.go": "package exp\n\nvar _ = Run(RunConfig{TestOnly: 1})\n",
+		"cmd/c/main.go": `package main
+
+import "abw/internal/exp"
+
+func main() {
+	c := exp.RunConfig{Set: 1, Unread: 2}
+	c.Assigned = 3
+	exp.Run(c)
+}
+`,
+	} {
+		fsys[name] = &fstest.MapFile{Data: []byte(src)}
+	}
+	x, errs := checkTree(fsys)
+	if len(errs) == 0 {
+		errs = x.unsetConfigFields(configDir)
+	}
+	want := []string{
+		configDir + "/exp.go:3 exp.RunConfig.Inside is set by no caller",
+		configDir + "/exp.go:3 exp.RunConfig.TestOnly is set by no caller",
+		configDir + "/exp.go:3 exp.RunConfig.Unread is read by nothing",
+	}
+	if strings.Join(errs, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(errs, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

@@ -17,30 +17,7 @@ import (
 // summary calls for: "compare and evaluate the existing estimation
 // techniques under reproducible and controllable conditions".
 type CompareConfig struct {
-	Capacity  unit.Rate // default 50 Mbps
-	CrossRate unit.Rate // default 25 Mbps
-	Model     CrossModel
-	Seed      uint64
-	// Budget, if non-zero, is applied to every tool through a
-	// core.BudgetTransport, making the comparison budget-fair by
-	// construction rather than by per-tool configuration discipline.
-	Budget core.Budget
-}
-
-func (c CompareConfig) withDefaults() CompareConfig {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if c.Model == "" {
-		c.Model = ModelPoisson
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	Seed uint64
 }
 
 // CompareEntry is one tool's outcome on the common scenario. The
@@ -56,26 +33,31 @@ type CompareResult struct {
 	Config      CompareConfig
 	TrueAvailBw unit.Rate
 	Entries     []CompareEntry
+	model       CrossModel
 }
 
 // CompareTools runs every end-to-end estimator in the registry against
-// statistically identical copies of the same path (same seed, fresh
-// simulation per tool so no tool inherits another's queue backlog),
-// recording estimate and probing cost. This is the repository's
-// broadest integration test: seven estimation techniques, the
-// transport, the simulator and three traffic models all exercised
-// through the public construction path.
-func CompareTools(cfg CompareConfig) (*CompareResult, error) {
-	c := cfg.withDefaults()
-	res := &CompareResult{Config: c, TrueAvailBw: c.Capacity - c.CrossRate}
+// statistically identical copies of the paper's single hop under
+// Poisson cross traffic (same seed, fresh simulation per tool so no
+// tool inherits another's queue backlog), recording estimate and
+// probing cost. This is the repository's broadest integration test:
+// every estimation technique, the transport and the simulator all
+// exercised through the public construction path.
+func CompareTools(c CompareConfig) (*CompareResult, error) {
+	return compareTools(c, ModelPoisson)
+}
+
+// compareTools is CompareTools under the given cross model.
+func compareTools(c CompareConfig, model CrossModel) (*CompareResult, error) {
+	res := &CompareResult{Config: c, TrueAvailBw: paperCapacity - paperCrossRate, model: model}
 
 	build := func() (*core.SimTransport, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: 10 * time.Minute,
 			Seed:    scenario.Seed(c.Seed),
 			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{crossSource(c.Model, c.CrossRate)},
+				Capacity: paperCapacity,
+				Traffic:  []scenario.Source{crossSource(model, paperCrossRate)},
 			}},
 		})
 		if err != nil {
@@ -84,15 +66,7 @@ func CompareTools(cfg CompareConfig) (*CompareResult, error) {
 		return cpl.Transport, nil
 	}
 
-	// The registry's end-to-end tools, in registration order; sim-only
-	// techniques (BFind) need hop visibility the common scenario does
-	// not model fairly, so the comparison skips them.
-	var tools []string
-	for _, d := range registry.Tools() {
-		if !d.SimOnly {
-			tools = append(tools, d.Name)
-		}
-	}
+	tools := endToEndTools()
 	// Each tool probes its own scenario copy, so every tool is one
 	// runner job; a tool's estimation failure is recorded as its entry,
 	// not an experiment error.
@@ -103,9 +77,8 @@ func CompareTools(cfg CompareConfig) (*CompareResult, error) {
 			return CompareEntry{}, fmt.Errorf("exp: compare: %w", err)
 		}
 		rep, err := registry.Estimate(context.Background(), name, registry.Params{
-			Capacity: c.Capacity,
+			Capacity: paperCapacity,
 			Rand:     rng.New(c.Seed + 1),
-			Budget:   c.Budget,
 		}, tr)
 		return CompareEntry{Outcome: core.NewOutcome(name, rep, err), Err: err}, nil
 	})
@@ -130,7 +103,7 @@ func (r *CompareResult) Entry(tool string) (CompareEntry, bool) {
 func (r *CompareResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Tool comparison under %s cross traffic (true A = %.1f Mbps)",
-			r.Config.Model, r.TrueAvailBw.MbpsOf()),
+			r.model, r.TrueAvailBw.MbpsOf()),
 		Header: []string{"tool", "estimate", "low", "high", "streams", "packets", "latency"},
 		Notes: []string{
 			"comparisons are only fair at matched probing budgets and timescales (misconceptions 1-3)",

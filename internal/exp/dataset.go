@@ -19,10 +19,9 @@ import (
 // scenario catalog × cross-traffic scalings × seeds that produces the
 // (features, ground-truth) rows the learned estimator trains on — the
 // dataset-generation loop of the UDP_ML approach, pointed at the whole
-// catalog instead of one fixed topology.
+// catalog instead of one fixed topology. Every configuration probes
+// with learned.DefaultPlan, the plan the committed weights use.
 type DatasetConfig struct {
-	// Scenarios are catalog names (default: the whole catalog).
-	Scenarios []string
 	// Scalings multiply every cross-traffic source's rate (default
 	// 0.5, 1.0, 1.5: light, nominal, heavy — heavy pushes several
 	// scenarios toward zero avail-bw, which the model must learn too).
@@ -30,9 +29,6 @@ type DatasetConfig struct {
 	// Trials is the number of independent seeds per (scenario, scaling)
 	// (default 3).
 	Trials int
-	// Plan is the probing schedule per compiled scenario (default
-	// learned.DefaultPlan, the plan the committed weights use).
-	Plan learned.ProbePlan
 	// TestFrac is the held-out fraction of (scenario, scaling, trial)
 	// configurations (default 0.25). The split is derived purely from
 	// Seed via rng.Derive, stratified so every (scenario, scaling) keeps
@@ -40,28 +36,6 @@ type DatasetConfig struct {
 	TestFrac float64
 	// Seed drives trial seeds and the split.
 	Seed uint64
-}
-
-func (c DatasetConfig) withDefaults() DatasetConfig {
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = scenario.Names()
-	}
-	if len(c.Scalings) == 0 {
-		c.Scalings = []float64{0.5, 1.0, 1.5}
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
-	}
-	if len(c.Plan.RateFracs) == 0 {
-		c.Plan = learned.DefaultPlan()
-	}
-	if c.TestFrac == 0 {
-		c.TestFrac = 0.25
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // DatasetRow is one probe stream reduced to its features plus the
@@ -123,8 +97,9 @@ func datasetKey(scen string, scaling float64, trial int) string {
 // trial with the cell's minimum draw). Pure function of the config —
 // identical at any worker count.
 func datasetSplit(c DatasetConfig) map[string]string {
-	split := make(map[string]string, len(c.Scenarios)*len(c.Scalings)*c.Trials)
-	for _, scen := range c.Scenarios {
+	names := scenario.Names()
+	split := make(map[string]string, len(names)*len(c.Scalings)*c.Trials)
+	for _, scen := range names {
 		for _, sc := range c.Scalings {
 			minKey := ""
 			minDraw := 2.0
@@ -160,12 +135,15 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) { return sweepDataset(cf
 // only ("" keeps every configuration). A configuration's rows are a
 // pure function of its key, so the result is exactly the full sweep's
 // rows of that split, in the same order.
-func sweepDataset(cfg DatasetConfig, only string) (*DatasetResult, error) {
-	c := cfg.withDefaults()
-	for _, name := range c.Scenarios {
-		if _, ok := scenario.Lookup(name); !ok {
-			return nil, fmt.Errorf("exp: dataset: unknown scenario %q (have %v)", name, scenario.Names())
-		}
+func sweepDataset(c DatasetConfig, only string) (*DatasetResult, error) {
+	if len(c.Scalings) == 0 {
+		c.Scalings = []float64{0.5, 1.0, 1.5}
+	}
+	if c.Trials == 0 {
+		c.Trials = 3
+	}
+	if c.TestFrac == 0 {
+		c.TestFrac = 0.25
 	}
 	for _, sc := range c.Scalings {
 		if sc <= 0 {
@@ -173,6 +151,7 @@ func sweepDataset(cfg DatasetConfig, only string) (*DatasetResult, error) {
 		}
 	}
 	split := datasetSplit(c)
+	plan := learned.DefaultPlan()
 
 	type job struct {
 		scen    string
@@ -180,7 +159,7 @@ func sweepDataset(cfg DatasetConfig, only string) (*DatasetResult, error) {
 		trial   int
 	}
 	var jobs []job
-	for _, scen := range c.Scenarios {
+	for _, scen := range scenario.Names() {
 		for _, sc := range c.Scalings {
 			for tr := 0; tr < c.Trials; tr++ {
 				if only == "" || split[datasetKey(scen, sc, tr)] == only {
@@ -205,14 +184,14 @@ func sweepDataset(cfg DatasetConfig, only string) (*DatasetResult, error) {
 		if cpl.Capacity > 0 {
 			target = float64(cpl.TrueAvailBw) / float64(cpl.Capacity)
 		}
-		rows := make([]DatasetRow, 0, len(c.Plan.RateFracs)*c.Plan.StreamsPerFrac)
-		for _, frac := range c.Plan.RateFracs {
+		rows := make([]DatasetRow, 0, len(plan.RateFracs)*plan.StreamsPerFrac)
+		for _, frac := range plan.RateFracs {
 			rate := unit.Rate(float64(cpl.Capacity) * frac)
 			if rate <= 0 {
 				continue
 			}
-			spec := probe.Periodic(rate, c.Plan.PktSize, c.Plan.StreamLen)
-			for s := 0; s < c.Plan.StreamsPerFrac; s++ {
+			spec := probe.Periodic(rate, plan.PktSize, plan.StreamLen)
+			for s := 0; s < plan.StreamsPerFrac; s++ {
 				rec, err := core.Probe(context.Background(), cpl.Transport, spec)
 				if err != nil {
 					return nil, fmt.Errorf("exp: dataset: %s ×%g probe: %w", j.scen, j.scaling, err)
@@ -319,7 +298,7 @@ func (r *DatasetResult) Table() *Table {
 			"split derived purely from the seed per (scenario, scaling, trial); at least one test configuration per (scenario, scaling)",
 		},
 	}
-	for _, scen := range r.Config.Scenarios {
+	for _, scen := range scenario.Names() {
 		var rows, train, test int
 		minT, maxT := 2.0, -1.0
 		for _, d := range r.Rows {

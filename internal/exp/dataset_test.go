@@ -7,33 +7,31 @@ import (
 	"testing"
 
 	"abw/internal/runner"
+	"abw/internal/scenario"
 	"abw/internal/tools/learned"
 )
 
-// smallDataset is the cheap sweep the tests share: two scenarios, two
-// scalings, two trials, short streams.
-func smallDataset(seed uint64) DatasetConfig {
-	return DatasetConfig{
-		Scenarios: []string{"canonical", "bursty"},
-		Scalings:  []float64{0.5, 1.0},
-		Trials:    2,
-		Plan: learned.ProbePlan{
-			RateFracs:      []float64{0.5, 0.9},
-			StreamLen:      20,
-			PktSize:        1000,
-			StreamsPerFrac: 1,
-		},
-		Seed: seed,
-	}
+// quickDataset is the sweep abwsim -quick runs: the whole catalog at
+// nominal scaling, one trial.
+func quickDataset(seed uint64) DatasetConfig {
+	return DatasetConfig{Scalings: []float64{1.0}, Trials: 1, Seed: seed}
+}
+
+// rowsPerConfig is the rows one (scenario, scaling, trial)
+// configuration yields: one per probe stream of the plan.
+func rowsPerConfig() int {
+	plan := learned.DefaultPlan()
+	return len(plan.RateFracs) * plan.StreamsPerFrac
 }
 
 func TestDatasetSmoke(t *testing.T) {
-	res, err := Dataset(smallDataset(1))
+	res, err := Dataset(DatasetConfig{Scalings: []float64{0.5, 1.0}, Trials: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 scenarios × 2 scalings × 2 trials × 2 fracs × 1 stream.
-	if want := 16; len(res.Rows) != want {
+	// scenarios × 2 scalings × 2 trials × the plan's streams.
+	scenarios := len(scenario.Names())
+	if want := scenarios * 2 * 2 * rowsPerConfig(); len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	wantCols := len(CSVHeader())
@@ -58,8 +56,8 @@ func TestDatasetSmoke(t *testing.T) {
 			cells[r.Scenario+"@"+f2(r.Scaling)] = true
 		}
 	}
-	if len(cells) != 4 {
-		t.Errorf("stratified split left %d of 4 cells with a test trial", len(cells))
+	if len(cells) != 2*scenarios {
+		t.Errorf("stratified split left %d of %d cells with a test trial", len(cells), 2*scenarios)
 	}
 	if res.Table() == nil {
 		t.Error("nil table")
@@ -69,7 +67,7 @@ func TestDatasetSmoke(t *testing.T) {
 // TestDatasetScalingMovesGroundTruth pins what the scalings are for:
 // heavier cross traffic must not raise the scenario's avail-bw.
 func TestDatasetScalingMovesGroundTruth(t *testing.T) {
-	res, err := Dataset(smallDataset(1))
+	res, err := Dataset(DatasetConfig{Scalings: []float64{0.5, 1.0}, Trials: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestDatasetDeterministicCSV(t *testing.T) {
 	defer runner.SetWorkers(0)
 	render := func(workers int) []byte {
 		runner.SetWorkers(workers)
-		res, err := Dataset(smallDataset(7))
+		res, err := Dataset(quickDataset(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +108,9 @@ func TestDatasetDeterministicCSV(t *testing.T) {
 			t.Errorf("CSV differs between -parallel 1 and -parallel %d", workers)
 		}
 	}
-	if lines := bytes.Count(serial, []byte("\n")); lines != 17 {
-		t.Errorf("CSV has %d lines, want 17 (header + 16 rows)", lines)
+	rows := len(scenario.Names()) * rowsPerConfig()
+	if lines := bytes.Count(serial, []byte("\n")); lines != 1+rows {
+		t.Errorf("CSV has %d lines, want %d (header + %d rows)", lines, 1+rows, rows)
 	}
 }
 
@@ -119,13 +118,14 @@ func TestDatasetDeterministicCSV(t *testing.T) {
 // sweep only the held-out configurations: a sweep restricted to one
 // split yields exactly the full sweep's rows of that split, in order.
 func TestSweepDatasetTestSplitMatchesFullSweep(t *testing.T) {
-	full, err := Dataset(smallDataset(3))
+	cfg := DatasetConfig{Scalings: []float64{1.0}, Trials: 2, Seed: 3}
+	full, err := Dataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	train, test := full.SplitRows()
 	for split, want := range map[string][]DatasetRow{"train": train, "test": test} {
-		got, err := sweepDataset(smallDataset(3), split)
+		got, err := sweepDataset(cfg, split)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +136,6 @@ func TestSweepDatasetTestSplitMatchesFullSweep(t *testing.T) {
 }
 
 func TestDatasetRejectsBadConfig(t *testing.T) {
-	if _, err := Dataset(DatasetConfig{Scenarios: []string{"no-such-scenario"}}); err == nil {
-		t.Error("unknown scenario accepted")
-	}
 	if _, err := Dataset(DatasetConfig{Scalings: []float64{-1}}); err == nil {
 		t.Error("negative scaling accepted")
 	}
@@ -157,10 +154,7 @@ func TestModelInputNamesMatchHeader(t *testing.T) {
 }
 
 func BenchmarkDataset(b *testing.B) {
-	cfg := smallDataset(1)
-	cfg.Scenarios = []string{"canonical"}
-	cfg.Scalings = []float64{1.0}
-	cfg.Trials = 1
+	cfg := quickDataset(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Dataset(cfg); err != nil {

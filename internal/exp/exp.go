@@ -10,6 +10,20 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"abw/internal/unit"
+)
+
+// The paper's shared single-hop setting: a C = 50 Mbps tight link
+// carrying 25 Mbps of cross traffic (A = 25 Mbps), probed with 1500 B
+// packets; direct probing sends at Ri = 40 Mbps, above A. Every
+// experiment runs at its paper's parameters, held as constants beside
+// it; a config holds only the seed and the sizes -quick shrinks.
+const (
+	paperCapacity  = 50 * unit.Mbps
+	paperCrossRate = 25 * unit.Mbps
+	paperPktSize   = unit.Bytes(1500)
+	directRate     = 40 * unit.Mbps
 )
 
 // Table is a rendered experiment result: a titled grid with notes.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,7 @@ func TestFigure1SpreadShrinksWithTimescale(t *testing.T) {
 	res, err := Figure1(Figure1Config{
 		Trials:    150,
 		TraceSpan: 12 * time.Second,
+		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,14 +61,11 @@ func TestFigure1SpreadShrinksWithTimescale(t *testing.T) {
 }
 
 func TestFigure2SampleTracksPopulation(t *testing.T) {
-	res, err := Figure2(Figure2Config{
-		Durations: []time.Duration{25 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond},
-		Streams:   60,
-	})
+	res, err := Figure2(Figure2Config{Streams: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
+	if len(res.Points) != len(fig2Durations) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	for _, p := range res.Points {
@@ -90,11 +89,7 @@ func TestFigure2SampleTracksPopulation(t *testing.T) {
 }
 
 func TestTable1ErrorGrowsWithCrossPacketSize(t *testing.T) {
-	res, err := Table1(Table1Config{
-		CrossSizes: []unit.Bytes{40, 1500},
-		SampleKs:   []int{10, 100},
-		Trials:     12,
-	})
+	res, err := Table1(Table1Config{Trials: 12, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +114,7 @@ func TestTable1ErrorGrowsWithCrossPacketSize(t *testing.T) {
 }
 
 func TestFigure3BurstinessOrdering(t *testing.T) {
-	rates := []unit.Rate{15 * unit.Mbps, 22.5 * unit.Mbps, 27.5 * unit.Mbps}
-	res, err := Figure3(Figure3Config{Rates: rates, Streams: 120, StreamLen: 40})
+	res, err := Figure3(Figure3Config{Streams: 120, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +143,7 @@ func TestFigure3BurstinessOrdering(t *testing.T) {
 }
 
 func TestFigure4MoreTightLinksCompressMore(t *testing.T) {
-	rates := []unit.Rate{25 * unit.Mbps}
-	res, err := Figure4(Figure4Config{Rates: rates, Streams: 100, StreamLen: 40})
+	res, err := Figure4(Figure4Config{Streams: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +167,7 @@ func TestFigure4MoreTightLinksCompressMore(t *testing.T) {
 }
 
 func TestFigure5TrendBeatsRatio(t *testing.T) {
-	res, err := Figure5(Figure5Config{})
+	res, err := Figure5(Figure5Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +193,7 @@ func TestFigure5TrendBeatsRatio(t *testing.T) {
 }
 
 func TestFigure6VariationRange(t *testing.T) {
-	res, err := Figure6(Figure6Config{})
+	res, err := Figure6(Figure6Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +212,7 @@ func TestFigure7SignFlips(t *testing.T) {
 	res, err := Figure7(Figure7Config{
 		Windows:  []int{4, 256},
 		Duration: 12 * time.Second,
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +230,7 @@ func TestFigure7SignFlips(t *testing.T) {
 	}
 	// Small window: throughput far below avail-bw for every cross type
 	// (window-limited regime).
-	for _, ct := range res.Config.CrossTypes {
+	for _, ct := range fig7CrossTypes {
 		if v := get(ct, 4); v >= a {
 			t.Errorf("%s at Wr=4: %.2f Mbps, want < avail-bw %.0f", ct, v, a)
 		}
@@ -256,21 +250,17 @@ func TestFigure7SignFlips(t *testing.T) {
 }
 
 func TestLatencyAccuracyTradeoff(t *testing.T) {
-	res, err := LatencyAccuracy(LatencyAccuracyConfig{
-		Durations: []time.Duration{10 * time.Millisecond, 200 * time.Millisecond},
-		Counts:    []int{5, 40},
-		Trials:    10,
-	})
+	res, err := LatencyAccuracy(LatencyAccuracyConfig{Trials: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	short5, _ := res.Cell(10*time.Millisecond, 5)
-	long40, _ := res.Cell(200*time.Millisecond, 40)
-	if long40.RMSError >= short5.RMSError {
+	long80, _ := res.Cell(200*time.Millisecond, 80)
+	if long80.RMSError >= short5.RMSError {
 		t.Errorf("more+longer streams should err less: short/few %.3f vs long/many %.3f",
-			short5.RMSError, long40.RMSError)
+			short5.RMSError, long80.RMSError)
 	}
-	if long40.ProbingTime <= short5.ProbingTime {
+	if long80.ProbingTime <= short5.ProbingTime {
 		t.Error("more+longer streams must take longer — that is the tradeoff")
 	}
 	if res.Table() == nil {
@@ -279,7 +269,7 @@ func TestLatencyAccuracyTradeoff(t *testing.T) {
 }
 
 func TestNarrowVsTightPitfall(t *testing.T) {
-	res, err := NarrowVsTight(NarrowVsTightConfig{Trains: 12})
+	res, err := NarrowVsTight(NarrowVsTightConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +280,40 @@ func TestNarrowVsTightPitfall(t *testing.T) {
 	}
 	if res.Table() == nil {
 		t.Error("nil table")
+	}
+}
+
+// TestSeedZeroIsASeed pins that 0 is a seed like any other: no config
+// maps it onto another seed, so seeds 0 and 1 give different tables.
+func TestSeedZeroIsASeed(t *testing.T) {
+	cases := map[string]func(seed uint64) (*Table, error){
+		"Figure6": func(seed uint64) (*Table, error) {
+			res, err := Figure6(Figure6Config{Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		},
+		"NarrowVsTight": func(seed uint64) (*Table, error) {
+			res, err := NarrowVsTight(NarrowVsTightConfig{Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		},
+	}
+	for name, run := range cases {
+		zero, err := run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(zero.Rows, one.Rows) {
+			t.Errorf("%s: seed 0 and seed 1 give the same table %v", name, zero.Rows)
+		}
 	}
 }
 

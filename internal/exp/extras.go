@@ -13,42 +13,20 @@ import (
 	"abw/internal/unit"
 )
 
+// The latency/accuracy grid: stream durations, and the number of
+// streams averaged per estimate.
+var (
+	latencyDurations = []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond}
+	latencyCounts    = []int{5, 20, 80}
+)
+
 // LatencyAccuracyConfig parameterizes the "faster estimation is better"
 // fallacy study: a grid over stream count and stream duration, measuring
-// estimation error against total probing time.
+// the error of direct probing at Ri = 40 Mbps over the paper's single
+// hop against total probing time.
 type LatencyAccuracyConfig struct {
-	Capacity  unit.Rate       // default 50 Mbps
-	CrossRate unit.Rate       // default 25 Mbps
-	ProbeRate unit.Rate       // default 40 Mbps
-	Durations []time.Duration // default 10, 50, 200 ms
-	Counts    []int           // streams averaged, default 5, 20, 80
-	Trials    int             // error samples per cell, default 15
-	Seed      uint64
-}
-
-func (c LatencyAccuracyConfig) withDefaults() LatencyAccuracyConfig {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if c.ProbeRate == 0 {
-		c.ProbeRate = 40 * unit.Mbps
-	}
-	if len(c.Durations) == 0 {
-		c.Durations = []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond}
-	}
-	if len(c.Counts) == 0 {
-		c.Counts = []int{5, 20, 80}
-	}
-	if c.Trials == 0 {
-		c.Trials = 15
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	Trials int // error samples per cell, default 15
+	Seed   uint64
 }
 
 // LatencyAccuracyCell is one (duration, count) grid point.
@@ -76,29 +54,31 @@ type LatencyAccuracyResult struct {
 // and the three indices. Per-cell aggregation happens afterwards in
 // index order, so the floating-point summation order (and hence the
 // result) is identical at every worker count.
-func LatencyAccuracy(cfg LatencyAccuracyConfig) (*LatencyAccuracyResult, error) {
-	c := cfg.withDefaults()
+func LatencyAccuracy(c LatencyAccuracyConfig) (*LatencyAccuracyResult, error) {
+	if c.Trials == 0 {
+		c.Trials = 15
+	}
 	res := &LatencyAccuracyResult{Config: c}
-	trueA := (c.Capacity - c.CrossRate).MbpsOf()
+	trueA := (paperCapacity - paperCrossRate).MbpsOf()
 	type trialOut struct {
 		probing time.Duration
 		sq      float64
 		ok      bool
 	}
-	jobs := len(c.Durations) * len(c.Counts) * c.Trials
+	jobs := len(latencyDurations) * len(latencyCounts) * c.Trials
 	outs, err := runner.All(jobs, func(job int) (trialOut, error) {
-		di := job / (len(c.Counts) * c.Trials)
-		ni := job / c.Trials % len(c.Counts)
+		di := job / (len(latencyCounts) * c.Trials)
+		ni := job / c.Trials % len(latencyCounts)
 		trial := job % c.Trials
-		d, n := c.Durations[di], c.Counts[ni]
-		spec := probe.PeriodicForDuration(c.ProbeRate, 1500, d)
+		d, n := latencyDurations[di], latencyCounts[ni]
+		spec := probe.PeriodicForDuration(directRate, paperPktSize, d)
 		horizon := time.Duration(n+2)*(2*spec.Duration()+20*time.Millisecond) + time.Second
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: horizon,
 			Seed:    scenario.Seed(c.Seed + uint64(di*1000+ni*100+trial)),
 			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, SplitLabel: "cross"}},
+				Capacity: paperCapacity,
+				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}},
 			}},
 		})
 		if err != nil {
@@ -117,7 +97,7 @@ func LatencyAccuracy(cfg LatencyAccuracyConfig) (*LatencyAccuracyResult, error) 
 			if ri <= 0 || ro <= 0 {
 				continue
 			}
-			a, err := fluid.DirectEstimate(c.Capacity, ri, ro)
+			a, err := fluid.DirectEstimate(paperCapacity, ri, ro)
 			if err != nil {
 				continue
 			}
@@ -133,11 +113,11 @@ func LatencyAccuracy(cfg LatencyAccuracyConfig) (*LatencyAccuracyResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	for di, d := range c.Durations {
-		for ni, n := range c.Counts {
+	for di, d := range latencyDurations {
+		for ni, n := range latencyCounts {
 			var sqSum float64
 			var probing time.Duration
-			base := (di*len(c.Counts) + ni) * c.Trials
+			base := (di*len(latencyCounts) + ni) * c.Trials
 			for _, o := range outs[base : base+c.Trials] {
 				probing += o.probing
 				if o.ok {
@@ -182,46 +162,23 @@ func (r *LatencyAccuracyResult) Table() *Table {
 	return t
 }
 
-// NarrowVsTightConfig parameterizes the capacity-estimation pitfall
-// demonstration: a Fast Ethernet narrow link followed by a loaded OC-3
-// tight link.
-type NarrowVsTightConfig struct {
-	NarrowCapacity unit.Rate // default 100 Mbps (Fast Ethernet)
-	TightCapacity  unit.Rate // default OC-3
-	NarrowCross    unit.Rate // default 10 Mbps → A_narrow = 90
-	TightCross     unit.Rate // default 100 Mbps → A_tight ≈ 55.5
-	ProbeRate      unit.Rate // default 70 Mbps (> A_tight)
-	Trains         int       // default 20
-	TrainLen       int       // default 100
-	Seed           uint64
-}
+// The narrow-vs-tight path: a Fast Ethernet narrow link carrying
+// 10 Mbps of cross traffic (A_narrow = 90 Mbps), then an OC-3 tight
+// link carrying 100 Mbps (A_tight ≈ 55.5 Mbps), probed by
+// narrowTightTrains trains of narrowTightTrainLen packets at 70 Mbps,
+// above A_tight.
+const (
+	narrowCross         = 10 * unit.Mbps
+	tightCross          = 100 * unit.Mbps
+	narrowTightRate     = 70 * unit.Mbps
+	narrowTightTrains   = 20
+	narrowTightTrainLen = 100
+)
 
-func (c NarrowVsTightConfig) withDefaults() NarrowVsTightConfig {
-	if c.NarrowCapacity == 0 {
-		c.NarrowCapacity = unit.FastEthernet
-	}
-	if c.TightCapacity == 0 {
-		c.TightCapacity = unit.OC3
-	}
-	if c.NarrowCross == 0 {
-		c.NarrowCross = 10 * unit.Mbps
-	}
-	if c.TightCross == 0 {
-		c.TightCross = 100 * unit.Mbps
-	}
-	if c.ProbeRate == 0 {
-		c.ProbeRate = 70 * unit.Mbps
-	}
-	if c.Trains == 0 {
-		c.Trains = 20
-	}
-	if c.TrainLen == 0 {
-		c.TrainLen = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// NarrowVsTightConfig parameterizes the capacity-estimation pitfall
+// demonstration.
+type NarrowVsTightConfig struct {
+	Seed uint64
 }
 
 // NarrowVsTightResult is the demonstration outcome.
@@ -239,18 +196,17 @@ type NarrowVsTightResult struct {
 // the narrow-link capacity (what bprobe-style tools measure) into the
 // direct-probing equation instead of the tight-link capacity biases the
 // estimate.
-func NarrowVsTight(cfg NarrowVsTightConfig) (*NarrowVsTightResult, error) {
-	c := cfg.withDefaults()
-	spec := probe.Periodic(c.ProbeRate, 1500, c.TrainLen)
-	horizon := time.Duration(c.Trains+2) * (2*spec.Duration() + 100*time.Millisecond)
+func NarrowVsTight(c NarrowVsTightConfig) (*NarrowVsTightResult, error) {
+	spec := probe.Periodic(narrowTightRate, paperPktSize, narrowTightTrainLen)
+	horizon := time.Duration(narrowTightTrains+2) * (2*spec.Duration() + 100*time.Millisecond)
 	cpl, err := scenario.Compile(scenario.Spec{
 		Horizon: horizon,
 		Seed:    scenario.Seed(c.Seed),
 		Hops: []scenario.Hop{
-			{Capacity: c.NarrowCapacity, Traffic: []scenario.Source{
-				{Kind: scenario.Poisson, Rate: c.NarrowCross, SplitLabel: "narrow", Flow: 1}}},
-			{Capacity: c.TightCapacity, Traffic: []scenario.Source{
-				{Kind: scenario.Poisson, Rate: c.TightCross, SplitLabel: "tight", Flow: 2}}},
+			{Capacity: unit.FastEthernet, Traffic: []scenario.Source{
+				{Kind: scenario.Poisson, Rate: narrowCross, SplitLabel: "narrow", Flow: 1}}},
+			{Capacity: unit.OC3, Traffic: []scenario.Source{
+				{Kind: scenario.Poisson, Rate: tightCross, SplitLabel: "tight", Flow: 2}}},
 		},
 	})
 	if err != nil {
@@ -258,7 +214,7 @@ func NarrowVsTight(cfg NarrowVsTightConfig) (*NarrowVsTightResult, error) {
 	}
 	tp := cpl.Transport
 	var withTight, withNarrow []float64
-	for i := 0; i < c.Trains; i++ {
+	for i := 0; i < narrowTightTrains; i++ {
 		rec, err := tp.Probe(spec)
 		if err != nil {
 			return nil, fmt.Errorf("exp: narrow-vs-tight: %w", err)
@@ -267,10 +223,10 @@ func NarrowVsTight(cfg NarrowVsTightConfig) (*NarrowVsTightResult, error) {
 		if ri <= 0 || ro <= 0 {
 			continue
 		}
-		if a, err := fluid.DirectEstimate(c.TightCapacity, ri, ro); err == nil {
+		if a, err := fluid.DirectEstimate(unit.OC3, ri, ro); err == nil {
 			withTight = append(withTight, a.MbpsOf())
 		}
-		if a, err := fluid.DirectEstimate(c.NarrowCapacity, ri, ro); err == nil {
+		if a, err := fluid.DirectEstimate(unit.FastEthernet, ri, ro); err == nil {
 			withNarrow = append(withNarrow, a.MbpsOf())
 		}
 	}
@@ -279,7 +235,7 @@ func NarrowVsTight(cfg NarrowVsTightConfig) (*NarrowVsTightResult, error) {
 	}
 	return &NarrowVsTightResult{
 		Config:             c,
-		TrueAvailBwMbps:    (c.TightCapacity - c.TightCross).MbpsOf(),
+		TrueAvailBwMbps:    (unit.OC3 - tightCross).MbpsOf(),
 		WithTightCapacity:  stats.Mean(withTight),
 		WithNarrowCapacity: stats.Mean(withNarrow),
 	}, nil

@@ -7,7 +7,7 @@ import (
 )
 
 func TestVarianceTimescaleDecayLaws(t *testing.T) {
-	res, err := VarianceTimescale(VarTimeConfig{TraceSpan: 20 * time.Second, Levels: 7})
+	res, err := VarianceTimescale(VarTimeConfig{TraceSpan: 20 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCompareToolsIntegration(t *testing.T) {
 	// The repository-wide integration test: every estimator over the
 	// same CBR path must land near the true avail-bw. CBR is the fluid
 	// limit, where every technique's model assumptions hold.
-	res, err := CompareTools(CompareConfig{Model: ModelCBR})
+	res, err := compareTools(CompareConfig{Seed: 1}, ModelCBR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCompareToolsIntegration(t *testing.T) {
 }
 
 func TestCompareToolsPoissonAllPlausible(t *testing.T) {
-	res, err := CompareTools(CompareConfig{Model: ModelPoisson, Seed: 3})
+	res, err := CompareTools(CompareConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCompareToolsPoissonAllPlausible(t *testing.T) {
 }
 
 func TestCompareEntryLookup(t *testing.T) {
-	res, err := CompareTools(CompareConfig{Model: ModelCBR, Seed: 2})
+	res, err := compareTools(CompareConfig{Seed: 2}, ModelCBR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,40 +10,21 @@ import (
 	"abw/internal/trace"
 )
 
+// Figure 1 averages k = fig1K Poisson samples of the avail-bw process
+// (the paper's choice) at each averaging timescale of fig1Taus.
+var fig1Taus = []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
+
+const fig1K = 20
+
 // Figure1Config parameterizes the sampling-variability experiment:
-// "ignoring the variability of the avail-bw process". Zero fields take
-// the paper's values.
+// "ignoring the variability of the avail-bw process".
 type Figure1Config struct {
-	// Taus are the averaging timescales (default 1 ms, 10 ms, 100 ms).
-	Taus []time.Duration
-	// SamplesPerTrial is k, the samples averaged per trial (default 20,
-	// the paper's choice).
-	SamplesPerTrial int
 	// Trials is the number of sample means per CDF (default 400).
 	Trials int
 	// TraceSpan is the synthetic trace length (default 30 s).
 	TraceSpan time.Duration
 	// Seed drives trace synthesis and sampling.
 	Seed uint64
-}
-
-func (c Figure1Config) withDefaults() Figure1Config {
-	if len(c.Taus) == 0 {
-		c.Taus = []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
-	}
-	if c.SamplesPerTrial == 0 {
-		c.SamplesPerTrial = 20
-	}
-	if c.Trials == 0 {
-		c.Trials = 400
-	}
-	if c.TraceSpan == 0 {
-		c.TraceSpan = 30 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // Figure1Series is the error CDF for one averaging timescale.
@@ -84,8 +65,13 @@ type Figure1Result struct {
 // read-only, and every trial derives its own sampling stream from the
 // experiment seed and its indices, so the result is identical at every
 // worker count.
-func Figure1(cfg Figure1Config) (*Figure1Result, error) {
-	c := cfg.withDefaults()
+func Figure1(c Figure1Config) (*Figure1Result, error) {
+	if c.Trials == 0 {
+		c.Trials = 400
+	}
+	if c.TraceSpan == 0 {
+		c.TraceSpan = 30 * time.Second
+	}
 	root := rng.New(c.Seed)
 	tr, err := trace.SynthesizeFGN(trace.FGNConfig{Span: c.TraceSpan}, root.Split("trace"))
 	if err != nil {
@@ -93,10 +79,10 @@ func Figure1(cfg Figure1Config) (*Figure1Result, error) {
 	}
 	trueMean := float64(tr.Capacity-tr.MeanRate()) / 1e6
 	res := &Figure1Result{Config: c, TrueMeanMbps: trueMean}
-	errs, err := runner.All(len(c.Taus)*c.Trials, func(job int) (float64, error) {
+	errs, err := runner.All(len(fig1Taus)*c.Trials, func(job int) (float64, error) {
 		ti, trial := job/c.Trials, job%c.Trials
 		r := rng.Derive(c.Seed, fmt.Sprintf("fig1/sampling/tau%d/trial%d", ti, trial))
-		samples, err := tr.PoissonSample(c.Taus[ti], c.SamplesPerTrial, r)
+		samples, err := tr.PoissonSample(fig1Taus[ti], fig1K, r)
 		if err != nil {
 			return 0, fmt.Errorf("exp: figure1: %w", err)
 		}
@@ -110,7 +96,7 @@ func Figure1(cfg Figure1Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ti, tau := range c.Taus {
+	for ti, tau := range fig1Taus {
 		tauErrs := errs[ti*c.Trials : (ti+1)*c.Trials]
 		res.Series = append(res.Series, Figure1Series{Tau: tau, Errors: tauErrs, CDF: stats.NewCDF(tauErrs)})
 	}

@@ -10,48 +10,20 @@ import (
 	"abw/internal/scenario"
 	"abw/internal/sim"
 	"abw/internal/stats"
-	"abw/internal/unit"
 )
 
-// Figure2Config parameterizes the probing-duration experiment. Zero
-// fields take the paper's values: a 50 Mbps link, Poisson cross traffic
-// at 25 Mbps, direct probing at Ri = 40 Mbps, 100 streams per duration.
-type Figure2Config struct {
-	Capacity  unit.Rate       // default 50 Mbps
-	CrossRate unit.Rate       // default 25 Mbps
-	ProbeRate unit.Rate       // default 40 Mbps
-	PktSize   unit.Bytes      // default 1500 B
-	Durations []time.Duration // default 25,50,100,150,200 ms
-	Streams   int             // samples per duration, default 100
-	Seed      uint64
+// fig2Durations are Figure 2's probing-stream durations, each also the
+// averaging timescale of its population.
+var fig2Durations = []time.Duration{
+	25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
+	150 * time.Millisecond, 200 * time.Millisecond,
 }
 
-func (c Figure2Config) withDefaults() Figure2Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if c.ProbeRate == 0 {
-		c.ProbeRate = 40 * unit.Mbps
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if len(c.Durations) == 0 {
-		c.Durations = []time.Duration{
-			25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
-			150 * time.Millisecond, 200 * time.Millisecond,
-		}
-	}
-	if c.Streams == 0 {
-		c.Streams = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// Figure2Config parameterizes the probing-duration experiment: the
+// paper's single hop, probed directly at Ri = 40 Mbps.
+type Figure2Config struct {
+	Streams int // samples per duration, default 100
+	Seed    uint64
 }
 
 // Figure2Point is one duration's comparison of sample vs population
@@ -79,12 +51,14 @@ type Figure2Result struct {
 // should coincide and decrease with τ.
 // Each duration is one runner job: it builds its own simulator and
 // derives its randomness from the seed and the duration index alone.
-func Figure2(cfg Figure2Config) (*Figure2Result, error) {
-	c := cfg.withDefaults()
+func Figure2(c Figure2Config) (*Figure2Result, error) {
+	if c.Streams == 0 {
+		c.Streams = 100
+	}
 	res := &Figure2Result{Config: c}
-	points, err := runner.All(len(c.Durations), func(di int) (Figure2Point, error) {
-		d := c.Durations[di]
-		spec := probe.PeriodicForDuration(c.ProbeRate, c.PktSize, d)
+	points, err := runner.All(len(fig2Durations), func(di int) (Figure2Point, error) {
+		d := fig2Durations[di]
+		spec := probe.PeriodicForDuration(directRate, paperPktSize, d)
 		// Horizon: generous upper bound on the virtual time the probing
 		// loop can consume (spacing + stream + resolution slack per
 		// stream), so cross traffic always outlives the measurement.
@@ -96,8 +70,8 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 			Seed:     scenario.Seed(c.Seed + uint64(di)),
 			Recorded: true, // the population below is the recorder's arrival rate
 			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, SplitLabel: "cross"}},
+				Capacity: paperCapacity,
+				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}},
 			}},
 		})
 		if err != nil {
@@ -116,7 +90,7 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 			if ri <= 0 || ro <= 0 {
 				continue
 			}
-			a, err := fluid.DirectEstimate(c.Capacity, ri, ro)
+			a, err := fluid.DirectEstimate(paperCapacity, ri, ro)
 			if err != nil {
 				continue
 			}
@@ -132,7 +106,7 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 		}
 		var pop []float64
 		for at := 50 * time.Millisecond; at+spec.Duration() <= probeEnd; at += spec.Duration() {
-			a := c.Capacity - rec.ArrivalRate(at, spec.Duration(), sim.CrossOnly)
+			a := paperCapacity - rec.ArrivalRate(at, spec.Duration(), sim.CrossOnly)
 			if a < 0 {
 				a = 0
 			}

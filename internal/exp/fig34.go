@@ -22,48 +22,25 @@ const (
 	ModelPareto  CrossModel = "Pareto On-Off"
 )
 
-// Figure3Config parameterizes the burstiness experiment. Zero fields
-// take the paper's values: C=50 Mbps, A=25 Mbps, Ri swept 5→30 Mbps,
-// 500 streams per point.
-type Figure3Config struct {
-	Capacity  unit.Rate
-	CrossRate unit.Rate
-	Rates     []unit.Rate
-	Models    []CrossModel
-	Streams   int // per (model, Ri) point, default 500
-	StreamLen int // packets per stream, default 50
-	PktSize   unit.Bytes
-	Seed      uint64
-}
+// ratioRates is the Ri grid Figures 3 and 4 share, 5 → 30 Mbps in
+// 2.5 Mbps steps; each point probes streams of ratioStreamLen packets.
+var ratioRates = func() (rates []unit.Rate) {
+	for ri := 5.0; ri <= 30.0; ri += 2.5 {
+		rates = append(rates, unit.Rate(ri)*unit.Mbps)
+	}
+	return rates
+}()
 
-func (c Figure3Config) withDefaults() Figure3Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if len(c.Rates) == 0 {
-		for ri := 5.0; ri <= 30.0; ri += 2.5 {
-			c.Rates = append(c.Rates, unit.Rate(ri)*unit.Mbps)
-		}
-	}
-	if len(c.Models) == 0 {
-		c.Models = []CrossModel{ModelCBR, ModelPoisson, ModelPareto}
-	}
-	if c.Streams == 0 {
-		c.Streams = 500
-	}
-	if c.StreamLen == 0 {
-		c.StreamLen = 50
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+const ratioStreamLen = 50
+
+// fig3Models are Figure 3's curves.
+var fig3Models = []CrossModel{ModelCBR, ModelPoisson, ModelPareto}
+
+// Figure3Config parameterizes the burstiness experiment, run at the
+// paper's setting over the shared Ri grid.
+type Figure3Config struct {
+	Streams int // per (model, Ri) point, default 500
+	Seed    uint64
 }
 
 // RatioSeries is one model's mean Ro/Ri curve.
@@ -95,16 +72,18 @@ type Figure3Result struct {
 // 1 well before Ri reaches A, biasing estimators downward.
 // Each (model, rate) grid point is one runner job: it builds its own
 // simulator and seeds it from the experiment seed and its grid indices.
-func Figure3(cfg Figure3Config) (*Figure3Result, error) {
-	c := cfg.withDefaults()
-	grid, err := ratioGrid("figure3", len(c.Models), c.Rates, c.PktSize, c.StreamLen, c.Streams,
+func Figure3(c Figure3Config) (*Figure3Result, error) {
+	if c.Streams == 0 {
+		c.Streams = 500
+	}
+	grid, err := ratioGrid("figure3", len(fig3Models), c.Streams,
 		func(mi, riIdx int, horizon time.Duration) scenario.Spec {
 			return scenario.Spec{
 				Horizon: horizon,
 				Seed:    scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
 				Hops: []scenario.Hop{{
-					Capacity: c.Capacity,
-					Traffic:  []scenario.Source{crossSource(c.Models[mi], c.CrossRate)},
+					Capacity: paperCapacity,
+					Traffic:  []scenario.Source{crossSource(fig3Models[mi], paperCrossRate)},
 				}},
 			}
 		})
@@ -112,22 +91,22 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 		return nil, err
 	}
 	res := &Figure3Result{Config: c}
-	for mi, model := range c.Models {
-		res.Series = append(res.Series, RatioSeries{Model: model, Rates: slices.Clone(c.Rates), Ratios: grid[mi]})
+	for mi, model := range fig3Models {
+		res.Series = append(res.Series, RatioSeries{Model: model, Rates: slices.Clone(ratioRates), Ratios: grid[mi]})
 	}
 	return res, nil
 }
 
 // ratioGrid is the body Figures 3 and 4 share. Each (row, rate) grid
-// point is one runner job: it compiles the spec build returns for the
-// point, probes it streams times with a periodic stream at the rate,
-// and yields the mean of the positive Ro/Ri ratios. The result holds
-// one slice per row, indexed by rate.
-func ratioGrid(fig string, rows int, rates []unit.Rate, pktSize unit.Bytes, streamLen, streams int,
+// point of ratioRates is one runner job: it compiles the spec build
+// returns for the point, probes it streams times with a periodic
+// stream at the rate, and yields the mean of the positive Ro/Ri
+// ratios. The result holds one slice per row, indexed by rate.
+func ratioGrid(fig string, rows, streams int,
 	build func(row, riIdx int, horizon time.Duration) scenario.Spec) ([][]float64, error) {
-	ratios, err := runner.All(rows*len(rates), func(job int) (float64, error) {
-		row, riIdx := job/len(rates), job%len(rates)
-		spec := probe.Periodic(rates[riIdx], pktSize, streamLen)
+	ratios, err := runner.All(rows*len(ratioRates), func(job int) (float64, error) {
+		row, riIdx := job/len(ratioRates), job%len(ratioRates)
+		spec := probe.Periodic(ratioRates[riIdx], paperPktSize, ratioStreamLen)
 		horizon := time.Duration(streams+4) * (2*spec.Duration() + 100*time.Millisecond)
 		cpl, err := scenario.Compile(build(row, riIdx, horizon))
 		if err != nil {
@@ -152,7 +131,7 @@ func ratioGrid(fig string, rows int, rates []unit.Rate, pktSize unit.Bytes, stre
 	}
 	grid := make([][]float64, rows)
 	for row := range grid {
-		lo, hi := row*len(rates), (row+1)*len(rates)
+		lo, hi := row*len(ratioRates), (row+1)*len(ratioRates)
 		grid[row] = ratios[lo:hi:hi]
 	}
 	return grid, nil
@@ -185,7 +164,7 @@ func (r *Figure3Result) Table() *Table {
 	for _, s := range r.Series {
 		t.Header = append(t.Header, string(s.Model))
 	}
-	for i, ri := range r.Config.Rates {
+	for i, ri := range ratioRates {
 		row := []string{f2(ri.MbpsOf())}
 		for _, s := range r.Series {
 			row = append(row, f3(s.Ratios[i]))
@@ -195,48 +174,15 @@ func (r *Figure3Result) Table() *Table {
 	return t
 }
 
-// Figure4Config parameterizes the multiple-bottleneck experiment. Zero
-// fields take the paper's values: 1, 3 and 5 equally tight links with
-// one-hop-persistent Poisson cross traffic.
-type Figure4Config struct {
-	Capacity   unit.Rate
-	CrossRate  unit.Rate
-	Rates      []unit.Rate
-	TightLinks []int
-	Streams    int // per point, default 500
-	StreamLen  int
-	PktSize    unit.Bytes
-	Seed       uint64
-}
+// fig4TightLinks are Figure 4's path lengths: 1, 3 and 5 equally
+// tight links, each carrying one-hop-persistent Poisson cross traffic.
+var fig4TightLinks = []int{1, 3, 5}
 
-func (c Figure4Config) withDefaults() Figure4Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if len(c.Rates) == 0 {
-		for ri := 5.0; ri <= 30.0; ri += 2.5 {
-			c.Rates = append(c.Rates, unit.Rate(ri)*unit.Mbps)
-		}
-	}
-	if len(c.TightLinks) == 0 {
-		c.TightLinks = []int{1, 3, 5}
-	}
-	if c.Streams == 0 {
-		c.Streams = 500
-	}
-	if c.StreamLen == 0 {
-		c.StreamLen = 50
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// Figure4Config parameterizes the multiple-bottleneck experiment, run at
+// the paper's setting over the shared Ri grid.
+type Figure4Config struct {
+	Streams int // per point, default 500
+	Seed    uint64
 }
 
 // Figure4Series is one path length's Ro/Ri curve.
@@ -258,18 +204,20 @@ type Figure4Result struct {
 // underestimation.
 // Each (path length, rate) grid point is one runner job, seeded from
 // the experiment seed and its grid indices.
-func Figure4(cfg Figure4Config) (*Figure4Result, error) {
-	c := cfg.withDefaults()
-	grid, err := ratioGrid("figure4", len(c.TightLinks), c.Rates, c.PktSize, c.StreamLen, c.Streams,
+func Figure4(c Figure4Config) (*Figure4Result, error) {
+	if c.Streams == 0 {
+		c.Streams = 500
+	}
+	grid, err := ratioGrid("figure4", len(fig4TightLinks), c.Streams,
 		func(hi, riIdx int, horizon time.Duration) scenario.Spec {
 			sp := scenario.Spec{
 				Horizon: horizon,
 				Seed:    scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
 			}
-			for h := 0; h < c.TightLinks[hi]; h++ {
+			for h := 0; h < fig4TightLinks[hi]; h++ {
 				sp.Hops = append(sp.Hops, scenario.Hop{
-					Capacity: c.Capacity,
-					Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate}},
+					Capacity: paperCapacity,
+					Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate}},
 				})
 			}
 			return sp
@@ -278,8 +226,8 @@ func Figure4(cfg Figure4Config) (*Figure4Result, error) {
 		return nil, err
 	}
 	res := &Figure4Result{Config: c}
-	for hi, hops := range c.TightLinks {
-		res.Series = append(res.Series, Figure4Series{TightLinks: hops, Rates: slices.Clone(c.Rates), Ratios: grid[hi]})
+	for hi, hops := range fig4TightLinks {
+		res.Series = append(res.Series, Figure4Series{TightLinks: hops, Rates: slices.Clone(ratioRates), Ratios: grid[hi]})
 	}
 	return res, nil
 }
@@ -306,7 +254,7 @@ func (r *Figure4Result) Table() *Table {
 	for _, s := range r.Series {
 		t.Header = append(t.Header, fmt.Sprintf("%d tight", s.TightLinks))
 	}
-	for i, ri := range r.Config.Rates {
+	for i, ri := range ratioRates {
 		row := []string{f2(ri.MbpsOf())}
 		for _, s := range r.Series {
 			row = append(row, f3(s.Ratios[i]))

@@ -14,49 +14,22 @@ import (
 	"abw/internal/unit"
 )
 
-// Figure5Config parameterizes the OWD-trend demonstration. Zero fields
-// take the paper's values: two 160-packet streams at 27 and 19 Mbps over
-// a path with A = 25 Mbps.
-type Figure5Config struct {
-	Capacity  unit.Rate  // default 50 Mbps
-	CrossRate unit.Rate  // default 25 Mbps
-	AboveRate unit.Rate  // default 27 Mbps (> A)
-	BelowRate unit.Rate  // default 19 Mbps (< A)
-	StreamLen int        // default 160
-	PktSize   unit.Bytes // default 1500
-	// BurstPackets is the size of the cross-traffic burst injected near
-	// the end of the below-A stream, recreating the paper's lower time
-	// series where Ro < Ri despite Ri < A (default 120 packets).
-	BurstPackets int
-	Seed         uint64
-}
+// Figure 5's two 160-packet streams, at fig5Above (> A) and fig5Below
+// (< A) over the paper's single hop. A burst of fig5BurstPackets cross
+// packets late in the below-A stream recreates the paper's lower time
+// series, where Ro < Ri despite Ri < A.
+const (
+	fig5Above        = 27 * unit.Mbps
+	fig5Below        = 19 * unit.Mbps
+	fig5StreamLen    = 160
+	fig5BurstPackets = 120
+)
 
-func (c Figure5Config) withDefaults() Figure5Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if c.AboveRate == 0 {
-		c.AboveRate = 27 * unit.Mbps
-	}
-	if c.BelowRate == 0 {
-		c.BelowRate = 19 * unit.Mbps
-	}
-	if c.StreamLen == 0 {
-		c.StreamLen = 160
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if c.BurstPackets == 0 {
-		c.BurstPackets = 120
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// Figure5Config parameterizes the OWD-trend demonstration. Its CBR
+// baseline and its burst draw nothing at random, so the seed reaches
+// the scenario but moves no number.
+type Figure5Config struct {
+	Seed uint64
 }
 
 // Figure5Stream is one probing stream's analysis.
@@ -82,21 +55,21 @@ type Figure5Result struct {
 // cross-traffic burst that depresses its output rate without creating a
 // trend — so rate comparison misclassifies it and trend analysis does
 // not.
-func Figure5(cfg Figure5Config) (*Figure5Result, error) {
-	c := cfg.withDefaults()
-	res := &Figure5Result{Config: c, TrueA: (c.Capacity - c.CrossRate).MbpsOf()}
+func Figure5(c Figure5Config) (*Figure5Result, error) {
+	res := &Figure5Result{Config: c, TrueA: (paperCapacity - paperCrossRate).MbpsOf()}
 
 	run := func(ri unit.Rate, burst bool, label string) (Figure5Stream, error) {
-		spec := probe.Periodic(ri, c.PktSize, c.StreamLen)
+		spec := probe.Periodic(ri, paperPktSize, fig5StreamLen)
 		start := 200 * time.Millisecond
 		horizon := start + spec.Duration() + 2*time.Second
 		// Smooth baseline cross traffic (small packets so it is nearly
 		// fluid; the burst below provides the bursty event).
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: horizon,
+			Seed:    scenario.Seed(c.Seed),
 			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{{Kind: scenario.CBR, Rate: c.CrossRate, PktSize: 300}},
+				Capacity: paperCapacity,
+				Traffic:  []scenario.Source{{Kind: scenario.CBR, Rate: paperCrossRate, PktSize: 300}},
 			}},
 		})
 		if err != nil {
@@ -106,7 +79,7 @@ func Figure5(cfg Figure5Config) (*Figure5Result, error) {
 		if burst {
 			// A dense burst arriving during the last ~10% of the stream.
 			burstStart := start + spec.Duration()*9/10
-			for i := 0; i < c.BurstPackets; i++ {
+			for i := 0; i < fig5BurstPackets; i++ {
 				s.Inject(&sim.Packet{
 					Size:  1500,
 					Kind:  sim.KindCross,
@@ -139,9 +112,9 @@ func Figure5(cfg Figure5Config) (*Figure5Result, error) {
 	// is CBR and the burst is injected at fixed instants).
 	streams, err := runner.All(2, func(i int) (Figure5Stream, error) {
 		if i == 0 {
-			return run(c.AboveRate, false, "Ri > A")
+			return run(fig5Above, false, "Ri > A")
 		}
-		return run(c.BelowRate, true, "Ri < A, late burst")
+		return run(fig5Below, true, "Ri < A, late burst")
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: figure5: %w", err)
@@ -169,35 +142,21 @@ func (r *Figure5Result) Table() *Table {
 	return t
 }
 
-// Figure6Config parameterizes the variation-range sample path. Zero
-// fields take the paper's values: τ = 10 ms over 20 s.
-type Figure6Config struct {
-	Tau       time.Duration // default 10 ms
-	Span      time.Duration // default 20 s
-	TraceSpan time.Duration // default = Span
-	Seed      uint64
-}
+// Figure 6's sample path: the avail-bw at τ = fig6Tau over fig6Span.
+const (
+	fig6Tau  = 10 * time.Millisecond
+	fig6Span = 20 * time.Second
+)
 
-func (c Figure6Config) withDefaults() Figure6Config {
-	if c.Tau == 0 {
-		c.Tau = 10 * time.Millisecond
-	}
-	if c.Span == 0 {
-		c.Span = 20 * time.Second
-	}
-	if c.TraceSpan == 0 {
-		c.TraceSpan = c.Span
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// Figure6Config parameterizes the variation-range sample path.
+type Figure6Config struct {
+	Seed uint64
 }
 
 // Figure6Result is the experiment outcome.
 type Figure6Result struct {
 	Config Figure6Config
-	// SeriesMbps is the avail-bw sample path at timescale Tau.
+	// SeriesMbps is the avail-bw sample path at τ = 10 ms.
 	SeriesMbps []float64
 	MeanMbps   float64
 	Q05, Q95   float64
@@ -208,13 +167,12 @@ type Figure6Result struct {
 // avail-bw process at τ = 10 ms, whose variation range — roughly 60 to
 // 110 Mbps on the paper's trace — is what iterative probing converges
 // to, rather than any single number.
-func Figure6(cfg Figure6Config) (*Figure6Result, error) {
-	c := cfg.withDefaults()
-	tr, err := trace.SynthesizeFGN(trace.FGNConfig{Span: c.TraceSpan}, rng.New(c.Seed))
+func Figure6(c Figure6Config) (*Figure6Result, error) {
+	tr, err := trace.SynthesizeFGN(trace.FGNConfig{Span: fig6Span}, rng.New(c.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("exp: figure6: %w", err)
 	}
-	series := tr.AvailBwSeries(0, c.Span, c.Tau)
+	series := tr.AvailBwSeries(0, fig6Span, fig6Tau)
 	vals := make([]float64, len(series))
 	for i, a := range series {
 		vals[i] = a.MbpsOf()

@@ -27,57 +27,28 @@ const (
 	CrossBufferLimited Figure7CrossType = "Buffer limited TCP"
 )
 
-// Figure7Config parameterizes the TCP-vs-avail-bw experiment. Zero
-// fields take values matching the paper's setting (avail-bw 15 Mbps).
+// Figure 7's setting: 35 Mbps of cross traffic on the paper's 50 Mbps
+// link leaves A = 15 Mbps; the link buffers fig7BufferPkts packets, the
+// path's two-way propagation delay is fig7RTT, and the buffer-limited
+// curve runs fig7CrossConns persistent window-limited cross TCPs.
+const (
+	fig7CrossRate  = 35 * unit.Mbps
+	fig7BufferPkts = 100
+	fig7RTT        = 40 * time.Millisecond
+	fig7CrossConns = 5
+)
+
+// fig7CrossTypes are Figure 7's curves.
+var fig7CrossTypes = []Figure7CrossType{CrossParetoUDP, CrossSizeLimited, CrossBufferLimited}
+
+// Figure7Config parameterizes the TCP-vs-avail-bw experiment.
 type Figure7Config struct {
-	Capacity  unit.Rate // default 50 Mbps
-	CrossRate unit.Rate // default 35 Mbps → A = 15 Mbps
 	// Windows is the Wr sweep in segments (default 2,4,...,512).
 	Windows []int
-	// CrossTypes selects the curves (default all three).
-	CrossTypes []Figure7CrossType
 	// Duration is virtual time per point (default 20 s; throughput is
 	// measured after a 5 s warmup).
 	Duration time.Duration
-	// BufferPkts is the bottleneck buffer (default 100 packets).
-	BufferPkts int
-	// RTTProp is the two-way propagation delay (default 40 ms).
-	RTTProp time.Duration
-	// CrossConns is the number of persistent window-limited cross TCPs
-	// (default 5).
-	CrossConns int
-	Seed       uint64
-}
-
-func (c Figure7Config) withDefaults() Figure7Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 35 * unit.Mbps
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
-	}
-	if len(c.CrossTypes) == 0 {
-		c.CrossTypes = []Figure7CrossType{CrossParetoUDP, CrossSizeLimited, CrossBufferLimited}
-	}
-	if c.Duration == 0 {
-		c.Duration = 20 * time.Second
-	}
-	if c.BufferPkts == 0 {
-		c.BufferPkts = 100
-	}
-	if c.RTTProp == 0 {
-		c.RTTProp = 40 * time.Millisecond
-	}
-	if c.CrossConns == 0 {
-		c.CrossConns = 5
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	Seed     uint64
 }
 
 // Figure7Series is one cross-traffic type's throughput curve.
@@ -114,18 +85,23 @@ type Figure7Result struct {
 // positive or negative, depending on Wr and on how congestion-responsive
 // the cross traffic is, so TCP throughput is not a validation target for
 // avail-bw estimators.
-func Figure7(cfg Figure7Config) (*Figure7Result, error) {
-	c := cfg.withDefaults()
+func Figure7(c Figure7Config) (*Figure7Result, error) {
+	if len(c.Windows) == 0 {
+		c.Windows = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
+	}
+	if c.Duration == 0 {
+		c.Duration = 20 * time.Second
+	}
 	res := &Figure7Result{
 		Config:      c,
-		AvailBwMbps: (c.Capacity - c.CrossRate).MbpsOf(),
+		AvailBwMbps: (paperCapacity - fig7CrossRate).MbpsOf(),
 	}
 	// Each (cross type, window) grid point is one runner job with its
 	// own simulator, seeded from the experiment seed and grid indices.
-	thru, err := runner.All(len(c.CrossTypes)*len(c.Windows), func(job int) (float64, error) {
+	thru, err := runner.All(len(fig7CrossTypes)*len(c.Windows), func(job int) (float64, error) {
 		ci, wi := job/len(c.Windows), job%len(c.Windows)
-		ct, wr := c.CrossTypes[ci], c.Windows[wi]
-		src, err := fig7Source(ct, c)
+		ct, wr := fig7CrossTypes[ci], c.Windows[wi]
+		src, err := fig7Source(ct)
 		if err != nil {
 			return 0, fmt.Errorf("exp: figure7: %w", err)
 		}
@@ -133,11 +109,11 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 			Horizon:          c.Duration + time.Second,
 			Seed:             scenario.Seed(c.Seed + uint64(ci)*100000 + uint64(wi)*100),
 			WithReverse:      true,
-			ReversePropDelay: c.RTTProp / 2,
+			ReversePropDelay: fig7RTT / 2,
 			Hops: []scenario.Hop{{
-				Capacity:  c.Capacity,
-				Buffer:    unit.Bytes(c.BufferPkts) * 1500,
-				PropDelay: c.RTTProp / 2,
+				Capacity:  paperCapacity,
+				Buffer:    fig7BufferPkts * 1500,
+				PropDelay: fig7RTT / 2,
 				Traffic:   []scenario.Source{src},
 			}},
 		})
@@ -156,7 +132,7 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ci, ct := range c.CrossTypes {
+	for ci, ct := range fig7CrossTypes {
 		series := Figure7Series{CrossType: ct}
 		for wi, wr := range c.Windows {
 			series.Windows = append(series.Windows, wr)
@@ -171,29 +147,29 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 // source. The SplitLabel overrides pin the rng labels this experiment
 // used before the scenario subsystem, keeping its numbers
 // bit-identical.
-func fig7Source(ct Figure7CrossType, c Figure7Config) (scenario.Source, error) {
+func fig7Source(ct Figure7CrossType) (scenario.Source, error) {
 	switch ct {
 	case CrossParetoUDP:
 		return scenario.Source{
-			Kind: scenario.ParetoArrivals, Rate: c.CrossRate,
+			Kind: scenario.ParetoArrivals, Rate: fig7CrossRate,
 			Shape: 1.9, SplitLabel: "udp", Flow: 500,
 		}, nil
 	case CrossSizeLimited:
 		return scenario.Source{
-			Kind: scenario.Mice, Rate: c.CrossRate,
+			Kind: scenario.Mice, Rate: fig7CrossRate,
 			SplitLabel: "mice", Flow: 1000,
 		}, nil
 	case CrossBufferLimited:
 		// Windows sized so the aggregate uses ~CrossRate when alone:
 		// per-conn rate = Wr·MSS·8/RTT.
-		perConn := float64(c.CrossRate) / float64(c.CrossConns)
-		wr := int(perConn * c.RTTProp.Seconds() / (1460 * 8))
+		perConn := float64(fig7CrossRate) / fig7CrossConns
+		wr := int(perConn * fig7RTT.Seconds() / (1460 * 8))
 		if wr < 2 {
 			wr = 2
 		}
 		return scenario.Source{
-			Kind: scenario.BufferLimitedTCP, Rate: c.CrossRate,
-			Conns: c.CrossConns, Window: wr, Flow: 100,
+			Kind: scenario.BufferLimitedTCP, Rate: fig7CrossRate,
+			Conns: fig7CrossConns, Window: wr, Flow: 100,
 		}, nil
 	default:
 		return scenario.Source{}, fmt.Errorf("unknown cross type %q", ct)

@@ -22,14 +22,7 @@ type LearnedEvalConfig struct {
 	// the dataset defaults — whole catalog, scalings ×0.5/1.0/1.5,
 	// three trials). Its Seed is overridden by Seed below.
 	Dataset DatasetConfig
-	// Weights is the model under evaluation (default: the committed
-	// embedded weights).
-	Weights *learned.Weights
-	// Quick is accepted for CLI symmetry; the classical tools always run
-	// with reduced (quick-matrix) effort here, since each test
-	// configuration multiplies seven full tool runs.
-	Quick bool
-	Seed  uint64
+	Seed    uint64
 }
 
 // LearnedEvalScenario is one scenario's held-out comparison.
@@ -78,30 +71,21 @@ type evalConfig struct {
 // same seed, with quick-matrix effort. One runner job per
 // (configuration, tool) — bit-identical at any worker count.
 func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Weights == nil {
-		w, err := learned.Default()
-		if err != nil {
-			return nil, fmt.Errorf("exp: learnedeval: %w", err)
-		}
-		cfg.Weights = w
+	weights, err := learned.Default()
+	if err != nil {
+		return nil, fmt.Errorf("exp: learnedeval: %w", err)
 	}
 	dcfg := cfg.Dataset
 	dcfg.Seed = cfg.Seed
-	if len(dcfg.Plan.RateFracs) == 0 {
-		dcfg.Plan = cfg.Weights.Plan
-	}
 	// Only the held-out configurations are scored, so only they are swept.
 	ds, err := sweepDataset(dcfg, "test")
 	if err != nil {
 		return nil, err
 	}
 	res := &LearnedEvalResult{Config: cfg}
-	for _, d := range registry.Tools() {
-		if !d.SimOnly && d.Name != "learned" {
-			res.Tools = append(res.Tools, d.Name)
+	for _, tool := range endToEndTools() {
+		if tool != "learned" {
+			res.Tools = append(res.Tools, tool)
 		}
 	}
 
@@ -120,7 +104,7 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 				simSeed: r.SimSeed, capacityMbps: r.CapacityMbps, trueMbps: r.TrueAvailBwMbps,
 			})
 		}
-		pred, err := cfg.Weights.Predict(r.ModelInput())
+		pred, err := weights.Predict(r.ModelInput())
 		if err != nil {
 			return nil, fmt.Errorf("exp: learnedeval: %w", err)
 		}

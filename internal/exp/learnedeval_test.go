@@ -6,28 +6,35 @@ import (
 	"testing"
 
 	"abw/internal/runner"
+	"abw/internal/scenario"
+	"abw/internal/tools/learned"
 )
 
 // evalConfigSmall keeps the classical-tool fan-out affordable for unit
-// tests: three scenarios, nominal scaling, two trials.
+// tests: the sweep abwsim -quick evaluates, nominal scaling, two trials.
 func evalConfigSmall(seed uint64) LearnedEvalConfig {
 	return LearnedEvalConfig{
-		Dataset: DatasetConfig{
-			Scenarios: []string{"canonical", "bursty", "fading"},
-			Scalings:  []float64{1.0},
-			Trials:    2,
-		},
-		Seed: seed,
+		Dataset: DatasetConfig{Scalings: []float64{1.0}, Trials: 2},
+		Seed:    seed,
 	}
 }
 
 func TestLearnedEvalSmoke(t *testing.T) {
+	// The dataset probes with learned.DefaultPlan, and the evaluated
+	// weights must have been trained on the features it yields.
+	w, err := learned.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.Plan, learned.DefaultPlan()) {
+		t.Fatalf("committed weights' plan %+v is not learned.DefaultPlan %+v", w.Plan, learned.DefaultPlan())
+	}
 	res, err := LearnedEval(evalConfigSmall(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scenarios) != 3 {
-		t.Fatalf("scenarios = %d, want 3", len(res.Scenarios))
+	if n := len(scenario.Names()); len(res.Scenarios) != n {
+		t.Fatalf("scenarios = %d, want %d", len(res.Scenarios), n)
 	}
 	if len(res.Tools) != 7 {
 		t.Errorf("classical tools = %v, want the seven non-learned ones", res.Tools)

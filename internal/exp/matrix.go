@@ -18,34 +18,22 @@ import (
 // controllable conditions" — with the conditions drawn from the
 // scenario catalog instead of a single canonical path.
 type MatrixConfig struct {
-	// Tools are registry names (default: every tool that runs over a
-	// plain Transport; SimOnly tools need hop visibility the matrix
-	// does not model fairly).
-	Tools []string
-	// Scenarios are catalog names (default: the whole catalog).
-	Scenarios []string
 	// Quick reduces per-tool probing effort for a fast pass.
 	Quick bool
-	// Budget, if non-zero, caps every run uniformly.
-	Budget core.Budget
-	Seed   uint64
+	Seed  uint64
 }
 
-func (c MatrixConfig) withDefaults() MatrixConfig {
-	if len(c.Tools) == 0 {
-		for _, d := range registry.Tools() {
-			if !d.SimOnly {
-				c.Tools = append(c.Tools, d.Name)
-			}
+// endToEndTools returns the registry's tools that run over a plain
+// Transport, in registration order; SimOnly tools need hop visibility
+// the shared scenarios do not model fairly.
+func endToEndTools() []string {
+	var tools []string
+	for _, d := range registry.Tools() {
+		if !d.SimOnly {
+			tools = append(tools, d.Name)
 		}
 	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = scenario.Names()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	return tools
 }
 
 // MatrixScenarioInfo is one scenario row's ground truth.
@@ -96,18 +84,14 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 // its Capacity parameter — the best case the paper grants direct
 // probing. Results are bit-identical at every worker count. The truth
 // column is the analytic TrueAvailBw, which needs no recorder.
-func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
-	c := cfg.withDefaults()
-	res := &MatrixResult{Config: c, Tools: c.Tools}
-
-	for _, name := range c.Scenarios {
-		d, ok := scenario.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: matrix: unknown scenario %q (have %v)", name, scenario.Names())
-		}
+func Matrix(c MatrixConfig) (*MatrixResult, error) {
+	tools := endToEndTools()
+	res := &MatrixResult{Config: c, Tools: tools}
+	catalog := scenario.Catalog()
+	for _, d := range catalog {
 		cpl, err := d.CompileSeeded(c.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("exp: matrix: %s: %w", name, err)
+			return nil, fmt.Errorf("exp: matrix: %s: %w", d.Name, err)
 		}
 		res.Scenarios = append(res.Scenarios, MatrixScenarioInfo{
 			Name:            d.Name,
@@ -120,18 +104,15 @@ func Matrix(cfg MatrixConfig) (*MatrixResult, error) {
 		})
 	}
 
-	cells, err := runner.All(len(c.Scenarios)*len(c.Tools), func(job int) (MatrixCell, error) {
-		si, ti := job/len(c.Tools), job%len(c.Tools)
-		name, tool := c.Scenarios[si], c.Tools[ti]
-		d, _ := scenario.Lookup(name)
+	cells, err := runner.All(len(catalog)*len(tools), func(job int) (MatrixCell, error) {
+		d, tool := catalog[job/len(tools)], tools[job%len(tools)]
 		cpl, err := d.CompileSeeded(c.Seed)
 		if err != nil {
-			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", name, err)
+			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", d.Name, err)
 		}
 		params := registry.Params{
 			Capacity: cpl.Capacity,
 			Rand:     rng.New(c.Seed + 1),
-			Budget:   c.Budget,
 		}
 		if c.Quick {
 			params.Repeat = 6

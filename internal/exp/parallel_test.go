@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"abw/internal/runner"
-	"abw/internal/unit"
 )
 
 // TestParallelDeterminism is the runner's contract applied end-to-end:
@@ -20,37 +19,19 @@ func TestParallelDeterminism(t *testing.T) {
 		return Figure1(Figure1Config{Trials: 60, TraceSpan: 8 * time.Second, Seed: 7})
 	}
 	table1 := func() (any, error) {
-		return Table1(Table1Config{
-			CrossSizes: []unit.Bytes{40, 1500},
-			SampleKs:   []int{10, 50},
-			Trials:     6,
-			Seed:       7,
-		})
+		return Table1(Table1Config{Trials: 6, Seed: 7})
 	}
 	fig3 := func() (any, error) {
-		return Figure3(Figure3Config{
-			Rates:   []unit.Rate{15 * unit.Mbps, 27.5 * unit.Mbps},
-			Streams: 40, StreamLen: 30, Seed: 7,
-		})
+		return Figure3(Figure3Config{Streams: 20, Seed: 7})
 	}
 	latency := func() (any, error) {
-		return LatencyAccuracy(LatencyAccuracyConfig{
-			Durations: []time.Duration{10 * time.Millisecond},
-			Counts:    []int{5},
-			Trials:    6,
-			Seed:      7,
-		})
+		return LatencyAccuracy(LatencyAccuracyConfig{Trials: 2, Seed: 7})
 	}
 	matrix := func() (any, error) {
-		return Matrix(MatrixConfig{
-			Tools:     []string{"delphi", "spruce"},
-			Scenarios: []string{"canonical", "bursty", "narrowtight"},
-			Quick:     true,
-			Seed:      7,
-		})
+		return Matrix(MatrixConfig{Quick: true, Seed: 7})
 	}
 	dataset := func() (any, error) {
-		return Dataset(smallDataset(7))
+		return Dataset(quickDataset(7))
 	}
 	cases := []struct {
 		name string

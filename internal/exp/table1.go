@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"abw/internal/fluid"
@@ -12,45 +13,18 @@ import (
 	"abw/internal/unit"
 )
 
-// Table1Config parameterizes the packet-pair vs packet-train experiment.
-// Zero fields take the paper's values.
-type Table1Config struct {
-	Capacity   unit.Rate    // default 50 Mbps
-	CrossRate  unit.Rate    // default 25 Mbps
-	ProbeRate  unit.Rate    // default 40 Mbps
-	ProbeSize  unit.Bytes   // default 1500 B (the paper's L)
-	CrossSizes []unit.Bytes // default 40, 512, 1500 B (the paper's Lc)
-	SampleKs   []int        // default 10, 20, 50, 100
-	Trials     int          // sample means per (Lc, k) cell, default 25
-	Seed       uint64
-}
+// Table 1's grid: the paper's cross-traffic packet sizes Lc, and the
+// number k of pair samples averaged.
+var (
+	table1CrossSizes = []unit.Bytes{40, 512, 1500}
+	table1Ks         = []int{10, 20, 50, 100}
+)
 
-func (c Table1Config) withDefaults() Table1Config {
-	if c.Capacity == 0 {
-		c.Capacity = 50 * unit.Mbps
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = 25 * unit.Mbps
-	}
-	if c.ProbeRate == 0 {
-		c.ProbeRate = 40 * unit.Mbps
-	}
-	if c.ProbeSize == 0 {
-		c.ProbeSize = 1500
-	}
-	if len(c.CrossSizes) == 0 {
-		c.CrossSizes = []unit.Bytes{40, 512, 1500}
-	}
-	if len(c.SampleKs) == 0 {
-		c.SampleKs = []int{10, 20, 50, 100}
-	}
-	if c.Trials == 0 {
-		c.Trials = 25
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// Table1Config parameterizes the packet-pair vs packet-train experiment:
+// 1500 B pairs at Ri = 40 Mbps over the paper's single hop.
+type Table1Config struct {
+	Trials int // sample means per (Lc, k) cell, default 25
+	Seed   uint64
 }
 
 // Table1Cell is the mean absolute relative error for one (Lc, k) pair.
@@ -81,21 +55,18 @@ func (r *Table1Result) Cell(lc unit.Bytes, k int) (float64, bool) {
 // rate, fewer/larger cross packets quantize the per-pair samples more
 // coarsely, so the k-pair sample mean is noisier. The paper reports 0%
 // error at Lc=40 B and up to 40% at Lc=1500 B with k=10.
-func Table1(cfg Table1Config) (*Table1Result, error) {
-	c := cfg.withDefaults()
-	res := &Table1Result{Config: c}
-	trueA := (c.Capacity - c.CrossRate).MbpsOf()
-	maxK := 0
-	for _, k := range c.SampleKs {
-		if k > maxK {
-			maxK = k
-		}
+func Table1(c Table1Config) (*Table1Result, error) {
+	if c.Trials == 0 {
+		c.Trials = 25
 	}
+	res := &Table1Result{Config: c}
+	trueA := (paperCapacity - paperCrossRate).MbpsOf()
+	maxK := slices.Max(table1Ks)
 	// One long-lived scenario per cross size: all trials sample it, so
 	// the trials of one cross size are inherently serial — the runner
 	// job is the whole cross-size column, seeded by its index.
-	cells, err := runner.All(len(c.CrossSizes), func(li int) ([]Table1Cell, error) {
-		lc := c.CrossSizes[li]
+	cells, err := runner.All(len(table1CrossSizes), func(li int) ([]Table1Cell, error) {
+		lc := table1CrossSizes[li]
 		// Pairs are spaced 5 ms apart; a trial of maxK pairs spans
 		// maxK*5ms.
 		horizon := time.Duration(c.Trials+2) * time.Duration(maxK+5) * 5 * time.Millisecond * 2
@@ -103,8 +74,8 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 			Horizon: horizon,
 			Seed:    scenario.Seed(c.Seed + uint64(li)*1000),
 			Hops: []scenario.Hop{{
-				Capacity: c.Capacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: c.CrossRate, PktSize: lc, SplitLabel: "cross"}},
+				Capacity: paperCapacity,
+				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, PktSize: lc, SplitLabel: "cross"}},
 			}},
 		})
 		if err != nil {
@@ -119,7 +90,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 		for trial := 0; trial < c.Trials; trial++ {
 			samples := make([]float64, 0, maxK)
 			for len(samples) < maxK {
-				rec, err := tp.Probe(probe.Pair(c.ProbeRate, c.ProbeSize))
+				rec, err := tp.Probe(probe.Pair(directRate, paperPktSize))
 				if err != nil {
 					return nil, fmt.Errorf("exp: table1: %w", err)
 				}
@@ -127,7 +98,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 				if ri <= 0 || ro <= 0 {
 					continue
 				}
-				a, err := fluid.DirectEstimate(c.Capacity, ri, ro)
+				a, err := fluid.DirectEstimate(paperCapacity, ri, ro)
 				if err != nil {
 					continue
 				}
@@ -135,12 +106,12 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 				if v < 0 {
 					v = 0
 				}
-				if v > c.Capacity.MbpsOf() {
-					v = c.Capacity.MbpsOf()
+				if v > paperCapacity.MbpsOf() {
+					v = paperCapacity.MbpsOf()
 				}
 				samples = append(samples, v)
 			}
-			for _, k := range c.SampleKs {
+			for _, k := range table1Ks {
 				var mean float64
 				for _, v := range samples[:k] {
 					mean += v
@@ -150,8 +121,8 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 				errCounts[k]++
 			}
 		}
-		col := make([]Table1Cell, 0, len(c.SampleKs))
-		for _, k := range c.SampleKs {
+		col := make([]Table1Cell, 0, len(table1Ks))
+		for _, k := range table1Ks {
 			col = append(col, Table1Cell{
 				CrossSize: lc,
 				K:         k,
@@ -178,12 +149,12 @@ func (r *Table1Result) Table() *Table {
 			"paper: Lc=40B -> ~0 for all k; Lc=512B -> 31/8/5/2.5%; Lc=1500B -> 40/20/8/2%",
 		},
 	}
-	for _, k := range r.Config.SampleKs {
+	for _, k := range table1Ks {
 		t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
 	}
-	for _, lc := range r.Config.CrossSizes {
+	for _, lc := range table1CrossSizes {
 		row := []string{fmt.Sprintf("%dB", lc)}
-		for _, k := range r.Config.SampleKs {
+		for _, k := range table1Ks {
 			if e, ok := r.Cell(lc, k); ok {
 				row = append(row, pct(e))
 			} else {

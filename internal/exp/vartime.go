@@ -11,47 +11,32 @@ import (
 	"abw/internal/trace"
 )
 
+// The variance–timescale study aggregates the finest timescale
+// varTimeBase over varTimeLevels dyadic levels, on traces whose
+// envelope Hurst parameter is each of varTimeHursts: 0.5 (short-range
+// dependent) and 0.8 (LRD like real traffic).
+const (
+	varTimeBase   = time.Millisecond
+	varTimeLevels = 8
+)
+
+var varTimeHursts = []float64{0.5, 0.8}
+
 // VarTimeConfig parameterizes the variance–timescale study from the
 // paper's Section 1: how Var[A_τ] decays with the averaging timescale,
 // and how the decay law depends on the correlation structure
 // (Equations 4 and 5) — "largely ignored so far in the avail-bw
 // estimation literature".
 type VarTimeConfig struct {
-	// BaseTau is the finest timescale (default 1 ms).
-	BaseTau time.Duration
-	// Levels is the number of dyadic aggregation levels (default 8).
-	Levels int
-	// Hursts are the envelope Hurst parameters to contrast (default
-	// 0.5 — short-range dependent — and 0.8 — LRD like real traffic).
-	Hursts []float64
 	// TraceSpan is the synthetic trace length (default 30 s).
 	TraceSpan time.Duration
 	Seed      uint64
 }
 
-func (c VarTimeConfig) withDefaults() VarTimeConfig {
-	if c.BaseTau == 0 {
-		c.BaseTau = time.Millisecond
-	}
-	if c.Levels == 0 {
-		c.Levels = 8
-	}
-	if len(c.Hursts) == 0 {
-		c.Hursts = []float64{0.5, 0.8}
-	}
-	if c.TraceSpan == 0 {
-		c.TraceSpan = 30 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // VarTimeSeries is the variance–timescale relation for one trace.
 type VarTimeSeries struct {
 	Hurst float64
-	// Taus[i] is BaseTau·2^i; Variances[i] is Var[A_τ] in Mbps².
+	// Taus[i] is 2^i ms; Variances[i] is Var[A_τ] in Mbps².
 	Taus      []time.Duration
 	Variances []float64
 	// FittedSlope is the log-log decay slope; Eq. (4) predicts −1,
@@ -73,33 +58,35 @@ type VarTimeResult struct {
 // at H = 0.5 and the slower k^{−2(1−H)} law under long-range dependence.
 // Each Hurst parameter synthesizes and analyzes its own trace, so it is
 // one runner job.
-func VarianceTimescale(cfg VarTimeConfig) (*VarTimeResult, error) {
-	c := cfg.withDefaults()
+func VarianceTimescale(c VarTimeConfig) (*VarTimeResult, error) {
+	if c.TraceSpan == 0 {
+		c.TraceSpan = 30 * time.Second
+	}
 	res := &VarTimeResult{Config: c}
-	out, err := runner.All(len(c.Hursts), func(hi int) (VarTimeSeries, error) {
-		h := c.Hursts[hi]
+	out, err := runner.All(len(varTimeHursts), func(hi int) (VarTimeSeries, error) {
+		h := varTimeHursts[hi]
 		tr, err := trace.SynthesizeFGN(trace.FGNConfig{
 			Span:   c.TraceSpan,
 			Hurst:  h,
-			Window: c.BaseTau,
+			Window: varTimeBase,
 		}, rng.New(c.Seed))
 		if err != nil {
 			return VarTimeSeries{}, fmt.Errorf("exp: vartime: %w", err)
 		}
 		base := make([]float64, 0)
-		for at := time.Duration(0); at+c.BaseTau <= tr.Span; at += c.BaseTau {
-			base = append(base, tr.AvailBw(at, c.BaseTau).MbpsOf())
+		for at := time.Duration(0); at+varTimeBase <= tr.Span; at += varTimeBase {
+			base = append(base, tr.AvailBw(at, varTimeBase).MbpsOf())
 		}
 		series := VarTimeSeries{Hurst: h}
 		var lx, ly []float64
-		for lvl := 0; lvl < c.Levels; lvl++ {
+		for lvl := 0; lvl < varTimeLevels; lvl++ {
 			k := 1 << lvl
 			agg := stats.Aggregate(base, k)
 			if len(agg) < 4 {
 				break
 			}
 			v := stats.Variance(agg)
-			series.Taus = append(series.Taus, c.BaseTau*time.Duration(k))
+			series.Taus = append(series.Taus, varTimeBase*time.Duration(k))
 			series.Variances = append(series.Variances, v)
 			lx = append(lx, math.Log(float64(k)))
 			ly = append(ly, math.Log(v))

@@ -80,7 +80,7 @@ func main() {
 	}
 	w, err := learned.Train(X, y, learned.TrainConfig{
 		Lambda: *lambda, K: *k, Blend: *blend, MaxKNNRows: *maxknn,
-		Plan:         res.Config.Plan,
+		Plan:         learned.DefaultPlan(),
 		FeatureNames: exp.ModelInputNames(),
 		Note: fmt.Sprintf("trained on %d rows (%d held out) from the catalog sweep: scalings=%s trials=%d testfrac=%g seed=%d",
 			len(train), len(test), *scalings, *trials, *testFrac, *seed),

@@ -53,21 +53,28 @@ func TestNoUnusedExports(t *testing.T) {
 	}
 }
 
-// configDir is the package whose *Config types TestConfigFieldsAreSet
-// judges.
-const configDir = "internal/exp"
+// configExempt lists the directories whose *Config types
+// TestConfigFieldsAreSet does not judge, each with its reason.
+var configExempt = map[string]string{
+	"internal/sim":            "each catalog entry will re-parameterise its RED, CoDel and Gilbert-Elliott configs (ROADMAP item 20(a))",
+	"internal/livenet":        "its limits bound outside traffic, and its clock is the seam fault-injection tests use (ROADMAP item 11(a))",
+	"internal/livenet/ingest": "its limits bound outside traffic, and its clock is the seam fault-injection tests use (ROADMAP item 11(a))",
+}
 
 // TestConfigFieldsAreSet fails once per exported field of a struct type
-// of configDir whose name ends in Config that is not a knob a caller
-// turns, printing file:line and pkg.Type.Field. The field must be set
-// by non-test code outside configDir (bench/ included), as a key of a
-// composite literal or on the left of an assignment, and read by
-// non-test code anywhere. An experiment's parameters are the paper's
-// constants beside it; its config holds only the knobs a caller turns.
+// whose name ends in Config that is not a knob a caller turns, printing
+// file:line and pkg.Type.Field. Every package of the root module that
+// declares one is judged, less configExempt; an alias is judged where
+// its type is declared. The field must be set by non-test code outside
+// its package (bench/ included), as a key of a composite literal or on
+// the left of an assignment, and read by non-test code anywhere; an
+// embedded field is read when a read selector's path goes through it.
+// A tool's or an experiment's parameters are the published constants
+// beside it; its config holds only the knobs a caller turns.
 func TestConfigFieldsAreSet(t *testing.T) {
 	x, errs := repoTree()
 	if len(errs) == 0 {
-		errs = x.unsetConfigFields(configDir)
+		errs = x.unsetConfigFields()
 	}
 	for _, f := range errs {
 		t.Error(f)
@@ -104,23 +111,26 @@ func checkTree(fsys fs.FS) (*tree, []string) {
 }
 
 // unsetConfigFields applies TestConfigFieldsAreSet's rule to the
-// package in dir and returns its failures, sorted.
-func (x *tree) unsetConfigFields(dir string) []string {
-	p := x.module + "/" + dir
-	pkg := x.base[p]
-	if pkg == nil {
-		return []string{"no package " + p}
-	}
-	fields := map[types.Object]string{}
-	for _, name := range pkg.Scope().Names() {
-		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+// checked tree and returns its failures, sorted.
+func (x *tree) unsetConfigFields() []string {
+	fields := map[types.Object]string{} // judged field → pkg.Type.Field
+	home := map[types.Object]string{}   // judged field → its package's directory
+	for p, pf := range x.pkgs {
+		pkg := x.base[p]
+		if _, ok := configExempt[pf.dir]; ok || pf.consumer || pkg == nil {
 			continue
 		}
-		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = x.key(p) + "." + name + "." + f.Name()
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						fields[f] = x.key(p) + "." + name + "." + f.Name()
+						home[f] = pf.dir
+					}
 				}
 			}
 		}
@@ -128,14 +138,14 @@ func (x *tree) unsetConfigFields(dir string) []string {
 	writes := map[*ast.Ident]bool{}
 	set := map[types.Object]bool{}
 	for _, pf := range x.pkgs {
-		outside := pf.dir != dir && !strings.HasPrefix(pf.dir, dir+"/")
 		mark := func(e ast.Expr) {
 			if sel, ok := e.(*ast.SelectorExpr); ok {
 				e = sel.Sel
 			}
 			if id, ok := e.(*ast.Ident); ok {
 				writes[id] = true
-				set[x.uses[id]] = set[x.uses[id]] || outside
+				obj := x.uses[id]
+				set[obj] = set[obj] || home[obj] != pf.dir
 			}
 		}
 		for _, f := range pf.files {
@@ -160,6 +170,21 @@ func (x *tree) unsetConfigFields(dir string) []string {
 	for id, obj := range x.uses {
 		read[obj] = read[obj] || !writes[id]
 	}
+	for e, sel := range x.sels {
+		if writes[e.Sel] {
+			continue
+		}
+		// The embedded fields a promoted selector goes through.
+		t, path := sel.Recv(), sel.Index()
+		for _, i := range path[:len(path)-1] {
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			read[f] = true
+			t = f.Type()
+		}
+	}
 	var out []string
 	for f, name := range fields {
 		pos := x.fset.Position(f.Pos())
@@ -182,9 +207,10 @@ type tree struct {
 	std    types.Importer
 	pkgs   map[string]*pkgFiles // by import path
 	base   map[string]*types.Package
-	uses   map[*ast.Ident]types.Object // by non-test files, from the base check
-	tuses  map[*ast.Ident]types.Object // by test files
-	deps   map[[2]string]bool          // memoized dependsOn
+	uses   map[*ast.Ident]types.Object            // by non-test files, from the base check
+	sels   map[*ast.SelectorExpr]*types.Selection // by non-test files, from the base check
+	tuses  map[*ast.Ident]types.Object            // by test files
+	deps   map[[2]string]bool                     // memoized dependsOn
 	errs   []string
 }
 
@@ -218,6 +244,7 @@ func loadTree(fsys fs.FS) (*tree, error) {
 		base:   map[string]*types.Package{},
 		uses:   map[*ast.Ident]types.Object{},
 		tuses:  map[*ast.Ident]types.Object{},
+		sels:   map[*ast.SelectorExpr]*types.Selection{},
 		deps:   map[[2]string]bool{},
 	}
 	x.std = importer.ForCompiler(x.fset, "source", nil)
@@ -307,11 +334,11 @@ func (l *loader) Import(p string) (*types.Package, error) {
 	if l.variant != "" && !l.x.dependsOn(p, l.variant) {
 		return l.x.load(p), nil
 	}
-	var uses map[*ast.Ident]types.Object
+	info := &types.Info{}
 	if l.variant == "" {
-		uses = l.x.uses
+		info = &types.Info{Uses: l.x.uses, Selections: l.x.sels}
 	}
-	pkg := l.x.checkFiles(p, pf.files, l, uses)
+	pkg := l.x.checkFiles(p, pf.files, l, info)
 	l.pkgs[p] = pkg
 	return pkg, nil
 }
@@ -321,11 +348,11 @@ func (x *tree) load(p string) *types.Package {
 	return pkg
 }
 
-func (x *tree) checkFiles(p string, files []*ast.File, imp types.Importer, uses map[*ast.Ident]types.Object) *types.Package {
+func (x *tree) checkFiles(p string, files []*ast.File, imp types.Importer, info *types.Info) *types.Package {
 	conf := types.Config{Importer: imp, Error: func(err error) {
 		x.errs = append(x.errs, "type error: "+err.Error())
 	}}
-	pkg, _ := conf.Check(p, x.fset, files, &types.Info{Uses: uses})
+	pkg, _ := conf.Check(p, x.fset, files, info)
 	return pkg
 }
 
@@ -358,14 +385,14 @@ func (x *tree) check() {
 		tl := &loader{x: x, pkgs: map[string]*types.Package{}}
 		if len(pf.tests) > 0 {
 			files := append(append([]*ast.File{}, pf.files...), pf.tests...)
-			tl.pkgs[p] = x.checkFiles(p, files, &loader{x: x, pkgs: x.base}, x.tuses)
+			tl.pkgs[p] = x.checkFiles(p, files, &loader{x: x, pkgs: x.base}, &types.Info{Uses: x.tuses})
 			tl.variant = p
 		}
 		if len(pf.xtests) > 0 {
 			if tl.variant == "" {
 				tl.pkgs = x.base
 			}
-			x.checkFiles(p+"_test", pf.xtests, tl, x.tuses)
+			x.checkFiles(p+"_test", pf.xtests, tl, &types.Info{Uses: x.tuses})
 		}
 	}
 }
@@ -853,12 +880,17 @@ func Used() { heap.Init(&h{}) }
 	}
 }
 
-// TestConfigFieldsRules pins TestConfigFieldsAreSet's rule on a small
-// in-memory module.
+// TestConfigFieldsRules pins TestConfigFieldsAreSet's rule on small
+// in-memory modules.
 func TestConfigFieldsRules(t *testing.T) {
-	fsys := fstest.MapFS{"go.mod": {Data: []byte("module abw\n\ngo 1.21\n")}}
-	for name, src := range map[string]string{
-		configDir + "/exp.go": `package exp
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{{
+		name: "set outside, unset, test-only, inside-only and unread fields",
+		files: map[string]string{
+			"internal/exp/exp.go": `package exp
 
 type RunConfig struct{ Set, Assigned, TestOnly, Inside, Unread int }
 
@@ -869,8 +901,8 @@ func Run(c RunConfig) int {
 	return c.Set + c.Assigned + c.TestOnly + c.Inside + other{}.Unset
 }
 `,
-		configDir + "/exp_test.go": "package exp\n\nvar _ = Run(RunConfig{TestOnly: 1})\n",
-		"cmd/c/main.go": `package main
+			"internal/exp/exp_test.go": "package exp\n\nvar _ = Run(RunConfig{TestOnly: 1})\n",
+			"cmd/c/main.go": `package main
 
 import "abw/internal/exp"
 
@@ -880,19 +912,87 @@ func main() {
 	exp.Run(c)
 }
 `,
-	} {
-		fsys[name] = &fstest.MapFile{Data: []byte(src)}
+		},
+		want: []string{
+			"internal/exp/exp.go:3 exp.RunConfig.Inside is set by no caller",
+			"internal/exp/exp.go:3 exp.RunConfig.TestOnly is set by no caller",
+			"internal/exp/exp.go:3 exp.RunConfig.Unread is read by nothing",
+		},
+	}, {
+		name: "an embedded field read through a promoted selector is read",
+		files: map[string]string{
+			"internal/exp/exp.go": `package exp
+
+type Stream struct{ Rate int }
+
+type RunConfig struct {
+	Stream
+	Scale int
+}
+
+func Run(c RunConfig) int { return c.Rate * c.Scale }
+`,
+			"cmd/c/main.go": `package main
+
+import "abw/internal/exp"
+
+func main() { exp.Run(exp.RunConfig{Stream: exp.Stream{Rate: 1}, Scale: 2}) }
+`,
+		},
+	}, {
+		name: "every package with a Config type is judged",
+		files: map[string]string{
+			"internal/exp/exp.go": "package exp\n\ntype RunConfig struct{ Set int }\n\nfunc Run(c RunConfig) int { return c.Set }\n",
+			"internal/tool/tool.go": `package tool
+
+type Config struct{ Rate, Step int }
+
+func New(c Config) int {
+	if c.Step == 0 {
+		c.Step = 2
 	}
-	x, errs := checkTree(fsys)
-	if len(errs) == 0 {
-		errs = x.unsetConfigFields(configDir)
-	}
-	want := []string{
-		configDir + "/exp.go:3 exp.RunConfig.Inside is set by no caller",
-		configDir + "/exp.go:3 exp.RunConfig.TestOnly is set by no caller",
-		configDir + "/exp.go:3 exp.RunConfig.Unread is read by nothing",
-	}
-	if strings.Join(errs, "\n") != strings.Join(want, "\n") {
-		t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(errs, "\n\t"), strings.Join(want, "\n\t"))
+	return c.Rate + c.Step
+}
+`,
+			"cmd/c/main.go": `package main
+
+import (
+	"abw/internal/exp"
+	"abw/internal/tool"
+)
+
+func main() { exp.Run(exp.RunConfig{Set: tool.New(tool.Config{Rate: 1})}) }
+`,
+		},
+		want: []string{"internal/tool/tool.go:3 tool.Config.Step is set by no caller"},
+	}, {
+		name: "an alias is judged where its type is declared",
+		files: map[string]string{
+			"internal/tool/tool.go": "package tool\n\ntype Config struct{ Rate int }\n\nfunc New(c Config) int { return c.Rate }\n",
+			"internal/exp/exp.go": `package exp
+
+import "abw/internal/tool"
+
+type ToolConfig = tool.Config
+
+func Run() int { return tool.New(ToolConfig{Rate: 1}) }
+`,
+			"cmd/c/main.go": "package main\n\nimport \"abw/internal/exp\"\n\nfunc main() { exp.Run() }\n",
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fsys := fstest.MapFS{"go.mod": {Data: []byte("module abw\n\ngo 1.21\n")}}
+			for name, src := range c.files {
+				fsys[name] = &fstest.MapFile{Data: []byte(src)}
+			}
+			x, errs := checkTree(fsys)
+			if len(errs) == 0 {
+				errs = x.unsetConfigFields()
+			}
+			if strings.Join(errs, "\n") != strings.Join(c.want, "\n") {
+				t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(errs, "\n\t"), strings.Join(c.want, "\n\t"))
+			}
+		})
 	}
 }

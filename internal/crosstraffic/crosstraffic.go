@@ -161,31 +161,32 @@ func Poisson(cfg Stream, r *rng.Rand) Model {
 // shared Stream settings.
 type ParetoOnOffConfig struct {
 	Stream
-	// Peak is the emission rate during ON periods; it must exceed the
-	// long-run Rate. Defaults to 4x Rate.
-	Peak unit.Rate
-	// OffShape is the Pareto shape of OFF durations. The paper's
-	// footnote uses 1.5; that is the default.
-	OffShape float64
-	// MaxOnPackets bounds the uniform ON length in packets; the paper's
-	// footnote draws ON uniformly between 1 and 10 packets (default 10).
-	MaxOnPackets int
 	// OffCap truncates OFF periods at OffCap*xm to keep single sources
 	// from dying for an entire run; 0 means unbounded (exact Pareto).
 	OffCap float64
 }
 
+// The paper's footnote: ON lasts uniformly 1 to maxOnPackets packets,
+// and OFF durations are Pareto with shape offShape. A source emits its
+// ON burst at peakFactor times its long-run rate.
+const (
+	maxOnPackets         = 10
+	offShape     float64 = 1.5
+	peakFactor           = 4
+)
+
 type paretoOnOff struct {
-	cfg ParetoOnOffConfig
-	r   *rng.Rand
+	cfg  ParetoOnOffConfig
+	peak unit.Rate // the emission rate during ON periods
+	r    *rng.Rand
 }
 
 // ParetoOnOff returns a heavy-tailed ON-OFF source: during ON it emits a
-// uniform(1..MaxOnPackets) burst back-to-back at Peak rate, then stays
-// silent for a Pareto(OffShape) duration calibrated so the long-run rate
-// matches cfg.Rate. Aggregating many such sources yields self-similar
-// traffic (Taqqu's theorem), which is why this is the paper's "most
-// bursty" model.
+// uniform(1..maxOnPackets) burst back-to-back at peakFactor × cfg.Rate,
+// then stays silent for a Pareto(offShape) duration calibrated so the
+// long-run rate matches cfg.Rate. Aggregating many such sources yields
+// self-similar traffic (Taqqu's theorem), which is why this is the
+// paper's "most bursty" model.
 func ParetoOnOff(cfg ParetoOnOffConfig, r *rng.Rand) Model {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("crosstraffic: ParetoOnOff rate %v must be positive", cfg.Rate))
@@ -193,36 +194,18 @@ func ParetoOnOff(cfg ParetoOnOffConfig, r *rng.Rand) Model {
 	if r == nil {
 		panic("crosstraffic: ParetoOnOff needs a random source")
 	}
-	if cfg.Peak == 0 {
-		cfg.Peak = 4 * cfg.Rate
-	}
-	if cfg.Peak <= cfg.Rate {
-		panic(fmt.Sprintf("crosstraffic: peak %v must exceed mean rate %v", cfg.Peak, cfg.Rate))
-	}
-	if cfg.OffShape == 0 {
-		cfg.OffShape = 1.5
-	}
-	if cfg.OffShape <= 1 {
-		panic(fmt.Sprintf("crosstraffic: OFF shape %g must exceed 1 for a finite mean", cfg.OffShape))
-	}
-	if cfg.MaxOnPackets == 0 {
-		cfg.MaxOnPackets = 10
-	}
-	if cfg.MaxOnPackets < 1 {
-		panic("crosstraffic: MaxOnPackets must be >= 1")
-	}
 	cfg.Sizes = cfg.sizes()
-	return &paretoOnOff{cfg: cfg, r: r}
+	return &paretoOnOff{cfg: cfg, peak: peakFactor * cfg.Rate, r: r}
 }
 
 // offScale returns the Pareto minimum x_m for OFF periods such that the
-// duty cycle matches Rate/Peak.
+// duty cycle matches Rate/peak.
 func (m *paretoOnOff) offScale() float64 {
 	c := m.cfg
-	meanOnPkts := float64(1+c.MaxOnPackets) / 2
-	meanOnSec := meanOnPkts * c.Sizes.Mean() * 8 / float64(c.Peak)
-	meanOffSec := meanOnSec * float64(c.Peak-c.Rate) / float64(c.Rate)
-	alpha := c.OffShape
+	meanOnPkts := float64(1+maxOnPackets) / 2
+	meanOnSec := meanOnPkts * c.Sizes.Mean() * 8 / float64(m.peak)
+	meanOffSec := meanOnSec * float64(m.peak-c.Rate) / float64(c.Rate)
+	alpha := offShape
 	return meanOffSec * (alpha - 1) / alpha
 }
 
@@ -247,18 +230,18 @@ func (p *onOff) Next() (time.Duration, unit.Bytes, bool) {
 		if p.t >= p.until {
 			return 0, 0, false
 		}
-		p.left = 1 + r.Intn(c.MaxOnPackets)
+		p.left = 1 + r.Intn(maxOnPackets)
 	}
 	at, size := p.t, unit.Bytes(c.Sizes.Sample(r))
-	p.t += unit.GapFor(size, c.Peak)
+	p.t += unit.GapFor(size, p.m.peak)
 	p.left--
 	if p.left == 0 || p.t >= p.until {
 		p.left = 0
 		var off float64
 		if c.OffCap > 0 {
-			off = r.BoundedPareto(c.OffShape, p.xm, c.OffCap*p.xm)
+			off = r.BoundedPareto(offShape, p.xm, c.OffCap*p.xm)
 		} else {
-			off = r.Pareto(c.OffShape, p.xm)
+			off = r.Pareto(offShape, p.xm)
 		}
 		p.t += time.Duration(off * 1e9)
 	}

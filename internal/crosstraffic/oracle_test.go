@@ -117,18 +117,18 @@ func (o *oracleParetoOnOff) Run(s *sim.Sim, route []*sim.Link, from, until time.
 		if at >= until {
 			return
 		}
-		n := 1 + m.r.Intn(m.cfg.MaxOnPackets)
+		n := 1 + m.r.Intn(maxOnPackets)
 		t := at
 		for i := 0; i < n && t < until; i++ {
 			size := unit.Bytes(m.cfg.sizes().Sample(m.r))
 			oracleInject(s, route, size, o.flow, t)
-			t += unit.GapFor(size, m.cfg.Peak)
+			t += unit.GapFor(size, m.peak)
 		}
 		var off float64
 		if m.cfg.OffCap > 0 {
-			off = m.r.BoundedPareto(m.cfg.OffShape, xm, m.cfg.OffCap*xm)
+			off = m.r.BoundedPareto(offShape, xm, m.cfg.OffCap*xm)
 		} else {
-			off = m.r.Pareto(m.cfg.OffShape, xm)
+			off = m.r.Pareto(offShape, xm)
 		}
 		at = t + time.Duration(off*1e9)
 		if at < until {
@@ -191,7 +191,7 @@ func TestEmissionsMatchOracles(t *testing.T) {
 	)
 	mix := rng.MustModalSizes(rng.Mode{Size: 40, Prob: 0.4}, rng.Mode{Size: 576, Prob: 0.3}, rng.Mode{Size: 1500, Prob: 0.3})
 	onOff := func(rate unit.Rate, r *rng.Rand) *paretoOnOff {
-		cfg := ParetoOnOffConfig{Stream: Stream{Rate: rate, Sizes: mix}, MaxOnPackets: 60, OffCap: 200}
+		cfg := ParetoOnOffConfig{Stream: Stream{Rate: rate, Sizes: mix}, OffCap: 200}
 		return ParetoOnOff(cfg, r).(*paretoOnOff)
 	}
 	// edge is the instant of a packet that follows its predecessor at

@@ -103,7 +103,7 @@ func Figure5(c Figure5Config) (*Figure5Result, error) {
 			InputMbps:  rec.InputRate().MbpsOf(),
 			OutputMbps: rec.OutputRate().MbpsOf(),
 			RelOWDsMs:  rec.RelativeOWDsMs(),
-			Trend:      stats.OWDTrend(vals, stats.TrendConfig{}),
+			Trend:      stats.OWDTrend(vals),
 		}, nil
 	}
 

@@ -67,40 +67,12 @@ func PDT(xs []float64) float64 {
 	return (xs[len(xs)-1] - xs[0]) / absSum
 }
 
-// TrendConfig holds the PCT/PDT decision thresholds. Zero fields take
-// Pathload's published defaults.
-type TrendConfig struct {
-	// PCTIncrease/PCTNoIncrease bound the increasing / non-increasing
-	// regions (defaults 0.66 and 0.54).
-	PCTIncrease, PCTNoIncrease float64
-	// PDTIncrease/PDTNoIncrease likewise (defaults 0.55 and 0.45).
-	PDTIncrease, PDTNoIncrease float64
-	// Groups is the number of median groups the series is reduced to
-	// before testing (default: sqrt of series length).
-	Groups int
-}
-
-func (c TrendConfig) withDefaults(n int) TrendConfig {
-	if c.PCTIncrease == 0 {
-		c.PCTIncrease = 0.66
-	}
-	if c.PCTNoIncrease == 0 {
-		c.PCTNoIncrease = 0.54
-	}
-	if c.PDTIncrease == 0 {
-		c.PDTIncrease = 0.55
-	}
-	if c.PDTNoIncrease == 0 {
-		c.PDTNoIncrease = 0.45
-	}
-	if c.Groups == 0 {
-		c.Groups = int(math.Sqrt(float64(n)))
-		if c.Groups < 2 {
-			c.Groups = 2
-		}
-	}
-	return c
-}
+// Pathload's published PCT/PDT decision thresholds: a statistic above
+// the first bound is increasing, one below the second non-increasing.
+const (
+	pctIncrease, pctNoIncrease = 0.66, 0.54
+	pdtIncrease, pdtNoIncrease = 0.55, 0.45
+)
 
 // MedianGroups reduces xs to g group medians, Pathload's robustification
 // against measurement noise before trend testing.
@@ -155,16 +127,20 @@ type TrendResult struct {
 	PDT     float64
 }
 
-// OWDTrend runs Pathload's trend analysis on a one-way-delay series.
-func OWDTrend(owds []float64, cfg TrendConfig) TrendResult {
-	c := cfg.withDefaults(len(owds))
-	groups := MedianGroups(owds, c.Groups)
+// OWDTrend runs Pathload's trend analysis on a one-way-delay series,
+// reduced first to √n median groups (at least 2).
+func OWDTrend(owds []float64) TrendResult {
+	g := int(math.Sqrt(float64(len(owds))))
+	if g < 2 {
+		g = 2
+	}
+	groups := MedianGroups(owds, g)
 	pct := PCT(groups)
 	pdt := PDT(groups)
-	pctInc := pct > c.PCTIncrease
-	pctNon := pct < c.PCTNoIncrease
-	pdtInc := pdt > c.PDTIncrease
-	pdtNon := pdt < c.PDTNoIncrease
+	pctInc := pct > pctIncrease
+	pctNon := pct < pctNoIncrease
+	pdtInc := pdt > pdtIncrease
+	pdtNon := pdt < pdtNoIncrease
 	var v Trend
 	switch {
 	case pctInc && pdtInc:

@@ -97,7 +97,7 @@ func TestOWDTrendIncreasing(t *testing.T) {
 	for i := range owds {
 		owds[i] = float64(i)*0.5 + r.Norm()*2
 	}
-	res := OWDTrend(owds, TrendConfig{})
+	res := OWDTrend(owds)
 	if res.Verdict != TrendIncreasing {
 		t.Errorf("verdict = %v (PCT=%.2f PDT=%.2f), want increasing", res.Verdict, res.PCT, res.PDT)
 	}
@@ -109,7 +109,7 @@ func TestOWDTrendFlat(t *testing.T) {
 	for i := range owds {
 		owds[i] = 200 + r.Norm()*3
 	}
-	res := OWDTrend(owds, TrendConfig{})
+	res := OWDTrend(owds)
 	if res.Verdict != TrendNonIncreasing {
 		t.Errorf("verdict = %v (PCT=%.2f PDT=%.2f), want non-increasing", res.Verdict, res.PCT, res.PDT)
 	}
@@ -127,7 +127,7 @@ func TestOWDTrendLateBurstIsNotIncreasing(t *testing.T) {
 	for i := 152; i < 160; i++ {
 		owds[i] = 240 + r.Norm()*2 // late burst
 	}
-	res := OWDTrend(owds, TrendConfig{})
+	res := OWDTrend(owds)
 	if res.Verdict == TrendIncreasing {
 		t.Errorf("late burst misclassified as increasing (PCT=%.2f PDT=%.2f)", res.PCT, res.PDT)
 	}
@@ -143,7 +143,7 @@ func TestOWDTrendRobustToOutliers(t *testing.T) {
 			owds[i] += 500 // spike
 		}
 	}
-	res := OWDTrend(owds, TrendConfig{})
+	res := OWDTrend(owds)
 	if res.Verdict != TrendIncreasing {
 		t.Errorf("spiky increasing series: verdict = %v, want increasing", res.Verdict)
 	}

@@ -18,15 +18,18 @@ type MiceConfig struct {
 	OfferedLoad unit.Rate
 	// MeanFlowBytes is the mean transfer size (default 40 kB).
 	MeanFlowBytes unit.Bytes
-	// Shape is the bounded-Pareto shape of flow sizes (default 1.3).
-	Shape float64
-	// MaxFlowBytes caps flow sizes (default 200·MeanFlowBytes).
-	MaxFlowBytes unit.Bytes
-	// RcvWnd is each flow's advertised window in segments (default 32).
-	RcvWnd int
-	// MSS is each flow's segment payload (default 1460).
-	MSS unit.Bytes
 }
+
+// Flow sizes are bounded-Pareto with shape miceShape, capped at
+// maxFlowFactor·MeanFlowBytes and floored at one segment; each flow
+// advertises a miceRcvWnd-segment window. miceShape is a typed float64
+// so that miceShape − 1 is taken on the float64 value of 1.3, not
+// folded exactly to 0.3.
+const (
+	miceShape     float64 = 1.3
+	maxFlowFactor         = 200
+	miceRcvWnd            = 32
+)
 
 func (c MiceConfig) withDefaults() (MiceConfig, error) {
 	if c.OfferedLoad <= 0 {
@@ -37,27 +40,6 @@ func (c MiceConfig) withDefaults() (MiceConfig, error) {
 	}
 	if c.MeanFlowBytes <= 0 {
 		return c, fmt.Errorf("tcp: mean flow size must be positive")
-	}
-	if c.Shape == 0 {
-		c.Shape = 1.3
-	}
-	if c.Shape <= 1 {
-		return c, fmt.Errorf("tcp: flow-size shape must exceed 1")
-	}
-	if c.MaxFlowBytes == 0 {
-		c.MaxFlowBytes = 200 * c.MeanFlowBytes
-	}
-	if c.MaxFlowBytes < c.MeanFlowBytes {
-		return c, fmt.Errorf("tcp: flow-size cap below the mean")
-	}
-	if c.RcvWnd == 0 {
-		c.RcvWnd = 32
-	}
-	if c.RcvWnd < 1 {
-		return c, fmt.Errorf("tcp: mice receiver window must be positive")
-	}
-	if c.MSS == 0 {
-		c.MSS = 1460
 	}
 	return c, nil
 }
@@ -93,7 +75,8 @@ func (m *Mice) Run(s *sim.Sim, fwd, rev []*sim.Link, from, until time.Duration, 
 	// Bounded-Pareto xm from the mean: for shape a and cap b,
 	// E = a·xm/(a−1)·(1−(xm/b)^{a−1})/(1−(xm/b)^a) ≈ a·xm/(a−1) when
 	// b >> xm; we use the simple form and rely on the cap being large.
-	xm := float64(c.MeanFlowBytes) * (c.Shape - 1) / c.Shape
+	xm := float64(c.MeanFlowBytes) * (miceShape - 1) / miceShape
+	maxFlowBytes := maxFlowFactor * c.MeanFlowBytes
 	flow := flowBase
 	var step func()
 	at := from
@@ -101,15 +84,11 @@ func (m *Mice) Run(s *sim.Sim, fwd, rev []*sim.Link, from, until time.Duration, 
 		if at >= until {
 			return
 		}
-		size := unit.Bytes(r.BoundedPareto(c.Shape, xm, float64(c.MaxFlowBytes)))
-		if size < c.MSS {
-			size = c.MSS
+		size := unit.Bytes(r.BoundedPareto(miceShape, xm, float64(maxFlowBytes)))
+		if size < mss {
+			size = mss
 		}
-		conn, err := New(s, fwd, rev, flow, Config{
-			MSS:      c.MSS,
-			RcvWnd:   c.RcvWnd,
-			MaxBytes: size,
-		})
+		conn, err := New(s, fwd, rev, flow, Config{RcvWnd: miceRcvWnd, maxBytes: size})
 		if err == nil {
 			m.conns = append(m.conns, conn)
 			conn.Start(s.Now())

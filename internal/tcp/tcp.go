@@ -22,48 +22,32 @@ import (
 
 // Config tunes a connection. Zero fields take defaults.
 type Config struct {
-	// MSS is the payload bytes per segment (default 1460; the wire
-	// segment adds 40 bytes of headers).
-	MSS unit.Bytes
 	// RcvWnd is the receiver advertised window in segments — the Wr of
 	// Figure 7 (default 64).
 	RcvWnd int
-	// InitCwnd is the initial congestion window in segments (default 2).
-	InitCwnd int
-	// RTOMin floors the retransmission timeout (default 200 ms).
-	RTOMin time.Duration
-	// MaxBytes ends the transfer after that much payload is acked;
-	// 0 means a persistent (bulk) transfer.
-	MaxBytes unit.Bytes
+	// maxBytes ends the transfer after that much payload is acked;
+	// 0 means a persistent (bulk) transfer. Mice sets it per flow.
+	maxBytes unit.Bytes
 }
 
+// Every connection sends mss payload bytes a segment (the wire segment
+// adds headerBytes), starts with an initCwnd-segment congestion window,
+// and floors its retransmission timeout at rtoMin.
+const (
+	mss      unit.Bytes = 1460
+	initCwnd            = 2
+	rtoMin              = 200 * time.Millisecond
+)
+
 func (c Config) withDefaults() (Config, error) {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.MSS <= 0 {
-		return c, fmt.Errorf("tcp: MSS must be positive")
-	}
 	if c.RcvWnd == 0 {
 		c.RcvWnd = 64
 	}
 	if c.RcvWnd < 1 {
 		return c, fmt.Errorf("tcp: receiver window must be at least 1 segment")
 	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 2
-	}
-	if c.InitCwnd < 1 {
-		return c, fmt.Errorf("tcp: initial cwnd must be at least 1 segment")
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 200 * time.Millisecond
-	}
-	if c.RTOMin <= 0 {
-		return c, fmt.Errorf("tcp: RTOMin must be positive")
-	}
-	if c.MaxBytes < 0 {
-		return c, fmt.Errorf("tcp: negative MaxBytes")
+	if c.maxBytes < 0 {
+		return c, fmt.Errorf("tcp: negative maxBytes")
 	}
 	return c, nil
 }
@@ -130,7 +114,7 @@ func New(s *sim.Sim, fwd, rev []*sim.Link, flow int, cfg Config) (*Conn, error) 
 		rev:       rev,
 		cfg:       c,
 		flow:      flow,
-		cwnd:      float64(c.InitCwnd),
+		cwnd:      float64(initCwnd),
 		ssthresh:  1 << 20, // effectively unbounded until the first loss
 		sendTimes: make(map[int]time.Duration),
 		outOfOrd:  make(map[int]bool),
@@ -161,10 +145,10 @@ func (c *Conn) window() int {
 // totalSegments returns the transfer length in segments, or -1 for a
 // persistent transfer.
 func (c *Conn) totalSegments() int {
-	if c.cfg.MaxBytes == 0 {
+	if c.cfg.maxBytes == 0 {
 		return -1
 	}
-	n := int((c.cfg.MaxBytes + c.cfg.MSS - 1) / c.cfg.MSS)
+	n := int((c.cfg.maxBytes + mss - 1) / mss)
 	if n < 1 {
 		n = 1
 	}
@@ -203,7 +187,7 @@ func (c *Conn) sendSegment(seq int, isRetransmit bool) {
 		c.sendTimes[seq] = c.s.Now()
 	}
 	pkt := &sim.Packet{
-		Size:  c.cfg.MSS + headerBytes,
+		Size:  mss + headerBytes,
 		Kind:  sim.KindData,
 		Flow:  c.flow,
 		Seq:   seq,
@@ -326,7 +310,7 @@ func (c *Conn) updateRTT(sample float64) {
 
 // rto returns the current retransmission timeout.
 func (c *Conn) rto() time.Duration {
-	base := c.cfg.RTOMin
+	base := rtoMin
 	if c.srtt > 0 {
 		d := time.Duration((c.srtt + 4*c.rttvr) * 1e9)
 		if d > base {
@@ -388,7 +372,7 @@ func (c *Conn) Done() bool { return c.done }
 
 // AckedBytes returns the payload bytes cumulatively acked.
 func (c *Conn) AckedBytes() unit.Bytes {
-	return unit.Bytes(c.highestAck) * c.cfg.MSS
+	return unit.Bytes(c.highestAck) * mss
 }
 
 // Retransmits returns the retransmission count.
@@ -415,5 +399,5 @@ func (c *Conn) Throughput(from, to time.Duration) unit.Rate {
 	if segs <= 0 {
 		return 0
 	}
-	return unit.RateOf(unit.Bytes(segs)*c.cfg.MSS, to-from)
+	return unit.RateOf(unit.Bytes(segs)*mss, to-from)
 }

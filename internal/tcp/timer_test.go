@@ -16,7 +16,7 @@ func TestRTOFiresOnTotalLoss(t *testing.T) {
 	fwd := s.NewLink("bottleneck", 2*unit.Mbps, 10*time.Millisecond)
 	fwd.SetBuffer(1)
 	rev := s.NewLink("reverse", unit.Gbps, 10*time.Millisecond)
-	c, err := New(s, []*sim.Link{fwd}, []*sim.Link{rev}, 1, Config{RcvWnd: 8, MaxBytes: 30_000})
+	c, err := New(s, []*sim.Link{fwd}, []*sim.Link{rev}, 1, Config{RcvWnd: 8, maxBytes: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRTOGrowsWithBackoff(t *testing.T) {
 func TestRTOUsesSRTT(t *testing.T) {
 	s := sim.New()
 	fwd := s.NewLink("l", 10*unit.Mbps, time.Millisecond)
-	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{RTOMin: 10 * time.Millisecond})
+	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWindowNeverBelowOneSegment(t *testing.T) {
 func TestAckToDoneConnIgnored(t *testing.T) {
 	s := sim.New()
 	fwd := s.NewLink("l", 10*unit.Mbps, time.Millisecond)
-	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{MaxBytes: 1460})
+	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{maxBytes: 1460})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAckToDoneConnIgnored(t *testing.T) {
 func TestTotalSegmentsRounding(t *testing.T) {
 	s := sim.New()
 	fwd := s.NewLink("l", 10*unit.Mbps, time.Millisecond)
-	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{MaxBytes: 1461})
+	c, err := New(s, []*sim.Link{fwd}, nil, 1, Config{maxBytes: 1461})
 	if err != nil {
 		t.Fatal(err)
 	}

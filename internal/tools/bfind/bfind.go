@@ -28,22 +28,23 @@ import (
 type Config struct {
 	// StartRate is the initial UDP load (default 1 Mbps).
 	StartRate unit.Rate
-	// Step is the per-round rate increase (default 2 Mbps).
-	Step unit.Rate
 	// MaxRate bounds the ramp (required): BFind is intrusive by design
 	// and needs an explicit ceiling.
 	MaxRate unit.Rate
-	// Window is how long each load level is held (default 200 ms).
-	Window time.Duration
-	// TraceProbes is the number of per-hop RTT probes per window
-	// (default 10).
-	TraceProbes int
-	// DelayThreshold is the sustained per-hop queueing-delay increase
-	// that flags a saturated link (default 5 ms).
-	DelayThreshold time.Duration
 	// LoadPktSize is the UDP load packet size (default 1000 B).
 	LoadPktSize unit.Bytes
 }
+
+// The ramp: each load level is rampStep above the last and is held for
+// window, while traceProbes per-hop RTT probes watch every hop. A hop
+// whose median delay rises delayThreshold above its unloaded baseline
+// is saturated.
+const (
+	rampStep       = 2 * unit.Mbps
+	window         = 200 * time.Millisecond
+	traceProbes    = 10
+	delayThreshold = 5 * time.Millisecond
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.MaxRate <= 0 {
@@ -55,32 +56,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StartRate <= 0 || c.StartRate > c.MaxRate {
 		return c, fmt.Errorf("bfind: StartRate %v outside (0, MaxRate]", c.StartRate)
 	}
-	if c.Step == 0 {
-		c.Step = 2 * unit.Mbps
-	}
-	if c.Step <= 0 {
-		return c, fmt.Errorf("bfind: Step must be positive")
-	}
-	if c.Window == 0 {
-		c.Window = 200 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		return c, fmt.Errorf("bfind: Window must be positive")
-	}
-	if c.TraceProbes == 0 {
-		c.TraceProbes = 10
-	}
-	if c.TraceProbes < 2 {
-		return c, fmt.Errorf("bfind: need at least 2 trace probes per window")
-	}
-	if c.DelayThreshold == 0 {
-		c.DelayThreshold = 5 * time.Millisecond
-	}
-	if c.DelayThreshold <= 0 {
-		return c, fmt.Errorf("bfind: DelayThreshold must be positive")
-	}
 	if c.LoadPktSize == 0 {
 		c.LoadPktSize = 1000
+	}
+	if c.LoadPktSize < 0 {
+		return c, fmt.Errorf("bfind: LoadPktSize %d must be positive", c.LoadPktSize)
 	}
 	return c, nil
 }
@@ -130,7 +110,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	rate := c.StartRate
 	estimate := c.MaxRate
 ramp:
-	for ; rate <= c.MaxRate; rate += c.Step {
+	for ; rate <= c.MaxRate; rate += rampStep {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -139,17 +119,17 @@ ramp:
 		load := &crosstraffic.Counter{Process: crosstraffic.CBR(crosstraffic.Stream{
 			Rate:  rate,
 			Sizes: rng.FixedSize(c.LoadPktSize),
-		}).Over(from, from+c.Window)}
+		}).Over(from, from+window)}
 		s.Feed(path.Route(), sim.KindProbe, 0, load.Next)
 		// Trace every hop while the load runs: all probes for all hops
 		// are scheduled inside the window before the clock advances.
-		spacing := c.Window / time.Duration(c.TraceProbes+1)
+		spacing := window / time.Duration(traceProbes+1)
 		delays := make([][]float64, hops)
 		outstanding := 0
 		for h := 0; h < hops; h++ {
-			delays[h] = make([]float64, 0, c.TraceProbes)
+			delays[h] = make([]float64, 0, traceProbes)
 			h := h
-			for i := 0; i < c.TraceProbes; i++ {
+			for i := 0; i < traceProbes; i++ {
 				sendAt := from + time.Duration(i+1)*spacing
 				s.Inject(&sim.Packet{
 					Size:  40,
@@ -164,7 +144,7 @@ ramp:
 				outstanding++
 			}
 		}
-		deadline := from + c.Window + time.Second
+		deadline := from + window + time.Second
 		for outstanding > 0 && s.Now() < deadline {
 			step := deadline - s.Now()
 			if step > 20*time.Millisecond {
@@ -172,10 +152,10 @@ ramp:
 			}
 			s.RunUntil(s.Now() + step)
 		}
-		if end := from + c.Window + 100*time.Millisecond; s.Now() < end {
+		if end := from + window + 100*time.Millisecond; s.Now() < end {
 			s.RunUntil(end)
 		}
-		packets += int(load.Packets) + hops*c.TraceProbes
+		packets += int(load.Packets) + hops*traceProbes
 		bytes += load.Bytes
 		for h := 0; h < hops; h++ {
 			if len(delays[h]) == 0 {
@@ -184,7 +164,7 @@ ramp:
 			// Sustained rise: the median of the window's probes exceeds
 			// baseline by the threshold.
 			med := stats.Median(delays[h])
-			if med-baseline[h] > c.DelayThreshold.Seconds() {
+			if med-baseline[h] > delayThreshold.Seconds() {
 				saturatedHop = h
 				estimate = rate
 				break ramp

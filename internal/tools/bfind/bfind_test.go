@@ -18,11 +18,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{MaxRate: 40 * unit.Mbps, StartRate: 50 * unit.Mbps}); err == nil {
 		t.Error("StartRate above MaxRate accepted")
 	}
-	if _, err := New(Config{MaxRate: 40 * unit.Mbps, TraceProbes: 1}); err == nil {
-		t.Error("single trace probe accepted")
-	}
-	if _, err := New(Config{MaxRate: 40 * unit.Mbps, Window: -time.Second}); err == nil {
-		t.Error("negative window accepted")
+	if _, err := New(Config{MaxRate: 40 * unit.Mbps, LoadPktSize: -1500}); err == nil {
+		t.Error("negative LoadPktSize accepted")
 	}
 }
 
@@ -45,7 +42,7 @@ func TestEstimateSingleHop(t *testing.T) {
 	// BFind needs finite buffers to see persistent queue growth turn
 	// into delay; unbounded buffers also work since delay just grows.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 500})
-	e, err := New(Config{StartRate: 10 * unit.Mbps, Step: 5 * unit.Mbps, MaxRate: 48 * unit.Mbps})
+	e, err := New(Config{StartRate: 10 * unit.Mbps, MaxRate: 48 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestEstimateSingleHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := rep.Point.MbpsOf()
-	// Ramp quantization is ±Step; accept the 25±7.5 band.
+	// Ramp quantization is ±rampStep (2 Mbps); accept the 25±7.5 band.
 	if got < 17.5 || got > 32.5 {
 		t.Errorf("bfind estimate = %.2f Mbps, want ~25±7.5", got)
 	}
@@ -64,7 +61,7 @@ func TestEstimateIdentifiesCeilingMiss(t *testing.T) {
 	// Ramp ceiling below the avail-bw: BFind must report the miss as an
 	// error while still returning its partial report.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 500})
-	e, err := New(Config{StartRate: 2 * unit.Mbps, Step: 2 * unit.Mbps, MaxRate: 10 * unit.Mbps})
+	e, err := New(Config{StartRate: 2 * unit.Mbps, MaxRate: 10 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestEstimateIdentifiesCeilingMiss(t *testing.T) {
 
 func TestEstimateMultiHopFindsTightHop(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 500, Hops: 3})
-	e, err := New(Config{StartRate: 10 * unit.Mbps, Step: 5 * unit.Mbps, MaxRate: 48 * unit.Mbps})
+	e, err := New(Config{StartRate: 10 * unit.Mbps, MaxRate: 48 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}

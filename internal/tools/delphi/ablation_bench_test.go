@@ -7,7 +7,6 @@ import (
 	"abw/internal/stats"
 	"abw/internal/tools/delphi"
 	"abw/internal/tools/toolstest"
-	"abw/internal/unit"
 )
 
 // BenchmarkAblationPairsVsTrains contrasts 2-packet and 100-packet
@@ -19,8 +18,7 @@ func BenchmarkAblationPairsVsTrains(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(uint64(i + 1))})
 			est, err := delphi.New(delphi.Config{
-				Capacity: sc.Capacity, ProbeRate: 40 * unit.Mbps,
-				TrainLen: trainLen, Trains: trains,
+				Capacity: sc.Capacity, TrainLen: trainLen, Trains: trains,
 			})
 			if err != nil {
 				b.Fatal(err)

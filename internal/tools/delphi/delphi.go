@@ -26,9 +26,6 @@ import (
 type Config struct {
 	// Capacity is the assumed tight-link capacity C_t (required).
 	Capacity unit.Rate
-	// ProbeRate is the train input rate; it must exceed the avail-bw for
-	// Equation (9) to apply. Default: 0.75·Capacity.
-	ProbeRate unit.Rate
 	// PktSize is the probing packet size (default 1500 B).
 	PktSize unit.Bytes
 	// TrainLen is packets per train (default 100). The train duration
@@ -41,12 +38,6 @@ type Config struct {
 func (c Config) withDefaults() (Config, error) {
 	if c.Capacity <= 0 {
 		return c, fmt.Errorf("delphi: tight-link capacity is required (direct probing)")
-	}
-	if c.ProbeRate == 0 {
-		c.ProbeRate = c.Capacity * 3 / 4
-	}
-	if c.ProbeRate <= 0 || c.ProbeRate > c.Capacity {
-		return c, fmt.Errorf("delphi: probe rate %v outside (0, capacity]", c.ProbeRate)
 	}
 	if c.PktSize == 0 {
 		c.PktSize = 1500
@@ -65,6 +56,10 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// probeRate is the train input rate, 3/4 of the capacity: it must
+// exceed the avail-bw for Equation (9) to apply.
+func (c Config) probeRate() unit.Rate { return c.Capacity * 3 / 4 }
 
 // Estimator is the Delphi direct prober.
 type Estimator struct {
@@ -88,7 +83,7 @@ func (e *Estimator) Name() string { return "delphi" }
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
 	c := e.cfg
 	start := t.Now()
-	spec := probe.Periodic(c.ProbeRate, c.PktSize, c.TrainLen)
+	spec := probe.Periodic(c.probeRate(), c.PktSize, c.TrainLen)
 	var samples []unit.Rate
 	var packets int
 	var bytes unit.Bytes
@@ -135,7 +130,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 // configuration: the train's send duration. Exposed because the paper's
 // second pitfall is precisely that this is a measurement parameter.
 func (e *Estimator) Timescale() time.Duration {
-	return probe.Periodic(e.cfg.ProbeRate, e.cfg.PktSize, e.cfg.TrainLen).Duration()
+	return probe.Periodic(e.cfg.probeRate(), e.cfg.PktSize, e.cfg.TrainLen).Duration()
 }
 
 var _ core.Estimator = (*Estimator)(nil)

@@ -13,9 +13,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing capacity accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, ProbeRate: 60 * unit.Mbps}); err == nil {
-		t.Error("probe rate above capacity accepted")
-	}
 	if _, err := New(Config{Capacity: 50 * unit.Mbps, TrainLen: 1}); err == nil {
 		t.Error("1-packet train accepted")
 	}
@@ -29,8 +26,8 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.ProbeRate != 37.5*unit.Mbps {
-		t.Errorf("default probe rate = %v, want 37.5Mbps", e.cfg.ProbeRate)
+	if e.cfg.probeRate() != 37.5*unit.Mbps {
+		t.Errorf("probe rate = %v, want 37.5Mbps", e.cfg.probeRate())
 	}
 	if e.cfg.PktSize != 1500 || e.cfg.TrainLen != 100 || e.cfg.Trains != 20 {
 		t.Errorf("defaults wrong: %+v", e.cfg)
@@ -47,7 +44,7 @@ func TestEstimateCBRExact(t *testing.T) {
 	// With CBR cross traffic the fluid model is nearly exact: Delphi
 	// must recover A = 25 Mbps tightly.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Capacity: sc.Capacity, ProbeRate: 40 * unit.Mbps, Trains: 10})
+	e, err := New(Config{Capacity: sc.Capacity, Trains: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestEstimateCBRExact(t *testing.T) {
 
 func TestEstimatePoissonClose(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(7)})
-	e, err := New(Config{Capacity: sc.Capacity, ProbeRate: 40 * unit.Mbps, Trains: 20, TrainLen: 200})
+	e, err := New(Config{Capacity: sc.Capacity, Trains: 20, TrainLen: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestBurstyTrafficUnderestimates(t *testing.T) {
 	// only bias direct probing downward).
 	est := func(m toolstest.Traffic, seed uint64) float64 {
 		sc := toolstest.New(toolstest.Options{Model: m, Seed: toolstest.Seed(seed)})
-		e, err := New(Config{Capacity: sc.Capacity, ProbeRate: 40 * unit.Mbps, Trains: 15})
+		e, err := New(Config{Capacity: sc.Capacity, Trains: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +110,7 @@ func TestBurstyTrafficUnderestimates(t *testing.T) {
 
 func TestVariationRangeBounds(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(11)})
-	e, err := New(Config{Capacity: sc.Capacity, ProbeRate: 40 * unit.Mbps, Trains: 10})
+	e, err := New(Config{Capacity: sc.Capacity, Trains: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,14 @@ type Config struct {
 	TrainLen int
 	// PktSize is the probe packet size (default 750 B, IGI's default).
 	PktSize unit.Bytes
-	// GapStep is the additive source-gap increment per iteration, as a
-	// fraction of the initial gap (default 0.25).
-	GapStep float64
-	// Epsilon is the relative gap-convergence tolerance at the turning
-	// point (default 0.05).
-	Epsilon float64
 	// MaxIterations bounds the search (default 30).
 	MaxIterations int
 }
+
+// The gap search adds gapStep × the initial gap to the source gap each
+// iteration, and stops at the turning point: the first train whose mean
+// output gap exceeds its source gap by at most epsilon of it.
+const gapStep, epsilon = 0.25, 0.05
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Mode == IGI && c.Capacity <= 0 {
@@ -73,18 +72,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PktSize == 0 {
 		c.PktSize = 750
-	}
-	if c.GapStep == 0 {
-		c.GapStep = 0.25
-	}
-	if c.GapStep <= 0 {
-		return c, fmt.Errorf("igi: gap step must be positive")
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
-	}
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
-		return c, fmt.Errorf("igi: epsilon %g outside (0, 1)", c.Epsilon)
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 30
@@ -141,14 +128,14 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		avgOut := rec.MeanOutputGap()
 		if avgOut <= 0 {
 			// Unmeasurable train (all pairs lost); slow down and retry.
-			gap += time.Duration(float64(gapInit) * c.GapStep)
+			gap += time.Duration(float64(gapInit) * gapStep)
 			continue
 		}
-		if float64(avgOut-gap) <= c.Epsilon*float64(gap) {
+		if float64(avgOut-gap) <= epsilon*float64(gap) {
 			turning = rec
 			break
 		}
-		gap += time.Duration(float64(gapInit) * c.GapStep)
+		gap += time.Duration(float64(gapInit) * gapStep)
 		turning = rec // keep the latest in case we exhaust iterations
 	}
 	if turning == nil {

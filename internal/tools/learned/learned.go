@@ -45,15 +45,13 @@ func Parse(data []byte) (*Weights, error) {
 	return &w, nil
 }
 
-// Config tunes the estimator. Zero fields take the weight file's probe
-// plan.
+// Config tunes the estimator, which runs the embedded weights (Default).
+// Zero fields take the weight file's probe plan.
 type Config struct {
 	// Capacity is the assumed tight-link capacity C_t (required): the
 	// model predicts the dimensionless A/C and scales by it, and the
 	// probe plan's rate fractions are fractions of it.
 	Capacity unit.Rate
-	// Weights is the trained model (default: the embedded weights).
-	Weights *Weights
 	// StreamLen overrides the plan's packets per stream.
 	StreamLen int
 	// PktSize overrides the plan's probe packet size.
@@ -62,33 +60,24 @@ type Config struct {
 	StreamsPerFrac int
 }
 
-func (c Config) withDefaults() (Config, error) {
+func (c Config) withDefaults(w *Weights) (Config, error) {
 	if c.Capacity <= 0 {
 		return c, fmt.Errorf("learned: tight-link capacity is required (the model predicts A/C)")
 	}
-	if c.Weights == nil {
-		w, err := Default()
-		if err != nil {
-			return c, err
-		}
-		c.Weights = w
-	} else if err := c.Weights.validate(); err != nil {
-		return c, err
-	}
 	if c.StreamLen == 0 {
-		c.StreamLen = c.Weights.Plan.StreamLen
+		c.StreamLen = w.Plan.StreamLen
 	}
 	if c.StreamLen < 2 {
 		return c, fmt.Errorf("learned: stream length %d too short", c.StreamLen)
 	}
 	if c.PktSize == 0 {
-		c.PktSize = c.Weights.Plan.PktSize
+		c.PktSize = w.Plan.PktSize
 	}
 	if c.PktSize <= 0 {
 		return c, fmt.Errorf("learned: packet size must be positive")
 	}
 	if c.StreamsPerFrac == 0 {
-		c.StreamsPerFrac = c.Weights.Plan.StreamsPerFrac
+		c.StreamsPerFrac = w.Plan.StreamsPerFrac
 	}
 	if c.StreamsPerFrac < 1 {
 		return c, fmt.Errorf("learned: need at least one stream per rate")
@@ -99,15 +88,20 @@ func (c Config) withDefaults() (Config, error) {
 // Estimator is the learned eighth tool.
 type Estimator struct {
 	cfg Config
+	w   *Weights
 }
 
 // New validates the configuration and returns the estimator.
 func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
+	w, err := Default()
 	if err != nil {
 		return nil, err
 	}
-	return &Estimator{cfg: c}, nil
+	c, err := cfg.withDefaults(w)
+	if err != nil {
+		return nil, err
+	}
+	return &Estimator{cfg: c, w: w}, nil
 }
 
 // Name implements core.Estimator.
@@ -125,7 +119,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	var samples []unit.Rate
 	var streams, packets int
 	var bytes unit.Bytes
-	for _, frac := range c.Weights.Plan.RateFracs {
+	for _, frac := range e.w.Plan.RateFracs {
 		rate := unit.Rate(float64(c.Capacity) * frac)
 		if rate <= 0 {
 			continue
@@ -140,7 +134,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 			packets += spec.Count
 			bytes += spec.Bytes()
 			x := ModelInput(probe.ExtractFeatures(rec), frac, c.Capacity.MbpsOf())
-			y, err := c.Weights.Predict(x)
+			y, err := e.w.Predict(x)
 			if err != nil {
 				return nil, err
 			}

@@ -20,8 +20,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 50 * unit.Mbps, StreamsPerFrac: -1}); err == nil {
 		t.Error("negative streams per rate accepted")
 	}
-	bad := &Weights{Schema: "nope"}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, Weights: bad}); err == nil {
+	if _, err := Parse([]byte(`{"schema": "nope"}`)); err == nil {
 		t.Error("invalid weights accepted")
 	}
 }
@@ -31,7 +30,7 @@ func TestDefaultsComeFromPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := e.cfg.Weights.Plan
+	plan := e.w.Plan
 	if e.cfg.StreamLen != plan.StreamLen || e.cfg.PktSize != plan.PktSize || e.cfg.StreamsPerFrac != plan.StreamsPerFrac {
 		t.Errorf("config %+v does not follow the weight file's plan %+v", e.cfg, plan)
 	}
@@ -63,8 +62,8 @@ func TestEstimateCanonicalPath(t *testing.T) {
 	if rep.Low > rep.Point || rep.Point > rep.High {
 		t.Errorf("range disordered: low %v point %v high %v", rep.Low, rep.Point, rep.High)
 	}
-	if rep.Streams != len(e.cfg.Weights.Plan.RateFracs)*e.cfg.StreamsPerFrac {
-		t.Errorf("streams = %d, want %d", rep.Streams, len(e.cfg.Weights.Plan.RateFracs)*e.cfg.StreamsPerFrac)
+	if rep.Streams != len(e.w.Plan.RateFracs)*e.cfg.StreamsPerFrac {
+		t.Errorf("streams = %d, want %d", rep.Streams, len(e.w.Plan.RateFracs)*e.cfg.StreamsPerFrac)
 	}
 	if rep.Packets <= 0 || rep.ProbeBytes <= 0 || rep.Elapsed <= 0 {
 		t.Errorf("effort not accounted: %+v", rep)

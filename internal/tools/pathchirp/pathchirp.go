@@ -33,14 +33,11 @@ type Config struct {
 	// PktSize is the probe packet size (default 1000 B, pathChirp's
 	// default probe size).
 	PktSize unit.Bytes
-	// Gamma is the nominal spread factor between consecutive gaps
-	// (default 1.2); the chirp builder refits it to span [Lo, Hi]
-	// exactly.
-	Gamma float64
-	// JitterFactor scales the excursion-detection threshold relative to
-	// the chirp's median queuing delay step (default 1.0).
-	JitterFactor float64
 }
+
+// gamma is the nominal spread factor γ between consecutive gaps; the
+// chirp builder refits it to span [Lo, Hi] exactly.
+const gamma = 1.2
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Lo <= 0 || c.Hi <= c.Lo {
@@ -60,18 +57,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PktSize == 0 {
 		c.PktSize = 1000
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 1.2
-	}
-	if c.Gamma <= 1 {
-		return c, fmt.Errorf("pathchirp: gamma %g must exceed 1", c.Gamma)
-	}
-	if c.JitterFactor == 0 {
-		c.JitterFactor = 1.0
-	}
-	if c.JitterFactor < 0 {
-		return c, fmt.Errorf("pathchirp: negative jitter factor")
 	}
 	return c, nil
 }
@@ -97,7 +82,7 @@ func (e *Estimator) Name() string { return "pathchirp" }
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
 	c := e.cfg
 	start := t.Now()
-	spec, err := probe.Chirp(c.Lo, c.Hi, c.PktSize, c.PacketsPerChirp, c.Gamma)
+	spec, err := probe.Chirp(c.Lo, c.Hi, c.PktSize, c.PacketsPerChirp, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("pathchirp: %w", err)
 	}
@@ -152,7 +137,7 @@ func (e *Estimator) analyzeChirp(rec *probe.Record) (unit.Rate, bool) {
 		return 0, false
 	}
 	// Jitter threshold: median absolute delay step.
-	thresh := stats.Median(probe.AbsDeltas(q)) * e.cfg.JitterFactor
+	thresh := stats.Median(probe.AbsDeltas(q))
 	if thresh == 0 {
 		thresh = 1e-7 // 100ns floor: virtually noise-free transport
 	}

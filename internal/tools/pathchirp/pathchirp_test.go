@@ -19,9 +19,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Lo: 5 * unit.Mbps, Hi: 45 * unit.Mbps, PacketsPerChirp: 2}); err == nil {
 		t.Error("2-packet chirp accepted")
 	}
-	if _, err := New(Config{Lo: 5 * unit.Mbps, Hi: 45 * unit.Mbps, Gamma: 0.8}); err == nil {
-		t.Error("gamma < 1 accepted")
-	}
 	if _, err := New(Config{Lo: 5 * unit.Mbps, Hi: 45 * unit.Mbps, Chirps: -1}); err == nil {
 		t.Error("negative chirps accepted")
 	}

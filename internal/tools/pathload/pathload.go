@@ -26,9 +26,6 @@ import (
 type Config struct {
 	// MinRate/MaxRate bracket the initial binary search (required).
 	MinRate, MaxRate unit.Rate
-	// Resolution ω: the search stops when High−Low < ω (default
-	// (MaxRate−MinRate)/20).
-	Resolution unit.Rate
 	// StreamLen is packets per stream (default 100, Pathload's K).
 	StreamLen int
 	// StreamsPerRate is the fleet size N per probing rate (default 6).
@@ -36,27 +33,23 @@ type Config struct {
 	// PktSize is the probe packet size (default 1500 B... Pathload
 	// adapts L to the rate; this reproduction keeps it fixed).
 	PktSize unit.Bytes
-	// Trend overrides the PCT/PDT thresholds (zero = Pathload defaults).
-	Trend stats.TrendConfig
 	// MaxRounds bounds the binary search (default 24).
 	MaxRounds int
-	// IncreasingFraction and NonIncreasingFraction classify a fleet: if
-	// at least IncreasingFraction of streams show an increasing trend
-	// the rate is above A; if at most NonIncreasingFraction do, it is
-	// below; otherwise the rate lies inside the grey (variation) region.
-	// Defaults 0.7 and 0.3.
-	IncreasingFraction, NonIncreasingFraction float64
 }
+
+// A fleet is above A when at least increasingFraction of its streams
+// show an increasing OWD trend (stats.OWDTrend, at Pathload's PCT/PDT
+// thresholds), below A when at most nonIncreasingFraction do, and
+// otherwise inside the grey (variation) region.
+const increasingFraction, nonIncreasingFraction = 0.7, 0.3
+
+// resolutionSteps sets the resolution ω: the search stops once
+// High−Low ≤ (MaxRate−MinRate)/resolutionSteps.
+const resolutionSteps = 20
 
 func (c Config) withDefaults() (Config, error) {
 	if c.MinRate <= 0 || c.MaxRate <= c.MinRate {
 		return c, fmt.Errorf("pathload: need 0 < MinRate < MaxRate (got %v, %v)", c.MinRate, c.MaxRate)
-	}
-	if c.Resolution == 0 {
-		c.Resolution = (c.MaxRate - c.MinRate) / 20
-	}
-	if c.Resolution <= 0 {
-		return c, fmt.Errorf("pathload: resolution %v must be positive", c.Resolution)
 	}
 	if c.StreamLen == 0 {
 		c.StreamLen = 100
@@ -78,15 +71,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxRounds < 1 {
 		return c, fmt.Errorf("pathload: MaxRounds must be positive")
-	}
-	if c.IncreasingFraction == 0 {
-		c.IncreasingFraction = 0.7
-	}
-	if c.NonIncreasingFraction == 0 {
-		c.NonIncreasingFraction = 0.3
-	}
-	if c.IncreasingFraction <= c.NonIncreasingFraction {
-		return c, fmt.Errorf("pathload: fraction thresholds inverted")
 	}
 	return c, nil
 }
@@ -147,7 +131,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 				continue // too lossy to analyze
 			}
 			usable++
-			if stats.OWDTrend(vals, c.Trend).Verdict == stats.TrendIncreasing {
+			if stats.OWDTrend(vals).Verdict == stats.TrendIncreasing {
 				increasing++
 			}
 		}
@@ -157,16 +141,17 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		}
 		frac := float64(increasing) / float64(usable)
 		switch {
-		case frac >= c.IncreasingFraction:
+		case frac >= increasingFraction:
 			return above, nil
-		case frac <= c.NonIncreasingFraction:
+		case frac <= nonIncreasingFraction:
 			return below, nil
 		default:
 			return grey, nil
 		}
 	}
 
-	for round := 0; round < c.MaxRounds && hi-lo > c.Resolution; round++ {
+	resolution := (c.MaxRate - c.MinRate) / resolutionSteps
+	for round := 0; round < c.MaxRounds && hi-lo > resolution; round++ {
 		mid := (lo + hi) / 2
 		v, err := classify(mid)
 		if err != nil {

@@ -18,17 +18,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, StreamLen: 4}); err == nil {
 		t.Error("too-short stream accepted")
 	}
-	if _, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps,
-		IncreasingFraction: 0.2, NonIncreasingFraction: 0.8}); err == nil {
-		t.Error("inverted fractions accepted")
-	}
 }
 
 func TestEstimateCBRConvergesToAvailBw(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
 	e, err := New(Config{
 		MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps,
-		Resolution: 2 * unit.Mbps, StreamsPerRate: 3,
+		StreamsPerRate: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +50,7 @@ func TestEstimateReportsVariationRange(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.ParetoOnOff, Seed: toolstest.Seed(9)})
 	e, err := New(Config{
 		MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps,
-		Resolution: 1 * unit.Mbps, StreamsPerRate: 4,
+		StreamsPerRate: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

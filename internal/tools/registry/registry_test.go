@@ -220,6 +220,20 @@ func TestSimOnlyRefusesDecorators(t *testing.T) {
 	}
 }
 
+// TestNegativePktSizeRefused: every tool refuses a negative probe
+// packet size, which abwprobe's -pktsize flag can pass through, rather
+// than probing with it.
+func TestNegativePktSizeRefused(t *testing.T) {
+	for _, name := range registry.Names() {
+		sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
+		p := params(sc)
+		p.PktSize = -1500
+		if rep, err := registry.Estimate(context.Background(), name, p, sc.Transport); err == nil {
+			t.Errorf("%s: PktSize %d accepted: %+v", name, p.PktSize, rep)
+		}
+	}
+}
+
 // TestCompareOrderStable pins the catalog order the compare experiment
 // and the CLI inherit: registration order, end-to-end tools first.
 func TestCompareOrderStable(t *testing.T) {

@@ -34,16 +34,18 @@ type Config struct {
 	Pairs int
 	// PktSize is the probe packet size (default 1500 B).
 	PktSize unit.Bytes
-	// MeanSpacing is the mean of the exponential inter-pair gap
-	// (default 20 ms, keeping average probing load low).
-	MeanSpacing time.Duration
-	// PairsPerBatch bounds how many pairs share one transport stream
-	// (default 25); batching amortizes transport overhead while the
-	// exponential spacing preserves Poisson sampling.
-	PairsPerBatch int
 	// Rand drives the Poisson spacing (required).
 	Rand *rng.Rand
 }
+
+// meanSpacing is the mean of the exponential inter-pair gap, keeping the
+// average probing load low. pairsPerBatch bounds how many pairs share
+// one transport stream: batching amortizes transport overhead while the
+// exponential spacing preserves Poisson sampling.
+const (
+	meanSpacing   = 20 * time.Millisecond
+	pairsPerBatch = 25
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Capacity <= 0 {
@@ -57,18 +59,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PktSize == 0 {
 		c.PktSize = 1500
-	}
-	if c.MeanSpacing == 0 {
-		c.MeanSpacing = 20 * time.Millisecond
-	}
-	if c.MeanSpacing < 0 {
-		return c, fmt.Errorf("spruce: negative mean spacing")
-	}
-	if c.PairsPerBatch == 0 {
-		c.PairsPerBatch = 25
-	}
-	if c.PairsPerBatch < 1 {
-		return c, fmt.Errorf("spruce: batch size must be positive")
 	}
 	if c.Rand == nil {
 		return c, fmt.Errorf("spruce: random source is required for Poisson spacing")
@@ -103,11 +93,11 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	remaining := c.Pairs
 	for remaining > 0 {
 		n := remaining
-		if n > c.PairsPerBatch {
-			n = c.PairsPerBatch
+		if n > pairsPerBatch {
+			n = pairsPerBatch
 		}
 		remaining -= n
-		spec, err := probe.PoissonPairs(c.Capacity, c.PktSize, n, c.MeanSpacing, c.Rand)
+		spec, err := probe.PoissonPairs(c.Capacity, c.PktSize, n, meanSpacing, c.Rand)
 		if err != nil {
 			return nil, fmt.Errorf("spruce: %w", err)
 		}

@@ -20,9 +20,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 50 * unit.Mbps, Rand: rng.New(1), Pairs: -5}); err == nil {
 		t.Error("negative pairs accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, Rand: rng.New(1), PairsPerBatch: -1}); err == nil {
-		t.Error("negative batch accepted")
-	}
 }
 
 func TestDefaults(t *testing.T) {
@@ -30,7 +27,7 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Pairs != 100 || e.cfg.PktSize != 1500 || e.cfg.PairsPerBatch != 25 {
+	if e.cfg.Pairs != 100 || e.cfg.PktSize != 1500 {
 		t.Errorf("defaults wrong: %+v", e.cfg)
 	}
 	if e.Name() != "spruce" {

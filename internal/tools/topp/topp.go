@@ -27,8 +27,6 @@ import (
 type Config struct {
 	// MinRate/MaxRate bound the linear sweep (required, Min < Max).
 	MinRate, MaxRate unit.Rate
-	// Step is the rate increment per round (default (Max−Min)/15).
-	Step unit.Rate
 	// PairsPerRate is the number of packet pairs per probing round
 	// (default 40).
 	PairsPerRate int
@@ -36,15 +34,13 @@ type Config struct {
 	PktSize unit.Bytes
 }
 
+// sweepSteps sets the sweep's rate step: (MaxRate−MinRate)/sweepSteps
+// per round, so the sweep probes sweepSteps+1 rates.
+const sweepSteps = 15
+
 func (c Config) withDefaults() (Config, error) {
 	if c.MinRate <= 0 || c.MaxRate <= c.MinRate {
 		return c, fmt.Errorf("topp: need 0 < MinRate < MaxRate (got %v, %v)", c.MinRate, c.MaxRate)
-	}
-	if c.Step == 0 {
-		c.Step = (c.MaxRate - c.MinRate) / 15
-	}
-	if c.Step <= 0 {
-		return c, fmt.Errorf("topp: step %v must be positive", c.Step)
 	}
 	if c.PairsPerRate == 0 {
 		c.PairsPerRate = 40
@@ -94,7 +90,8 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	var rounds []roundResult
 	var streams, packets int
 	var bytes unit.Bytes
-	for ri := c.MinRate; ri <= c.MaxRate+c.Step/2; ri += c.Step {
+	step := (c.MaxRate - c.MinRate) / sweepSteps
+	for ri := c.MinRate; ri <= c.MaxRate+step/2; ri += step {
 		// A round is a train of pairs: pairs back-to-back internally at
 		// ri, separated widely enough not to build standing queues.
 		spec, err := pairTrain(ri, c.PktSize, c.PairsPerRate)

@@ -23,7 +23,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEstimateCBR(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, Step: 2.5 * unit.Mbps})
+	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCapacityEstimate(t *testing.T) {
 	// The slope of the overloaded segment recovers C_t — the TOPP
 	// feature the paper's classification singles out.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 48 * unit.Mbps, Step: 2 * unit.Mbps, PairsPerRate: 30})
+	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 48 * unit.Mbps, PairsPerRate: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEstimatePoissonUnderestimatesOrClose(t *testing.T) {
 	// paper's burstiness pitfall applies to iterative probing too): the
 	// estimate must not exceed truth by much, and must be positive.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(5)})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, Step: 2.5 * unit.Mbps, PairsPerRate: 30})
+	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, PairsPerRate: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAllRoundsOverloadedReportsFloor(t *testing.T) {
 	// Sweep entirely above the avail-bw: TOPP must report ~MinRate, not
 	// something inside the sweep.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 30 * unit.Mbps, MaxRate: 48 * unit.Mbps, Step: 3 * unit.Mbps})
+	e, err := New(Config{MinRate: 30 * unit.Mbps, MaxRate: 48 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,35 +14,32 @@ import (
 // Zero fields take defaults calibrated to resemble the paper's OC-3
 // access-link trace.
 type OnOffConfig struct {
-	// Capacity is the link capacity (default unit.OC3).
-	Capacity unit.Rate
 	// MeanRate is the target aggregate traffic rate (default 70 Mbps,
-	// putting the mean avail-bw near the 85 Mbps of Figure 6).
+	// putting the mean avail-bw near the 85 Mbps of Figure 6); it must
+	// stay below the OC-3 capacity.
 	MeanRate unit.Rate
 	// Sources is the number of multiplexed ON-OFF sources (default 50).
 	Sources int
 	// Span is the trace duration (default 30 s).
 	Span time.Duration
-	// OnShape and OffShape are the Pareto shapes of ON and OFF periods
-	// (defaults 1.5 and 1.5, the heavy-tailed regime that yields
-	// self-similar aggregates with H = (3−min(shape))/2 ≈ 0.75).
-	OnShape, OffShape float64
-	// PeakFactor is each source's ON rate as a multiple of its mean
-	// rate (default 5).
-	PeakFactor float64
-	// Sizes draws packet sizes (default the trimodal Internet mix).
-	Sizes rng.SizeDist
 }
 
+// Every ON-OFF source draws ON and OFF periods from Pareto laws of
+// shape onOffShape, the heavy-tailed regime that yields self-similar
+// aggregates with H = (3−shape)/2 = 0.75; it sends at peakFactor times
+// its mean rate while ON, packets drawn from rng.InternetMix, on an
+// OC-3 link.
+const (
+	onOffShape float64 = 1.5
+	peakFactor float64 = 5
+)
+
 func (c OnOffConfig) withDefaults() (OnOffConfig, error) {
-	if c.Capacity == 0 {
-		c.Capacity = unit.OC3
-	}
 	if c.MeanRate == 0 {
 		c.MeanRate = 70 * unit.Mbps
 	}
-	if c.Capacity <= 0 || c.MeanRate <= 0 || c.MeanRate >= c.Capacity {
-		return c, fmt.Errorf("trace: need 0 < MeanRate < Capacity (got %v, %v)", c.MeanRate, c.Capacity)
+	if c.MeanRate <= 0 || c.MeanRate >= unit.OC3 {
+		return c, fmt.Errorf("trace: need 0 < MeanRate < Capacity (got %v, %v)", c.MeanRate, unit.OC3)
 	}
 	if c.Sources == 0 {
 		c.Sources = 50
@@ -55,24 +52,6 @@ func (c OnOffConfig) withDefaults() (OnOffConfig, error) {
 	}
 	if c.Span <= 0 {
 		return c, fmt.Errorf("trace: span must be positive")
-	}
-	if c.OnShape == 0 {
-		c.OnShape = 1.5
-	}
-	if c.OffShape == 0 {
-		c.OffShape = 1.5
-	}
-	if c.OnShape <= 1 || c.OffShape <= 1 {
-		return c, fmt.Errorf("trace: Pareto shapes must exceed 1 for finite means")
-	}
-	if c.PeakFactor == 0 {
-		c.PeakFactor = 5
-	}
-	if c.PeakFactor <= 1 {
-		return c, fmt.Errorf("trace: peak factor must exceed 1")
-	}
-	if c.Sizes == nil {
-		c.Sizes = rng.InternetMix
 	}
 	return c, nil
 }
@@ -90,14 +69,14 @@ func SynthesizeOnOff(cfg OnOffConfig, r *rng.Rand) (*Trace, error) {
 		return nil, fmt.Errorf("trace: SynthesizeOnOff needs a random source")
 	}
 	perSource := c.MeanRate / unit.Rate(c.Sources)
-	peak := perSource * unit.Rate(c.PeakFactor)
+	peak := perSource * unit.Rate(peakFactor)
 	// Mean ON duration chosen so a typical burst carries ~20 packets;
-	// OFF calibrated for the duty cycle d = 1/PeakFactor.
-	meanSize := c.Sizes.Mean()
+	// OFF calibrated for the duty cycle d = 1/peakFactor.
+	meanSize := rng.InternetMix.Mean()
 	meanOn := 20 * meanSize * 8 / float64(peak)
-	meanOff := meanOn * (c.PeakFactor - 1)
-	onXm := meanOn * (c.OnShape - 1) / c.OnShape
-	offXm := meanOff * (c.OffShape - 1) / c.OffShape
+	meanOff := meanOn * (peakFactor - 1)
+	onXm := meanOn * (onOffShape - 1) / onOffShape
+	offXm := meanOff * (onOffShape - 1) / onOffShape
 	var pkts []Pkt
 	for s := 0; s < c.Sources; s++ {
 		src := r.Split(fmt.Sprintf("src%d", s))
@@ -105,23 +84,23 @@ func SynthesizeOnOff(cfg OnOffConfig, r *rng.Rand) (*Trace, error) {
 		// synchronized at t=0.
 		at := -time.Duration(src.Exp(meanOn+meanOff) * 1e9)
 		for at < c.Span {
-			on := time.Duration(src.Pareto(c.OnShape, onXm) * 1e9)
+			on := time.Duration(src.Pareto(onOffShape, onXm) * 1e9)
 			end := at + on
 			t := at
 			for t < end && t < c.Span {
 				if t >= 0 {
-					size := unit.Bytes(c.Sizes.Sample(src))
+					size := unit.Bytes(rng.InternetMix.Sample(src))
 					pkts = append(pkts, Pkt{At: t, Size: size})
 					t += unit.GapFor(size, peak)
 				} else {
 					t += unit.GapFor(unit.Bytes(meanSize), peak)
 				}
 			}
-			off := time.Duration(src.Pareto(c.OffShape, offXm) * 1e9)
+			off := time.Duration(src.Pareto(onOffShape, offXm) * 1e9)
 			at = end + off
 		}
 	}
-	return New(c.Capacity, c.Span, pkts)
+	return New(unit.OC3, c.Span, pkts)
 }
 
 // FGNConfig parameterizes the fGn rate-modulated generator: packet
@@ -132,10 +111,6 @@ type FGNConfig struct {
 	Capacity unit.Rate
 	// MeanRate is the target traffic rate (default 70 Mbps).
 	MeanRate unit.Rate
-	// RelStdDev is the standard deviation of the window rate relative
-	// to MeanRate, at Window granularity (default 0.18 — chosen so the
-	// 10 ms avail-bw roams roughly 60–110 Mbps as in Figure 6).
-	RelStdDev float64
 	// Hurst is the envelope's Hurst parameter (default 0.8).
 	Hurst float64
 	// Window is the modulation granularity (default 10 ms).
@@ -146,6 +121,11 @@ type FGNConfig struct {
 	Sizes rng.SizeDist
 }
 
+// relStdDev is the standard deviation of the fGn window rate relative
+// to MeanRate, at Window granularity: chosen so the 10 ms avail-bw
+// roams roughly 60–110 Mbps as in Figure 6.
+const relStdDev = 0.18
+
 func (c FGNConfig) withDefaults() (FGNConfig, error) {
 	if c.Capacity == 0 {
 		c.Capacity = unit.OC3
@@ -155,12 +135,6 @@ func (c FGNConfig) withDefaults() (FGNConfig, error) {
 	}
 	if c.Capacity <= 0 || c.MeanRate <= 0 || c.MeanRate >= c.Capacity {
 		return c, fmt.Errorf("trace: need 0 < MeanRate < Capacity (got %v, %v)", c.MeanRate, c.Capacity)
-	}
-	if c.RelStdDev == 0 {
-		c.RelStdDev = 0.18
-	}
-	if c.RelStdDev < 0 || c.RelStdDev > 1 {
-		return c, fmt.Errorf("trace: relative stddev %g outside [0, 1]", c.RelStdDev)
 	}
 	if c.Hurst == 0 {
 		c.Hurst = 0.8
@@ -237,7 +211,7 @@ func (g *FGNStream) window() bool {
 		return false
 	}
 	c := g.c
-	sigma := float64(c.MeanRate) * c.RelStdDev
+	sigma := float64(c.MeanRate) * relStdDev
 	rate := float64(c.MeanRate) + sigma*g.envelope[g.w]
 	winStart := time.Duration(g.w) * c.Window
 	g.w++

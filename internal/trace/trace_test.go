@@ -219,7 +219,7 @@ func TestSynthesizeFGNCalibration(t *testing.T) {
 
 func TestSynthesizeFGNHurstControl(t *testing.T) {
 	for _, h := range []float64{0.6, 0.85} {
-		tr, err := SynthesizeFGN(FGNConfig{Span: 40 * time.Second, Hurst: h, RelStdDev: 0.15}, rng.New(6))
+		tr, err := SynthesizeFGN(FGNConfig{Span: 40 * time.Second, Hurst: h}, rng.New(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +234,8 @@ func TestSynthesizeFGNHurstControl(t *testing.T) {
 }
 
 func TestSynthesizeValidation(t *testing.T) {
-	if _, err := SynthesizeOnOff(OnOffConfig{MeanRate: 200 * unit.Mbps, Capacity: 100 * unit.Mbps}, rng.New(1)); err == nil {
-		t.Error("mean above capacity accepted")
+	if _, err := SynthesizeOnOff(OnOffConfig{MeanRate: 200 * unit.Mbps}, rng.New(1)); err == nil {
+		t.Error("mean above the OC-3 capacity accepted")
 	}
 	if _, err := SynthesizeOnOff(OnOffConfig{}, nil); err == nil {
 		t.Error("nil rand accepted")

@@ -188,7 +188,7 @@ func (m *Monitor) writeMetrics(w io.Writer) {
 
 	g("abw_monitor_targets", "Scheduled measurement assignments.", float64(st.Targets))
 	g("abw_monitor_scheduled", "Sessions currently scheduled: queued or running.", float64(st.Scheduled))
-	g("abw_monitor_active", "Estimation runs in flight.", float64(st.Active))
+	g("abw_monitor_active", "Runs the workers hold, plus at most one being handed to them.", float64(st.Active))
 	head(w, "abw_monitor_runs_total", "Completed estimation runs by result.", "counter")
 	sample(w, "abw_monitor_runs_total", lbl{"result", "ok"}, float64(st.RunsOK))
 	sample(w, "abw_monitor_runs_total", lbl{"result", "err"}, float64(st.RunsErr))
@@ -200,6 +200,8 @@ func (m *Monitor) writeMetrics(w io.Writer) {
 	c("abw_monitor_sim_recompiles_total", "Sim scenarios recompiled after horizon exhaustion.", float64(st.Recompiles))
 	c("abw_monitor_redials_total", "Live transports discarded as broken.", float64(st.Redials))
 	c("abw_monitor_points_total", "Series points appended.", float64(st.Points))
+	c("abw_monitor_timer_rearms_total", "Scheduler timer re-arms to sleep until the next due run.", float64(st.TimerRearms))
+	c("abw_monitor_idle_wakeups_total", "Scheduler wake-ups that found no run due.", float64(st.IdleWakeups))
 	g("abw_monitor_budget_streams", "Probing streams charged against the fleet budget.", float64(led.Streams))
 	g("abw_monitor_budget_packets", "Probe packets charged against the fleet budget.", float64(led.Packets))
 	g("abw_monitor_budget_bytes", "Probe bytes charged against the fleet budget.", float64(led.Bytes))

@@ -16,7 +16,7 @@ import (
 
 // newServedMonitor builds a monitor with two sim targets and an
 // attached (idle) receiver, runs one cycle, and serves its handler.
-func newServedMonitor(t *testing.T) (*Monitor, *httptest.Server) {
+func newServedMonitor(t *testing.T) (*Monitor, *FakeClock, *httptest.Server) {
 	t.Helper()
 	r, err := livenet.ListenReceiver("127.0.0.1:0")
 	if err != nil {
@@ -44,7 +44,7 @@ func newServedMonitor(t *testing.T) (*Monitor, *httptest.Server) {
 	t.Cleanup(m.Close)
 	srv := httptest.NewServer(m.Handler())
 	t.Cleanup(srv.Close)
-	return m, srv
+	return m, clk, srv
 }
 
 func get(t *testing.T, url string) (int, []byte) {
@@ -65,7 +65,7 @@ func get(t *testing.T, url string) (int, []byte) {
 // ledger accounting, receiver stats, series listings, and per-series
 // points.
 func TestHTTPStatusAndSeries(t *testing.T) {
-	_, srv := newServedMonitor(t)
+	_, _, srv := newServedMonitor(t)
 
 	code, body := get(t, srv.URL+"/api/status")
 	if code != http.StatusOK {
@@ -123,10 +123,6 @@ func TestHTTPStatusAndSeries(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsParseable holds /metrics to the Prometheus text
-// exposition format: every line is a comment or `name{labels} value`
-// with a float-parsable value, HELP/TYPE precede their samples, and the
-// load-bearing metrics are present.
 // TestHTTPMetricsLabelsRaw: a label value is written raw except for
 // backslash, double quote and newline, so a tab or a non-ASCII rune in
 // a target or tenant name (abwmonitor takes both verbatim from its
@@ -164,9 +160,55 @@ func TestHTTPMetricsLabelsRaw(t *testing.T) {
 	}
 }
 
+// TestHTTPMetricsParseable holds /metrics to the Prometheus text
+// exposition format: every line is a comment or `name{labels} value`
+// with a float-parsable value, HELP/TYPE precede their samples, and the
+// load-bearing metrics are present; a later scrape reads no counter
+// lower.
 func TestHTTPMetricsParseable(t *testing.T) {
-	_, srv := newServedMonitor(t)
-	code, body := get(t, srv.URL+"/metrics")
+	m, clk, srv := newServedMonitor(t)
+	samples := scrapeMetrics(t, srv.URL)
+
+	for metric, want := range map[string]float64{
+		`abw_monitor_targets`:                              2,
+		`abw_monitor_runs_total{result="ok"}`:              2,
+		`abw_monitor_runs_total{result="err"}`:             0,
+		`abw_monitor_admission_total{decision="admitted"}`: 2,
+		`abw_receiver_active_sessions`:                     0,
+	} {
+		got, ok := samples[metric]
+		if !ok {
+			t.Errorf("metric %s missing", metric)
+		} else if got != want {
+			t.Errorf("metric %s = %g, want %g", metric, got, want)
+		}
+	}
+	if v, ok := samples[`abw_monitor_estimate_bps{target="edge-a",tool="spruce"}`]; !ok || v <= 0 {
+		t.Errorf("per-series estimate gauge missing or non-positive (%g)", v)
+	}
+	for _, name := range []string{"abw_monitor_timer_rearms_total", "abw_monitor_idle_wakeups_total"} {
+		if _, ok := samples[name]; !ok {
+			t.Errorf("metric %s missing", name)
+		}
+	}
+
+	drain(t, m, clk, 11*time.Second, 4)
+	again := scrapeMetrics(t, srv.URL)
+	for id, v := range samples {
+		if name, _, _ := strings.Cut(id, "{"); strings.HasSuffix(name, "_total") && again[id] < v {
+			t.Errorf("counter %s fell from %g to %g between scrapes", id, v, again[id])
+		}
+	}
+	if r := "abw_monitor_timer_rearms_total"; again[r] <= samples[r] {
+		t.Errorf("%s stayed at %g over a cycle that went idle", r, again[r])
+	}
+}
+
+// scrapeMetrics GETs /metrics, parses it as the exposition format and
+// returns each sample's value by its name and label set.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
@@ -226,21 +268,5 @@ func TestHTTPMetricsParseable(t *testing.T) {
 		samples[id] = val
 	}
 
-	for metric, want := range map[string]float64{
-		`abw_monitor_targets`:                              2,
-		`abw_monitor_runs_total{result="ok"}`:              2,
-		`abw_monitor_runs_total{result="err"}`:             0,
-		`abw_monitor_admission_total{decision="admitted"}`: 2,
-		`abw_receiver_active_sessions`:                     0,
-	} {
-		got, ok := samples[metric]
-		if !ok {
-			t.Errorf("metric %s missing", metric)
-		} else if got != want {
-			t.Errorf("metric %s = %g, want %g", metric, got, want)
-		}
-	}
-	if v, ok := samples[`abw_monitor_estimate_bps{target="edge-a",tool="spruce"}`]; !ok || v <= 0 {
-		t.Errorf("per-series estimate gauge missing or non-positive (%g)", v)
-	}
+	return samples
 }

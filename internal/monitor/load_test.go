@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,13 +11,10 @@ import (
 	"abw/internal/unit"
 )
 
-// TestMonitorLoadThousandSessions is the scale acceptance: 1000
-// concurrently scheduled sim sessions sustain two full measurement
-// cycles under a fake clock, with the fleet ledger's caps holding and
-// shutdown leaving nothing in flight. Hermetic — no sockets, no real
-// sleeping — so it runs in CI at full size.
-func TestMonitorLoadThousandSessions(t *testing.T) {
-	const n = 1000
+// fleetTargets is n one-pair spruce sim targets over four scenarios
+// and seven tenants: the fleet the load test, the bounded-worker test
+// and BenchmarkMonitorCycle drive.
+func fleetTargets(n int) []Target {
 	scenarios := []string{"canonical", "bursty", "poisson", "mice"}
 	targets := make([]Target, n)
 	for i := range targets {
@@ -29,10 +27,20 @@ func TestMonitorLoadThousandSessions(t *testing.T) {
 			EstBytes: 8_000,
 		}
 	}
+	return targets
+}
+
+// TestMonitorLoadThousandSessions is the scale acceptance: 1000
+// concurrently scheduled sim sessions sustain two full measurement
+// cycles under a fake clock, with the fleet ledger's caps holding and
+// shutdown leaving nothing in flight. Hermetic — no sockets, no real
+// sleeping — so it runs in CI at full size.
+func TestMonitorLoadThousandSessions(t *testing.T) {
+	const n = 1000
 	const maxBytes = unit.Bytes(100_000_000)
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
 	m, err := New(Config{
-		Targets:       targets,
+		Targets:       fleetTargets(n),
 		Interval:      10 * time.Second,
 		Seed:          11,
 		MaxConcurrent: 64,
@@ -71,6 +79,79 @@ func TestMonitorLoadThousandSessions(t *testing.T) {
 	}
 	// Closing again must stay a no-op at scale too.
 	m.Close()
+}
+
+// TestMonitorRunsOnBoundedWorkers: a thousand runs falling due at once
+// occupy MaxConcurrent workers and the scheduler loop, not a goroutine
+// each, and Close takes every one of those goroutines down.
+func TestMonitorRunsOnBoundedWorkers(t *testing.T) {
+	const n, workers = 1000, 8
+	// slack admits goroutines outside the monitor that the runtime or an
+	// earlier test may start or end while this one samples.
+	const slack = 2
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets:       fleetTargets(n),
+		Interval:      10 * time.Second,
+		Seed:          11,
+		MaxConcurrent: workers,
+		History:       8,
+		Clock:         clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	m.Start()
+	limit := before + workers + 1 + slack
+	peak := 0
+	for i := 0; i < 2; i++ {
+		clk.Advance(11 * time.Second)
+		want := uint64(n * (i + 1))
+		waitFor(t, "the cycle to drain", func() bool {
+			peak = max(peak, runtime.NumGoroutine())
+			st := m.Stats()
+			return st.Points >= want && st.Active == 0 && st.Scheduled == st.Targets
+		})
+	}
+	if peak > limit {
+		t.Errorf("%d goroutines while runs drained, want at most %d (%d before Start + %d workers + loop + %d slack)",
+			peak, limit, before, workers, slack)
+	}
+	m.Close()
+	waitFor(t, "goroutines back to the pre-Start count", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
+}
+
+// BenchmarkMonitorCycle times the run rung of the monitor ladder (ledger
+// admit, sim run, store append, reschedule): one fake-clock cycle in
+// which 1000 spruce sim targets, shaped like the benchmark's fleet
+// workload, each fall due once and run on 64 workers.
+func BenchmarkMonitorCycle(b *testing.B) {
+	const n = 1000
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets:       fleetTargets(n),
+		Interval:      10 * time.Second,
+		Seed:          1,
+		MaxConcurrent: 64,
+		History:       64,
+		Budget:        core.Budget{MaxBytes: 1 << 40},
+		Clock:         clk,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Start()
+	defer m.Close()
+	drain(b, m, clk, 11*time.Second, n) // compiles every target's scenario
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain(b, m, clk, 11*time.Second, uint64(n*(i+2)))
+	}
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "runs/s")
 }
 
 // BenchmarkMonitorIngest measures the store's append path — the

@@ -84,8 +84,10 @@ type Config struct {
 	// per-run tool randomness, sim recompilation seeds) through pure
 	// rng.Derive streams.
 	Seed uint64
-	// MaxConcurrent bounds the estimation runs in flight at once
-	// (default 16).
+	// MaxConcurrent is the number of long-lived workers Start launches,
+	// and so the most estimation runs in flight at once (default 16).
+	// The scheduler hands due runs to them in due-time order and waits
+	// while every worker is busy.
 	MaxConcurrent int
 	// History is each series' ring-buffer capacity in points (default
 	// 512).
@@ -166,7 +168,8 @@ type Stats struct {
 	// "concurrently scheduled sessions" the service sustains.
 	Targets   int `json:"targets"`
 	Scheduled int `json:"scheduled"`
-	// Active is the estimation runs in flight right now.
+	// Active is the runs the workers hold right now, plus at most one
+	// the scheduler has taken off the schedule and is handing over.
 	Active int `json:"active"`
 	// RunsOK and RunsErr count completed runs by outcome; Deferred and
 	// Refused count admission decisions that kept a run off the wire.
@@ -184,6 +187,11 @@ type Stats struct {
 	Redials    uint64 `json:"redials"`
 	// Points is the lifetime number of series points appended.
 	Points uint64 `json:"points"`
+	// TimerRearms counts the scheduler re-arming its timer to sleep
+	// until the next due time; IdleWakeups counts the times it woke and
+	// found nothing due.
+	TimerRearms uint64 `json:"timer_rearms"`
+	IdleWakeups uint64 `json:"idle_wakeups"`
 }
 
 // Monitor is the continuous measurement service: a scheduler over an
@@ -199,6 +207,7 @@ type Monitor struct {
 	root     context.Context
 	cancel   context.CancelFunc
 	wake     chan struct{}
+	jobs     chan *entry // unbuffered: loop to workers, closed by loop
 	loopDone chan struct{}
 
 	mu      sync.Mutex
@@ -208,15 +217,16 @@ type Monitor struct {
 	started bool
 	closed  bool
 
-	active     int
-	runsOK     uint64
-	runsErr    uint64
-	overruns   uint64
-	recompiles uint64
-	redials    uint64
+	active      int
+	runsOK      uint64
+	runsErr     uint64
+	overruns    uint64
+	recompiles  uint64
+	redials     uint64
+	timerRearms uint64
+	idleWakeups uint64
 
-	sem chan struct{}
-	wg  sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New validates the config and builds the monitor without starting it:
@@ -236,9 +246,9 @@ func New(cfg Config) (*Monitor, error) {
 		store:    NewStore(cfg.History),
 		ledger:   NewLedger(cfg.Budget, cfg.MaxProbeRate, cfg.RateWindow, cfg.Clock),
 		wake:     make(chan struct{}, 1),
+		jobs:     make(chan *entry),
 		loopDone: make(chan struct{}),
 		pools:    make(map[string]*livenet.Pool),
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
 	}
 	m.root, m.cancel = context.WithCancel(context.Background())
 	seen := make(map[string]bool, len(cfg.Targets))
@@ -261,9 +271,10 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// Start begins scheduling. The first run of each target is spread over
-// one jittered interval from now. Start is idempotent; a closed
-// monitor cannot be restarted.
+// Start begins scheduling: it launches the scheduler loop and
+// MaxConcurrent workers that run whatever the loop hands them. The
+// first run of each target is spread over one jittered interval from
+// now. Start is idempotent; a closed monitor cannot be restarted.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -278,6 +289,10 @@ func (m *Monitor) Start() {
 		// one burst at t=0.
 		e.at = now.Add(time.Duration(e.jitter.Float64() * float64(e.interval)))
 		heap.Push(&m.heap, e)
+	}
+	m.wg.Add(m.cfg.MaxConcurrent)
+	for i := 0; i < m.cfg.MaxConcurrent; i++ {
+		go m.worker()
 	}
 	go m.loop()
 	if m.cfg.SnapshotPath != "" {
@@ -345,6 +360,9 @@ func (m *Monitor) Stats() Stats {
 		Recompiles: m.recompiles,
 		Redials:    m.redials,
 		Points:     m.store.Appends(),
+
+		TimerRearms: m.timerRearms,
+		IdleWakeups: m.idleWakeups,
 	}
 }
 

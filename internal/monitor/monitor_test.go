@@ -17,7 +17,7 @@ import (
 // waitFor polls cond until it holds or the deadline expires. The fake
 // clock makes *scheduling* deterministic, but dispatched runs execute
 // on real goroutines, so tests wait for them to drain.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -34,7 +34,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // advance made due have completed and been rescheduled. (Checking
 // Active==0 alone races with the scheduler: it is also true before the
 // loop dispatches anything.)
-func drain(t *testing.T, m *Monitor, clk *FakeClock, d time.Duration, wantPoints uint64) {
+func drain(t testing.TB, m *Monitor, clk *FakeClock, d time.Duration, wantPoints uint64) {
 	t.Helper()
 	clk.Advance(d)
 	waitFor(t, "runs to drain", func() bool {
@@ -51,16 +51,18 @@ func simTargets() []Target {
 	}
 }
 
-// runScripted builds a monitor over a fake clock, advances it through
-// `steps` intervals, closes it, and returns the store snapshot.
-func runScripted(t *testing.T, seed uint64, steps int) Snapshot {
+// runScripted builds a monitor with `workers` workers (0 for the
+// default) over a fake clock, advances it through `steps` intervals,
+// closes it, and returns the store snapshot.
+func runScripted(t *testing.T, seed uint64, steps, workers int) Snapshot {
 	t.Helper()
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
 	m, err := New(Config{
-		Targets:  simTargets(),
-		Interval: 10 * time.Second,
-		Seed:     seed,
-		Clock:    clk,
+		Targets:       simTargets(),
+		Interval:      10 * time.Second,
+		Seed:          seed,
+		MaxConcurrent: workers,
+		Clock:         clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +79,16 @@ func runScripted(t *testing.T, seed uint64, steps int) Snapshot {
 // two monitors with the same config, seed, and advance script produce
 // byte-identical history — every estimate, timestamp, sequence number,
 // and probing cost. This is what makes the monitor testable in CI and
-// its incidents replayable.
+// its incidents replayable. The worker count is not part of that
+// function: one worker gives the history the default pool gives.
 func TestMonitorDeterministicUnderFakeClock(t *testing.T) {
-	a := runScripted(t, 42, 3)
-	b := runScripted(t, 42, 3)
+	a := runScripted(t, 42, 3, 0)
+	b := runScripted(t, 42, 3, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same (config, seed, advance script) produced different histories")
+	}
+	if one := runScripted(t, 42, 3, 1); !reflect.DeepEqual(a, one) {
+		t.Fatal("MaxConcurrent 1 produced a different history than the default")
 	}
 	if len(a.Series) != 3 {
 		t.Fatalf("snapshot has %d series, want 3", len(a.Series))
@@ -105,7 +111,7 @@ func TestMonitorDeterministicUnderFakeClock(t *testing.T) {
 	}
 	// A different seed must actually change something (estimates, jitter
 	// draws) — otherwise the determinism above is vacuous.
-	c := runScripted(t, 7, 3)
+	c := runScripted(t, 7, 3, 0)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical histories")
 	}

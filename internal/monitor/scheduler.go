@@ -30,8 +30,9 @@ type entry struct {
 	jitter     *rng.Rand
 	jitterFrac float64
 
-	at     time.Time // next due time, owned by the scheduler under m.mu
-	runSeq uint64
+	at         time.Time // next due time, owned by the scheduler under m.mu
+	dispatched time.Time // when the loop took it off the heap
+	runSeq     uint64
 
 	sim      *scenario.Compiled
 	simEpoch uint64
@@ -160,14 +161,17 @@ func (e *entry) doubleCost() {
 	e.cost.Bytes *= 2
 }
 
-// loop is the scheduler: pop due entries and dispatch them, wait for
-// the earliest deadline otherwise. Every wait goes through the
-// injectable clock, which is what makes the whole service hermetic
-// under a FakeClock.
+// loop is the scheduler: pop due entries in due-time order and hand
+// each to a worker, waiting while every worker is busy; wait for the
+// earliest deadline otherwise. Every wait goes through the injectable
+// clock, which is what makes the whole service hermetic under a
+// FakeClock.
 func (m *Monitor) loop() {
 	defer close(m.loopDone)
+	defer close(m.jobs)
 	timer := m.clock.NewTimer(time.Hour)
 	defer timer.Stop()
+	woke := false
 	for {
 		m.mu.Lock()
 		wait := time.Hour
@@ -175,17 +179,32 @@ func (m *Monitor) loop() {
 		var deadline time.Time // head entry's due time, zero when idle
 		if len(m.heap) > 0 {
 			deadline = m.heap[0].at
-			if d := deadline.Sub(m.clock.Now()); d <= 0 {
+			now := m.clock.Now()
+			if d := deadline.Sub(now); d <= 0 {
 				due = heap.Pop(&m.heap).(*entry)
+				due.dispatched = now
 				m.active++
 			} else {
 				wait = d
 			}
 		}
+		if due == nil {
+			m.timerRearms++
+			if woke {
+				m.idleWakeups++
+			}
+		}
 		m.mu.Unlock()
+		woke = false
 		if due != nil {
-			m.wg.Add(1)
-			go m.runEntry(due)
+			select {
+			case m.jobs <- due:
+			case <-m.root.Done():
+				m.mu.Lock()
+				m.active--
+				m.mu.Unlock()
+				return
+			}
 			continue
 		}
 		timer.Reset(wait)
@@ -201,6 +220,17 @@ func (m *Monitor) loop() {
 		case <-timer.C():
 		case <-m.wake:
 		}
+		woke = true
+	}
+}
+
+// worker runs the entries the loop hands it, one at a time, until the
+// loop closes the channel. Workers live as long as the monitor, so a
+// run starts on a stack an earlier run already grew.
+func (m *Monitor) worker() {
+	defer m.wg.Done()
+	for e := range m.jobs {
+		m.runEntry(e)
 	}
 }
 
@@ -212,13 +242,11 @@ func (m *Monitor) wakeLoop() {
 	}
 }
 
-// runEntry executes one scheduled run end to end: worker slot,
-// admission, transport, estimate, settlement, store append, and
-// rescheduling. It is the only goroutine touching the entry's run
+// runEntry executes one scheduled run end to end: admission,
+// transport, estimate, settlement, store append, and rescheduling. The
+// worker running it is the only goroutine touching the entry's run
 // state while it holds it.
 func (m *Monitor) runEntry(e *entry) {
-	defer m.wg.Done()
-	dispatched := m.clock.Now()
 	var next time.Time // zero = do not reschedule (shutdown)
 
 	defer func() {
@@ -239,13 +267,6 @@ func (m *Monitor) runEntry(e *entry) {
 		m.wakeLoop()
 	}()
 
-	select {
-	case m.sem <- struct{}{}:
-		defer func() { <-m.sem }()
-	case <-m.root.Done():
-		return
-	}
-
 	now := m.clock.Now()
 	cost := e.nextCost()
 	resID, err := m.ledger.Admit(e.tenant, cost)
@@ -259,7 +280,7 @@ func (m *Monitor) runEntry(e *entry) {
 		if errors.As(err, &ref) && ref.RetryAfter > 0 {
 			next = now.Add(ref.RetryAfter)
 		} else {
-			next = e.nextAt(dispatched)
+			next = e.nextAt()
 		}
 		return
 	}
@@ -290,13 +311,14 @@ func (m *Monitor) runEntry(e *entry) {
 		m.mu.Unlock()
 	}
 	m.store.Append(e.t.Name, e.d.Name, e.tenant, p)
-	next = e.nextAt(dispatched)
+	next = e.nextAt()
 }
 
-// nextAt is the entry's next due time: one interval after this run's
-// dispatch, jittered by a deterministic ±Jitter×interval draw.
-func (e *entry) nextAt(dispatched time.Time) time.Time {
-	return dispatched.Add(e.interval + e.jitterSpan())
+// nextAt is the entry's next due time: one interval after the loop
+// took this run off the heap, jittered by a deterministic
+// ±Jitter×interval draw.
+func (e *entry) nextAt() time.Time {
+	return e.dispatched.Add(e.interval + e.jitterSpan())
 }
 
 // jitterSpan draws the entry's next jitter offset, uniform in

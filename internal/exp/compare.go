@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"abw/internal/core"
-	"abw/internal/rng"
-	"abw/internal/runner"
 	"abw/internal/scenario"
-	"abw/internal/tools/registry"
 	"abw/internal/unit"
 )
 
@@ -47,45 +43,23 @@ func CompareTools(c CompareConfig) (*CompareResult, error) {
 	return compareTools(c, ModelPoisson)
 }
 
-// compareTools is CompareTools under the given cross model.
+// compareTools is CompareTools under the given cross model: one grid
+// row, every end-to-end tool at its published effort.
 func compareTools(c CompareConfig, model CrossModel) (*CompareResult, error) {
-	res := &CompareResult{Config: c, TrueAvailBw: paperCapacity - paperCrossRate, model: model}
-
-	build := func() (*core.SimTransport, error) {
-		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon: 10 * time.Minute,
-			Seed:    scenario.Seed(c.Seed),
-			Hops: []scenario.Hop{{
-				Capacity: paperCapacity,
-				Traffic:  []scenario.Source{crossSource(model, paperCrossRate)},
-			}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return cpl.Transport, nil
+	spec := scenario.Spec{
+		Horizon: 10 * time.Minute,
+		Seed:    scenario.Seed(c.Seed),
+		Hops:    paperHop(crossSource(model, paperCrossRate)),
 	}
-
-	tools := endToEndTools()
-	// Each tool probes its own scenario copy, so every tool is one
-	// runner job; a tool's estimation failure is recorded as its entry,
-	// not an experiment error.
-	entries, err := runner.All(len(tools), func(ti int) (CompareEntry, error) {
-		name := tools[ti]
-		tr, err := build()
-		if err != nil {
-			return CompareEntry{}, fmt.Errorf("exp: compare: %w", err)
-		}
-		rep, err := registry.Estimate(context.Background(), name, registry.Params{
-			Capacity: paperCapacity,
-			Rand:     rng.New(c.Seed + 1),
-		}, tr)
-		return CompareEntry{Outcome: core.NewOutcome(name, rep, err), Err: err}, nil
-	})
+	cells, err := runGrid(c.Seed, []scenario.Spec{spec}, endToEndTools(), fullEffort)
 	if err != nil {
 		return nil, fmt.Errorf("exp: compare: %w", err)
 	}
-	res.Entries = entries
+	res := &CompareResult{Config: c, TrueAvailBw: paperCapacity - paperCrossRate, model: model,
+		Entries: make([]CompareEntry, len(cells))}
+	for i, g := range cells {
+		res.Entries[i] = CompareEntry{Outcome: g.Outcome, Err: g.Err}
+	}
 	return res, nil
 }
 

@@ -90,52 +90,33 @@ func datasetKey(scen string, scaling float64, trial int) string {
 	return fmt.Sprintf("dataset/%s/%s/%d", scen, strconv.FormatFloat(scaling, 'g', -1, 64), trial)
 }
 
-// datasetSplit assigns each (scenario, scaling, trial) configuration to
-// train or test purely from the seed: a configuration is a test one
-// when its derived uniform draw falls under TestFrac, stratified so
-// every (scenario, scaling) cell keeps at least one test trial (the
-// trial with the cell's minimum draw). Pure function of the config —
-// identical at any worker count.
-func datasetSplit(c DatasetConfig) map[string]string {
-	names := scenario.Names()
-	split := make(map[string]string, len(names)*len(c.Scalings)*c.Trials)
-	for _, scen := range names {
-		for _, sc := range c.Scalings {
-			minKey := ""
-			minDraw := 2.0
-			anyTest := false
-			for tr := 0; tr < c.Trials; tr++ {
-				key := datasetKey(scen, sc, tr)
-				draw := rng.Derive(c.Seed, "split/"+key).Float64()
-				if draw < c.TestFrac {
-					split[key] = "test"
-					anyTest = true
-				} else {
-					split[key] = "train"
-				}
-				if draw < minDraw {
-					minDraw, minKey = draw, key
-				}
-			}
-			if !anyTest && minKey != "" {
-				split[minKey] = "test"
-			}
-		}
-	}
-	return split
+// sweepConfig is one (scenario, scaling, trial) configuration of the
+// sweep, with the seed its scenario compiles at and its split.
+type sweepConfig struct {
+	scen    string
+	scaling float64
+	trial   int
+	simSeed uint64
+	split   string
 }
 
-// Dataset sweeps the catalog × scalings × seeds and reduces every probe
-// stream to one row. Each (scenario, scaling, trial) configuration is
-// one runner job compiling its own scenario, so rows are bit-identical
-// at any -parallel and pooling setting.
-func Dataset(cfg DatasetConfig) (*DatasetResult, error) { return sweepDataset(cfg, "") }
+// spec is the configuration's scaled scenario, seeded.
+func (sc sweepConfig) spec() scenario.Spec {
+	d, _ := scenario.Lookup(sc.scen)
+	sp := scenario.ScaleTraffic(d.Spec, sc.scaling)
+	sp.Seed = scenario.Seed(sc.simSeed)
+	return sp
+}
 
-// sweepDataset is Dataset restricted to the configurations in split
-// only ("" keeps every configuration). A configuration's rows are a
-// pure function of its key, so the result is exactly the full sweep's
-// rows of that split, in the same order.
-func sweepDataset(c DatasetConfig, only string) (*DatasetResult, error) {
+// sweepConfigs fills the config's defaults and lists its
+// configurations in row order (scenario-major, scaling, trial). Each
+// configuration's sim seed is derived from the config seed and its
+// datasetKey. It is a test one when its derived uniform draw falls
+// under TestFrac, stratified so every (scenario, scaling) keeps at
+// least one test trial (the trial with the minimum draw). Everything
+// is a pure function of the config — identical at any worker count.
+// Dataset probes every configuration; LearnedEval scores the test ones.
+func sweepConfigs(c DatasetConfig) (DatasetConfig, []sweepConfig, error) {
 	if len(c.Scalings) == 0 {
 		c.Scalings = []float64{0.5, 1.0, 1.5}
 	}
@@ -147,36 +128,59 @@ func sweepDataset(c DatasetConfig, only string) (*DatasetResult, error) {
 	}
 	for _, sc := range c.Scalings {
 		if sc <= 0 {
-			return nil, fmt.Errorf("exp: dataset: scaling %g must be positive", sc)
+			return c, nil, fmt.Errorf("exp: dataset: scaling %g must be positive", sc)
 		}
 	}
-	split := datasetSplit(c)
-	plan := learned.DefaultPlan()
-
-	type job struct {
-		scen    string
-		scaling float64
-		trial   int
-	}
-	var jobs []job
+	var out []sweepConfig
 	for _, scen := range scenario.Names() {
 		for _, sc := range c.Scalings {
+			minAt, minDraw, anyTest := len(out), 2.0, false
 			for tr := 0; tr < c.Trials; tr++ {
-				if only == "" || split[datasetKey(scen, sc, tr)] == only {
-					jobs = append(jobs, job{scen, sc, tr})
+				key := datasetKey(scen, sc, tr)
+				split := "train"
+				draw := rng.Derive(c.Seed, "split/"+key).Float64()
+				if draw < c.TestFrac {
+					split, anyTest = "test", true
 				}
+				if draw < minDraw {
+					minAt, minDraw = len(out), draw
+				}
+				out = append(out, sweepConfig{scen, sc, tr, rng.Derive(c.Seed, key).Uint64(), split})
+			}
+			if !anyTest && minAt < len(out) {
+				out[minAt].split = "test"
 			}
 		}
 	}
+	return c, out, nil
+}
 
-	perJob, err := runner.All(len(jobs), func(i int) ([]DatasetRow, error) {
-		j := jobs[i]
-		key := datasetKey(j.scen, j.scaling, j.trial)
-		simSeed := rng.Derive(c.Seed, key).Uint64()
+// heldOut is the sweep's test configurations: the ones LearnedEval
+// scores.
+func heldOut(c DatasetConfig) ([]sweepConfig, error) {
+	_, all, err := sweepConfigs(c)
+	var test []sweepConfig
+	for _, sc := range all {
+		if sc.split == "test" {
+			test = append(test, sc)
+		}
+	}
+	return test, err
+}
 
-		d, _ := scenario.Lookup(j.scen)
-		d.Spec = scenario.ScaleTraffic(d.Spec, j.scaling)
-		cpl, err := d.CompileSeeded(simSeed)
+// Dataset sweeps the catalog × scalings × seeds and reduces every probe
+// stream to one row. Each (scenario, scaling, trial) configuration is
+// one runner job compiling its own scenario, so rows are bit-identical
+// at any -parallel and pooling setting.
+func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
+	c, configs, err := sweepConfigs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan := learned.DefaultPlan()
+	perJob, err := runner.All(len(configs), func(i int) ([]DatasetRow, error) {
+		j := configs[i]
+		cpl, err := scenario.Compile(j.spec())
 		if err != nil {
 			return nil, fmt.Errorf("exp: dataset: %s ×%g: %w", j.scen, j.scaling, err)
 		}
@@ -200,8 +204,8 @@ func sweepDataset(c DatasetConfig, only string) (*DatasetResult, error) {
 					Scenario:        j.scen,
 					Scaling:         j.scaling,
 					Trial:           j.trial,
-					SimSeed:         simSeed,
-					Split:           split[key],
+					SimSeed:         j.simSeed,
+					Split:           j.split,
 					RateFrac:        frac,
 					Stream:          s,
 					CapacityMbps:    cpl.Capacity.MbpsOf(),

@@ -114,24 +114,30 @@ func TestDatasetDeterministicCSV(t *testing.T) {
 	}
 }
 
-// TestSweepDatasetTestSplitMatchesFullSweep pins what lets LearnedEval
-// sweep only the held-out configurations: a sweep restricted to one
-// split yields exactly the full sweep's rows of that split, in order.
-func TestSweepDatasetTestSplitMatchesFullSweep(t *testing.T) {
+// TestLearnedEvalHeldOutMatchesDatasetTestRows pins what LearnedEval
+// scores: exactly the (scenario, scaling, trial, sim seed)
+// configurations of the full dataset's test rows.
+func TestLearnedEvalHeldOutMatchesDatasetTestRows(t *testing.T) {
 	cfg := DatasetConfig{Scalings: []float64{1.0}, Trials: 2, Seed: 3}
 	full, err := Dataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := full.SplitRows()
-	for split, want := range map[string][]DatasetRow{"train": train, "test": test} {
-		got, err := sweepDataset(cfg, split)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || !reflect.DeepEqual(got.Rows, want) {
-			t.Errorf("%s sweep: %d rows differ from the full sweep's %d %s rows", split, len(got.Rows), len(want), split)
-		}
+	_, test := full.SplitRows()
+	want := map[sweepConfig]bool{}
+	for _, r := range test {
+		want[sweepConfig{r.Scenario, r.Scaling, r.Trial, r.SimSeed, r.Split}] = true
+	}
+	configs, err := heldOut(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[sweepConfig]bool{}
+	for _, c := range configs {
+		got[c] = true
+	}
+	if len(want) == 0 || len(got) != len(configs) || !reflect.DeepEqual(got, want) {
+		t.Errorf("held-out configurations %v differ from the dataset's test configurations %v", got, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 
+	"abw/internal/scenario"
 	"abw/internal/unit"
 )
 
@@ -25,6 +26,12 @@ const (
 	paperPktSize   = unit.Bytes(1500)
 	directRate     = 40 * unit.Mbps
 )
+
+// paperHop is the paper's single hop: the C = 50 Mbps tight link
+// carrying src.
+func paperHop(src scenario.Source) []scenario.Hop {
+	return []scenario.Hop{{Capacity: paperCapacity, Traffic: []scenario.Source{src}}}
+}
 
 // Table is a rendered experiment result: a titled grid with notes.
 type Table struct {

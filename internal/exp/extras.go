@@ -76,10 +76,7 @@ func LatencyAccuracy(c LatencyAccuracyConfig) (*LatencyAccuracyResult, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: horizon,
 			Seed:    scenario.Seed(c.Seed + uint64(di*1000+ni*100+trial)),
-			Hops: []scenario.Hop{{
-				Capacity: paperCapacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}},
-			}},
+			Hops:    paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}),
 		})
 		if err != nil {
 			return trialOut{}, fmt.Errorf("exp: latency-accuracy: %w", err)

@@ -69,10 +69,7 @@ func Figure2(c Figure2Config) (*Figure2Result, error) {
 			Horizon:  horizon,
 			Seed:     scenario.Seed(c.Seed + uint64(di)),
 			Recorded: true, // the population below is the recorder's arrival rate
-			Hops: []scenario.Hop{{
-				Capacity: paperCapacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}},
-			}},
+			Hops:     paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}),
 		})
 		if err != nil {
 			return Figure2Point{}, fmt.Errorf("exp: figure2: %w", err)

@@ -81,10 +81,7 @@ func Figure3(c Figure3Config) (*Figure3Result, error) {
 			return scenario.Spec{
 				Horizon: horizon,
 				Seed:    scenario.Seed(c.Seed + uint64(mi)*10000 + uint64(riIdx)*100),
-				Hops: []scenario.Hop{{
-					Capacity: paperCapacity,
-					Traffic:  []scenario.Source{crossSource(fig3Models[mi], paperCrossRate)},
-				}},
+				Hops:    paperHop(crossSource(fig3Models[mi], paperCrossRate)),
 			}
 		})
 	if err != nil {
@@ -215,10 +212,7 @@ func Figure4(c Figure4Config) (*Figure4Result, error) {
 				Seed:    scenario.Seed(c.Seed + uint64(hi)*100000 + uint64(riIdx)*100),
 			}
 			for h := 0; h < fig4TightLinks[hi]; h++ {
-				sp.Hops = append(sp.Hops, scenario.Hop{
-					Capacity: paperCapacity,
-					Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate}},
-				})
+				sp.Hops = append(sp.Hops, paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate})...)
 			}
 			return sp
 		})

@@ -67,10 +67,7 @@ func Figure5(c Figure5Config) (*Figure5Result, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: horizon,
 			Seed:    scenario.Seed(c.Seed),
-			Hops: []scenario.Hop{{
-				Capacity: paperCapacity,
-				Traffic:  []scenario.Source{{Kind: scenario.CBR, Rate: paperCrossRate, PktSize: 300}},
-			}},
+			Hops:    paperHop(scenario.Source{Kind: scenario.CBR, Rate: paperCrossRate, PktSize: 300}),
 		})
 		if err != nil {
 			return Figure5Stream{}, fmt.Errorf("exp: figure5: %w", err)

@@ -1,17 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
-	"abw/internal/rng"
-	"abw/internal/runner"
 	"abw/internal/scenario"
-	"abw/internal/stats"
-	"abw/internal/tools/learned"
-	"abw/internal/tools/registry"
 )
 
 // LearnedEvalConfig parameterizes the held-out evaluation of the
@@ -49,162 +42,72 @@ type LearnedEvalResult struct {
 	Wins      int
 }
 
-// evalConfig is one held-out (scenario, scaling, trial) configuration.
-type evalConfig struct {
-	scen    string
-	scaling float64
-	trial   int
-	simSeed uint64
-	// capacityMbps and trueMbps are the configuration's ground truth;
-	// learnedErr is |prediction − truth| in Mbps.
-	capacityMbps float64
-	trueMbps     float64
-	learnedErr   float64
-}
-
 // LearnedEval answers the question the eighth tool exists to pose: once
 // the mapping from probe features to avail-bw is learned rather than
 // derived, how does it compare on held-out conditions against the seven
-// analytic mappings? The learned error comes from the dataset rows
-// (mean per-stream prediction per configuration); each classical tool
-// then runs on a fresh compilation of the same scaled scenario at the
-// same seed, with quick-matrix effort. One runner job per
-// (configuration, tool) — bit-identical at any worker count.
+// analytic mappings? Every end-to-end tool, learned included, is one
+// grid column over the dataset's test configurations (see runGrid):
+// the classical tools at quick-matrix effort, the learned tool at its
+// plan's, which probes exactly as the dataset rows do.
 func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
-	weights, err := learned.Default()
-	if err != nil {
-		return nil, fmt.Errorf("exp: learnedeval: %w", err)
-	}
 	dcfg := cfg.Dataset
 	dcfg.Seed = cfg.Seed
-	// Only the held-out configurations are scored, so only they are swept.
-	ds, err := sweepDataset(dcfg, "test")
+	configs, err := heldOut(dcfg)
 	if err != nil {
 		return nil, err
 	}
+	tools := endToEndTools()
 	res := &LearnedEvalResult{Config: cfg}
-	for _, tool := range endToEndTools() {
+	for _, tool := range tools {
 		if tool != "learned" {
 			res.Tools = append(res.Tools, tool)
 		}
 	}
-
-	// Fold the test rows into configurations; the learned prediction for
-	// a configuration is the median of its per-stream predictions,
-	// exactly how the online estimator aggregates streams.
-	var configs []evalConfig
-	index := map[string]int{}
-	preds := map[string][]float64{}
-	for _, r := range ds.Rows {
-		key := datasetKey(r.Scenario, r.Scaling, r.Trial)
-		if _, ok := index[key]; !ok {
-			index[key] = len(configs)
-			configs = append(configs, evalConfig{
-				scen: r.Scenario, scaling: r.Scaling, trial: r.Trial,
-				simSeed: r.SimSeed, capacityMbps: r.CapacityMbps, trueMbps: r.TrueAvailBwMbps,
-			})
-		}
-		pred, err := weights.Predict(r.ModelInput())
-		if err != nil {
-			return nil, fmt.Errorf("exp: learnedeval: %w", err)
-		}
-		preds[key] = append(preds[key], pred)
+	specs := make([]scenario.Spec, len(configs))
+	for i, c := range configs {
+		specs[i] = c.spec()
 	}
-	for key, i := range index {
-		c := &configs[i]
-		c.learnedErr = math.Abs(stats.Median(preds[key])*c.capacityMbps - c.trueMbps)
-	}
-
-	// Classical tools on the same configurations: fresh compilation of
-	// the scaled scenario at the configuration's seed per tool, as in
-	// the matrix experiment.
-	type toolErr struct {
-		config, tool int
-		errMbps      float64
-		failed       bool
-	}
-	errs, err := runner.All(len(configs)*len(res.Tools), func(job int) (toolErr, error) {
-		ci, ti := job/len(res.Tools), job%len(res.Tools)
-		c, tool := configs[ci], res.Tools[ti]
-		d, _ := scenario.Lookup(c.scen)
-		d.Spec = scenario.ScaleTraffic(d.Spec, c.scaling)
-		cpl, err := d.CompileSeeded(c.simSeed)
-		if err != nil {
-			return toolErr{}, fmt.Errorf("exp: learnedeval: %s ×%g: %w", c.scen, c.scaling, err)
-		}
-		params := registry.Params{
-			Capacity: cpl.Capacity,
-			Rand:     rng.New(cfg.Seed + 1),
-			Repeat:   6, MaxRounds: 6, // quick-matrix effort
-		}
-		rep, estErr := registry.Estimate(context.Background(), tool, params, cpl.Transport)
-		if estErr != nil {
-			return toolErr{config: ci, tool: ti, failed: true}, nil
-		}
-		return toolErr{config: ci, tool: ti, errMbps: math.Abs(rep.Point.MbpsOf() - cpl.TrueAvailBw.MbpsOf())}, nil
-	})
+	cells, err := runGrid(cfg.Seed, specs, tools, evalEffort)
 	if err != nil {
 		return nil, fmt.Errorf("exp: learnedeval: %w", err)
 	}
 
-	// Aggregate per scenario. A tool that failed on any of a scenario's
-	// configurations is scored on the ones it completed; a tool that
-	// completed none is out of that scenario's contest.
+	// Aggregate per scenario, in catalog order. A classical tool that
+	// failed on some of a scenario's configurations is scored on the
+	// ones it completed; one that completed none is out of that
+	// scenario's contest. A learned failure fails the evaluation.
 	type agg struct {
 		sum float64
 		n   int
 	}
-	learnedAgg := map[string]*agg{}
-	classical := map[string]map[string]*agg{} // scenario → tool → agg
-	for _, c := range configs {
-		if learnedAgg[c.scen] == nil {
-			learnedAgg[c.scen] = &agg{}
-			classical[c.scen] = map[string]*agg{}
+	var names []string
+	aggs := map[string][]agg{} // scenario → per-tool error sums, indexed like tools
+	for i, g := range cells {
+		c, ti := configs[i/len(tools)], i%len(tools)
+		if aggs[c.scen] == nil {
+			names = append(names, c.scen)
+			aggs[c.scen] = make([]agg, len(tools))
 		}
-		learnedAgg[c.scen].sum += c.learnedErr
-		learnedAgg[c.scen].n++
-	}
-	for _, e := range errs {
-		if e.failed {
+		if g.Err != nil {
+			if tools[ti] == "learned" {
+				return nil, fmt.Errorf("exp: learnedeval: %s ×%g: %w", c.scen, c.scaling, g.Err)
+			}
 			continue
 		}
-		scen := configs[e.config].scen
-		tool := res.Tools[e.tool]
-		if classical[scen][tool] == nil {
-			classical[scen][tool] = &agg{}
-		}
-		classical[scen][tool].sum += e.errMbps
-		classical[scen][tool].n++
+		a := &aggs[c.scen][ti]
+		a.sum += math.Abs(g.Report.Point.MbpsOf() - g.TrueAvailBw.MbpsOf())
+		a.n++
 	}
-	var names []string
-	for scen := range learnedAgg {
-		names = append(names, scen)
-	}
-	sort.Strings(names)
-	// Keep catalog order for the table.
-	ordered := make([]string, 0, len(names))
-	for _, d := range scenario.Catalog() {
-		for _, n := range names {
-			if n == d.Name {
-				ordered = append(ordered, n)
-			}
-		}
-	}
-	for _, scen := range ordered {
-		la := learnedAgg[scen]
-		s := LearnedEvalScenario{
-			Name:       scen,
-			Configs:    la.n,
-			LearnedMAE: la.sum / float64(la.n),
-			BestMAE:    math.Inf(1),
-		}
-		for _, tool := range res.Tools {
-			a := classical[scen][tool]
-			if a == nil || a.n == 0 {
-				continue
-			}
-			if mae := a.sum / float64(a.n); mae < s.BestMAE {
-				s.BestMAE, s.BestTool = mae, tool
+	for _, scen := range names {
+		s := LearnedEvalScenario{Name: scen, BestMAE: math.Inf(1)}
+		for ti, a := range aggs[scen] {
+			switch {
+			case tools[ti] == "learned":
+				s.Configs, s.LearnedMAE = a.n, a.sum/float64(a.n)
+			case a.n > 0:
+				if mae := a.sum / float64(a.n); mae < s.BestMAE {
+					s.BestMAE, s.BestTool = mae, tools[ti]
+				}
 			}
 		}
 		s.Win = s.BestTool == "" || s.LearnedMAE <= s.BestMAE

@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"abw/internal/core"
-	"abw/internal/rng"
-	"abw/internal/runner"
 	"abw/internal/scenario"
 	"abw/internal/tools/registry"
 )
@@ -77,61 +74,42 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 	return MatrixCell{}, false
 }
 
-// Matrix runs every selected tool against every selected scenario.
-// Each (scenario, tool) pair is one runner job: the tool probes a
-// fresh compilation of the scenario (same seed, so every tool sees
-// statistically identical conditions), with the tight-link capacity as
-// its Capacity parameter — the best case the paper grants direct
-// probing. Results are bit-identical at every worker count. The truth
-// column is the analytic TrueAvailBw, which needs no recorder.
+// Matrix runs every end-to-end tool against every cataloged scenario
+// at the config seed, one grid column per tool (see runGrid): every
+// tool sees statistically identical conditions. The truth column is
+// the analytic TrueAvailBw, which needs no recorder.
 func Matrix(c MatrixConfig) (*MatrixResult, error) {
 	tools := endToEndTools()
-	res := &MatrixResult{Config: c, Tools: tools}
 	catalog := scenario.Catalog()
-	for _, d := range catalog {
-		cpl, err := d.CompileSeeded(c.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("exp: matrix: %s: %w", d.Name, err)
-		}
-		res.Scenarios = append(res.Scenarios, MatrixScenarioInfo{
-			Name:            d.Name,
-			Summary:         d.Summary,
-			Hops:            len(d.Spec.Hops),
-			TrueAvailBwMbps: cpl.TrueAvailBw.MbpsOf(),
-			CapacityMbps:    cpl.Capacity.MbpsOf(),
-			TightLink:       cpl.TightLink,
-			NarrowLink:      cpl.NarrowLink,
-		})
+	specs := make([]scenario.Spec, len(catalog))
+	for i, d := range catalog {
+		specs[i] = d.Spec
+		specs[i].Seed = scenario.Seed(c.Seed)
 	}
-
-	cells, err := runner.All(len(catalog)*len(tools), func(job int) (MatrixCell, error) {
-		d, tool := catalog[job/len(tools)], tools[job%len(tools)]
-		cpl, err := d.CompileSeeded(c.Seed)
-		if err != nil {
-			return MatrixCell{}, fmt.Errorf("exp: matrix: %s: %w", d.Name, err)
-		}
-		params := registry.Params{
-			Capacity: cpl.Capacity,
-			Rand:     rng.New(c.Seed + 1),
-		}
-		if c.Quick {
-			params.Repeat = 6
-			params.MaxRounds = 6
-			if tool == "learned" {
-				// Repeat maps onto streams-per-rate-fraction for the
-				// learned tool, where 6 would *raise* effort above its
-				// plan default of 4; 2 keeps quick a reduced-effort
-				// pass there too (8 streams instead of 16).
-				params.Repeat = 2
-			}
-		}
-		rep, err := registry.Estimate(context.Background(), tool, params, cpl.Transport)
-		return MatrixCell{Scenario: d.Name, Outcome: core.NewOutcome(tool, rep, err), Err: err}, nil
-	})
+	effort := fullEffort
+	if c.Quick {
+		effort = quickEffort
+	}
+	cells, err := runGrid(c.Seed, specs, tools, effort)
 	if err != nil {
 		return nil, fmt.Errorf("exp: matrix: %w", err)
 	}
-	res.Cells = cells
+	res := &MatrixResult{Config: c, Tools: tools, Cells: make([]MatrixCell, len(cells))}
+	for i, g := range cells {
+		d := catalog[i/len(tools)]
+		if i%len(tools) == 0 {
+			res.Scenarios = append(res.Scenarios, MatrixScenarioInfo{
+				Name:            d.Name,
+				Summary:         d.Summary,
+				Hops:            len(d.Spec.Hops),
+				TrueAvailBwMbps: g.TrueAvailBw.MbpsOf(),
+				CapacityMbps:    g.Capacity.MbpsOf(),
+				TightLink:       g.TightLink,
+				NarrowLink:      g.NarrowLink,
+			})
+		}
+		res.Cells[i] = MatrixCell{Scenario: d.Name, Outcome: g.Outcome, Err: g.Err}
+	}
 	return res, nil
 }
 

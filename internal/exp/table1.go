@@ -73,10 +73,7 @@ func Table1(c Table1Config) (*Table1Result, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: horizon,
 			Seed:    scenario.Seed(c.Seed + uint64(li)*1000),
-			Hops: []scenario.Hop{{
-				Capacity: paperCapacity,
-				Traffic:  []scenario.Source{{Kind: scenario.Poisson, Rate: paperCrossRate, PktSize: lc, SplitLabel: "cross"}},
-			}},
+			Hops:    paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate, PktSize: lc, SplitLabel: "cross"}),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exp: table1: %w", err)

@@ -14,6 +14,7 @@ package fgn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"abw/internal/fft"
 	"abw/internal/rng"
@@ -31,25 +32,61 @@ func Autocov(h float64, k int) float64 {
 }
 
 // Generator produces fixed-length sample paths of fGn with a given Hurst
-// parameter. The spectral factorization is done once at construction;
-// each Sample call costs two FFTs.
+// parameter. The spectral factorization depends only on (H, n) and is
+// done once per pair per process; each Sample call costs two FFTs. A
+// Generator is immutable, so one is shared by every caller and
+// goroutine that asks for its (H, n).
 type Generator struct {
 	n    int       // requested path length
 	m    int       // circulant size (power of two, ≥ 2n)
 	sqrt []float64 // sqrt of circulant eigenvalues
 }
 
-// NewGenerator builds a generator for length-n paths of fGn with Hurst
-// parameter h in (0, 1). H = 0.5 reduces to white Gaussian noise;
+// memoEntry is one (H, n)'s factorization, built exactly once.
+type memoEntry struct {
+	once sync.Once
+	g    *Generator
+	err  error
+}
+
+type memoKey struct {
+	h float64
+	n int
+}
+
+var (
+	memoMu sync.Mutex
+	memo   = map[memoKey]*memoEntry{}
+)
+
+// NewGenerator returns the generator for length-n paths of fGn with
+// Hurst parameter h in (0, 1). H = 0.5 reduces to white Gaussian noise;
 // 0.5 < H < 1 gives long-range dependence (the regime of interest for
-// Internet traffic, typically H ≈ 0.7–0.9).
+// Internet traffic, typically H ≈ 0.7–0.9). Every call with the same
+// (h, n) returns the same Generator (or the same error); invalid
+// arguments are rejected before the lookup and never stored.
 func NewGenerator(h float64, n int) (*Generator, error) {
-	if h <= 0 || h >= 1 {
+	if !(h > 0 && h < 1) {
 		return nil, fmt.Errorf("fgn: Hurst parameter %g outside (0, 1)", h)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("fgn: path length %d must be positive", n)
 	}
+	k := memoKey{h, n}
+	memoMu.Lock()
+	e := memo[k]
+	if e == nil {
+		e = new(memoEntry)
+		memo[k] = e
+	}
+	memoMu.Unlock()
+	e.once.Do(func() { e.g, e.err = factorize(h, n) })
+	return e.g, e.err
+}
+
+// factorize computes the circulant embedding's eigenvalue square roots
+// for valid (h, n): the uncached construction behind NewGenerator.
+func factorize(h float64, n int) (*Generator, error) {
 	m := fft.NextPow2(2 * n)
 	// First row of the circulant embedding matrix: autocovariances
 	// wrapped around the circle.
@@ -80,7 +117,8 @@ func NewGenerator(h float64, n int) (*Generator, error) {
 }
 
 // Sample draws one zero-mean, unit-variance fGn path of the length
-// NewGenerator was given.
+// NewGenerator was given. It only reads the generator and allocates its
+// own buffers, so concurrent calls are safe.
 func (g *Generator) Sample(r *rng.Rand) ([]float64, error) {
 	m := g.m
 	w := make([]complex128, m)

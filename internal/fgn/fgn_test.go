@@ -2,6 +2,7 @@ package fgn
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"abw/internal/rng"
@@ -29,8 +30,15 @@ func TestAutocovKnownValues(t *testing.T) {
 	}
 }
 
+func memoLen() int {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	return len(memo)
+}
+
 func TestNewGeneratorValidation(t *testing.T) {
-	for _, h := range []float64{0, 1, -0.5, 1.5} {
+	before := memoLen()
+	for _, h := range []float64{0, 1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
 		if _, err := NewGenerator(h, 100); err == nil {
 			t.Errorf("NewGenerator(h=%g) accepted invalid Hurst", h)
 		}
@@ -38,6 +46,141 @@ func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(0.8, 0); err == nil {
 		t.Error("NewGenerator(n=0) accepted")
 	}
+	if after := memoLen(); after != before {
+		t.Errorf("invalid arguments added %d memo entries", after-before)
+	}
+}
+
+// repoKeys are the (H, n) pairs the repository asks for: n is the trace
+// span over the 10 ms default modulation window (1 ms for vartime).
+var repoKeys = []struct {
+	what string
+	h    float64
+	n    int
+}{
+	{"catalog lrd hop (30 s)", 0.8, 3000},
+	{"fig1 -quick (10 s)", 0.8, 1000},
+	{"fig6 (20 s)", 0.8, 2000},
+	{"vartime H=0.5", 0.5, 30000},
+	{"vartime H=0.8", 0.8, 30000},
+	{"vartime -quick H=0.5", 0.5, 15000},
+	{"vartime -quick H=0.8", 0.8, 15000},
+}
+
+// samplesEqual reports whether two paths are identical bit for bit.
+func samplesEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoMatchesFactorize holds the memoised generator to the uncached
+// construction: the same spectrum and the same paths at seeds 1–5, for
+// every (H, n) the repository creates. Each key is asked for twice, so
+// the second lookup is a hit.
+func TestMemoMatchesFactorize(t *testing.T) {
+	for _, k := range repoKeys {
+		want, err := factorize(k.h, k.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGenerator(k.h, k.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := NewGenerator(k.h, k.n); again != g {
+			t.Errorf("%s: second lookup returned a different generator", k.what)
+		}
+		if g.n != want.n || g.m != want.m || !samplesEqual(g.sqrt, want.sqrt) {
+			t.Errorf("%s: memoised spectrum differs from factorize(%g, %d)", k.what, k.h, k.n)
+			continue
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			a, err := g.Sample(rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := want.Sample(rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samplesEqual(a, b) {
+				t.Errorf("%s: seed %d path differs from the uncached generator's", k.what, seed)
+			}
+		}
+	}
+}
+
+// TestMemoConcurrent has 8 goroutines ask for one fresh key at once and
+// sample the shared generator concurrently: under -race this is the
+// memo's and Sample's data-race check.
+func TestMemoConcurrent(t *testing.T) {
+	const h, n, workers = 0.77, 1234, 8
+	oracle, err := factorize(h, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, workers)
+	for i := range want {
+		if want[i], err = oracle.Sample(rng.New(uint64(i + 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := make([]*Generator, workers)
+	got := make([][]float64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if gens[i], errs[i] = NewGenerator(h, n); errs[i] != nil {
+				return
+			}
+			got[i], errs[i] = gens[i].Sample(rng.New(uint64(i + 1)))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		if gens[i] != gens[0] {
+			t.Errorf("worker %d got a different generator", i)
+		}
+		if !samplesEqual(got[i], want[i]) {
+			t.Errorf("worker %d: path differs from the uncached generator's", i)
+		}
+	}
+}
+
+// BenchmarkNewGenerator measures the LRD compile's spectrum rung at the
+// catalog's (0.8, 3000): the uncached factorization and a memo hit.
+func BenchmarkNewGenerator(b *testing.B) {
+	b.Run("uncached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := factorize(0.8, 3000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("memo-hit", func(b *testing.B) {
+		if _, err := NewGenerator(0.8, 3000); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewGenerator(0.8, 3000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestSampleMoments(t *testing.T) {

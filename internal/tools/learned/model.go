@@ -153,6 +153,11 @@ func (w *Weights) validate() error {
 		return fmt.Errorf("learned: inconsistent dimensions (mean %d, std %d, coef %d)",
 			len(w.Mean), len(w.Std), len(w.Ridge.Coef))
 	}
+	for i, s := range w.Std {
+		if !(s > 0) {
+			return fmt.Errorf("learned: std[%d] = %g, want > 0", i, s)
+		}
+	}
 	if len(w.KNN.X) != len(w.KNN.Y) {
 		return fmt.Errorf("learned: kNN has %d inputs but %d targets", len(w.KNN.X), len(w.KNN.Y))
 	}

@@ -224,6 +224,8 @@ func TestValidateRejectsBadWeights(t *testing.T) {
 	}{
 		{"schema", func(w *Weights) { w.Schema = "nope" }},
 		{"dims", func(w *Weights) { w.Std = nil }},
+		{"std-zero", func(w *Weights) { w.Std[0] = 0 }},
+		{"std-negative", func(w *Weights) { w.Std[0] = -1 }},
 		{"blend", func(w *Weights) { w.Blend = 2 }},
 		{"knn-shape", func(w *Weights) { w.KNN = KNN{K: 1, X: [][]float64{{1, 2}}, Y: []float64{0}} }},
 		{"knn-k", func(w *Weights) { w.KNN = KNN{K: 0, X: [][]float64{{1}}, Y: []float64{0}} }},

@@ -139,7 +139,7 @@ func (c FGNConfig) withDefaults() (FGNConfig, error) {
 	if c.Hurst == 0 {
 		c.Hurst = 0.8
 	}
-	if c.Hurst <= 0 || c.Hurst >= 1 {
+	if !(c.Hurst > 0 && c.Hurst < 1) {
 		return c, fmt.Errorf("trace: Hurst %g outside (0, 1)", c.Hurst)
 	}
 	if c.Window == 0 {

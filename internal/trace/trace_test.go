@@ -240,8 +240,15 @@ func TestSynthesizeValidation(t *testing.T) {
 	if _, err := SynthesizeOnOff(OnOffConfig{}, nil); err == nil {
 		t.Error("nil rand accepted")
 	}
-	if _, err := SynthesizeFGN(FGNConfig{Hurst: 1.5}, rng.New(1)); err == nil {
-		t.Error("invalid Hurst accepted")
+	for _, h := range []float64{1.5, -0.2, math.NaN()} {
+		if _, err := SynthesizeFGN(FGNConfig{Hurst: h}, rng.New(1)); err == nil {
+			t.Errorf("invalid Hurst %g accepted", h)
+		}
+		// A NaN Hurst once built a NaN envelope whose first Packet
+		// call appended packets forever.
+		if _, err := NewFGNStream(FGNConfig{Hurst: h}, rng.New(1)); err == nil {
+			t.Errorf("stream accepted invalid Hurst %g", h)
+		}
 	}
 	if _, err := SynthesizeFGN(FGNConfig{}, nil); err == nil {
 		t.Error("nil rand accepted")

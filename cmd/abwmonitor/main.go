@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -97,6 +98,15 @@ func main() {
 	if flag.NArg() > 0 {
 		usageErr("unexpected argument %q (targets are given with -target)", flag.Arg(0))
 	}
+
+	// Written so that NaN fails: it passes every `<= 0` test.
+	finiteRate := func(name string, v float64) {
+		if v != 0 && !(v > 0 && !math.IsInf(v, 1)) {
+			usageErr("-%s must be finite and positive (got %g)", name, v)
+		}
+	}
+	finiteRate("capacity", *capMbps)
+	finiteRate("max-bps", *maxMbps)
 
 	params := abw.Params{
 		Capacity:  abw.Rate(*capMbps * 1e6),

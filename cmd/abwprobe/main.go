@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -95,8 +96,12 @@ func main() {
 		return
 	}
 	mkParams := func() abw.Params {
-		if *minMbps <= 0 || *maxMbps <= *minMbps {
-			usageErr("need 0 < -min < -max (got %g, %g)", *minMbps, *maxMbps)
+		// Written so that NaN fails: it passes every `<= 0` test.
+		if !(*minMbps > 0 && *maxMbps > *minMbps && !math.IsInf(*maxMbps, 1)) {
+			usageErr("need 0 < -min < -max, finite (got %g, %g)", *minMbps, *maxMbps)
+		}
+		if *capMbps != 0 && !(*capMbps > 0 && !math.IsInf(*capMbps, 1)) {
+			usageErr("-capacity must be finite and positive (got %g)", *capMbps)
 		}
 		return abw.Params{
 			RateLo:    abw.Rate(*minMbps * 1e6),

@@ -3,7 +3,6 @@ package learned
 import (
 	"context"
 	_ "embed"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -35,14 +34,14 @@ func Default() (*Weights, error) {
 
 // Parse decodes and validates a weight file.
 func Parse(data []byte) (*Weights, error) {
-	var w Weights
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("learned: parsing weights: %w", err)
+	w, err := decodeWeights(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	return &w, nil
+	return w, nil
 }
 
 // Config tunes the estimator, which runs the embedded weights (Default).
@@ -61,7 +60,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults(w *Weights) (Config, error) {
-	if c.Capacity <= 0 {
+	if !(c.Capacity > 0) {
 		return c, fmt.Errorf("learned: tight-link capacity is required (the model predicts A/C)")
 	}
 	if c.StreamLen == 0 {

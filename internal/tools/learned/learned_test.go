@@ -14,6 +14,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing capacity accepted")
 	}
+	if _, err := New(Config{Capacity: unit.Rate(math.NaN())}); err == nil {
+		t.Error("NaN capacity accepted")
+	}
 	if _, err := New(Config{Capacity: 50 * unit.Mbps, StreamLen: 1}); err == nil {
 		t.Error("1-packet stream accepted")
 	}

@@ -55,7 +55,7 @@ func (p ProbePlan) validate() error {
 		return fmt.Errorf("learned: probe plan has no rate fractions")
 	}
 	for _, f := range p.RateFracs {
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			return fmt.Errorf("learned: rate fraction %g outside (0, 1]", f)
 		}
 	}
@@ -165,14 +165,38 @@ func (w *Weights) validate() error {
 		if len(x) != dim {
 			return fmt.Errorf("learned: kNN row %d has %d dims, want %d", i, len(x), dim)
 		}
+		if j := nonFinite(x); j >= 0 {
+			return fmt.Errorf("learned: kNN x[%d][%d] = %g, want finite", i, j, x[j])
+		}
 	}
 	if len(w.KNN.X) > 0 && w.KNN.K < 1 {
 		return fmt.Errorf("learned: kNN needs K >= 1")
 	}
-	if w.Blend < 0 || w.Blend > 1 {
+	if !(w.Blend >= 0 && w.Blend <= 1) {
 		return fmt.Errorf("learned: blend %g outside [0, 1]", w.Blend)
 	}
+	for _, v := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"mean", w.Mean}, {"std", w.Std}, {"ridge coef", w.Ridge.Coef}, {"kNN y", w.KNN.Y},
+		{"ridge lambda, intercept", []float64{w.Ridge.Lambda, w.Ridge.Intercept}},
+	} {
+		if j := nonFinite(v.xs); j >= 0 {
+			return fmt.Errorf("learned: %s[%d] = %g, want finite", v.name, j, v.xs[j])
+		}
+	}
 	return nil
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in xs, or -1.
+func nonFinite(xs []float64) int {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // standardize maps a raw input to z-scores under the stored statistics.

@@ -230,6 +230,14 @@ func TestValidateRejectsBadWeights(t *testing.T) {
 		{"knn-shape", func(w *Weights) { w.KNN = KNN{K: 1, X: [][]float64{{1, 2}}, Y: []float64{0}} }},
 		{"knn-k", func(w *Weights) { w.KNN = KNN{K: 0, X: [][]float64{{1}}, Y: []float64{0}} }},
 		{"plan", func(w *Weights) { w.Plan.RateFracs = []float64{2} }},
+		{"nan-rate-frac", func(w *Weights) { w.Plan.RateFracs = []float64{math.NaN()} }},
+		{"nan-blend", func(w *Weights) { w.Blend = math.NaN() }},
+		{"inf-mean", func(w *Weights) { w.Mean[0] = math.Inf(1) }},
+		{"inf-std", func(w *Weights) { w.Std[0] = math.Inf(1) }},
+		{"nan-coef", func(w *Weights) { w.Ridge.Coef[0] = math.NaN() }},
+		{"nan-intercept", func(w *Weights) { w.Ridge.Intercept = math.NaN() }},
+		{"nan-knn-x", func(w *Weights) { w.KNN = KNN{K: 1, X: [][]float64{{math.NaN()}}, Y: []float64{0}} }},
+		{"inf-knn-y", func(w *Weights) { w.KNN = KNN{K: 1, X: [][]float64{{1}}, Y: []float64{math.Inf(-1)}} }},
 	}
 	for _, tc := range cases {
 		w := base()

@@ -11,6 +11,7 @@ package registry
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"abw/internal/core"
 	"abw/internal/rng"
@@ -201,6 +202,16 @@ func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*co
 	d, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown tool %q (have %v)", name, Names())
+	}
+	// NaN slips past every `<= 0` requirement and bracket check below,
+	// and a non-finite rate reaches the simulator as a negative time.
+	for _, r := range []struct {
+		field string
+		v     unit.Rate
+	}{{"Capacity", p.Capacity}, {"RateLo", p.RateLo}, {"RateHi", p.RateHi}} {
+		if r.v != 0 && !(r.v > 0 && r.v < unit.Rate(math.Inf(1))) {
+			return nil, fmt.Errorf("registry: %s: Params.%s is %g, want 0 (unset) or finite and > 0", d.Name, r.field, float64(r.v))
+		}
 	}
 	if missing := d.MissingParams(p); len(missing) != 0 {
 		return nil, fmt.Errorf("registry: %s needs %v", d.Name, missing)

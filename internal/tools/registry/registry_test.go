@@ -3,6 +3,8 @@ package registry_test
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -117,6 +119,33 @@ func TestMissingParams(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("spruce MissingParams = %v, want Capacity listed", missing)
+	}
+}
+
+// TestEstimateRefusesNonFiniteRates: a rate that is set must be finite
+// and positive. NaN passes every `<= 0` check, and before this guard it
+// reached the simulator as a negative send time and panicked there.
+func TestEstimateRefusesNonFiniteRates(t *testing.T) {
+	for _, d := range registry.Tools() {
+		for _, field := range []string{"Capacity", "RateLo", "RateHi"} {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+				sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
+				p := params(sc)
+				switch field {
+				case "Capacity":
+					p.Capacity = unit.Rate(v)
+				case "RateLo":
+					p.RateLo = unit.Rate(v)
+				case "RateHi":
+					p.RateHi = unit.Rate(v)
+				}
+				rep, err := registry.Estimate(context.Background(), d.Name, p, sc.Transport)
+				if err == nil || rep != nil || !strings.Contains(err.Error(), "Params."+field) {
+					t.Errorf("%s with %s = %g: report %v, error %v; want no report and an error naming Params.%s",
+						d.Name, field, v, rep, err, field)
+				}
+			}
+		}
 	}
 }
 

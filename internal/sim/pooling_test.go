@@ -36,17 +36,18 @@ func snapshot(recs []*sim.Recorder) []groundTruth {
 // event and packet reuse must never change scheduling order or packet
 // contents. Two compilations of the same seeded scenario — one with the
 // free lists disabled — must produce exactly the same per-hop ground
-// truth, arrival by arrival.
+// truth, arrival by arrival, and fire the same events. The mice rows
+// cover TCP, whose segments and ACKs come from the pool too.
 func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 	const horizon = 3 * time.Second
-	for _, name := range []string{"canonical", "lrd"} {
+	for _, name := range []string{"canonical", "lrd", "mice", "codel-mice"} {
 		t.Run(name, func(t *testing.T) {
 			d, ok := scenario.Lookup(name)
 			if !ok {
 				t.Fatalf("scenario %q not in catalog", name)
 			}
 			d.Spec.Recorded = true
-			run := func(pooled bool) []groundTruth {
+			run := func(pooled bool) ([]groundTruth, sim.Stats) {
 				cpl, err := d.CompileSeeded(1)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
@@ -56,10 +57,16 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 				}
 				cpl.Sim.SetPooling(pooled)
 				cpl.Sim.RunUntil(horizon)
-				return snapshot(cpl.Recorders)
+				return snapshot(cpl.Recorders), cpl.Sim.Stats()
 			}
-			pooled := run(true)
-			plain := run(false)
+			pooled, pooledStats := run(true)
+			plain, plainStats := run(false)
+			if pooledStats.Fired != plainStats.Fired || pooledStats.TCPEvents != plainStats.TCPEvents ||
+				pooledStats.CrossEvents != plainStats.CrossEvents {
+				t.Fatalf("pooled run fired %d events (%d TCP, %d cross), unpooled %d (%d TCP, %d cross)",
+					pooledStats.Fired, pooledStats.TCPEvents, pooledStats.CrossEvents,
+					plainStats.Fired, plainStats.TCPEvents, plainStats.CrossEvents)
+			}
 			for h := range plain {
 				if len(pooled[h].arrivals) != len(plain[h].arrivals) {
 					t.Fatalf("hop %d: %d pooled arrivals vs %d unpooled",

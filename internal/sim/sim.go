@@ -268,9 +268,8 @@ func txDoneLink(arg any) {
 // NewPacket returns a packet from the simulation's free list (or a
 // fresh one), zeroed and marked for recycling: after its final
 // OnArrive or OnDrop callback returns, the packet goes back to the pool
-// and must not be retained. Callers that keep packets alive past
-// delivery (e.g. protocol state machines) should allocate plain
-// &Packet{} values instead.
+// and must not be retained. A caller that keeps a packet alive past
+// delivery allocates a plain &Packet{} instead.
 func (s *Sim) NewPacket() *Packet {
 	if n := len(s.pktFree); n > 0 && !s.noPool {
 		p := s.pktFree[n-1]

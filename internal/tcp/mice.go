@@ -44,10 +44,13 @@ func (c MiceConfig) withDefaults() (MiceConfig, error) {
 	return c, nil
 }
 
-// Mice is the short-flow workload generator.
+// Mice is the short-flow workload generator. It keeps counters, not
+// connections: a finished flow is garbage as soon as its last event
+// has fired.
 type Mice struct {
 	cfg   MiceConfig
-	conns []*Conn
+	flows int // connections started
+	acked int // segments acked across all flows
 }
 
 // NewMice validates the configuration.
@@ -88,9 +91,9 @@ func (m *Mice) Run(s *sim.Sim, fwd, rev []*sim.Link, from, until time.Duration, 
 		if size < mss {
 			size = mss
 		}
-		conn, err := New(s, fwd, rev, flow, Config{RcvWnd: miceRcvWnd, maxBytes: size})
+		conn, err := New(s, fwd, rev, flow, Config{RcvWnd: miceRcvWnd, maxBytes: size, acked: &m.acked})
 		if err == nil {
-			m.conns = append(m.conns, conn)
+			m.flows++
 			conn.Start(s.Now())
 		}
 		flow++
@@ -101,14 +104,8 @@ func (m *Mice) Run(s *sim.Sim, fwd, rev []*sim.Link, from, until time.Duration, 
 	return nil
 }
 
-// Flows returns the connections started so far.
-func (m *Mice) Flows() []*Conn { return m.conns }
+// Flows returns the number of connections started so far.
+func (m *Mice) Flows() int { return m.flows }
 
-// AckedBytes sums payload delivered across all flows.
-func (m *Mice) AckedBytes() unit.Bytes {
-	var total unit.Bytes
-	for _, c := range m.conns {
-		total += c.AckedBytes()
-	}
-	return total
-}
+// AckedBytes returns the payload acked so far across all flows.
+func (m *Mice) AckedBytes() unit.Bytes { return unit.Bytes(m.acked) * mss }

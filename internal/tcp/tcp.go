@@ -28,6 +28,10 @@ type Config struct {
 	// maxBytes ends the transfer after that much payload is acked;
 	// 0 means a persistent (bulk) transfer. Mice sets it per flow.
 	maxBytes unit.Bytes
+	// acked, if set, is an aggregate's counter (Mice's) that every
+	// segment the connection newly acks is added to. Such a connection
+	// keeps no progress record of its own: its Throughput reads 0.
+	acked *int
 }
 
 // Every connection sends mss payload bytes a segment (the wire segment
@@ -71,8 +75,8 @@ type Conn struct {
 	dupAcks     int
 	inRecovery  bool
 	recoverSeq  int
-	sendTimes   map[int]time.Duration // segment → first-send time (Karn)
-	srtt, rttvr float64               // seconds
+	sent        sendWindow // first-send times of segments in flight (Karn)
+	srtt, rttvr float64    // seconds
 	rtoTimer    eventq.Handle
 	rtoBackoff  int
 	done        bool
@@ -88,7 +92,11 @@ type Conn struct {
 	// Stats.
 	retransmits int
 	timeouts    int
-	startAt     time.Duration
+
+	// Long-lived callbacks built once in New, so that no segment, ACK
+	// or retransmission timer allocates a closure.
+	dataFn, ackFn func(p *sim.Packet, at time.Duration)
+	timeoutFn     func()
 }
 
 type progressPoint struct {
@@ -108,24 +116,28 @@ func New(s *sim.Sim, fwd, rev []*sim.Link, flow int, cfg Config) (*Conn, error) 
 	if s == nil || len(fwd) == 0 {
 		return nil, fmt.Errorf("tcp: simulation and a forward route are required")
 	}
-	return &Conn{
-		s:         s,
-		fwd:       fwd,
-		rev:       rev,
-		cfg:       c,
-		flow:      flow,
-		cwnd:      float64(initCwnd),
-		ssthresh:  1 << 20, // effectively unbounded until the first loss
-		sendTimes: make(map[int]time.Duration),
-		outOfOrd:  make(map[int]bool),
-	}, nil
+	conn := &Conn{
+		s:        s,
+		fwd:      fwd,
+		rev:      rev,
+		cfg:      c,
+		flow:     flow,
+		cwnd:     float64(initCwnd),
+		ssthresh: 1 << 20, // effectively unbounded until the first loss
+	}
+	conn.sent = newSendWindow(c.RcvWnd, conn.totalSegments())
+	conn.dataFn = func(p *sim.Packet, _ time.Duration) { conn.onData(p.Seq) }
+	conn.ackFn = func(p *sim.Packet, _ time.Duration) { conn.onAck(p.Seq) }
+	conn.timeoutFn = conn.onTimeout
+	return conn, nil
 }
 
 // Start begins the transfer at the given virtual time.
 func (c *Conn) Start(at time.Duration) {
 	c.s.At(at, func() {
-		c.startAt = c.s.Now()
-		c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: 0})
+		if c.cfg.acked == nil {
+			c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: 0})
+		}
 		c.pump()
 	})
 }
@@ -178,25 +190,22 @@ func (c *Conn) pump() {
 	c.armRTO()
 }
 
-// sendSegment transmits one segment (fresh or retransmission).
+// sendSegment transmits one segment (fresh or retransmission) in a
+// pooled packet, which the simulation recycles after delivery.
 func (c *Conn) sendSegment(seq int, isRetransmit bool) {
 	if isRetransmit {
 		c.retransmits++
-		delete(c.sendTimes, seq) // Karn: no RTT sample from retransmits
-	} else if _, seen := c.sendTimes[seq]; !seen {
-		c.sendTimes[seq] = c.s.Now()
 	}
-	pkt := &sim.Packet{
-		Size:  mss + headerBytes,
-		Kind:  sim.KindData,
-		Flow:  c.flow,
-		Seq:   seq,
-		Route: c.fwd,
-		OnArrive: func(p *sim.Packet, _ time.Duration) {
-			c.onData(p.Seq)
-		},
-	}
-	c.s.Inject(pkt, c.s.Now())
+	c.sent.send(seq, isRetransmit, c.s.Now())
+	c.inject(mss+headerBytes, sim.KindData, seq, c.fwd, c.dataFn)
+}
+
+// inject sends one pooled packet from now.
+func (c *Conn) inject(size unit.Bytes, kind sim.Kind, seq int, route []*sim.Link, onArrive func(*sim.Packet, time.Duration)) {
+	p := c.s.NewPacket()
+	p.Size, p.Kind, p.Flow, p.Seq = size, kind, c.flow, seq
+	p.Route, p.OnArrive = route, onArrive
+	c.s.Inject(p, c.s.Now())
 }
 
 // onData runs at the receiver: advance the cumulative ACK point and send
@@ -209,20 +218,12 @@ func (c *Conn) onData(seq int) {
 			c.rcvNext++
 		}
 	} else if seq > c.rcvNext {
+		if c.outOfOrd == nil {
+			c.outOfOrd = make(map[int]bool)
+		}
 		c.outOfOrd[seq] = true
 	}
-	ack := c.rcvNext
-	pkt := &sim.Packet{
-		Size:  ackBytes,
-		Kind:  sim.KindAck,
-		Flow:  c.flow,
-		Seq:   ack,
-		Route: c.rev,
-		OnArrive: func(p *sim.Packet, _ time.Duration) {
-			c.onAck(p.Seq)
-		},
-	}
-	c.s.Inject(pkt, c.s.Now())
+	c.inject(ackBytes, sim.KindAck, c.rcvNext, c.rev, c.ackFn)
 }
 
 // onAck runs at the sender.
@@ -234,11 +235,8 @@ func (c *Conn) onAck(ack int) {
 		newly := ack - c.highestAck
 		// RTT sample from the highest newly acked segment that was
 		// never retransmitted.
-		if t0, ok := c.sendTimes[ack-1]; ok {
+		if t0, ok := c.sent.lookup(ack - 1); ok {
 			c.updateRTT((c.s.Now() - t0).Seconds())
-		}
-		for s := c.highestAck; s < ack; s++ {
-			delete(c.sendTimes, s)
 		}
 		c.highestAck = ack
 		c.dupAcks = 0
@@ -265,7 +263,11 @@ func (c *Conn) onAck(ack int) {
 			}
 			c.cwnd += inc // congestion avoidance
 		}
-		c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: ack})
+		if c.cfg.acked != nil {
+			*c.cfg.acked += newly
+		} else {
+			c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: ack})
+		}
 		if total := c.totalSegments(); total >= 0 && ack >= total {
 			c.done = true
 			c.disarmRTO()
@@ -325,7 +327,7 @@ func (c *Conn) armRTO() {
 	if c.done || c.highestAck >= c.nextSeq {
 		return // nothing in flight
 	}
-	c.rtoTimer = c.s.After(c.rto(), c.onTimeout)
+	c.rtoTimer = c.s.After(c.rto(), c.timeoutFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -359,9 +361,7 @@ func (c *Conn) onTimeout() {
 	}
 	// Karn's algorithm: anything beyond the rewind point may be sent
 	// twice, so none of it can produce an RTT sample.
-	for s := c.highestAck; s < c.nextSeq; s++ {
-		delete(c.sendTimes, s)
-	}
+	c.sent.forget(c.highestAck, c.nextSeq)
 	c.retransmits += c.nextSeq - c.highestAck
 	c.nextSeq = c.highestAck
 	c.pump()

@@ -270,8 +270,8 @@ func TestMiceOfferedLoad(t *testing.T) {
 	if rate < 12 || rate > 28 {
 		t.Errorf("mice delivered %.2f Mbps, want ~20±40%%", rate)
 	}
-	if len(m.Flows()) < 20 {
-		t.Errorf("only %d flows started", len(m.Flows()))
+	if m.Flows() < 20 {
+		t.Errorf("only %d flows started", m.Flows())
 	}
 }
 
@@ -290,5 +290,52 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("replay differs: %d vs %d bytes", a, b)
+	}
+}
+
+// TestWindowLaw is the window law below the knee: one flow alone on a
+// path whose capacity is well above Wr·MSS/RTT delivers Wr segments a
+// round trip, within one segment a round trip, with no retransmission.
+func TestWindowLaw(t *testing.T) {
+	const rtt = 40 * time.Millisecond
+	tol := unit.RateOf(mss, rtt).MbpsOf() // one segment per RTT: 0.292 Mbps
+	for _, wr := range []int{2, 4, 8, 16, 32, 64} {
+		law := unit.RateOf(unit.Bytes(wr)*mss, rtt)
+		tb := newTestbed(4*law+10*unit.Mbps, 0, rtt)
+		c := tb.conn(t, Config{RcvWnd: wr})
+		c.Start(0)
+		tb.s.RunUntil(20 * time.Second)
+		got := c.Throughput(5*time.Second, 20*time.Second).MbpsOf()
+		t.Logf("Wr=%d: %.3f Mbps, law %.3f", wr, got, law.MbpsOf())
+		if math.Abs(got-law.MbpsOf()) > tol {
+			t.Errorf("Wr=%d: goodput %.3f Mbps, want %.3f ± %.3f (Wr·MSS/RTT)", wr, got, law.MbpsOf(), tol)
+		}
+		if n := c.Retransmits(); n != 0 {
+			t.Errorf("Wr=%d: %d retransmits with no cross traffic and an unbounded buffer", wr, n)
+		}
+	}
+}
+
+// TestBulkAllocationsDoNotGrowWithSegments pins that segments and ACKs
+// ride the simulator's packet pool and the connection's long-lived
+// callbacks: a transfer ten times longer allocates only the extra
+// growth of its progress record (one point per ACK, O(log n)
+// reallocations), not a packet, closure or map entry per segment.
+func TestBulkAllocationsDoNotGrowWithSegments(t *testing.T) {
+	allocs := func(segments int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			tb := newTestbed(10*unit.Mbps, 0, 20*time.Millisecond)
+			c := tb.conn(t, Config{RcvWnd: 16, maxBytes: unit.Bytes(segments) * mss})
+			c.Start(0)
+			tb.s.RunUntil(time.Minute)
+			if !c.Done() {
+				t.Fatalf("%d-segment transfer did not complete", segments)
+			}
+		})
+	}
+	short, long := allocs(200), allocs(2000)
+	t.Logf("%.0f allocations for 200 segments, %.0f for 2000", short, long)
+	if long-short > 12 {
+		t.Errorf("2000 segments allocate %.0f more times than 200: a per-segment allocation", long-short)
 	}
 }

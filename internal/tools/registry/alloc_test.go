@@ -22,7 +22,15 @@ func TestEstimateAllocatesPerStreamNotPerPacket(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
 		max      float64 // bytes allocated per forwarded packet
-	}{{"verylongpath", 8}, {"canonical", 64}} {
+	}{
+		{"verylongpath", 8},
+		{"canonical", 64},
+		// TCP cross traffic allocates per flow (a Conn, its callbacks
+		// and its send-time ring), not per segment: 21 B (spruce) and
+		// 34 B (pathload) per forward, ACKs counted, where a packet and
+		// a closure per segment and per ACK cost 178 B and 151 B.
+		{"mice", 64},
+	} {
 		for _, tool := range []string{"spruce", "pathload"} {
 			t.Run(tc.scenario+"/"+tool, func(t *testing.T) {
 				sc, ok := scenario.Lookup(tc.scenario)
@@ -43,6 +51,9 @@ func TestEstimateAllocatesPerStreamNotPerPacket(t *testing.T) {
 				var forwards int64
 				for _, l := range cpl.Path.Links {
 					forwards += l.Forwarded()
+				}
+				if cpl.Reverse != nil { // TCP's ACKs are forwarded packets too
+					forwards += cpl.Reverse.Forwarded()
 				}
 				if forwards < 4_000 {
 					t.Fatalf("only %d forwards: the estimate did not run the simulator", forwards)

@@ -143,24 +143,10 @@ func printTools() {
 	fmt.Println("Registered estimation techniques:")
 	for _, d := range abw.Tools() {
 		fmt.Printf("  %-10s %s\n", d.Name, d.Summary)
-		if reqs := flagRequirements(d); reqs != "" {
-			fmt.Printf("  %-10s requires %s\n", "", reqs)
+		if d.NeedsCapacity {
+			fmt.Printf("  %-10s requires %s\n", "", flagFor("Capacity"))
 		}
 	}
-}
-
-// flagRequirements renders a descriptor's needs in terms of this CLI's
-// flags: the registry knows what a tool requires; only the flag
-// spelling lives here.
-func flagRequirements(d abw.Tool) string {
-	var reqs []string
-	if d.NeedsCapacity {
-		reqs = append(reqs, flagFor("Capacity"))
-	}
-	if d.SimOnly {
-		reqs = append(reqs, "a simulated path (not available over live sockets)")
-	}
-	return strings.Join(reqs, ", ")
 }
 
 // flagFor maps a registry Params field name onto this CLI's flag
@@ -316,14 +302,9 @@ func send(to, tool string, params abw.Params, jsonOut, progress bool) {
 	if !ok {
 		var names []string
 		for _, n := range abw.Tools() {
-			if !n.SimOnly { // suggest only tools the live CLI can run
-				names = append(names, n.Name)
-			}
+			names = append(names, n.Name)
 		}
 		usageErr("unknown tool %q (try %s)", tool, strings.Join(names, ", "))
-	}
-	if d.SimOnly {
-		usageErr("%s requires %s", d.Name, flagRequirements(d))
 	}
 	if missing := d.MissingParams(params); len(missing) > 0 {
 		flags := make([]string, len(missing))

@@ -1,8 +1,8 @@
 // Package abw reproduces "Ten Fallacies and Pitfalls on End-to-End
 // Available Bandwidth Estimation" (Jain & Dovrolis, IMC 2004) as a Go
 // library: a discrete-event network simulator, the paper's cross-traffic
-// models and trace substrate, the seven estimation tools it classifies
-// (Delphi, TOPP, Pathload, pathChirp, IGI/PTR, Spruce, BFind) plus a
+// models and trace substrate, seven of the estimation tools it classifies
+// (Delphi, TOPP, Pathload, pathChirp, IGI, PTR, Spruce) plus a
 // learned eighth estimator trained on their shared probe features, a
 // packet-level TCP Reno, a live UDP probing transport, and one
 // experiment per table and figure in the paper, all running their

@@ -49,11 +49,6 @@ func main() {
 			Capacity: capacity,
 			Rand:     abw.NewRand(11),
 		}
-		if tool.Name == "bfind" {
-			// BFind ramps an intrusive UDP load; bound it explicitly.
-			params.RateLo = 5 * abw.Mbps
-			params.RateHi = 48 * abw.Mbps
-		}
 		rep, err := abw.Estimate(context.Background(), tool.Name, params, scenario())
 		if err != nil {
 			fmt.Printf("%-10s error: %v\n", tool.Name, err)
@@ -70,6 +65,5 @@ func main() {
 	fmt.Println("\nnote: comparisons are only meaningful at matched probing budgets and")
 	fmt.Println("timescales (misconceptions #1-#3); this table reports the cost columns")
 	fmt.Println("precisely so such a comparison can be made — or pass the same")
-	fmt.Println("abw.Budget in Params to the end-to-end tools to enforce parity by")
-	fmt.Println("construction (sim-only bfind bypasses the transport and refuses one).")
+	fmt.Println("abw.Budget in Params to enforce parity by construction.")
 }

@@ -71,30 +71,6 @@ func (c *chain) Next() (time.Duration, unit.Bytes, bool) {
 	return 0, 0, false
 }
 
-// Counter is a Process that counts what the Process it wraps emits,
-// for calibration checks and cost accounting. Under sim.Feed a packet
-// is counted when the feed pulls it, one element ahead of the link.
-type Counter struct {
-	Process
-	Packets int64
-	Bytes   unit.Bytes
-}
-
-// Next passes on the wrapped Process's next packet and counts it.
-func (c *Counter) Next() (time.Duration, unit.Bytes, bool) {
-	at, size, ok := c.Process.Next()
-	if ok {
-		c.Packets++
-		c.Bytes += size
-	}
-	return at, size, ok
-}
-
-// AvgRate returns the average emission rate over the given span.
-func (c *Counter) AvgRate(span time.Duration) unit.Rate {
-	return unit.RateOf(c.Bytes, span)
-}
-
 // renewal is a Model whose packets are drawn one at a time: draw
 // returns a packet's size and then the gap to its successor.
 type renewal func() (size unit.Bytes, gap time.Duration)

@@ -10,6 +10,30 @@ import (
 	"abw/internal/unit"
 )
 
+// Counter is a Process that counts what the Process it wraps emits,
+// for calibration checks. Under sim.Feed a packet is counted when the
+// feed pulls it, one element ahead of the link.
+type Counter struct {
+	Process
+	Packets int64
+	Bytes   unit.Bytes
+}
+
+// Next passes on the wrapped Process's next packet and counts it.
+func (c *Counter) Next() (time.Duration, unit.Bytes, bool) {
+	at, size, ok := c.Process.Next()
+	if ok {
+		c.Packets++
+		c.Bytes += size
+	}
+	return at, size, ok
+}
+
+// AvgRate returns the average emission rate over the given span.
+func (c *Counter) AvgRate(span time.Duration) unit.Rate {
+	return unit.RateOf(c.Bytes, span)
+}
+
 // feed starts m's packets in [from, until) on route under one
 // Sim.Feed and returns a counter of what it emits.
 func feed(s *sim.Sim, route []*sim.Link, m Model, from, until time.Duration) *Counter {

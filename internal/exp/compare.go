@@ -6,6 +6,7 @@ import (
 
 	"abw/internal/core"
 	"abw/internal/scenario"
+	"abw/internal/tools/registry"
 	"abw/internal/unit"
 )
 
@@ -32,7 +33,7 @@ type CompareResult struct {
 	model       CrossModel
 }
 
-// CompareTools runs every end-to-end estimator in the registry against
+// CompareTools runs every estimator in the registry against
 // statistically identical copies of the paper's single hop under
 // Poisson cross traffic (same seed, fresh simulation per tool so no
 // tool inherits another's queue backlog), recording estimate and
@@ -44,14 +45,14 @@ func CompareTools(c CompareConfig) (*CompareResult, error) {
 }
 
 // compareTools is CompareTools under the given cross model: one grid
-// row, every end-to-end tool at its published effort.
+// row, every tool at its published effort.
 func compareTools(c CompareConfig, model CrossModel) (*CompareResult, error) {
 	spec := scenario.Spec{
 		Horizon: 10 * time.Minute,
 		Seed:    scenario.Seed(c.Seed),
 		Hops:    paperHop(crossSource(model, paperCrossRate)),
 	}
-	cells, err := runGrid(c.Seed, []scenario.Spec{spec}, endToEndTools(), fullEffort)
+	cells, err := runGrid(c.Seed, []scenario.Spec{spec}, registry.Names(), fullEffort)
 	if err != nil {
 		return nil, fmt.Errorf("exp: compare: %w", err)
 	}

@@ -125,9 +125,13 @@ func Figure7(c Figure7Config) (*Figure7Result, error) {
 			return 0, fmt.Errorf("exp: figure7: %w", err)
 		}
 		bulk.Start(time.Second)
-		cpl.Sim.RunUntil(c.Duration)
+		// Goodput over [warmup, Duration): what the flow had acked by
+		// each end of the window, read off the clock as it passes.
 		warmup := c.Duration / 4
-		return bulk.Throughput(warmup, c.Duration).MbpsOf(), nil
+		cpl.Sim.RunUntil(warmup)
+		before := bulk.AckedBytes()
+		cpl.Sim.RunUntil(c.Duration)
+		return unit.RateOf(bulk.AckedBytes()-before, c.Duration-warmup).MbpsOf(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ import (
 // oracleMatrix runs one job per (scenario, tool), compiling every
 // scenario once more for its truth row.
 func oracleMatrix(c MatrixConfig) (*MatrixResult, error) {
-	tools := endToEndTools()
+	tools := registry.Names()
 	res := &MatrixResult{Config: c, Tools: tools}
 	catalog := scenario.Catalog()
 	for _, d := range catalog {
@@ -74,7 +74,7 @@ func oracleMatrix(c MatrixConfig) (*MatrixResult, error) {
 // tool the paper's capacity.
 func oracleCompareTools(c CompareConfig, model CrossModel) (*CompareResult, error) {
 	res := &CompareResult{Config: c, TrueAvailBw: paperCapacity - paperCrossRate, model: model}
-	tools := endToEndTools()
+	tools := registry.Names()
 	entries, err := runner.All(len(tools), func(ti int) (CompareEntry, error) {
 		cpl, err := scenario.Compile(scenario.Spec{
 			Horizon: 10 * time.Minute,
@@ -117,7 +117,7 @@ func oracleLearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	}
 	_, test := ds.SplitRows()
 	res := &LearnedEvalResult{Config: cfg}
-	for _, tool := range endToEndTools() {
+	for _, tool := range registry.Names() {
 		if tool != "learned" {
 			res.Tools = append(res.Tools, tool)
 		}

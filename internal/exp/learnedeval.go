@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"abw/internal/scenario"
+	"abw/internal/tools/registry"
 )
 
 // LearnedEvalConfig parameterizes the held-out evaluation of the
@@ -45,7 +46,7 @@ type LearnedEvalResult struct {
 // LearnedEval answers the question the eighth tool exists to pose: once
 // the mapping from probe features to avail-bw is learned rather than
 // derived, how does it compare on held-out conditions against the seven
-// analytic mappings? Every end-to-end tool, learned included, is one
+// analytic mappings? Every tool, learned included, is one
 // grid column over the dataset's test configurations (see runGrid):
 // the classical tools at quick-matrix effort, the learned tool at its
 // plan's, which probes exactly as the dataset rows do.
@@ -56,7 +57,7 @@ func LearnedEval(cfg LearnedEvalConfig) (*LearnedEvalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tools := endToEndTools()
+	tools := registry.Names()
 	res := &LearnedEvalResult{Config: cfg}
 	for _, tool := range tools {
 		if tool != "learned" {

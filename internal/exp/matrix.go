@@ -9,7 +9,7 @@ import (
 )
 
 // MatrixConfig parameterizes the tools×scenarios matrix: every
-// registered end-to-end estimator against every cataloged scenario.
+// registered estimator against every cataloged scenario.
 // This is the experiment the paper's summary asks for — "compare and
 // evaluate the existing estimation techniques under reproducible and
 // controllable conditions" — with the conditions drawn from the
@@ -18,19 +18,6 @@ type MatrixConfig struct {
 	// Quick reduces per-tool probing effort for a fast pass.
 	Quick bool
 	Seed  uint64
-}
-
-// endToEndTools returns the registry's tools that run over a plain
-// Transport, in registration order; SimOnly tools need hop visibility
-// the shared scenarios do not model fairly.
-func endToEndTools() []string {
-	var tools []string
-	for _, d := range registry.Tools() {
-		if !d.SimOnly {
-			tools = append(tools, d.Name)
-		}
-	}
-	return tools
 }
 
 // MatrixScenarioInfo is one scenario row's ground truth.
@@ -74,12 +61,12 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 	return MatrixCell{}, false
 }
 
-// Matrix runs every end-to-end tool against every cataloged scenario
+// Matrix runs every registered tool against every cataloged scenario
 // at the config seed, one grid column per tool (see runGrid): every
 // tool sees statistically identical conditions. The truth column is
 // the analytic TrueAvailBw, which needs no recorder.
 func Matrix(c MatrixConfig) (*MatrixResult, error) {
-	tools := endToEndTools()
+	tools := registry.Names()
 	catalog := scenario.Catalog()
 	specs := make([]scenario.Spec, len(catalog))
 	for i, d := range catalog {

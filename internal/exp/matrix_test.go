@@ -6,6 +6,7 @@ import (
 
 	"abw/internal/runner"
 	"abw/internal/scenario"
+	"abw/internal/tools/registry"
 )
 
 // TestMatrixDeterminism is the runner contract applied to the matrix:
@@ -40,7 +41,7 @@ func TestMatrixGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, tools := scenario.Names(), endToEndTools()
+	names, tools := scenario.Names(), registry.Names()
 	if len(res.Cells) != len(names)*len(tools) {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), len(names)*len(tools))
 	}

@@ -266,8 +266,9 @@ func (l *Ledger) retryAfterLocked(now time.Time, need, wcap unit.Bytes) time.Dur
 // keeps the full reserved charge — the window's question is "what was
 // the path exposed to around that instant", and the reservation was
 // genuinely unavailable to everyone else while the run was in flight.
-// Actuals above the reservation (possible only for costs the per-run
-// budget does not meter, e.g. a SimOnly tool) charge the difference.
+// Actuals above the reservation charge the difference; the monitor's
+// own runs never produce them, as each run's hard core.Budget is its
+// reservation.
 func (l *Ledger) Commit(id uint64, actual Cost) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

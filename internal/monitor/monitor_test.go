@@ -173,6 +173,45 @@ func TestMonitorFleetBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestSimRunBudgetIsReservation: a sim target's reservation is its
+// run's hard core.Budget, as a live target's is. Spruce with Repeat 2
+// sends two 3 KB pairs; a 4 KB reservation admits the first and stops
+// the second with ErrBudget, and the doubled reservation then fits.
+func TestSimRunBudgetIsReservation(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets: []Target{
+			{Name: "edge-a", Tool: "spruce", Scenario: "canonical",
+				Params: registry.Params{Repeat: 2}, EstBytes: 4_000},
+		},
+		Interval: 10 * time.Second,
+		Seed:     1,
+		Clock:    clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	drain(t, m, clk, 11*time.Second, 1)
+	drain(t, m, clk, 11*time.Second, 2)
+	m.Close()
+
+	s, ok := m.Store().Lookup("edge-a/spruce")
+	if !ok {
+		t.Fatal("series missing")
+	}
+	pts := s.Last(0)
+	if len(pts) != 2 {
+		t.Fatalf("%d points, want 2", len(pts))
+	}
+	if !strings.Contains(pts[0].Err, core.ErrBudget.Error()) {
+		t.Errorf("first run: err %q, want the 4 KB reservation to stop the second pair", pts[0].Err)
+	}
+	if pts[1].Err != "" || pts[1].ProbeBytes != 6_000 {
+		t.Errorf("second run: err %q after %d bytes, want both pairs under the doubled reservation", pts[1].Err, pts[1].ProbeBytes)
+	}
+}
+
 // TestMonitorLiveSessionsLeakFree is the stream-state-leak acceptance:
 // a monitor probing a real in-process receiver runs several cycles,
 // then Close returns the receiver to baseline — zero active sessions,
@@ -292,9 +331,6 @@ func TestNewValidation(t *testing.T) {
 		{"live missing capacity", func(c *Config) {
 			c.Targets[0] = Target{Name: "t", Tool: "spruce", Addr: "127.0.0.1:1"}
 		}, "needs Params.Capacity"},
-		{"live sim-only tool", func(c *Config) {
-			c.Targets[0] = Target{Name: "t", Tool: "bfind", Addr: "127.0.0.1:1"}
-		}, "simulator-only"},
 		{"duplicate", func(c *Config) { c.Targets = append(c.Targets, base) }, "duplicate target"},
 	}
 	for _, tc := range cases {

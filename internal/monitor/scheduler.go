@@ -84,9 +84,6 @@ func (m *Monitor) newEntry(i int, t Target) (*entry, error) {
 		e.sc = sc
 		return e, nil
 	}
-	if d.SimOnly {
-		return nil, fmt.Errorf("monitor: target %q: %s is simulator-only and cannot probe a live address", t.Name, d.Name)
-	}
 	// Live targets get Rand from the monitor; every other requirement
 	// must be satisfied by the configured Params (a sim target's
 	// Capacity comes from ground truth instead).
@@ -342,6 +339,7 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 	params := e.t.Params
 	params.Rand = rng.Derive(m.cfg.Seed, fmt.Sprintf("run/%s/%d", e.key, e.runSeq))
 	e.runSeq++
+	params.Budget = cost.Budget() // the reservation is the run's hard budget
 	ctx, cancel := context.WithTimeout(m.root, m.cfg.RunTimeout)
 	defer cancel()
 
@@ -351,12 +349,6 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 		}
 		if params.Capacity == 0 {
 			params.Capacity = e.sim.Capacity
-		}
-		if !e.d.SimOnly {
-			// The reservation is the run's hard budget; SimOnly tools
-			// drive the simulator below the Transport seam, so for them
-			// the ledger's reservation is accounting only.
-			params.Budget = cost.Budget()
 		}
 		rep, err := registry.Estimate(ctx, e.d.Name, params, e.sim.Transport)
 		return rep, e.sim.TrueAvailBw, err
@@ -370,7 +362,6 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	params.Budget = cost.Budget()
 	watchdog := context.AfterFunc(ctx, func() { tr.Close() })
 	rep, err := registry.Estimate(ctx, e.d.Name, params, tr)
 	healthy := watchdog()

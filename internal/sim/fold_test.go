@@ -58,6 +58,22 @@ func (l *listed) Next() (time.Duration, unit.Bytes, bool) {
 	return e.at, e.size, true
 }
 
+// pullCounter is a Process that counts the packets a feed pulls from
+// the Process it wraps.
+type pullCounter struct {
+	crosstraffic.Process
+	Packets int64
+}
+
+// Next passes on the wrapped Process's next packet and counts it.
+func (c *pullCounter) Next() (time.Duration, unit.Bytes, bool) {
+	at, size, ok := c.Process.Next()
+	if ok {
+		c.Packets++
+	}
+	return at, size, ok
+}
+
 // linkCounters is what a link shows between events.
 type linkCounters struct {
 	Forwarded, Dropped, Lost int64
@@ -365,13 +381,13 @@ func foldScript(t testing.TB, seed uint64, eagerFeeds, eagerProbes bool) foldOut
 			}
 		}
 	}
-	counters := make([]*crosstraffic.Counter, len(sources))
+	counters := make([]*pullCounter, len(sources))
 	for k, src := range sources {
-		counters[k] = &crosstraffic.Counter{Process: src.build()}
+		counters[k] = &pullCounter{Process: src.build()}
 		s.Feed(links[src.hop:src.hop+1], KindCross, 1000+k, counters[k].Next)
 	}
 	for k, g := range gridSeries {
-		ctr := &crosstraffic.Counter{Process: g}
+		ctr := &pullCounter{Process: g}
 		counters = append(counters, ctr)
 		s.Feed(links[gridHops[k]:gridHops[k]+1], KindCross, 2000+k, ctr.Next)
 	}
@@ -389,7 +405,7 @@ func foldScript(t testing.TB, seed uint64, eagerFeeds, eagerProbes bool) foldOut
 		s.Seal(links...)
 		sendStreams(s, r, links, T, D, quiet, &out)
 	} else if r.Intn(2) == 0 {
-		load := &crosstraffic.Counter{Process: crosstraffic.CBR(crosstraffic.Stream{
+		load := &pullCounter{Process: crosstraffic.CBR(crosstraffic.Stream{
 			Rate: links[0].Capacity / 10, Sizes: rng.FixedSize(200)}).Over(foldHorizon/4, foldHorizon/2)}
 		counters = append(counters, load)
 		s.Feed(links, KindProbe, 0, load.Next)

@@ -77,8 +77,8 @@ func runEstimate(t *testing.T, d scenario.Descriptor, tool string, seed uint64, 
 }
 
 // TestEstimatesFoldIdentically is the end-to-end differential of
-// folding and batching: every catalog entry, every tool that probes
-// through the Transport, seeds 1–3, each run as compiled (feeds fold,
+// folding and batching: every catalog entry, every registered tool,
+// seeds 1–3, each run as compiled (feeds fold,
 // streams batch where they can), with every probe stream forced onto
 // the event path, and with every feed forced onto it too (which keeps
 // any link from folding, so no stream batches). Reports, per-packet
@@ -89,9 +89,6 @@ func TestEstimatesFoldIdentically(t *testing.T) {
 	var folded, batched uint64
 	for _, d := range scenario.Catalog() {
 		for _, td := range registry.Tools() {
-			if td.SimOnly {
-				continue
-			}
 			for seed := uint64(1); seed <= 3; seed++ {
 				got := runEstimate(t, d, td.Name, seed, false, false)
 				folded, batched = folded+got.folded, batched+got.batched

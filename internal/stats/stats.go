@@ -70,9 +70,9 @@ func RelativeError(estimate, truth float64) float64 {
 // Median returns the middle value of xs — the mean of the two middle
 // values for even lengths — or NaN for an empty slice. This is the one
 // canonical median every consumer uses (the trend test's group
-// reduction, pathChirp's jitter threshold, BFind's sustained-rise test,
-// the probe feature extractor); it is deliberately the same algorithm
-// as the trend test's internal median so the two can never drift.
+// reduction, pathChirp's jitter threshold, the probe feature
+// extractor); it is deliberately the same algorithm as the trend
+// test's internal median so the two can never drift.
 func Median(xs []float64) float64 { return median(xs) }
 
 // CDF is an empirical cumulative distribution function over a sample.

@@ -12,7 +12,6 @@ package tcp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"abw/internal/eventq"
@@ -29,8 +28,7 @@ type Config struct {
 	// 0 means a persistent (bulk) transfer. Mice sets it per flow.
 	maxBytes unit.Bytes
 	// acked, if set, is an aggregate's counter (Mice's) that every
-	// segment the connection newly acks is added to. Such a connection
-	// keeps no progress record of its own: its Throughput reads 0.
+	// segment the connection newly acks is added to.
 	acked *int
 }
 
@@ -85,10 +83,6 @@ type Conn struct {
 	rcvNext  int
 	outOfOrd map[int]bool
 
-	// Progress record: (time, cumulative acked segments), for
-	// throughput measurement over arbitrary windows.
-	progress []progressPoint
-
 	// Stats.
 	retransmits int
 	timeouts    int
@@ -97,11 +91,6 @@ type Conn struct {
 	// or retransmission timer allocates a closure.
 	dataFn, ackFn func(p *sim.Packet, at time.Duration)
 	timeoutFn     func()
-}
-
-type progressPoint struct {
-	at    time.Duration
-	acked int
 }
 
 // New creates a connection over the given routes. The forward route
@@ -134,12 +123,7 @@ func New(s *sim.Sim, fwd, rev []*sim.Link, flow int, cfg Config) (*Conn, error) 
 
 // Start begins the transfer at the given virtual time.
 func (c *Conn) Start(at time.Duration) {
-	c.s.At(at, func() {
-		if c.cfg.acked == nil {
-			c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: 0})
-		}
-		c.pump()
-	})
+	c.s.At(at, c.pump)
 }
 
 // window returns the current send window in whole segments.
@@ -265,8 +249,6 @@ func (c *Conn) onAck(ack int) {
 		}
 		if c.cfg.acked != nil {
 			*c.cfg.acked += newly
-		} else {
-			c.progress = append(c.progress, progressPoint{at: c.s.Now(), acked: ack})
 		}
 		if total := c.totalSegments(); total >= 0 && ack >= total {
 			c.done = true
@@ -380,24 +362,3 @@ func (c *Conn) Retransmits() int { return c.retransmits }
 
 // Timeouts returns the RTO count.
 func (c *Conn) Timeouts() int { return c.timeouts }
-
-// Throughput returns the goodput over [from, to): payload bytes newly
-// acked in the window divided by its length.
-func (c *Conn) Throughput(from, to time.Duration) unit.Rate {
-	if to <= from || len(c.progress) == 0 {
-		return 0
-	}
-	ackedAt := func(at time.Duration) int {
-		// Latest progress point with time <= at.
-		i := sort.Search(len(c.progress), func(i int) bool { return c.progress[i].at > at })
-		if i == 0 {
-			return 0
-		}
-		return c.progress[i-1].acked
-	}
-	segs := ackedAt(to) - ackedAt(from)
-	if segs <= 0 {
-		return 0
-	}
-	return unit.RateOf(unit.Bytes(segs)*mss, to-from)
-}

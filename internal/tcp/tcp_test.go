@@ -37,6 +37,23 @@ func (tb *testbed) conn(t *testing.T, cfg Config) *Conn {
 	return c
 }
 
+// goodput runs the testbed to from and then to to, and returns in Mbps
+// what each connection acked in between over the window's length: the
+// measurement Figure 7 makes of its bulk flow.
+func (tb *testbed) goodput(from, to time.Duration, conns ...*Conn) []float64 {
+	before := make([]unit.Bytes, len(conns))
+	tb.s.RunUntil(from)
+	for i, c := range conns {
+		before[i] = c.AckedBytes()
+	}
+	tb.s.RunUntil(to)
+	out := make([]float64, len(conns))
+	for i, c := range conns {
+		out[i] = unit.RateOf(c.AckedBytes()-before[i], to-from).MbpsOf()
+	}
+	return out
+}
+
 func TestConfigValidation(t *testing.T) {
 	tb := newTestbed(10*unit.Mbps, 0, 10*time.Millisecond)
 	cases := []Config{
@@ -62,8 +79,7 @@ func TestBulkSaturatesIdleLink(t *testing.T) {
 	tb := newTestbed(10*unit.Mbps, 0, 20*time.Millisecond)
 	c := tb.conn(t, Config{RcvWnd: 200})
 	c.Start(0)
-	tb.s.RunUntil(10 * time.Second)
-	got := c.Throughput(2*time.Second, 10*time.Second).MbpsOf()
+	got := tb.goodput(2*time.Second, 10*time.Second, c)[0]
 	want := 10 * 1460.0 / 1500.0
 	if math.Abs(got-want) > 0.5 {
 		t.Errorf("bulk throughput = %.2f Mbps, want ~%.2f", got, want)
@@ -81,8 +97,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 	const wr = 10
 	c := tb.conn(t, Config{RcvWnd: wr})
 	c.Start(0)
-	tb.s.RunUntil(10 * time.Second)
-	got := c.Throughput(2*time.Second, 10*time.Second).MbpsOf()
+	got := tb.goodput(2*time.Second, 10*time.Second, c)[0]
 	want := float64(wr) * 1460 * 8 / rtt.Seconds() / 1e6 // ≈ 2.92 Mbps
 	if math.Abs(got-want)/want > 0.15 {
 		t.Errorf("window-limited throughput = %.2f Mbps, want ~%.2f", got, want)
@@ -96,8 +111,7 @@ func TestThroughputScalesWithWindowUntilSaturation(t *testing.T) {
 		tb := newTestbed(20*unit.Mbps, 0, rtt)
 		c := tb.conn(t, Config{RcvWnd: wr})
 		c.Start(0)
-		tb.s.RunUntil(8 * time.Second)
-		got := c.Throughput(2*time.Second, 8*time.Second).MbpsOf()
+		got := tb.goodput(2*time.Second, 8*time.Second, c)[0]
 		if got < prev-0.2 {
 			t.Errorf("Wr=%d: throughput %.2f fell below Wr/2 value %.2f", wr, got, prev)
 		}
@@ -111,11 +125,10 @@ func TestSlowStartThenCongestionAvoidance(t *testing.T) {
 	tb := newTestbed(10*unit.Mbps, 10, 20*time.Millisecond)
 	c := tb.conn(t, Config{RcvWnd: 400})
 	c.Start(0)
-	tb.s.RunUntil(10 * time.Second)
+	got := tb.goodput(2*time.Second, 10*time.Second, c)[0]
 	if c.Retransmits() == 0 {
 		t.Error("expected losses and retransmissions with a 10-packet buffer")
 	}
-	got := c.Throughput(2*time.Second, 10*time.Second).MbpsOf()
 	if got < 5 {
 		t.Errorf("post-loss throughput = %.2f Mbps, want > 5 (recovery works)", got)
 	}
@@ -159,9 +172,8 @@ func TestTwoFlowsShareRoughlyFairly(t *testing.T) {
 	}
 	a.Start(0)
 	b.Start(100 * time.Millisecond)
-	tb.s.RunUntil(30 * time.Second)
-	ta := a.Throughput(5*time.Second, 30*time.Second).MbpsOf()
-	tbr := b.Throughput(5*time.Second, 30*time.Second).MbpsOf()
+	got := tb.goodput(5*time.Second, 30*time.Second, a, b)
+	ta, tbr := got[0], got[1]
 	sum := ta + tbr
 	if sum < 8.5 {
 		t.Errorf("two flows total %.2f Mbps, want near capacity", sum)
@@ -183,8 +195,7 @@ func TestUnresponsiveCrossTrafficBoundsThroughput(t *testing.T) {
 	tb.s.Feed([]*sim.Link{tb.fwd}, sim.KindCross, 0, ct.Over(0, 30*time.Second).Next)
 	c := tb.conn(t, Config{RcvWnd: 400})
 	c.Start(time.Second)
-	tb.s.RunUntil(30 * time.Second)
-	got := c.Throughput(5*time.Second, 30*time.Second).MbpsOf()
+	got := tb.goodput(5*time.Second, 30*time.Second, c)[0]
 	if got > 17 {
 		t.Errorf("throughput %.2f Mbps exceeds avail-bw 15 against unresponsive traffic", got)
 	}
@@ -208,8 +219,7 @@ func TestResponsiveCrossTrafficYieldsMoreThanAvailBw(t *testing.T) {
 	}
 	c := tb.conn(t, Config{RcvWnd: 400})
 	c.Start(time.Second)
-	tb.s.RunUntil(30 * time.Second)
-	got := c.Throughput(5*time.Second, 30*time.Second).MbpsOf()
+	got := tb.goodput(5*time.Second, 30*time.Second, c)[0]
 	if got < 15 {
 		t.Errorf("against window-limited cross traffic throughput = %.2f Mbps, want > nominal avail-bw 15", got)
 	}
@@ -222,19 +232,6 @@ func TestRTTEstimation(t *testing.T) {
 	tb.s.RunUntil(5 * time.Second)
 	if c.srtt < 0.029 || c.srtt > 0.05 {
 		t.Errorf("srtt = %.4fs, want ~0.03-0.05", c.srtt)
-	}
-}
-
-func TestThroughputWindowEdges(t *testing.T) {
-	tb := newTestbed(10*unit.Mbps, 0, 10*time.Millisecond)
-	c := tb.conn(t, Config{RcvWnd: 50})
-	c.Start(0)
-	tb.s.RunUntil(5 * time.Second)
-	if got := c.Throughput(3*time.Second, 3*time.Second); got != 0 {
-		t.Errorf("empty window throughput = %v, want 0", got)
-	}
-	if got := c.Throughput(4*time.Second, 3*time.Second); got != 0 {
-		t.Errorf("inverted window throughput = %v, want 0", got)
 	}
 }
 
@@ -304,8 +301,7 @@ func TestWindowLaw(t *testing.T) {
 		tb := newTestbed(4*law+10*unit.Mbps, 0, rtt)
 		c := tb.conn(t, Config{RcvWnd: wr})
 		c.Start(0)
-		tb.s.RunUntil(20 * time.Second)
-		got := c.Throughput(5*time.Second, 20*time.Second).MbpsOf()
+		got := tb.goodput(5*time.Second, 20*time.Second, c)[0]
 		t.Logf("Wr=%d: %.3f Mbps, law %.3f", wr, got, law.MbpsOf())
 		if math.Abs(got-law.MbpsOf()) > tol {
 			t.Errorf("Wr=%d: goodput %.3f Mbps, want %.3f ± %.3f (Wr·MSS/RTT)", wr, got, law.MbpsOf(), tol)
@@ -318,9 +314,8 @@ func TestWindowLaw(t *testing.T) {
 
 // TestBulkAllocationsDoNotGrowWithSegments pins that segments and ACKs
 // ride the simulator's packet pool and the connection's long-lived
-// callbacks: a transfer ten times longer allocates only the extra
-// growth of its progress record (one point per ACK, O(log n)
-// reallocations), not a packet, closure or map entry per segment.
+// callbacks: a transfer ten times longer allocates no more than a short
+// one, so nothing (packet, closure, map entry, record) is per segment.
 func TestBulkAllocationsDoNotGrowWithSegments(t *testing.T) {
 	allocs := func(segments int) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -335,7 +330,7 @@ func TestBulkAllocationsDoNotGrowWithSegments(t *testing.T) {
 	}
 	short, long := allocs(200), allocs(2000)
 	t.Logf("%.0f allocations for 200 segments, %.0f for 2000", short, long)
-	if long-short > 12 {
+	if long > short {
 		t.Errorf("2000 segments allocate %.0f more times than 200: a per-segment allocation", long-short)
 	}
 }

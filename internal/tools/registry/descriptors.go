@@ -2,7 +2,6 @@ package registry
 
 import (
 	"abw/internal/core"
-	"abw/internal/tools/bfind"
 	"abw/internal/tools/delphi"
 	"abw/internal/tools/igi"
 	"abw/internal/tools/learned"
@@ -124,23 +123,6 @@ func init() {
 			return spruce.New(spruce.Config{
 				Capacity: p.Capacity, Rand: p.Rand,
 				PktSize: p.PktSize, Pairs: p.Repeat,
-			})
-		},
-	})
-	Register(Descriptor{
-		Name:             "bfind",
-		Summary:          "sender-only UDP ramp with per-hop RTT watch; simulator only (Akella et al.)",
-		NeedsRateBracket: true,
-		SimOnly:          true,
-		Defaults:         Params{PktSize: 1000},
-		Build: func(p Params) (core.Estimator, error) {
-			lo, hi, err := bracket(p, 1, 50, 24, 25)
-			if err != nil {
-				return nil, err
-			}
-			return bfind.New(bfind.Config{
-				StartRate: lo, MaxRate: hi,
-				LoadPktSize: p.PktSize,
 			})
 		},
 	})

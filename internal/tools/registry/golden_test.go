@@ -17,7 +17,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/estimates.golden from the current estimators")
 
-// TestEstimatesGolden pins every end-to-end tool's numbers on four
+// TestEstimatesGolden pins every tool's numbers on four
 // scenarios that between them cover smooth, long-range-dependent,
 // TCP-driven and many-hop cross traffic. A change that moves any
 // estimate, or the probing it took to reach it, shows up here in
@@ -31,9 +31,6 @@ func TestEstimatesGolden(t *testing.T) {
 	type cell struct{ tool, scen, line string }
 	var cells []cell
 	for _, d := range registry.Tools() {
-		if d.SimOnly {
-			continue
-		}
 		for _, name := range []string{"canonical", "lrd", "mice", "verylongpath"} {
 			cells = append(cells, cell{tool: d.Name, scen: name})
 		}

@@ -25,8 +25,7 @@ import (
 // its initial rate from RateHi or Capacity.
 type Params struct {
 	// RateLo and RateHi bracket the probed rates for iterative tools
-	// (Pathload's binary search, TOPP's sweep, pathChirp's chirp span,
-	// BFind's ramp ceiling).
+	// (Pathload's binary search, TOPP's sweep, pathChirp's chirp span).
 	RateLo, RateHi unit.Rate
 	// Capacity is the tight-link capacity C_t, required by the
 	// direct-probing tools (Delphi, Spruce, IGI) — with the paper's
@@ -101,10 +100,8 @@ type Descriptor struct {
 	NeedsRateBracket bool
 	// NeedsRand marks tools that require Params.Rand.
 	NeedsRand bool
-	// SimOnly marks tools that must run on a *core.SimTransport (BFind
-	// observes per-hop RTTs, which no end-to-end transport offers).
-	// The Budget and Observer decorators cannot hang below such a
-	// tool, so Estimate refuses Params that request them.
+	// SimOnly is set by no registered tool: every tool runs over a
+	// plain core.Transport. Only the bench module still reads it.
 	SimOnly bool
 	// Defaults are the tool's published default Params; Build merges
 	// them under the caller's Params before constructing.
@@ -220,19 +217,8 @@ func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*co
 	if err != nil {
 		return nil, err
 	}
-	if d.SimOnly {
-		// SimOnly tools drive the simulator directly, below the
-		// Transport seam the decorators hang on; silently dropping a
-		// requested budget or observer would be a budget-unfair run
-		// masquerading as a capped one, so refuse instead.
-		if !p.Budget.IsZero() || p.Observer != nil {
-			return nil, fmt.Errorf("registry: %s drives the simulator directly; Budget and Observer cannot be enforced on it", d.Name)
-		}
-	} else {
-		// Order matters: the observer sees only streams the budget
-		// admitted.
-		t = core.WithBudget(core.WithObserver(t, p.Observer), p.Budget)
-	}
+	// Order matters: the observer sees only streams the budget admitted.
+	t = core.WithBudget(core.WithObserver(t, p.Observer), p.Budget)
 	return est.Estimate(ctx, t)
 }
 

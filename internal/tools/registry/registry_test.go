@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"abw/internal/core"
+	"abw/internal/probe"
 	"abw/internal/rng"
 	"abw/internal/tools/registry"
 	"abw/internal/tools/toolstest"
@@ -90,7 +91,6 @@ func TestMissingParams(t *testing.T) {
 		{"pathload", registry.Params{}},                       // no bracket, no Capacity
 		{"topp", registry.Params{RateLo: 10 * unit.Mbps}},     // half a bracket
 		{"ptr", registry.Params{}},                            // nothing to derive InitRate from
-		{"bfind", registry.Params{}},                          // no ramp ceiling
 	}
 	for _, c := range cases {
 		if _, err := registry.Estimate(context.Background(), c.tool, c.p, nil); err == nil {
@@ -231,21 +231,44 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 }
 
-// TestSimOnlyRefusesDecorators asserts a SimOnly tool errors on a
-// requested Budget or Observer instead of silently running uncapped:
-// the transport decorators hang below core.Transport, which BFind
-// bypasses.
-func TestSimOnlyRefusesDecorators(t *testing.T) {
-	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-	p := params(sc)
-	p.Budget = core.Budget{MaxPackets: 100}
-	if _, err := registry.Estimate(context.Background(), "bfind", p, sc.Transport); err == nil {
-		t.Error("bfind accepted a Budget it cannot enforce")
+// countingTransport counts the streams that reach the transport it
+// wraps and resolve.
+type countingTransport struct {
+	core.Transport
+	streams int
+}
+
+func (ct *countingTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
+	rec, err := ct.Transport.Probe(spec)
+	if err == nil {
+		ct.streams++
 	}
-	p = params(sc)
-	p.Observer = func(core.StreamEvent) {}
-	if _, err := registry.Estimate(context.Background(), "bfind", p, sc.Transport); err == nil {
-		t.Error("bfind accepted an Observer it cannot serve")
+	return rec, err
+}
+
+// TestEveryToolRunsUnderTheDecorators asserts Estimate hangs the Budget
+// and Observer decorators above every registered tool's transport: under
+// a one-stream budget each tool gets its first stream onto the path and
+// no second, the observer sees the stream that went out, and a tool
+// that wanted more fails with ErrBudget, not some other error.
+func TestEveryToolRunsUnderTheDecorators(t *testing.T) {
+	for _, name := range registry.Names() {
+		sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
+		sent := &countingTransport{Transport: sc.Transport}
+		p := params(sc)
+		p.Budget = core.Budget{MaxStreams: 1}
+		observed := 0
+		p.Observer = func(core.StreamEvent) { observed++ }
+		_, err := registry.Estimate(context.Background(), name, p, sent)
+		if err != nil && !errors.Is(err, core.ErrBudget) {
+			t.Errorf("%s: err = %v, want nil or ErrBudget", name, err)
+		}
+		if sent.streams != 1 {
+			t.Errorf("%s: %d streams reached the path under MaxStreams 1, want 1", name, sent.streams)
+		}
+		if observed != sent.streams {
+			t.Errorf("%s: observer saw %d streams, the path carried %d", name, observed, sent.streams)
+		}
 	}
 }
 
@@ -264,9 +287,9 @@ func TestNegativePktSizeRefused(t *testing.T) {
 }
 
 // TestCompareOrderStable pins the catalog order the compare experiment
-// and the CLI inherit: registration order, end-to-end tools first.
+// and the CLI inherit: registration order.
 func TestCompareOrderStable(t *testing.T) {
-	want := []string{"pathload", "topp", "pathchirp", "ptr", "igi", "delphi", "spruce", "bfind", "learned"}
+	want := []string{"pathload", "topp", "pathchirp", "ptr", "igi", "delphi", "spruce", "learned"}
 	got := registry.Names()
 	if len(got) != len(want) {
 		t.Fatalf("names = %v, want %v", got, want)

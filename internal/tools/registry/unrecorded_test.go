@@ -13,7 +13,7 @@ import (
 
 // TestUnrecordedCompileEstimatesIdentically pins what lets a compile
 // record nothing unless its spec asks: a recorder only observes, so
-// every end-to-end tool returns the same report — estimate, range,
+// every tool returns the same report — estimate, range,
 // probing effort, samples, elapsed virtual time — on the default
 // (unrecorded) compile and on a Spec.Recorded compile of one scenario.
 // A recorder also keeps its link on the event path, so on every hop
@@ -38,9 +38,6 @@ func TestUnrecordedCompileEstimatesIdentically(t *testing.T) {
 		withRecorders := sc
 		withRecorders.Spec.Recorded = true
 		for _, d := range registry.Tools() {
-			if d.SimOnly {
-				continue
-			}
 			tool := d.Name
 			t.Run(name+"/"+tool, func(t *testing.T) {
 				t.Parallel()

@@ -14,8 +14,8 @@ import (
 // observe consecutive (disjoint) slices of the cross-traffic process —
 // exactly how a real tool samples a live path.
 type SimTransport struct {
-	Sim  *sim.Sim
-	Path *sim.Path
+	sim  *sim.Sim
+	path *sim.Path
 	// Spacing is the idle guard inserted before each stream so streams
 	// do not queue behind each other (default 10 ms).
 	Spacing time.Duration
@@ -30,7 +30,7 @@ type SimTransport struct {
 // NewSimTransport wires a transport over an existing simulation and
 // path.
 func NewSimTransport(s *sim.Sim, p *sim.Path) *SimTransport {
-	return &SimTransport{Sim: s, Path: p}
+	return &SimTransport{sim: s, path: p}
 }
 
 func (st *SimTransport) spacing() time.Duration {
@@ -48,19 +48,19 @@ func (st *SimTransport) maxWait() time.Duration {
 }
 
 // Now implements Transport on virtual time.
-func (st *SimTransport) Now() time.Duration { return st.Sim.Now() }
+func (st *SimTransport) Now() time.Duration { return st.sim.Now() }
 
 // Probe implements Transport.
 func (st *SimTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
-	if st.Sim == nil || st.Path == nil {
+	if st.sim == nil || st.path == nil {
 		return nil, fmt.Errorf("core: SimTransport missing simulation or path")
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	st.flow++
-	start := st.Sim.Now() + st.spacing()
-	rec, err := probe.SendOverSim(st.Sim, st.Path.Route(), spec, start, st.flow)
+	start := st.sim.Now() + st.spacing()
+	rec, err := probe.SendOverSim(st.sim, st.path.Route(), spec, start, st.flow)
 	if err != nil {
 		return nil, err
 	}
@@ -76,12 +76,12 @@ func (st *SimTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	if step > 50*time.Millisecond {
 		step = 50 * time.Millisecond
 	}
-	for !rec.Done() && st.Sim.Now() < deadline {
-		d := deadline - st.Sim.Now()
+	for !rec.Done() && st.sim.Now() < deadline {
+		d := deadline - st.sim.Now()
 		if d > step {
 			d = step
 		}
-		st.Sim.RunUntil(st.Sim.Now() + d)
+		st.sim.RunUntil(st.sim.Now() + d)
 	}
 	return rec, nil
 }

@@ -117,6 +117,38 @@ func TestMonitorDeterministicUnderFakeClock(t *testing.T) {
 	}
 }
 
+// TestFirstRunAtDefaultParams: every registered tool, as a sim target
+// with no Params set, succeeds on its first run. Before any run the
+// monitor reserves a cost projected from the tool's resolved Params, and
+// that reservation is the run's hard budget, so a projection below what
+// the tool's defaults probe fails the run with core.ErrBudget.
+func TestFirstRunAtDefaultParams(t *testing.T) {
+	for _, tool := range registry.Names() {
+		t.Run(tool, func(t *testing.T) {
+			clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+			m, err := New(Config{
+				Targets:  []Target{{Name: "t", Tool: tool, Scenario: "canonical"}},
+				Interval: 10 * time.Second,
+				Seed:     1,
+				Clock:    clk,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Start()
+			drain(t, m, clk, 11*time.Second, 1)
+			m.Close()
+			snap := m.Store().Snapshot(time.Unix(0, 0))
+			if len(snap.Series) != 1 || len(snap.Series[0].Points) == 0 {
+				t.Fatalf("no run recorded: %+v", snap)
+			}
+			if p := snap.Series[0].Points[0]; p.Err != "" {
+				t.Errorf("first run failed: %s", p.Err)
+			}
+		})
+	}
+}
+
 // TestMonitorFleetBudgetEnforced: with a fleet budget sized for only a
 // few runs, the monitor keeps scheduling but the ledger refuses the
 // excess, refusals land in the series as error points, and the charged

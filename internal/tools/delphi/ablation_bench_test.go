@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/stats"
 	"abw/internal/tools/delphi"
 	"abw/internal/tools/toolstest"
@@ -17,8 +18,8 @@ func BenchmarkAblationPairsVsTrains(b *testing.B) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(uint64(i + 1))})
-			est, err := delphi.New(delphi.Config{
-				Capacity: sc.Capacity, TrainLen: trainLen, Trains: trains,
+			est, err := delphi.New(core.Params{
+				Capacity: sc.Capacity, StreamLen: trainLen, Repeat: trains,
 			})
 			if err != nil {
 				b.Fatal(err)

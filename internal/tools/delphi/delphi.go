@@ -8,6 +8,9 @@
 // samples the avail-bw process once per train, and (b) it requires the
 // tight-link capacity C_t — with all the pitfalls that assumption brings
 // (see core.Misconceptions[4]).
+//
+// Published defaults (Defaults): k = 20 trains (Repeat) of 100 packets
+// (StreamLen) of 1500 B, sent at 3/4 of Capacity.
 package delphi
 
 import (
@@ -22,58 +25,38 @@ import (
 	"abw/internal/unit"
 )
 
-// Config tunes the estimator. Zero fields take defaults.
-type Config struct {
-	// Capacity is the assumed tight-link capacity C_t (required).
-	Capacity unit.Rate
-	// PktSize is the probing packet size (default 1500 B).
-	PktSize unit.Bytes
-	// TrainLen is packets per train (default 100). The train duration
-	// sets the averaging timescale τ.
-	TrainLen int
-	// Trains is the number of avail-bw samples k (default 20).
-	Trains int
+// Defaults returns Delphi's published settings.
+func Defaults() core.Params {
+	return core.Params{PktSize: 1500, StreamLen: 100, Repeat: 20}
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Capacity <= 0 {
-		return c, fmt.Errorf("delphi: tight-link capacity is required (direct probing)")
+// Estimator is the Delphi direct prober.
+type Estimator struct {
+	capacity unit.Rate // assumed tight-link capacity C_t
+	pktSize  unit.Bytes
+	trainLen int // packets per train; its send duration is the timescale τ
+	trains   int // avail-bw samples k
+}
+
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator.
+func New(p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	if p.Capacity <= 0 {
+		return nil, fmt.Errorf("delphi: tight-link capacity is required (direct probing)")
 	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
+	if p.StreamLen < 2 {
+		return nil, fmt.Errorf("delphi: train length %d too short", p.StreamLen)
 	}
-	if c.TrainLen == 0 {
-		c.TrainLen = 100
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("delphi: need at least one train")
 	}
-	if c.TrainLen < 2 {
-		return c, fmt.Errorf("delphi: train length %d too short", c.TrainLen)
-	}
-	if c.Trains == 0 {
-		c.Trains = 20
-	}
-	if c.Trains < 1 {
-		return c, fmt.Errorf("delphi: need at least one train")
-	}
-	return c, nil
+	return &Estimator{capacity: p.Capacity, pktSize: p.PktSize, trainLen: p.StreamLen, trains: p.Repeat}, nil
 }
 
 // probeRate is the train input rate, 3/4 of the capacity: it must
 // exceed the avail-bw for Equation (9) to apply.
-func (c Config) probeRate() unit.Rate { return c.Capacity * 3 / 4 }
-
-// Estimator is the Delphi direct prober.
-type Estimator struct {
-	cfg Config
-}
-
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &Estimator{cfg: c}, nil
-}
+func (e *Estimator) probeRate() unit.Rate { return e.capacity * 3 / 4 }
 
 // Name implements core.Estimator.
 func (e *Estimator) Name() string { return "delphi" }
@@ -81,13 +64,12 @@ func (e *Estimator) Name() string { return "delphi" }
 // Estimate implements core.Estimator: it collects one avail-bw sample
 // per train via Equation (9) and reports their mean and spread.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
-	spec := probe.Periodic(c.probeRate(), c.PktSize, c.TrainLen)
+	spec := probe.Periodic(e.probeRate(), e.pktSize, e.trainLen)
 	var samples []unit.Rate
 	var packets int
 	var bytes unit.Bytes
-	for i := 0; i < c.Trains; i++ {
+	for i := 0; i < e.trains; i++ {
 		rec, err := core.Probe(ctx, t, spec)
 		if err != nil {
 			return nil, fmt.Errorf("delphi: train %d: %w", i, err)
@@ -98,14 +80,14 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		if ri <= 0 || ro <= 0 {
 			continue // unmeasurable train (heavy loss); skip the sample
 		}
-		a, err := fluid.DirectEstimate(c.Capacity, ri, ro)
+		a, err := fluid.DirectEstimate(e.capacity, ri, ro)
 		if err != nil {
 			continue
 		}
-		samples = append(samples, probe.ClampToCapacity(a, c.Capacity))
+		samples = append(samples, probe.ClampToCapacity(a, e.capacity))
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("delphi: no measurable trains out of %d", c.Trains)
+		return nil, fmt.Errorf("delphi: no measurable trains out of %d", e.trains)
 	}
 	vals := make([]float64, len(samples))
 	for i, s := range samples {
@@ -117,7 +99,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		Point:      unit.Rate(stats.Mean(vals)),
 		Low:        unit.Rate(min),
 		High:       unit.Rate(max),
-		Streams:    c.Trains,
+		Streams:    e.trains,
 		Packets:    packets,
 		ProbeBytes: bytes,
 		Elapsed:    t.Now() - start,
@@ -130,7 +112,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 // configuration: the train's send duration. Exposed because the paper's
 // second pitfall is precisely that this is a measurement parameter.
 func (e *Estimator) Timescale() time.Duration {
-	return probe.Periodic(e.cfg.probeRate(), e.cfg.PktSize, e.cfg.TrainLen).Duration()
+	return probe.Periodic(e.probeRate(), e.pktSize, e.trainLen).Duration()
 }
 
 var _ core.Estimator = (*Estimator)(nil)

@@ -5,32 +5,33 @@ import (
 	"math"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(core.Params{}); err == nil {
 		t.Error("missing capacity accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, TrainLen: 1}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, StreamLen: 1}); err == nil {
 		t.Error("1-packet train accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, Trains: -1}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, Repeat: -1}); err == nil {
 		t.Error("negative train count accepted")
 	}
 }
 
 func TestDefaults(t *testing.T) {
-	e, err := New(Config{Capacity: 50 * unit.Mbps})
+	e, err := New(core.Params{Capacity: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.probeRate() != 37.5*unit.Mbps {
-		t.Errorf("probe rate = %v, want 37.5Mbps", e.cfg.probeRate())
+	if e.probeRate() != 37.5*unit.Mbps {
+		t.Errorf("probe rate = %v, want 37.5Mbps", e.probeRate())
 	}
-	if e.cfg.PktSize != 1500 || e.cfg.TrainLen != 100 || e.cfg.Trains != 20 {
-		t.Errorf("defaults wrong: %+v", e.cfg)
+	if e.pktSize != 1500 || e.trainLen != 100 || e.trains != 20 {
+		t.Errorf("defaults wrong: %+v", e)
 	}
 	if e.Name() != "delphi" {
 		t.Errorf("Name = %q", e.Name())
@@ -44,7 +45,7 @@ func TestEstimateCBRExact(t *testing.T) {
 	// With CBR cross traffic the fluid model is nearly exact: Delphi
 	// must recover A = 25 Mbps tightly.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Capacity: sc.Capacity, Trains: 10})
+	e, err := New(core.Params{Capacity: sc.Capacity, Repeat: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEstimateCBRExact(t *testing.T) {
 
 func TestEstimatePoissonClose(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(7)})
-	e, err := New(Config{Capacity: sc.Capacity, Trains: 20, TrainLen: 200})
+	e, err := New(core.Params{Capacity: sc.Capacity, Repeat: 20, StreamLen: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestBurstyTrafficUnderestimates(t *testing.T) {
 	// only bias direct probing downward).
 	est := func(m toolstest.Traffic, seed uint64) float64 {
 		sc := toolstest.New(toolstest.Options{Model: m, Seed: toolstest.Seed(seed)})
-		e, err := New(Config{Capacity: sc.Capacity, Trains: 15})
+		e, err := New(core.Params{Capacity: sc.Capacity, Repeat: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestBurstyTrafficUnderestimates(t *testing.T) {
 
 func TestVariationRangeBounds(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(11)})
-	e, err := New(Config{Capacity: sc.Capacity, Trains: 10})
+	e, err := New(core.Params{Capacity: sc.Capacity, Repeat: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

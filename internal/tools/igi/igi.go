@@ -9,6 +9,12 @@
 //     gap formula at the turning point, crediting cross traffic for the
 //     gap expansion of backlogged pairs: it therefore needs the tight
 //     link capacity — the hybrid classification the paper discusses.
+//
+// Published defaults (Defaults), shared by both: trains of 60 packets
+// (StreamLen) of 750 B, IGI's probe size, and at most 30 iterations of
+// the gap search (MaxRounds). PTR starts the search at RateHi, or at
+// Capacity when RateHi is unset; IGI starts it at Capacity, the
+// back-to-back gap its gap model wants.
 package igi
 
 import (
@@ -21,32 +27,9 @@ import (
 	"abw/internal/unit"
 )
 
-// Mode selects which of the two estimates the tool reports.
-type Mode int
-
-// Modes.
-const (
-	PTR Mode = iota // packet transmission rate at the turning point
-	IGI             // gap-model cross-traffic estimate (needs capacity)
-)
-
-// Config tunes the estimator.
-type Config struct {
-	// Mode selects PTR or IGI (default PTR).
-	Mode Mode
-	// Capacity is the tight-link capacity; required for IGI mode, where
-	// it scales the gap formula (the original tool obtains it from
-	// bprobe — see core.Misconceptions[4] for the attendant pitfall).
-	Capacity unit.Rate
-	// InitRate is the first probing rate (default: Capacity if known,
-	// else required).
-	InitRate unit.Rate
-	// TrainLen is packets per train (default 60, the published value).
-	TrainLen int
-	// PktSize is the probe packet size (default 750 B, IGI's default).
-	PktSize unit.Bytes
-	// MaxIterations bounds the search (default 30).
-	MaxIterations int
+// Defaults returns the published settings of IGI and PTR.
+func Defaults() core.Params {
+	return core.Params{PktSize: 750, StreamLen: 60, MaxRounds: 30}
 }
 
 // The gap search adds gapStep × the initial gap to the source gap each
@@ -54,51 +37,58 @@ type Config struct {
 // output gap exceeds its source gap by at most epsilon of it.
 const gapStep, epsilon = 0.25, 0.05
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Mode == IGI && c.Capacity <= 0 {
-		return c, fmt.Errorf("igi: IGI mode requires the tight-link capacity")
-	}
-	if c.InitRate == 0 {
-		c.InitRate = c.Capacity
-	}
-	if c.InitRate <= 0 {
-		return c, fmt.Errorf("igi: initial probing rate required")
-	}
-	if c.TrainLen == 0 {
-		c.TrainLen = 60
-	}
-	if c.TrainLen < 3 {
-		return c, fmt.Errorf("igi: train length %d too short", c.TrainLen)
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 750
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 30
-	}
-	if c.MaxIterations < 1 {
-		return c, fmt.Errorf("igi: MaxIterations must be positive")
-	}
-	return c, nil
-}
-
 // Estimator is the IGI/PTR prober.
 type Estimator struct {
-	cfg Config
+	igi           bool      // report the IGI gap-model estimate, not PTR
+	capacity      unit.Rate // tight-link capacity; IGI's gap formula scales by it
+	initRate      unit.Rate // first (fastest) probing rate
+	trainLen      int       // packets per train
+	pktSize       unit.Bytes
+	maxIterations int // bound on the gap search
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+// NewPTR validates p, with zero fields taken from Defaults, and returns
+// the PTR estimator. Its search starts at RateHi, or at Capacity when
+// RateHi is unset.
+func NewPTR(p core.Params) (*Estimator, error) {
+	initRate := p.RateHi
+	if initRate <= 0 {
+		initRate = p.Capacity
 	}
-	return &Estimator{cfg: c}, nil
+	return newEstimator(false, initRate, p)
+}
+
+// NewIGI validates p, with zero fields taken from Defaults, and returns
+// the IGI estimator. It requires Capacity — the original tool obtains
+// it from bprobe, see core.Misconceptions[4] for the attendant pitfall —
+// and starts its search there.
+func NewIGI(p core.Params) (*Estimator, error) {
+	if p.Capacity <= 0 {
+		return nil, fmt.Errorf("igi: IGI mode requires the tight-link capacity")
+	}
+	return newEstimator(true, p.Capacity, p)
+}
+
+func newEstimator(igi bool, initRate unit.Rate, p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	if initRate <= 0 {
+		return nil, fmt.Errorf("igi: initial probing rate required")
+	}
+	if p.StreamLen < 3 {
+		return nil, fmt.Errorf("igi: train length %d too short", p.StreamLen)
+	}
+	if p.MaxRounds < 1 {
+		return nil, fmt.Errorf("igi: MaxRounds must be positive")
+	}
+	return &Estimator{
+		igi: igi, capacity: p.Capacity, initRate: initRate,
+		trainLen: p.StreamLen, pktSize: p.PktSize, maxIterations: p.MaxRounds,
+	}, nil
 }
 
 // Name implements core.Estimator.
 func (e *Estimator) Name() string {
-	if e.cfg.Mode == IGI {
+	if e.igi {
 		return "igi"
 	}
 	return "ptr"
@@ -108,16 +98,15 @@ func (e *Estimator) Name() string {
 // initial (fastest) setting until the output gap stops expanding, then
 // report PTR or the IGI gap-model estimate at that turning point.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
-	gapInit := unit.GapFor(c.PktSize, c.InitRate)
+	gapInit := unit.GapFor(e.pktSize, e.initRate)
 	gap := gapInit
 	var streams, packets int
 	var bytes unit.Bytes
 	var turning *probe.Record
-	for iter := 0; iter < c.MaxIterations; iter++ {
-		rate := unit.RateOf(c.PktSize, gap)
-		spec := probe.Periodic(rate, c.PktSize, c.TrainLen)
+	for iter := 0; iter < e.maxIterations; iter++ {
+		rate := unit.RateOf(e.pktSize, gap)
+		spec := probe.Periodic(rate, e.pktSize, e.trainLen)
 		rec, err := core.Probe(ctx, t, spec)
 		if err != nil {
 			return nil, fmt.Errorf("igi: iteration %d: %w", iter, err)
@@ -142,10 +131,9 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		return nil, fmt.Errorf("igi: no measurable trains")
 	}
 	var point unit.Rate
-	switch c.Mode {
-	case IGI:
-		point = igiEstimate(turning, c.Capacity, c.PktSize)
-	default:
+	if e.igi {
+		point = igiEstimate(turning, e.capacity, e.pktSize)
+	} else {
 		point = turning.OutputRate()
 	}
 	if point < 0 {

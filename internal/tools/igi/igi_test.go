@@ -5,31 +5,32 @@ import (
 	"math"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Mode: IGI}); err == nil {
+	if _, err := NewIGI(core.Params{}); err == nil {
 		t.Error("IGI without capacity accepted")
 	}
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewPTR(core.Params{}); err == nil {
 		t.Error("PTR without init rate accepted")
 	}
-	if _, err := New(Config{InitRate: 50 * unit.Mbps, TrainLen: 2}); err == nil {
+	if _, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps, StreamLen: 2}); err == nil {
 		t.Error("too-short train accepted")
 	}
 }
 
 func TestNames(t *testing.T) {
-	ptr, err := New(Config{InitRate: 50 * unit.Mbps})
+	ptr, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ptr.Name() != "ptr" {
 		t.Errorf("Name = %q, want ptr", ptr.Name())
 	}
-	ig, err := New(Config{Mode: IGI, Capacity: 50 * unit.Mbps})
+	ig, err := NewIGI(core.Params{Capacity: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestNames(t *testing.T) {
 
 func TestPTRConvergesCBR(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{InitRate: 50 * unit.Mbps})
+	e, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPTRConvergesCBR(t *testing.T) {
 
 func TestIGIConvergesCBR(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Mode: IGI, Capacity: sc.Capacity})
+	e, err := NewIGI(core.Params{Capacity: sc.Capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestIGIConvergesCBR(t *testing.T) {
 
 func TestPTRPoissonPlausible(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(17)})
-	e, err := New(Config{InitRate: 50 * unit.Mbps})
+	e, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPTRPoissonPlausible(t *testing.T) {
 func TestIGIEstimateClampedNonNegative(t *testing.T) {
 	// Heavily bursty traffic must not drive the IGI formula negative.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.ParetoOnOff, Seed: toolstest.Seed(23)})
-	e, err := New(Config{Mode: IGI, Capacity: sc.Capacity})
+	e, err := NewIGI(core.Params{Capacity: sc.Capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestIGIEstimateClampedNonNegative(t *testing.T) {
 }
 
 func TestSixtyPacketDefault(t *testing.T) {
-	e, err := New(Config{InitRate: 50 * unit.Mbps})
+	e, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.TrainLen != 60 {
-		t.Errorf("default train length = %d, want 60 (published value)", e.cfg.TrainLen)
+	if e.trainLen != 60 {
+		t.Errorf("default train length = %d, want 60 (published value)", e.trainLen)
 	}
 }

@@ -44,87 +44,82 @@ func Parse(data []byte) (*Weights, error) {
 	return w, nil
 }
 
-// Config tunes the estimator, which runs the embedded weights (Default).
-// Zero fields take the weight file's probe plan.
-type Config struct {
-	// Capacity is the assumed tight-link capacity C_t (required): the
-	// model predicts the dimensionless A/C and scales by it, and the
-	// probe plan's rate fractions are fractions of it.
-	Capacity unit.Rate
-	// StreamLen overrides the plan's packets per stream.
-	StreamLen int
-	// PktSize overrides the plan's probe packet size.
-	PktSize unit.Bytes
-	// StreamsPerFrac overrides the plan's streams per rate fraction.
-	StreamsPerFrac int
-}
-
-func (c Config) withDefaults(w *Weights) (Config, error) {
-	if !(c.Capacity > 0) {
-		return c, fmt.Errorf("learned: tight-link capacity is required (the model predicts A/C)")
+// Defaults returns the learned tool's settings: the probe plan its
+// weights were trained with (DefaultPlan).
+func Defaults() core.Params {
+	plan := DefaultPlan()
+	return core.Params{
+		PktSize:   plan.PktSize,
+		StreamLen: plan.StreamLen,
+		Repeat:    plan.StreamsPerFrac,
+		MaxRounds: len(plan.RateFracs),
 	}
-	if c.StreamLen == 0 {
-		c.StreamLen = w.Plan.StreamLen
-	}
-	if c.StreamLen < 2 {
-		return c, fmt.Errorf("learned: stream length %d too short", c.StreamLen)
-	}
-	if c.PktSize == 0 {
-		c.PktSize = w.Plan.PktSize
-	}
-	if c.PktSize <= 0 {
-		return c, fmt.Errorf("learned: packet size must be positive")
-	}
-	if c.StreamsPerFrac == 0 {
-		c.StreamsPerFrac = w.Plan.StreamsPerFrac
-	}
-	if c.StreamsPerFrac < 1 {
-		return c, fmt.Errorf("learned: need at least one stream per rate")
-	}
-	return c, nil
 }
 
 // Estimator is the learned eighth tool.
 type Estimator struct {
-	cfg Config
-	w   *Weights
+	capacity       unit.Rate // assumed tight-link capacity C_t
+	streamLen      int       // packets per stream
+	pktSize        unit.Bytes
+	streamsPerFrac int       // streams per rate fraction
+	fracs          []float64 // rate fractions probed, a prefix of the plan's
+	w              *Weights
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator, which runs the embedded weights (Default). Capacity is
+// required: the model predicts the dimensionless A/C and scales by it,
+// and the plan's rate fractions are fractions of it. Repeat is the
+// streams per rate fraction; MaxRounds caps the rate fractions probed,
+// in plan order.
+func New(p core.Params) (*Estimator, error) {
 	w, err := Default()
 	if err != nil {
 		return nil, err
 	}
-	c, err := cfg.withDefaults(w)
-	if err != nil {
-		return nil, err
+	p = p.WithDefaults(Defaults())
+	if !(p.Capacity > 0) {
+		return nil, fmt.Errorf("learned: tight-link capacity is required (the model predicts A/C)")
 	}
-	return &Estimator{cfg: c, w: w}, nil
+	if p.StreamLen < 2 {
+		return nil, fmt.Errorf("learned: stream length %d too short", p.StreamLen)
+	}
+	if p.PktSize <= 0 {
+		return nil, fmt.Errorf("learned: packet size must be positive")
+	}
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("learned: need at least one stream per rate")
+	}
+	if p.MaxRounds < 1 {
+		return nil, fmt.Errorf("learned: need at least one rate fraction")
+	}
+	return &Estimator{
+		capacity: p.Capacity, streamLen: p.StreamLen, pktSize: p.PktSize,
+		streamsPerFrac: p.Repeat, fracs: w.Plan.RateFracs[:min(p.MaxRounds, len(w.Plan.RateFracs))], w: w,
+	}, nil
 }
 
 // Name implements core.Estimator.
 func (e *Estimator) Name() string { return "learned" }
 
-// Estimate implements core.Estimator: run the weight file's probe plan
-// (periodic streams at fixed fractions of C_t), extract the canonical
+// Estimate implements core.Estimator: run the probe plan (periodic
+// streams at fixed fractions of C_t), extract the canonical
 // FeatureVector per stream, and take the median of the model's
 // per-stream A/C predictions. One prediction per stream keeps the
 // online inputs exactly shaped like the training rows.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
 	var preds []float64
 	var samples []unit.Rate
 	var streams, packets int
 	var bytes unit.Bytes
-	for _, frac := range e.w.Plan.RateFracs {
-		rate := unit.Rate(float64(c.Capacity) * frac)
+	for _, frac := range e.fracs {
+		rate := unit.Rate(float64(e.capacity) * frac)
 		if rate <= 0 {
 			continue
 		}
-		spec := probe.Periodic(rate, c.PktSize, c.StreamLen)
-		for s := 0; s < c.StreamsPerFrac; s++ {
+		spec := probe.Periodic(rate, e.pktSize, e.streamLen)
+		for s := 0; s < e.streamsPerFrac; s++ {
 			rec, err := core.Probe(ctx, t, spec)
 			if err != nil {
 				return nil, fmt.Errorf("learned: rate %.0f%%: %w", frac*100, err)
@@ -132,13 +127,13 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 			streams++
 			packets += spec.Count
 			bytes += spec.Bytes()
-			x := ModelInput(probe.ExtractFeatures(rec), frac, c.Capacity.MbpsOf())
+			x := ModelInput(probe.ExtractFeatures(rec), frac, e.capacity.MbpsOf())
 			y, err := e.w.Predict(x)
 			if err != nil {
 				return nil, err
 			}
 			preds = append(preds, y)
-			samples = append(samples, probe.ClampToCapacity(unit.Rate(y*float64(c.Capacity)), c.Capacity))
+			samples = append(samples, probe.ClampToCapacity(unit.Rate(y*float64(e.capacity)), e.capacity))
 		}
 	}
 	if len(preds) == 0 {
@@ -148,12 +143,12 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	// turning point carry little information and occasionally wild
 	// predictions; the median keeps them from dragging the point.
 	min, max := stats.MinMax(preds)
-	point := probe.ClampToCapacity(unit.Rate(stats.Median(preds)*float64(c.Capacity)), c.Capacity)
+	point := probe.ClampToCapacity(unit.Rate(stats.Median(preds)*float64(e.capacity)), e.capacity)
 	return &core.Report{
 		Tool:       e.Name(),
 		Point:      point,
-		Low:        probe.ClampToCapacity(unit.Rate(min*float64(c.Capacity)), c.Capacity),
-		High:       probe.ClampToCapacity(unit.Rate(max*float64(c.Capacity)), c.Capacity),
+		Low:        probe.ClampToCapacity(unit.Rate(min*float64(e.capacity)), e.capacity),
+		High:       probe.ClampToCapacity(unit.Rate(max*float64(e.capacity)), e.capacity),
 		Streams:    streams,
 		Packets:    packets,
 		ProbeBytes: bytes,

@@ -3,6 +3,7 @@ package learned
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"abw/internal/core"
@@ -11,17 +12,20 @@ import (
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(core.Params{}); err == nil {
 		t.Error("missing capacity accepted")
 	}
-	if _, err := New(Config{Capacity: unit.Rate(math.NaN())}); err == nil {
+	if _, err := New(core.Params{Capacity: unit.Rate(math.NaN())}); err == nil {
 		t.Error("NaN capacity accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, StreamLen: 1}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, StreamLen: 1}); err == nil {
 		t.Error("1-packet stream accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, StreamsPerFrac: -1}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, Repeat: -1}); err == nil {
 		t.Error("negative streams per rate accepted")
+	}
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, MaxRounds: -1}); err == nil {
+		t.Error("negative rate-fraction count accepted")
 	}
 	if _, err := Parse([]byte(`{"schema": "nope"}`)); err == nil {
 		t.Error("invalid weights accepted")
@@ -29,16 +33,33 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultsComeFromPlan(t *testing.T) {
-	e, err := New(Config{Capacity: 50 * unit.Mbps})
+	e, err := New(core.Params{Capacity: 50 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := e.w.Plan
-	if e.cfg.StreamLen != plan.StreamLen || e.cfg.PktSize != plan.PktSize || e.cfg.StreamsPerFrac != plan.StreamsPerFrac {
-		t.Errorf("config %+v does not follow the weight file's plan %+v", e.cfg, plan)
+	if e.streamLen != plan.StreamLen || e.pktSize != plan.PktSize || e.streamsPerFrac != plan.StreamsPerFrac ||
+		!reflect.DeepEqual(e.fracs, plan.RateFracs) {
+		t.Errorf("estimator %+v does not follow the weight file's plan %+v", e, plan)
 	}
 	if e.Name() != "learned" {
 		t.Errorf("Name = %q", e.Name())
+	}
+}
+
+// TestMaxRoundsCapsRateFractions: MaxRounds is the number of the
+// plan's rate fractions probed, in plan order; more than the plan has
+// probes them all.
+func TestMaxRoundsCapsRateFractions(t *testing.T) {
+	plan := DefaultPlan()
+	for _, c := range []struct{ rounds, want int }{{1, 1}, {2, 2}, {len(plan.RateFracs) + 5, len(plan.RateFracs)}} {
+		e, err := New(core.Params{Capacity: 50 * unit.Mbps, MaxRounds: c.rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(e.fracs, plan.RateFracs[:c.want]) {
+			t.Errorf("MaxRounds %d probes %v, want %v", c.rounds, e.fracs, plan.RateFracs[:c.want])
+		}
 	}
 }
 
@@ -49,7 +70,7 @@ func TestDefaultsComeFromPlan(t *testing.T) {
 // land well within the capacity scale.
 func TestEstimateCanonicalPath(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-	e, err := New(Config{Capacity: sc.Capacity})
+	e, err := New(core.Params{Capacity: sc.Capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +86,8 @@ func TestEstimateCanonicalPath(t *testing.T) {
 	if rep.Low > rep.Point || rep.Point > rep.High {
 		t.Errorf("range disordered: low %v point %v high %v", rep.Low, rep.Point, rep.High)
 	}
-	if rep.Streams != len(e.w.Plan.RateFracs)*e.cfg.StreamsPerFrac {
-		t.Errorf("streams = %d, want %d", rep.Streams, len(e.w.Plan.RateFracs)*e.cfg.StreamsPerFrac)
+	if rep.Streams != len(e.fracs)*e.streamsPerFrac {
+		t.Errorf("streams = %d, want %d", rep.Streams, len(e.fracs)*e.streamsPerFrac)
 	}
 	if rep.Packets <= 0 || rep.ProbeBytes <= 0 || rep.Elapsed <= 0 {
 		t.Errorf("effort not accounted: %+v", rep)
@@ -81,7 +102,7 @@ func TestEstimateCanonicalPath(t *testing.T) {
 func TestEstimateDeterministic(t *testing.T) {
 	run := func() *core.Report {
 		sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson})
-		e, err := New(Config{Capacity: sc.Capacity})
+		e, err := New(core.Params{Capacity: sc.Capacity})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +120,7 @@ func TestEstimateDeterministic(t *testing.T) {
 
 func TestEstimateHonorsContext(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{})
-	e, err := New(Config{Capacity: sc.Capacity})
+	e, err := New(core.Params{Capacity: sc.Capacity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,10 @@
 // capacities. Weights are serialized JSON (weights.json, committed and
 // embedded); scripts/trainlearned regenerates them from the dataset
 // experiment.
+//
+// Defaults (Defaults) are DefaultPlan's: 4 streams (Repeat) of 120
+// packets (StreamLen) of 1000 B at each of the 4 rate fractions
+// (MaxRounds) 0.3, 0.5, 0.7 and 0.9 of Capacity.
 package learned
 
 import (

@@ -10,6 +10,10 @@
 // excursion that never drains marks the rate at which the chirp began to
 // exceed the avail-bw; that pair's rate is the chirp's estimate.
 // pathChirp reports a single estimate averaged over a sequence of chirps.
+//
+// Published defaults (Defaults): 12 chirps (Repeat) of N = 15 packets
+// (StreamLen) of 1000 B, pathChirp's own probe size. Without
+// RateLo/RateHi each chirp spans 1/10 to 24/25 of Capacity.
 package pathchirp
 
 import (
@@ -22,57 +26,38 @@ import (
 	"abw/internal/unit"
 )
 
-// Config tunes the estimator.
-type Config struct {
-	// Lo and Hi bound the rates probed within each chirp (required).
-	Lo, Hi unit.Rate
-	// PacketsPerChirp is N (default 15).
-	PacketsPerChirp int
-	// Chirps is the number of chirps averaged (default 12).
-	Chirps int
-	// PktSize is the probe packet size (default 1000 B, pathChirp's
-	// default probe size).
-	PktSize unit.Bytes
+// Defaults returns pathChirp's published settings.
+func Defaults() core.Params {
+	return core.Params{PktSize: 1000, StreamLen: 15, Repeat: 12}
 }
 
 // gamma is the nominal spread factor γ between consecutive gaps; the
 // chirp builder refits it to span [Lo, Hi] exactly.
 const gamma = 1.2
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Lo <= 0 || c.Hi <= c.Lo {
-		return c, fmt.Errorf("pathchirp: need 0 < Lo < Hi (got %v, %v)", c.Lo, c.Hi)
-	}
-	if c.PacketsPerChirp == 0 {
-		c.PacketsPerChirp = 15
-	}
-	if c.PacketsPerChirp < 3 {
-		return c, fmt.Errorf("pathchirp: chirp needs at least 3 packets")
-	}
-	if c.Chirps == 0 {
-		c.Chirps = 12
-	}
-	if c.Chirps < 1 {
-		return c, fmt.Errorf("pathchirp: need at least one chirp")
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1000
-	}
-	return c, nil
-}
-
 // Estimator is the pathChirp iterative prober.
 type Estimator struct {
-	cfg Config
+	lo, hi          unit.Rate // rates probed within each chirp
+	packetsPerChirp int
+	chirps          int // chirps averaged
+	pktSize         unit.Bytes
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator.
+func New(p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	lo, hi, err := p.Bracket(1, 10, 24, 25)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pathchirp: %w", err)
 	}
-	return &Estimator{cfg: c}, nil
+	if p.StreamLen < 3 {
+		return nil, fmt.Errorf("pathchirp: chirp needs at least 3 packets")
+	}
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("pathchirp: need at least one chirp")
+	}
+	return &Estimator{lo: lo, hi: hi, packetsPerChirp: p.StreamLen, chirps: p.Repeat, pktSize: p.PktSize}, nil
 }
 
 // Name implements core.Estimator.
@@ -80,16 +65,15 @@ func (e *Estimator) Name() string { return "pathchirp" }
 
 // Estimate implements core.Estimator.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
-	spec, err := probe.Chirp(c.Lo, c.Hi, c.PktSize, c.PacketsPerChirp, gamma)
+	spec, err := probe.Chirp(e.lo, e.hi, e.pktSize, e.packetsPerChirp, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("pathchirp: %w", err)
 	}
 	var perChirp []float64
 	var streams, packets int
 	var bytes unit.Bytes
-	for i := 0; i < c.Chirps; i++ {
+	for i := 0; i < e.chirps; i++ {
 		rec, err := core.Probe(ctx, t, spec)
 		if err != nil {
 			return nil, fmt.Errorf("pathchirp: chirp %d: %w", i, err)
@@ -102,7 +86,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		}
 	}
 	if len(perChirp) == 0 {
-		return nil, fmt.Errorf("pathchirp: no analyzable chirps out of %d", c.Chirps)
+		return nil, fmt.Errorf("pathchirp: no analyzable chirps out of %d", e.chirps)
 	}
 	min, max := stats.MinMax(perChirp)
 	return &core.Report{
@@ -126,7 +110,7 @@ func (e *Estimator) analyzeChirp(rec *probe.Record) (unit.Rate, bool) {
 		for k := 0; k < len(rec.Recv); k++ {
 			if rec.Recv[k] == probe.Lost {
 				if k == 0 {
-					return e.cfg.Lo, true
+					return e.lo, true
 				}
 				return rec.Spec.RateAtPair(k - 1), true
 			}

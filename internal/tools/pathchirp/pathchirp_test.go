@@ -4,29 +4,30 @@ import (
 	"context"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/stats"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(core.Params{}); err == nil {
 		t.Error("missing rates accepted")
 	}
-	if _, err := New(Config{Lo: 40 * unit.Mbps, Hi: 5 * unit.Mbps}); err == nil {
+	if _, err := New(core.Params{RateLo: 40 * unit.Mbps, RateHi: 5 * unit.Mbps}); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := New(Config{Lo: 5 * unit.Mbps, Hi: 45 * unit.Mbps, PacketsPerChirp: 2}); err == nil {
+	if _, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps, StreamLen: 2}); err == nil {
 		t.Error("2-packet chirp accepted")
 	}
-	if _, err := New(Config{Lo: 5 * unit.Mbps, Hi: 45 * unit.Mbps, Chirps: -1}); err == nil {
+	if _, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps, Repeat: -1}); err == nil {
 		t.Error("negative chirps accepted")
 	}
 }
 
 func TestEstimateCBR(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Lo: 5 * unit.Mbps, Hi: 48 * unit.Mbps, PacketsPerChirp: 25, Chirps: 16})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 48 * unit.Mbps, StreamLen: 25, Repeat: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestEstimateCBR(t *testing.T) {
 
 func TestEstimatePoissonPlausible(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(21)})
-	e, err := New(Config{Lo: 5 * unit.Mbps, Hi: 48 * unit.Mbps, PacketsPerChirp: 25, Chirps: 20})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 48 * unit.Mbps, StreamLen: 25, Repeat: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestIdlePathEstimatesTopRate(t *testing.T) {
 	// No cross traffic: chirps never durably queue, so the estimate must
 	// sit at the top of the chirp range.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossRate: 1 * unit.Mbps, CrossSize: 64})
-	e, err := New(Config{Lo: 5 * unit.Mbps, Hi: 40 * unit.Mbps, PacketsPerChirp: 20, Chirps: 8})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 40 * unit.Mbps, StreamLen: 20, Repeat: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestChirpEfficiency(t *testing.T) {
 	// pathChirp covers the sweep with far fewer packets than a
 	// per-rate-train design would need.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Lo: 5 * unit.Mbps, Hi: 48 * unit.Mbps, PacketsPerChirp: 30, Chirps: 10})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 48 * unit.Mbps, StreamLen: 30, Repeat: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,12 @@
 //   - the output is a variation range [R_L, R_H] of the avail-bw process
 //     at the probing timescale, not a single number — the paper's
 //     Figure 6 fallacy — and that range is not a confidence interval.
+//
+// Published defaults (Defaults): K = 100-packet streams of 1500 B
+// packets (Pathload adapts the packet size to the rate; this
+// reproduction keeps it fixed), fleets of N = 6 streams per rate
+// (Repeat), and at most 24 rounds of binary search (MaxRounds). Without
+// RateLo/RateHi the search brackets 1/25 to 49/50 of Capacity.
 package pathload
 
 import (
@@ -22,19 +28,9 @@ import (
 	"abw/internal/unit"
 )
 
-// Config tunes the estimator.
-type Config struct {
-	// MinRate/MaxRate bracket the initial binary search (required).
-	MinRate, MaxRate unit.Rate
-	// StreamLen is packets per stream (default 100, Pathload's K).
-	StreamLen int
-	// StreamsPerRate is the fleet size N per probing rate (default 6).
-	StreamsPerRate int
-	// PktSize is the probe packet size (default 1500 B... Pathload
-	// adapts L to the rate; this reproduction keeps it fixed).
-	PktSize unit.Bytes
-	// MaxRounds bounds the binary search (default 24).
-	MaxRounds int
+// Defaults returns Pathload's published settings.
+func Defaults() core.Params {
+	return core.Params{PktSize: 1500, StreamLen: 100, Repeat: 6, MaxRounds: 24}
 }
 
 // A fleet is above A when at least increasingFraction of its streams
@@ -44,49 +40,40 @@ type Config struct {
 const increasingFraction, nonIncreasingFraction = 0.7, 0.3
 
 // resolutionSteps sets the resolution ω: the search stops once
-// High−Low ≤ (MaxRate−MinRate)/resolutionSteps.
+// High−Low ≤ (maxRate−minRate)/resolutionSteps.
 const resolutionSteps = 20
-
-func (c Config) withDefaults() (Config, error) {
-	if c.MinRate <= 0 || c.MaxRate <= c.MinRate {
-		return c, fmt.Errorf("pathload: need 0 < MinRate < MaxRate (got %v, %v)", c.MinRate, c.MaxRate)
-	}
-	if c.StreamLen == 0 {
-		c.StreamLen = 100
-	}
-	if c.StreamLen < 10 {
-		return c, fmt.Errorf("pathload: stream length %d too short for trend analysis", c.StreamLen)
-	}
-	if c.StreamsPerRate == 0 {
-		c.StreamsPerRate = 6
-	}
-	if c.StreamsPerRate < 1 {
-		return c, fmt.Errorf("pathload: fleet size must be positive")
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 24
-	}
-	if c.MaxRounds < 1 {
-		return c, fmt.Errorf("pathload: MaxRounds must be positive")
-	}
-	return c, nil
-}
 
 // Estimator is the Pathload iterative prober.
 type Estimator struct {
-	cfg Config
+	minRate, maxRate unit.Rate // bracket of the initial binary search
+	streamLen        int       // packets per stream
+	streamsPerRate   int       // fleet size per probing rate
+	pktSize          unit.Bytes
+	maxRounds        int // bound on the binary search
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator.
+func New(p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	lo, hi, err := p.Bracket(1, 25, 49, 50)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pathload: %w", err)
 	}
-	return &Estimator{cfg: c}, nil
+	if p.StreamLen < 10 {
+		return nil, fmt.Errorf("pathload: stream length %d too short for trend analysis", p.StreamLen)
+	}
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("pathload: fleet size must be positive")
+	}
+	if p.MaxRounds < 1 {
+		return nil, fmt.Errorf("pathload: MaxRounds must be positive")
+	}
+	return &Estimator{
+		minRate: lo, maxRate: hi,
+		streamLen: p.StreamLen, streamsPerRate: p.Repeat,
+		pktSize: p.PktSize, maxRounds: p.MaxRounds,
+	}, nil
 }
 
 // Name implements core.Estimator.
@@ -105,9 +92,8 @@ const (
 // classifying each rate by the fraction of its fleet showing increasing
 // OWD trends, and reporting the bracketed variation range.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
-	lo, hi := c.MinRate, c.MaxRate
+	lo, hi := e.minRate, e.maxRate
 	// greyLo/greyHi track the widest rate span classified as grey: the
 	// estimated variation range of the avail-bw process at timescale τ.
 	var greyLo, greyHi unit.Rate
@@ -117,8 +103,8 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	classify := func(rate unit.Rate) (verdict, error) {
 		increasing := 0
 		usable := 0
-		for i := 0; i < c.StreamsPerRate; i++ {
-			spec := probe.Periodic(rate, c.PktSize, c.StreamLen)
+		for i := 0; i < e.streamsPerRate; i++ {
+			spec := probe.Periodic(rate, e.pktSize, e.streamLen)
 			rec, err := core.Probe(ctx, t, spec)
 			if err != nil {
 				return grey, err
@@ -127,7 +113,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 			packets += spec.Count
 			bytes += spec.Bytes()
 			vals := rec.OWDSeconds()
-			if len(vals) < c.StreamLen/2 {
+			if len(vals) < e.streamLen/2 {
 				continue // too lossy to analyze
 			}
 			usable++
@@ -150,8 +136,8 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		}
 	}
 
-	resolution := (c.MaxRate - c.MinRate) / resolutionSteps
-	for round := 0; round < c.MaxRounds && hi-lo > resolution; round++ {
+	resolution := (e.maxRate - e.minRate) / resolutionSteps
+	for round := 0; round < e.maxRounds && hi-lo > resolution; round++ {
 		mid := (lo + hi) / 2
 		v, err := classify(mid)
 		if err != nil {

@@ -4,27 +4,28 @@ import (
 	"context"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(core.Params{}); err == nil {
 		t.Error("missing rates accepted")
 	}
-	if _, err := New(Config{MinRate: 45 * unit.Mbps, MaxRate: 5 * unit.Mbps}); err == nil {
+	if _, err := New(core.Params{RateLo: 45 * unit.Mbps, RateHi: 5 * unit.Mbps}); err == nil {
 		t.Error("inverted bracket accepted")
 	}
-	if _, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, StreamLen: 4}); err == nil {
+	if _, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps, StreamLen: 4}); err == nil {
 		t.Error("too-short stream accepted")
 	}
 }
 
 func TestEstimateCBRConvergesToAvailBw(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{
-		MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps,
-		StreamsPerRate: 3,
+	e, err := New(core.Params{
+		RateLo: 2 * unit.Mbps, RateHi: 48 * unit.Mbps,
+		Repeat: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +49,9 @@ func TestEstimateReportsVariationRange(t *testing.T) {
 	// With bursty traffic Pathload should return a nontrivial range
 	// (Low < High) — the Figure 6 fallacy is that people expect a point.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.ParetoOnOff, Seed: toolstest.Seed(9)})
-	e, err := New(Config{
-		MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps,
-		StreamsPerRate: 4,
+	e, err := New(core.Params{
+		RateLo: 2 * unit.Mbps, RateHi: 48 * unit.Mbps,
+		Repeat: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestEstimateUsesNoCapacity(t *testing.T) {
 	// Defining property of iterative probing: no C_t input needed, no
 	// capacity estimate produced.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-	e, err := New(Config{MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps, StreamsPerRate: 2})
+	e, err := New(core.Params{RateLo: 2 * unit.Mbps, RateHi: 48 * unit.Mbps, Repeat: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestEstimateUsesNoCapacity(t *testing.T) {
 
 func TestEffortAccounting(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-	e, err := New(Config{MinRate: 2 * unit.Mbps, MaxRate: 48 * unit.Mbps, StreamsPerRate: 2, MaxRounds: 4})
+	e, err := New(core.Params{RateLo: 2 * unit.Mbps, RateHi: 48 * unit.Mbps, Repeat: 2, MaxRounds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

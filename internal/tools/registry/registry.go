@@ -1,11 +1,11 @@
 // Package registry is the single catalog of the estimation techniques
 // this module implements. Every tool is described by a Descriptor —
-// name, aliases, what inputs it requires, its canonical defaults, and a
-// builder over the shared Params struct — and every consumer
-// (cmd/abwprobe, the compare experiment, the abw facade, the examples)
-// constructs tools through this package. Before the registry, tool
-// construction was a switch statement copy-pasted across three places;
-// now adding a tool or changing its parameterization happens here once.
+// name, aliases, what inputs it requires, and its published defaults
+// and constructor over the shared Params, both read from the tool's own
+// package — and every consumer (cmd/abwprobe, the compare experiment,
+// the abw facade, the monitor, the examples) constructs tools through
+// this package. Adding a tool is one Register call here; its
+// parameters and defaults live beside its code.
 package registry
 
 import (
@@ -14,72 +14,13 @@ import (
 	"math"
 
 	"abw/internal/core"
-	"abw/internal/rng"
 	"abw/internal/unit"
 )
 
-// Params is the uniform parameter set every tool is built from. Zero
-// fields take the tool's published defaults (see Descriptor.Defaults);
-// tools that can derive a missing field from another one do so — the
-// rate-bracket tools derive their bracket from Capacity, PTR derives
-// its initial rate from RateHi or Capacity.
-type Params struct {
-	// RateLo and RateHi bracket the probed rates for iterative tools
-	// (Pathload's binary search, TOPP's sweep, pathChirp's chirp span).
-	RateLo, RateHi unit.Rate
-	// Capacity is the tight-link capacity C_t, required by the
-	// direct-probing tools (Delphi, Spruce, IGI) — with the paper's
-	// pitfall that capacity tools measure the narrow link, not the
-	// tight one (core.Misconceptions[4]).
-	Capacity unit.Rate
-	// PktSize is the probe packet size.
-	PktSize unit.Bytes
-	// StreamLen is the packets per probing stream (train length, chirp
-	// length, Pathload's K).
-	StreamLen int
-	// Repeat is the tool's repetition knob: streams per rate, trains,
-	// chirps, or pairs averaged.
-	Repeat int
-	// MaxRounds caps the probing-rate search for iterative tools.
-	MaxRounds int
-	// Rand drives the tool's own randomness (Spruce's Poisson pair
-	// spacing). Required only where Descriptor.NeedsRand says so.
-	Rand *rng.Rand
-	// Budget caps the probing effort, enforced below the tool by a
-	// core.BudgetTransport so cross-tool comparisons are budget-fair by
-	// construction. Zero means unlimited.
-	Budget core.Budget
-	// Observer, if set, receives per-stream progress events.
-	Observer core.Observer
-}
-
-// merged returns p with zero fields filled from the descriptor's
-// defaults. Budget, Rand and Observer are run wiring, not tool shape,
-// and are never defaulted.
-func (p Params) merged(def Params) Params {
-	if p.RateLo == 0 {
-		p.RateLo = def.RateLo
-	}
-	if p.RateHi == 0 {
-		p.RateHi = def.RateHi
-	}
-	if p.Capacity == 0 {
-		p.Capacity = def.Capacity
-	}
-	if p.PktSize == 0 {
-		p.PktSize = def.PktSize
-	}
-	if p.StreamLen == 0 {
-		p.StreamLen = def.StreamLen
-	}
-	if p.Repeat == 0 {
-		p.Repeat = def.Repeat
-	}
-	if p.MaxRounds == 0 {
-		p.MaxRounds = def.MaxRounds
-	}
-	return p
-}
+// Params is the uniform parameter set every tool is built from. It is
+// core.Params, so the tool packages take it without importing the
+// registry.
+type Params = core.Params
 
 // Descriptor describes one registered estimation technique: everything
 // a caller needs to present the tool (name, summary, requirements) and
@@ -103,10 +44,12 @@ type Descriptor struct {
 	// SimOnly is set by no registered tool: every tool runs over a
 	// plain core.Transport. Only the bench module still reads it.
 	SimOnly bool
-	// Defaults are the tool's published default Params; Build merges
-	// them under the caller's Params before constructing.
+	// Defaults are the tool's published default Params, as its
+	// package declares them; its constructor fills zero fields from
+	// them.
 	Defaults Params
-	// Build constructs the estimator from merged, validated Params.
+	// Build constructs the estimator from Params: the tool's own
+	// constructor, which fills defaults and validates.
 	Build func(Params) (core.Estimator, error)
 }
 
@@ -166,7 +109,6 @@ func Lookup(name string) (Descriptor, bool) {
 // their per-tool flag requirements from this instead of hand-writing
 // them.
 func (d Descriptor) MissingParams(p Params) []string {
-	p = p.merged(d.Defaults)
 	var missing []string
 	if d.NeedsCapacity && p.Capacity <= 0 {
 		missing = append(missing, "Capacity")
@@ -186,15 +128,14 @@ func (d Descriptor) MissingParams(p Params) []string {
 // happens (the monitor's admission-cost projection) read these instead
 // of re-deriving default tables.
 func (d Descriptor) ResolvedParams(p Params) Params {
-	return p.merged(d.Defaults)
+	return p.WithDefaults(d.Defaults)
 }
 
 // Estimate is the one-call path from a tool name to a report: look the
-// tool up, validate its requirements, build it from the defaults-merged
-// Params (the descriptor's builder also runs the tool's own Config
-// validation), decorate the transport with the Params' observer and
-// budget, and run it under ctx. It is what the abw facade and
-// cmd/abwprobe call.
+// tool up, validate its requirements, build it from the Params (the
+// tool's constructor fills its defaults and runs its own validation),
+// decorate the transport with the Params' observer and budget, and run
+// it under ctx. It is what the abw facade and cmd/abwprobe call.
 func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*core.Report, error) {
 	d, ok := Lookup(name)
 	if !ok {
@@ -213,28 +154,11 @@ func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*co
 	if missing := d.MissingParams(p); len(missing) != 0 {
 		return nil, fmt.Errorf("registry: %s needs %v", d.Name, missing)
 	}
-	est, err := d.Build(p.merged(d.Defaults))
+	est, err := d.Build(p)
 	if err != nil {
 		return nil, err
 	}
 	// Order matters: the observer sees only streams the budget admitted.
 	t = core.WithBudget(core.WithObserver(t, p.Observer), p.Budget)
 	return est.Estimate(ctx, t)
-}
-
-// bracket returns the probing-rate bracket: the caller's if set,
-// otherwise derived from the capacity as loNum/loDen and hiNum/hiDen of
-// C_t — the canonical brackets the compare experiment has always used.
-func bracket(p Params, loNum, loDen, hiNum, hiDen int64) (lo, hi unit.Rate, err error) {
-	lo, hi = p.RateLo, p.RateHi
-	if lo == 0 && p.Capacity > 0 {
-		lo = p.Capacity * unit.Rate(loNum) / unit.Rate(loDen)
-	}
-	if hi == 0 && p.Capacity > 0 {
-		hi = p.Capacity * unit.Rate(hiNum) / unit.Rate(hiDen)
-	}
-	if lo <= 0 || hi <= lo {
-		return 0, 0, fmt.Errorf("registry: need a rate bracket (RateLo < RateHi) or a Capacity to derive one (got %v, %v)", lo, hi)
-	}
-	return lo, hi, nil
 }

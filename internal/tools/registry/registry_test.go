@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"abw/internal/core"
 	"abw/internal/probe"
 	"abw/internal/rng"
+	"abw/internal/scenario"
 	"abw/internal/tools/registry"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
@@ -149,18 +151,50 @@ func TestEstimateRefusesNonFiniteRates(t *testing.T) {
 	}
 }
 
-// TestDefaultsMerge checks that zero Params fields take the
-// descriptor's published defaults while set fields win.
+// TestDefaultsMerge checks, for every tool, that zero Params fields
+// take the published defaults the descriptor reports: an estimate with
+// zero Params and one with ResolvedParams passed explicitly give the
+// same Report on the same seeded compile. The delphi row checks that a
+// set field wins over its default.
 func TestDefaultsMerge(t *testing.T) {
-	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-	// Default delphi sends Trains=20 streams; Repeat=2 must override.
-	rep, err := registry.Estimate(context.Background(), "delphi",
-		registry.Params{Capacity: sc.Capacity, Repeat: 2}, sc.Transport)
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		tool    string
+		p       registry.Params
+		streams int // the run's stream count, when the row pins it
 	}
-	if rep.Streams != 2 {
-		t.Errorf("delphi ran %d trains, want the overridden 2", rep.Streams)
+	var rows []row
+	for _, d := range registry.Tools() {
+		rows = append(rows, row{tool: d.Name})
+	}
+	// Default delphi sends 20 trains; Repeat = 2 must override.
+	rows = append(rows, row{tool: "delphi", p: registry.Params{Repeat: 2}, streams: 2})
+	sc, ok := scenario.Lookup("canonical")
+	if !ok {
+		t.Fatal("canonical not in the catalog")
+	}
+	run := func(tool string, p registry.Params) *core.Report {
+		t.Helper()
+		cpl, err := sc.CompileSeeded(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Capacity, p.Rand = cpl.Capacity, rng.New(2)
+		rep, err := registry.Estimate(context.Background(), tool, p, cpl.Transport)
+		if err != nil {
+			t.Fatalf("%s with %+v: %v", tool, p, err)
+		}
+		return rep
+	}
+	for _, r := range rows {
+		d, _ := registry.Lookup(r.tool)
+		got := run(r.tool, r.p)
+		want := run(r.tool, d.ResolvedParams(r.p))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s with %+v: report %v, with its resolved Params %v", r.tool, r.p, got, want)
+		}
+		if r.streams > 0 && got.Streams != r.streams {
+			t.Errorf("%s with %+v ran %d streams, want %d", r.tool, r.p, got.Streams, r.streams)
+		}
 	}
 }
 

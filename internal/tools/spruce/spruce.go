@@ -11,6 +11,8 @@
 //
 // which is Equation (9) specialized to Ri = C_t. Spruce averages a fixed
 // number of pair samples (100 in the original tool).
+//
+// Published defaults (Defaults): 100 pairs (Repeat) of 1500 B packets.
 package spruce
 
 import (
@@ -25,17 +27,9 @@ import (
 	"abw/internal/unit"
 )
 
-// Config tunes the estimator. Zero fields take the original tool's
-// defaults.
-type Config struct {
-	// Capacity is the assumed tight-link capacity C_t (required).
-	Capacity unit.Rate
-	// Pairs is the number of pair samples (default 100).
-	Pairs int
-	// PktSize is the probe packet size (default 1500 B).
-	PktSize unit.Bytes
-	// Rand drives the Poisson spacing (required).
-	Rand *rng.Rand
+// Defaults returns Spruce's published settings.
+func Defaults() core.Params {
+	return core.Params{PktSize: 1500, Repeat: 100}
 }
 
 // meanSpacing is the mean of the exponential inter-pair gap, keeping the
@@ -47,37 +41,28 @@ const (
 	pairsPerBatch = 25
 )
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Capacity <= 0 {
-		return c, fmt.Errorf("spruce: tight-link capacity is required (direct probing)")
-	}
-	if c.Pairs == 0 {
-		c.Pairs = 100
-	}
-	if c.Pairs < 1 {
-		return c, fmt.Errorf("spruce: need at least one pair")
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	if c.Rand == nil {
-		return c, fmt.Errorf("spruce: random source is required for Poisson spacing")
-	}
-	return c, nil
-}
-
 // Estimator is the Spruce direct prober.
 type Estimator struct {
-	cfg Config
+	capacity unit.Rate // assumed tight-link capacity C_t
+	pairs    int       // pair samples averaged
+	pktSize  unit.Bytes
+	rand     *rng.Rand // drives the Poisson spacing
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator.
+func New(p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	if p.Capacity <= 0 {
+		return nil, fmt.Errorf("spruce: tight-link capacity is required (direct probing)")
 	}
-	return &Estimator{cfg: c}, nil
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("spruce: need at least one pair")
+	}
+	if p.Rand == nil {
+		return nil, fmt.Errorf("spruce: random source is required for Poisson spacing")
+	}
+	return &Estimator{capacity: p.Capacity, pairs: p.Repeat, pktSize: p.PktSize, rand: p.Rand}, nil
 }
 
 // Name implements core.Estimator.
@@ -85,19 +70,18 @@ func (e *Estimator) Name() string { return "spruce" }
 
 // Estimate implements core.Estimator.
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
 	var samples []unit.Rate
 	var streams, packets int
 	var bytes unit.Bytes
-	remaining := c.Pairs
+	remaining := e.pairs
 	for remaining > 0 {
 		n := remaining
 		if n > pairsPerBatch {
 			n = pairsPerBatch
 		}
 		remaining -= n
-		spec, err := probe.PoissonPairs(c.Capacity, c.PktSize, n, meanSpacing, c.Rand)
+		spec, err := probe.PoissonPairs(e.capacity, e.pktSize, n, meanSpacing, e.rand)
 		if err != nil {
 			return nil, fmt.Errorf("spruce: %w", err)
 		}
@@ -110,17 +94,17 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		bytes += spec.Bytes()
 		// The gap model's Δin is the constructed spacing gin, not the
 		// measured send gap: Spruce trusts its own pacing.
-		gin := unit.GapFor(c.PktSize, c.Capacity)
+		gin := unit.GapFor(e.pktSize, e.capacity)
 		for k := 0; k < n; k++ {
 			_, gout, ok := rec.PairGaps(2 * k)
 			if !ok {
 				continue
 			}
-			samples = append(samples, probe.PairGapAvailBw(c.Capacity, gin, gout))
+			samples = append(samples, probe.PairGapAvailBw(e.capacity, gin, gout))
 		}
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("spruce: no measurable pairs out of %d", c.Pairs)
+		return nil, fmt.Errorf("spruce: no measurable pairs out of %d", e.pairs)
 	}
 	vals := make([]float64, len(samples))
 	for i, s := range samples {

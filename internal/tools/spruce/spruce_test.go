@@ -5,30 +5,31 @@ import (
 	"math"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/rng"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Rand: rng.New(1)}); err == nil {
+	if _, err := New(core.Params{Rand: rng.New(1)}); err == nil {
 		t.Error("missing capacity accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps}); err == nil {
 		t.Error("missing rand accepted")
 	}
-	if _, err := New(Config{Capacity: 50 * unit.Mbps, Rand: rng.New(1), Pairs: -5}); err == nil {
+	if _, err := New(core.Params{Capacity: 50 * unit.Mbps, Rand: rng.New(1), Repeat: -5}); err == nil {
 		t.Error("negative pairs accepted")
 	}
 }
 
 func TestDefaults(t *testing.T) {
-	e, err := New(Config{Capacity: 50 * unit.Mbps, Rand: rng.New(1)})
+	e, err := New(core.Params{Capacity: 50 * unit.Mbps, Rand: rng.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Pairs != 100 || e.cfg.PktSize != 1500 {
-		t.Errorf("defaults wrong: %+v", e.cfg)
+	if e.pairs != 100 || e.pktSize != 1500 {
+		t.Errorf("defaults wrong: %+v", e)
 	}
 	if e.Name() != "spruce" {
 		t.Errorf("Name = %q", e.Name())
@@ -39,7 +40,7 @@ func TestEstimateCBR(t *testing.T) {
 	// CBR with small packets approximates fluid: Spruce's gap model
 	// should land near A = 25 Mbps.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{Capacity: sc.Capacity, Rand: rng.New(2), Pairs: 100})
+	e, err := New(core.Params{Capacity: sc.Capacity, Rand: rng.New(2), Repeat: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestEstimateCBR(t *testing.T) {
 
 func TestEstimatePoisson(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(5)})
-	e, err := New(Config{Capacity: sc.Capacity, Rand: rng.New(3), Pairs: 200})
+	e, err := New(core.Params{Capacity: sc.Capacity, Rand: rng.New(3), Repeat: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestPairQuantizationWithLargeCrossPackets(t *testing.T) {
 	// than with 40 B packets at the same mean rate.
 	spread := func(size int, seed uint64) float64 {
 		sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, CrossSize: size, Seed: toolstest.Seed(seed)})
-		e, err := New(Config{Capacity: sc.Capacity, Rand: rng.New(seed), Pairs: 150})
+		e, err := New(core.Params{Capacity: sc.Capacity, Rand: rng.New(seed), Repeat: 150})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestPairQuantizationWithLargeCrossPackets(t *testing.T) {
 
 func TestSamplesClampedToPhysicalRange(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.ParetoOnOff, Seed: toolstest.Seed(13)})
-	e, err := New(Config{Capacity: sc.Capacity, Rand: rng.New(7), Pairs: 150})
+	e, err := New(core.Params{Capacity: sc.Capacity, Rand: rng.New(7), Repeat: 150})
 	if err != nil {
 		t.Fatal(err)
 	}

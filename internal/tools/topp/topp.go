@@ -10,6 +10,10 @@
 // so TOPP both locates the knee (the avail-bw) and recovers the tight
 // link capacity from the slope of the overloaded segment — the feature
 // the paper highlights in its classification.
+//
+// Published defaults (Defaults): 40 packet pairs of 1500 B packets per
+// probing rate (Repeat). Without RateLo/RateHi the sweep spans 1/10 to
+// 9/10 of Capacity.
 package topp
 
 import (
@@ -23,49 +27,34 @@ import (
 	"abw/internal/unit"
 )
 
-// Config tunes the estimator.
-type Config struct {
-	// MinRate/MaxRate bound the linear sweep (required, Min < Max).
-	MinRate, MaxRate unit.Rate
-	// PairsPerRate is the number of packet pairs per probing round
-	// (default 40).
-	PairsPerRate int
-	// PktSize is the probe packet size (default 1500 B).
-	PktSize unit.Bytes
+// Defaults returns TOPP's published settings.
+func Defaults() core.Params {
+	return core.Params{PktSize: 1500, Repeat: 40}
 }
 
-// sweepSteps sets the sweep's rate step: (MaxRate−MinRate)/sweepSteps
+// sweepSteps sets the sweep's rate step: (maxRate−minRate)/sweepSteps
 // per round, so the sweep probes sweepSteps+1 rates.
 const sweepSteps = 15
 
-func (c Config) withDefaults() (Config, error) {
-	if c.MinRate <= 0 || c.MaxRate <= c.MinRate {
-		return c, fmt.Errorf("topp: need 0 < MinRate < MaxRate (got %v, %v)", c.MinRate, c.MaxRate)
-	}
-	if c.PairsPerRate == 0 {
-		c.PairsPerRate = 40
-	}
-	if c.PairsPerRate < 1 {
-		return c, fmt.Errorf("topp: pairs per rate must be positive")
-	}
-	if c.PktSize == 0 {
-		c.PktSize = 1500
-	}
-	return c, nil
-}
-
 // Estimator is the TOPP iterative prober.
 type Estimator struct {
-	cfg Config
+	minRate, maxRate unit.Rate // bounds of the linear sweep
+	pairsPerRate     int       // packet pairs per probing round
+	pktSize          unit.Bytes
 }
 
-// New validates the configuration and returns the estimator.
-func New(cfg Config) (*Estimator, error) {
-	c, err := cfg.withDefaults()
+// New validates p, with zero fields taken from Defaults, and returns
+// the estimator.
+func New(p core.Params) (*Estimator, error) {
+	p = p.WithDefaults(Defaults())
+	lo, hi, err := p.Bracket(1, 10, 9, 10)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("topp: %w", err)
 	}
-	return &Estimator{cfg: c}, nil
+	if p.Repeat < 1 {
+		return nil, fmt.Errorf("topp: pairs per rate must be positive")
+	}
+	return &Estimator{minRate: lo, maxRate: hi, pairsPerRate: p.Repeat, pktSize: p.PktSize}, nil
 }
 
 // Name implements core.Estimator.
@@ -85,16 +74,15 @@ type roundResult struct {
 // discrete cross packets (the paper's fourth misconception describes
 // exactly this noise).
 func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	c := e.cfg
 	start := t.Now()
 	var rounds []roundResult
 	var streams, packets int
 	var bytes unit.Bytes
-	step := (c.MaxRate - c.MinRate) / sweepSteps
-	for ri := c.MinRate; ri <= c.MaxRate+step/2; ri += step {
+	step := (e.maxRate - e.minRate) / sweepSteps
+	for ri := e.minRate; ri <= e.maxRate+step/2; ri += step {
 		// A round is a train of pairs: pairs back-to-back internally at
 		// ri, separated widely enough not to build standing queues.
-		spec, err := pairTrain(ri, c.PktSize, c.PairsPerRate)
+		spec, err := pairTrain(ri, e.pktSize, e.pairsPerRate)
 		if err != nil {
 			return nil, fmt.Errorf("topp: %w", err)
 		}
@@ -109,7 +97,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		// than the mean of per-pair ratios under quantized cross
 		// traffic.
 		var gin, gout time.Duration
-		for k := 0; k < c.PairsPerRate; k++ {
+		for k := 0; k < e.pairsPerRate; k++ {
 			pin, pout, ok := rec.PairGaps(2 * k)
 			if !ok {
 				continue

@@ -5,25 +5,26 @@ import (
 	"math"
 	"testing"
 
+	"abw/internal/core"
 	"abw/internal/tools/toolstest"
 	"abw/internal/unit"
 )
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(core.Params{}); err == nil {
 		t.Error("missing rates accepted")
 	}
-	if _, err := New(Config{MinRate: 30 * unit.Mbps, MaxRate: 10 * unit.Mbps}); err == nil {
+	if _, err := New(core.Params{RateLo: 30 * unit.Mbps, RateHi: 10 * unit.Mbps}); err == nil {
 		t.Error("inverted rates accepted")
 	}
-	if _, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, PairsPerRate: -1}); err == nil {
+	if _, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps, Repeat: -1}); err == nil {
 		t.Error("negative pairs accepted")
 	}
 }
 
 func TestEstimateCBR(t *testing.T) {
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestCapacityEstimate(t *testing.T) {
 	// The slope of the overloaded segment recovers C_t — the TOPP
 	// feature the paper's classification singles out.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 48 * unit.Mbps, PairsPerRate: 30})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 48 * unit.Mbps, Repeat: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestEstimatePoissonUnderestimatesOrClose(t *testing.T) {
 	// paper's burstiness pitfall applies to iterative probing too): the
 	// estimate must not exceed truth by much, and must be positive.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.Poisson, Seed: toolstest.Seed(5)})
-	e, err := New(Config{MinRate: 5 * unit.Mbps, MaxRate: 45 * unit.Mbps, PairsPerRate: 30})
+	e, err := New(core.Params{RateLo: 5 * unit.Mbps, RateHi: 45 * unit.Mbps, Repeat: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,10 @@ func TestEstimatePoissonUnderestimatesOrClose(t *testing.T) {
 }
 
 func TestAllRoundsOverloadedReportsFloor(t *testing.T) {
-	// Sweep entirely above the avail-bw: TOPP must report ~MinRate, not
+	// Sweep entirely above the avail-bw: TOPP must report ~RateLo, not
 	// something inside the sweep.
 	sc := toolstest.New(toolstest.Options{Model: toolstest.CBR, CrossSize: 200})
-	e, err := New(Config{MinRate: 30 * unit.Mbps, MaxRate: 48 * unit.Mbps})
+	e, err := New(core.Params{RateLo: 30 * unit.Mbps, RateHi: 48 * unit.Mbps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,13 @@ func (st *SimTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := start + spec.Duration() + st.maxWait()
+	dur := spec.Duration()
+	deadline := start + dur + st.maxWait()
 	// Advance in steps scaled to the stream so short probes (packet
 	// pairs) do not overshoot virtual time: the clock a Probe call
 	// consumes must track the stream's own footprint, or long
 	// experiments drift past their scheduled cross traffic.
-	step := spec.Duration() / 4
+	step := dur / 4
 	if step < time.Millisecond {
 		step = time.Millisecond
 	}

@@ -81,10 +81,11 @@ type Status struct {
 // Status assembles the full status document (also used by the CLI's
 // final report, not just HTTP).
 func (m *Monitor) Status() Status {
+	led := m.ledger.Stats()
 	st := Status{
 		Time:    m.clock.Now(),
-		Monitor: m.Stats(),
-		Ledger:  m.ledger.Stats(),
+		Monitor: m.statsWith(led),
+		Ledger:  led,
 	}
 	if m.cfg.Receiver != nil {
 		rs := FromReceiver(m.cfg.Receiver.Stats())
@@ -174,10 +175,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // writeMetrics renders the Prometheus text exposition format by hand —
 // the format is three line shapes (# HELP, # TYPE, sample), not worth a
-// dependency.
+// dependency. Every value comes from one snapshot: one ledger reading,
+// and one rollup per series that all of that series' gauges share.
 func (m *Monitor) writeMetrics(w io.Writer) {
-	st := m.Stats()
 	led := m.ledger.Stats()
+	st := m.statsWith(led)
 
 	g := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtFloat(v))
@@ -220,34 +222,26 @@ func (m *Monitor) writeMetrics(w io.Writer) {
 
 	all := m.store.All()
 	if len(all) > 0 {
-		head(w, "abw_monitor_estimate_bps", "Most recent successful avail-bw estimate.", "gauge")
-		for _, s := range all {
-			r := s.Rollup()
-			if r.Count == r.Errors {
-				continue
+		rollups := make([]Rollup, len(all))
+		for i, s := range all {
+			rollups[i] = s.Rollup()
+		}
+		gauge := func(name, help string, okOnly bool, v func(Rollup) float64) {
+			head(w, name, help, "gauge")
+			for i, s := range all {
+				if r := rollups[i]; !okOnly || r.Count != r.Errors {
+					sample(w, name, lbl{"target", s.Target}, v(r), lbl{"tool", s.Tool})
+				}
 			}
-			sample(w, "abw_monitor_estimate_bps", lbl{"target", s.Target}, float64(r.Last), lbl{"tool", s.Tool})
 		}
-		head(w, "abw_monitor_variation_low_bps", "Lowest variation-range bound in the buffered window.", "gauge")
-		for _, s := range all {
-			r := s.Rollup()
-			if r.Count == r.Errors {
-				continue
-			}
-			sample(w, "abw_monitor_variation_low_bps", lbl{"target", s.Target}, float64(r.VarLow), lbl{"tool", s.Tool})
-		}
-		head(w, "abw_monitor_variation_high_bps", "Highest variation-range bound in the buffered window.", "gauge")
-		for _, s := range all {
-			r := s.Rollup()
-			if r.Count == r.Errors {
-				continue
-			}
-			sample(w, "abw_monitor_variation_high_bps", lbl{"target", s.Target}, float64(r.VarHigh), lbl{"tool", s.Tool})
-		}
-		head(w, "abw_monitor_series_errors", "Buffered points carrying an error.", "gauge")
-		for _, s := range all {
-			sample(w, "abw_monitor_series_errors", lbl{"target", s.Target}, float64(s.Rollup().Errors), lbl{"tool", s.Tool})
-		}
+		gauge("abw_monitor_estimate_bps", "Most recent successful avail-bw estimate.", true,
+			func(r Rollup) float64 { return float64(r.Last) })
+		gauge("abw_monitor_variation_low_bps", "Lowest variation-range bound in the buffered window.", true,
+			func(r Rollup) float64 { return float64(r.VarLow) })
+		gauge("abw_monitor_variation_high_bps", "Highest variation-range bound in the buffered window.", true,
+			func(r Rollup) float64 { return float64(r.VarHigh) })
+		gauge("abw_monitor_series_errors", "Buffered points carrying an error.", false,
+			func(r Rollup) float64 { return float64(r.Errors) })
 	}
 
 	if m.cfg.Receiver != nil {

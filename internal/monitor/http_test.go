@@ -270,3 +270,39 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 
 	return samples
 }
+
+// TestHTTPMetricsGaugesShareOneRollup: a series' estimate, variation
+// and error gauges are one Rollup of it, and a series with no successful
+// point exposes only its error count.
+func TestHTTPMetricsGaugesShareOneRollup(t *testing.T) {
+	m, clk, srv := newServedMonitor(t)
+	drain(t, m, clk, 11*time.Second, 4)
+	m.Store().Append("edge-a", "spruce", "acme", Point{At: clk.Now(), Err: "refused"})
+	m.Store().Append("ghost", "spruce", "acme", Point{At: clk.Now(), Err: "refused"})
+	samples := scrapeMetrics(t, srv.URL)
+
+	for _, s := range m.Store().All() {
+		r := s.Rollup()
+		id := func(name string) string { return name + `{target="` + s.Target + `",tool="` + s.Tool + `"}` }
+		want := map[string]float64{"abw_monitor_series_errors": float64(r.Errors)}
+		if r.Count != r.Errors {
+			want["abw_monitor_estimate_bps"] = float64(r.Last)
+			want["abw_monitor_variation_low_bps"] = float64(r.VarLow)
+			want["abw_monitor_variation_high_bps"] = float64(r.VarHigh)
+		}
+		for _, name := range []string{"abw_monitor_estimate_bps", "abw_monitor_variation_low_bps",
+			"abw_monitor_variation_high_bps", "abw_monitor_series_errors"} {
+			got, ok := samples[id(name)]
+			w, exposed := want[name]
+			switch {
+			case ok != exposed:
+				t.Errorf("%s: exposed %v, want %v", id(name), ok, exposed)
+			case ok && got != w:
+				t.Errorf("%s = %g, rollup says %g", id(name), got, w)
+			}
+		}
+	}
+	if got := samples[`abw_monitor_series_errors{target="edge-a",tool="spruce"}`]; got != 1 {
+		t.Errorf("edge-a errors gauge %g, want the 1 appended", got)
+	}
+}

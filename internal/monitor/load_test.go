@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"container/heap"
 	"fmt"
 	"runtime"
 	"testing"
@@ -122,6 +123,37 @@ func TestMonitorRunsOnBoundedWorkers(t *testing.T) {
 	waitFor(t, "goroutines back to the pre-Start count", func() bool {
 		return runtime.NumGoroutine() <= before
 	})
+}
+
+// TestSimRunAllocations pins what one steady-state sim run allocates
+// end to end (admit, probe, estimate, commit, append, reschedule): one
+// one-pair spruce target on canonical, run by hand with no workers. The
+// count is the probe and the estimate; the run's own bookkeeping adds
+// no timer, no formatted label and no second copy of the send times.
+func TestSimRunAllocations(t *testing.T) {
+	const maxAllocs = 13
+	m, err := New(Config{Targets: fleetTargets(1), Clock: NewFakeClock(time.Unix(1_700_000_000, 0).UTC())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := m.entries[0]
+	run := func() {
+		m.mu.Lock()
+		m.active++ // as the loop does when it dispatches
+		m.mu.Unlock()
+		m.runEntry(e)
+		m.mu.Lock()
+		heap.Pop(&m.heap) // the run rescheduled itself
+		m.mu.Unlock()
+	}
+	run() // compiles the scenario
+	allocs := testing.AllocsPerRun(200, run)
+	if st := m.Stats(); st.RunsErr != 0 || st.Recompiles != 0 {
+		t.Fatalf("%d runs failed and %d recompiled; the count is of steady-state runs", st.RunsErr, st.Recompiles)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a sim run allocates %v times, want at most %d", allocs, maxAllocs)
+	}
 }
 
 // BenchmarkMonitorCycle times the run rung of the monitor ladder (ledger

@@ -101,8 +101,10 @@ type Config struct {
 	// RateWindow is the sliding window MaxProbeRate is enforced over
 	// (default 1 s).
 	RateWindow time.Duration
-	// RunTimeout bounds one estimation run's wall time; on expiry a
-	// live run's transport is closed to unblock it (default 2 min).
+	// RunTimeout bounds one live estimation run's wall time; on expiry
+	// the run's transport is closed to unblock it (default 2 min). Sim
+	// runs advance virtual time and are bounded by their reservation,
+	// not by a wall-clock timer.
 	RunTimeout time.Duration
 	// PoolSize is the number of sessions dialed per distinct live
 	// receiver address (default min(4, MaxConcurrent)).
@@ -344,8 +346,10 @@ func (m *Monitor) Store() *Store { return m.store }
 func (m *Monitor) Ledger() *Ledger { return m.ledger }
 
 // Stats snapshots the monitor's counters.
-func (m *Monitor) Stats() Stats {
-	led := m.ledger.Stats()
+func (m *Monitor) Stats() Stats { return m.statsWith(m.ledger.Stats()) }
+
+// statsWith is Stats over a ledger snapshot the caller already took.
+func (m *Monitor) statsWith(led LedgerStats) Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{

@@ -1,6 +1,11 @@
 package monitor
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -56,14 +61,16 @@ func simTargets() []Target {
 // closes it, and returns the store snapshot.
 func runScripted(t *testing.T, seed uint64, steps, workers int) Snapshot {
 	t.Helper()
+	return runScriptedWith(t, steps, Config{Seed: seed, MaxConcurrent: workers})
+}
+
+// runScriptedWith is runScripted over cfg, with the targets, the
+// interval and the fake clock filled in.
+func runScriptedWith(t *testing.T, steps int, cfg Config) Snapshot {
+	t.Helper()
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
-	m, err := New(Config{
-		Targets:       simTargets(),
-		Interval:      10 * time.Second,
-		Seed:          seed,
-		MaxConcurrent: workers,
-		Clock:         clk,
-	})
+	cfg.Targets, cfg.Interval, cfg.Clock = simTargets(), 10*time.Second, clk
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +121,95 @@ func TestMonitorDeterministicUnderFakeClock(t *testing.T) {
 	c := runScripted(t, 7, 3, 0)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical histories")
+	}
+}
+
+// TestMonitorHistoryGolden pins the scripted history itself, not just
+// its repeatability: every run's rng stream (derived from the seed and
+// the run's sequence number), jitter draw, estimate and probing cost.
+// A change to how per-run seeds are derived, or to the send times a
+// probe stream is built from, moves this hash.
+func TestMonitorHistoryGolden(t *testing.T) {
+	const want = "bc04bb2d08b93691f5f17d273a43aa301d374db0b87a2d8cde9979206326bbba"
+	snap := runScripted(t, 42, 3, 0)
+	snap.TakenAt = snap.TakenAt.UTC() // time.Unix is local; the hash must not depend on TZ
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("history sha256 %s, want %s", got, want)
+	}
+}
+
+// TestSimRunsIgnoreRunTimeout: RunTimeout is a wall-clock watchdog for
+// live transports. A sim run advances virtual time, is bounded by its
+// reservation, and under a FakeClock its history is a function of
+// (config, seed, advance script) alone, so a timeout too short for any
+// run to finish changes nothing.
+func TestSimRunsIgnoreRunTimeout(t *testing.T) {
+	want := runScripted(t, 42, 3, 0)
+	got := runScriptedWith(t, 3, Config{Seed: 42, RunTimeout: time.Nanosecond})
+	for _, ss := range got.Series {
+		for _, p := range ss.Points {
+			if p.Err != "" {
+				t.Fatalf("%s/%s seq %d failed under a 1 ns RunTimeout: %s", ss.Target, ss.Tool, p.Seq, p.Err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a 1 ns RunTimeout changed the sim history")
+	}
+}
+
+// TestLiveWatchdogClosesStuckTransport: a live run blocked in a socket
+// read is ended by the RunTimeout watchdog, which closes its transport;
+// the run fails, and the session is discarded rather than returned to
+// the pool.
+func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
+	// A receiver that opens a session and then never answers: the first
+	// "stream" request blocks the run waiting for "ready".
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.WriteString(c, `{"type":"session","session":7}`+"\n")
+				io.Copy(io.Discard, c) // until the sender closes
+			}()
+		}
+	}()
+
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets: []Target{{Name: "stuck", Tool: "delphi", Addr: ln.Addr().String(),
+			Params: registry.Params{Capacity: 100 * unit.Mbps, Repeat: 1, StreamLen: 5}}},
+		Interval:   10 * time.Second,
+		RunTimeout: 100 * time.Millisecond,
+		PoolSize:   1,
+		Clock:      clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer m.Close()
+	clk.Advance(11 * time.Second)
+	waitFor(t, "the stuck run to end", func() bool { st := m.Stats(); return st.RunsErr == 1 && st.Active == 0 })
+	if st := m.Stats(); st.RunsOK != 0 || st.Redials != 1 {
+		t.Errorf("runs ok %d, redials %d; want 0 and 1", st.RunsOK, st.Redials)
+	}
+	s, _ := m.Store().Lookup("stuck/delphi")
+	if pts := s.Last(0); len(pts) != 1 || pts[0].Err == "" {
+		t.Errorf("points %+v, want one failed run", pts)
 	}
 }
 

@@ -29,6 +29,7 @@ type entry struct {
 	interval   time.Duration
 	jitter     *rng.Rand
 	jitterFrac float64
+	runLabel   rng.Label // "run/"+key+"/", hashed once; each run appends runSeq
 
 	at         time.Time // next due time, owned by the scheduler under m.mu
 	dispatched time.Time // when the loop took it off the heap
@@ -76,6 +77,7 @@ func (m *Monitor) newEntry(i int, t Target) (*entry, error) {
 		e.interval = m.cfg.Interval
 	}
 	e.jitter = rng.Derive(m.cfg.Seed, "jitter/"+e.tenant+"/"+e.key)
+	e.runLabel = rng.NewLabel("run/" + e.key + "/")
 	if t.Scenario != "" {
 		sc, ok := scenario.Lookup(t.Scenario)
 		if !ok {
@@ -246,9 +248,17 @@ func (m *Monitor) wakeLoop() {
 func (m *Monitor) runEntry(e *entry) {
 	var next time.Time // zero = do not reschedule (shutdown)
 
+	var ran, failed bool // a run settled; it ended in an error
 	defer func() {
 		m.mu.Lock()
 		m.active--
+		if ran {
+			if failed {
+				m.runsErr++
+			} else {
+				m.runsOK++
+			}
+		}
 		if !next.IsZero() && !m.closed {
 			if now := m.clock.Now(); next.Before(now) {
 				// The run (or its deferral) outlived its next slot; slide
@@ -289,12 +299,10 @@ func (m *Monitor) runEntry(e *entry) {
 	}
 	m.ledger.Commit(resID, actual)
 
+	ran, failed = true, err != nil
 	p := Point{At: now, True: trueBw}
 	if err != nil {
 		p.Err = err.Error()
-		m.mu.Lock()
-		m.runsErr++
-		m.mu.Unlock()
 		if errors.Is(err, core.ErrBudget) {
 			e.doubleCost()
 		}
@@ -303,9 +311,6 @@ func (m *Monitor) runEntry(e *entry) {
 		p.Streams, p.Packets = rep.Streams, rep.Packets
 		p.ProbeBytes, p.Elapsed = rep.ProbeBytes, rep.Elapsed
 		e.learnCost(actual)
-		m.mu.Lock()
-		m.runsOK++
-		m.mu.Unlock()
 	}
 	m.store.Append(e.t.Name, e.d.Name, e.tenant, p)
 	next = e.nextAt()
@@ -331,17 +336,17 @@ func (e *entry) jitterSpan() time.Duration {
 
 // execute runs the estimator over the entry's transport. Sim targets
 // probe their compiled scenario (recompiling once its horizon is
-// spent); live targets lease a session from the receiver's pool, with
-// a watchdog that closes the transport if the run outlives its
-// timeout — the only way to unblock a probe stuck inside a socket
-// read.
+// spent) under the monitor's root context alone: virtual time has no
+// socket to unblock, the reservation already bounds the run's work,
+// and Close stops it at its next stream boundary. Live targets lease a
+// session from the receiver's pool, with a watchdog that closes the
+// transport if the run outlives RunTimeout — the only way to unblock a
+// probe stuck inside a socket read.
 func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) {
 	params := e.t.Params
-	params.Rand = rng.Derive(m.cfg.Seed, fmt.Sprintf("run/%s/%d", e.key, e.runSeq))
+	params.Rand = rng.DeriveLabel(m.cfg.Seed, e.runLabel.Uint(e.runSeq))
 	e.runSeq++
 	params.Budget = cost.Budget() // the reservation is the run's hard budget
-	ctx, cancel := context.WithTimeout(m.root, m.cfg.RunTimeout)
-	defer cancel()
 
 	if e.t.Scenario != "" {
 		if err := m.ensureSim(e); err != nil {
@@ -350,10 +355,12 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 		if params.Capacity == 0 {
 			params.Capacity = e.sim.Capacity
 		}
-		rep, err := registry.Estimate(ctx, e.d.Name, params, e.sim.Transport)
+		rep, err := registry.Estimate(m.root, e.d.Name, params, e.sim.Transport)
 		return rep, e.sim.TrueAvailBw, err
 	}
 
+	ctx, cancel := context.WithTimeout(m.root, m.cfg.RunTimeout)
+	defer cancel()
 	pool, err := m.poolFor(e.t.Addr)
 	if err != nil {
 		return nil, 0, err

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abw/internal/unit"
@@ -206,7 +207,7 @@ type Store struct {
 	series map[string]*Series
 	order  []string // creation order, for stable listings
 
-	appends uint64
+	appends atomic.Uint64
 }
 
 // NewStore returns a store whose series each buffer up to capacity
@@ -260,17 +261,11 @@ func (st *Store) All() []*Series {
 // Append records one run into its series.
 func (st *Store) Append(target, tool, tenant string, p Point) {
 	st.Series(target, tool, tenant).Append(p)
-	st.mu.Lock()
-	st.appends++
-	st.mu.Unlock()
+	st.appends.Add(1)
 }
 
 // Appends reports the lifetime number of points appended.
-func (st *Store) Appends() uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.appends
-}
+func (st *Store) Appends() uint64 { return st.appends.Load() }
 
 // Compact drops every buffered point older than cutoff and removes
 // series left empty, returning (points dropped, series removed). The

@@ -75,13 +75,21 @@ func (sp StreamSpec) Departures() ([]time.Duration, error) {
 
 // Duration returns the stream's send duration (first to last departure),
 // the paper's probing-duration knob that controls the averaging
-// timescale τ.
+// timescale τ; 0 for an invalid spec. It is Departures()[Count-1]
+// without building the slice: integer sums are exact, so gap×(Count−1)
+// and the sum of Gaps are that element.
 func (sp StreamSpec) Duration() time.Duration {
-	deps, err := sp.Departures()
-	if err != nil {
+	if sp.Validate() != nil {
 		return 0
 	}
-	return deps[len(deps)-1]
+	if sp.Gaps == nil {
+		return unit.GapFor(sp.PktSize, sp.Rate) * time.Duration(sp.Count-1)
+	}
+	var d time.Duration
+	for _, g := range sp.Gaps {
+		d += g
+	}
+	return d
 }
 
 // Bytes returns the total probe volume.

@@ -259,3 +259,48 @@ func TestRecordString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// durationSpecs are the shapes Duration and SendOverSim sum send times
+// for: periodic, gapped, a 2-packet pair, and invalid ones.
+func durationSpecs(t *testing.T) map[string]StreamSpec {
+	chirp, err := Chirp(5*unit.Mbps, 80*unit.Mbps, 1000, 20, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := PoissonPairs(50*unit.Mbps, 1500, 7, 3*time.Millisecond, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]StreamSpec{
+		"periodic":      Periodic(37*unit.Mbps, 1472, 101),
+		"periodic-odd":  Periodic(3*unit.Mbps+1, 977, 9),
+		"pair":          Pair(12*unit.Mbps, 1500),
+		"chirp":         chirp,
+		"poisson-pairs": pairs,
+		"uneven-gaps":   {PktSize: 40, Count: 4, Gaps: []time.Duration{1, 999_999_937, 3}},
+		"one-packet":    {PktSize: 1500, Count: 1, Rate: unit.Mbps},
+		"no-rate":       {PktSize: 1500, Count: 10},
+		"short-gaps":    {PktSize: 1500, Count: 5, Gaps: []time.Duration{1, 2}},
+	}
+}
+
+// TestDurationIsLastDeparture: Duration is Departures()[Count-1] (0 for
+// an invalid spec), computed without allocating for a valid one (an
+// invalid one pays for Validate's error text).
+func TestDurationIsLastDeparture(t *testing.T) {
+	for name, sp := range durationSpecs(t) {
+		deps, err := sp.Departures()
+		if err != nil {
+			if got := sp.Duration(); got != 0 {
+				t.Errorf("%s: invalid spec has Duration %v, want 0", name, got)
+			}
+			continue
+		}
+		if got, want := sp.Duration(), deps[sp.Count-1]; got != want {
+			t.Errorf("%s: Duration %v, last departure %v", name, got, want)
+		}
+		if a := testing.AllocsPerRun(20, func() { sp.Duration() }); a != 0 {
+			t.Errorf("%s: Duration allocates %v times", name, a)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"abw/internal/sim"
+	"abw/internal/unit"
 )
 
 // SendOverSim schedules the probing stream on the simulator starting at
@@ -19,13 +20,21 @@ import (
 // flow labels the probe packets so multiple concurrent streams can share
 // a path without confusing the receiver.
 func SendOverSim(s *sim.Sim, route []*sim.Link, spec StreamSpec, at time.Duration, flow int) (*Record, error) {
-	deps, err := spec.Departures()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// The send times are Departures() shifted by at, summed in place.
 	rec := NewRecord(spec)
-	for i, d := range deps {
-		rec.Sent[i] = at + d
+	rec.Sent[0] = at
+	if spec.Gaps != nil {
+		for i, g := range spec.Gaps {
+			rec.Sent[i+1] = rec.Sent[i] + g
+		}
+	} else {
+		gap := unit.GapFor(spec.PktSize, spec.Rate)
+		for i := 1; i < spec.Count; i++ {
+			rec.Sent[i] = rec.Sent[i-1] + gap
+		}
 	}
 	// One pair of callbacks serves the whole stream (the arrival reads
 	// the sequence number off the packet), and the packets the

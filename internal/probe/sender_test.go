@@ -93,6 +93,29 @@ func TestSendOverSimOWDSlopeMatchesEq7(t *testing.T) {
 	}
 }
 
+// TestSendOverSimSendTimes: the record's send times are the stream's
+// departures shifted to its start.
+func TestSendOverSimSendTimes(t *testing.T) {
+	const at = 1234567 * time.Nanosecond
+	for name, sp := range durationSpecs(t) {
+		deps, err := sp.Departures()
+		if err != nil {
+			continue
+		}
+		s := sim.New()
+		l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
+		rec, err := SendOverSim(s, []*sim.Link{l}, sp, at, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, d := range deps {
+			if rec.Sent[i] != at+d {
+				t.Errorf("%s: Sent[%d] %v, want %v", name, i, rec.Sent[i], at+d)
+			}
+		}
+	}
+}
+
 func TestSendOverSimInvalidSpec(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, 0)

@@ -49,12 +49,14 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// fnv64 hashes a label with FNV-64a; Split and Derive share it so the
-// two derivation schemes can never diverge on label handling.
-func fnv64(label string) uint64 {
-	h := uint64(14695981039346656037) // FNV-64 offset basis
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
+// fnv64 hashes a label with FNV-64a; Split, Derive and Label share it
+// so the derivation schemes can never diverge on label handling.
+func fnv64(label string) uint64 { return fnvAdd(14695981039346656037, label) } // FNV-64 offset basis
+
+// fnvAdd continues an FNV-64a hash state over the bytes of s.
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
 	return h
@@ -75,8 +77,38 @@ func (r *Rand) Split(label string) *Rand {
 // and the trial index, which is what makes the experiments bit-identical
 // at every worker count.
 func Derive(seed uint64, label string) *Rand {
+	return DeriveLabel(seed, NewLabel(label))
+}
+
+// Label is a Derive label hashed ahead of use. A caller that derives
+// one stream per sequence number ("run/edge-7/spruce/0", ".../1", …)
+// hashes the shared prefix once and appends only each number's digits,
+// building no string.
+type Label struct{ h uint64 }
+
+// NewLabel hashes prefix.
+func NewLabel(prefix string) Label { return Label{fnv64(prefix)} }
+
+// Uint returns the label prefix+strconv.FormatUint(n, 10).
+func (l Label) Uint(n uint64) Label {
+	var digits [20]byte // 2^64-1 has 20 decimal digits
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + n%10)
+		n /= 10
+		if n == 0 {
+			break
+		}
+	}
+	return Label{fnvAdd(l.h, string(digits[i:]))}
+}
+
+// DeriveLabel is Derive for a label hashed ahead of use:
+// DeriveLabel(seed, NewLabel(s)) is Derive(seed, s).
+func DeriveLabel(seed uint64, l Label) *Rand {
 	st := seed
-	return New(splitmix64(&st) ^ fnv64(label))
+	return New(splitmix64(&st) ^ l.h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

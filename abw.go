@@ -41,7 +41,10 @@ type (
 	Outcome = core.Outcome
 	// Transport delivers probing streams (simulated or live).
 	Transport = core.Transport
-	// Estimator is one estimation technique, as Estimate builds it.
+	// Estimator is one estimation technique, as Estimate builds it:
+	// its one method, Estimate(Transport) (*Report, error), probes the
+	// run's transport and infers the estimate, and Estimate stamps the
+	// tool's name and the run's cost on the report.
 	Estimator = core.Estimator
 	// Budget caps the probing effort of a run; zero fields are
 	// unlimited.
@@ -87,9 +90,10 @@ func Tools() []Tool { return registry.Tools() }
 func LookupTool(name string) (Tool, bool) { return registry.Lookup(name) }
 
 // Estimate runs the named technique over the transport: the tool is
-// built from Params, the transport is decorated with the Params'
-// observer and budget, and the run honors ctx cancellation at stream
-// boundaries.
+// built from Params and runs over one run of the transport, which
+// enforces the Params' budget, tells its observer of every stream,
+// honors ctx cancellation at stream boundaries, and counts the cost
+// the report carries.
 func Estimate(ctx context.Context, name string, p Params, t Transport) (*Report, error) {
 	return registry.Estimate(ctx, name, p, t)
 }

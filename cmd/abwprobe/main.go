@@ -81,7 +81,7 @@ func main() {
 		rounds    = flag.Int("rounds", 0, "max probing-rate search rounds (0 = tool default)")
 		budgetS   = flag.Int("max-streams", 0, "probing budget: max streams (0 = unlimited)")
 		budgetP   = flag.Int("max-packets", 0, "probing budget: max packets (0 = unlimited)")
-		budgetD   = flag.Duration("max-duration", 0, "probing budget: max estimation time (0 = unlimited)")
+		budgetD   = flag.Duration("max-duration", 0, "probing budget: max estimation time (0 = unlimited); each stream's send span is charged, not the wait around it, so a -mode sim run may pass it by up to 10ms spacing + 2s resolve wait")
 		jsonOut   = flag.Bool("json", false, "print the report as JSON on stdout")
 		progress  = flag.Bool("progress", false, "print per-stream progress to stderr")
 		seed      = flag.Uint64("seed", uint64(time.Now().UnixNano()), "random seed")

@@ -8,7 +8,6 @@ package abw
 import (
 	"context"
 
-	"abw/internal/core"
 	"abw/internal/probe"
 	"abw/internal/tools/learned"
 )
@@ -32,7 +31,10 @@ func PeriodicProbe(rate Rate, pktSize Bytes, count int) ProbeSpec {
 // Probe sends one probing stream over the transport and returns the
 // delivered record, honoring ctx cancellation.
 func Probe(ctx context.Context, t Transport, spec ProbeSpec) (*ProbeRecord, error) {
-	return core.Probe(ctx, t, spec)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return t.Probe(spec)
 }
 
 // ExtractFeatures reduces a delivered probing stream to the canonical

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -74,26 +73,14 @@ func (r *Report) String() string {
 		r.Tool, r.Point.MbpsOf(), r.Streams, r.Packets, r.Elapsed)
 }
 
-// Estimator is one end-to-end avail-bw estimation technique.
+// Estimator is one end-to-end avail-bw estimation technique: it probes
+// the transport until it converges and infers its estimate from what
+// the streams showed. The transport it is handed is the run's (a Run):
+// that transport enforces the run's cancellation and budget at stream
+// boundaries and counts its cost, and the caller stamps the tool's name
+// and that cost on the report, so a tool fills only its estimate.
 type Estimator interface {
-	// Name identifies the technique ("pathload", "spruce", ...).
-	Name() string
-	// Estimate runs the technique over the transport until it converges
-	// or exhausts its budget. Implementations honor ctx cancellation
-	// and deadlines at stream boundaries: a stream in flight completes,
-	// but no further stream is sent once ctx is done.
-	Estimate(ctx context.Context, t Transport) (*Report, error)
-}
-
-// Probe sends one stream through t after checking ctx. It is the helper
-// every estimator's probing loop goes through, which is what makes
-// cancellation uniform across tools: each loop iteration observes ctx
-// exactly once, at the stream boundary.
-func Probe(ctx context.Context, t Transport, spec probe.StreamSpec) (*probe.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.Probe(spec)
+	Estimate(t Transport) (*Report, error)
 }
 
 // Outcome is the JSON shape of one estimation run: the report on

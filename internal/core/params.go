@@ -36,9 +36,9 @@ type Params struct {
 	// Rand drives the tool's own randomness (Spruce's Poisson pair
 	// spacing).
 	Rand *rng.Rand
-	// Budget caps the probing effort, enforced below the tool by a
-	// BudgetTransport so cross-tool comparisons are budget-fair by
-	// construction. Zero means unlimited.
+	// Budget caps the probing effort, enforced below the tool by the
+	// run's transport (a Run) so cross-tool comparisons are
+	// budget-fair by construction. Zero means unlimited.
 	Budget Budget
 	// Observer, if set, receives per-stream progress events.
 	Observer Observer

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -32,25 +33,33 @@ func (s *stubTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 
 func spec10() probe.StreamSpec { return probe.Periodic(10*unit.Mbps, 100, 10) }
 
+// run starts a run over t with the budget, no observer and a live
+// context.
+func run(t Transport, b Budget) *Run { return StartRun(context.Background(), t, b, nil) }
+
 func TestBudgetZeroIsPassthrough(t *testing.T) {
-	st := &stubTransport{}
-	if got := WithBudget(st, Budget{}); got != Transport(st) {
-		t.Error("zero budget should return the transport unchanged")
+	st := &stubTransport{step: time.Second}
+	r := run(st, Budget{})
+	big := probe.Periodic(10*unit.Mbps, 1500, 1000)
+	for i := 0; i < 100; i++ {
+		if _, err := r.Probe(big); err != nil {
+			t.Fatalf("stream %d under a zero budget: %v", i, err)
+		}
 	}
-	if got := WithObserver(st, nil); got != Transport(st) {
-		t.Error("nil observer should return the transport unchanged")
+	if st.probes != 100 {
+		t.Errorf("underlying transport saw %d probes, want all 100", st.probes)
 	}
 }
 
 func TestBudgetMaxStreams(t *testing.T) {
 	st := &stubTransport{}
-	bt := WithBudget(st, Budget{MaxStreams: 2})
+	r := run(st, Budget{MaxStreams: 2})
 	for i := 0; i < 2; i++ {
-		if _, err := bt.Probe(spec10()); err != nil {
+		if _, err := r.Probe(spec10()); err != nil {
 			t.Fatalf("stream %d within budget failed: %v", i, err)
 		}
 	}
-	if _, err := bt.Probe(spec10()); !errors.Is(err, ErrBudget) {
+	if _, err := r.Probe(spec10()); !errors.Is(err, ErrBudget) {
 		t.Fatalf("third stream err = %v, want ErrBudget", err)
 	}
 	if st.probes != 2 {
@@ -59,46 +68,49 @@ func TestBudgetMaxStreams(t *testing.T) {
 }
 
 func TestBudgetMaxPackets(t *testing.T) {
-	bt := WithBudget(&stubTransport{}, Budget{MaxPackets: 25})
-	if _, err := bt.Probe(spec10()); err != nil { // 10 pkts
+	r := run(&stubTransport{}, Budget{MaxPackets: 25})
+	if _, err := r.Probe(spec10()); err != nil { // 10 pkts
 		t.Fatal(err)
 	}
-	if _, err := bt.Probe(spec10()); err != nil { // 20 pkts
+	if _, err := r.Probe(spec10()); err != nil { // 20 pkts
 		t.Fatal(err)
 	}
-	if _, err := bt.Probe(spec10()); !errors.Is(err, ErrBudget) { // would be 30
+	if _, err := r.Probe(spec10()); !errors.Is(err, ErrBudget) { // would be 30
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
 
 func TestBudgetMaxBytes(t *testing.T) {
-	bt := WithBudget(&stubTransport{}, Budget{MaxBytes: 1500})
-	if _, err := bt.Probe(spec10()); err != nil { // 1000 B
+	r := run(&stubTransport{}, Budget{MaxBytes: 1500})
+	if _, err := r.Probe(spec10()); err != nil { // 1000 B
 		t.Fatal(err)
 	}
-	if _, err := bt.Probe(spec10()); !errors.Is(err, ErrBudget) { // would be 2000
+	if _, err := r.Probe(spec10()); !errors.Is(err, ErrBudget) { // would be 2000
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
 
 func TestBudgetMaxDuration(t *testing.T) {
 	st := &stubTransport{step: 40 * time.Millisecond}
-	bt := WithBudget(st, Budget{MaxDuration: 100 * time.Millisecond})
+	r := run(st, Budget{MaxDuration: 100 * time.Millisecond})
 	for i := 0; i < 3; i++ { // clock: 40, 80, 120 ms after each
-		if _, err := bt.Probe(spec10()); err != nil {
+		if _, err := r.Probe(spec10()); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
 	}
-	// 120 ms elapsed since the first probe: over budget.
-	if _, err := bt.Probe(spec10()); !errors.Is(err, ErrBudget) {
+	// 120 ms elapsed since the run started: over budget.
+	if _, err := r.Probe(spec10()); !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
-	streams, packets, bytes, elapsed := bt.(*BudgetTransport).Used()
-	if streams != 3 || packets != 30 || bytes != 3000 {
-		t.Errorf("Used() = %d streams, %d pkts, %d B; want 3, 30, 3000", streams, packets, bytes)
+	// The refused stream costs nothing: Finish stamps the three sent.
+	var rep Report
+	r.Finish("stub", &rep)
+	if rep.Tool != "stub" || rep.Streams != 3 || rep.Packets != 30 || rep.ProbeBytes != 3000 {
+		t.Errorf("Finish stamped %q, %d streams, %d pkts, %d B; want stub, 3, 30, 3000",
+			rep.Tool, rep.Streams, rep.Packets, rep.ProbeBytes)
 	}
-	if elapsed != 120*time.Millisecond {
-		t.Errorf("elapsed = %v, want 120ms", elapsed)
+	if rep.Elapsed != 120*time.Millisecond {
+		t.Errorf("elapsed = %v, want 120ms", rep.Elapsed)
 	}
 }
 
@@ -109,7 +121,7 @@ func TestBudgetMaxDurationChargesProjectedStreamTime(t *testing.T) {
 	// must charge the stream's projected send duration up front, like
 	// MaxPackets/MaxBytes charge projected counts.
 	st := &stubTransport{step: 30 * time.Millisecond}
-	bt := WithBudget(st, Budget{MaxDuration: 50 * time.Millisecond})
+	r := run(st, Budget{MaxDuration: 50 * time.Millisecond})
 
 	// 2 packets of 1250 B at 100 kbps: one 100 ms gap, so the stream
 	// alone projects past the 50 ms cap even at elapsed = 0.
@@ -117,7 +129,7 @@ func TestBudgetMaxDurationChargesProjectedStreamTime(t *testing.T) {
 	if d := long.Duration(); d != 100*time.Millisecond {
 		t.Fatalf("stream duration = %v, want 100ms (test setup)", d)
 	}
-	if _, err := bt.Probe(long); !errors.Is(err, ErrBudget) {
+	if _, err := r.Probe(long); !errors.Is(err, ErrBudget) {
 		t.Fatalf("over-long stream err = %v, want ErrBudget", err)
 	}
 	if st.probes != 0 {
@@ -128,26 +140,42 @@ func TestBudgetMaxDurationChargesProjectedStreamTime(t *testing.T) {
 	// admitted; after it the clock stands at 30 ms, so the same stream
 	// is rejected because elapsed + projection exceeds the cap.
 	fits := probe.Periodic(200*unit.Kbps, 1250, 2) // 50 ms
-	if _, err := bt.Probe(fits); err != nil {
+	if _, err := r.Probe(fits); err != nil {
 		t.Fatalf("exactly-fitting stream rejected: %v", err)
 	}
-	if _, err := bt.Probe(fits); !errors.Is(err, ErrBudget) {
+	if _, err := r.Probe(fits); !errors.Is(err, ErrBudget) {
 		t.Fatalf("second stream err = %v, want ErrBudget", err)
+	}
+}
+
+// TestRunChecksContextFirst: a run whose context is done sends nothing
+// and reports the context's error, even when its budget is spent too.
+func TestRunChecksContextFirst(t *testing.T) {
+	st := &stubTransport{}
+	ctx, cancel := context.WithCancel(context.Background())
+	r := StartRun(ctx, st, Budget{MaxStreams: 1}, nil)
+	if _, err := r.Probe(spec10()); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := r.Probe(spec10()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st.probes != 1 {
+		t.Errorf("underlying transport saw %d probes, want 1 (nothing sent after cancel)", st.probes)
 	}
 }
 
 func TestObserverSeesStreams(t *testing.T) {
 	var events []StreamEvent
-	ot := WithObserver(&stubTransport{step: time.Millisecond}, func(ev StreamEvent) {
+	r := StartRun(context.Background(), &stubTransport{step: time.Millisecond}, Budget{MaxStreams: 3}, func(ev StreamEvent) {
 		events = append(events, ev)
 	})
-	for i := 0; i < 3; i++ {
-		if _, err := ot.Probe(spec10()); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 4; i++ {
+		r.Probe(spec10()) // the fourth is refused by the budget
 	}
 	if len(events) != 3 {
-		t.Fatalf("observer saw %d events, want 3", len(events))
+		t.Fatalf("observer saw %d events, want the 3 the budget admitted", len(events))
 	}
 	for i, ev := range events {
 		if ev.Stream != i+1 {

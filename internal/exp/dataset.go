@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strconv"
 
-	"abw/internal/core"
 	"abw/internal/probe"
 	"abw/internal/rng"
 	"abw/internal/runner"
@@ -196,7 +194,7 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 			}
 			spec := probe.Periodic(rate, plan.PktSize, plan.StreamLen)
 			for s := 0; s < plan.StreamsPerFrac; s++ {
-				rec, err := core.Probe(context.Background(), cpl.Transport, spec)
+				rec, err := cpl.Transport.Probe(spec)
 				if err != nil {
 					return nil, fmt.Errorf("exp: dataset: %s ×%g probe: %w", j.scen, j.scaling, err)
 				}

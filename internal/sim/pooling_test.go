@@ -1,12 +1,10 @@
 package sim_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
 
-	"abw/internal/core"
 	"abw/internal/probe"
 	"abw/internal/scenario"
 	"abw/internal/sim"
@@ -119,7 +117,7 @@ func TestFeaturesBitIdenticalUnderPooling(t *testing.T) {
 				var out []probe.FeatureVector
 				for _, frac := range []float64{0.5, 0.9} {
 					rate := unit.Rate(float64(cpl.Capacity) * frac)
-					rec, err := core.Probe(context.Background(), cpl.Transport, probe.Periodic(rate, 1000, 50))
+					rec, err := cpl.Transport.Probe(probe.Periodic(rate, 1000, 50))
 					if err != nil {
 						t.Fatalf("probe: %v", err)
 					}

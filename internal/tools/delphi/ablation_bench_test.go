@@ -24,7 +24,7 @@ func BenchmarkAblationPairsVsTrains(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := est.Estimate(context.Background(), sc.Transport)
+			rep, err := toolstest.Estimate(context.Background(), est, sc.Transport)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,7 +14,6 @@
 package delphi
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -58,24 +57,16 @@ func New(p core.Params) (*Estimator, error) {
 // exceed the avail-bw for Equation (9) to apply.
 func (e *Estimator) probeRate() unit.Rate { return e.capacity * 3 / 4 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "delphi" }
-
 // Estimate implements core.Estimator: it collects one avail-bw sample
 // per train via Equation (9) and reports their mean and spread.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	spec := probe.Periodic(e.probeRate(), e.pktSize, e.trainLen)
 	var samples []unit.Rate
-	var packets int
-	var bytes unit.Bytes
 	for i := 0; i < e.trains; i++ {
-		rec, err := core.Probe(ctx, t, spec)
+		rec, err := t.Probe(spec)
 		if err != nil {
 			return nil, fmt.Errorf("delphi: train %d: %w", i, err)
 		}
-		packets += spec.Count
-		bytes += spec.Bytes()
 		ri, ro := rec.InputRate(), rec.OutputRate()
 		if ri <= 0 || ro <= 0 {
 			continue // unmeasurable train (heavy loss); skip the sample
@@ -94,18 +85,12 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		vals[i] = float64(s)
 	}
 	min, max := stats.MinMax(vals)
-	rep := &core.Report{
-		Tool:       e.Name(),
-		Point:      unit.Rate(stats.Mean(vals)),
-		Low:        unit.Rate(min),
-		High:       unit.Rate(max),
-		Streams:    e.trains,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-		Samples:    samples,
-	}
-	return rep, nil
+	return &core.Report{
+		Point:   unit.Rate(stats.Mean(vals)),
+		Low:     unit.Rate(min),
+		High:    unit.Rate(max),
+		Samples: samples,
+	}, nil
 }
 
 // Timescale returns the averaging timescale τ implied by the

@@ -33,9 +33,6 @@ func TestDefaults(t *testing.T) {
 	if e.pktSize != 1500 || e.trainLen != 100 || e.trains != 20 {
 		t.Errorf("defaults wrong: %+v", e)
 	}
-	if e.Name() != "delphi" {
-		t.Errorf("Name = %q", e.Name())
-	}
 	if e.Timescale() <= 0 {
 		t.Error("Timescale not positive")
 	}
@@ -49,7 +46,7 @@ func TestEstimateCBRExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestEstimatePoissonClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +93,7 @@ func TestBurstyTrafficUnderestimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Estimate(context.Background(), sc.Transport)
+		rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func TestVariationRangeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@
 package igi
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -39,7 +38,7 @@ const gapStep, epsilon = 0.25, 0.05
 
 // Estimator is the IGI/PTR prober.
 type Estimator struct {
-	igi           bool      // report the IGI gap-model estimate, not PTR
+	name          string    // "igi" or "ptr": the mode, and its errors' prefix
 	capacity      unit.Rate // tight-link capacity; IGI's gap formula scales by it
 	initRate      unit.Rate // first (fastest) probing rate
 	trainLen      int       // packets per train
@@ -55,7 +54,7 @@ func NewPTR(p core.Params) (*Estimator, error) {
 	if initRate <= 0 {
 		initRate = p.Capacity
 	}
-	return newEstimator(false, initRate, p)
+	return newEstimator("ptr", initRate, p)
 }
 
 // NewIGI validates p, with zero fields taken from Defaults, and returns
@@ -66,54 +65,40 @@ func NewIGI(p core.Params) (*Estimator, error) {
 	if p.Capacity <= 0 {
 		return nil, fmt.Errorf("igi: IGI mode requires the tight-link capacity")
 	}
-	return newEstimator(true, p.Capacity, p)
+	return newEstimator("igi", p.Capacity, p)
 }
 
-func newEstimator(igi bool, initRate unit.Rate, p core.Params) (*Estimator, error) {
+func newEstimator(name string, initRate unit.Rate, p core.Params) (*Estimator, error) {
 	p = p.WithDefaults(Defaults())
 	if initRate <= 0 {
-		return nil, fmt.Errorf("igi: initial probing rate required")
+		return nil, fmt.Errorf("%s: initial probing rate required", name)
 	}
 	if p.StreamLen < 3 {
-		return nil, fmt.Errorf("igi: train length %d too short", p.StreamLen)
+		return nil, fmt.Errorf("%s: train length %d too short", name, p.StreamLen)
 	}
 	if p.MaxRounds < 1 {
-		return nil, fmt.Errorf("igi: MaxRounds must be positive")
+		return nil, fmt.Errorf("%s: MaxRounds must be positive", name)
 	}
 	return &Estimator{
-		igi: igi, capacity: p.Capacity, initRate: initRate,
+		name: name, capacity: p.Capacity, initRate: initRate,
 		trainLen: p.StreamLen, pktSize: p.PktSize, maxIterations: p.MaxRounds,
 	}, nil
-}
-
-// Name implements core.Estimator.
-func (e *Estimator) Name() string {
-	if e.igi {
-		return "igi"
-	}
-	return "ptr"
 }
 
 // Estimate implements core.Estimator: increase the source gap from the
 // initial (fastest) setting until the output gap stops expanding, then
 // report PTR or the IGI gap-model estimate at that turning point.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	gapInit := unit.GapFor(e.pktSize, e.initRate)
 	gap := gapInit
-	var streams, packets int
-	var bytes unit.Bytes
 	var turning *probe.Record
 	for iter := 0; iter < e.maxIterations; iter++ {
 		rate := unit.RateOf(e.pktSize, gap)
 		spec := probe.Periodic(rate, e.pktSize, e.trainLen)
-		rec, err := core.Probe(ctx, t, spec)
+		rec, err := t.Probe(spec)
 		if err != nil {
-			return nil, fmt.Errorf("igi: iteration %d: %w", iter, err)
+			return nil, fmt.Errorf("%s: iteration %d: %w", e.name, iter, err)
 		}
-		streams++
-		packets += spec.Count
-		bytes += spec.Bytes()
 		avgOut := rec.MeanOutputGap()
 		if avgOut <= 0 {
 			// Unmeasurable train (all pairs lost); slow down and retry.
@@ -128,10 +113,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		turning = rec // keep the latest in case we exhaust iterations
 	}
 	if turning == nil {
-		return nil, fmt.Errorf("igi: no measurable trains")
+		return nil, fmt.Errorf("%s: no measurable trains", e.name)
 	}
 	var point unit.Rate
-	if e.igi {
+	if e.name == "igi" {
 		point = igiEstimate(turning, e.capacity, e.pktSize)
 	} else {
 		point = turning.OutputRate()
@@ -139,16 +124,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	if point < 0 {
 		point = 0
 	}
-	return &core.Report{
-		Tool:       e.Name(),
-		Point:      point,
-		Low:        point,
-		High:       point,
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-	}, nil
+	return &core.Report{Point: point, Low: point, High: point}, nil
 }
 
 // igiEstimate applies the IGI gap formula at the turning point. A pair

@@ -2,7 +2,9 @@ package igi
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"abw/internal/core"
@@ -22,20 +24,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNames: each mode's errors carry its own name, the one the
+// registry lists it under, whether the constructor refuses its Params
+// or the run fails mid-search.
 func TestNames(t *testing.T) {
-	ptr, err := NewPTR(core.Params{RateHi: 50 * unit.Mbps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ptr.Name() != "ptr" {
-		t.Errorf("Name = %q, want ptr", ptr.Name())
-	}
-	ig, err := NewIGI(core.Params{Capacity: 50 * unit.Mbps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ig.Name() != "igi" {
-		t.Errorf("Name = %q, want igi", ig.Name())
+	for _, c := range []struct {
+		name string
+		mode func(core.Params) (*Estimator, error)
+	}{{"ptr", NewPTR}, {"igi", NewIGI}} {
+		if _, err := c.mode(core.Params{Capacity: 50 * unit.Mbps, StreamLen: 2}); err == nil ||
+			!strings.HasPrefix(err.Error(), c.name+": ") {
+			t.Errorf("%s with 2-packet trains: err = %v, want it to start %q", c.name, err, c.name+": ")
+		}
+		e, err := c.mode(core.Params{Capacity: 50 * unit.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := toolstest.New(toolstest.Options{})
+		_, err = e.Estimate(core.StartRun(context.Background(), sc.Transport, core.Budget{MaxStreams: 1}, nil))
+		if !errors.Is(err, core.ErrBudget) || !strings.HasPrefix(err.Error(), c.name+": ") {
+			t.Errorf("%s under a one-stream budget: err = %v, want ErrBudget starting %q", c.name, err, c.name+": ")
+		}
 	}
 }
 
@@ -45,7 +54,7 @@ func TestPTRConvergesCBR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +73,7 @@ func TestIGIConvergesCBR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestPTRPoissonPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func TestIGIEstimateClampedNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package learned
 
 import (
-	"context"
 	_ "embed"
 	"fmt"
 	"sync"
@@ -99,20 +98,14 @@ func New(p core.Params) (*Estimator, error) {
 	}, nil
 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "learned" }
-
 // Estimate implements core.Estimator: run the probe plan (periodic
 // streams at fixed fractions of C_t), extract the canonical
 // FeatureVector per stream, and take the median of the model's
 // per-stream A/C predictions. One prediction per stream keeps the
 // online inputs exactly shaped like the training rows.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	var preds []float64
 	var samples []unit.Rate
-	var streams, packets int
-	var bytes unit.Bytes
 	for _, frac := range e.fracs {
 		rate := unit.Rate(float64(e.capacity) * frac)
 		if rate <= 0 {
@@ -120,13 +113,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		}
 		spec := probe.Periodic(rate, e.pktSize, e.streamLen)
 		for s := 0; s < e.streamsPerFrac; s++ {
-			rec, err := core.Probe(ctx, t, spec)
+			rec, err := t.Probe(spec)
 			if err != nil {
 				return nil, fmt.Errorf("learned: rate %.0f%%: %w", frac*100, err)
 			}
-			streams++
-			packets += spec.Count
-			bytes += spec.Bytes()
 			x := ModelInput(probe.ExtractFeatures(rec), frac, e.capacity.MbpsOf())
 			y, err := e.w.Predict(x)
 			if err != nil {
@@ -145,15 +135,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	min, max := stats.MinMax(preds)
 	point := probe.ClampToCapacity(unit.Rate(stats.Median(preds)*float64(e.capacity)), e.capacity)
 	return &core.Report{
-		Tool:       e.Name(),
-		Point:      point,
-		Low:        probe.ClampToCapacity(unit.Rate(min*float64(e.capacity)), e.capacity),
-		High:       probe.ClampToCapacity(unit.Rate(max*float64(e.capacity)), e.capacity),
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-		Samples:    samples,
+		Point:   point,
+		Low:     probe.ClampToCapacity(unit.Rate(min*float64(e.capacity)), e.capacity),
+		High:    probe.ClampToCapacity(unit.Rate(max*float64(e.capacity)), e.capacity),
+		Samples: samples,
 	}, nil
 }
 

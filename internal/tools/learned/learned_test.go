@@ -42,9 +42,6 @@ func TestDefaultsComeFromPlan(t *testing.T) {
 		!reflect.DeepEqual(e.fracs, plan.RateFracs) {
 		t.Errorf("estimator %+v does not follow the weight file's plan %+v", e, plan)
 	}
-	if e.Name() != "learned" {
-		t.Errorf("Name = %q", e.Name())
-	}
 }
 
 // TestMaxRoundsCapsRateFractions: MaxRounds is the number of the
@@ -74,7 +71,7 @@ func TestEstimateCanonicalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +103,7 @@ func TestEstimateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Estimate(context.Background(), sc.Transport)
+		rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +123,7 @@ func TestEstimateHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Estimate(ctx, sc.Transport); err == nil {
+	if _, err := toolstest.Estimate(ctx, e, sc.Transport); err == nil {
 		t.Error("cancelled context did not abort the estimate")
 	}
 }

@@ -17,7 +17,6 @@
 package pathchirp
 
 import (
-	"context"
 	"fmt"
 
 	"abw/internal/core"
@@ -60,27 +59,18 @@ func New(p core.Params) (*Estimator, error) {
 	return &Estimator{lo: lo, hi: hi, packetsPerChirp: p.StreamLen, chirps: p.Repeat, pktSize: p.PktSize}, nil
 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "pathchirp" }
-
 // Estimate implements core.Estimator.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	spec, err := probe.Chirp(e.lo, e.hi, e.pktSize, e.packetsPerChirp, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("pathchirp: %w", err)
 	}
 	var perChirp []float64
-	var streams, packets int
-	var bytes unit.Bytes
 	for i := 0; i < e.chirps; i++ {
-		rec, err := core.Probe(ctx, t, spec)
+		rec, err := t.Probe(spec)
 		if err != nil {
 			return nil, fmt.Errorf("pathchirp: chirp %d: %w", i, err)
 		}
-		streams++
-		packets += spec.Count
-		bytes += spec.Bytes()
 		if est, ok := e.analyzeChirp(rec); ok {
 			perChirp = append(perChirp, float64(est))
 		}
@@ -90,14 +80,9 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	}
 	min, max := stats.MinMax(perChirp)
 	return &core.Report{
-		Tool:       e.Name(),
-		Point:      unit.Rate(stats.Mean(perChirp)),
-		Low:        unit.Rate(min),
-		High:       unit.Rate(max),
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
+		Point: unit.Rate(stats.Mean(perChirp)),
+		Low:   unit.Rate(min),
+		High:  unit.Rate(max),
 	}, nil
 }
 

@@ -19,7 +19,6 @@
 package pathload
 
 import (
-	"context"
 	"fmt"
 
 	"abw/internal/core"
@@ -76,9 +75,6 @@ func New(p core.Params) (*Estimator, error) {
 	}, nil
 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "pathload" }
-
 // verdict classifies a fleet of streams at one rate.
 type verdict int
 
@@ -91,27 +87,21 @@ const (
 // Estimate implements core.Estimator: binary search on the probing rate,
 // classifying each rate by the fraction of its fleet showing increasing
 // OWD trends, and reporting the bracketed variation range.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	lo, hi := e.minRate, e.maxRate
 	// greyLo/greyHi track the widest rate span classified as grey: the
 	// estimated variation range of the avail-bw process at timescale τ.
 	var greyLo, greyHi unit.Rate
-	var streams, packets int
-	var bytes unit.Bytes
 
 	classify := func(rate unit.Rate) (verdict, error) {
 		increasing := 0
 		usable := 0
 		for i := 0; i < e.streamsPerRate; i++ {
 			spec := probe.Periodic(rate, e.pktSize, e.streamLen)
-			rec, err := core.Probe(ctx, t, spec)
+			rec, err := t.Probe(spec)
 			if err != nil {
 				return grey, err
 			}
-			streams++
-			packets += spec.Count
-			bytes += spec.Bytes()
 			vals := rec.OWDSeconds()
 			if len(vals) < e.streamLen/2 {
 				continue // too lossy to analyze
@@ -172,16 +162,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	if greyHi > high {
 		high = greyHi
 	}
-	return &core.Report{
-		Tool:       e.Name(),
-		Point:      (low + high) / 2,
-		Low:        low,
-		High:       high,
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-	}, nil
+	return &core.Report{Point: (low + high) / 2, Low: low, High: high}, nil
 }
 
 var _ core.Estimator = (*Estimator)(nil)

@@ -134,8 +134,10 @@ func (d Descriptor) ResolvedParams(p Params) Params {
 // Estimate is the one-call path from a tool name to a report: look the
 // tool up, validate its requirements, build it from the Params (the
 // tool's constructor fills its defaults and runs its own validation),
-// decorate the transport with the Params' observer and budget, and run
-// it under ctx. It is what the abw facade and cmd/abwprobe call.
+// and run it over a core.Run of the transport under ctx and the Params'
+// budget and observer. The run stamps the report with the tool's
+// canonical name and the run's cost. It is what the abw facade,
+// cmd/abwprobe, the experiments and the monitor call.
 func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*core.Report, error) {
 	d, ok := Lookup(name)
 	if !ok {
@@ -158,7 +160,11 @@ func Estimate(ctx context.Context, name string, p Params, t core.Transport) (*co
 	if err != nil {
 		return nil, err
 	}
-	// Order matters: the observer sees only streams the budget admitted.
-	t = core.WithBudget(core.WithObserver(t, p.Observer), p.Budget)
-	return est.Estimate(ctx, t)
+	run := core.StartRun(ctx, t, p.Budget, p.Observer)
+	rep, err := est.Estimate(run)
+	if err != nil {
+		return nil, err
+	}
+	run.Finish(d.Name, rep)
+	return rep, nil
 }

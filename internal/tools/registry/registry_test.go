@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"abw/internal/core"
 	"abw/internal/probe"
@@ -239,11 +240,12 @@ func TestCancelledBeforeStart(t *testing.T) {
 	var streams atomic.Int64
 	p := params(sc)
 	p.Observer = func(core.StreamEvent) { streams.Add(1) }
-	if _, err := registry.Estimate(ctx, "pathload", p, sc.Transport); !errors.Is(err, context.Canceled) {
+	sent := count(sc.Transport)
+	if _, err := registry.Estimate(ctx, "pathload", p, sent); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if streams.Load() != 0 {
-		t.Errorf("%d streams sent under a cancelled context", streams.Load())
+	if streams.Load() != 0 || sent.streams != 0 {
+		t.Errorf("%d streams observed and %d sent under a cancelled context", streams.Load(), sent.streams)
 	}
 }
 
@@ -265,30 +267,137 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 }
 
-// countingTransport counts the streams that reach the transport it
-// wraps and resolve.
+// countingTransport is the cost oracle: below the run, it keeps the
+// count each tool once kept by hand — the streams that reach the
+// transport and resolve, their spec.Count packets and spec.Bytes()
+// bytes — and the clock at the run's start.
 type countingTransport struct {
 	core.Transport
-	streams int
+	streams, packets int
+	bytes            unit.Bytes
+	start            time.Duration
+}
+
+func count(t core.Transport) *countingTransport {
+	return &countingTransport{Transport: t, start: t.Now()}
 }
 
 func (ct *countingTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	rec, err := ct.Transport.Probe(spec)
 	if err == nil {
 		ct.streams++
+		ct.packets += spec.Count
+		ct.bytes += spec.Bytes()
 	}
 	return rec, err
 }
 
-// TestEveryToolRunsUnderTheDecorators asserts Estimate hangs the Budget
-// and Observer decorators above every registered tool's transport: under
-// a one-stream budget each tool gets its first stream onto the path and
-// no second, the observer sees the stream that went out, and a tool
-// that wanted more fails with ErrBudget, not some other error.
+// TestCostOracle: the cost a report carries is the cost the path
+// carried. Every registered tool, called by an alias where it has one,
+// runs on three catalog rows at seeds 1–3; its report's Streams,
+// Packets, ProbeBytes and Elapsed must equal the oracle's count below
+// the run, and its Tool must be the canonical name.
+func TestCostOracle(t *testing.T) {
+	for _, d := range registry.Tools() {
+		name := d.Name
+		if len(d.Aliases) > 0 {
+			name = d.Aliases[0]
+		}
+		for _, row := range []string{"canonical", "poisson", "mice"} {
+			sc, ok := scenario.Lookup(row)
+			if !ok {
+				t.Fatalf("%s not in the catalog", row)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				cpl, err := sc.CompileSeeded(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := count(cpl.Transport)
+				rep, err := registry.Estimate(context.Background(), name,
+					registry.Params{Capacity: cpl.Capacity, Rand: rng.New(seed + 1)}, oracle)
+				if err != nil {
+					t.Fatalf("%s on %s seed %d: %v", name, row, seed, err)
+				}
+				got := [...]any{rep.Tool, rep.Streams, rep.Packets, rep.ProbeBytes, rep.Elapsed}
+				want := [...]any{d.Name, oracle.streams, oracle.packets, oracle.bytes, cpl.Transport.Now() - oracle.start}
+				if got != want || oracle.streams == 0 {
+					t.Errorf("%s on %s seed %d: report stamps (tool, streams, packets, bytes, elapsed) %v, the path carried %v",
+						name, row, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPTRErrorsNamePTR: PTR shares IGI's package, and its errors carry
+// its own name, both when its Params are refused and when its run fails.
+func TestPTRErrorsNamePTR(t *testing.T) {
+	for _, c := range []struct {
+		why string
+		p   func(registry.Params) registry.Params
+	}{
+		{"a 1-packet train", func(p registry.Params) registry.Params { p.StreamLen = 1; return p }},
+		{"a one-stream budget", func(p registry.Params) registry.Params { p.Budget = core.Budget{MaxStreams: 1}; return p }},
+	} {
+		sc := toolstest.New(toolstest.Options{})
+		_, err := registry.Estimate(context.Background(), "ptr", c.p(registry.Params{Capacity: sc.Capacity}), sc.Transport)
+		if err == nil || !strings.HasPrefix(err.Error(), "ptr: ") {
+			t.Errorf("ptr with %s: err = %v, want it to start \"ptr: \"", c.why, err)
+		}
+	}
+}
+
+// TestMaxDurationOverrun pins how far a run's time passes
+// Budget.MaxDuration on the simulator. The cap charges each stream's
+// send span, not the spacing guard SimTransport puts before it or the
+// wait for its packets to resolve, so a run may pass the cap, and by
+// at most Spacing + MaxWait (the defaults, 10 ms and 2 s, on a
+// catalog compile).
+func TestMaxDurationOverrun(t *testing.T) {
+	const spacing, maxWait = 10 * time.Millisecond, 2 * time.Second
+	sc, _ := scenario.Lookup("canonical")
+	overran := false
+	for _, d := range registry.Tools() {
+		for _, cap := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond} {
+			cpl, err := sc.CompileSeeded(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cpl.Transport.Spacing != 0 || cpl.Transport.MaxWait != 0 {
+				t.Fatalf("catalog compile sets Spacing %v, MaxWait %v; the bound assumes the defaults",
+					cpl.Transport.Spacing, cpl.Transport.MaxWait)
+			}
+			start := cpl.Transport.Now()
+			_, err = registry.Estimate(context.Background(), d.Name, registry.Params{
+				Capacity: cpl.Capacity, Rand: rng.New(2), Budget: core.Budget{MaxDuration: cap},
+			}, cpl.Transport)
+			if err != nil && !errors.Is(err, core.ErrBudget) {
+				t.Fatalf("%s under MaxDuration %v: %v", d.Name, cap, err)
+			}
+			took := cpl.Transport.Now() - start
+			t.Logf("%s under MaxDuration %v: ran %v", d.Name, cap, took)
+			overran = overran || took > cap
+			if took > cap+spacing+maxWait {
+				t.Errorf("%s under MaxDuration %v ran %v, past the cap by more than Spacing + MaxWait", d.Name, cap, took)
+			}
+		}
+	}
+	if !overran {
+		t.Error("no run passed its MaxDuration: the cap now bounds Elapsed, and Budget.MaxDuration's doc is stale")
+	}
+}
+
+// TestEveryToolRunsUnderTheDecorators asserts Estimate runs every
+// registered tool over a core.Run, which enforces the Budget and tells
+// the Observer: under a one-stream budget each tool gets its first
+// stream onto the path and no second, the observer sees the stream
+// that went out, and a tool that wanted more fails with ErrBudget, not
+// some other error.
 func TestEveryToolRunsUnderTheDecorators(t *testing.T) {
 	for _, name := range registry.Names() {
 		sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
-		sent := &countingTransport{Transport: sc.Transport}
+		sent := count(sc.Transport)
 		p := params(sc)
 		p.Budget = core.Budget{MaxStreams: 1}
 		observed := 0

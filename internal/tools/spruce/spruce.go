@@ -16,7 +16,6 @@
 package spruce
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -65,15 +64,9 @@ func New(p core.Params) (*Estimator, error) {
 	return &Estimator{capacity: p.Capacity, pairs: p.Repeat, pktSize: p.PktSize, rand: p.Rand}, nil
 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "spruce" }
-
 // Estimate implements core.Estimator.
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	var samples []unit.Rate
-	var streams, packets int
-	var bytes unit.Bytes
 	remaining := e.pairs
 	for remaining > 0 {
 		n := remaining
@@ -85,13 +78,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		if err != nil {
 			return nil, fmt.Errorf("spruce: %w", err)
 		}
-		rec, err := core.Probe(ctx, t, spec)
+		rec, err := t.Probe(spec)
 		if err != nil {
 			return nil, fmt.Errorf("spruce: %w", err)
 		}
-		streams++
-		packets += spec.Count
-		bytes += spec.Bytes()
 		// The gap model's Δin is the constructed spacing gin, not the
 		// measured send gap: Spruce trusts its own pacing.
 		gin := unit.GapFor(e.pktSize, e.capacity)
@@ -112,15 +102,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 	}
 	min, max := stats.MinMax(vals)
 	return &core.Report{
-		Tool:       e.Name(),
-		Point:      unit.Rate(stats.Mean(vals)),
-		Low:        unit.Rate(min),
-		High:       unit.Rate(max),
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-		Samples:    samples,
+		Point:   unit.Rate(stats.Mean(vals)),
+		Low:     unit.Rate(min),
+		High:    unit.Rate(max),
+		Samples: samples,
 	}, nil
 }
 

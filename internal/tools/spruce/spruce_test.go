@@ -31,9 +31,6 @@ func TestDefaults(t *testing.T) {
 	if e.pairs != 100 || e.pktSize != 1500 {
 		t.Errorf("defaults wrong: %+v", e)
 	}
-	if e.Name() != "spruce" {
-		t.Errorf("Name = %q", e.Name())
-	}
 }
 
 func TestEstimateCBR(t *testing.T) {
@@ -44,7 +41,7 @@ func TestEstimateCBR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func TestEstimatePoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestPairQuantizationWithLargeCrossPackets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Estimate(context.Background(), sc.Transport)
+		rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func TestSamplesClampedToPhysicalRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}

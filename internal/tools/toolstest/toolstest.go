@@ -8,8 +8,10 @@
 package toolstest
 
 import (
+	"context"
 	"time"
 
+	"abw/internal/core"
 	"abw/internal/scenario"
 	"abw/internal/unit"
 )
@@ -71,4 +73,18 @@ func New(opts Options) *Scenario {
 		})
 	}
 	return scenario.MustCompile(spec)
+}
+
+// Estimate runs e over t as registry.Estimate does, over a core.Run
+// under ctx with no budget and no observer, so the report carries the
+// run's cost. Its Tool stays empty: the canonical name is the
+// registry's.
+func Estimate(ctx context.Context, e core.Estimator, t core.Transport) (*core.Report, error) {
+	run := core.StartRun(ctx, t, core.Budget{}, nil)
+	rep, err := e.Estimate(run)
+	if err != nil {
+		return nil, err
+	}
+	run.Finish("", rep)
+	return rep, nil
 }

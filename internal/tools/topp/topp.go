@@ -17,7 +17,6 @@
 package topp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -57,9 +56,6 @@ func New(p core.Params) (*Estimator, error) {
 	return &Estimator{minRate: lo, maxRate: hi, pairsPerRate: p.Repeat, pktSize: p.PktSize}, nil
 }
 
-// Name implements core.Estimator.
-func (e *Estimator) Name() string { return "topp" }
-
 // roundResult is one probing round of the sweep.
 type roundResult struct {
 	ri    unit.Rate
@@ -73,11 +69,8 @@ type roundResult struct {
 // cross traffic, where individual pair ratios are heavily quantized by
 // discrete cross packets (the paper's fourth misconception describes
 // exactly this noise).
-func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Report, error) {
-	start := t.Now()
+func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	var rounds []roundResult
-	var streams, packets int
-	var bytes unit.Bytes
 	step := (e.maxRate - e.minRate) / sweepSteps
 	for ri := e.minRate; ri <= e.maxRate+step/2; ri += step {
 		// A round is a train of pairs: pairs back-to-back internally at
@@ -86,13 +79,10 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		if err != nil {
 			return nil, fmt.Errorf("topp: %w", err)
 		}
-		rec, err := core.Probe(ctx, t, spec)
+		rec, err := t.Probe(spec)
 		if err != nil {
 			return nil, fmt.Errorf("topp: %w", err)
 		}
-		streams++
-		packets += spec.Count
-		bytes += spec.Bytes()
 		// Round ratio from summed gaps: Σgout/Σgin is far less noisy
 		// than the mean of per-pair ratios under quantized cross
 		// traffic.
@@ -146,17 +136,7 @@ func (e *Estimator) Estimate(ctx context.Context, t core.Transport) (*core.Repor
 		}
 		point = regPoint
 	}
-	return &core.Report{
-		Tool:       e.Name(),
-		Point:      point,
-		Low:        low,
-		High:       high,
-		Streams:    streams,
-		Packets:    packets,
-		ProbeBytes: bytes,
-		Elapsed:    t.Now() - start,
-		Capacity:   capEst,
-	}, nil
+	return &core.Report{Point: point, Low: low, High: high, Capacity: capEst}, nil
 }
 
 // kneeIndex fits the fluid response shape — flat for rates up to the

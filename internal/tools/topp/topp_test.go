@@ -28,7 +28,7 @@ func TestEstimateCBR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCapacityEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEstimatePoissonUnderestimatesOrClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAllRoundsOverloadedReportsFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Estimate(context.Background(), sc.Transport)
+	rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}

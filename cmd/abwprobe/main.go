@@ -241,7 +241,7 @@ func simulate(scenarioName, tool string, params abw.Params, jsonOut, progress bo
 // recv runs the multi-session measurement server until interrupted,
 // periodically reporting sessions, streams, packets, and drops — as
 // text on stderr, or with jsonStats as one-line JSON on stdout in the
-// monitor's wire shape (abw.EncodeReceiverStats).
+// monitor's wire shape (abw.ReceiverStats).
 func recv(listen string, maxSessions, rcvBuf int, fallback bool, statsEvery time.Duration, jsonStats bool) {
 	r, err := abw.ListenReceiverConfig(listen, abw.ReceiverConfig{
 		MaxSessions:   maxSessions,
@@ -264,9 +264,10 @@ func recv(listen string, maxSessions, rcvBuf int, fallback bool, statsEvery time
 		fmt.Fprintf(os.Stderr, " (requested %d; Linux reports double the usable request)", rcvBuf)
 	}
 	fmt.Fprintln(os.Stderr)
+	enc := json.NewEncoder(os.Stdout)
 	report := func() {
 		if jsonStats {
-			if err := abw.EncodeReceiverStats(os.Stdout, r.Stats()); err != nil {
+			if err := enc.Encode(r.Stats()); err != nil {
 				fmt.Fprintf(os.Stderr, "abwprobe: encoding stats: %v\n", err)
 			}
 			return

@@ -49,7 +49,8 @@ type (
 	// tool runs.
 	LearnedWeights = learned.Weights
 	// ProbePlan is the probing schedule shared by dataset generation
-	// and the online learned estimator.
+	// and the online learned estimator; its Probe method is the one
+	// loop both run over a transport.
 	ProbePlan = learned.ProbePlan
 )
 
@@ -66,5 +67,5 @@ func LearnedModelInput(f FeatureVector, rateFrac, capacityMbps float64) []float6
 
 // LearnedModelInputNames returns the model input column names.
 func LearnedModelInputNames() []string {
-	return learned.ModelInputNames(probe.FeatureNames())
+	return learned.ModelInputNames()
 }

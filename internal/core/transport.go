@@ -6,6 +6,7 @@ import (
 
 	"abw/internal/probe"
 	"abw/internal/sim"
+	"abw/internal/unit"
 )
 
 // SimTransport runs probing streams over a simulated path. The cross
@@ -60,10 +61,7 @@ func (st *SimTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	}
 	st.flow++
 	start := st.sim.Now() + st.spacing()
-	rec, err := probe.SendOverSim(st.sim, st.path.Route(), spec, start, st.flow)
-	if err != nil {
-		return nil, err
-	}
+	rec := st.send(spec, start)
 	dur := spec.Duration()
 	deadline := start + dur + st.maxWait()
 	// Advance in steps scaled to the stream so short probes (packet
@@ -85,6 +83,46 @@ func (st *SimTransport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 		st.sim.RunUntil(st.sim.Now() + d)
 	}
 	return rec, nil
+}
+
+// send schedules the validated stream on the simulator from virtual
+// time at, labelled with the transport's current flow, and returns its
+// record, which fills in as the simulation runs.
+//
+// The stream goes to the simulator whole (Sim.InjectStream): over
+// sealed links that fold it is carried as one batch, at most one event
+// a packet; elsewhere each packet is injected on its own. The record
+// is the same either way.
+func (st *SimTransport) send(spec probe.StreamSpec, at time.Duration) *probe.Record {
+	// The send times are Departures() shifted by at, summed in place.
+	rec := probe.NewRecord(spec)
+	rec.Sent[0] = at
+	if spec.Gaps != nil {
+		for i, g := range spec.Gaps {
+			rec.Sent[i+1] = rec.Sent[i] + g
+		}
+	} else {
+		gap := unit.GapFor(spec.PktSize, spec.Rate)
+		for i := 1; i < spec.Count; i++ {
+			rec.Sent[i] = rec.Sent[i-1] + gap
+		}
+	}
+	// One pair of callbacks serves the whole stream (the arrival reads
+	// the sequence number off the packet), and the packets the
+	// simulator hands them are recycled as soon as they return, so
+	// probing allocates per stream, not per packet. The pair is the
+	// stream's own: a stream that outlives MaxWait keeps resolving into
+	// its record while the next stream runs.
+	onArrive := func(p *sim.Packet, t time.Duration) {
+		rec.Recv[p.Seq] = t
+		rec.MarkResolved()
+	}
+	onDrop := func(*sim.Packet, *sim.Link, time.Duration) {
+		rec.MarkResolved()
+	}
+	st.sim.InjectStream(sim.Packet{Size: spec.PktSize, Kind: sim.KindProbe, Flow: st.flow, Route: st.path.Route(),
+		OnArrive: onArrive, OnDrop: onDrop}, rec.Sent)
+	return rec
 }
 
 var _ Transport = (*SimTransport)(nil)

@@ -10,7 +10,6 @@ import (
 	"abw/internal/runner"
 	"abw/internal/scenario"
 	"abw/internal/tools/learned"
-	"abw/internal/unit"
 )
 
 // DatasetConfig parameterizes the dataset experiment: the sweep of the
@@ -67,11 +66,6 @@ type DatasetRow struct {
 // learned.ModelInput assembles online.
 func (r DatasetRow) ModelInput() []float64 {
 	return learned.ModelInput(r.Features, r.RateFrac, r.CapacityMbps)
-}
-
-// ModelInputNames returns the input column names, matching ModelInput.
-func ModelInputNames() []string {
-	return learned.ModelInputNames(probe.FeatureNames())
 }
 
 // DatasetResult is the sweep outcome: rows in deterministic order
@@ -187,31 +181,24 @@ func Dataset(cfg DatasetConfig) (*DatasetResult, error) {
 			target = float64(cpl.TrueAvailBw) / float64(cpl.Capacity)
 		}
 		rows := make([]DatasetRow, 0, len(plan.RateFracs)*plan.StreamsPerFrac)
-		for _, frac := range plan.RateFracs {
-			rate := unit.Rate(float64(cpl.Capacity) * frac)
-			if rate <= 0 {
-				continue
-			}
-			spec := probe.Periodic(rate, plan.PktSize, plan.StreamLen)
-			for s := 0; s < plan.StreamsPerFrac; s++ {
-				rec, err := cpl.Transport.Probe(spec)
-				if err != nil {
-					return nil, fmt.Errorf("exp: dataset: %s ×%g probe: %w", j.scen, j.scaling, err)
-				}
-				rows = append(rows, DatasetRow{
-					Scenario:        j.scen,
-					Scaling:         j.scaling,
-					Trial:           j.trial,
-					SimSeed:         j.simSeed,
-					Split:           j.split,
-					RateFrac:        frac,
-					Stream:          s,
-					CapacityMbps:    cpl.Capacity.MbpsOf(),
-					TrueAvailBwMbps: cpl.TrueAvailBw.MbpsOf(),
-					Target:          target,
-					Features:        probe.ExtractFeatures(rec),
-				})
-			}
+		err = plan.Probe(cpl.Transport, cpl.Capacity, func(frac float64, stream int, rec *probe.Record) error {
+			rows = append(rows, DatasetRow{
+				Scenario:        j.scen,
+				Scaling:         j.scaling,
+				Trial:           j.trial,
+				SimSeed:         j.simSeed,
+				Split:           j.split,
+				RateFrac:        frac,
+				Stream:          stream,
+				CapacityMbps:    cpl.Capacity.MbpsOf(),
+				TrueAvailBwMbps: cpl.TrueAvailBw.MbpsOf(),
+				Target:          target,
+				Features:        probe.ExtractFeatures(rec),
+			})
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("exp: dataset: %s ×%g probe: %w", j.scen, j.scaling, err)
 		}
 		return rows, nil
 	})
@@ -242,7 +229,7 @@ func (r *DatasetResult) SplitRows() (train, test []DatasetRow) {
 func CSVHeader() []string {
 	head := []string{"scenario", "scaling", "trial", "sim_seed", "split", "stream",
 		"capacity_mbps", "true_abw_mbps", "target"}
-	return append(head, ModelInputNames()...)
+	return append(head, learned.ModelInputNames()...)
 }
 
 // WriteCSV writes the rows in deterministic textual form: floats in

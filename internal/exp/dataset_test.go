@@ -149,7 +149,7 @@ func TestDatasetRejectsBadConfig(t *testing.T) {
 
 func TestModelInputNamesMatchHeader(t *testing.T) {
 	head := CSVHeader()
-	names := ModelInputNames()
+	names := learned.ModelInputNames()
 	if got := head[len(head)-len(names):]; strings.Join(got, ",") != strings.Join(names, ",") {
 		t.Errorf("CSV header tail %v != model input names %v", got, names)
 	}

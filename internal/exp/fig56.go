@@ -85,11 +85,13 @@ func Figure5(c Figure5Config) (*Figure5Result, error) {
 				}, burstStart+time.Duration(i)*20*time.Microsecond)
 			}
 		}
-		rec, err := probe.SendOverSim(s, path.Route(), spec, start, 1)
+		// The stream is the transport's first (flow 1), sent at start
+		// and given until horizon to resolve.
+		cpl.Transport.Spacing = start
+		rec, err := cpl.Transport.Probe(spec)
 		if err != nil {
 			return Figure5Stream{}, err
 		}
-		s.RunUntil(horizon)
 		owds := rec.OWDs()
 		vals := make([]float64, len(owds))
 		for i, d := range owds {

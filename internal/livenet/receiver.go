@@ -92,22 +92,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a snapshot of a Receiver's counters, for monitoring and for
-// asserting that sessions leave no state behind.
+// asserting that sessions leave no state behind. Its JSON is the
+// receiver's wire shape: the monitor's /api/status and /metrics and
+// cmd/abwprobe's -stats-json all read this one type.
 type Stats struct {
-	ActiveSessions int // control connections currently open
-	ActiveStreams  int // streams opened but not yet reported/reaped
+	ActiveSessions int `json:"active_sessions"` // control connections currently open
+	ActiveStreams  int `json:"active_streams"`  // streams opened but not yet reported/reaped
 
-	Sessions         uint64 // sessions ever accepted
-	Streams          uint64 // streams ever opened
-	Packets          uint64 // probe packets stamped into a stream
-	Drops            uint64 // datagrams discarded (all causes below included)
-	SizeMismatches   uint64 // datagram length ≠ the stream's declared size
-	SourceMismatches uint64 // datagram source ≠ the session's bound source
-	Refused          uint64 // sessions refused at MaxSessions
+	Sessions         uint64 `json:"sessions"`          // sessions ever accepted
+	Streams          uint64 `json:"streams"`           // streams ever opened
+	Packets          uint64 `json:"packets"`           // probe packets stamped into a stream
+	Drops            uint64 `json:"drops"`             // datagrams discarded (all causes below included)
+	SizeMismatches   uint64 `json:"size_mismatches"`   // datagram length ≠ the stream's declared size
+	SourceMismatches uint64 `json:"source_mismatches"` // datagram source ≠ the session's bound source
+	Refused          uint64 `json:"refused"`           // sessions refused at MaxSessions
 
-	Batches          uint64 // ingest batches drained (Packets+Drops arrivals over this many syscall rounds)
-	RcvBufBytes      int    // receive buffer the kernel actually granted
-	KernelTimestamps bool   // arrival stamps come from kernel RX timestamps
+	Batches          uint64 `json:"batches"`           // ingest batches drained (Packets+Drops arrivals over this many syscall rounds)
+	RcvBufBytes      int    `json:"rcvbuf_bytes"`      // receive buffer the kernel actually granted
+	KernelTimestamps bool   `json:"kernel_timestamps"` // arrival stamps come from kernel RX timestamps
 }
 
 func (s Stats) String() string {

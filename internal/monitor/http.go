@@ -13,52 +13,6 @@ import (
 	"abw/internal/livenet"
 )
 
-// ReceiverStats mirrors livenet.Stats with JSON tags: the wire shape
-// shared by the monitor's /api/status, its /metrics, and cmd/abwprobe's
-// -stats-json — one encoder, three surfaces.
-type ReceiverStats struct {
-	ActiveSessions   int    `json:"active_sessions"`
-	ActiveStreams    int    `json:"active_streams"`
-	Sessions         uint64 `json:"sessions"`
-	Streams          uint64 `json:"streams"`
-	Packets          uint64 `json:"packets"`
-	Drops            uint64 `json:"drops"`
-	SizeMismatches   uint64 `json:"size_mismatches"`
-	SourceMismatches uint64 `json:"source_mismatches"`
-	Refused          uint64 `json:"refused"`
-	Batches          uint64 `json:"batches"`
-	RcvBufBytes      int    `json:"rcvbuf_bytes"`
-	KernelTimestamps bool   `json:"kernel_timestamps"`
-}
-
-// FromReceiver converts a receiver's counters to the wire shape.
-func FromReceiver(st livenet.Stats) ReceiverStats {
-	return ReceiverStats{
-		ActiveSessions:   st.ActiveSessions,
-		ActiveStreams:    st.ActiveStreams,
-		Sessions:         st.Sessions,
-		Streams:          st.Streams,
-		Packets:          st.Packets,
-		Drops:            st.Drops,
-		SizeMismatches:   st.SizeMismatches,
-		SourceMismatches: st.SourceMismatches,
-		Refused:          st.Refused,
-		Batches:          st.Batches,
-		RcvBufBytes:      st.RcvBufBytes,
-		KernelTimestamps: st.KernelTimestamps,
-	}
-}
-
-// EncodeReceiverStats writes a receiver's counters as one line of JSON.
-func EncodeReceiverStats(w io.Writer, st livenet.Stats) error {
-	b, err := json.Marshal(FromReceiver(st))
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
 // SeriesInfo is one series' listing entry: identity plus rollup, the
 // shape /api/series returns.
 type SeriesInfo struct {
@@ -75,7 +29,7 @@ type Status struct {
 	Time     time.Time      `json:"time"`
 	Monitor  Stats          `json:"monitor"`
 	Ledger   LedgerStats    `json:"ledger"`
-	Receiver *ReceiverStats `json:"receiver,omitempty"`
+	Receiver *livenet.Stats `json:"receiver,omitempty"`
 }
 
 // Status assembles the full status document (also used by the CLI's
@@ -88,7 +42,7 @@ func (m *Monitor) Status() Status {
 		Ledger:  led,
 	}
 	if m.cfg.Receiver != nil {
-		rs := FromReceiver(m.cfg.Receiver.Stats())
+		rs := m.cfg.Receiver.Stats()
 		st.Receiver = &rs
 	}
 	return st
@@ -245,7 +199,7 @@ func (m *Monitor) writeMetrics(w io.Writer) {
 	}
 
 	if m.cfg.Receiver != nil {
-		rs := FromReceiver(m.cfg.Receiver.Stats())
+		rs := m.cfg.Receiver.Stats()
 		g("abw_receiver_active_sessions", "Control connections currently open.", float64(rs.ActiveSessions))
 		g("abw_receiver_active_streams", "Streams opened but not yet reported or reaped.", float64(rs.ActiveStreams))
 		c("abw_receiver_sessions_total", "Sessions ever accepted.", float64(rs.Sessions))

@@ -306,3 +306,32 @@ func TestHTTPMetricsGaugesShareOneRollup(t *testing.T) {
 		t.Errorf("edge-a errors gauge %g, want the 1 appended", got)
 	}
 }
+
+// TestReceiverWireShape pins the receiver counters' JSON: the object
+// /api/status serves under "receiver" and each abwprobe -stats-json
+// line carry the same twelve keys in the same order.
+func TestReceiverWireShape(t *testing.T) {
+	const want = `{"active_sessions":1,"active_streams":2,"sessions":3,"streams":4,"packets":5,"drops":6,"size_mismatches":7,"source_mismatches":8,"refused":9,"batches":10,"rcvbuf_bytes":11,"kernel_timestamps":true}`
+	st := livenet.Stats{ActiveSessions: 1, ActiveStreams: 2, Sessions: 3, Streams: 4, Packets: 5, Drops: 6,
+		SizeMismatches: 7, SourceMismatches: 8, Refused: 9, Batches: 10, RcvBufBytes: 11, KernelTimestamps: true}
+	b, err := json.Marshal(Status{Receiver: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Receiver json.RawMessage `json:"receiver"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if string(doc.Receiver) != want {
+		t.Errorf("/api/status receiver:\n %s\nwant\n %s", doc.Receiver, want)
+	}
+	var line strings.Builder
+	if err := json.NewEncoder(&line).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if line.String() != want+"\n" {
+		t.Errorf("-stats-json line:\n %q\nwant\n %q", line.String(), want+"\n")
+	}
+}

@@ -131,7 +131,7 @@ func TestMonitorRunsOnBoundedWorkers(t *testing.T) {
 // count is the probe and the estimate; the run's own bookkeeping adds
 // no timer, no formatted label and no second copy of the send times.
 func TestSimRunAllocations(t *testing.T) {
-	const maxAllocs = 13
+	const maxAllocs = 11
 	m, err := New(Config{Targets: fleetTargets(1), Clock: NewFakeClock(time.Unix(1_700_000_000, 0).UTC())})
 	if err != nil {
 		t.Fatal(err)

@@ -282,7 +282,7 @@ func (m *Monitor) runEntry(e *entry) {
 		// point (a series full of deferrals says the fleet cap is the
 		// binding constraint), and a deferral reschedules at the
 		// ledger's retry hint rather than the nominal interval.
-		m.store.Append(e.t.Name, e.d.Name, e.tenant, Point{At: now, Err: err.Error()})
+		m.store.appendAt(e.key, e.t.Name, e.d.Name, e.tenant, Point{At: now, Err: err.Error()})
 		var ref *Refusal
 		if errors.As(err, &ref) && ref.RetryAfter > 0 {
 			next = now.Add(ref.RetryAfter)
@@ -312,7 +312,7 @@ func (m *Monitor) runEntry(e *entry) {
 		p.ProbeBytes, p.Elapsed = rep.ProbeBytes, rep.Elapsed
 		e.learnCost(actual)
 	}
-	m.store.Append(e.t.Name, e.d.Name, e.tenant, p)
+	m.store.appendAt(e.key, e.t.Name, e.d.Name, e.tenant, p)
 	next = e.nextAt()
 }
 

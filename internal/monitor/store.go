@@ -222,7 +222,11 @@ func NewStore(capacity int) *Store {
 // Series returns the series for (target, tool), creating it on first
 // use.
 func (st *Store) Series(target, tool, tenant string) *Series {
-	key := target + "/" + tool
+	return st.seriesAt(target+"/"+tool, target, tool, tenant)
+}
+
+// seriesAt is Series with the "target/tool" key already built.
+func (st *Store) seriesAt(key, target, tool, tenant string) *Series {
 	st.mu.RLock()
 	s := st.series[key]
 	st.mu.RUnlock()
@@ -260,7 +264,13 @@ func (st *Store) All() []*Series {
 
 // Append records one run into its series.
 func (st *Store) Append(target, tool, tenant string, p Point) {
-	st.Series(target, tool, tenant).Append(p)
+	st.appendAt(target+"/"+tool, target, tool, tenant, p)
+}
+
+// appendAt is Append with the "target/tool" key already built, as the
+// monitor's entries hold it.
+func (st *Store) appendAt(key, target, tool, tenant string, p Point) {
+	st.seriesAt(key, target, tool, tenant).Append(p)
 	st.appends.Add(1)
 }
 

@@ -260,8 +260,8 @@ func TestRecordString(t *testing.T) {
 	}
 }
 
-// durationSpecs are the shapes Duration and SendOverSim sum send times
-// for: periodic, gapped, a 2-packet pair, and invalid ones.
+// durationSpecs are the shapes Duration and core.SimTransport sum send
+// times for: periodic, gapped, a 2-packet pair, and invalid ones.
 func durationSpecs(t *testing.T) map[string]StreamSpec {
 	chirp, err := Chirp(5*unit.Mbps, 80*unit.Mbps, 1000, 20, 1.2)
 	if err != nil {

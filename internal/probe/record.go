@@ -22,8 +22,8 @@ type Record struct {
 }
 
 // Done reports whether every packet has been resolved: received or
-// confirmed dropped. Only senders that track drops (SendOverSim, the
-// live transport) maintain this; hand-built records report Done only
+// confirmed dropped. Only senders that track drops (core.SimTransport,
+// the live transport) maintain this; hand-built records report Done only
 // when complete.
 func (r *Record) Done() bool {
 	return r.resolved >= r.Spec.Count || r.Complete()
@@ -34,13 +34,11 @@ func (r *Record) Done() bool {
 func (r *Record) MarkResolved() { r.resolved++ }
 
 // NewRecord allocates a record for the given spec with all packets
-// initially marked lost.
+// initially marked lost. Sent and Recv share one backing array.
 func NewRecord(spec StreamSpec) *Record {
-	r := &Record{
-		Spec: spec,
-		Sent: make([]time.Duration, spec.Count),
-		Recv: make([]time.Duration, spec.Count),
-	}
+	n := spec.Count
+	buf := make([]time.Duration, 2*n)
+	r := &Record{Spec: spec, Sent: buf[:n:n], Recv: buf[n:]}
 	for i := range r.Recv {
 		r.Recv[i] = Lost
 	}

@@ -1,11 +1,13 @@
-package probe
+package probe_test
 
 import (
 	"math"
 	"testing"
 	"time"
 
+	"abw/internal/core"
 	"abw/internal/crosstraffic"
+	"abw/internal/probe"
 	"abw/internal/rng"
 	"abw/internal/sim"
 	"abw/internal/unit"
@@ -15,11 +17,10 @@ func TestSendOverSimIdlePath(t *testing.T) {
 	// On an idle link, Ro must equal Ri and OWDs must be flat.
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, time.Millisecond)
-	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(20*unit.Mbps, 1500, 50), 0, 1)
+	rec, err := core.NewSimTransport(s, sim.MustPath(l)).Probe(probe.Periodic(20*unit.Mbps, 1500, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	if !rec.Complete() {
 		t.Fatalf("lost %d packets on idle path", rec.LossCount())
 	}
@@ -34,18 +35,26 @@ func TestSendOverSimIdlePath(t *testing.T) {
 	}
 }
 
+// cbrHop is one 50 Mbps link carrying CBR cross traffic of the given
+// packet size at 25 Mbps, and a transport over it whose first stream
+// starts at `at`.
+func cbrHop(size unit.Bytes, horizon, at time.Duration) *core.SimTransport {
+	s := sim.New()
+	l := s.NewLink("l", 50*unit.Mbps, 0)
+	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(size)})
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, horizon).Next)
+	tr := core.NewSimTransport(s, sim.MustPath(l))
+	tr.Spacing = at
+	return tr
+}
+
 func TestSendOverSimMatchesFluidModel(t *testing.T) {
 	// With CBR cross traffic (the fluid limit), the measured Ro must
 	// match Equation (8) closely: Ri=40, Ct=50, A=25 → Ro ≈ 30.77 Mbps.
-	s := sim.New()
-	l := s.NewLink("l", 50*unit.Mbps, 0)
-	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(200)})
-	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, 2*time.Second).Next)
-	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(40*unit.Mbps, 1500, 300), 500*time.Millisecond, 1)
+	rec, err := cbrHop(200, 2*time.Second, 500*time.Millisecond).Probe(probe.Periodic(40*unit.Mbps, 1500, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	if !rec.Complete() {
 		t.Fatalf("lost %d packets", rec.LossCount())
 	}
@@ -58,15 +67,10 @@ func TestSendOverSimMatchesFluidModel(t *testing.T) {
 
 func TestSendOverSimBelowAvailBw(t *testing.T) {
 	// Probing below A with small-packet CBR cross traffic: ratio ≈ 1.
-	s := sim.New()
-	l := s.NewLink("l", 50*unit.Mbps, 0)
-	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(200)})
-	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, 2*time.Second).Next)
-	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(15*unit.Mbps, 1500, 200), 500*time.Millisecond, 1)
+	rec, err := cbrHop(200, 2*time.Second, 500*time.Millisecond).Probe(probe.Periodic(15*unit.Mbps, 1500, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	if ratio := rec.Ratio(); math.Abs(ratio-1) > 0.02 {
 		t.Errorf("Ro/Ri below A = %g, want ~1", ratio)
 	}
@@ -74,16 +78,10 @@ func TestSendOverSimBelowAvailBw(t *testing.T) {
 
 func TestSendOverSimOWDSlopeMatchesEq7(t *testing.T) {
 	// Overloaded link: per-packet OWD increase ≈ Eq. (7).
-	s := sim.New()
-	l := s.NewLink("l", 50*unit.Mbps, 0)
-	ct := crosstraffic.CBR(crosstraffic.Stream{Rate: 25 * unit.Mbps, Sizes: rng.FixedSize(100)})
-	s.Feed([]*sim.Link{l}, sim.KindCross, 0, ct.Over(0, time.Second).Next)
-	const n = 100
-	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(40*unit.Mbps, 1500, n), 200*time.Millisecond, 1)
+	rec, err := cbrHop(100, time.Second, 200*time.Millisecond).Probe(probe.Periodic(40*unit.Mbps, 1500, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	owds := rec.OWDs()
 	slope := (owds[len(owds)-1] - owds[0]).Seconds() / float64(len(owds)-1)
 	// Eq. (7): Δd = (L/Ct)(Ri−A)/Ri = (1500·8/50e6)·(15/40) = 90µs.
@@ -94,17 +92,19 @@ func TestSendOverSimOWDSlopeMatchesEq7(t *testing.T) {
 }
 
 // TestSendOverSimSendTimes: the record's send times are the stream's
-// departures shifted to its start.
+// departures shifted to its start. A zero Spacing means 10 ms, so the
+// start is set explicitly.
 func TestSendOverSimSendTimes(t *testing.T) {
 	const at = 1234567 * time.Nanosecond
-	for name, sp := range durationSpecs(t) {
+	for name, sp := range probe.DurationSpecs(t) {
 		deps, err := sp.Departures()
 		if err != nil {
 			continue
 		}
 		s := sim.New()
-		l := s.NewLink("l", 100*unit.Mbps, time.Millisecond)
-		rec, err := SendOverSim(s, []*sim.Link{l}, sp, at, 1)
+		tr := core.NewSimTransport(s, sim.MustPath(s.NewLink("l", 100*unit.Mbps, time.Millisecond)))
+		tr.Spacing = at
+		rec, err := tr.Probe(sp)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -119,7 +119,7 @@ func TestSendOverSimSendTimes(t *testing.T) {
 func TestSendOverSimInvalidSpec(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 50*unit.Mbps, 0)
-	if _, err := SendOverSim(s, []*sim.Link{l}, StreamSpec{}, 0, 1); err == nil {
+	if _, err := core.NewSimTransport(s, sim.MustPath(l)).Probe(probe.StreamSpec{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
@@ -128,11 +128,10 @@ func TestSendOverSimRecordsLossWithTinyBuffer(t *testing.T) {
 	s := sim.New()
 	l := s.NewLink("l", 10*unit.Mbps, 0)
 	l.SetBuffer(1500)
-	rec, err := SendOverSim(s, []*sim.Link{l}, Periodic(100*unit.Mbps, 1500, 20), 0, 1)
+	rec, err := core.NewSimTransport(s, sim.MustPath(l)).Probe(probe.Periodic(100*unit.Mbps, 1500, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
 	if rec.LossCount() == 0 {
 		t.Error("expected losses with a 1-packet buffer at 10x overload")
 	}

@@ -57,12 +57,9 @@ func Defaults() core.Params {
 
 // Estimator is the learned eighth tool.
 type Estimator struct {
-	capacity       unit.Rate // assumed tight-link capacity C_t
-	streamLen      int       // packets per stream
-	pktSize        unit.Bytes
-	streamsPerFrac int       // streams per rate fraction
-	fracs          []float64 // rate fractions probed, a prefix of the plan's
-	w              *Weights
+	capacity unit.Rate // assumed tight-link capacity C_t
+	plan     ProbePlan // the weights' plan, reshaped by the Params
+	w        *Weights
 }
 
 // New validates p, with zero fields taken from Defaults, and returns
@@ -92,10 +89,12 @@ func New(p core.Params) (*Estimator, error) {
 	if p.MaxRounds < 1 {
 		return nil, fmt.Errorf("learned: need at least one rate fraction")
 	}
-	return &Estimator{
-		capacity: p.Capacity, streamLen: p.StreamLen, pktSize: p.PktSize,
-		streamsPerFrac: p.Repeat, fracs: w.Plan.RateFracs[:min(p.MaxRounds, len(w.Plan.RateFracs))], w: w,
-	}, nil
+	return &Estimator{capacity: p.Capacity, w: w, plan: ProbePlan{
+		RateFracs:      w.Plan.RateFracs[:min(p.MaxRounds, len(w.Plan.RateFracs))],
+		StreamLen:      p.StreamLen,
+		PktSize:        p.PktSize,
+		StreamsPerFrac: p.Repeat,
+	}}, nil
 }
 
 // Estimate implements core.Estimator: run the probe plan (periodic
@@ -106,25 +105,17 @@ func New(p core.Params) (*Estimator, error) {
 func (e *Estimator) Estimate(t core.Transport) (*core.Report, error) {
 	var preds []float64
 	var samples []unit.Rate
-	for _, frac := range e.fracs {
-		rate := unit.Rate(float64(e.capacity) * frac)
-		if rate <= 0 {
-			continue
+	err := e.plan.Probe(t, e.capacity, func(frac float64, _ int, rec *probe.Record) error {
+		y, err := e.w.Predict(ModelInput(probe.ExtractFeatures(rec), frac, e.capacity.MbpsOf()))
+		if err != nil {
+			return err
 		}
-		spec := probe.Periodic(rate, e.pktSize, e.streamLen)
-		for s := 0; s < e.streamsPerFrac; s++ {
-			rec, err := t.Probe(spec)
-			if err != nil {
-				return nil, fmt.Errorf("learned: rate %.0f%%: %w", frac*100, err)
-			}
-			x := ModelInput(probe.ExtractFeatures(rec), frac, e.capacity.MbpsOf())
-			y, err := e.w.Predict(x)
-			if err != nil {
-				return nil, err
-			}
-			preds = append(preds, y)
-			samples = append(samples, probe.ClampToCapacity(unit.Rate(y*float64(e.capacity)), e.capacity))
-		}
+		preds = append(preds, y)
+		samples = append(samples, probe.ClampToCapacity(unit.Rate(y*float64(e.capacity)), e.capacity))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("learned: probe plan produced no streams")

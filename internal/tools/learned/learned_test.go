@@ -37,25 +37,32 @@ func TestDefaultsComeFromPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := e.w.Plan
-	if e.streamLen != plan.StreamLen || e.pktSize != plan.PktSize || e.streamsPerFrac != plan.StreamsPerFrac ||
-		!reflect.DeepEqual(e.fracs, plan.RateFracs) {
-		t.Errorf("estimator %+v does not follow the weight file's plan %+v", e, plan)
+	if plan := e.w.Plan; !reflect.DeepEqual(e.plan, plan) {
+		t.Errorf("estimator plan %+v does not follow the weight file's plan %+v", e.plan, plan)
 	}
 }
 
 // TestMaxRoundsCapsRateFractions: MaxRounds is the number of the
 // plan's rate fractions probed, in plan order; more than the plan has
-// probes them all.
+// probes them all. One stream a fraction (Repeat 1), so an estimate
+// sends one stream per fraction probed.
 func TestMaxRoundsCapsRateFractions(t *testing.T) {
 	plan := DefaultPlan()
 	for _, c := range []struct{ rounds, want int }{{1, 1}, {2, 2}, {len(plan.RateFracs) + 5, len(plan.RateFracs)}} {
-		e, err := New(core.Params{Capacity: 50 * unit.Mbps, MaxRounds: c.rounds})
+		sc := toolstest.New(toolstest.Options{Model: toolstest.CBR})
+		e, err := New(core.Params{Capacity: sc.Capacity, MaxRounds: c.rounds, Repeat: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(e.fracs, plan.RateFracs[:c.want]) {
-			t.Errorf("MaxRounds %d probes %v, want %v", c.rounds, e.fracs, plan.RateFracs[:c.want])
+		if !reflect.DeepEqual(e.plan.RateFracs, plan.RateFracs[:c.want]) {
+			t.Errorf("MaxRounds %d plans %v, want %v", c.rounds, e.plan.RateFracs, plan.RateFracs[:c.want])
+		}
+		rep, err := toolstest.Estimate(context.Background(), e, sc.Transport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Streams != c.want {
+			t.Errorf("MaxRounds %d sends %d streams, want %d", c.rounds, rep.Streams, c.want)
 		}
 	}
 }
@@ -83,8 +90,8 @@ func TestEstimateCanonicalPath(t *testing.T) {
 	if rep.Low > rep.Point || rep.Point > rep.High {
 		t.Errorf("range disordered: low %v point %v high %v", rep.Low, rep.Point, rep.High)
 	}
-	if rep.Streams != len(e.fracs)*e.streamsPerFrac {
-		t.Errorf("streams = %d, want %d", rep.Streams, len(e.fracs)*e.streamsPerFrac)
+	if want := len(e.plan.RateFracs) * e.plan.StreamsPerFrac; rep.Streams != want {
+		t.Errorf("streams = %d, want %d", rep.Streams, want)
 	}
 	if rep.Packets <= 0 || rep.ProbeBytes <= 0 || rep.Elapsed <= 0 {
 		t.Errorf("effort not accounted: %+v", rep)

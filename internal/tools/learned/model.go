@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"abw/internal/core"
 	"abw/internal/probe"
 	"abw/internal/unit"
 )
@@ -52,6 +53,32 @@ func DefaultPlan() ProbePlan {
 		PktSize:        1000,
 		StreamsPerFrac: 4,
 	}
+}
+
+// Probe runs the plan over t against the tight-link capacity: for
+// each rate fraction in order, StreamsPerFrac periodic streams at that
+// fraction of capacity, each record handed to visit with its fraction
+// and repetition index. A fraction whose rate rounds to zero is
+// skipped. The dataset experiment and the online estimator both probe
+// here, so training rows and estimates come from one procedure.
+func (p ProbePlan) Probe(t core.Transport, capacity unit.Rate, visit func(frac float64, stream int, rec *probe.Record) error) error {
+	for _, frac := range p.RateFracs {
+		rate := unit.Rate(float64(capacity) * frac)
+		if rate <= 0 {
+			continue
+		}
+		spec := probe.Periodic(rate, p.PktSize, p.StreamLen)
+		for s := 0; s < p.StreamsPerFrac; s++ {
+			rec, err := t.Probe(spec)
+			if err != nil {
+				return fmt.Errorf("learned: rate %.0f%%: %w", frac*100, err)
+			}
+			if err := visit(frac, s, rec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (p ProbePlan) validate() error {
@@ -103,8 +130,8 @@ func ModelInput(f probe.FeatureVector, rateFrac, capacityMbps float64) []float64
 }
 
 // ModelInputNames returns the input column names matching ModelInput.
-func ModelInputNames(featureNames []string) []string {
-	return append(featureNames, "rate_frac", "log10_capacity", "direct_abw")
+func ModelInputNames() []string {
+	return append(probe.FeatureNames(), "rate_frac", "log10_capacity", "direct_abw")
 }
 
 // Ridge is the linear half of the model: y ≈ intercept + coef·z over

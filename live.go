@@ -19,6 +19,9 @@ type ReceiverConfig = livenet.Config
 
 // ReceiverStats is a snapshot of a live receiver's counters: active
 // and lifetime sessions/streams, stamped packets, and drops by cause.
+// Its JSON is the receiver's wire shape, the object the monitor serves
+// under "receiver" in /api/status; cmd/abwprobe's -stats-json writes
+// one per line with encoding/json.
 type ReceiverStats = livenet.Stats
 
 // LiveTransport implements Transport over real UDP sockets; it is what

@@ -1,7 +1,6 @@
 package abw
 
 import (
-	"io"
 	"time"
 
 	"abw/internal/monitor"
@@ -77,10 +76,3 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
 
 // NewFakeClock returns a fake clock starting at the given instant.
 func NewFakeClock(at time.Time) *FakeClock { return monitor.NewFakeClock(at) }
-
-// EncodeReceiverStats writes a live receiver's counters as one line of
-// JSON — the same wire shape the monitor serves in /api/status, shared
-// with cmd/abwprobe's -stats-json.
-func EncodeReceiverStats(w io.Writer, st ReceiverStats) error {
-	return monitor.EncodeReceiverStats(w, st)
-}

@@ -81,7 +81,7 @@ func main() {
 	w, err := learned.Train(X, y, learned.TrainConfig{
 		Lambda: *lambda, K: *k, Blend: *blend, MaxKNNRows: *maxknn,
 		Plan:         learned.DefaultPlan(),
-		FeatureNames: exp.ModelInputNames(),
+		FeatureNames: learned.ModelInputNames(),
 		Note: fmt.Sprintf("trained on %d rows (%d held out) from the catalog sweep: scalings=%s trials=%d testfrac=%g seed=%d",
 			len(train), len(test), *scalings, *trials, *testFrac, *seed),
 	})

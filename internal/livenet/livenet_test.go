@@ -1,8 +1,10 @@
 package livenet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +68,177 @@ func TestProbeSequentialStreams(t *testing.T) {
 		}
 		if rec.LossCount() > 2 {
 			t.Errorf("stream %d: lost %d/20", i, rec.LossCount())
+		}
+	}
+}
+
+// TestProbeHasNoLeadIn holds the paced loop to starting its clock when
+// it starts: packet 0 leaves at once, so a two-packet stream over
+// loopback costs its two control round trips and an 8 µs gap. The
+// minimum over 20 streams filters scheduler noise; a fixed lead-in
+// before packet 0 would be that minimum's floor.
+func TestProbeHasNoLeadIn(t *testing.T) {
+	_, tr := newPair(t)
+	spec := probe.Pair(100*unit.Mbps, 100)
+	best := time.Hour
+	for i := 0; i < 20; i++ {
+		begin := time.Now()
+		if _, err := tr.Probe(spec); err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(begin))
+	}
+	if best >= time.Millisecond {
+		t.Errorf("fastest of 20 two-packet streams took %v, want < 1ms", best)
+	}
+}
+
+// stalledPeer is a fake receiver that completes the session handshake
+// and then answers each control request with what answer returns, or
+// never, when it returns nil. It holds the UDP port too, so probe
+// packets are not refused.
+func stalledPeer(t *testing.T, answer func(ctrlMsg) *ctrlMsg) string {
+	t.Helper()
+	tl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tl.Close() })
+	ta := tl.Addr().(*net.TCPAddr)
+	uc, err := net.ListenUDP("udp", &net.UDPAddr{IP: ta.IP, Port: ta.Port})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { uc.Close() })
+	go func() {
+		c, err := tl.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		enc := json.NewEncoder(c)
+		if enc.Encode(ctrlMsg{Type: msgSession, Session: 7}) != nil {
+			return
+		}
+		dec := json.NewDecoder(c)
+		for {
+			var m ctrlMsg
+			if dec.Decode(&m) != nil {
+				return
+			}
+			if r := answer(m); r != nil && enc.Encode(r) != nil {
+				return
+			}
+		}
+	}()
+	return tl.Addr().String()
+}
+
+// TestProbeStalledReceiverFails: a receiver that stops answering ends
+// Probe with an error within the reply's bound, not never, and the
+// transport refuses every later Probe at once, since a late reply
+// would answer the wrong request.
+func TestProbeStalledReceiverFails(t *testing.T) {
+	const drain = 100 * time.Millisecond
+	cases := []struct {
+		name   string
+		answer func(ctrlMsg) *ctrlMsg
+		bound  time.Duration
+	}{
+		{"no ready", func(ctrlMsg) *ctrlMsg { return nil }, ctrlWait},
+		{"no result", func(m ctrlMsg) *ctrlMsg {
+			if m.Type == msgStream {
+				return &ctrlMsg{Type: msgReady, ID: m.ID}
+			}
+			return nil
+		}, drain + ctrlWait},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := Dial(stalledPeer(t, c.answer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tr.Close)
+			tr.DrainWait = drain
+			spec := probe.Pair(10*unit.Mbps, 100)
+			guard := c.bound + time.Second
+			errc := make(chan error, 1)
+			go func() {
+				_, err := tr.Probe(spec)
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Fatal("Probe against a stalled receiver succeeded")
+				}
+			case <-time.After(guard):
+				t.Fatalf("Probe still blocked after %v", guard)
+			}
+			begin := time.Now()
+			_, err = tr.Probe(spec)
+			if err == nil || !strings.Contains(err.Error(), "desynchronized") {
+				t.Fatalf("second Probe: err = %v, want the desynchronized error", err)
+			}
+			if el := time.Since(begin); el > 100*time.Millisecond {
+				t.Errorf("second Probe took %v to fail, want at once", el)
+			}
+		})
+	}
+}
+
+// TestProbeWaitsOutDeclaredDrain: the result read is bounded by the
+// drain wait the "done" declares plus ctrlWait, so a receiver that
+// spends a drain longer than ctrlWait on a lossy stream is still heard.
+func TestProbeWaitsOutDeclaredDrain(t *testing.T) {
+	const drain = ctrlWait + 200*time.Millisecond
+	var count int
+	tr, err := Dial(stalledPeer(t, func(m ctrlMsg) *ctrlMsg {
+		if m.Type == msgStream {
+			count = m.Count
+			return &ctrlMsg{Type: msgReady, ID: m.ID}
+		}
+		time.Sleep(time.Duration(m.DeadlineMs) * time.Millisecond)
+		lost := make([]int64, count)
+		for i := range lost {
+			lost[i] = -1
+		}
+		return &ctrlMsg{Type: msgResult, ID: m.ID, RecvNs: lost}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	tr.DrainWait = drain
+	rec, err := tr.Probe(probe.Pair(10*unit.Mbps, 100))
+	if err != nil {
+		t.Fatalf("Probe gave up before the declared drain ended: %v", err)
+	}
+	if rec.LossCount() != 2 {
+		t.Errorf("lost %d of 2, want both", rec.LossCount())
+	}
+}
+
+// TestZeroGapStreamLeavesAsOneRun: where sends batch, a periodic
+// stream whose gap rounds to 0 leaves in one sendmmsg run and carries
+// one send stamp; packet-by-packet writes would stamp each apart.
+func TestZeroGapStreamLeavesAsOneRun(t *testing.T) {
+	_, tr := newPair(t)
+	if !tr.Batched() {
+		t.Skip("sends do not batch on this platform")
+	}
+	spec := probe.Periodic(1e6*unit.Gbps, 64, 64)
+	if spec.Duration() != 0 {
+		t.Fatalf("spec duration %v, want a zero-gap stream", spec.Duration())
+	}
+	rec, err := tr.Probe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range rec.Sent {
+		if s != rec.Sent[0] {
+			t.Fatalf("Sent[%d] = %v, Sent[0] = %v: want one stamp for the run", i, s, rec.Sent[0])
 		}
 	}
 }

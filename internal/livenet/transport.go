@@ -12,6 +12,7 @@ import (
 	"abw/internal/core"
 	"abw/internal/livenet/ingest"
 	"abw/internal/probe"
+	"abw/internal/unit"
 )
 
 // Transport is the sending side, implementing core.Transport over UDP.
@@ -33,16 +34,16 @@ type Transport struct {
 
 	nextID uint32
 	buf    []byte
-	// bw coalesces zero-gap packet runs into single sendmmsg calls so
-	// back-to-back trains leave the host without per-packet syscall
-	// jitter between them; slab/train are its reusable packet buffers,
-	// grown on demand and reused across Probe calls.
+	// bw sends a zero-gap periodic stream as one sendmmsg run so a
+	// back-to-back train leaves the host without per-packet syscall
+	// jitter between its packets; slab/train are its reusable packet
+	// buffers, grown on demand and reused across Probe calls.
 	bw    *ingest.Writer
 	slab  []byte
 	train [][]byte
 	// broken latches when the control channel's request/reply
-	// alignment can no longer be trusted (an aborted stream whose
-	// reply never drained); every later Probe fails fast rather than
+	// alignment can no longer be trusted (a reply that never arrived
+	// or did not decode); every later Probe fails fast rather than
 	// misreading a stale reply and leaking receiver-side streams.
 	broken bool
 }
@@ -123,6 +124,10 @@ func (t *Transport) Close() {
 // Now implements core.Transport on the sender's monotonic clock.
 func (t *Transport) Now() time.Duration { return time.Since(t.epoch) }
 
+// ctrlWait bounds how long the receiver may take to answer a control
+// request beyond any drain wait the request itself declares.
+const ctrlWait = 2 * time.Second
+
 func (t *Transport) drainWait() time.Duration {
 	if t.DrainWait > 0 {
 		return t.DrainWait
@@ -133,9 +138,16 @@ func (t *Transport) drainWait() time.Duration {
 // Probe implements core.Transport: send one stream, collect the
 // receiver's timestamps. A receiver refusal (limits, unknown stream)
 // surfaces as a descriptive error carrying the receiver's reason.
+//
+// A stream costs one setup round trip ("stream" → "ready"), the send
+// span itself, timed from when the paced loop starts so packet 0 leaves
+// at once, and one result round trip ("done" → "result"). Both replies
+// are bounded: "ready" by ctrlWait, "result" by the drain wait plus
+// ctrlWait. A reply that does not arrive in time leaves the control
+// channel desynchronized, and every later Probe fails fast.
 func (t *Transport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	if t.broken {
-		return nil, fmt.Errorf("livenet: control channel desynchronized by an aborted stream; redial the receiver")
+		return nil, fmt.Errorf("livenet: control channel desynchronized by an unanswered request; redial the receiver")
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -146,17 +158,13 @@ func (t *Transport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	if int(spec.PktSize) > maxPacket {
 		return nil, fmt.Errorf("livenet: packet size %d above datagram limit %d", spec.PktSize, maxPacket)
 	}
-	deps, err := spec.Departures()
-	if err != nil {
-		return nil, err
-	}
 	t.nextID++
 	id := t.nextID
 	if err := t.enc.Encode(ctrlMsg{Type: msgStream, ID: id, Count: spec.Count, Size: int(spec.PktSize)}); err != nil {
 		return nil, fmt.Errorf("livenet: stream setup: %w", err)
 	}
-	var ready ctrlMsg
-	if err := t.dec.Decode(&ready); err != nil {
+	ready, err := t.reply(ctrlWait)
+	if err != nil {
 		return nil, fmt.Errorf("livenet: stream setup reply: %w", err)
 	}
 	if ready.Type == msgError {
@@ -174,57 +182,43 @@ func (t *Transport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	binary.BigEndian.PutUint32(pkt[4:8], t.session)
 	binary.BigEndian.PutUint32(pkt[8:12], id)
 
-	// Zero-gap runs — consecutive packets with identical departure
-	// targets (Validate admits gap 0, never negative) — are coalesced
-	// into one sendmmsg call each, so a back-to-back train leaves the
-	// host without per-packet syscall jitter between its packets.
-	// Intended (positive) gaps are still paced one departure at a time.
-	maxRun := 1
-	if t.bw.Batched() {
-		run := 1
-		for i := 1; i < spec.Count; i++ {
-			if deps[i] == deps[i-1] {
-				run++
-			} else {
-				run = 1
-			}
-			if run > maxRun {
-				maxRun = run
-			}
-		}
+	// Packet i leaves at offset i·gap for a periodic stream, or at the
+	// running sum of Gaps, as SimTransport.send schedules it. Validate
+	// refuses a non-positive explicit gap, so departures coincide only
+	// when a periodic gap rounds to 0, and then the whole stream does.
+	var gap time.Duration
+	if spec.Gaps == nil {
+		gap = unit.GapFor(spec.PktSize, spec.Rate)
 	}
-	var train [][]byte
-	if maxRun > 1 {
-		train = t.trainBufs(maxRun, int(spec.PktSize), id)
-	}
-
-	// The paced send loop: lock the OS thread and spin for the last
-	// stretch before each departure to defeat sleep quantization.
-	runtime.LockOSThread()
-	start := time.Now().Add(2 * time.Millisecond)
-	for i := 0; i < spec.Count; {
-		j := i + 1
-		for train != nil && j < spec.Count && deps[j] == deps[i] {
-			j++
+	if spec.Gaps == nil && gap == 0 && t.bw.Batched() {
+		// A back-to-back train leaves as one sendmmsg run, without
+		// per-packet syscall jitter between its packets. One stamp
+		// serves it: the intended gaps are zero, so distinct stamps
+		// would only record scheduler noise, not departures.
+		train := t.trainBufs(spec.Count, int(spec.PktSize), id)
+		at := time.Since(t.epoch)
+		for k := range rec.Sent {
+			rec.Sent[k] = at
 		}
-		pace(start.Add(deps[i]))
-		if run := j - i; run > 1 {
-			for k := 0; k < run; k++ {
-				binary.BigEndian.PutUint32(train[k][12:16], uint32(i+k))
+		if err := t.bw.WriteBatch(train); err != nil {
+			t.abortStream(id)
+			return nil, fmt.Errorf("livenet: send train 0..%d: %w", spec.Count-1, err)
+		}
+	} else {
+		// The paced send loop: lock the OS thread and spin for the last
+		// stretch before each departure to defeat sleep quantization.
+		runtime.LockOSThread()
+		start := time.Now()
+		var off time.Duration
+		for i := 0; i < spec.Count; i++ {
+			if i > 0 {
+				if spec.Gaps != nil {
+					off += spec.Gaps[i-1]
+				} else {
+					off += gap
+				}
 			}
-			// One stamp for the whole run: the intended gaps are zero and
-			// the packets leave in a single syscall, so distinct stamps
-			// would only record scheduler noise, not departures.
-			at := time.Since(t.epoch)
-			for k := 0; k < run; k++ {
-				rec.Sent[i+k] = at
-			}
-			if err := t.bw.WriteBatch(train[:run]); err != nil {
-				runtime.UnlockOSThread()
-				t.abortStream(id)
-				return nil, fmt.Errorf("livenet: send train %d..%d: %w", i, j-1, err)
-			}
-		} else {
+			pace(start.Add(off))
 			binary.BigEndian.PutUint32(pkt[12:16], uint32(i))
 			rec.Sent[i] = time.Since(t.epoch)
 			if _, err := t.udp.Write(pkt); err != nil {
@@ -233,15 +227,14 @@ func (t *Transport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 				return nil, fmt.Errorf("livenet: send %d: %w", i, err)
 			}
 		}
-		i = j
+		runtime.UnlockOSThread()
 	}
-	runtime.UnlockOSThread()
 
 	if err := t.enc.Encode(ctrlMsg{Type: msgDone, ID: id, DeadlineMs: int(t.drainWait().Milliseconds())}); err != nil {
 		return nil, fmt.Errorf("livenet: done: %w", err)
 	}
-	var res ctrlMsg
-	if err := t.dec.Decode(&res); err != nil {
+	res, err := t.reply(t.drainWait() + ctrlWait)
+	if err != nil {
 		return nil, fmt.Errorf("livenet: result reply: %w", err)
 	}
 	if res.Type == msgError {
@@ -264,10 +257,24 @@ func (t *Transport) Probe(spec probe.StreamSpec) (*probe.Record, error) {
 	return rec, nil
 }
 
-// trainBufs sizes the reusable train buffers for runs up to n packets
-// of the given size and stamps every constant header field; the paced
-// loop only rewrites each packet's sequence number. Buffers persist
-// across Probe calls, so steady-state probing does not allocate here.
+// reply reads the receiver's answer to the request just written,
+// waiting at most d. A reply that fails to arrive or decode latches
+// broken: a late one would otherwise answer the next request.
+func (t *Transport) reply(d time.Duration) (ctrlMsg, error) {
+	t.ctrl.SetReadDeadline(time.Now().Add(d))
+	var m ctrlMsg
+	err := t.dec.Decode(&m)
+	t.ctrl.SetReadDeadline(time.Time{})
+	if err != nil {
+		t.broken = true
+	}
+	return m, err
+}
+
+// trainBufs sizes the reusable train buffers for a stream of n packets
+// of the given size and writes every packet's whole header, sequence
+// number included. Buffers persist across Probe calls, so steady-state
+// probing does not allocate here.
 func (t *Transport) trainBufs(n, size int, stream uint32) [][]byte {
 	if cap(t.slab) < n*size {
 		t.slab = make([]byte, n*size)
@@ -285,6 +292,7 @@ func (t *Transport) trainBufs(n, size int, stream uint32) [][]byte {
 		binary.BigEndian.PutUint32(b[0:4], magic)
 		binary.BigEndian.PutUint32(b[4:8], t.session)
 		binary.BigEndian.PutUint32(b[8:12], stream)
+		binary.BigEndian.PutUint32(b[12:16], uint32(k))
 		t.train[k] = b
 	}
 	return t.train
@@ -301,15 +309,7 @@ func (t *Transport) abortStream(id uint32) {
 		t.broken = true
 		return
 	}
-	t.ctrl.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var discard ctrlMsg
-	if t.dec.Decode(&discard) != nil {
-		// The reply never drained (or the decoder state is poisoned):
-		// the next reply on this channel would answer the wrong
-		// request, so the transport must not be probed again.
-		t.broken = true
-	}
-	t.ctrl.SetReadDeadline(time.Time{})
+	t.reply(ctrlWait)
 }
 
 // pace blocks until the target instant: sleep while far, spin when near.

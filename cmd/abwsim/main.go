@@ -11,9 +11,6 @@
 //	abwsim -exp all -parallel 8            # cap the trial-engine workers
 //	abwsim -exp all -json out              # one structured JSON result per experiment
 //	abwsim -exp all -json out -md EXPERIMENTS.md   # regenerate the results doc
-//	abwsim -only fig3 -json results -md EXPERIMENTS.md
-//	    # fast iteration: rerun ONE experiment, regenerate the whole doc
-//	    # by merging the other experiments' stored -json results
 //
 // Output is a text table per experiment, in the same rows/series the
 // paper reports, with the paper's qualitative claim attached as a note.
@@ -22,11 +19,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -41,7 +36,6 @@ import (
 func main() {
 	var (
 		which      = flag.String("exp", "", "experiment: fig1..fig7, table1, latency, narrowtight, matrix, dataset, learnedeval, all")
-		only       = flag.String("only", "", "run only this comma-separated subset; with -md, the rest load from the -json dir (see -list for names)")
 		list       = flag.Bool("list", false, "list experiments and the misconception catalog")
 		quick      = flag.Bool("quick", false, "reduced trial counts (~10x faster)")
 		seed       = flag.Uint64("seed", 1, "random seed")
@@ -97,26 +91,13 @@ func main() {
 		printCatalog()
 		return
 	}
-	if *which == "" && *only == "" {
-		fmt.Fprintln(os.Stderr, "abwsim: pick an experiment with -exp or -only (or -list); see -h")
-		os.Exit(2)
-	}
-	if *which != "" && *only != "" {
-		fmt.Fprintln(os.Stderr, "abwsim: -exp and -only are mutually exclusive")
+	if *which == "" {
+		fmt.Fprintln(os.Stderr, "abwsim: pick an experiment with -exp (or -list); see -h")
 		os.Exit(2)
 	}
 	names := []string{*which}
 	if *which == "all" {
 		names = allExperiments()
-	}
-	if *only != "" {
-		names = strings.Split(*only, ",")
-		for _, n := range names {
-			if describe(n) == "" {
-				fmt.Fprintf(os.Stderr, "abwsim: -only: unknown experiment %q (see -list)\n", n)
-				os.Exit(2)
-			}
-		}
 	}
 	var results []*runner.Result
 	for _, name := range names {
@@ -153,14 +134,6 @@ func main() {
 		}
 	}
 	if *mdPath != "" {
-		if *only != "" {
-			merged, err := mergeStored(results, *jsonDir, *quick, *seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "abwsim: %v\n", err)
-				os.Exit(1)
-			}
-			results = merged
-		}
 		if err := writeMarkdown(*mdPath, results, *quick, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "abwsim: %v\n", err)
 			os.Exit(1)
@@ -180,60 +153,6 @@ func writeDatasetCSV(path string, ds *exp.DatasetResult) error {
 		return err
 	}
 	return f.Close()
-}
-
-// mergeStored fills the catalog-ordered result list for -md when only
-// a subset was rerun: experiments not in this run load from their
-// stored -json results, refusing stale files (different seed or quick
-// setting) — the guarantee that a merged EXPERIMENTS.md is exactly
-// what a full run would produce.
-func mergeStored(ran []*runner.Result, jsonDir string, quick bool, seed uint64) ([]*runner.Result, error) {
-	if jsonDir == "" {
-		return nil, fmt.Errorf("-only with -md needs -json <dir> holding the other experiments' stored results")
-	}
-	byName := make(map[string]*runner.Result, len(ran))
-	for _, r := range ran {
-		byName[r.Name] = r
-	}
-	full := make([]*runner.Result, 0, len(catalog))
-	for _, c := range catalog {
-		if r, ok := byName[c.name]; ok {
-			full = append(full, r)
-			continue
-		}
-		r, err := loadStored(jsonDir, c.name, quick, seed)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v (rerun it, or drop -only)", c.name, err)
-		}
-		full = append(full, r)
-	}
-	return full, nil
-}
-
-// loadStored reads one experiment's stored JSON result and verifies it
-// matches this run's seed and quick setting.
-func loadStored(dir, name string, quick bool, seed uint64) (*runner.Result, error) {
-	b, err := os.ReadFile(filepath.Join(dir, name+".json"))
-	if err != nil {
-		return nil, err
-	}
-	var st struct {
-		Name  string     `json:"name"`
-		Seed  uint64     `json:"seed"`
-		Quick bool       `json:"quick"`
-		Table *exp.Table `json:"table"`
-	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, fmt.Errorf("stored result: %w", err)
-	}
-	if st.Seed != seed || st.Quick != quick {
-		return nil, fmt.Errorf("stored result is stale: seed %d quick %v, this run wants seed %d quick %v",
-			st.Seed, st.Quick, seed, quick)
-	}
-	if st.Table == nil {
-		return nil, fmt.Errorf("stored result has no table")
-	}
-	return &runner.Result{Name: st.Name, Seed: st.Seed, Quick: st.Quick, Table: st.Table}, nil
 }
 
 // tabler is the piece of every experiment result the CLI renders.

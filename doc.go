@@ -28,7 +28,6 @@
 //
 //   - cmd/abwsim regenerates every table and figure;
 //   - cmd/abwprobe runs the estimators over real UDP sockets;
-//   - cmd/abwtrace synthesizes and analyzes traces;
 //   - examples/ holds runnable walkthroughs of the public API;
 //   - bench_test.go in this directory carries one benchmark per
 //     table/figure.

@@ -10,99 +10,6 @@ import (
 	"abw/internal/unit"
 )
 
-// OnOffConfig parameterizes the aggregated Pareto ON-OFF generator.
-// Zero fields take defaults calibrated to resemble the paper's OC-3
-// access-link trace.
-type OnOffConfig struct {
-	// MeanRate is the target aggregate traffic rate (default 70 Mbps,
-	// putting the mean avail-bw near the 85 Mbps of Figure 6); it must
-	// stay below the OC-3 capacity.
-	MeanRate unit.Rate
-	// Sources is the number of multiplexed ON-OFF sources (default 50).
-	Sources int
-	// Span is the trace duration (default 30 s).
-	Span time.Duration
-}
-
-// Every ON-OFF source draws ON and OFF periods from Pareto laws of
-// shape onOffShape, the heavy-tailed regime that yields self-similar
-// aggregates with H = (3−shape)/2 = 0.75; it sends at peakFactor times
-// its mean rate while ON, packets drawn from rng.InternetMix, on an
-// OC-3 link.
-const (
-	onOffShape float64 = 1.5
-	peakFactor float64 = 5
-)
-
-func (c OnOffConfig) withDefaults() (OnOffConfig, error) {
-	if c.MeanRate == 0 {
-		c.MeanRate = 70 * unit.Mbps
-	}
-	if c.MeanRate <= 0 || c.MeanRate >= unit.OC3 {
-		return c, fmt.Errorf("trace: need 0 < MeanRate < Capacity (got %v, %v)", c.MeanRate, unit.OC3)
-	}
-	if c.Sources == 0 {
-		c.Sources = 50
-	}
-	if c.Sources < 1 {
-		return c, fmt.Errorf("trace: need at least one source")
-	}
-	if c.Span == 0 {
-		c.Span = 30 * time.Second
-	}
-	if c.Span <= 0 {
-		return c, fmt.Errorf("trace: span must be positive")
-	}
-	return c, nil
-}
-
-// SynthesizeOnOff builds a trace as the superposition of heavy-tailed
-// ON-OFF sources. The aggregate is asymptotically self-similar (Taqqu,
-// Willinger & Sherman), reproducing the burstiness-across-timescales
-// structure the Figure 1 experiment depends on.
-func SynthesizeOnOff(cfg OnOffConfig, r *rng.Rand) (*Trace, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if r == nil {
-		return nil, fmt.Errorf("trace: SynthesizeOnOff needs a random source")
-	}
-	perSource := c.MeanRate / unit.Rate(c.Sources)
-	peak := perSource * unit.Rate(peakFactor)
-	// Mean ON duration chosen so a typical burst carries ~20 packets;
-	// OFF calibrated for the duty cycle d = 1/peakFactor.
-	meanSize := rng.InternetMix.Mean()
-	meanOn := 20 * meanSize * 8 / float64(peak)
-	meanOff := meanOn * (peakFactor - 1)
-	onXm := meanOn * (onOffShape - 1) / onOffShape
-	offXm := meanOff * (onOffShape - 1) / onOffShape
-	var pkts []Pkt
-	for s := 0; s < c.Sources; s++ {
-		src := r.Split(fmt.Sprintf("src%d", s))
-		// Random initial phase: start mid-cycle so sources are not
-		// synchronized at t=0.
-		at := -time.Duration(src.Exp(meanOn+meanOff) * 1e9)
-		for at < c.Span {
-			on := time.Duration(src.Pareto(onOffShape, onXm) * 1e9)
-			end := at + on
-			t := at
-			for t < end && t < c.Span {
-				if t >= 0 {
-					size := unit.Bytes(rng.InternetMix.Sample(src))
-					pkts = append(pkts, Pkt{At: t, Size: size})
-					t += unit.GapFor(size, peak)
-				} else {
-					t += unit.GapFor(unit.Bytes(meanSize), peak)
-				}
-			}
-			off := time.Duration(src.Pareto(onOffShape, offXm) * 1e9)
-			at = end + off
-		}
-	}
-	return New(unit.OC3, c.Span, pkts)
-}
-
 // FGNConfig parameterizes the fGn rate-modulated generator: packet
 // arrivals are locally Poisson, with the window rate following a
 // fractional Gaussian noise envelope of exactly known Hurst parameter.

@@ -6,10 +6,8 @@
 // synthesizes traces with the properties those experiments actually use:
 // a known link capacity, realistic burstiness, and long-range dependence,
 // with the avail-bw process A_τ(t) computable exactly at any timescale.
-// Two generators are provided: an aggregate of Pareto ON-OFF sources
-// (Taqqu's construction, the standard model for self-similar Internet
-// traffic) and a fractional-Gaussian-noise rate-modulated Poisson stream
-// with an exactly controllable Hurst parameter.
+// The generator is a fractional-Gaussian-noise rate-modulated Poisson
+// stream with an exactly controllable Hurst parameter.
 package trace
 
 import (

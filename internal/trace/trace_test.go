@@ -157,38 +157,6 @@ func TestPoissonSampleErrors(t *testing.T) {
 	}
 }
 
-func TestSynthesizeOnOffCalibration(t *testing.T) {
-	r := rng.New(3)
-	tr, err := SynthesizeOnOff(OnOffConfig{Span: 20 * time.Second}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tr.MeanRate().MbpsOf()
-	// Heavy-tailed sources converge slowly; accept ±30% around the
-	// 70 Mbps target over 20 s.
-	if got < 49 || got > 91 {
-		t.Errorf("ON-OFF mean rate = %.1f Mbps, want 70±30%%", got)
-	}
-	if tr.Capacity != unit.OC3 {
-		t.Errorf("capacity = %v, want OC-3", tr.Capacity)
-	}
-}
-
-func TestSynthesizeOnOffLongRangeDependent(t *testing.T) {
-	r := rng.New(4)
-	tr, err := SynthesizeOnOff(OnOffConfig{Span: 30 * time.Second}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := tr.HurstEstimate(10 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 0.6 {
-		t.Errorf("ON-OFF aggregate Hurst = %.2f, want > 0.6 (LRD)", h)
-	}
-}
-
 func TestSynthesizeFGNCalibration(t *testing.T) {
 	r := rng.New(5)
 	tr, err := SynthesizeFGN(FGNConfig{Span: 20 * time.Second}, r)
@@ -234,12 +202,6 @@ func TestSynthesizeFGNHurstControl(t *testing.T) {
 }
 
 func TestSynthesizeValidation(t *testing.T) {
-	if _, err := SynthesizeOnOff(OnOffConfig{MeanRate: 200 * unit.Mbps}, rng.New(1)); err == nil {
-		t.Error("mean above the OC-3 capacity accepted")
-	}
-	if _, err := SynthesizeOnOff(OnOffConfig{}, nil); err == nil {
-		t.Error("nil rand accepted")
-	}
 	for _, h := range []float64{1.5, -0.2, math.NaN()} {
 		if _, err := SynthesizeFGN(FGNConfig{Hurst: h}, rng.New(1)); err == nil {
 			t.Errorf("invalid Hurst %g accepted", h)

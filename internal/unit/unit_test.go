@@ -69,17 +69,37 @@ func TestGapForMatchesPaperDelta(t *testing.T) {
 	}
 }
 
+// roundTrip maps a random draw to a byte count and a rate, and returns
+// the relative error of RateOf(b, TxTime(b, r)) against r together with
+// its exact bound: TxTime rounds to the nearest nanosecond, so the
+// error is at most half a nanosecond over the rounded time.
+func roundTrip(bRaw uint16, rRaw uint32) (rel, bound float64) {
+	b := Bytes(bRaw%9000 + 40)
+	r := Rate(float64(rRaw%1000+1)) * Mbps
+	d := TxTime(b, r)
+	rel = math.Abs(float64(RateOf(b, d)-r)) / float64(r)
+	return rel, 0.5e-9/d.Seconds() + 1e-12
+}
+
 func TestRateRoundTripProperty(t *testing.T) {
-	// For any positive byte count and rate, RateOf(b, TxTime(b, r)) ≈ r.
+	// For any positive byte count and rate, RateOf(b, TxTime(b, r)) ≈ r
+	// within TxTime's nanosecond quantization.
 	f := func(bRaw uint16, rRaw uint32) bool {
-		b := Bytes(bRaw%9000 + 40)
-		r := Rate(float64(rRaw%1000+1)) * Mbps
-		got := RateOf(b, TxTime(b, r))
-		rel := math.Abs(float64(got-r)) / float64(r)
-		return rel < 1e-3
+		rel, bound := roundTrip(bRaw, rRaw)
+		return rel <= bound
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// 43 B at 979 Mbps takes 351.38 ns, rounded to 351 ns: a relative
+	// error of 1.08e-3, within the quantization bound but above a fixed
+	// 1e-3.
+	rel, bound := roundTrip(3, 978)
+	if rel <= 1e-3 {
+		t.Errorf("43 B at 979 Mbps: rel = %g, want above 1e-3", rel)
+	}
+	if rel > bound {
+		t.Errorf("43 B at 979 Mbps: rel = %g above the quantization bound %g", rel, bound)
 	}
 }
 

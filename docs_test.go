@@ -1,11 +1,14 @@
 package abw_test
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"abw"
 )
 
 // docPath matches a repository path under cmd/, internal/, examples/ or
@@ -51,4 +54,87 @@ func TestDocPathsExist(t *testing.T) {
 			t.Errorf("README.md does not name cmd/%s", d.Name())
 		}
 	}
+}
+
+// codeSpan matches an inline code span; docIdent matches pkg.Name or
+// pkg.Type.Member at the start of one.
+var (
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	docIdent = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?(?:$|[^\w.])`)
+)
+
+// TestDocIdentifiersExist fails on a code span in README.md, DESIGN.md
+// or doc.go that names pkg.Name or pkg.Type.Member, pkg a package of
+// this module, when no such exported identifier, field or method
+// exists; and on a registered tool or a cataloged scenario that no code
+// span of README.md or DESIGN.md names. Fenced code blocks are not
+// read: the examples compile.
+func TestDocIdentifiersExist(t *testing.T) {
+	x, errs := repoTree()
+	for _, e := range errs {
+		t.Fatal(e)
+	}
+	pkgs := map[string]*types.Package{}
+	for p, pf := range x.pkgs {
+		if pkg := x.base[p]; pkg != nil && !pf.consumer && pkg.Name() != "main" {
+			pkgs[pkg.Name()] = pkg
+		}
+	}
+	named := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md", "doc.go"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+				named[m[1]] = named[m[1]] || doc != "doc.go"
+				id := docIdent.FindStringSubmatch(m[1])
+				if id == nil || pkgs[id[1]] == nil {
+					continue
+				}
+				if why := resolveDocIdent(pkgs[id[1]], id[2], id[3]); why != "" {
+					t.Errorf("%s names `%s`: %s", doc, m[1], why)
+				}
+			}
+		}
+	}
+	for _, d := range abw.Tools() {
+		if !named[d.Name] {
+			t.Errorf("neither README.md nor DESIGN.md names the tool `%s`", d.Name)
+		}
+	}
+	for _, d := range abw.Scenarios() {
+		if !named[d.Name] {
+			t.Errorf("neither README.md nor DESIGN.md names the scenario `%s`", d.Name)
+		}
+	}
+}
+
+// resolveDocIdent returns why pkg.name or pkg.name.member does not
+// resolve, or "" when it does.
+func resolveDocIdent(pkg *types.Package, name, member string) string {
+	obj := pkg.Scope().Lookup(name)
+	switch {
+	case obj == nil || !obj.Exported():
+		return "package " + pkg.Name() + " declares no " + name
+	case member == "":
+		return ""
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return pkg.Name() + "." + name + " is not a type"
+	}
+	if m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, member); m == nil {
+		return pkg.Name() + "." + name + " has no field or method " + member
+	}
+	return ""
 }

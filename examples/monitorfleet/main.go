@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"abw"
@@ -66,7 +67,12 @@ func main() {
 	fmt.Printf("after %d cycles:\n\n", cycles)
 	fmt.Printf("%-8s %-9s %-7s %9s %9s %9s %13s %5s\n",
 		"target", "tool", "tenant", "min", "mean", "max", "variation", "runs")
-	for _, s := range m.Store().All() {
+	// The store lists series in the order their first runs finished,
+	// which the run goroutines decide; sort so the table is the same
+	// every time.
+	series := m.Store().All()
+	sort.Slice(series, func(i, j int) bool { return series[i].Target < series[j].Target })
+	for _, s := range series {
 		r := s.Rollup()
 		fmt.Printf("%-8s %-9s %-7s %9.2f %9.2f %9.2f %6.2f–%-6.2f %2d+%de\n",
 			s.Target, s.Tool, s.Tenant,

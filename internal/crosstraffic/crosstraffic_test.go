@@ -42,16 +42,28 @@ func feed(s *sim.Sim, route []*sim.Link, m Model, from, until time.Duration) *Co
 	return c
 }
 
-// runModel drives a model over a single well-provisioned link and returns
-// the recorder plus the counter.
-func runModel(m Model, capacity unit.Rate, runFor time.Duration) (*sim.Recorder, *Counter) {
+// offered is one packet a model offered the link.
+type offered struct {
+	At   time.Duration
+	Size unit.Bytes
+}
+
+// runModel drives a model over a single well-provisioned link and
+// returns the packets it offered the link, in order, plus their counter.
+func runModel(m Model, capacity unit.Rate, runFor time.Duration) ([]offered, *Counter) {
 	s := sim.New()
 	l := s.NewLink("l", capacity, 0)
-	rec := sim.NewRecorder(capacity)
-	l.Attach(rec)
-	ctr := feed(s, []*sim.Link{l}, m, 0, runFor)
+	ctr := &Counter{Process: m.Over(0, runFor)}
+	var pkts []offered
+	s.Feed([]*sim.Link{l}, sim.KindCross, 0, func() (time.Duration, unit.Bytes, bool) {
+		at, size, ok := ctr.Next()
+		if ok {
+			pkts = append(pkts, offered{at, size})
+		}
+		return at, size, ok
+	})
 	s.Run()
-	return rec, ctr
+	return pkts, ctr
 }
 
 func TestCBRRateExact(t *testing.T) {
@@ -65,8 +77,7 @@ func TestCBRRateExact(t *testing.T) {
 
 func TestCBRPerfectlyPeriodic(t *testing.T) {
 	m := CBR(Stream{Rate: 12 * unit.Mbps})
-	rec, _ := runModel(m, 100*unit.Mbps, 500*time.Millisecond)
-	arr := rec.Arrivals()
+	arr, _ := runModel(m, 100*unit.Mbps, 500*time.Millisecond)
 	if len(arr) < 3 {
 		t.Fatalf("too few arrivals: %d", len(arr))
 	}
@@ -93,8 +104,7 @@ func TestPoissonRateConverges(t *testing.T) {
 func TestPoissonInterarrivalCV(t *testing.T) {
 	// Exponential interarrivals have coefficient of variation 1.
 	m := Poisson(Stream{Rate: 10 * unit.Mbps}, rng.New(2))
-	rec, _ := runModel(m, 100*unit.Mbps, 10*time.Second)
-	arr := rec.Arrivals()
+	arr, _ := runModel(m, 100*unit.Mbps, 10*time.Second)
 	var gaps []float64
 	for i := 1; i < len(arr); i++ {
 		gaps = append(gaps, (arr[i].At - arr[i-1].At).Seconds())
@@ -118,9 +128,9 @@ func TestPoissonInterarrivalCV(t *testing.T) {
 func TestPoissonModalSizes(t *testing.T) {
 	sizes := rng.MustModalSizes(rng.Mode{Size: 40, Prob: 0.5}, rng.Mode{Size: 1500, Prob: 0.5})
 	m := Poisson(Stream{Rate: 20 * unit.Mbps, Sizes: sizes}, rng.New(3))
-	rec, _ := runModel(m, 100*unit.Mbps, 2*time.Second)
+	arr, _ := runModel(m, 100*unit.Mbps, 2*time.Second)
 	saw := map[unit.Bytes]bool{}
-	for _, a := range rec.Arrivals() {
+	for _, a := range arr {
 		saw[a.Size] = true
 	}
 	if !saw[40] || !saw[1500] {
@@ -167,11 +177,11 @@ func TestParetoOnOffValidation(t *testing.T) {
 
 // windowVariance computes the variance of per-window arrival byte counts,
 // the standard burstiness measure at a timescale.
-func windowVariance(rec *sim.Recorder, runFor, win time.Duration) float64 {
+func windowVariance(arr []offered, runFor, win time.Duration) float64 {
 	var counts []float64
 	for t := time.Duration(0); t+win <= runFor; t += win {
 		var b unit.Bytes
-		for _, a := range rec.Arrivals() {
+		for _, a := range arr {
 			if a.At >= t && a.At < t+win {
 				b += a.Size
 			}
@@ -196,8 +206,8 @@ func TestBurstinessOrdering(t *testing.T) {
 	const runFor = 20 * time.Second
 	const win = 10 * time.Millisecond
 	mk := func(m Model) float64 {
-		rec, _ := runModel(m, 200*unit.Mbps, runFor)
-		return windowVariance(rec, runFor, win)
+		arr, _ := runModel(m, 200*unit.Mbps, runFor)
+		return windowVariance(arr, runFor, win)
 	}
 	vCBR := mk(CBR(Stream{Rate: 25 * unit.Mbps}))
 	vPoisson := mk(Poisson(Stream{Rate: 25 * unit.Mbps}, rng.New(6)))

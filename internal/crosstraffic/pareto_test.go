@@ -23,10 +23,10 @@ func TestParetoArrivalsHeavierTailThanPoisson(t *testing.T) {
 	// windowed counts than Poisson at the same mean rate.
 	const runFor = 20 * time.Second
 	const win = 10 * time.Millisecond
-	recPoisson, _ := runModel(Poisson(Stream{Rate: 20 * unit.Mbps}, rng.New(2)), 200*unit.Mbps, runFor)
-	recPareto, _ := runModel(ParetoArrivals(Stream{Rate: 20 * unit.Mbps}, 1.3, rng.New(3)), 200*unit.Mbps, runFor)
-	vPoisson := windowVariance(recPoisson, runFor, win)
-	vPareto := windowVariance(recPareto, runFor, win)
+	poisson, _ := runModel(Poisson(Stream{Rate: 20 * unit.Mbps}, rng.New(2)), 200*unit.Mbps, runFor)
+	pareto, _ := runModel(ParetoArrivals(Stream{Rate: 20 * unit.Mbps}, 1.3, rng.New(3)), 200*unit.Mbps, runFor)
+	vPoisson := windowVariance(poisson, runFor, win)
+	vPareto := windowVariance(pareto, runFor, win)
 	if vPareto <= vPoisson {
 		t.Errorf("Pareto-gap variance %g should exceed Poisson %g", vPareto, vPoisson)
 	}
@@ -36,8 +36,7 @@ func TestParetoArrivalsInterarrivalMinimum(t *testing.T) {
 	// Pareto gaps have a hard minimum x_m: no two arrivals closer than
 	// that.
 	m := ParetoArrivals(Stream{Rate: 10 * unit.Mbps}, 2.0, rng.New(4))
-	rec, _ := runModel(m, 100*unit.Mbps, 5*time.Second)
-	arr := rec.Arrivals()
+	arr, _ := runModel(m, 100*unit.Mbps, 5*time.Second)
 	meanGap := 1500.0 * 8 / 10e6
 	xm := meanGap * (2.0 - 1) / 2.0
 	for i := 1; i < len(arr); i++ {

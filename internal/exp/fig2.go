@@ -8,7 +8,6 @@ import (
 	"abw/internal/probe"
 	"abw/internal/runner"
 	"abw/internal/scenario"
-	"abw/internal/sim"
 	"abw/internal/stats"
 )
 
@@ -47,7 +46,9 @@ type Figure2Result struct {
 // Figure2 regenerates the paper's Figure 2: the probing stream duration
 // IS the averaging timescale. For each duration, 100 direct-probing
 // samples are collected and their standard deviation compared with the
-// population standard deviation of A_τ at τ = duration; the two curves
+// population standard deviation of A_τ at τ = duration — C less the
+// cross rate the spec offers the hop in each window of the probed span
+// (Compiled.Offered), which no probe counts against; the two curves
 // should coincide and decrease with τ.
 // Each duration is one runner job: it builds its own simulator and
 // derives its randomness from the seed and the duration index alone.
@@ -66,15 +67,13 @@ func Figure2(c Figure2Config) (*Figure2Result, error) {
 		perStream := spacing + spec.Duration() + 100*time.Millisecond
 		horizon := time.Duration(c.Streams+3) * perStream
 		cpl, err := scenario.Compile(scenario.Spec{
-			Horizon:  horizon,
-			Seed:     scenario.Seed(c.Seed + uint64(di)),
-			Recorded: true, // the population below is the recorder's arrival rate
-			Hops:     paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}),
+			Horizon: horizon,
+			Seed:    scenario.Seed(c.Seed + uint64(di)),
+			Hops:    paperHop(scenario.Source{Kind: scenario.Poisson, Rate: paperCrossRate, SplitLabel: "cross"}),
 		})
 		if err != nil {
 			return Figure2Point{}, fmt.Errorf("exp: figure2: %w", err)
 		}
-		rec := cpl.Recorders[0]
 		tp := cpl.Transport
 		tp.Spacing = spacing
 		samples := make([]float64, 0, c.Streams)
@@ -93,21 +92,21 @@ func Figure2(c Figure2Config) (*Figure2Result, error) {
 			}
 			samples = append(samples, a.MbpsOf())
 		}
-		// Population: ground-truth avail-bw series at τ = stream
-		// duration over the probed span, computed from cross-traffic
-		// arrivals only — the probe streams themselves must not count
+		// Population: the avail-bw series at τ = stream duration over
+		// the probed span, C minus the offered cross rate per window
+		// (clamped at 0) — the probe streams themselves must not count
 		// against the avail-bw they are measuring.
 		probeEnd := tp.Now()
 		if probeEnd > horizon {
 			probeEnd = horizon
 		}
+		offered, err := cpl.Offered(0, probeEnd)
+		if err != nil {
+			return Figure2Point{}, fmt.Errorf("exp: figure2: %w", err)
+		}
 		var pop []float64
 		for at := 50 * time.Millisecond; at+spec.Duration() <= probeEnd; at += spec.Duration() {
-			a := paperCapacity - rec.ArrivalRate(at, spec.Duration(), sim.CrossOnly)
-			if a < 0 {
-				a = 0
-			}
-			pop = append(pop, a.MbpsOf())
+			pop = append(pop, offered.AvailBw(at, spec.Duration()).MbpsOf())
 		}
 		return Figure2Point{
 			Duration:     d,

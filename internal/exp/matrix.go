@@ -64,7 +64,7 @@ func (r *MatrixResult) Cell(scenarioName, tool string) (MatrixCell, bool) {
 // Matrix runs every registered tool against every cataloged scenario
 // at the config seed, one grid column per tool (see runGrid): every
 // tool sees statistically identical conditions. The truth column is
-// the analytic TrueAvailBw, which needs no recorder.
+// the analytic TrueAvailBw.
 func Matrix(c MatrixConfig) (*MatrixResult, error) {
 	tools := registry.Names()
 	catalog := scenario.Catalog()

@@ -124,11 +124,10 @@ func capturePanic(f func()) (err error) {
 }
 
 // applyLinkModels wires hop h's queue discipline, loss model, jitter
-// and capacity schedule onto its compiled link and recorder (nil unless
-// the spec is Recorded), and returns the hop's stationary loss
-// probability (0 without a loss model) for the analytic ground-truth
-// accounting.
-func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64) (lossMean float64, err error) {
+// and capacity schedule onto its compiled link, and returns the hop's
+// stationary loss probability (0 without a loss model) for the analytic
+// ground-truth accounting.
+func applyLinkModels(l *sim.Link, h int, hop Hop, seed uint64) (lossMean float64, err error) {
 	switch hop.Queue.Kind {
 	case QueueFIFO:
 		// The default fast path; an explicitly-configured RED/CoDel
@@ -177,11 +176,7 @@ func applyLinkModels(l *sim.Link, rec *sim.Recorder, h int, hop Hop, seed uint64
 	}
 
 	if len(hop.CapacitySteps) > 0 {
-		steps := capacitySteps(hop.CapacitySteps) // validated by Compile
-		l.SetCapacitySchedule(steps)
-		if rec != nil {
-			rec.SetCapacitySchedule(steps)
-		}
+		l.SetCapacitySchedule(capacitySteps(hop.CapacitySteps)) // validated by Compile
 	}
 	return lossMean, nil
 }
@@ -196,12 +191,21 @@ func capacitySteps(steps []RateStep) []sim.CapacityStep {
 	return out
 }
 
-// effectiveCapacity returns the hop's long-run capacity for analytic
-// ground truth: the time-weighted mean of the capacity profile over the
-// horizon, or the fixed Capacity without one.
-func (hop Hop) effectiveCapacity(horizon time.Duration) unit.Rate {
+// firstCapacity returns the rate the hop's link starts at: the first
+// step of its capacity profile, or its fixed Capacity.
+func (hop Hop) firstCapacity() unit.Rate {
+	if len(hop.CapacitySteps) > 0 {
+		return hop.CapacitySteps[0].Rate
+	}
+	return hop.Capacity
+}
+
+// effectiveCapacity returns the hop's capacity for analytic ground
+// truth over [from, to): the time-weighted mean of its capacity profile
+// over the window, or the fixed Capacity without one.
+func (hop Hop) effectiveCapacity(from, to time.Duration) unit.Rate {
 	if len(hop.CapacitySteps) == 0 {
 		return hop.Capacity
 	}
-	return sim.MeanCapacity(capacitySteps(hop.CapacitySteps), horizon)
+	return sim.MeanCapacity(capacitySteps(hop.CapacitySteps), from, to)
 }

@@ -11,40 +11,48 @@ import (
 // TestLRDCompileIsLazy pins the laziness without a timer: a compiled
 // lrd scenario folds its source into the link and has no event pending
 // (the eager replayer had a whole 30 s tile, ~177 000), and compiling
-// allocates a few dozen objects (it allocated ~348 000). A recorded
-// compile keeps the source on the event path, with exactly one event
-// pending, its feed. A run that crosses the first tile boundary leaves
-// either as it was: the next tile is the same feed, not an event of its
-// own. 31 s falls between packets at seed 1, so no txDone is pending.
+// allocates a few dozen objects (it allocated ~348 000). A run that
+// crosses the first tile boundary leaves it as it was: the next tile is
+// the same feed, not an event of its own. Over those 31 s the source
+// offers more than 150 000 packets, and the folded link forwards
+// exactly those that Lindley's recursion over them (departure =
+// max(arrival, previous departure) + L/C) departs by 31 s. The event
+// path's half, one event pending before and after the boundary, is
+// sim's TestLRDFeedIsLazyOnTheEventPath.
 func TestLRDCompileIsLazy(t *testing.T) {
 	d, ok := Lookup("lrd")
 	if !ok {
 		t.Fatal("lrd scenario missing")
 	}
-	recorded := d
-	recorded.Spec.Recorded = true
-	cpl, err := recorded.CompileSeeded(1)
+	cpl, err := d.CompileSeeded(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustBeRecorded(t, cpl)
-	bare, err := d.CompileSeeded(1)
+	if n := cpl.Sim.Pending(); n != 0 {
+		t.Errorf("%d events pending after compile, want 0", n)
+	}
+	const until = 31 * time.Second
+	cpl.Sim.RunUntil(until)
+	offered, err := cpl.Offered(0, until)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, m := cpl.Sim.Pending(), bare.Sim.Pending(); n != 1 || m != 0 {
-		t.Errorf("%d / %d events pending after a recorded / default compile, want 1 (the feed) / 0", n, m)
+	if n := offered.Len(); n < 150_000 {
+		t.Fatalf("only %d packets offered in 31 s: the source did not run across the tile boundary", n)
 	}
-	cpl.Sim.RunUntil(31 * time.Second)
-	bare.Sim.RunUntil(31 * time.Second)
-	if n := len(cpl.Recorders[0].Arrivals()); n < 150_000 {
-		t.Fatalf("only %d arrivals in 31 s: the source did not run across the tile boundary", n)
+	var dep time.Duration
+	var departed int64
+	for _, p := range offered.Packets() {
+		dep = max(dep, p.At) + unit.TxTime(p.Size, cpl.Capacity)
+		if dep <= until {
+			departed++
+		}
 	}
-	if n, m := bare.Path.Links[0].Forwarded(), cpl.Path.Links[0].Forwarded(); n != m {
-		t.Errorf("the folded source forwarded %d packets in 31 s, the recorded one %d", n, m)
+	if n := cpl.Path.Links[0].Forwarded(); n != departed {
+		t.Errorf("the folded source forwarded %d packets in 31 s, Lindley's recursion %d", n, departed)
 	}
-	if n, m := cpl.Sim.Pending(), bare.Sim.Pending(); n != 1 || m != 0 {
-		t.Errorf("%d / %d events pending after crossing a tile boundary, want 1 (the feed) / 0", n, m)
+	if n := cpl.Sim.Pending(); n != 0 {
+		t.Errorf("%d events pending after crossing a tile boundary, want 0", n)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := d.CompileSeeded(1); err != nil {
@@ -59,15 +67,17 @@ func TestLRDCompileIsLazy(t *testing.T) {
 // TestLRDHonoursPktSize: an LRD source with PktSize set emits that
 // size, not the Internet mix it defaults to.
 func TestLRDHonoursPktSize(t *testing.T) {
-	cpl := mustBeRecorded(t, MustCompile(Spec{Recorded: true, Hops: []Hop{{Capacity: 50 * unit.Mbps, Traffic: []Source{{Kind: LRD, Rate: 25 * unit.Mbps, PktSize: 1000}}}}}))
-	cpl.Sim.RunUntil(100 * time.Millisecond)
-	arrivals := cpl.Recorders[0].Arrivals()
-	if len(arrivals) == 0 {
+	cpl := MustCompile(Spec{Hops: []Hop{{Capacity: 50 * unit.Mbps, Traffic: []Source{{Kind: LRD, Rate: 25 * unit.Mbps, PktSize: 1000}}}}})
+	offered, err := cpl.Offered(0, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offered.Len() == 0 {
 		t.Fatal("no arrivals")
 	}
-	for _, a := range arrivals {
-		if a.Size != 1000 {
-			t.Fatalf("arrival of %d bytes, want PktSize 1000", a.Size)
+	for _, p := range offered.Packets() {
+		if p.Size != 1000 {
+			t.Fatalf("arrival of %d bytes, want PktSize 1000", p.Size)
 		}
 	}
 }
@@ -100,7 +110,7 @@ func BenchmarkCompile(b *testing.B) {
 // on the event path has exactly one event pending — its feed, which
 // covers all its segments and tiles — and each hop with a capacity
 // profile one more, its next step. A source on a hop with no discipline
-// and no recorder folds into the link and leaves none, whatever loss,
+// folds into the link and leaves none, whatever loss,
 // jitter, capacity profile or buffer bound the hop has. Entries with a TCP source are
 // left out: a connection keeps timers of its own.
 func TestCompileLeavesOneEventPerSource(t *testing.T) {
@@ -123,7 +133,7 @@ func TestCompileLeavesOneEventPerSource(t *testing.T) {
 					want++
 				}
 				l := cpl.Path.Links[h]
-				if l.Discipline() == nil && l.Recorder() == nil {
+				if l.Discipline() == nil {
 					continue // the hop folds
 				}
 				for _, src := range hop.Traffic {

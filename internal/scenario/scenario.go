@@ -6,9 +6,9 @@
 // trace replay, TCP mice, window-limited persistent TCP), optionally
 // with a piecewise-constant rate profile for step/ramp avail-bw — and
 // Compile realizes it on the discrete-event simulator with the
-// analytic ground truth, the tight-vs-narrow link distinction the
-// paper's fifth pitfall turns on and, when the spec asks for it, a
-// Recorder per link (the paper's Equations 1–3 at any timescale).
+// analytic ground truth — the avail-bw of any hop over any window of
+// the horizon, computed from the spec — and the tight-vs-narrow link
+// distinction the paper's fifth pitfall turns on.
 //
 // The named catalog (catalog.go) mirrors the estimator registry: every
 // condition the paper warns about is a nameable, reproducible scenario
@@ -187,19 +187,18 @@ type Spec struct {
 	// ReversePropDelay is the reverse link propagation latency
 	// (default 1 ms).
 	ReversePropDelay time.Duration
-	// Recorded attaches a ground-truth Recorder to every hop, which
-	// writes a row per arriving packet and per busy period, so that
-	// Compiled.AvailBw can measure A(t, t+τ). Without it
-	// Compiled.Recorders is nil and the links record nothing: what
-	// judges an estimate against the analytic Compiled.TrueAvailBw
-	// alone pays nothing per packet. Recorders never influence packet
-	// behavior, so a recorded run is bit-identical to an unrecorded one.
-	Recorded bool
 }
 
-// Compiled is a realized scenario: the simulation, the path (with a
-// ground-truth Recorder per hop when the spec is Recorded), a transport
-// for probing, and the analytic long-run truth derived from the spec.
+// seed returns the spec's seed, DefaultSeed when it sets none.
+func (spec Spec) seed() uint64 {
+	if spec.Seed != nil {
+		return *spec.Seed
+	}
+	return DefaultSeed
+}
+
+// Compiled is a realized scenario: the simulation, the path, a
+// transport for probing, and the analytic truth derived from the spec.
 type Compiled struct {
 	// Spec is the defaults-resolved spec the scenario was built from.
 	Spec Spec
@@ -210,13 +209,10 @@ type Compiled struct {
 	// Reverse is the ack link (nil unless a TCP source or WithReverse
 	// asked for one).
 	Reverse *sim.Link
-	// Recorders holds one ground-truth recorder per hop (nil unless
-	// the spec is Recorded).
-	Recorders []*sim.Recorder
 	// Transport delivers probing streams over the path.
 	Transport *core.SimTransport
 	// TrueAvailBw is the analytic long-run avail-bw of the tight link:
-	// min over hops of capacity minus the hop's mean traffic rate.
+	// min over hops of AvailBw over [0, Horizon).
 	TrueAvailBw unit.Rate
 	// Capacity is the tight-link capacity — what direct-probing tools
 	// need as Params.Capacity (and what capacity-estimation tools do
@@ -226,32 +222,83 @@ type Compiled struct {
 	TightLink int
 	// NarrowLink is the hop index with the minimum capacity.
 	NarrowLink int
+
+	// lossMeans is each hop's stationary loss probability.
+	lossMeans []float64
 }
 
-// AvailBw returns the measured ground-truth avail-bw of the given hop
-// over [from, from+window): the paper's A(t, t+τ) from the hop's
-// recorder. It panics on a hop outside the path or on a compilation
-// without recorders (a spec that is not Recorded).
+// AvailBw returns the spec's avail-bw of the given hop over
+// [from, from+window): the paper's A(t, t+τ) of Equation (2) with the
+// cross traffic at its specified rates — the hop's time-weighted
+// capacity over the window minus the load its sources offer over it,
+// thinned by the hop's stationary loss probability (lost packets never
+// consume transmission time), clamped at 0. No probe counts against it:
+// the avail-bw a tool measures is what the cross traffic leaves. It
+// panics on a hop outside the path, a non-positive window, or a window
+// outside [0, Horizon).
 func (c *Compiled) AvailBw(hop int, from, window time.Duration) unit.Rate {
-	return c.recorder(hop).AvailBw(from, window)
+	switch {
+	case hop < 0 || hop >= len(c.Spec.Hops):
+		panic(fmt.Sprintf("scenario: hop %d out of range [0, %d)", hop, len(c.Spec.Hops)))
+	case window <= 0:
+		panic(fmt.Sprintf("scenario: avail-bw window %v must be positive", window))
+	case from < 0 || from+window > c.Spec.Horizon:
+		panic(fmt.Sprintf("scenario: avail-bw window [%v, %v) is outside the horizon [0, %v)", from, from+window, c.Spec.Horizon))
+	}
+	a, _ := c.availBw(hop, from, from+window) // Compile has checked every source
+	return a
 }
 
-// AvailBwSeries samples hop's avail-bw process A_τ(t) on consecutive
-// windows covering [from, to). It panics like AvailBw.
-func (c *Compiled) AvailBwSeries(hop int, from, to, tau time.Duration) []unit.Rate {
-	return c.recorder(hop).AvailBwSeries(from, to, tau)
+// availBw is AvailBw over [from, to), a non-empty window inside
+// [0, Horizon); it fails on a source whose rate profile is invalid.
+func (c *Compiled) availBw(h int, from, to time.Duration) (unit.Rate, error) {
+	hop := c.Spec.Hops[h]
+	var load unit.Rate
+	for _, src := range hop.Traffic {
+		r, err := src.meanRate(from, to, c.Spec.Horizon)
+		if err != nil {
+			return 0, err
+		}
+		load += r
+	}
+	carried := unit.Rate(float64(load) * (1 - c.lossMeans[h]))
+	return max(hop.effectiveCapacity(from, to)-carried, 0), nil
 }
 
-// recorder returns hop's ground-truth recorder, panicking with the
-// reason when there is none.
-func (c *Compiled) recorder(hop int) *sim.Recorder {
-	if c.Recorders == nil {
-		panic("scenario: measured avail-bw asked of a scenario compiled without recorders (set Spec.Recorded)")
+// Offered returns the packets that the spec's sources offer the given
+// hop before until, as a trace on the hop's mean capacity over
+// [0, until): the cross traffic alone, re-derived from the seed exactly
+// as Compile feeds it, whatever the run has done since. It refuses a
+// hop with a closed-loop source (Mice, BufferLimitedTCP), whose packets
+// depend on what the path does to them.
+func (c *Compiled) Offered(hop int, until time.Duration) (*trace.Trace, error) {
+	if hop < 0 || hop >= len(c.Spec.Hops) {
+		return nil, fmt.Errorf("scenario: hop %d out of range [0, %d)", hop, len(c.Spec.Hops))
 	}
-	if hop < 0 || hop >= len(c.Recorders) {
-		panic(fmt.Sprintf("scenario: hop %d out of range [0, %d)", hop, len(c.Recorders)))
+	if until <= 0 || until > c.Spec.Horizon {
+		return nil, fmt.Errorf("scenario: offered packets until %v, outside (0, %v]", until, c.Spec.Horizon)
 	}
-	return c.Recorders[hop]
+	var pkts []trace.Pkt
+	err := c.Spec.eachSource(func(h int, src Source, r *rng.Rand) error {
+		if h != hop {
+			return nil
+		}
+		p, err := src.openLoop(r, c.Spec.Hops[h].firstCapacity(), c.Spec.Horizon)
+		if err != nil {
+			return fmt.Errorf("scenario: hop %d: %w", h, err)
+		}
+		for {
+			at, size, ok := p.Next()
+			if !ok || at >= until {
+				return nil
+			}
+			pkts = append(pkts, trace.Pkt{At: at, Size: size})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return trace.New(c.Spec.Hops[hop].effectiveCapacity(0, until), until, pkts)
 }
 
 // MustCompile is Compile that panics on error, for specs that are
@@ -283,21 +330,12 @@ func Compile(spec Spec) (*Compiled, error) {
 	if resolved.ReversePropDelay == 0 {
 		resolved.ReversePropDelay = time.Millisecond
 	}
-	seed := DefaultSeed
-	if resolved.Seed != nil {
-		seed = *resolved.Seed
-	}
 
 	s := sim.New()
 	links := make([]*sim.Link, len(resolved.Hops))
-	var recs []*sim.Recorder
-	if resolved.Recorded {
-		recs = make([]*sim.Recorder, len(resolved.Hops))
-	}
 	lossMeans := make([]float64, len(resolved.Hops))
 	needReverse := resolved.WithReverse
 	for h, hop := range resolved.Hops {
-		capacity := hop.Capacity
 		if len(hop.CapacitySteps) > 0 {
 			if hop.Capacity != 0 {
 				return nil, fmt.Errorf("scenario: hop %d sets both Capacity and CapacitySteps; leave Capacity zero (the effective capacity is derived from the profile)", h)
@@ -305,7 +343,6 @@ func Compile(spec Spec) (*Compiled, error) {
 			if err := sim.ValidateCapacitySteps(capacitySteps(hop.CapacitySteps)); err != nil {
 				return nil, fmt.Errorf("scenario: hop %d: %w", h, err)
 			}
-			capacity = hop.CapacitySteps[0].Rate
 		} else if hop.Capacity <= 0 {
 			return nil, fmt.Errorf("scenario: hop %d capacity %v must be positive", h, hop.Capacity)
 		}
@@ -313,15 +350,9 @@ func Compile(spec Spec) (*Compiled, error) {
 		if prop == 0 {
 			prop = time.Millisecond
 		}
-		links[h] = s.NewLink(fmt.Sprintf("hop%d", h), capacity, prop)
+		links[h] = s.NewLink(fmt.Sprintf("hop%d", h), hop.firstCapacity(), prop)
 		links[h].SetBuffer(hop.Buffer)
-		var rec *sim.Recorder
-		if recs != nil {
-			rec = sim.NewRecorder(capacity)
-			recs[h] = rec
-			links[h].Attach(rec)
-		}
-		lm, err := applyLinkModels(links[h], rec, h, hop, seed)
+		lm, err := applyLinkModels(links[h], h, hop, resolved.seed())
 		if err != nil {
 			return nil, err
 		}
@@ -338,60 +369,43 @@ func Compile(spec Spec) (*Compiled, error) {
 		reverse = s.NewLink("reverse", resolved.ReverseCapacity, resolved.ReversePropDelay)
 	}
 
-	// Source realization. The split order (hop-major, source-minor) and
-	// the default labels are a compatibility contract: they reproduce
-	// the rng streams of the pre-subsystem constructions exactly, which
-	// is what keeps EXPERIMENTS.md and the tool tests bit-identical.
-	root := rng.New(seed)
 	cpl := &Compiled{
 		Spec:      resolved,
 		Sim:       s,
 		Path:      path,
 		Reverse:   reverse,
-		Recorders: recs,
 		Transport: core.NewSimTransport(s, path),
+		lossMeans: lossMeans,
 	}
-	sealed := !needReverse && !resolved.Recorded
-	for h, hop := range resolved.Hops {
+	err := resolved.eachSource(func(h int, src Source, r *rng.Rand) error {
+		return runSource(s, r, links[h], reverse, h, src, resolved.Horizon)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Without TCP, a reverse link or a discipline, nothing but the
+	// probe streams and the one-hop series fed above reaches the path,
+	// so the simulator may batch a stream across it.
+	sealed := !needReverse
+	for _, hop := range resolved.Hops {
 		sealed = sealed && hop.Queue.Kind == QueueFIFO
-		for j, src := range hop.Traffic {
-			if err := runSource(s, root, links[h], reverse, h, j, src, resolved.Horizon); err != nil {
-				return nil, err
-			}
-		}
 	}
-	// Without TCP, a reverse link, a discipline or a recorder, nothing
-	// but the probe streams and the one-hop series fed above reaches
-	// the path, so the simulator may batch a stream across it.
 	if sealed {
 		s.Seal(links...)
 	}
 
-	// Analytic long-run ground truth: per-hop mean traffic rate from
-	// the spec, tight link = argmin avail, narrow link = argmin
+	// Analytic long-run ground truth: each hop's avail-bw over the
+	// horizon, tight link = argmin avail, narrow link = argmin
 	// capacity (first wins on ties).
-	// Under a capacity profile the hop's capacity is the profile's
-	// long-run mean; under a loss model the hop's carried load is the
-	// offered load thinned by the stationary loss probability (lost
-	// packets never consume transmission time).
 	tight, narrow := 0, 0
 	var tightA unit.Rate
 	effCaps := make([]unit.Rate, len(resolved.Hops))
 	for h, hop := range resolved.Hops {
-		var load unit.Rate
-		for _, src := range hop.Traffic {
-			r, err := src.meanRate(resolved.Horizon)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: hop %d: %w", h, err)
-			}
-			load += r
+		avail, err := cpl.availBw(h, 0, resolved.Horizon)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: hop %d: %w", h, err)
 		}
-		effCaps[h] = hop.effectiveCapacity(resolved.Horizon)
-		carried := unit.Rate(float64(load) * (1 - lossMeans[h]))
-		avail := effCaps[h] - carried
-		if avail < 0 {
-			avail = 0
-		}
+		effCaps[h] = hop.effectiveCapacity(0, resolved.Horizon)
 		if h == 0 || avail < tightA {
 			tight, tightA = h, avail
 		}
@@ -405,20 +419,21 @@ func Compile(spec Spec) (*Compiled, error) {
 	return cpl, nil
 }
 
-// meanRate returns the source's long-run mean rate over the horizon.
-func (src Source) meanRate(horizon time.Duration) (unit.Rate, error) {
+// meanRate returns the source's time-weighted mean rate over
+// [from, to), a non-empty window inside [0, horizon).
+func (src Source) meanRate(from, to, horizon time.Duration) (unit.Rate, error) {
 	segs, err := src.segments(horizon)
 	if err != nil {
 		return 0, err
 	}
-	if horizon <= 0 {
-		return 0, nil
-	}
 	var weighted float64
 	for _, g := range segs {
-		weighted += float64(g.rate) * (g.until - g.from).Seconds()
+		lo, hi := max(g.from, from), min(g.until, to)
+		if hi > lo {
+			weighted += float64(g.rate) * (hi - lo).Seconds()
+		}
 	}
-	return unit.Rate(weighted / horizon.Seconds()), nil
+	return unit.Rate(weighted / (to - from).Seconds()), nil
 }
 
 // segment is one constant-rate stretch of a source's profile.
@@ -477,78 +492,53 @@ func (src Source) sizes() rng.SizeDist {
 	return rng.FixedSize(1500)
 }
 
-// runSource starts one source on its hop. Sources that need randomness
-// derive exactly one child stream from root, in hop-major order, under
-// the source's (possibly overridden) label. An open-loop source is one
-// crosstraffic.Process over all its rate segments, given to Sim.Feed
-// here, so its packets tie in compile order.
-func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, src Source, horizon time.Duration) error {
-	route := []*sim.Link{link}
-	label := src.SplitLabel
-	if label == "" {
-		if j == 0 {
-			label = fmt.Sprintf("hop%d", h)
-		} else {
-			label = fmt.Sprintf("hop%d.%d", h, j)
+// eachSource hands f every source of the spec, hop-major and
+// source-minor, with its random stream: exactly one root.Split per
+// source that draws (every kind but CBR and BufferLimitedTCP), in that
+// order, under the source's label — "hop<h>" for a hop's first source,
+// "hop<h>.<j>" for the rest, unless SplitLabel overrides it. The order
+// and the labels are a compatibility contract: they reproduce the rng
+// streams of the pre-subsystem constructions exactly, which is what
+// keeps EXPERIMENTS.md and the tool tests bit-identical. Compile and
+// Offered both walk the sources through it.
+func (spec Spec) eachSource(f func(h int, src Source, r *rng.Rand) error) error {
+	root := rng.New(spec.seed())
+	for h, hop := range spec.Hops {
+		for j, src := range hop.Traffic {
+			var r *rng.Rand
+			if src.Kind != CBR && src.Kind != BufferLimitedTCP {
+				label := src.SplitLabel
+				switch {
+				case label != "":
+				case j == 0:
+					label = fmt.Sprintf("hop%d", h)
+				default:
+					label = fmt.Sprintf("hop%d.%d", h, j)
+				}
+				r = root.Split(label)
+			}
+			if err := f(h, src, r); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// runSource starts one source on link, hop h of the path, drawing from
+// r. An open-loop source is one crosstraffic.Process over all its rate
+// segments, given to Sim.Feed here, so its packets tie in compile order.
+func runSource(s *sim.Sim, r *rng.Rand, link, reverse *sim.Link, h int, src Source, horizon time.Duration) error {
+	route := []*sim.Link{link}
 	flow := src.Flow
 	if flow == 0 {
 		flow = 1000 + h
 	}
 	switch src.Kind {
-	case CBR, Poisson, ParetoOnOff, ParetoArrivals:
-		segs, err := src.segments(horizon)
-		if err != nil {
-			return err
-		}
-		// Exactly one Split per random source and none for CBR: every
-		// stream derived from root depends on that sequence.
-		var r *rng.Rand
-		if src.Kind != CBR {
-			r = root.Split(label)
-		}
-		var ps []crosstraffic.Process
-		for _, g := range segs {
-			if g.rate == 0 {
-				continue
-			}
-			st := crosstraffic.Stream{Rate: g.rate, Sizes: src.sizes()}
-			ps = append(ps, src.segmentModel(st, r).Over(g.from, g.until))
-		}
-		s.Feed(route, sim.KindCross, flow, crosstraffic.Chain(ps...).Next)
-	case LRD:
-		if src.Rate <= 0 {
-			return fmt.Errorf("scenario: LRD source needs a positive rate")
-		}
-		if src.Rate >= link.Capacity {
-			return fmt.Errorf("scenario: LRD rate %v must be below the hop capacity %v", src.Rate, link.Capacity)
-		}
-		hurst := src.Hurst
-		if hurst == 0 {
-			hurst = 0.8
-		}
-		sizes := rng.SizeDist(rng.InternetMix)
-		if src.Sizes != nil || src.PktSize > 0 {
-			sizes = src.sizes()
-		}
-		r := root.Split(label)
-		stream, err := trace.NewFGNStream(trace.FGNConfig{
-			Capacity: link.Capacity,
-			MeanRate: src.Rate,
-			Hurst:    hurst,
-			Span:     30 * time.Second,
-			Sizes:    sizes,
-		}, r)
-		if err != nil {
-			return fmt.Errorf("scenario: LRD synthesis: %w", err)
-		}
-		s.Feed(route, sim.KindCross, flow, crosstraffic.Tiles(stream, horizon).Next)
 	case Mice:
 		if src.Rate <= 0 {
 			return fmt.Errorf("scenario: mice source needs a positive offered load")
 		}
-		r := root.Split(label)
 		mice, err := tcp.NewMice(tcp.MiceConfig{
 			OfferedLoad:   src.Rate,
 			MeanFlowBytes: src.MeanFlowBytes,
@@ -578,10 +568,66 @@ func runSource(s *sim.Sim, root *rng.Rand, link, reverse *sim.Link, h, j int, sr
 			// slow-start in lockstep.
 			conn.Start(time.Duration(i) * 50 * time.Millisecond)
 		}
-	default:
-		return fmt.Errorf("scenario: unknown source kind %v", src.Kind)
+		return nil
 	}
+	p, err := src.openLoop(r, link.Capacity, horizon)
+	if err != nil {
+		return err
+	}
+	s.Feed(route, sim.KindCross, flow, p.Next)
 	return nil
+}
+
+// openLoop returns the packets an open-loop source offers over
+// [0, horizon) on a hop whose capacity starts at capacity, drawing from
+// r (nil for CBR). It refuses a closed-loop source.
+func (src Source) openLoop(r *rng.Rand, capacity unit.Rate, horizon time.Duration) (crosstraffic.Process, error) {
+	switch src.Kind {
+	case CBR, Poisson, ParetoOnOff, ParetoArrivals:
+		segs, err := src.segments(horizon)
+		if err != nil {
+			return nil, err
+		}
+		var ps []crosstraffic.Process
+		for _, g := range segs {
+			if g.rate == 0 {
+				continue
+			}
+			st := crosstraffic.Stream{Rate: g.rate, Sizes: src.sizes()}
+			ps = append(ps, src.segmentModel(st, r).Over(g.from, g.until))
+		}
+		return crosstraffic.Chain(ps...), nil
+	case LRD:
+		if src.Rate <= 0 {
+			return nil, fmt.Errorf("scenario: LRD source needs a positive rate")
+		}
+		if src.Rate >= capacity {
+			return nil, fmt.Errorf("scenario: LRD rate %v must be below the hop capacity %v", src.Rate, capacity)
+		}
+		hurst := src.Hurst
+		if hurst == 0 {
+			hurst = 0.8
+		}
+		sizes := rng.SizeDist(rng.InternetMix)
+		if src.Sizes != nil || src.PktSize > 0 {
+			sizes = src.sizes()
+		}
+		stream, err := trace.NewFGNStream(trace.FGNConfig{
+			Capacity: capacity,
+			MeanRate: src.Rate,
+			Hurst:    hurst,
+			Span:     30 * time.Second,
+			Sizes:    sizes,
+		}, r)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: LRD synthesis: %w", err)
+		}
+		return crosstraffic.Tiles(stream, horizon), nil
+	case Mice, BufferLimitedTCP:
+		return nil, fmt.Errorf("scenario: a %s source is closed-loop: what it sends depends on the path", src.Kind)
+	default:
+		return nil, fmt.Errorf("scenario: unknown source kind %v", src.Kind)
+	}
 }
 
 // segmentModel builds the cross-traffic model for one rate segment of

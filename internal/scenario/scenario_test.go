@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,30 +11,42 @@ import (
 	"abw/internal/unit"
 )
 
-// mustBeRecorded fails the test unless cpl has exactly one recorder per
-// hop, attached to that hop's link: a test that reads recorder rows
-// must not pass vacuously on an unrecorded compile.
-func mustBeRecorded(t testing.TB, cpl *Compiled) *Compiled {
-	t.Helper()
-	if len(cpl.Recorders) != len(cpl.Path.Links) {
-		t.Fatalf("%d recorders for %d hops", len(cpl.Recorders), len(cpl.Path.Links))
+// servedAvailBw runs cpl to each boundary of the given windows in
+// increasing order and returns, per hop and window, the avail-bw read
+// from the hop's link counters: the window's capacity less the bits
+// the link served in it, per second. Every hop's capacity must be
+// fixed.
+func servedAvailBw(cpl *Compiled, windows [][2]time.Duration) [][]unit.Rate {
+	var at []time.Duration
+	for _, w := range windows {
+		at = append(at, w[0], w[0]+w[1])
 	}
-	for h, l := range cpl.Path.Links {
-		if l.Recorder() == nil || l.Recorder() != cpl.Recorders[h] {
-			t.Fatalf("hop %d: link recorder is not Recorders[%d]", h, h)
+	slices.Sort(at)
+	served := map[time.Duration][]unit.Bytes{}
+	for _, t := range at {
+		cpl.Sim.RunUntil(t)
+		for _, l := range cpl.Path.Links {
+			served[t] = append(served[t], l.BytesServed())
 		}
 	}
-	return cpl
+	out := make([][]unit.Rate, len(cpl.Path.Links))
+	for h := range out {
+		for _, w := range windows {
+			bits := float64(served[w[0]+w[1]][h]-served[w[0]][h]) * 8
+			out[h] = append(out[h], cpl.Spec.Hops[h].Capacity-unit.Rate(bits/w[1].Seconds()))
+		}
+	}
+	return out
 }
 
-// TestCBRGroundTruth is the recorder-vs-analytic property the ground
-// truth rests on: under CBR cross traffic the measured avail-bw
-// A(t, t+τ) must match C − R at every averaging timescale, up to the
-// packet-quantization of the busy periods.
+// TestCBRGroundTruth is the counters-vs-analytic property the ground
+// truth rests on: under CBR cross traffic the avail-bw A(t, t+τ) read
+// from the link's served bytes must match C − R at every averaging
+// timescale, up to the packet-quantization of the busy periods, and the
+// analytic window truth must be C − R exactly.
 func TestCBRGroundTruth(t *testing.T) {
 	cpl, err := Compile(Spec{
-		Horizon:  12 * time.Second,
-		Recorded: true,
+		Horizon: 12 * time.Second,
 		Hops: []Hop{{
 			Capacity: 50 * unit.Mbps,
 			Traffic:  []Source{{Kind: CBR, Rate: 25 * unit.Mbps}},
@@ -42,15 +55,19 @@ func TestCBRGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustBeRecorded(t, cpl)
-	cpl.Sim.RunUntil(10 * time.Second)
 	want := 25.0
+	var windows [][2]time.Duration
 	for _, tau := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond, time.Second} {
 		for _, from := range []time.Duration{time.Second, 3 * time.Second, 7 * time.Second} {
-			got := cpl.AvailBw(0, from, tau).MbpsOf()
-			if got < want*0.95 || got > want*1.05 {
-				t.Errorf("AvailBw(τ=%v, t=%v) = %.2f Mbps, want %.1f ± 5%%", tau, from, got, want)
+			windows = append(windows, [2]time.Duration{from, tau})
+			if got := cpl.AvailBw(0, from, tau); got != 25*unit.Mbps {
+				t.Errorf("analytic AvailBw(τ=%v, t=%v) = %v, want 25 Mbps", tau, from, got)
 			}
+		}
+	}
+	for i, a := range servedAvailBw(cpl, windows)[0] {
+		if got := a.MbpsOf(); got < want*0.95 || got > want*1.05 {
+			t.Errorf("served AvailBw(τ=%v, t=%v) = %.2f Mbps, want %.1f ± 5%%", windows[i][1], windows[i][0], got, want)
 		}
 	}
 	if cpl.TrueAvailBw != 25*unit.Mbps {
@@ -60,18 +77,16 @@ func TestCBRGroundTruth(t *testing.T) {
 
 // TestTightVsNarrow asserts the catalog's two-hop scenario separates
 // the tight link from the narrow link, in the analytic truth and in the
-// per-hop measurements.
+// per-hop counters.
 func TestTightVsNarrow(t *testing.T) {
 	d, ok := Lookup("narrowtight")
 	if !ok {
 		t.Fatal("narrowtight scenario missing from the catalog")
 	}
-	d.Spec.Recorded = true
 	cpl, err := d.CompileSeeded(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustBeRecorded(t, cpl)
 	if cpl.TightLink == cpl.NarrowLink {
 		t.Fatalf("TightLink = NarrowLink = %d; the scenario exists to separate them", cpl.TightLink)
 	}
@@ -85,10 +100,11 @@ func TestTightVsNarrow(t *testing.T) {
 		t.Errorf("TrueAvailBw = %v, want 20 Mbps", cpl.TrueAvailBw)
 	}
 
-	cpl.Sim.RunUntil(6 * time.Second)
-	window := 4 * time.Second
-	a0 := cpl.AvailBw(0, time.Second, window).MbpsOf()
-	a1 := cpl.AvailBw(1, time.Second, window).MbpsOf()
+	served := servedAvailBw(cpl, [][2]time.Duration{{time.Second, 4 * time.Second}})
+	a0, a1 := served[0][0].MbpsOf(), served[1][0].MbpsOf()
+	if w0, w1 := cpl.AvailBw(0, time.Second, 4*time.Second), cpl.AvailBw(1, time.Second, 4*time.Second); w0 != 20*unit.Mbps || w1 != 40*unit.Mbps {
+		t.Errorf("analytic hop-0 / hop-1 avail-bw %v / %v, want 20 / 40 Mbps", w0, w1)
+	}
 	if a0 < 20*0.85 || a0 > 20*1.15 {
 		t.Errorf("measured hop-0 avail-bw %.2f Mbps, want 20 ± 15%%", a0)
 	}
@@ -105,20 +121,22 @@ func TestTightVsNarrow(t *testing.T) {
 // seed still defaults to 1.
 func TestSeedZero(t *testing.T) {
 	build := func(seed *uint64) []time.Duration {
-		cpl := mustBeRecorded(t, MustCompile(Spec{
-			Horizon:  2 * time.Second,
-			Seed:     seed,
-			Recorded: true,
+		cpl := MustCompile(Spec{
+			Horizon: 2 * time.Second,
+			Seed:    seed,
 			Hops: []Hop{{
 				Capacity: 50 * unit.Mbps,
 				Traffic:  []Source{{Kind: Poisson, Rate: 25 * unit.Mbps}},
 			}},
-		}))
-		cpl.Sim.RunUntil(2 * time.Second)
-		arr := cpl.Recorders[0].Arrivals()
+		})
+		offered, err := cpl.Offered(0, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := offered.Packets()
 		out := make([]time.Duration, 0, 16)
-		for i := 0; i < len(arr) && i < 16; i++ {
-			out = append(out, arr[i].At)
+		for i := 0; i < len(pkts) && i < 16; i++ {
+			out = append(out, pkts[i].At)
 		}
 		return out
 	}
@@ -127,35 +145,24 @@ func TestSeedZero(t *testing.T) {
 	if len(zeroA) == 0 {
 		t.Fatal("seed-0 scenario generated no traffic")
 	}
-	eq := func(a, b []time.Duration) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(zeroA, zeroB) {
+	if !slices.Equal(zeroA, zeroB) {
 		t.Error("seed 0 is not reproducible")
 	}
-	if eq(zeroA, one) {
+	if slices.Equal(zeroA, one) {
 		t.Error("seed 0 and seed 1 produced identical traffic; 0 is being coerced")
 	}
-	if !eq(one, def) {
+	if !slices.Equal(one, def) {
 		t.Error("nil seed should default to seed 1")
 	}
 }
 
-// TestStepProfile asserts a stepped source changes the measured
-// avail-bw at the step instant: the time-varying ground truth the
-// step-change scenario is built on.
+// TestStepProfile asserts a stepped source changes the avail-bw at the
+// step instant, in the analytic window truth and in the link's
+// counters: the time-varying ground truth the step-change scenario is
+// built on.
 func TestStepProfile(t *testing.T) {
 	cpl, err := Compile(Spec{
-		Horizon:  4 * time.Second,
-		Recorded: true,
+		Horizon: 4 * time.Second,
 		Hops: []Hop{{
 			Capacity: 50 * unit.Mbps,
 			Traffic: []Source{{
@@ -171,10 +178,12 @@ func TestStepProfile(t *testing.T) {
 	if got := cpl.TrueAvailBw.MbpsOf(); got < 27 || got > 28 {
 		t.Errorf("TrueAvailBw = %.2f Mbps, want 27.5", got)
 	}
-	mustBeRecorded(t, cpl)
-	cpl.Sim.RunUntil(4 * time.Second)
-	early := cpl.AvailBw(0, 500*time.Millisecond, time.Second).MbpsOf()
-	late := cpl.AvailBw(0, 2500*time.Millisecond, time.Second).MbpsOf()
+	windows := [][2]time.Duration{{500 * time.Millisecond, time.Second}, {2500 * time.Millisecond, time.Second}}
+	if early, late := cpl.AvailBw(0, windows[0][0], windows[0][1]), cpl.AvailBw(0, windows[1][0], windows[1][1]); early != 40*unit.Mbps || late != 15*unit.Mbps {
+		t.Errorf("analytic pre/post-step avail-bw %v / %v, want 40 / 15 Mbps", early, late)
+	}
+	served := servedAvailBw(cpl, windows)[0]
+	early, late := served[0].MbpsOf(), served[1].MbpsOf()
 	if early < 38 || early > 42 {
 		t.Errorf("pre-step avail-bw %.2f Mbps, want ~40", early)
 	}
@@ -340,39 +349,87 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestMeasuredAvailBwPanicsDescriptively: a hop outside the path, or a
-// compilation without recorders, is reported by name from this package
-// instead of as a bare index or nil-pointer fault.
+// TestMeasuredAvailBwPanicsDescriptively: a hop outside the path, a
+// non-positive window or one outside the horizon is reported by name
+// from this package instead of as a bare index fault or a silent
+// extrapolation.
 func TestMeasuredAvailBwPanicsDescriptively(t *testing.T) {
-	spec := Spec{Hops: []Hop{{Capacity: 50 * unit.Mbps}, {Capacity: 20 * unit.Mbps}}}
-	bare := MustCompile(spec)
-	spec.Recorded = true
-	recorded := mustBeRecorded(t, MustCompile(spec))
+	cpl := MustCompile(Spec{Horizon: 10 * time.Second, Hops: []Hop{{Capacity: 50 * unit.Mbps}, {Capacity: 20 * unit.Mbps}}})
 	cases := []struct {
-		name string
-		cpl  *Compiled
-		hop  int
-		want string // substring of the panic; "" = no panic
+		name         string
+		hop          int
+		from, window time.Duration
+		want         string // substring of the panic; "" = no panic
 	}{
-		{"first hop", recorded, 0, ""},
-		{"last hop", recorded, 1, ""},
-		{"negative hop", recorded, -1, "hop -1 out of range [0, 2)"},
-		{"hop past the path", recorded, 2, "hop 2 out of range [0, 2)"},
-		{"unrecorded", bare, 0, "compiled without recorders"},
-	}
-	calls := map[string]func(c *Compiled, hop int){
-		"AvailBw":       func(c *Compiled, hop int) { c.AvailBw(hop, 0, time.Second) },
-		"AvailBwSeries": func(c *Compiled, hop int) { c.AvailBwSeries(hop, 0, time.Second, 100*time.Millisecond) },
+		{"first hop", 0, 0, time.Second, ""},
+		{"last hop", 1, 0, time.Second, ""},
+		{"the whole horizon", 0, 0, 10 * time.Second, ""},
+		{"negative hop", -1, 0, time.Second, "hop -1 out of range [0, 2)"},
+		{"hop past the path", 2, 0, time.Second, "hop 2 out of range [0, 2)"},
+		{"zero window", 0, 0, 0, "window 0s must be positive"},
+		{"negative window", 0, time.Second, -time.Second, "window -1s must be positive"},
+		{"past the horizon", 0, 9 * time.Second, 2 * time.Second, "window [9s, 11s) is outside the horizon [0, 10s)"},
+		{"before the start", 0, -time.Second, 2 * time.Second, "window [-1s, 1s) is outside the horizon [0, 10s)"},
 	}
 	for _, tc := range cases {
-		for method, call := range calls {
-			err := capturePanic(func() { call(tc.cpl, tc.hop) })
-			switch {
-			case tc.want == "" && err != nil:
-				t.Errorf("%s: %s panicked: %v", tc.name, method, err)
-			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("%s: %s panic = %v, want one containing %q", tc.name, method, err, tc.want)
-			}
+		err := capturePanic(func() { cpl.AvailBw(tc.hop, tc.from, tc.window) })
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: AvailBw panicked: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: AvailBw panic = %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestOfferedMatchesLinkService: the packets Offered re-derives are the
+// ones Compile fed. On every catalog hop whose link serves exactly what
+// its sources offer — open-loop sources only, and no discipline, loss,
+// buffer bound or capacity profile — Lindley's recursion over them
+// (departure = max(arrival, previous departure) + L/C) departs as many
+// packets and bytes by 2 s as the link forwarded. A hop with a
+// closed-loop source is refused.
+func TestOfferedMatchesLinkService(t *testing.T) {
+	const until = 2 * time.Second
+	checked := 0
+	for _, d := range Catalog() {
+		cpl, err := d.CompileSeeded(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpl.Sim.RunUntil(until)
+		for h, hop := range cpl.Spec.Hops {
+			offered, err := cpl.Offered(h, until)
+			closed := slices.ContainsFunc(hop.Traffic, func(src Source) bool { return src.Kind == Mice || src.Kind == BufferLimitedTCP })
+			if closed {
+				if err == nil {
+					t.Errorf("%s hop %d: Offered accepted a hop with a closed-loop source", d.Name, h)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s hop %d: %v", d.Name, h, err)
+			}
+			if hop.Queue.Kind != QueueFIFO || hop.Loss.Kind != LossNone || hop.Buffer > 0 || len(hop.CapacitySteps) > 0 {
+				continue
+			}
+			var dep time.Duration
+			var packets int64
+			var bytes unit.Bytes
+			for _, p := range offered.Packets() {
+				dep = max(dep, p.At) + unit.TxTime(p.Size, hop.Capacity)
+				if dep <= until {
+					packets, bytes = packets+1, bytes+p.Size
+				}
+			}
+			l := cpl.Path.Links[h]
+			if l.Forwarded() != packets || l.BytesServed() != bytes {
+				t.Errorf("%s hop %d: forwarded %d packets, %d bytes; Lindley over the offered packets %d, %d", d.Name, h, l.Forwarded(), l.BytesServed(), packets, bytes)
+			}
+			checked++
+		}
+	}
+	if checked < 50 {
+		t.Errorf("only %d hops checked", checked)
 	}
 }

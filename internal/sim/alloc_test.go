@@ -79,26 +79,13 @@ func TestFeedDoesNotAllocatePerPacket(t *testing.T) {
 // BenchmarkLinkForwarding measures the full per-packet cost of the
 // simulator hot path — injection event, FIFO, transmission-complete
 // event, release at the end of the route — at 0 allocs/op in steady
-// state (bare), and the price of a ground-truth recorder on the link
-// (recorded): an arrival row per packet and a busy interval per busy
-// period, which grow with the run.
+// state.
 func BenchmarkLinkForwarding(b *testing.B) {
-	for _, recorded := range []bool{false, true} {
-		name := "bare"
-		if recorded {
-			name = "recorded"
-		}
-		b.Run(name, func(b *testing.B) {
-			f := newForwardingLoop()
-			if recorded {
-				f.route[0].Attach(NewRecorder(f.route[0].Capacity))
-			}
-			f.step(1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			f.step(b.N)
-		})
-	}
+	f := newForwardingLoop()
+	f.step(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	f.step(b.N)
 }
 
 // BenchmarkLinkForwardingUnpooled is the same loop with pooling off —

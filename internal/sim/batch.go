@@ -124,7 +124,7 @@ func (s *Sim) Seal(links ...*Link) {
 // would deliver it, and the packet they are handed must not be retained.
 //
 // A stream is batched (see above) when every link of its route is
-// sealed and has no discipline, recorder or buffer bound, only the
+// sealed and has no discipline or buffer bound, only the
 // first has a capacity schedule, and no event-driven packet or other
 // batched stream is in flight. It then costs at most one event a packet, and the links fold.
 // Any other stream injects its packets one by one.
@@ -147,7 +147,7 @@ func (s *Sim) batchable(route []*Link) bool {
 		return false
 	}
 	for h, l := range route {
-		if !l.sealed || l.disc != nil || l.rec != nil || l.buffer > 0 || h > 0 && l.capSteps != nil {
+		if !l.sealed || l.disc != nil || l.buffer > 0 || h > 0 && l.capSteps != nil {
 			return false
 		}
 	}

@@ -40,17 +40,17 @@ func ValidateCapacitySteps(steps []CapacityStep) error {
 }
 
 // MeanCapacity returns the time-weighted mean rate of the profile over
-// [0, horizon), with the last step extending to the horizon — the
-// long-run capacity used by analytic ground truth. It panics on an
-// invalid schedule or non-positive horizon.
-func MeanCapacity(steps []CapacityStep, horizon time.Duration) unit.Rate {
+// [from, to), with the last step extending forever — the capacity that
+// analytic ground truth uses over a window. It panics on an invalid
+// schedule or an empty window.
+func MeanCapacity(steps []CapacityStep, from, to time.Duration) unit.Rate {
 	if err := ValidateCapacitySteps(steps); err != nil {
 		panic(err)
 	}
-	if horizon <= 0 {
-		panic(fmt.Sprintf("sim: MeanCapacity horizon %v must be positive", horizon))
+	if to <= from {
+		panic(fmt.Sprintf("sim: MeanCapacity window [%v, %v) is empty", from, to))
 	}
-	return unit.Rate(capIntegralBits(steps, 0, horizon) / horizon.Seconds())
+	return unit.Rate(capIntegralBits(steps, from, to) / (to - from).Seconds())
 }
 
 // capIntegralBits returns ∫C(s)ds in bits over [from, to) for a valid
@@ -84,11 +84,6 @@ func capIntegralBits(steps []CapacityStep, from, to time.Duration) float64 {
 // transmissions: a packet already in service completes at the rate it
 // started with (the store-and-forward analogue of a modem retraining
 // between frames). Call it at setup time, before the simulation runs.
-//
-// The schedule only changes what the link does; attach the same steps
-// to the link's Recorder (Recorder.SetCapacitySchedule) so ground
-// truth stays exact — see the recorder's documentation for the
-// time-varying form of the paper's Equation (2).
 //
 // It panics on an invalid schedule (ValidateCapacitySteps) or when the
 // simulation clock has already passed the first step.

@@ -43,7 +43,7 @@ type feed struct {
 // arrives.
 //
 // A series of KindCross packets on a one-hop route whose link has no
-// discipline and no recorder and nothing in transmission is folded,
+// discipline and nothing in transmission is folded,
 // whatever loss model, jitter, capacity schedule or buffer bound the
 // link has: the link serves it by arithmetic, in the same order, and it
 // schedules no events at all (see fold.go). Every other series

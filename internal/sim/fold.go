@@ -256,12 +256,12 @@ type departure struct {
 }
 
 // canFold reports whether a fed series may be folded onto the link:
-// one with no discipline and no recorder, on which nothing is in
+// one with no discipline, on which nothing is in
 // transmission, so that every completion the link schedules comes
 // after the series' reserved numbers, while no batched stream is in
 // flight, which may have admitted arrivals ahead of the new series'.
 func (l *Link) canFold() bool {
-	if l.disc != nil || l.rec != nil || l.sim.streams > 0 {
+	if l.disc != nil || l.sim.streams > 0 {
 		return false
 	}
 	if l.fold == nil || l.fold.plain {

@@ -174,9 +174,6 @@ func foldScript(t testing.TB, seed uint64, eagerFeeds, eagerProbes bool) foldOut
 		case 5:
 			kind = "fading"
 			l.SetCapacitySchedule([]CapacityStep{{0, capacity}, {foldHorizon / 2, capacity / 2}})
-		case 6:
-			kind = "recorded"
-			l.Attach(NewRecorder(capacity))
 		case 7:
 			kind = "lossy+jitter"
 			l.SetLoss(NewGilbertElliott(GilbertElliottConfig{PGoodBad: 0.02}, rng.New(r.Uint64())))
@@ -206,7 +203,7 @@ func foldScript(t testing.TB, seed uint64, eagerFeeds, eagerProbes bool) foldOut
 			l.SetJitter(4, rng.New(r.Uint64()))
 		}
 		out.Hops = append(out.Hops, fmt.Sprintf("%s %s %v prop %v", l.Name, kind, capacity, prop))
-		eager := kind == "red" || kind == "codel" || kind == "recorded"
+		eager := kind == "red" || kind == "codel"
 		out.Folds = append(out.Folds, !eager) // cleared below if no source lands on it
 		links[h] = l
 	}
@@ -634,8 +631,8 @@ func TestFoldedLinkCountsBetweenEvents(t *testing.T) {
 	}
 }
 
-// TestFoldingLinkRefusesNewBehavior: only a discipline or a recorder
-// installed before a link is fed keeps it on the event path; loss,
+// TestFoldingLinkRefusesNewBehavior: only a discipline installed
+// before a link is fed keeps it on the event path; loss,
 // jitter, a capacity schedule and a buffer bound fold. Once the link
 // folds, every setter panics: its catch-up was chosen when it was fed.
 func TestFoldingLinkRefusesNewBehavior(t *testing.T) {
@@ -644,7 +641,6 @@ func TestFoldingLinkRefusesNewBehavior(t *testing.T) {
 		folds bool
 	}{
 		"SetDiscipline":       {func(l *Link) { l.SetDiscipline(NewRED(REDConfig{}, rng.New(1))) }, false},
-		"Attach":              {func(l *Link) { l.Attach(NewRecorder(l.Capacity)) }, false},
 		"SetLoss":             {func(l *Link) { l.SetLoss(NewBernoulliLoss(0.1, rng.New(1))) }, true},
 		"SetJitter":           {func(l *Link) { l.SetJitter(time.Microsecond, rng.New(1)) }, true},
 		"SetCapacitySchedule": {func(l *Link) { l.SetCapacitySchedule([]CapacityStep{{0, unit.Mbps}}) }, true},

@@ -133,10 +133,15 @@ type outlived struct {
 	batched                   uint64
 }
 
+// linkState is what one link's counters show at one instant.
 type linkState struct {
-	Forwarded, Lost int64
-	Served, Queued  unit.Bytes
-	QueueLen        int
+	Forwarded, Dropped, Lost int64
+	Served, Queued           unit.Bytes
+	QueueLen                 int
+}
+
+func stateOf(l *sim.Link) linkState {
+	return linkState{l.Forwarded(), l.Dropped(), l.Lost(), l.BytesServed(), l.QueuedBytes(), l.QueueLen()}
 }
 
 func outlive(t *testing.T, hops int, eagerProbes bool) outlived {
@@ -159,7 +164,7 @@ func outlive(t *testing.T, hops int, eagerProbes bool) outlived {
 	snap := func(i int) {
 		out.now[i] = cpl.Sim.Now()
 		for _, l := range cpl.Path.Links {
-			out.links[i] = append(out.links[i], linkState{l.Forwarded(), l.Lost(), l.BytesServed(), l.QueuedBytes(), l.QueueLen()})
+			out.links[i] = append(out.links[i], stateOf(l))
 		}
 	}
 	// 100 packets at twice the loaded hop's capacity queue for about
@@ -209,5 +214,40 @@ func TestStreamOutlivesMaxWait(t *testing.T) {
 				t.Errorf("%d hops: %s:\n %+v\nevent path\n %+v", hops, c.name, c.got, c.want)
 			}
 		}
+	}
+}
+
+// TestLRDFeedIsLazyOnTheEventPath is the event path's half of
+// scenario's TestLRDCompileIsLazy: with feeds forced onto the event
+// path, a compiled lrd scenario has exactly one event pending, its
+// feed, before and after a run that crosses the first 30 s tile
+// boundary (31 s falls between packets at seed 1, so no completion is
+// pending), and its link forwards what the folded compile's does.
+func TestLRDFeedIsLazyOnTheEventPath(t *testing.T) {
+	d, ok := scenario.Lookup("lrd")
+	if !ok {
+		t.Fatal("lrd scenario missing")
+	}
+	const until = 31 * time.Second
+	run := func(eager bool) (pending [2]int, forwarded int64) {
+		defer sim.SetEagerFeeds(sim.SetEagerFeeds(eager))
+		cpl, err := d.CompileSeeded(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[0] = cpl.Sim.Pending()
+		cpl.Sim.RunUntil(until)
+		pending[1] = cpl.Sim.Pending()
+		return pending, cpl.Path.Links[0].Forwarded()
+	}
+	pending, forwarded := run(true)
+	if pending != [2]int{1, 1} {
+		t.Errorf("%d / %d events pending after compile / crossing a tile boundary on the event path, want 1 (the feed)", pending[0], pending[1])
+	}
+	if forwarded < 150_000 {
+		t.Fatalf("only %d packets forwarded in 31 s: the source did not run across the tile boundary", forwarded)
+	}
+	if _, folded := run(false); folded != forwarded {
+		t.Errorf("the folded source forwarded %d packets in 31 s, the event path %d", folded, forwarded)
 	}
 }

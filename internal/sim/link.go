@@ -27,13 +27,12 @@ import (
 //     time-varying capacity (fading).
 //
 // With none of these installed the hot path is exactly the pre-existing
-// zero-allocation FIFO fast path. A link with no discipline and no
-// recorder folds the one-hop cross traffic fed to it (Sim.Feed,
-// fold.go), whatever else it has; loss, jitter, a capacity schedule and
-// a buffer bound (SetBuffer) are served by arithmetic too, and a probe
-// stream over sealed folding links is batched (Sim.InjectStream). Install
-// every behavior before feeding a link: the setters panic on a link
-// that already folds.
+// zero-allocation FIFO fast path. A link with no discipline folds the
+// one-hop cross traffic fed to it (Sim.Feed, fold.go), whatever else it
+// has; loss, jitter, a capacity schedule and a buffer bound (SetBuffer)
+// are served by arithmetic too, and a probe stream over sealed folding
+// links is batched (Sim.InjectStream). Install every behavior before
+// feeding a link: the setters panic on a link that already folds.
 type Link struct {
 	sim *Sim
 
@@ -76,8 +75,6 @@ type Link struct {
 	lostBytes    unit.Bytes
 	bytesServed  unit.Bytes
 
-	rec *Recorder
-
 	// fold is non-nil once the link folds fed series (fold.go).
 	fold *folder
 	// sealed is set by Sim.Seal and cleared by an event-path feed.
@@ -102,16 +99,6 @@ func (l *Link) SetBuffer(b unit.Bytes) {
 	l.mustNotFold("SetBuffer")
 	l.buffer = b
 }
-
-// Attach associates a ground-truth recorder with the link. Pass nil to
-// detach.
-func (l *Link) Attach(r *Recorder) {
-	l.mustNotFold("Attach")
-	l.rec = r
-}
-
-// Recorder returns the attached ground-truth recorder (nil if none).
-func (l *Link) Recorder() *Recorder { return l.rec }
 
 // SetDiscipline installs a queue discipline (RED, CoDel, explicit
 // FIFO); nil restores the branch-free FIFO tail-drop fast path.
@@ -210,9 +197,6 @@ func (l *Link) deliver(p *Packet) {
 		return
 	}
 	now := l.sim.now
-	if l.rec != nil {
-		l.rec.arrival(now, p)
-	}
 	if l.loss != nil && l.loss.Lose() {
 		l.kill(p, now)
 		return
@@ -237,9 +221,6 @@ func (l *Link) deliver(p *Packet) {
 func (l *Link) kill(p *Packet, now time.Duration) {
 	l.lost++
 	l.lostBytes += p.Size
-	if l.rec != nil {
-		l.rec.drop(now, p)
-	}
 	if p.OnDrop != nil {
 		p.OnDrop(p, l, now)
 	}
@@ -250,9 +231,6 @@ func (l *Link) kill(p *Packet, now time.Duration) {
 func (l *Link) drop(p *Packet, now time.Duration) {
 	l.dropped++
 	l.droppedBytes += p.Size
-	if l.rec != nil {
-		l.rec.drop(now, p)
-	}
 	if p.OnDrop != nil {
 		p.OnDrop(p, l, now)
 	}
@@ -288,13 +266,10 @@ func (l *Link) startTx() {
 // txDone completes the in-service packet's transmission at the current
 // virtual time (the scheduled tx-end instant) and starts the next.
 func (l *Link) txDone() {
-	p, start := l.txPkt, l.txStart
+	p := l.txPkt
 	l.txPkt = nil
 	l.forwarded++
 	l.bytesServed += p.Size
-	if l.rec != nil {
-		l.rec.busyInterval(start, l.sim.now)
-	}
 	l.handOff(p, l.jitter())
 	l.startTx()
 }

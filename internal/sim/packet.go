@@ -6,8 +6,9 @@ import (
 	"abw/internal/unit"
 )
 
-// Kind classifies packets so recorders can separate probe traffic from
-// the cross traffic whose avail-bw is being estimated.
+// Kind classifies packets so the simulator can tell probe traffic from
+// the cross traffic whose avail-bw is being estimated: only KindCross
+// series fold, and Stats counts each kind's events apart.
 type Kind uint8
 
 // Packet kinds.

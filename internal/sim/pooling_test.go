@@ -11,32 +11,16 @@ import (
 	"abw/internal/unit"
 )
 
-// groundTruth snapshots everything a recorder observed.
-type groundTruth struct {
-	arrivals []sim.Arrival
-	busy     []sim.Interval
-	drops    int64
-}
-
-func snapshot(recs []*sim.Recorder) []groundTruth {
-	out := make([]groundTruth, len(recs))
-	for i, r := range recs {
-		out[i] = groundTruth{
-			arrivals: append([]sim.Arrival(nil), r.Arrivals()...),
-			busy:     append([]sim.Interval(nil), r.BusyIntervals()...),
-			drops:    r.Drops(),
-		}
-	}
-	return out
-}
-
 // TestPooledRunBitIdenticalToUnpooled is the pooling safety property:
 // event and packet reuse must never change scheduling order or packet
 // contents. Two compilations of the same seeded scenario — one with the
-// free lists disabled — must produce exactly the same per-hop ground
-// truth, arrival by arrival, and fire the same events. The mice rows
-// cover TCP, whose segments and ACKs come from the pool too.
+// free lists disabled — with every feed on the event path
+// (SetEagerFeeds), so that every cross packet is a pooled packet and
+// its events pooled events, must show the same counters on every link
+// at every millisecond, and fire the same events. The mice rows cover
+// TCP, whose segments and ACKs come from the pool too.
 func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
+	defer sim.SetEagerFeeds(sim.SetEagerFeeds(true))
 	const horizon = 3 * time.Second
 	for _, name := range []string{"canonical", "lrd", "mice", "codel-mice"} {
 		t.Run(name, func(t *testing.T) {
@@ -44,51 +28,44 @@ func TestPooledRunBitIdenticalToUnpooled(t *testing.T) {
 			if !ok {
 				t.Fatalf("scenario %q not in catalog", name)
 			}
-			d.Spec.Recorded = true
-			run := func(pooled bool) ([]groundTruth, sim.Stats) {
+			run := func(pooled bool) ([]linkState, sim.Stats) {
 				cpl, err := d.CompileSeeded(1)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				if len(cpl.Recorders) != len(cpl.Path.Links) {
-					t.Fatalf("%d recorders for %d hops", len(cpl.Recorders), len(cpl.Path.Links))
-				}
 				cpl.Sim.SetPooling(pooled)
-				cpl.Sim.RunUntil(horizon)
-				return snapshot(cpl.Recorders), cpl.Sim.Stats()
+				links := cpl.Path.Links
+				if cpl.Reverse != nil {
+					links = append(links[:len(links):len(links)], cpl.Reverse)
+				}
+				var states []linkState
+				for at := time.Millisecond; at <= horizon; at += time.Millisecond {
+					cpl.Sim.RunUntil(at)
+					for _, l := range links {
+						states = append(states, stateOf(l))
+					}
+				}
+				return states, cpl.Sim.Stats()
 			}
 			pooled, pooledStats := run(true)
 			plain, plainStats := run(false)
+			if pooledStats.Folded != 0 || plainStats.Folded != 0 {
+				t.Fatalf("the eager runs folded %d / %d packets", pooledStats.Folded, plainStats.Folded)
+			}
 			if pooledStats.Fired != plainStats.Fired || pooledStats.TCPEvents != plainStats.TCPEvents ||
 				pooledStats.CrossEvents != plainStats.CrossEvents {
 				t.Fatalf("pooled run fired %d events (%d TCP, %d cross), unpooled %d (%d TCP, %d cross)",
 					pooledStats.Fired, pooledStats.TCPEvents, pooledStats.CrossEvents,
 					plainStats.Fired, plainStats.TCPEvents, plainStats.CrossEvents)
 			}
-			for h := range plain {
-				if len(pooled[h].arrivals) != len(plain[h].arrivals) {
-					t.Fatalf("hop %d: %d pooled arrivals vs %d unpooled",
-						h, len(pooled[h].arrivals), len(plain[h].arrivals))
-				}
-				for i := range plain[h].arrivals {
-					if pooled[h].arrivals[i] != plain[h].arrivals[i] {
-						t.Fatalf("hop %d arrival %d: pooled %+v != unpooled %+v",
-							h, i, pooled[h].arrivals[i], plain[h].arrivals[i])
-					}
-				}
-				if len(pooled[h].busy) != len(plain[h].busy) {
-					t.Fatalf("hop %d: %d pooled busy intervals vs %d unpooled",
-						h, len(pooled[h].busy), len(plain[h].busy))
-				}
-				for i := range plain[h].busy {
-					if pooled[h].busy[i] != plain[h].busy[i] {
-						t.Fatalf("hop %d busy %d: pooled %+v != unpooled %+v",
-							h, i, pooled[h].busy[i], plain[h].busy[i])
-					}
-				}
-				if pooled[h].drops != plain[h].drops {
-					t.Fatalf("hop %d: pooled drops %d != unpooled %d",
-						h, pooled[h].drops, plain[h].drops)
+			if pooledStats.CrossEvents+pooledStats.TCPEvents == 0 {
+				t.Fatal("no cross-traffic or TCP event fired")
+			}
+			for i := range plain {
+				if pooled[i] != plain[i] {
+					n := len(plain) / int(horizon/time.Millisecond)
+					t.Fatalf("at %v, link %d: pooled %+v != unpooled %+v",
+						time.Duration(i/n+1)*time.Millisecond, i%n, pooled[i], plain[i])
 				}
 			}
 		})

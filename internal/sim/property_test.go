@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -183,39 +184,51 @@ func TestConservationAcrossModelGrid(t *testing.T) {
 }
 
 // TestFIFOWorkConservation asserts the FIFO link is work-conserving:
-// with an unbounded buffer nothing is dropped, and the transmitter's
-// recorded busy time equals the fluid transmission time of every byte
-// injected — the queue never idles while work is waiting.
+// with an unbounded buffer nothing is dropped, and every packet departs
+// at max(its arrival, the previous departure) + L/C, read from its
+// delivery time less the propagation delay — the queue never idles
+// while work is waiting, and serves in arrival order.
 func TestFIFOWorkConservation(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		r := rng.New(seed)
 		s := New()
 		cap := unit.Rate(10+40*r.Float64()) * unit.Mbps
-		l := s.NewLink("fifo", cap, time.Millisecond)
-		rec := NewRecorder(cap)
-		l.Attach(rec)
+		const prop = time.Millisecond
+		l := s.NewLink("fifo", cap, prop)
 
 		const n = 2000
-		var bytes unit.Bytes
-		for i := 0; i < n; i++ {
+		type pkt struct {
+			at   time.Duration
+			size unit.Bytes
+		}
+		sent := make([]pkt, n)
+		delivered := make([]time.Duration, n)
+		for i := range sent {
 			p := s.NewPacket()
 			p.Size = unit.Bytes(100 + r.Uint64()%1400)
 			p.Route = []*Link{l}
-			bytes += p.Size
-			s.Inject(p, time.Duration(r.Float64()*float64(time.Second)))
+			p.Seq = i
+			p.OnArrive = func(p *Packet, at time.Duration) { delivered[p.Seq] = at }
+			sent[i] = pkt{time.Duration(r.Float64() * float64(time.Second)), p.Size}
+			s.Inject(p, sent[i].at)
 		}
 		s.Run()
 
 		if l.Forwarded() != n || l.Dropped() != 0 {
 			t.Fatalf("seed %d: unbounded FIFO forwarded %d dropped %d, want %d/0", seed, l.Forwarded(), l.Dropped(), n)
 		}
-		var busy time.Duration
-		for _, iv := range rec.BusyIntervals() {
-			busy += iv.End - iv.Start
+		// Arrival order: by time, ties in injection order.
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
 		}
-		want := unit.TxTime(bytes, cap)
-		if diff := (busy - want).Abs(); diff > time.Duration(n) { // ≤1ns rounding per packet
-			t.Fatalf("seed %d: busy time %v, want %v (Δ %v)", seed, busy, want, diff)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sent[a].at, sent[b].at) })
+		var dep time.Duration
+		for _, i := range order {
+			dep = max(dep, sent[i].at) + unit.TxTime(sent[i].size, cap)
+			if got := delivered[i] - prop; got != dep {
+				t.Fatalf("seed %d: packet %d (arrived %v) departed at %v, want %v", seed, i, sent[i].at, got, dep)
+			}
 		}
 	}
 }
@@ -265,9 +278,11 @@ func TestREDDropRateWithinAnalyticBounds(t *testing.T) {
 }
 
 // TestAvailBwUnderTimeVaryingCapacity drives a CBR flow through a link
-// with a piecewise-constant capacity profile and asserts the recorder's
-// ground truth equals C(t) − r inside every constant segment — the
-// paper's Equation (2) generalized to time-varying capacity.
+// with a piecewise-constant capacity profile and asserts that the avail-
+// bw read from the link's counters — the capacity integral over a
+// window less the bits served in it, read at RunUntil boundaries —
+// equals C(t) − r inside every constant segment: the paper's Equation
+// (2) generalized to time-varying capacity.
 func TestAvailBwUnderTimeVaryingCapacity(t *testing.T) {
 	steps := []CapacityStep{
 		{0, 40 * unit.Mbps},
@@ -275,36 +290,42 @@ func TestAvailBwUnderTimeVaryingCapacity(t *testing.T) {
 		{8 * time.Second, 25 * unit.Mbps},
 	}
 	const crossRate = 10 * unit.Mbps
-	t.Run("full", func(t *testing.T) {
+	gap := unit.GapFor(1500, crossRate)
+	// availBw runs a fresh link to from and then to from+window, and
+	// returns the window's avail-bw from the link's served bytes, and
+	// its offered rate from the CBR schedule.
+	availBw := func(from, window time.Duration) (avail, offered unit.Rate) {
 		s := New()
 		l := s.NewLink("var", steps[0].Rate, 0)
 		l.SetCapacitySchedule(steps)
-		rec := NewRecorder(steps[0].Rate)
-		rec.SetCapacitySchedule(steps)
-		l.Attach(rec)
 		injectCBR(s, l, 10000, 1500, crossRate, 0) // 12 s of CBR at 10 Mbps
-		s.Run()
-
+		s.RunUntil(from)
+		before := l.BytesServed()
+		s.RunUntil(from + window)
+		served := float64(l.BytesServed()-before) * 8
+		avail = unit.Rate((capIntegralBits(steps, from, from+window) - served) / window.Seconds())
+		first := (from + gap - 1) / gap // the first send at or after from
+		last := (from + window + gap - 1) / gap
+		return avail, unit.RateOf(unit.Bytes(1500*(last-first)), window)
+	}
+	t.Run("full", func(t *testing.T) {
 		// Measure within segment interiors, away from rate-change
 		// transients (a packet mid-service when the rate steps).
 		for i, seg := range steps {
-			from := seg.At + time.Second
-			window := 2 * time.Second
-			got := rec.AvailBw(from, window)
+			got, arr := availBw(seg.At+time.Second, 2*time.Second)
 			want := seg.Rate - crossRate
 			if math.Abs(float64(got-want)) > 0.02*float64(seg.Rate) {
 				t.Errorf("segment %d [%v @ %v]: AvailBw = %v, want %v", i, seg.At, seg.Rate, got, want)
 			}
-			// Cross-check against the measured arrival rate, the
-			// identity the issue asks for: avail = capacity − rate.
-			arr := rec.ArrivalRate(from, window, nil)
+			// Cross-check against the offered arrival rate:
+			// avail = capacity − rate.
 			if math.Abs(float64(got-(seg.Rate-arr))) > 0.02*float64(seg.Rate) {
 				t.Errorf("segment %d: AvailBw %v inconsistent with C−R = %v", i, got, seg.Rate-arr)
 			}
 		}
 		// A window spanning the first rate change sees the
 		// time-weighted mean: 2s@40 + 2s@15 → C̄ = 27.5 Mbps.
-		got := rec.AvailBw(2*time.Second, 4*time.Second)
+		got, _ := availBw(2*time.Second, 4*time.Second)
 		want := 27.5*unit.Mbps - crossRate
 		if math.Abs(float64(got-want)) > 0.02*float64(want) {
 			t.Errorf("cross-boundary window: AvailBw = %v, want %v", got, want)

@@ -37,10 +37,10 @@ func TestREDValidation(t *testing.T) {
 		"jitter":      func() { New().NewLink("l", 1*unit.Mbps, 0).SetJitter(-time.Millisecond, r) },
 		"jitter rng":  func() { New().NewLink("l", 1*unit.Mbps, 0).SetJitter(time.Millisecond, nil) },
 		"cap empty":   func() { New().NewLink("l", 1*unit.Mbps, 0).SetCapacitySchedule(nil) },
-		"cap start":   func() { MeanCapacity([]CapacityStep{{At: time.Second, Rate: 1}}, time.Minute) },
-		"cap order":   func() { MeanCapacity([]CapacityStep{{0, 1 * unit.Mbps}, {0, 2 * unit.Mbps}}, time.Minute) },
-		"cap rate":    func() { MeanCapacity([]CapacityStep{{0, 0}}, time.Minute) },
-		"cap horizon": func() { MeanCapacity([]CapacityStep{{0, 1 * unit.Mbps}}, 0) },
+		"cap start":   func() { MeanCapacity([]CapacityStep{{At: time.Second, Rate: 1}}, 0, time.Minute) },
+		"cap order":   func() { MeanCapacity([]CapacityStep{{0, 1 * unit.Mbps}, {0, 2 * unit.Mbps}}, 0, time.Minute) },
+		"cap rate":    func() { MeanCapacity([]CapacityStep{{0, 0}}, 0, time.Minute) },
+		"cap horizon": func() { MeanCapacity([]CapacityStep{{0, 1 * unit.Mbps}}, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -282,11 +282,11 @@ func TestMeanCapacityAndIntegral(t *testing.T) {
 		{20 * time.Second, 6 * unit.Mbps},
 	}
 	// 10s@10 + 10s@2 + 10s@6 over 30s = 6 Mbps mean.
-	if got, want := MeanCapacity(steps, 30*time.Second), 6*unit.Mbps; math.Abs(float64(got-want)) > 1 {
+	if got, want := MeanCapacity(steps, 0, 30*time.Second), 6*unit.Mbps; math.Abs(float64(got-want)) > 1 {
 		t.Errorf("MeanCapacity = %v, want %v", got, want)
 	}
 	// Last step extends: over 40s mean = (100+20+60+60)/40 = 6 Mbps.
-	if got, want := MeanCapacity(steps, 40*time.Second), 6*unit.Mbps; math.Abs(float64(got-want)) > 1 {
+	if got, want := MeanCapacity(steps, 0, 40*time.Second), 6*unit.Mbps; math.Abs(float64(got-want)) > 1 {
 		t.Errorf("MeanCapacity(40s) = %v, want %v", got, want)
 	}
 	// Integral across a boundary: [5s, 15s) = 5s@10 + 5s@2 = 60 Mbit.
@@ -295,6 +295,10 @@ func TestMeanCapacityAndIntegral(t *testing.T) {
 	}
 	if got := capIntegralBits(steps, 15*time.Second, 15*time.Second); got != 0 {
 		t.Errorf("empty-window integral = %g, want 0", got)
+	}
+	// The mean over a window is its integral over its length.
+	if got, want := MeanCapacity(steps, 5*time.Second, 15*time.Second), 6*unit.Mbps; math.Abs(float64(got-want)) > 1 {
+		t.Errorf("MeanCapacity(5s, 15s) = %v, want %v", got, want)
 	}
 }
 
@@ -346,13 +350,4 @@ func TestCapacityScheduleAfterStartPanics(t *testing.T) {
 		l.SetCapacitySchedule([]CapacityStep{{0, 1 * unit.Mbps}})
 	})
 	s.Run()
-
-	r := NewRecorder(10 * unit.Mbps)
-	r.busyInterval(0, time.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Error("recorder schedule after recording started did not panic")
-		}
-	}()
-	r.SetCapacitySchedule([]CapacityStep{{0, 1 * unit.Mbps}})
 }

@@ -1,8 +1,7 @@
 // Package sim implements the discrete-event packet network simulator that
 // every experiment in the reproduction runs on: store-and-forward links
-// with finite FIFO buffers, propagation delays, per-link ground-truth
-// recorders, and a deterministic virtual clock with nanosecond
-// resolution.
+// with finite FIFO buffers, propagation delays, per-link counters, and a
+// deterministic virtual clock with nanosecond resolution.
 //
 // The model matches the paper's setting exactly: a path is a sequence of
 // store-and-forward links (Section 1, "Definitions"); cross traffic
@@ -19,7 +18,7 @@
 // closures.
 //
 // One-hop open-loop cross traffic costs no events at all on a link
-// without a queue discipline or a recorder, lossy, jittered, fading and
+// without a queue discipline, lossy, jittered, fading and
 // buffered links included. Such a link folds its fed series through
 // Lindley's recursion (departure = max(arrival, previous departure) +
 // L/C) whenever something can observe it — an event-driven packet

@@ -391,3 +391,61 @@ func TestQueueCompaction(t *testing.T) {
 		t.Fatalf("delivered %d, want 5000", next)
 	}
 }
+
+func TestPathValidation(t *testing.T) {
+	if _, err := NewPath(); err == nil {
+		t.Error("empty path accepted")
+	}
+	if _, err := NewPath(nil); err == nil {
+		t.Error("nil link accepted")
+	}
+}
+
+func TestMultiHopProbeOWDsAccumulateQueueing(t *testing.T) {
+	// Integration: a probing stream over 3 tight hops must see at least
+	// as much OWD growth as over 1 hop under identical per-hop load —
+	// the mechanism behind Figure 4.
+	owdGrowth := func(hops int) time.Duration {
+		s := New()
+		links := make([]*Link, hops)
+		for i := range links {
+			links[i] = s.NewLink("hop", 50*unit.Mbps, time.Millisecond)
+		}
+		// Identical deterministic per-hop cross traffic: 25 Mbps CBR.
+		for _, l := range links {
+			gap := unit.GapFor(1500, 25*unit.Mbps)
+			for at := time.Duration(0); at < 400*time.Millisecond; at += gap {
+				s.Inject(&Packet{Size: 1500, Kind: KindCross, Route: []*Link{l}}, at)
+			}
+		}
+		// 100-packet probe at 30 Mbps (> A) through all hops.
+		probeGap := unit.GapFor(1500, 30*unit.Mbps)
+		var first, last time.Duration
+		for i := 0; i < 100; i++ {
+			i := i
+			sendAt := 50*time.Millisecond + time.Duration(i)*probeGap
+			s.Inject(&Packet{
+				Size: 1500, Kind: KindProbe, Seq: i,
+				Route: links,
+				OnArrive: func(p *Packet, at time.Duration) {
+					owd := at - p.SentAt
+					if p.Seq == 0 {
+						first = owd
+					}
+					if p.Seq == 99 {
+						last = owd
+					}
+				},
+			}, sendAt)
+		}
+		s.Run()
+		return last - first
+	}
+	g1, g3 := owdGrowth(1), owdGrowth(3)
+	if g1 <= 0 {
+		t.Fatalf("single-hop overload shows no OWD growth: %v", g1)
+	}
+	if g3 < g1 {
+		t.Errorf("3-hop OWD growth %v below 1-hop %v", g3, g1)
+	}
+}

@@ -16,8 +16,7 @@ import (
 type (
 	// ScenarioSpec describes a heterogeneous simulated path: per-hop
 	// capacity/buffer/delay and an arbitrary mix of traffic sources,
-	// optionally time-varying. NewScenario always sets its Recorded
-	// field, so Scenario.AvailBw answers on every scenario it builds.
+	// optionally time-varying.
 	ScenarioSpec = scenario.Spec
 	// Hop is one store-and-forward link with its cross traffic.
 	Hop = scenario.Hop
@@ -101,10 +100,13 @@ type Scenario struct {
 // Hops returns the path length.
 func (s *Scenario) Hops() int { return len(s.compiled.Path.Links) }
 
-// AvailBw returns the measured ground-truth avail-bw of the given hop
-// over [from, from+window) of virtual time — the paper's A(t, t+τ),
-// exact, from the hop's recorder (NewScenario records every hop). It
-// panics on a hop outside [0, Hops()).
+// AvailBw returns the spec's avail-bw of the given hop over
+// [from, from+window) of virtual time — the paper's A(t, t+τ): the
+// hop's capacity over the window minus the load its cross traffic is
+// specified to offer over it. It excludes the probe, so after an
+// estimate AvailBw(TightLink, 0, report.Elapsed) is the truth that
+// estimate is judged against. It panics on a hop outside [0, Hops()),
+// a non-positive window, or a window past the scenario's horizon.
 func (s *Scenario) AvailBw(hop int, from, window time.Duration) Rate {
 	return s.compiled.AvailBw(hop, from, window)
 }
@@ -114,9 +116,8 @@ func (s *Scenario) AvailBw(hop int, from, window time.Duration) Rate {
 type SpecOrName interface{ ScenarioSpec | string }
 
 // NewScenario builds a deterministic simulated path from a declarative
-// spec or a catalog name, with a ground-truth recorder on every hop for
-// AvailBw. Identical inputs give identical packet-level behavior, so
-// estimator runs are exactly reproducible.
+// spec or a catalog name. Identical inputs give identical packet-level
+// behavior, so estimator runs are exactly reproducible.
 func NewScenario[T SpecOrName](v T) (*Scenario, error) {
 	name, spec := "", ScenarioSpec{}
 	switch x := any(v).(type) {
@@ -129,7 +130,6 @@ func NewScenario[T SpecOrName](v T) (*Scenario, error) {
 	default:
 		spec = x.(ScenarioSpec)
 	}
-	spec.Recorded = true
 	cpl, err := scenario.Compile(spec)
 	if err != nil {
 		return nil, err

@@ -33,6 +33,10 @@
 // which report the narrow link. In -mode sim the scenario's true
 // tight-link capacity is used when -capacity is absent.
 //
+// -seed s seeds the tool in -mode send. In -mode sim it compiles the
+// scenario at seed s and seeds the tool with s+1, so the run is the
+// matrix cell of `abwsim -exp matrix -seed s`.
+//
 // Exit codes: 0 on success, 1 when the estimation itself fails, 2 on
 // usage errors (unknown tool, missing required flag).
 package main
@@ -46,6 +50,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,7 +89,7 @@ func main() {
 		budgetD   = flag.Duration("max-duration", 0, "probing budget: max estimation time (0 = unlimited); each stream's send span is charged, not the wait around it, so a -mode sim run may pass it by up to 10ms spacing + 2s resolve wait")
 		jsonOut   = flag.Bool("json", false, "print the report as JSON on stdout")
 		progress  = flag.Bool("progress", false, "print per-stream progress to stderr")
-		seed      = flag.Uint64("seed", uint64(time.Now().UnixNano()), "random seed")
+		seed      = flag.Uint64("seed", uint64(time.Now().UnixNano()), "random seed: send seeds the tool; sim compiles the scenario at it and seeds the tool with seed+1, as the matrix cell at this seed")
 	)
 	flag.Parse()
 	if *tools {
@@ -128,7 +133,7 @@ func main() {
 		}
 		send(*to, *tool, mkParams(), *jsonOut, *progress)
 	case "sim":
-		simulate(*scenName, *tool, mkParams(), *jsonOut, *progress)
+		simulate(*scenName, *seed, *tool, mkParams(), *jsonOut, *progress)
 	default:
 		usageErr("pick -mode recv, -mode send, or -mode sim")
 	}
@@ -185,18 +190,20 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-// simulate runs the tool against a cataloged scenario: the same
-// registry path as a live run, but with exact ground truth to judge
-// the estimate against.
-func simulate(scenarioName, tool string, params abw.Params, jsonOut, progress bool) {
+// simulate runs the tool against a cataloged scenario compiled at
+// seed, with the tool drawing from seed+1 — how a matrix cell at that
+// seed runs: the same registry path as a live run, but with exact
+// ground truth to judge the estimate against.
+func simulate(scenarioName string, seed uint64, tool string, params abw.Params, jsonOut, progress bool) {
 	d, ok := abw.LookupTool(tool)
 	if !ok {
 		usageErr("unknown tool %q (see -tools)", tool)
 	}
-	sc, err := abw.NewScenario(scenarioName)
+	sc, err := catalogScenario(scenarioName, seed)
 	if err != nil {
 		usageErr("%v (see -scenarios)", err)
 	}
+	params.Rand = abw.NewRand(seed + 1)
 	// Scenario ground truth fills what the flags left out: the true
 	// tight-link capacity, and a probing bracket derived from it.
 	if !flagWasSet("min") && !flagWasSet("max") {
@@ -236,6 +243,24 @@ func simulate(scenarioName, tool string, params abw.Params, jsonOut, progress bo
 	fmt.Println(rep)
 	errPct := 100 * (rep.Point.MbpsOf() - sc.TrueAvailBw.MbpsOf()) / sc.TrueAvailBw.MbpsOf()
 	fmt.Printf("  true avail-bw: %.2f Mbps (estimate off by %+.1f%%)\n", sc.TrueAvailBw.MbpsOf(), errPct)
+}
+
+// catalogScenario compiles the cataloged scenario called name (or an
+// alias of it) at Spec.Seed = seed.
+func catalogScenario(name string, seed uint64) (*abw.Scenario, error) {
+	for _, d := range abw.Scenarios() {
+		if d.Name == name || slices.Contains(d.Aliases, name) {
+			spec := d.Spec
+			spec.Seed = abw.Seed(seed)
+			sc, err := abw.NewScenario(spec)
+			if err != nil {
+				return nil, err
+			}
+			sc.Name = d.Name
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown scenario %q", name)
 }
 
 // recv runs the multi-session measurement server until interrupted,

@@ -16,10 +16,10 @@
 // where the transport is a simulated path (NewScenario, from a
 // declarative ScenarioSpec or a cataloged scenario name) or live UDP
 // sockets (ListenReceiver/DialReceiver; the receiver serves many
-// concurrent sender sessions, and DialReceiverPool fans estimators
-// out over one session each). Runs honor ctx cancellation at
-// stream boundaries, accept a uniform probing Budget enforced below
-// every tool, and report per-stream progress through an Observer.
+// concurrent sender sessions, one per dialed transport). Runs honor
+// ctx cancellation at stream boundaries, accept a uniform probing
+// Budget enforced below every tool, and report per-stream progress
+// through an Observer.
 // abw.Tools() lists the registered techniques and their requirements;
 // abw.Scenarios() lists the cataloged simulated conditions — every
 // pitfall of the paper as a nameable, reproducible scenario.

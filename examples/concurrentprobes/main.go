@@ -10,8 +10,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
+	"sync"
 
 	"abw"
 )
@@ -24,31 +26,36 @@ func main() {
 	defer recv.Close()
 	fmt.Printf("receiver on %s\n", recv.Addr())
 
-	// One pooled transport per estimator: a Transport is single-stream,
-	// so concurrency is dial-N-sessions, not share-one-socket.
-	pool, err := abw.DialReceiverPool(recv.Addr(), 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer pool.Close()
-
-	reports := make([]*abw.Report, pool.Size())
-	err = pool.Run(func(i int, tr *abw.LiveTransport) error {
-		rep, err := abw.Estimate(context.Background(), "pathload", abw.Params{
-			RateLo:    50 * abw.Mbps,
-			RateHi:    4 * abw.Gbps,
-			StreamLen: 50,
-			Repeat:    2,
-			MaxRounds: 6,
-			Rand:      abw.NewRand(uint64(i) + 1),
-		}, tr)
-		if err != nil {
-			return err
+	// One transport per estimator: a Transport is single-stream, so
+	// concurrency is dial-N-sessions, not share-one-socket.
+	const n = 2
+	trs := make([]*abw.LiveTransport, n)
+	for i := range trs {
+		if trs[i], err = abw.DialReceiver(recv.Addr()); err != nil {
+			log.Fatal(err)
 		}
-		reports[i] = rep // one writer per slot; Run joins before reads
-		return nil
-	})
-	if err != nil {
+		defer trs[i].Close()
+	}
+
+	reports := make([]*abw.Report, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range trs {
+		wg.Add(1)
+		go func(i int) { // i passed explicitly: go 1.21 shares loop variables
+			defer wg.Done()
+			reports[i], errs[i] = abw.Estimate(context.Background(), "pathload", abw.Params{
+				RateLo:    50 * abw.Mbps,
+				RateHi:    4 * abw.Gbps,
+				StreamLen: 50,
+				Repeat:    2,
+				MaxRounds: 6,
+				Rand:      abw.NewRand(uint64(i) + 1),
+			}, trs[i])
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
 	for i, rep := range reports {

@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -116,42 +118,54 @@ func TestConcurrentSendersIsolated(t *testing.T) {
 	})
 }
 
-// TestPoolRunsConcurrently covers the sender-side fan-out: one dial
-// call, one session per transport, every transport usable from its own
-// goroutine.
+// TestPoolRunsConcurrently covers the sender-side concurrency: one
+// dial call, one session per slot, and every leased transport probing
+// at once from its own goroutine.
 func TestPoolRunsConcurrently(t *testing.T) {
+	const K = 3
 	r, err := ListenReceiver("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	pool, err := DialPool(r.Addr(), 3)
+	pool, err := DialPool(r.Addr(), K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pool.Close)
-	if pool.Size() != 3 {
-		t.Fatalf("pool size = %d, want 3", pool.Size())
-	}
+	trs := make([]*Transport, K)
 	seen := map[uint32]bool{}
-	for i := 0; i < pool.Size(); i++ {
-		id := pool.Transport(i).SessionID()
+	for i := range trs {
+		if trs[i], err = pool.Get(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		id := trs[i].SessionID()
 		if seen[id] {
-			t.Fatalf("pooled transports share session %d", id)
+			t.Fatalf("leased transports share session %d", id)
 		}
 		seen[id] = true
 	}
-	err = pool.Run(func(i int, tr *Transport) error {
-		rec, err := tr.Probe(probe.Periodic(30*unit.Mbps, 200, 12))
-		if err != nil {
-			return err
-		}
-		if !rec.Done() {
-			return fmt.Errorf("transport %d: unresolved record", i)
-		}
-		return nil
-	})
-	if err != nil {
+	// A barrier releases the K probes together, so they run at once,
+	// each over its own leased session.
+	var wg, barrier sync.WaitGroup
+	barrier.Add(K)
+	errs := make([]error, K)
+	for i, tr := range trs {
+		wg.Add(1)
+		go func(i int, tr *Transport) {
+			defer wg.Done()
+			defer pool.Put(tr, true)
+			barrier.Done()
+			barrier.Wait()
+			rec, err := tr.Probe(probe.Periodic(30*unit.Mbps, 200, 12))
+			if err == nil && !rec.Done() {
+				err = fmt.Errorf("transport %d: unresolved record", i)
+			}
+			errs[i] = err
+		}(i, tr)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,23 +189,36 @@ func TestPoolDialFailureClosesDialed(t *testing.T) {
 // sending one paced stream per iteration — the receiver's routing,
 // locking, and reporting under contention.
 func BenchmarkConcurrentSessions(b *testing.B) {
+	const K = 4
 	r, err := ListenReceiver("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	pool, err := DialPool(r.Addr(), 4)
+	pool, err := DialPool(r.Addr(), K)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pool.Close()
 	spec := probe.Periodic(500*unit.Mbps, 500, 20)
+	errs := make([]error, K)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pool.Run(func(_ int, tr *Transport) error {
-			_, err := tr.Probe(spec)
-			return err
-		}); err != nil {
+	for n := 0; n < b.N; n++ {
+		var wg sync.WaitGroup
+		for i := 0; i < K; i++ {
+			tr, err := pool.Get(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			wg.Add(1)
+			go func(i int, tr *Transport) {
+				defer wg.Done()
+				_, errs[i] = tr.Probe(spec)
+				pool.Put(tr, errs[i] == nil)
+			}(i, tr)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
 	}

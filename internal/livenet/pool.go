@@ -10,23 +10,13 @@ import (
 // ErrPoolClosed is returned by Get on a closed pool.
 var ErrPoolClosed = errors.New("livenet: pool closed")
 
-// Pool is N session slots to one receiver — the sender-side shape for
-// concurrent estimation. Each slot holds one Transport (single-stream,
-// per core.Transport's contract); the pool's job is dialing, leasing,
-// fan-out, and teardown. Running several estimators over one path at
-// once is exactly the paper's intrusiveness pitfall: each probe stream
-// is traffic every other estimator measures.
-//
-// Two usage modes, not to be mixed on one pool:
-//
-//   - Fan-out: Run / RunContext drive every transport at once, one
-//     goroutine each (the compare-experiment shape).
-//   - Leasing: Get hands out one transport per concurrent caller and
-//     Put returns it, with unhealthy transports discarded and their
-//     slot redialed on the next Get (the long-running monitor shape).
+// Pool is N session slots to one receiver, leased to concurrent
+// callers — the long-running monitor's shape. Each slot holds one
+// Transport (single-stream, per core.Transport's contract): Get hands
+// out one transport per caller and Put returns it, with unhealthy
+// transports discarded and their slot redialed on the next Get.
 type Pool struct {
 	addr string
-	opts Opts // socket options applied to every dial, redials included
 
 	mu    sync.Mutex
 	slots []*Transport       // current transport per slot; nil = vacant
@@ -41,26 +31,18 @@ type Pool struct {
 // dial failure (including the receiver's session limit) the already
 // dialed transports are closed and the cause is returned.
 func DialPool(addr string, n int) (*Pool, error) {
-	return DialPoolOpts(addr, n, Opts{})
-}
-
-// DialPoolOpts is DialPool with explicit socket options; the options
-// also apply when Get redials a vacated slot, so a pool's transports
-// stay uniformly configured across their whole lifetime.
-func DialPoolOpts(addr string, n int, opts Opts) (*Pool, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("livenet: pool size %d must be positive", n)
 	}
 	p := &Pool{
 		addr:   addr,
-		opts:   opts,
 		slots:  make([]*Transport, n),
 		idx:    make(map[*Transport]int, n),
 		free:   make(chan int, n),
 		closed: make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		tr, err := DialOpts(addr, opts)
+		tr, err := Dial(addr)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("livenet: pool dial %d of %d: %w", i+1, n, err)
@@ -70,18 +52,6 @@ func DialPoolOpts(addr string, n int, opts Opts) (*Pool, error) {
 		p.free <- i
 	}
 	return p, nil
-}
-
-// Size returns the number of pooled slots.
-func (p *Pool) Size() int { return len(p.slots) }
-
-// Transport returns the i-th slot's transport — nil if the slot is
-// vacant after an unhealthy Put and not yet redialed. Fan-out callers
-// that never lease always see the dialed transport.
-func (p *Pool) Transport(i int) *Transport {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.slots[i]
 }
 
 // Get leases a transport, blocking until a slot is free, the context
@@ -112,7 +82,7 @@ func (p *Pool) Get(ctx context.Context) (*Transport, error) {
 		if tr != nil {
 			return tr, nil
 		}
-		tr, err := DialOpts(p.addr, p.opts) // outside the lock: dials are slow
+		tr, err := Dial(p.addr) // outside the lock: dials are slow
 		if err != nil {
 			p.free <- i // the slot stays vacant for the next Get to retry
 			return nil, fmt.Errorf("livenet: pool redial slot %d: %w", i, err)
@@ -180,41 +150,4 @@ func (p *Pool) Close() {
 			tr.Close()
 		}
 	})
-}
-
-// Run invokes fn concurrently, one goroutine per slot, and waits for
-// all of them. Each transport is used by exactly one goroutine, so fn
-// may Probe or Estimate freely. Errors are joined, each labeled with
-// its transport index.
-func (p *Pool) Run(fn func(i int, tr *Transport) error) error {
-	return p.RunContext(context.Background(), fn)
-}
-
-// RunContext is Run under a context: when ctx is canceled the pool is
-// closed, which unblocks every fn stuck inside a socket read (a probe
-// waiting on a receiver that died mid-fan-out would otherwise hang its
-// goroutine forever). RunContext always waits for every goroutine to
-// return — no leaks on any path — and a canceled run leaves the pool
-// closed, so it is spent: dial a fresh pool to probe again.
-func (p *Pool) RunContext(ctx context.Context, fn func(i int, tr *Transport) error) error {
-	stop := context.AfterFunc(ctx, p.Close)
-	defer stop()
-	errs := make([]error, len(p.slots)+1)
-	var wg sync.WaitGroup
-	for i := range p.slots {
-		tr := p.Transport(i)
-		if tr == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, tr *Transport) {
-			defer wg.Done()
-			if err := fn(i, tr); err != nil {
-				errs[i] = fmt.Errorf("livenet: pool transport %d: %w", i, err)
-			}
-		}(i, tr)
-	}
-	wg.Wait()
-	errs[len(p.slots)] = ctx.Err()
-	return errors.Join(errs...)
 }

@@ -74,13 +74,12 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	waitFor(t, "sessions reaped after close", func() bool { return r.Stats().ActiveSessions == 0 })
 }
 
-// TestPoolRunContextCancelUnblocksStuckProbe is the goroutine-leak
-// regression: a probe against a receiver that stopped answering blocks
-// inside a socket read, and plain Run would wait on it forever. With
-// RunContext, canceling the context closes the transports, every
-// goroutine returns, and the call comes back with the cancellation
-// recorded. Run under -race.
-func TestPoolRunContextCancelUnblocksStuckProbe(t *testing.T) {
+// TestPoolCloseUnblocksStuckLease is the goroutine-leak regression: a
+// probe on a leased transport against a receiver that stopped
+// answering blocks inside a socket read. Close closes leased
+// transports too, so every stuck probe returns with an error. Run
+// under -race.
+func TestPoolCloseUnblocksStuckLease(t *testing.T) {
 	addr := silentReceiver(t)
 	p, err := DialPool(addr, 3)
 	if err != nil {
@@ -88,30 +87,33 @@ func TestPoolRunContextCancelUnblocksStuckProbe(t *testing.T) {
 	}
 	t.Cleanup(p.Close)
 
-	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 3)
-	done := make(chan error, 1)
-	go func() {
-		done <- p.RunContext(ctx, func(i int, tr *Transport) error {
+	errs := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		tr, err := p.Get(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
 			started <- struct{}{}
 			_, err := tr.Probe(probe.Periodic(10*unit.Mbps, 100, 4)) // blocks: no "ready" ever comes
-			return err
-		})
-	}()
+			errs <- err
+		}()
+	}
 	for i := 0; i < 3; i++ {
 		<-started
 	}
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("RunContext returned nil; want the probe failures and the cancellation joined")
+	p.Close()
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < 3; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Error("a probe on a closed pool's transport returned nil")
+			}
+		case <-deadline:
+			t.Fatal("probes still blocked 10s after Close: stuck leases leaked")
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("RunContext error %v does not record the cancellation", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunContext still blocked 10s after cancel: stuck probe goroutines leaked")
 	}
 }
 

@@ -19,7 +19,7 @@ type Result struct {
 	Seed uint64 `json:"seed"`
 	// Quick records whether reduced trial counts were used.
 	Quick bool `json:"quick"`
-	// Workers is the pool size the run used.
+	// Workers is the worker count the run used.
 	Workers int `json:"workers"`
 	// ElapsedMS is the wall-clock run time in milliseconds.
 	ElapsedMS float64 `json:"elapsed_ms"`

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,12 +11,16 @@ import (
 	"abw/internal/rng"
 )
 
-func TestMapOrdersResultsByIndex(t *testing.T) {
+func TestAllOrdersResultsByIndex(t *testing.T) {
+	defer SetWorkers(0)
 	for _, workers := range []int{1, 2, 8, 33} {
-		got, err := Map(context.Background(), &Pool{Workers: workers}, 20,
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
+		SetWorkers(workers)
+		got, err := All(20, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != 20 {
+			t.Fatalf("workers=%d: %d results, want 20", workers, len(got))
 		}
 		for i, v := range got {
 			if v != i*i {
@@ -27,22 +30,23 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 	}
 }
 
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
+func TestAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The determinism contract: jobs deriving their randomness from
 	// (seed, index) alone produce identical results at every worker
 	// count.
+	defer SetWorkers(0)
 	draw := func(i int) (float64, error) {
 		r := rng.Derive(42, fmt.Sprintf("trial%d", i))
 		return r.Exp(1) + r.Pareto(1.5, 1), nil
 	}
-	serial, err := Map(context.Background(), &Pool{Workers: 1}, 64,
-		func(_ context.Context, i int) (float64, error) { return draw(i) })
+	SetWorkers(1)
+	serial, err := All(64, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := Map(context.Background(), &Pool{Workers: workers}, 64,
-			func(_ context.Context, i int) (float64, error) { return draw(i) })
+		SetWorkers(workers)
+		par, err := All(64, draw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,22 +56,19 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestMapPropagatesFirstError(t *testing.T) {
+func TestAllPropagatesFirstError(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	res, err := Map(context.Background(), &Pool{Workers: 4}, 100,
-		func(ctx context.Context, i int) (int, error) {
-			ran.Add(1)
-			if i == 3 {
-				return 0, boom
-			}
-			// Give the canceled context a chance to stop later jobs.
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Millisecond):
-			}
-			return i, nil
-		})
+	res, err := All(100, func(i int) (int, error) {
+		ran.Add(1)
+		if i == 3 {
+			return 0, boom
+		}
+		time.Sleep(time.Millisecond)
+		return i, nil
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -79,66 +80,13 @@ func TestMapPropagatesFirstError(t *testing.T) {
 	}
 }
 
-func TestMapHonorsContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		<-done
-		cancel()
-	}()
-	_, err := Map(ctx, &Pool{Workers: 2}, 1000,
-		func(ctx context.Context, i int) (int, error) {
-			if started.Add(1) == 2 {
-				close(done)
-			}
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(5 * time.Millisecond):
-				return i, nil
-			}
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := started.Load(); n == 1000 {
-		t.Error("cancellation did not stop the queue")
-	}
-}
-
-func TestMapProgressReachesTotal(t *testing.T) {
-	var calls []int
-	p := &Pool{Workers: 4, OnProgress: func(done, total int) {
-		if total != 30 {
-			t.Errorf("total = %d, want 30", total)
-		}
-		calls = append(calls, done) // serialized by the pool
-	}}
-	if _, err := Map(context.Background(), p, 30,
-		func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 30 {
-		t.Fatalf("progress calls = %d, want 30", len(calls))
-	}
-	seen := make(map[int]bool)
-	for _, d := range calls {
-		if d < 1 || d > 30 || seen[d] {
-			t.Fatalf("bad progress sequence: %v", calls)
-		}
-		seen[d] = true
-	}
-}
-
-func TestMapZeroAndNil(t *testing.T) {
-	if res, err := Map[int](context.Background(), nil, 0, nil); err != nil || res != nil {
+func TestAllZeroJobs(t *testing.T) {
+	res, err := All(0, func(int) (int, error) {
+		t.Error("fn called with n = 0")
+		return 0, nil
+	})
+	if err != nil || res != nil {
 		t.Fatalf("n=0: res=%v err=%v", res, err)
-	}
-	res, err := Map(context.Background(), nil, 3,
-		func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil || len(res) != 3 {
-		t.Fatalf("nil pool: res=%v err=%v", res, err)
 	}
 }
 
@@ -171,31 +119,34 @@ func TestAllUsesDefaultPool(t *testing.T) {
 	}
 }
 
+// TestSetProgressObservesDefaultPool: the callback is serialized,
+// strictly increasing, and reaches the total, at several workers.
 func TestSetProgressObservesDefaultPool(t *testing.T) {
 	defer SetProgress(nil)
-	var last atomic.Int64
-	var calls atomic.Int64
+	defer SetWorkers(0)
+	SetWorkers(4)
+	var last, calls int // written only under All's serialization
 	SetProgress(func(done, total int) {
-		if total != 7 {
-			t.Errorf("total = %d, want 7", total)
+		if total != 30 {
+			t.Errorf("total = %d, want 30", total)
 		}
-		if int64(done) <= last.Load() {
-			t.Errorf("done counter not strictly increasing: %d after %d", done, last.Load())
+		if done <= last {
+			t.Errorf("done counter not strictly increasing: %d after %d", done, last)
 		}
-		last.Store(int64(done))
-		calls.Add(1)
+		last = done
+		calls++
 	})
-	if _, err := All(7, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := All(30, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 7 {
-		t.Fatalf("progress calls = %d, want 7", calls.Load())
+	if calls != 30 || last != 30 {
+		t.Fatalf("progress calls = %d, last done = %d; want 30 and 30", calls, last)
 	}
 	SetProgress(nil)
 	if _, err := All(3, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 7 {
+	if calls != 30 {
 		t.Fatal("SetProgress(nil) did not remove the callback")
 	}
 }

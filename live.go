@@ -26,15 +26,9 @@ type ReceiverStats = livenet.Stats
 
 // LiveTransport implements Transport over real UDP sockets; it is what
 // cmd/abwprobe's send mode and the liveprobe example run estimators
-// on. Like every Transport it is single-stream — use a LivePool for
-// concurrent estimation.
+// on. Like every Transport it is single-stream: concurrent estimators
+// dial one each.
 type LiveTransport = livenet.Transport
-
-// LivePool is N independent live transports to one receiver — one
-// session each — for running several estimators over the same path at
-// once (examples/concurrentprobes measures the paper's intrusiveness
-// pitfall with it).
-type LivePool = livenet.Pool
 
 // ListenReceiver starts a live receiver with default limits on the
 // given TCP address (e.g. "127.0.0.1:0"); the UDP probe socket binds
@@ -52,10 +46,4 @@ func ListenReceiverConfig(addr string, cfg ReceiverConfig) (*Receiver, error) {
 // address; every registered end-to-end tool can then Estimate over it.
 func DialReceiver(addr string) (*LiveTransport, error) {
 	return livenet.Dial(addr)
-}
-
-// DialReceiverPool dials n live transports to a receiver's control
-// address for concurrent estimation.
-func DialReceiverPool(addr string, n int) (*LivePool, error) {
-	return livenet.DialPool(addr, n)
 }

@@ -119,6 +119,34 @@ func TestAllUsesDefaultPool(t *testing.T) {
 	}
 }
 
+// TestMapProgressReachesTotal keeps its name from before All replaced
+// Map: at 4 workers each done count 1..30 is reported exactly once.
+func TestMapProgressReachesTotal(t *testing.T) {
+	defer SetProgress(nil)
+	defer SetWorkers(0)
+	SetWorkers(4)
+	var calls []int
+	SetProgress(func(done, total int) {
+		if total != 30 {
+			t.Errorf("total = %d, want 30", total)
+		}
+		calls = append(calls, done) // serialized by All
+	})
+	if _, err := All(30, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 30 {
+		t.Fatalf("progress calls = %d, want 30", len(calls))
+	}
+	seen := make(map[int]bool)
+	for _, d := range calls {
+		if d < 1 || d > 30 || seen[d] {
+			t.Fatalf("bad progress sequence: %v", calls)
+		}
+		seen[d] = true
+	}
+}
+
 // TestSetProgressObservesDefaultPool: the callback is serialized,
 // strictly increasing, and reaches the total, at several workers.
 func TestSetProgressObservesDefaultPool(t *testing.T) {

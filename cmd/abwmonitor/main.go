@@ -76,7 +76,7 @@ func main() {
 		recvAddr    = flag.String("recv", "", "live: also run an in-process receiver here; targets may use dest `local`")
 		maxSess     = flag.Int("max-sessions", 0, "in-process receiver: max concurrent sessions (0 = default 64)")
 		runTimeout  = flag.Duration("run-timeout", 0, "wall-time cap per live estimation run (0 = default 2m)")
-		poolSize    = flag.Int("pool", 0, "sessions dialed per live receiver (0 = default)")
+		poolSize    = flag.Int("pool", 0, "at most this many sessions, and concurrent live runs, per receiver (0 = min(4, -concurrency))")
 		// Tool parameters, applied to every target (zero = tool default).
 		capMbps  = flag.Float64("capacity", 0, "tight-link capacity (Mbps), for direct-probing tools on live targets")
 		pktSize  = flag.Int("pktsize", 0, "probe packet size in bytes")

@@ -1,9 +1,9 @@
 package livenet
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,9 +118,9 @@ func TestConcurrentSendersIsolated(t *testing.T) {
 	})
 }
 
-// TestPoolRunsConcurrently covers the sender-side concurrency: one
-// dial call, one session per slot, and every leased transport probing
-// at once from its own goroutine.
+// TestPoolRunsConcurrently covers the sender-side concurrency the
+// monitor's lease relies on: K dialed transports, one session each,
+// every one probing at once from its own goroutine.
 func TestPoolRunsConcurrently(t *testing.T) {
 	const K = 3
 	r, err := ListenReceiver("127.0.0.1:0")
@@ -128,25 +128,17 @@ func TestPoolRunsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	pool, err := DialPool(r.Addr(), K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pool.Close)
-	trs := make([]*Transport, K)
+	trs := dialK(t, r.Addr(), K)
 	seen := map[uint32]bool{}
-	for i := range trs {
-		if trs[i], err = pool.Get(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		id := trs[i].SessionID()
+	for _, tr := range trs {
+		id := tr.SessionID()
 		if seen[id] {
-			t.Fatalf("leased transports share session %d", id)
+			t.Fatalf("dialed transports share session %d", id)
 		}
 		seen[id] = true
 	}
 	// A barrier releases the K probes together, so they run at once,
-	// each over its own leased session.
+	// each over its own session.
 	var wg, barrier sync.WaitGroup
 	barrier.Add(K)
 	errs := make([]error, K)
@@ -154,7 +146,6 @@ func TestPoolRunsConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int, tr *Transport) {
 			defer wg.Done()
-			defer pool.Put(tr, true)
 			barrier.Done()
 			barrier.Wait()
 			rec, err := tr.Probe(probe.Periodic(30*unit.Mbps, 200, 12))
@@ -170,19 +161,41 @@ func TestPoolRunsConcurrently(t *testing.T) {
 	}
 }
 
-// TestPoolDialFailureClosesDialed: a pool that cannot fully dial (here
-// because of the receiver's session limit) must close what it opened
-// and surface the refusal.
+// TestPoolDialFailureClosesDialed: a dial past the receiver's session
+// limit is refused with the receiver's reason, and closing the
+// sessions already dialed returns the receiver to zero active.
 func TestPoolDialFailureClosesDialed(t *testing.T) {
 	r, err := ListenReceiverConfig("127.0.0.1:0", Config{MaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	if _, err := DialPool(r.Addr(), 3); err == nil {
-		t.Fatal("pool over the session limit dialed successfully")
+	trs := dialK(t, r.Addr(), 2)
+	if tr, err := Dial(r.Addr()); err == nil {
+		tr.Close()
+		t.Fatal("a dial over the session limit succeeded")
+	} else if !strings.Contains(err.Error(), "session limit") {
+		t.Errorf("over-limit dial = %v, want the receiver's session-limit refusal", err)
 	}
-	waitFor(t, "partial pool reaped", func() bool { return r.Stats().ActiveSessions == 0 })
+	for _, tr := range trs {
+		tr.Close()
+	}
+	waitFor(t, "dialed sessions reaped", func() bool { return r.Stats().ActiveSessions == 0 })
+}
+
+// dialK dials k transports to one receiver, closed at cleanup.
+func dialK(tb testing.TB, addr string, k int) []*Transport {
+	tb.Helper()
+	trs := make([]*Transport, k)
+	for i := range trs {
+		tr, err := Dial(addr)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(tr.Close)
+		trs[i] = tr
+	}
+	return trs
 }
 
 // BenchmarkConcurrentSessions measures K concurrent sessions each
@@ -195,26 +208,17 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer r.Close()
-	pool, err := DialPool(r.Addr(), K)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
+	trs := dialK(b, r.Addr(), K)
 	spec := probe.Periodic(500*unit.Mbps, 500, 20)
 	errs := make([]error, K)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		var wg sync.WaitGroup
-		for i := 0; i < K; i++ {
-			tr, err := pool.Get(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
+		for i, tr := range trs {
 			wg.Add(1)
 			go func(i int, tr *Transport) {
 				defer wg.Done()
 				_, errs[i] = tr.Probe(spec)
-				pool.Put(tr, errs[i] == nil)
 			}(i, tr)
 		}
 		wg.Wait()

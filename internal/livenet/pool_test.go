@@ -1,10 +1,10 @@
 package livenet
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,17 +13,19 @@ import (
 	"abw/internal/unit"
 )
 
-// silentReceiver accepts control connections and completes the session
-// handshake, then never answers again — the shape of a receiver that
-// died (or wedged) mid-fan-out. Probes against it block forever unless
-// something closes the transport.
-func silentReceiver(t *testing.T) string {
+// fakeReceiver accepts control connections and completes the session
+// handshake under sequential session IDs, then answers every control
+// request with reply — or never, when reply is empty: the shape of a
+// receiver that died (or wedged) mid-run. Each request it reads is
+// signalled on heard.
+func fakeReceiver(t *testing.T, reply string) (addr string, heard <-chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	h := make(chan struct{}, 64)
 	go func() {
 		session := uint32(0)
 		for {
@@ -33,150 +35,131 @@ func silentReceiver(t *testing.T) string {
 			}
 			session++
 			json.NewEncoder(conn).Encode(ctrlMsg{Type: msgSession, Session: session})
-			// Keep the connection open and silent; close only when the
-			// listener dies.
+			// Keep the connection open until the sender closes it.
 			go func(c net.Conn) {
+				defer c.Close()
 				buf := make([]byte, 1024)
 				for {
 					if _, err := c.Read(buf); err != nil {
-						c.Close()
 						return
+					}
+					select {
+					case h <- struct{}{}:
+					default:
+					}
+					if reply != "" {
+						io.WriteString(c, reply)
 					}
 				}
 			}(conn)
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), h
 }
 
-// TestPoolCloseIdempotent: Close is safe to call repeatedly and
-// concurrently, and fails future Gets with ErrPoolClosed.
+// TestPoolCloseIdempotent: Transport.Close is safe to call repeatedly
+// and concurrently — a leased session can be closed both by a run's
+// watchdog and by its discard — and the receiver reaps the session.
 func TestPoolCloseIdempotent(t *testing.T) {
 	r, err := ListenReceiver("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	p, err := DialPool(r.Addr(), 2)
+	tr, err := Dial(r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); p.Close() }()
+		go func() { defer wg.Done(); tr.Close() }()
 	}
 	wg.Wait()
-	p.Close()
-	if _, err := p.Get(context.Background()); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Get on closed pool = %v, want ErrPoolClosed", err)
+	tr.Close()
+	if _, err := tr.Probe(probe.Pair(10*unit.Mbps, 100)); err == nil {
+		t.Error("Probe on a closed transport succeeded")
 	}
-	waitFor(t, "sessions reaped after close", func() bool { return r.Stats().ActiveSessions == 0 })
+	waitFor(t, "session reaped after close", func() bool { return r.Stats().ActiveSessions == 0 })
 }
 
 // TestPoolCloseUnblocksStuckLease is the goroutine-leak regression: a
-// probe on a leased transport against a receiver that stopped
-// answering blocks inside a socket read. Close closes leased
-// transports too, so every stuck probe returns with an error. Run
-// under -race.
+// probe against a receiver that stopped answering blocks inside a
+// socket read, and Close returns it with an error at once, well inside
+// the reply's own bound. The monitor's watchdog relies on exactly that.
+// Run under -race.
 func TestPoolCloseUnblocksStuckLease(t *testing.T) {
-	addr := silentReceiver(t)
-	p, err := DialPool(addr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-
-	started := make(chan struct{}, 3)
-	errs := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		tr, err := p.Get(context.Background())
+	addr, heard := fakeReceiver(t, "")
+	const K = 3
+	trs := make([]*Transport, K)
+	errs := make(chan error, K)
+	for i := range trs {
+		tr, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(tr.Close)
+		trs[i] = tr
 		go func() {
-			started <- struct{}{}
 			_, err := tr.Probe(probe.Periodic(10*unit.Mbps, 100, 4)) // blocks: no "ready" ever comes
 			errs <- err
 		}()
 	}
-	for i := 0; i < 3; i++ {
-		<-started
+	for i := 0; i < K; i++ {
+		<-heard // every stream request is on the wire: each probe waits for "ready"
 	}
-	p.Close()
-	deadline := time.After(10 * time.Second)
-	for i := 0; i < 3; i++ {
+	begin := time.Now()
+	for _, tr := range trs {
+		tr.Close()
+	}
+	deadline := time.After(ctrlWait / 2)
+	for i := 0; i < K; i++ {
 		select {
 		case err := <-errs:
 			if err == nil {
-				t.Error("a probe on a closed pool's transport returned nil")
+				t.Error("a probe on a closed transport returned nil")
 			}
 		case <-deadline:
-			t.Fatal("probes still blocked 10s after Close: stuck leases leaked")
+			t.Fatalf("probes still blocked %v after Close: only the reply bound would end them", time.Since(begin))
 		}
 	}
 }
 
-// TestPoolLeaseRedial: Get hands out each transport to one caller at a
-// time; an unhealthy Put discards the session and the next Get redials
-// a fresh one instead of resurrecting the broken transport.
+// TestPoolLeaseRedial: a transport whose control channel
+// desynchronized latches broken — it reports Broken and fails every
+// later Probe at once — and a fresh Dial gets a new, healthy session,
+// which is how the monitor replaces a discarded one.
 func TestPoolLeaseRedial(t *testing.T) {
-	r, err := ListenReceiver("127.0.0.1:0")
+	addr, _ := fakeReceiver(t, "garbage\n") // no reply decodes
+	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
-	p, err := DialPool(r.Addr(), 2)
+	t.Cleanup(tr.Close)
+	spec := probe.Pair(10*unit.Mbps, 100)
+	if tr.Broken() {
+		t.Fatal("a fresh transport reports broken")
+	}
+	if _, err := tr.Probe(spec); err == nil {
+		t.Fatal("Probe succeeded on an undecodable reply")
+	}
+	if !tr.Broken() {
+		t.Fatal("an undecodable reply did not latch the transport broken")
+	}
+	begin := time.Now()
+	if _, err := tr.Probe(spec); err == nil || !strings.Contains(err.Error(), "desynchronized") {
+		t.Fatalf("Probe on a broken transport = %v, want the desynchronized error", err)
+	}
+	if d := time.Since(begin); d > ctrlWait/2 {
+		t.Errorf("Probe on a broken transport took %v, want an immediate failure", d)
+	}
+	fresh, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-
-	ctx := context.Background()
-	a, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(fresh.Close)
+	if fresh.SessionID() == tr.SessionID() || fresh.Broken() {
+		t.Errorf("redial got session %d (broken %v), want a new healthy one beside %d",
+			fresh.SessionID(), fresh.Broken(), tr.SessionID())
 	}
-	b, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("two concurrent leases returned the same transport")
-	}
-
-	// With both slots leased, a third Get must block until a Put.
-	blocked, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	defer cancel()
-	if _, err := p.Get(blocked); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Get with all slots leased = %v, want deadline exceeded", err)
-	}
-
-	// A healthy Put returns the same session; an unhealthy one redials.
-	aID := a.SessionID()
-	p.Put(a, true)
-	a2, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.SessionID() != aID {
-		t.Errorf("healthy Put was not reused: session %d -> %d", aID, a2.SessionID())
-	}
-	p.Put(a2, false)
-	bID := b.SessionID()
-	a3, err := p.Get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3.SessionID() == aID || a3.SessionID() == bID {
-		t.Errorf("unhealthy Put resurrected session %d", a3.SessionID())
-	}
-	// The fresh session must actually probe.
-	rec, err := a3.Probe(probe.Periodic(20*unit.Mbps, 200, 8))
-	if err != nil || !rec.Done() {
-		t.Fatalf("redialed transport cannot probe: %v", err)
-	}
-	p.Put(a3, true)
-	p.Put(b, true)
-	waitFor(t, "discarded session reaped", func() bool { return r.Stats().ActiveSessions == 2 })
 }

@@ -243,8 +243,6 @@ func (r *Receiver) Stats() Stats {
 // before the next call, honoring the buffer-ring ownership rule.
 func (r *Receiver) udpLoop() {
 	batch := make([]ingest.Datagram, r.ing.BatchSize())
-	hs := make([]probeHeader, len(batch))
-	oks := make([]bool, len(batch))
 	for {
 		n, err := r.ing.ReadBatch(batch)
 		if err != nil {
@@ -259,13 +257,12 @@ func (r *Receiver) udpLoop() {
 			continue
 		}
 		r.batches.Add(1)
-		parseProbeBatch(batch[:n], hs, oks)
 		for i := 0; i < n; i++ {
-			if !oks[i] {
+			h, ok := parseProbeHeader(batch[i].Payload)
+			if !ok {
 				r.drops.Add(1)
 				continue
 			}
-			h := hs[i]
 			r.mu.RLock()
 			s := r.sessions[h.session]
 			r.mu.RUnlock()

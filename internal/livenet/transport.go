@@ -18,8 +18,7 @@ import (
 // Transport is the sending side, implementing core.Transport over UDP.
 // Like every core.Transport it is single-stream and not safe for
 // concurrent use; for concurrent estimation dial one Transport per
-// estimator (Pool does exactly that), and the receiver keeps the
-// sessions apart.
+// estimator, and the receiver keeps the sessions apart.
 type Transport struct {
 	ctrl    net.Conn
 	dec     *json.Decoder
@@ -116,10 +115,16 @@ func (t *Transport) SessionID() uint32 { return t.session }
 func (t *Transport) Batched() bool { return t.bw.Batched() }
 
 // Close releases the sockets; the receiver reaps the session's state.
+// It is safe to call more than once, and concurrently with itself.
 func (t *Transport) Close() {
 	t.ctrl.Close()
 	t.udp.Close()
 }
+
+// Broken reports whether an unanswered request desynchronized the
+// control channel: every later Probe fails, so the session is only fit
+// to be closed and redialed.
+func (t *Transport) Broken() bool { return t.broken }
 
 // Now implements core.Transport on the sender's monotonic clock.
 func (t *Transport) Now() time.Duration { return time.Since(t.epoch) }

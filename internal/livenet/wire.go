@@ -3,8 +3,6 @@ package livenet
 import (
 	"encoding/binary"
 	"time"
-
-	"abw/internal/livenet/ingest"
 )
 
 // The wire protocol, v2 (session-scoped stream IDs).
@@ -88,23 +86,4 @@ func parseProbeHeader(b []byte) (h probeHeader, ok bool) {
 		stream:  binary.BigEndian.Uint32(b[8:12]),
 		seq:     int(binary.BigEndian.Uint32(b[12:16])),
 	}, true
-}
-
-// parseProbeBatch decodes one ingest batch into preallocated header and
-// validity slices, returning how many datagrams parsed cleanly. Each
-// slot is independent: a truncated or garbage datagram anywhere in the
-// batch marks only its own slot invalid and never disturbs its
-// neighbors. It inherits parseProbeHeader's totality — any byte soup is
-// an ok=false, never a panic — and the batch fuzz harness
-// (wire_fuzz_test.go) holds it to that. hs and oks must be at least
-// len(batch) long.
-func parseProbeBatch(batch []ingest.Datagram, hs []probeHeader, oks []bool) int {
-	valid := 0
-	for i := range batch {
-		hs[i], oks[i] = parseProbeHeader(batch[i].Payload)
-		if oks[i] {
-			valid++
-		}
-	}
-	return valid
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net"
 	"testing"
-
-	"abw/internal/livenet/ingest"
 )
 
 // FuzzProbeHeader holds parseProbeHeader to its totality contract: no
@@ -39,44 +37,6 @@ func FuzzProbeHeader(f *testing.F) {
 		again := probePacket(h.session, h.stream, uint32(h.seq), packetHeader)
 		if !bytes.Equal(b[:packetHeader], again) {
 			t.Fatalf("header did not round-trip: % x -> %+v -> % x", b[:packetHeader], h, again)
-		}
-	})
-}
-
-// FuzzProbeBatch holds the batched parse entry to the same totality
-// contract as parseProbeHeader, slot by slot: a three-slot batch of
-// arbitrary datagrams — mixed valid/garbage, a truncated trailing
-// datagram, empty payloads — must never panic, must agree exactly with
-// per-datagram parseProbeHeader on every slot, and a bad slot must
-// never disturb its neighbors' verdicts. The committed corpus
-// (testdata/fuzz/FuzzProbeBatch) pins the interesting mixtures.
-func FuzzProbeBatch(f *testing.F) {
-	valid := probePacket(1, 2, 3, packetHeader)
-	big := probePacket(7, 8, 9, maxPacket)
-	bad := probePacket(1, 2, 3, packetHeader)
-	bad[0] ^= 1 // wrong magic
-	f.Add(valid, big, valid)
-	f.Add(valid, []byte{0xde, 0xad}, valid[:7]) // garbage mid-batch, truncated trailing
-	f.Add([]byte{}, valid, []byte{})
-	f.Add(bad, bad, bad)
-	f.Fuzz(func(t *testing.T, a, b, c []byte) {
-		batch := []ingest.Datagram{{Payload: a}, {Payload: b}, {Payload: c}}
-		hs := make([]probeHeader, len(batch))
-		oks := make([]bool, len(batch))
-		valid := parseProbeBatch(batch, hs, oks)
-		count := 0
-		for i, d := range batch {
-			h, ok := parseProbeHeader(d.Payload)
-			if ok != oks[i] || h != hs[i] {
-				t.Fatalf("slot %d: batch parse (%+v, %v) disagrees with single parse (%+v, %v)",
-					i, hs[i], oks[i], h, ok)
-			}
-			if ok {
-				count++
-			}
-		}
-		if count != valid {
-			t.Fatalf("parseProbeBatch counted %d valid, slots say %d", valid, count)
 		}
 	})
 }

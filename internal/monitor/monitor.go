@@ -15,9 +15,9 @@
 // per fleet.
 //
 // Targets come in two flavors: live (a receiver's control address,
-// probed over livenet.Pool sessions) and simulated (a scenario-catalog
-// name compiled onto the deterministic simulator) — the latter makes
-// the whole service hermetic for CI and load tests. All scheduling
+// probed over at most PoolSize leased sessions) and simulated (a
+// scenario-catalog name compiled onto the deterministic simulator) —
+// the latter makes the whole service hermetic for CI and load tests. All scheduling
 // runs against an injectable Clock; under a FakeClock the monitor's
 // behavior is a pure function of (config, seed, advance script).
 package monitor
@@ -106,8 +106,8 @@ type Config struct {
 	// runs advance virtual time and are bounded by their reservation,
 	// not by a wall-clock timer.
 	RunTimeout time.Duration
-	// PoolSize is the number of sessions dialed per distinct live
-	// receiver address (default min(4, MaxConcurrent)).
+	// PoolSize is at most this many sessions, and concurrent live runs,
+	// per receiver address (default min(4, MaxConcurrent)).
 	PoolSize int
 	// SnapshotPath, when set, persists the store there every
 	// SnapshotEvery (default 1 min) and restores from it at startup.
@@ -215,7 +215,7 @@ type Monitor struct {
 	mu      sync.Mutex
 	heap    entryHeap
 	entries []*entry
-	pools   map[string]*livenet.Pool
+	leases  map[string]chan *livenet.Transport // per address: idle sessions, nil = to dial
 	started bool
 	closed  bool
 
@@ -250,7 +250,7 @@ func New(cfg Config) (*Monitor, error) {
 		wake:     make(chan struct{}, 1),
 		jobs:     make(chan *entry),
 		loopDone: make(chan struct{}),
-		pools:    make(map[string]*livenet.Pool),
+		leases:   make(map[string]chan *livenet.Transport),
 	}
 	m.root, m.cancel = context.WithCancel(context.Background())
 	seen := make(map[string]bool, len(cfg.Targets))
@@ -303,8 +303,9 @@ func (m *Monitor) Start() {
 	}
 }
 
-// Close stops scheduling, waits for in-flight runs, closes every live
-// pool, and (when configured) writes a final snapshot. It is
+// Close stops scheduling, cancels in-flight runs (a live run's watchdog
+// closes its transport) and waits for them, closes every idle live
+// session, and (when configured) writes a final snapshot. It is
 // idempotent and safe to call concurrently.
 func (m *Monitor) Close() {
 	m.mu.Lock()
@@ -318,22 +319,25 @@ func (m *Monitor) Close() {
 	}
 	m.closed = true
 	started := m.started
-	pools := m.pools
-	m.pools = map[string]*livenet.Pool{}
 	m.mu.Unlock()
 
 	m.cancel()
-	// Closing the pools unblocks any run stuck inside a socket read;
-	// context cancellation alone only reaches stream boundaries.
-	for _, p := range pools {
-		p.Close()
-	}
 	if started {
 		<-m.loopDone
 	} else {
 		close(m.loopDone)
 	}
 	m.wg.Wait()
+	// Every run has returned its slot, and leaseFor refuses a closed
+	// monitor, so no one sends on these channels again.
+	for _, slots := range m.leases {
+		close(slots)
+		for tr := range slots {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	}
 	if m.cfg.SnapshotPath != "" {
 		m.store.WriteSnapshot(m.cfg.SnapshotPath, m.clock.Now())
 	}

@@ -162,36 +162,64 @@ func TestSimRunsIgnoreRunTimeout(t *testing.T) {
 	}
 }
 
-// TestLiveWatchdogClosesStuckTransport: a live run blocked in a socket
-// read is ended by the RunTimeout watchdog, which closes its transport;
-// the run fails, and the session is discarded rather than returned to
-// the pool.
-func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
-	// A receiver that opens a session and then never answers: the first
-	// "stream" request blocks the run waiting for "ready".
+// silentReceiver opens a session on every control connection and then
+// never answers: a live run's first "stream" request blocks it waiting
+// for "ready". It counts the sessions it opened and those still open
+// (the sender has not closed them), and signals each request it reads
+// on heard.
+func silentReceiver(t *testing.T) (addr string, opened, open *atomic.Int32, heard <-chan struct{}) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	opened, open = new(atomic.Int32), new(atomic.Int32)
+	h := make(chan struct{}, 16)
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			opened.Add(1)
+			open.Add(1)
 			go func() {
+				defer open.Add(-1)
 				defer c.Close()
 				io.WriteString(c, `{"type":"session","session":7}`+"\n")
-				io.Copy(io.Discard, c) // until the sender closes
+				buf := make([]byte, 1024)
+				for {
+					if _, err := c.Read(buf); err != nil {
+						return // the sender closed the session
+					}
+					select {
+					case h <- struct{}{}:
+					default:
+					}
+				}
 			}()
 		}
 	}()
+	return ln.Addr().String(), opened, open, h
+}
 
+// stuckTarget is one live delphi target on a receiver that never
+// answers.
+func stuckTarget(addr string) []Target {
+	return []Target{{Name: "stuck", Tool: "delphi", Addr: addr,
+		Params: registry.Params{Capacity: 100 * unit.Mbps, Repeat: 1, StreamLen: 5}}}
+}
+
+// TestLiveWatchdogClosesStuckTransport: a live run blocked in a socket
+// read is ended by the RunTimeout watchdog, which closes its transport;
+// the run fails, the session is discarded rather than returned to its
+// slot, and the next run dials a new one.
+func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
+	addr, opened, _, _ := silentReceiver(t)
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
 	m, err := New(Config{
-		Targets: []Target{{Name: "stuck", Tool: "delphi", Addr: ln.Addr().String(),
-			Params: registry.Params{Capacity: 100 * unit.Mbps, Repeat: 1, StreamLen: 5}}},
+		Targets:    stuckTarget(addr),
 		Interval:   10 * time.Second,
 		RunTimeout: 100 * time.Millisecond,
 		PoolSize:   1,
@@ -211,6 +239,86 @@ func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
 	if pts := s.Last(0); len(pts) != 1 || pts[0].Err == "" {
 		t.Errorf("points %+v, want one failed run", pts)
 	}
+	clk.Advance(11 * time.Second)
+	waitFor(t, "the second stuck run to end", func() bool { st := m.Stats(); return st.RunsErr == 2 && st.Active == 0 })
+	if n, st := opened.Load(), m.Stats(); n != 2 || st.Redials != 2 {
+		t.Errorf("%d sessions dialed, redials %d; want the run after the discard to dial a second session", n, st.Redials)
+	}
+}
+
+// TestMonitorCloseEndsStuckLiveRun: Close cancels the monitor's root
+// context, which fires the watchdog of every in-flight live run, so a
+// run stuck on a silent receiver ends at once — not at its 2 min
+// RunTimeout, nor at the transport's own reply bound — and its session
+// is closed.
+func TestMonitorCloseEndsStuckLiveRun(t *testing.T) {
+	addr, _, open, heard := silentReceiver(t)
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{Targets: stuckTarget(addr), Interval: 10 * time.Second, PoolSize: 1, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	clk.Advance(11 * time.Second)
+	select {
+	case <-heard: // the run's stream request is on the wire, awaiting "ready"
+	case <-time.After(10 * time.Second):
+		t.Fatal("the live run never sent its stream request")
+	}
+	done := make(chan struct{})
+	go func() { m.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("Close still blocked 1s after it was called: the stuck run's watchdog did not fire")
+		<-done
+	}
+	if st := m.Stats(); st.Active != 0 || st.RunsOK != 0 {
+		t.Errorf("after Close: %d active, %d ok; want 0 and 0", st.Active, st.RunsOK)
+	}
+	waitFor(t, "the stuck session closed", func() bool { return open.Load() == 0 })
+}
+
+// TestLiveLeaseBoundsSessions: three live targets share one receiver
+// through a single slot, so however the three workers interleave,
+// every session the receiver ever saw is the first dial or the redial
+// of a discarded one.
+func TestLiveLeaseBoundsSessions(t *testing.T) {
+	r, err := livenet.ListenReceiver("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	var targets []Target
+	for _, name := range []string{"a", "b", "c"} {
+		targets = append(targets, Target{Name: name, Tool: "delphi", Addr: r.Addr(),
+			Params: registry.Params{Capacity: 200 * unit.Mbps, Repeat: 1, StreamLen: 5}})
+	}
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+	m, err := New(Config{
+		Targets:       targets,
+		Interval:      10 * time.Second,
+		Seed:          1,
+		MaxConcurrent: 3,
+		PoolSize:      1,
+		Clock:         clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	for cycle := uint64(1); cycle <= 3; cycle++ {
+		drain(t, m, clk, 11*time.Second, 3*cycle)
+	}
+	m.Close()
+	st, rs := m.Stats(), r.Stats()
+	if st.RunsOK == 0 {
+		t.Fatalf("no live run succeeded: %+v", st)
+	}
+	if rs.Sessions != 1+st.Redials {
+		t.Errorf("receiver saw %d sessions with %d redials; one slot allows 1 + redials", rs.Sessions, st.Redials)
+	}
+	waitFor(t, "receiver back to baseline", func() bool { return r.Stats().ActiveSessions == 0 })
 }
 
 // TestFirstRunAtDefaultParams: every registered tool, as a sim target

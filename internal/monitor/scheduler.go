@@ -339,9 +339,9 @@ func (e *entry) jitterSpan() time.Duration {
 // spent) under the monitor's root context alone: virtual time has no
 // socket to unblock, the reservation already bounds the run's work,
 // and Close stops it at its next stream boundary. Live targets lease a
-// session from the receiver's pool, with a watchdog that closes the
-// transport if the run outlives RunTimeout — the only way to unblock a
-// probe stuck inside a socket read.
+// session slot of the receiver, dialing it if vacant, with a watchdog
+// that closes the transport once the run outlives RunTimeout or Close
+// cancels it — the only way to unblock a probe stuck in a socket read.
 func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) {
 	params := e.t.Params
 	params.Rand = rng.DeriveLabel(m.cfg.Seed, e.runLabel.Uint(e.runSeq))
@@ -361,15 +361,23 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 
 	ctx, cancel := context.WithTimeout(m.root, m.cfg.RunTimeout)
 	defer cancel()
-	pool, err := m.poolFor(e.t.Addr)
+	slots, err := m.leaseFor(e.t.Addr)
 	if err != nil {
 		return nil, 0, err
 	}
-	tr, err := pool.Get(ctx)
-	if err != nil {
-		return nil, 0, err
+	var tr *livenet.Transport
+	select {
+	case tr = <-slots:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
 	}
-	watchdog := context.AfterFunc(ctx, func() { tr.Close() })
+	if tr == nil {
+		if tr, err = livenet.Dial(e.t.Addr); err != nil {
+			slots <- nil // still vacant: the next run redials
+			return nil, 0, err
+		}
+	}
+	watchdog := context.AfterFunc(ctx, tr.Close)
 	rep, err := registry.Estimate(ctx, e.d.Name, params, tr)
 	healthy := watchdog()
 	if err != nil && !errors.Is(err, core.ErrBudget) &&
@@ -380,12 +388,14 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 		// boundaries and leave the channel clean.
 		healthy = false
 	}
-	if !healthy {
+	if !healthy || tr.Broken() {
+		tr.Close()
+		tr = nil
 		m.mu.Lock()
 		m.redials++
 		m.mu.Unlock()
 	}
-	pool.Put(tr, healthy)
+	slots <- tr
 	return rep, 0, err
 }
 
@@ -415,35 +425,25 @@ func (m *Monitor) ensureSim(e *entry) error {
 	return nil
 }
 
-// poolFor returns the session pool for a live receiver address,
-// dialing it on first use (outside the monitor lock — dials are slow).
-func (m *Monitor) poolFor(addr string) (*livenet.Pool, error) {
-	m.mu.Lock()
-	if p := m.pools[addr]; p != nil {
-		m.mu.Unlock()
-		return p, nil
-	}
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("monitor: closed")
-	}
-	p, err := livenet.DialPool(addr, m.cfg.PoolSize)
-	if err != nil {
-		return nil, err
-	}
+// leaseFor returns the session slots of a live receiver address,
+// PoolSize of them, each holding an idle transport or nil for a
+// session not yet dialed. A run holds one slot for its whole length,
+// so at most PoolSize runs probe one receiver at once.
+func (m *Monitor) leaseFor(addr string) (chan *livenet.Transport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		go p.Close()
 		return nil, fmt.Errorf("monitor: closed")
 	}
-	if exist := m.pools[addr]; exist != nil {
-		go p.Close()
-		return exist, nil
+	slots := m.leases[addr]
+	if slots == nil {
+		slots = make(chan *livenet.Transport, m.cfg.PoolSize)
+		for i := 0; i < m.cfg.PoolSize; i++ {
+			slots <- nil
+		}
+		m.leases[addr] = slots
 	}
-	m.pools[addr] = p
-	return p, nil
+	return slots, nil
 }
 
 // entryHeap orders queued entries by due time for container/heap.

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -61,18 +62,31 @@ type Opts struct {
 // session handshake: the receiver assigns the session ID every probe
 // packet will carry. A receiver at its session limit refuses with a
 // descriptive error.
-func Dial(addr string) (*Transport, error) { return DialOpts(addr, Opts{}) }
+func Dial(addr string) (*Transport, error) { return DialContext(context.Background(), addr, Opts{}) }
 
 // DialOpts is Dial with explicit socket options.
 func DialOpts(addr string, opts Opts) (*Transport, error) {
-	ctrl, err := net.Dial("tcp", addr)
+	return DialContext(context.Background(), addr, opts)
+}
+
+// DialContext is DialOpts under ctx: the connect and the wait for the
+// receiver's session hello both end when ctx does, the wait after 10 s
+// at the latest.
+func DialContext(ctx context.Context, addr string, opts Opts) (*Transport, error) {
+	var dialer net.Dialer
+	ctrl, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("livenet: control dial: %w", err)
 	}
+	stop := context.AfterFunc(ctx, func() { ctrl.Close() })
 	dec := json.NewDecoder(bufio.NewReader(ctrl))
 	ctrl.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var hello ctrlMsg
-	if err := dec.Decode(&hello); err != nil {
+	err = dec.Decode(&hello)
+	if !stop() {
+		err = ctx.Err() // ctx ended first: the read failed on the closed socket
+	}
+	if err != nil {
 		ctrl.Close()
 		return nil, fmt.Errorf("livenet: session handshake: %w", err)
 	}

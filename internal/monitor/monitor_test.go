@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -162,12 +163,13 @@ func TestSimRunsIgnoreRunTimeout(t *testing.T) {
 	}
 }
 
-// silentReceiver opens a session on every control connection and then
-// never answers: a live run's first "stream" request blocks it waiting
-// for "ready". It counts the sessions it opened and those still open
-// (the sender has not closed them), and signals each request it reads
-// on heard.
-func silentReceiver(t *testing.T) (addr string, opened, open *atomic.Int32, heard <-chan struct{}) {
+// silentReceiver accepts every control connection, sends the session
+// hello if hello is set, and then never answers: a live run's first
+// "stream" request blocks it waiting for "ready", or without the hello
+// its dial blocks. It counts the connections it accepted and those
+// still open (the sender has not closed them), and signals each request
+// it reads on heard.
+func silentReceiver(t *testing.T, hello bool) (addr string, opened, open *atomic.Int32, heard <-chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -187,7 +189,9 @@ func silentReceiver(t *testing.T) (addr string, opened, open *atomic.Int32, hear
 			go func() {
 				defer open.Add(-1)
 				defer c.Close()
-				io.WriteString(c, `{"type":"session","session":7}`+"\n")
+				if hello {
+					io.WriteString(c, `{"type":"session","session":7}`+"\n")
+				}
 				buf := make([]byte, 1024)
 				for {
 					if _, err := c.Read(buf); err != nil {
@@ -216,7 +220,7 @@ func stuckTarget(addr string) []Target {
 // the run fails, the session is discarded rather than returned to its
 // slot, and the next run dials a new one.
 func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
-	addr, opened, _, _ := silentReceiver(t)
+	addr, opened, _, _ := silentReceiver(t, true)
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
 	m, err := New(Config{
 		Targets:    stuckTarget(addr),
@@ -252,7 +256,7 @@ func TestLiveWatchdogClosesStuckTransport(t *testing.T) {
 // RunTimeout, nor at the transport's own reply bound — and its session
 // is closed.
 func TestMonitorCloseEndsStuckLiveRun(t *testing.T) {
-	addr, _, open, heard := silentReceiver(t)
+	addr, _, open, heard := silentReceiver(t, true)
 	clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
 	m, err := New(Config{Targets: stuckTarget(addr), Interval: 10 * time.Second, PoolSize: 1, Clock: clk})
 	if err != nil {
@@ -277,6 +281,42 @@ func TestMonitorCloseEndsStuckLiveRun(t *testing.T) {
 		t.Errorf("after Close: %d active, %d ok; want 0 and 0", st.Active, st.RunsOK)
 	}
 	waitFor(t, "the stuck session closed", func() bool { return open.Load() == 0 })
+}
+
+// TestLiveDialEndsWithTheRun: a live run dialing a receiver that never
+// sends its session hello is ended by RunTimeout with a deadline error,
+// and Close ends one still dialing, not the dial's own 10 s hello bound.
+func TestLiveDialEndsWithTheRun(t *testing.T) {
+	start := func(runTimeout time.Duration) (*Monitor, *atomic.Int32, *atomic.Int32) {
+		addr, opened, open, _ := silentReceiver(t, false)
+		clk := NewFakeClock(time.Unix(1_700_000_000, 0).UTC())
+		m, err := New(Config{Targets: stuckTarget(addr), Interval: 10 * time.Second,
+			RunTimeout: runTimeout, PoolSize: 1, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		clk.Advance(11 * time.Second)
+		return m, opened, open
+	}
+
+	m, _, open := start(100 * time.Millisecond)
+	waitFor(t, "the dialing run to end", func() bool { st := m.Stats(); return st.RunsErr == 1 && st.Active == 0 })
+	s, _ := m.Store().Lookup("stuck/delphi")
+	if pts := s.Last(0); len(pts) != 1 || !strings.Contains(pts[0].Err, context.DeadlineExceeded.Error()) {
+		t.Errorf("points %+v, want one run failed by its deadline", pts)
+	}
+	m.Close()
+	waitFor(t, "the dialed connection closed", func() bool { return open.Load() == 0 })
+
+	m, opened, open := start(0) // the default RunTimeout, minutes
+	waitFor(t, "the run to dial", func() bool { return opened.Load() == 1 })
+	begun := time.Now()
+	m.Close()
+	if took := time.Since(begun); took > time.Second {
+		t.Errorf("Close took %v with a run waiting for a session hello, want under 1s", took)
+	}
+	waitFor(t, "the dialed connection closed", func() bool { return open.Load() == 0 })
 }
 
 // TestLiveLeaseBoundsSessions: three live targets share one receiver

@@ -342,6 +342,7 @@ func (e *entry) jitterSpan() time.Duration {
 // session slot of the receiver, dialing it if vacant, with a watchdog
 // that closes the transport once the run outlives RunTimeout or Close
 // cancels it — the only way to unblock a probe stuck in a socket read.
+// The dial runs under the same deadline and cancellation.
 func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) {
 	params := e.t.Params
 	params.Rand = rng.DeriveLabel(m.cfg.Seed, e.runLabel.Uint(e.runSeq))
@@ -372,7 +373,7 @@ func (m *Monitor) execute(e *entry, cost Cost) (*core.Report, unit.Rate, error) 
 		return nil, 0, ctx.Err()
 	}
 	if tr == nil {
-		if tr, err = livenet.Dial(e.t.Addr); err != nil {
+		if tr, err = livenet.DialContext(ctx, e.t.Addr, livenet.Opts{}); err != nil {
 			slots <- nil // still vacant: the next run redials
 			return nil, 0, err
 		}

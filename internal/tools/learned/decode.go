@@ -1,9 +1,10 @@
 package learned
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
 
 	"abw/internal/unit"
@@ -13,9 +14,12 @@ import (
 // its bytes, without reflection, and yields exactly what json.Unmarshal
 // into a Weights yields on every input it accepts:
 //
-//   - A number token must match the JSON number grammar; floats then go
-//     through strconv.ParseFloat(tok, 64) and integers through
-//     strconv.Atoi, the conversions encoding/json makes.
+//   - A number token must match the JSON number grammar. A float of
+//     at most 19 digits, no exponent and a mantissa m <= 2⁵³ is m/10^k
+//     for its k fraction digits, one correctly rounded division of exact
+//     float64s, hence strconv.ParseFloat's bits; other floats go through
+//     ParseFloat(tok, 64) and integers through strconv.Atoi, the
+//     conversions encoding/json makes.
 //   - A string with no backslash and no byte below 0x20 or at or above
 //     0x80 is copied as it is; any other string token goes to
 //     json.Unmarshal, so its escapes, control bytes and invalid UTF-8
@@ -167,15 +171,17 @@ func list[T any](d *decoder, elem func() (T, error)) ([]T, error) {
 	return out, err
 }
 
-// rows reads an array of float arrays, or null, into one backing array,
-// cut into capped rows once the outer array closes: a few dozen
-// allocations for the kNN memory instead of one per row.
+// rows reads an array of float arrays, or null, into one backing array
+// sized once, cut into capped rows once the outer array closes: a few
+// dozen allocations for the kNN memory instead of one per row. Each
+// float but the last is followed by a comma, in its row or after it,
+// so the commas left in the input bound the count.
 func (d *decoder) rows() ([][]float64, error) {
 	if d.null() {
 		return nil, nil
 	}
-	flat := make([]float64, 0, 1024) // non-nil, so an empty row is too
-	var ends []int                   // each row's end in flat; -1 for a null row
+	flat := make([]float64, 0, bytes.Count(d.data[d.off:], []byte{','})+1)
+	var ends []int // each row's end in flat; -1 for a null row
 	err := d.array(func() error {
 		if d.null() {
 			ends = append(ends, -1)
@@ -183,11 +189,6 @@ func (d *decoder) rows() ([][]float64, error) {
 		}
 		err := d.array(func() error {
 			f, err := d.float()
-			if len(flat) == cap(flat) {
-				// Double: append grows a slice this large by 1.25×,
-				// copying the memory about five times over.
-				flat = slices.Grow(flat, len(flat))
-			}
 			flat = append(flat, f)
 			return err
 		})
@@ -243,7 +244,51 @@ func (d *decoder) number() ([]byte, error) {
 	return b[start:i], nil
 }
 
+// pow10 holds 10^0 to 10^19, each exact in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// float reads a number token as a float64, bit-identical to
+// strconv.ParseFloat. A token -?(0|[1-9][0-9]*)(\.[0-9]+)? of at most 19
+// digits, read in one pass as the integer m of its digits and its count
+// k of fraction digits, is m/10^k when m <= 2⁵³: m and 10^k are exact
+// float64s, so the division is the one correctly rounded step
+// ParseFloat takes too, and the sign bit is set after it (-0 included).
+// Nineteen digits cannot wrap m. Every other token, malformed ones
+// too, goes through number and ParseFloat.
 func (d *decoder) float() (float64, error) {
+	d.ws()
+	b, i := d.data, d.off
+	var sign uint64 // the sign bit, set by a leading '-'
+	if i < len(b) {
+		// 1 for '-', else 0, without a branch: the file's signs are
+		// as unpredictable as a coin.
+		neg := (uint64(b[i]^'-') - 1) >> 63
+		sign = neg << 63
+		i += int(neg)
+	}
+	start := i
+	var m uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	n := i - start // digits in m
+	ok := n == 1 || n > 1 && b[start] != '0'
+	k := 0
+	if ok && i < len(b) && b[i] == '.' {
+		i++
+		j := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		k = i - j
+		n += k
+		ok = k > 0
+	}
+	if ok && n <= 19 && m <= 1<<53 && (i == len(b) || b[i]|0x20 != 'e') {
+		d.off = i
+		return math.Float64frombits(math.Float64bits(float64(m)/pow10[k]) | sign), nil
+	}
 	tok, err := d.number()
 	if err != nil {
 		return 0, err
@@ -298,14 +343,11 @@ func (d *decoder) str() (string, error) {
 
 // ws skips JSON whitespace.
 func (d *decoder) ws() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
+	i := d.off
+	for i < len(d.data) && (d.data[i] == ' ' || d.data[i] == '\n' || d.data[i] == '\t' || d.data[i] == '\r') {
+		i++
 	}
+	d.off = i
 }
 
 // consume skips whitespace and then c, reporting whether c was there.

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"abw/internal/probe"
 	"abw/internal/rng"
+	"abw/internal/scenario"
 )
 
 // trainCase builds a noiseless linear problem y = 0.5 + 0.2·x0 − 0.1·x1
@@ -283,5 +285,40 @@ func TestDefaultWeightsParse(t *testing.T) {
 	}
 	if len(w.Mean) != len(w.FeatureNames) {
 		t.Errorf("embedded weights: %d means, %d names", len(w.Mean), len(w.FeatureNames))
+	}
+}
+
+var predictSink float64
+
+// BenchmarkPredict is the learned.predict rung on real-shaped queries:
+// the model inputs of the canonical scenario's streams at the plan's
+// rate fractions, one prediction an op.
+func BenchmarkPredict(b *testing.B) {
+	w, err := Default()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, ok := scenario.Lookup("canonical")
+	if !ok {
+		b.Fatal("no canonical scenario")
+	}
+	sc, err := d.CompileSeeded(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries [][]float64
+	err = w.Plan.Probe(sc.Transport, sc.Capacity, func(frac float64, _ int, rec *probe.Record) error {
+		queries = append(queries, ModelInput(probe.ExtractFeatures(rec), frac, sc.Capacity.MbpsOf()))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if predictSink, err = w.Predict(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
